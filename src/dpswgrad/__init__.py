@@ -9,7 +9,7 @@ The package is organized around one pipeline:
 - :mod:`dpswgrad.models` -- small analytic models with exact per-sample
   Jacobians (no autodiff framework).
 - :mod:`dpswgrad.dp_gradient` -- inner-clipped Wasserstein gradient proxy and
-  penalized fairness objective gradients.
+  the penalized objective: reported values and clipped gradient in one call.
 - :mod:`dpswgrad.sensitivity` -- closed-form sensitivity bounds, an empirical
   sensitivity auditor, and the W_p counterexample.
 - :mod:`dpswgrad.privacy` -- Gaussian mechanism, GDP accounting for

@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__, privacy, sensitivity
 from .data import (GenerationConfig, generate_biased, load_dataset,
                    save_dataset)
-from .dp_gradient import (ClipConfig, PenaltyConfig, clipped_wasserstein_grad,
-                          sp_objective_grad)
-from .fairness_train import TrainConfig, dpsgd_train
+from .dp_gradient import (ClipConfig, clipped_wasserstein_grad,
+                          penalized_objective)
+from .fairness_train import TrainConfig, dpsgd_train, generation_samples
 from .models import Mlp2Model, make_model, model_from_meta, save_model
 from .sliced import sample_directions
 
@@ -129,6 +129,8 @@ def _load_pair(path_str: str):
 
 
 def _train_one(cfg: dict, seed: int, outdir: Path, ds, ds_test) -> list:
+    if cfg["task"] == "generation" and cfg["gen_samples"] < 1:
+        raise ValueError("train: gen_samples must be >= 1")
     n = cfg["gen_samples"] if cfg["task"] == "generation" else ds.n
     delta = cfg["delta"] if cfg["delta"] is not None else 0.1 / n
     tc = TrainConfig(
@@ -178,19 +180,12 @@ def _write_step_csv(path: Path, record) -> None:
 
 
 def _write_outputs_by_group(outdir: Path, ds, model, task: str) -> str:
-    """Raw model outputs conditioned on the sensitive groups, long format."""
+    """Penalized model outputs conditioned on the penalty's classes."""
     name = "outputs_by_group.csv"
-    if task in ("classification_sp", "classification_eo"):
-        values = model.forward_batch(ds.x)
-        if task == "classification_eo":
-            labels = [f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
-        else:
-            labels = [f"a={a}" for a in ds.a]
-    elif task == "regression_sp":
-        values = model.forward_batch(ds.x)
-        labels = [f"a={a}" for a in ds.a]
-    else:  # autoencoder_sp: the latent codes are what gets penalized
-        values = model.encode_batch(ds.x)
+    values = model.penalty_forward_batch(ds.x)
+    if task == "classification_eo":
+        labels = [f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
+    else:
         labels = [f"a={a}" for a in ds.a]
     with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -203,11 +198,8 @@ def _write_outputs_by_group(outdir: Path, ds, model, task: str) -> str:
 
 def _write_generation_outputs(outdir: Path, tc: TrainConfig, model) -> str:
     """Pushed-forward samples next to the reference circle samples."""
-    from .fairness_train import _circle_sample, _substream, _TAG_GEN
     name = "outputs_by_group.csv"
-    rng = _substream(tc.seed, _TAG_GEN)
-    x = rng.standard_normal((tc.gen_samples, 2))
-    z = _circle_sample(rng, tc.gen_samples, tc.gen_radius)
+    x, z = generation_samples(tc)
     pushed = model.forward_batch(x)
     with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -333,7 +325,6 @@ def _audit_setup(cfg: dict):
         model = make_model("affine_sigmoid", d, seed=seed)
         model.theta *= 6.0
         alpha = float(cfg["alpha"])
-        pen = PenaltyConfig(alpha=alpha, mode="sp")
         x0 = np.column_stack([rng.normal(size=(n, d)),
                               rng.integers(0, 2, n).astype(float)])
         x1 = np.column_stack([rng.normal(size=(m, d)),
@@ -343,8 +334,9 @@ def _audit_setup(cfg: dict):
             c0, c1 = cls
             x_full = np.concatenate([c0[:, :d], c1[:, :d]])
             y_full = np.concatenate([c0[:, d], c1[:, d]])
-            return sp_objective_grad(model, c0[:, :d], c1[:, :d], x_full,
-                                     y_full, clip, pen, loss_kind="bce")
+            pair = (c0[:, :d], model, c1[:, :d])
+            return penalized_objective(model, [pair], alpha, clip,
+                                       erm=(x_full, y_full, "bce"))[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3.0, 3.0, size=d),

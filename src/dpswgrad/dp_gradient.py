@@ -1,4 +1,4 @@
-"""Inner-clipped Wasserstein gradient proxy and penalized objective gradients.
+"""Inner-clipped Wasserstein gradient proxy and the penalized objective.
 
 The parameter-space gradient of W2^2 between two model output distributions
 decomposes into per-sample terms: coupling-weighted output differences times
@@ -13,6 +13,11 @@ Clipped norms: with output bound B and Jacobian bounds J1 (x-side) and J2
 In the multidimensional case the Jacobian rows are clipped to bound/sqrt(d)
 individually (which caps the spectral norm at ``bound``) rather than through
 an SVD; this is the scheme actually used in training.
+
+:func:`penalized_objective` is the one training step of every task: it
+clips each penalty pair's outputs once and returns the reported ERM, W and
+total values together with the clipped gradient.
+:func:`clipped_wasserstein_grad` is the gradient of a single pair alone.
 """
 
 from __future__ import annotations
@@ -27,15 +32,12 @@ from .sliced import ProjectionSet
 
 __all__ = [
     "ClipConfig",
-    "PenaltyConfig",
     "clip_vector",
     "clip_rows",
     "clip_jacobian_naive",
     "clipped_wasserstein_grad",
-    "clipped_wasserstein_value",
     "clipped_erm_grad",
-    "sp_objective_grad",
-    "eo_objective_grad",
+    "penalized_objective",
 ]
 
 
@@ -65,24 +67,6 @@ class ClipConfig:
                   loss_grad_bound: float = 0.0) -> "ClipConfig":
         """Both maps share one Jacobian bound (the fairness-training case)."""
         return cls(output_bound, jac_bound, jac_bound, loss_grad_bound)
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Fairness penalty: weight, flavor, and sliced-estimator size."""
-
-    alpha: float
-    mode: str  # "sp" or "eo"
-    num_label_classes: int = 2
-    num_projections: int = 50
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.mode not in ("sp", "eo"):
-            raise ValueError(f"mode must be 'sp' or 'eo', got {self.mode!r}")
-        if self.mode == "eo" and self.num_label_classes < 2:
-            raise ValueError("eo mode needs at least 2 label classes")
 
 
 def clip_vector(v, bound: float) -> np.ndarray:
@@ -122,16 +106,17 @@ def clip_jacobian_naive(jac: np.ndarray, bound: float) -> np.ndarray:
     return clip_rows(jac, bound / np.sqrt(d))
 
 
-def _resolve_param_space(g: Model, h: Model) -> int:
-    if g is h or g.n_params == 0 or h.n_params == 0:
-        return max(g.n_params, h.n_params)
-    raise ValueError(
-        "the two maps must share their parameter vector (same object) "
-        "or one of them must be parameter-free")
-
-
 def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
                      dirs: ProjectionSet | None):
+    """Validated inputs and clipped (then projected) outputs of one pair."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if x.shape[0] == 0 or z.shape[0] == 0:
+        raise ValueError("both sample slices must be non-empty")
+    if not (g is h or g.n_params == 0 or h.n_params == 0):
+        raise ValueError(
+            "the two maps must share their parameter vector (same object) "
+            "or one of them must be parameter-free")
     u_raw = g.penalty_forward_batch(x)
     v_raw = h.penalty_forward_batch(z)
     if u_raw.shape[1] != v_raw.shape[1]:
@@ -143,33 +128,19 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
                 "a ProjectionSet is required for multidimensional outputs")
         u = np.clip(u_raw, -output_bound, output_bound)
         v = np.clip(v_raw, -output_bound, output_bound)
-        return u, v
+        return x, z, u, v
     if d != dirs.dim:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.dim}-dimensional")
-    return (clip_rows(u_raw, output_bound) @ dirs.directions.T,
+    return (x, z, clip_rows(u_raw, output_bound) @ dirs.directions.T,
             clip_rows(v_raw, output_bound) @ dirs.directions.T)
 
 
-def clipped_wasserstein_grad(g: Model, h: Model, x, z, clip: ClipConfig,
-                             dirs: ProjectionSet | None = None) -> np.ndarray:
-    """Clipped parameter-space gradient proxy for (sliced) W2^2.
-
-    Outputs are clipped to the ball of radius ``clip.output_bound`` before
-    the coupling is built; per-sample Jacobians are clipped to
-    ``clip.jac_bound1`` / ``clip.jac_bound2`` (row-wise in the sliced case)
-    before being weighted in.  With ``dirs`` given, the result is the average
-    of the per-direction 1D assemblies over the projected outputs.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if x.shape[0] == 0 or z.shape[0] == 0:
-        raise ValueError("both sample slices must be non-empty")
-    n_params = _resolve_param_space(g, h)
-    u, v = _clipped_outputs(g, h, x, z, clip.output_bound, dirs)
+def _assemble(g: Model, h: Model, x, z, u, v, clip: ClipConfig,
+              dirs: ProjectionSet | None) -> np.ndarray:
+    """Coupling-weighted sum of the clipped per-sample Jacobians."""
     gu, gv = w2_grad_columns(u, v)
-
-    total = np.zeros(n_params)
+    total = np.zeros(max(g.n_params, h.n_params))
     if dirs is None:
         if g.n_params:
             jg = clip_rows(g.penalty_jacobian_batch(x)[:, 0, :],
@@ -193,16 +164,18 @@ def clipped_wasserstein_grad(g: Model, h: Model, x, z, clip: ClipConfig,
     return total
 
 
-def clipped_wasserstein_value(g: Model, h: Model, x, z, output_bound: float,
-                              dirs: ProjectionSet | None = None) -> float:
-    """(Sliced) W2^2 between the clipped output distributions.
+def clipped_wasserstein_grad(g: Model, h: Model, x, z, clip: ClipConfig,
+                             dirs: ProjectionSet | None = None) -> np.ndarray:
+    """Clipped parameter-space gradient proxy for (sliced) W2^2.
 
-    This is the penalty value actually optimized by the clipped gradient, so
-    it is what training loops report.
+    Outputs are clipped to the ball of radius ``clip.output_bound`` before
+    the coupling is built; per-sample Jacobians are clipped to
+    ``clip.jac_bound1`` / ``clip.jac_bound2`` (row-wise in the sliced case)
+    before being weighted in.  With ``dirs`` given, the result is the average
+    of the per-direction 1D assemblies over the projected outputs.
     """
-    u, v = _clipped_outputs(g, h, np.atleast_2d(x), np.atleast_2d(z),
-                            output_bound, dirs)
-    return float(np.mean(w2_squared_columns(u, v)))
+    x, z, u, v = _clipped_outputs(g, h, x, z, clip.output_bound, dirs)
+    return _assemble(g, h, x, z, u, v, clip, dirs)
 
 
 def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
@@ -212,63 +185,51 @@ def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
     return clip_rows(grads, bound).mean(axis=0)
 
 
-def sp_objective_grad(model: Model, x0, x1, x_full, y_full, clip: ClipConfig,
-                      pen: PenaltyConfig, *, loss_kind: str,
-                      dirs: ProjectionSet | None = None) -> np.ndarray:
-    """Gradient of the statistical-parity penalized objective.
+def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
+                        dirs: ProjectionSet | None = None, erm=None):
+    """Values and clipped gradient of the penalized objective.
 
-    ``(1 - alpha) * clipped ERM gradient over the full batch
-    + alpha * clipped Wasserstein gradient`` between the class-conditional
-    output distributions of ``x0`` and ``x1`` (the same model on both sides).
+    The objective is ``(1 - alpha) * ERM + alpha * W``, where W averages the
+    (sliced) W2^2 of the clipped outputs over the R penalty ``pairs``.  Each
+    pair ``(x, h, z)`` compares ``model`` on ``x`` with ``h`` on ``z``;
+    ``h`` is ``model`` itself (a fairness penalty) or a parameter-free
+    reference map.  ``erm`` is ``(x, targets, loss_kind)`` for the
+    finite-sum term, or None for a penalty-only objective (ERM reported 0).
+
+    The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
+    the sum of the clipped Wasserstein gradients of the pairs.  Each pair's
+    outputs are computed and clipped once and serve both the reported W and
+    the gradient.  The Jacobians are skipped at ``alpha == 0`` and the ERM
+    gradient at ``alpha == 1``; both values are still reported.
+
+    Returns ``(erm_value, w_value, total_value, grad)``.
     """
-    if pen.mode != "sp":
-        raise ValueError("penalty mode must be 'sp'")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    if x0.shape[0] == 0 or x1.shape[0] == 0:
-        raise ValueError("both class batches must be non-empty")
-    alpha = pen.alpha
-    total = np.zeros(model.n_params)
-    if alpha < 1.0:
-        total += (1.0 - alpha) * clipped_erm_grad(
-            model, x_full, y_full, loss_kind, clip.loss_grad_bound)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not pairs:
+        raise ValueError("at least one penalty pair is required")
+    # ERM first, then the penalty: this summation order is part of every
+    # replayable trajectory.  clipped_erm_grad also frees its (n, p)
+    # per-sample array before the (n, d, p) Jacobians below are built.
+    grad = np.zeros(model.n_params)
+    erm_value = 0.0
+    if erm is not None:
+        x_full, targets, loss_kind = erm
+        if alpha < 1.0:
+            grad += (1.0 - alpha) * clipped_erm_grad(
+                model, x_full, targets, loss_kind, clip.loss_grad_bound)
+        erm_value = float(np.mean(model.loss_batch(x_full, targets,
+                                                   loss_kind)))
+    values = []
+    penalty = np.zeros(model.n_params)
+    for x, h, z in pairs:
+        x, z, u, v = _clipped_outputs(model, h, x, z, clip.output_bound, dirs)
+        values.append(float(np.mean(w2_squared_columns(u, v))))
+        if alpha > 0.0:
+            penalty += _assemble(model, h, x, z, u, v, clip, dirs)
+    r = len(pairs)
     if alpha > 0.0:
-        total += alpha * clipped_wasserstein_grad(
-            model, model, x0, x1, clip, dirs)
-    return total
-
-
-def eo_objective_grad(model: Model, batches, x_full, y_full,
-                      clip: ClipConfig, pen: PenaltyConfig, *,
-                      loss_kind: str,
-                      dirs: ProjectionSet | None = None) -> np.ndarray:
-    """Gradient of the equality-of-odds penalized objective.
-
-    ``batches`` maps (sensitive class j, label k) to that group's inputs;
-    the penalty averages, over the label classes, the clipped Wasserstein
-    gradient between the (j=0, k) and (j=1, k) output distributions.
-    """
-    if pen.mode != "eo":
-        raise ValueError("penalty mode must be 'eo'")
-    r = pen.num_label_classes
-    groups = {}
-    for j in (0, 1):
-        for k in range(r):
-            if (j, k) not in batches:
-                raise ValueError(f"missing batch for class ({j}, {k})")
-            b = np.atleast_2d(np.asarray(batches[(j, k)], dtype=np.float64))
-            if b.shape[0] == 0:
-                raise ValueError(f"class batch ({j}, {k}) is empty")
-            groups[(j, k)] = b
-    alpha = pen.alpha
-    total = np.zeros(model.n_params)
-    if alpha < 1.0:
-        total += (1.0 - alpha) * clipped_erm_grad(
-            model, x_full, y_full, loss_kind, clip.loss_grad_bound)
-    if alpha > 0.0:
-        acc = np.zeros(model.n_params)
-        for k in range(r):
-            acc += clipped_wasserstein_grad(
-                model, model, groups[(0, k)], groups[(1, k)], clip, dirs)
-        total += (alpha / r) * acc
-    return total
+        grad += (alpha / r) * penalty
+    w_value = (1.0 / r) * sum(values)
+    return (erm_value, w_value, (1.0 - alpha) * erm_value + alpha * w_value,
+            grad)

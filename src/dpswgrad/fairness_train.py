@@ -1,16 +1,19 @@
 """DP-SGD training with fairness penalties, budget tracking, and metrics.
 
-Each step draws a fixed-size without-replacement batch per class, assembles
-the clipped penalized gradient, adds Gaussian noise calibrated once per run
-from the closed-form sensitivity at the realized batch sizes, and takes a
-plain SGD step.  The only randomness beyond subsampling is the per-step
-noise, so a run with noise scale zero is a deterministic clipped-SGD
-trajectory and any run is bit-reproducible from its seed.
+Every task, the generation demo included, runs one loop.  Each step draws
+a fixed-size without-replacement batch per class, evaluates the penalized
+objective on the task's penalty pairs in one call, adds Gaussian noise
+calibrated once per run from the closed-form sensitivity at the realized
+batch sizes, and takes a plain SGD step.  The only randomness beyond
+subsampling is the per-step noise, so a run with noise scale zero is a
+deterministic clipped-SGD trajectory and any run is bit-reproducible from
+its seed.
 
 Reported losses are the quantities actually optimized: the finite-sum term
 is the plain per-sample loss mean, the penalty term is the (sliced) W2^2 of
 the *clipped* output distributions, both evaluated noiselessly on the
-current batch before the update.
+current batch before the update by the same call that returns the
+gradient.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ import numpy as np
 
 from . import privacy, sensitivity
 from .data import BiasedDataset, ClassPartition, centered_targets, partition
-from .dp_gradient import (ClipConfig, PenaltyConfig, clipped_wasserstein_grad,
-                          clipped_wasserstein_value, eo_objective_grad,
-                          sp_objective_grad)
+from .dp_gradient import ClipConfig, penalized_objective
 from .models import AffineSigmoidModel, IdentityModel, make_model
 from .sliced import ProjectionSet, sample_directions
 
 __all__ = ["TASKS", "TrainConfig", "TrainRecord", "subsample_partitioned",
-           "dpsgd_train", "metrics"]
+           "generation_samples", "dpsgd_train", "metrics"]
 
 TASKS = ("classification_sp", "classification_eo", "regression_sp",
          "autoencoder_sp", "generation")
@@ -192,54 +193,72 @@ def _batch_sizes(class_sizes: dict, fraction: float) -> dict:
     return sizes
 
 
-def _circle_sample(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+def generation_samples(cfg: TrainConfig) -> tuple:
+    """The generation task's data: Gaussian inputs and circle references.
+
+    Returns ``(x, z)``, each ``(gen_samples, 2)``, drawn from the run seed,
+    so the model's inputs and the reference samples can be rebuilt from the
+    config alone.
+    """
+    rng = _substream(cfg.seed, _TAG_GEN)
+    n = cfg.gen_samples
+    x = rng.standard_normal((n, 2))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    return x, cfg.gen_radius * np.column_stack([np.cos(angles),
+                                                np.sin(angles)])
+
+
+def _dataset_task(cfg: TrainConfig, ds: BiasedDataset):
+    """Model, ERM targets and loss kind of a fairness task."""
+    if cfg.task in ("classification_sp", "classification_eo"):
+        return (make_model("affine_sigmoid", ds.dim, seed=cfg.seed),
+                ds.y.astype(np.float64), "bce")
+    if cfg.task == "regression_sp":
+        model = make_model(cfg.model_kind or "mlp2", ds.dim, seed=cfg.seed,
+                           hidden_dim=cfg.hidden_dim or 64, output_dim=2,
+                           output_activation="sigmoid_recentered")
+        return model, centered_targets(ds), "squared_error"
+    model = make_model("autoencoder", ds.dim, seed=cfg.seed,
+                       hidden_dim=cfg.hidden_dim or 62,
+                       latent_dim=cfg.latent_dim)
+    return model, ds.x, "squared_error"
 
 
 def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
                 ds_test: BiasedDataset | None = None) -> TrainRecord:
-    """Run the subsampled noisy-gradient loop and return the full record."""
-    if cfg.task == "generation":
-        return _train_generation(cfg)
-    if ds is None:
-        raise ValueError(f"task {cfg.task!r} requires a dataset")
+    """Run the subsampled noisy-gradient loop and return the full record.
 
+    Every task is the same loop over penalty pairs of class keys.
+    Statistical parity compares the two sensitive classes (one pair);
+    equality of odds compares them within each label (one pair per label).
+    Generation pushes Gaussian samples onto a circle: one pair of the model
+    against the parameter-free reference, at weight 1 with no ERM term.
+    There both the inputs and the references are treated as private, so the
+    two-sided bound calibrates the noise (with a zero reference-side
+    Jacobian bound).
+    """
     clip = cfg.clip
-    jac_bound = clip.jac_bound1
-    dim = ds.dim
-
-    if cfg.task in ("classification_sp", "classification_eo"):
-        model = make_model("affine_sigmoid", dim, seed=cfg.seed)
-        loss_kind = "bce"
-        targets = ds.y.astype(np.float64)
-        penalty_dirs_dim = None
-    elif cfg.task == "regression_sp":
-        kind = cfg.model_kind or "mlp2"
-        model = make_model(kind, dim, seed=cfg.seed,
-                           hidden_dim=cfg.hidden_dim or 64, output_dim=2,
-                           output_activation="sigmoid_recentered")
-        loss_kind = "squared_error"
-        targets = centered_targets(ds)
-        penalty_dirs_dim = 2
-    elif cfg.task == "autoencoder_sp":
-        model = make_model("autoencoder", dim, seed=cfg.seed,
-                           hidden_dim=cfg.hidden_dim or 62,
-                           latent_dim=cfg.latent_dim)
-        loss_kind = "squared_error"
-        targets = ds.x
-        penalty_dirs_dim = cfg.latent_dim
-    else:  # pragma: no cover - guarded by TrainConfig
-        raise ValueError(cfg.task)
-
-    if cfg.task == "classification_eo":
-        part = partition(ds, "by_a_and_y")
-        pen = PenaltyConfig(alpha=cfg.alpha, mode="eo", num_label_classes=2,
-                            num_projections=cfg.num_projections)
+    if cfg.task == "generation":
+        x, z = generation_samples(cfg)
+        inputs = {"x": x, "z": z}
+        # each sample is a class of its own, indexing its own array
+        part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
+                                          for key in inputs})
+        model = make_model(cfg.model_kind or "mlp2", 2, seed=cfg.seed,
+                           hidden_dim=cfg.hidden_dim or 32, output_dim=2,
+                           output_activation="linear")
+        pair_keys = [("x", IdentityModel(2), "z")]
+        targets, weight = None, 1.0
     else:
-        part = partition(ds, "by_a")
-        pen = PenaltyConfig(alpha=cfg.alpha, mode="sp",
-                            num_projections=cfg.num_projections)
+        if ds is None:
+            raise ValueError(f"task {cfg.task!r} requires a dataset")
+        model, targets, loss_kind = _dataset_task(cfg, ds)
+        eo = cfg.task == "classification_eo"
+        part = partition(ds, "by_a_and_y" if eo else "by_a")
+        inputs = dict.fromkeys(part.keys, ds.x)
+        pair_keys = ([((0, k), model, (1, k)) for k in (0, 1)] if eo
+                     else [(0, model, 1)])
+        weight = cfg.alpha
     empty = part.empty_classes()
     if empty:
         raise ValueError(f"dataset has empty classes: {empty}")
@@ -249,14 +268,18 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     n_batch = sum(batch_sizes.values())
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
 
-    if cfg.task == "classification_eo":
+    if cfg.task == "generation":
+        delta2 = sensitivity.bound_two_sided(
+            clip.output_bound, clip.jac_bound1, 0.0, batch_sizes["x"],
+            batch_sizes["z"])
+    elif cfg.task == "classification_eo":
         delta2 = sensitivity.bound_eo(
-            clip.loss_grad_bound, clip.output_bound, jac_bound, n_batch,
+            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, n_batch,
             [batch_sizes[k] for k in part.keys], cfg.alpha,
             num_label_classes=2)
     else:
         delta2 = sensitivity.bound_sp(
-            clip.loss_grad_bound, clip.output_bound, jac_bound, n_batch,
+            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, n_batch,
             batch_sizes[0], batch_sizes[1], cfg.alpha)
 
     non_private = math.isinf(cfg.epsilon)
@@ -271,9 +294,11 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             noise_multiplier=nu, sampling_rate=sampling_rate,
             target_delta=cfg.delta)
 
+    # scalar outputs are coupled directly, without projections
+    sliced = model.penalty_dim > 1
     dirs = None
-    if penalty_dirs_dim is not None and not cfg.resample_directions:
-        dirs = _draw_directions(cfg, penalty_dirs_dim)
+    if sliced and not cfg.resample_directions:
+        dirs = _draw_directions(cfg, model.penalty_dim)
 
     record = TrainRecord(
         task=cfg.task, seed=cfg.seed, steps=cfg.steps,
@@ -283,37 +308,22 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         epsilon_spent=math.inf if non_private else 0.0,
         accountant_formula=privacy.ACCOUNTANT_FORMULA,
         class_sizes=class_sizes, batch_sizes=batch_sizes,
-        model_meta=_model_meta(model),
+        model_meta=model.meta(),
         final_theta=model.theta, config=_config_dict(cfg))
 
     for t in range(cfg.steps):
-        if penalty_dirs_dim is not None and cfg.resample_directions:
-            dirs = _draw_directions(cfg, penalty_dirs_dim, step=t)
+        if sliced and cfg.resample_directions:
+            dirs = _draw_directions(cfg, model.penalty_dim, step=t)
         rng_batch = _substream(cfg.seed, _TAG_BATCH, t)
         batch = subsample_partitioned(part, batch_sizes, rng_batch)
-
-        if cfg.task == "classification_eo":
-            groups = {key: ds.x[idx] for key, idx in batch.items()}
+        pairs = [(inputs[a][batch[a]], h, inputs[b][batch[b]])
+                 for a, h, b in pair_keys]
+        erm = None
+        if targets is not None:
             union = np.concatenate([batch[k] for k in part.keys])
-            x_full, y_full = ds.x[union], targets[union]
-            grad = eo_objective_grad(model, groups, x_full, y_full, clip, pen,
-                                     loss_kind=loss_kind, dirs=dirs)
-            w_val = 0.5 * sum(
-                clipped_wasserstein_value(model, model, groups[(0, k)],
-                                          groups[(1, k)], clip.output_bound,
-                                          dirs)
-                for k in (0, 1))
-        else:
-            x0, x1 = ds.x[batch[0]], ds.x[batch[1]]
-            union = np.concatenate([batch[0], batch[1]])
-            x_full, y_full = ds.x[union], targets[union]
-            grad = sp_objective_grad(model, x0, x1, x_full, y_full, clip, pen,
-                                     loss_kind=loss_kind, dirs=dirs)
-            w_val = clipped_wasserstein_value(model, model, x0, x1,
-                                              clip.output_bound, dirs)
-
-        erm_val = float(np.mean(model.loss_batch(x_full, y_full, loss_kind)))
-        total = (1.0 - cfg.alpha) * erm_val + cfg.alpha * w_val
+            erm = (ds.x[union], targets[union], loss_kind)
+        erm_val, w_val, total, grad = penalized_objective(
+            model, pairs, weight, clip, dirs, erm)
         record.erm_losses.append(erm_val)
         record.w_losses.append(w_val)
         record.total_losses.append(total)
@@ -335,98 +345,6 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     if ds_test is not None:
         record.metrics = metrics(ds_test, model, cfg.task)
     return record
-
-
-def _train_generation(cfg: TrainConfig) -> TrainRecord:
-    """Smoke-scale demo: push Gaussian samples onto a circle privately.
-
-    Both the trained inputs and the reference samples are treated as
-    private, so the two-sided sensitivity bound calibrates the noise (the
-    reference side is parameter-free, so its Jacobian bound is zero).
-    """
-    rng_data = _substream(cfg.seed, _TAG_GEN)
-    n = cfg.gen_samples
-    x = rng_data.standard_normal((n, 2))
-    z = _circle_sample(rng_data, n, cfg.gen_radius)
-
-    model = make_model(cfg.model_kind or "mlp2", 2, seed=cfg.seed,
-                       hidden_dim=cfg.hidden_dim or 32, output_dim=2,
-                       output_activation="linear")
-    reference = IdentityModel(2)
-    clip = cfg.clip
-
-    n_batch = max(1, int(math.floor(n * cfg.batch_fraction)))
-    sampling_rate = n_batch / n
-    delta2 = sensitivity.bound_two_sided(
-        clip.output_bound, clip.jac_bound1, 0.0, n_batch, n_batch)
-
-    non_private = math.isinf(cfg.epsilon)
-    if non_private:
-        sigma, nu, accountant = 0.0, None, None
-    else:
-        sigma = privacy.calibrate_noise(
-            privacy.PrivacyBudget(cfg.epsilon, cfg.delta), cfg.steps,
-            sampling_rate, delta2)
-        nu = sigma / delta2
-        accountant = privacy.AccountantState(
-            noise_multiplier=nu, sampling_rate=sampling_rate,
-            target_delta=cfg.delta)
-
-    dirs = (None if cfg.resample_directions
-            else _draw_directions(cfg, 2))
-    record = TrainRecord(
-        task=cfg.task, seed=cfg.seed, steps=cfg.steps,
-        non_private=non_private, epsilon_target=cfg.epsilon, delta=cfg.delta,
-        sensitivity=delta2, sampling_rate=sampling_rate, sigma=sigma,
-        noise_multiplier=nu,
-        epsilon_spent=math.inf if non_private else 0.0,
-        accountant_formula=privacy.ACCOUNTANT_FORMULA,
-        class_sizes={"x": n, "z": n},
-        batch_sizes={"x": n_batch, "z": n_batch},
-        model_meta=_model_meta(model),
-        final_theta=model.theta, config=_config_dict(cfg))
-
-    for t in range(cfg.steps):
-        if cfg.resample_directions:
-            dirs = _draw_directions(cfg, 2, step=t)
-        rng_batch = _substream(cfg.seed, _TAG_BATCH, t)
-        bx = np.sort(rng_batch.choice(n, size=n_batch, replace=False))
-        bz = np.sort(rng_batch.choice(n, size=n_batch, replace=False))
-        grad = clipped_wasserstein_grad(model, reference, x[bx], z[bz],
-                                        clip, dirs)
-        w_val = clipped_wasserstein_value(model, reference, x[bx], z[bz],
-                                          clip.output_bound, dirs)
-        record.erm_losses.append(0.0)
-        record.w_losses.append(w_val)
-        record.total_losses.append(w_val)
-
-        if sigma > 0.0:
-            grad = privacy.gaussian_mechanism(
-                grad, sigma, _substream(cfg.seed, _TAG_NOISE, t))
-        model.theta -= cfg.learning_rate * grad
-        if accountant is not None:
-            accountant.step()
-            record.epsilon_history.append(accountant.epsilon_spent())
-        else:
-            record.epsilon_history.append(math.inf)
-
-    record.final_theta = model.theta.copy()
-    record.epsilon_spent = (math.inf if accountant is None
-                            else accountant.epsilon_spent())
-    return record
-
-
-def _model_meta(model) -> dict:
-    """Shape metadata sufficient to rebuild the model from a flat theta."""
-    meta = model.meta()
-    if hasattr(model, "hidden_dim"):
-        meta["hidden_dim"] = model.hidden_dim
-        meta["hidden_activation"] = "sigmoid"
-    if hasattr(model, "output_activation"):
-        meta["output_activation"] = model.output_activation
-    if hasattr(model, "latent_dim"):
-        meta["latent_dim"] = model.latent_dim
-    return meta
 
 
 def _draw_directions(cfg: TrainConfig, dim: int,

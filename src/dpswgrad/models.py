@@ -9,9 +9,9 @@ every Jacobian is exact, which the finite-difference tests rely on.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  Batch methods return
-per-sample quantities stacked on the leading axis; ``forward``,
-``per_sample_jacobian`` and ``per_sample_loss_grad`` are single-sample
-conveniences.
+per-sample quantities stacked on the leading axis.  Each model's ``meta()``
+is the one record of the shape metadata that rebuilds it from a flat theta;
+training records and checkpoints both store it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ __all__ = [
     "AutoencoderModel",
     "make_model",
     "model_from_meta",
-    "forward",
-    "per_sample_jacobian",
-    "per_sample_loss_grad",
     "save_model",
     "load_model",
 ]
@@ -99,6 +96,7 @@ class Model:
         return self.jacobian_batch(x)
 
     def meta(self) -> dict:
+        """Shape metadata sufficient to rebuild the model from a flat theta."""
         return {"kind": self.kind, "input_dim": self.input_dim,
                 "output_dim": self.output_dim}
 
@@ -300,6 +298,11 @@ class Mlp2Model(Model):
             raise ValueError(f"theta size must be {expected}")
         super().__init__(input_dim, output_dim, theta)
 
+    def meta(self) -> dict:
+        return {**super().meta(), "hidden_dim": self.hidden_dim,
+                "hidden_activation": "sigmoid",
+                "output_activation": self.output_activation}
+
     def _weights(self):
         q, h, d = self.input_dim, self.hidden_dim, self.output_dim
         o1 = h * q
@@ -396,6 +399,10 @@ class AutoencoderModel(Model):
     @property
     def penalty_dim(self) -> int:
         return self.latent_dim
+
+    def meta(self) -> dict:
+        return {**super().meta(), "hidden_dim": self.hidden_dim,
+                "hidden_activation": "sigmoid", "latent_dim": self.latent_dim}
 
     @property
     def n_encoder_params(self) -> int:
@@ -546,34 +553,10 @@ def make_model(kind: str, input_dim: int, *, seed: int | None = None,
     raise ValueError(f"unknown model kind {kind!r}; expected one of {_KINDS}")
 
 
-def forward(model: Model, x) -> np.ndarray:
-    """Evaluate the model on a single input, returning a (d_out,) vector."""
-    return model.forward_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def per_sample_jacobian(model: Model, x) -> np.ndarray:
-    """Exact (d_out, n_params) Jacobian of the forward map at one input."""
-    return model.jacobian_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def per_sample_loss_grad(model: Model, x, target, loss_kind: str) -> np.ndarray:
-    """Exact gradient of one sample's loss wrt theta."""
-    xb = np.asarray(x, dtype=np.float64)[None, :]
-    tb = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return model.loss_grad_batch(xb, tb, loss_kind)[0]
-
-
 def save_model(model: Model, path) -> None:
     """Persist a model as JSON: kind, shape metadata, flat parameter vector."""
     doc = {"schema": _MODEL_SCHEMA, **model.meta(),
            "theta": [float(t) for t in model.theta]}
-    if isinstance(model, (Mlp2Model, AutoencoderModel)):
-        doc["hidden_dim"] = model.hidden_dim
-        doc["hidden_activation"] = "sigmoid"
-    if isinstance(model, Mlp2Model):
-        doc["output_activation"] = model.output_activation
-    if isinstance(model, AutoencoderModel):
-        doc["latent_dim"] = model.latent_dim
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

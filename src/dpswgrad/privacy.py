@@ -37,7 +37,6 @@ __all__ = [
     "ACCOUNTANT_FORMULA",
     "PrivacySaturationError",
     "PrivacyBudget",
-    "GdpParameter",
     "AccountantState",
     "gdp_delta",
     "gdp_epsilon",
@@ -75,24 +74,9 @@ class PrivacyBudget:
         return math.isinf(self.epsilon)
 
 
-@dataclass(frozen=True)
-class GdpParameter:
-    """mu parameter of Gaussian differential privacy (sensitivity / sigma)."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-
-
-def _mu_value(mu) -> float:
-    return float(mu.mu) if isinstance(mu, GdpParameter) else float(mu)
-
-
-def gdp_delta(mu, epsilon: float) -> float:
+def gdp_delta(mu: float, epsilon: float) -> float:
     """delta(epsilon) curve of a mu-GDP mechanism, stable for extreme inputs."""
-    mu = _mu_value(mu)
+    mu = float(mu)
     if mu <= 0:
         raise ValueError("mu must be > 0")
     if epsilon < 0:
@@ -109,9 +93,9 @@ def gdp_delta(mu, epsilon: float) -> float:
     return float(-math.exp(log1) * math.expm1(log2 - log1))
 
 
-def gdp_epsilon(mu, delta: float) -> float:
+def gdp_epsilon(mu: float, delta: float) -> float:
     """Smallest epsilon at which a mu-GDP mechanism is (epsilon, delta)-DP."""
-    mu = _mu_value(mu)
+    mu = float(mu)
     if mu <= 0:
         raise ValueError("mu must be > 0")
     if not 0.0 < delta < 1.0:

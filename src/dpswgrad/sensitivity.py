@@ -21,7 +21,6 @@ import numpy as np
 from .ot_core import w2_grad
 
 __all__ = [
-    "NeighborRelation",
     "SensitivityReport",
     "bound_one_sided",
     "bound_two_sided",
@@ -33,23 +32,6 @@ __all__ = [
     "wp_counterexample",
     "w2_counterexample_contrast",
 ]
-
-
-@dataclass(frozen=True)
-class NeighborRelation:
-    """Replace-one-within-a-class neighboring over fixed class sizes."""
-
-    class_sizes: tuple
-
-    def __post_init__(self):
-        if len(self.class_sizes) < 1:
-            raise ValueError("need at least one class")
-        if any(s < 1 for s in self.class_sizes):
-            raise ValueError("class sizes must be >= 1")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_sizes)
 
 
 def bound_one_sided(output_bound: float, jac_bound1: float,
@@ -174,7 +156,10 @@ def empirical_sensitivity(gradient_fn, base_classes, draw_replacement,
         raise ValueError("trials must be >= 1")
     classes = [np.atleast_2d(np.asarray(c, dtype=np.float64))
                for c in base_classes]
-    NeighborRelation(tuple(c.shape[0] for c in classes))  # validates sizes
+    if not classes:
+        raise ValueError("need at least one class")
+    if any(c.shape[0] < 1 for c in classes):
+        raise ValueError("class sizes must be >= 1")
     base_grad = np.asarray(gradient_fn(classes), dtype=np.float64)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -15,8 +15,8 @@ import numpy as np
 
 from .ot_core import w2_squared_columns
 
-__all__ = ["ProjectionSet", "sample_directions", "as_points",
-           "project", "sw2_per_direction", "sw2_squared_mc"]
+__all__ = ["ProjectionSet", "sample_directions", "project",
+           "sw2_per_direction", "sw2_squared_mc"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def sample_directions(d: int, k: int, seed: int) -> ProjectionSet:
     return ProjectionSet(directions=mat, seed=int(seed))
 
 
-def as_points(values, name: str = "points") -> np.ndarray:
+def _as_points(values, name: str = "points") -> np.ndarray:
     """Validate a non-empty (n, d) array of finite points."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -69,7 +69,7 @@ def as_points(values, name: str = "points") -> np.ndarray:
 
 def project(points, dirs: ProjectionSet) -> np.ndarray:
     """Project (n, d) points onto every direction, returning (n, k)."""
-    pts = as_points(points)
+    pts = _as_points(points)
     if pts.shape[1] != dirs.dim:
         raise ValueError(
             f"dimension mismatch: points are {pts.shape[1]}-dimensional, "

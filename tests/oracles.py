@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the
 quantile-integral oracle runs on exact rational breakpoints, and the
 finite-difference helpers only call whatever scalar function they are
-handed.
+handed.  The single-sample model helpers only slice a model's batch
+methods, so per-sample checks read like the math.
 """
 
 from fractions import Fraction
@@ -25,6 +26,23 @@ def w2_squared_quantile_oracle(u, v) -> float:
         qv = vs[min(int(mid * m), m - 1)]
         total += float(hi - lo) * (qu - qv) ** 2
     return total
+
+
+def forward(model, x) -> np.ndarray:
+    """Evaluate a model on a single input, returning a (d_out,) vector."""
+    return model.forward_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def per_sample_jacobian(model, x) -> np.ndarray:
+    """Exact (d_out, n_params) Jacobian of the forward map at one input."""
+    return model.jacobian_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def per_sample_loss_grad(model, x, target, loss_kind: str) -> np.ndarray:
+    """Exact gradient of one sample's loss wrt theta."""
+    xb = np.asarray(x, dtype=np.float64)[None, :]
+    tb = np.asarray(target, dtype=np.float64).reshape(1, -1)
+    return model.loss_grad_batch(xb, tb, loss_kind)[0]
 
 
 def central_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -16,9 +16,8 @@ import pytest
 
 from dpswgrad.cli import main as cli_main
 from dpswgrad.data import GenerationConfig, generate_biased
-from dpswgrad.dp_gradient import (ClipConfig, PenaltyConfig,
-                                  clipped_wasserstein_grad,
-                                  sp_objective_grad)
+from dpswgrad.dp_gradient import (ClipConfig, clipped_wasserstein_grad,
+                                  penalized_objective)
 from dpswgrad.fairness_train import TrainConfig, dpsgd_train
 from dpswgrad.models import Mlp2Model, make_model
 from dpswgrad.ot_core import quantile_coupling, w2_grad, w2_squared
@@ -232,14 +231,14 @@ def test_c4_sensitivity_obedience():
         sp_classes = [np.column_stack([rng.normal(size=(k, 3)),
                                        rng.integers(0, 2, k).astype(float)])
                       for k in (n0, n1)]
-        pen_sp = PenaltyConfig(alpha=0.75, mode="sp")
 
         def sp_fn(classes):
             c0, c1 = classes
             x_full = np.concatenate([c0[:, :3], c1[:, :3]])
             y_full = np.concatenate([c0[:, 3], c1[:, 3]])
-            return sp_objective_grad(model, c0[:, :3], c1[:, :3], x_full,
-                                     y_full, clip, pen_sp, loss_kind="bce")
+            return penalized_objective(
+                model, [(c0[:, :3], model, c1[:, :3])], 0.75, clip,
+                erm=(x_full, y_full, "bce"))[3]
 
         def draw_labeled(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=3),
@@ -250,20 +249,20 @@ def test_c4_sensitivity_obedience():
             theoretical_bound=bound_sp(2.0, 1.0, 1.0, n0 + n1, n0, n1, 0.75))
         assert rep.empirical_max <= rep.theoretical_bound
 
-        from dpswgrad.dp_gradient import eo_objective_grad
         sizes = {(0, 0): 12, (0, 1): 15, (1, 0): 10, (1, 1): 14}
         keys = sorted(sizes)
         eo_classes = [np.column_stack([rng.normal(size=(sizes[k], 3)),
                                        np.full(sizes[k], float(k[1]))])
                       for k in keys]
-        pen_eo = PenaltyConfig(alpha=0.75, mode="eo", num_label_classes=2)
 
         def eo_fn(classes):
             batches = {k: c[:, :3] for k, c in zip(keys, classes)}
             x_full = np.concatenate([c[:, :3] for c in classes])
             y_full = np.concatenate([c[:, 3] for c in classes])
-            return eo_objective_grad(model, batches, x_full, y_full, clip,
-                                     pen_eo, loss_kind="bce")
+            pairs = [(batches[(0, k)], model, batches[(1, k)])
+                     for k in (0, 1)]
+            return penalized_objective(model, pairs, 0.75, clip,
+                                       erm=(x_full, y_full, "bce"))[3]
 
         def draw_eo(rng_, class_index):
             # label is pinned by the class, only the features vary

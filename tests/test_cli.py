@@ -113,7 +113,11 @@ class TestTrain:
         assert _run("train", "--task", "classification_sp",
                     "--out", str(tmp_path / "x")) == 1
 
-    def test_generation_task_needs_no_data(self, tmp_path):
+    def test_generation_task_needs_no_data(self, tmp_path, capsys):
+        assert _run("train", "--task", "generation", "--gen-samples", "0",
+                    "--out", str(tmp_path / "empty")) == 1
+        assert "error: train: gen_samples must be >= 1" \
+            in capsys.readouterr().err
         out = tmp_path / "gen_task"
         assert _run("train", "--task", "generation", "--steps", "2",
                     "--gen-samples", "100", "--projections", "4",

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from dpswgrad.dp_gradient import (ClipConfig, PenaltyConfig,
-                                  clip_jacobian_naive, clip_vector,
-                                  clipped_erm_grad, clipped_wasserstein_grad,
-                                  clipped_wasserstein_value,
-                                  eo_objective_grad, sp_objective_grad)
+from dpswgrad.dp_gradient import (ClipConfig, clip_jacobian_naive,
+                                  clip_vector, clipped_erm_grad,
+                                  clipped_wasserstein_grad,
+                                  penalized_objective)
 from dpswgrad.models import IdentityModel, Mlp2Model, make_model
 from dpswgrad.ot_core import w2_squared
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
@@ -217,73 +216,97 @@ class TestObjectiveGrads:
 
     def test_alpha_zero_is_clipped_erm(self):
         model, x0, x1, x_full, y_full, clip = self._setup()
-        pen = PenaltyConfig(alpha=0.0, mode="sp")
-        g = sp_objective_grad(model, x0, x1, x_full, y_full, clip, pen,
-                              loss_kind="bce")
+        erm_val, w_val, total, g = penalized_objective(
+            model, [(x0, model, x1)], 0.0, clip, erm=(x_full, y_full, "bce"))
         erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
         np.testing.assert_allclose(g, erm, atol=1e-15)
+        # the penalty value is still reported when its gradient is skipped
+        assert w_val > 0.0 and total == erm_val
 
     def test_alpha_one_is_pure_penalty(self):
         model, x0, x1, x_full, y_full, clip = self._setup()
-        pen = PenaltyConfig(alpha=1.0, mode="sp")
-        g = sp_objective_grad(model, x0, x1, x_full, y_full, clip, pen,
-                              loss_kind="bce")
+        erm_val, w_val, total, g = penalized_objective(
+            model, [(x0, model, x1)], 1.0, clip, erm=(x_full, y_full, "bce"))
         w = clipped_wasserstein_grad(model, model, x0, x1, clip)
         np.testing.assert_allclose(g, w, atol=1e-15)
+        want = np.mean(model.loss_batch(x_full, y_full, "bce"))
+        assert erm_val == pytest.approx(want, rel=1e-15)
+        assert total == w_val
 
     def test_alpha_half_combines_halves(self):
         model, x0, x1, x_full, y_full, clip = self._setup(seed=3)
-        pen = PenaltyConfig(alpha=0.5, mode="sp")
-        g = sp_objective_grad(model, x0, x1, x_full, y_full, clip, pen,
-                              loss_kind="bce")
+        erm_val, w_val, total, g = penalized_objective(
+            model, [(x0, model, x1)], 0.5, clip, erm=(x_full, y_full, "bce"))
         erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
         w = clipped_wasserstein_grad(model, model, x0, x1, clip)
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
+        assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
 
     def test_empty_class_batch_rejected(self):
         model, x0, x1, x_full, y_full, clip = self._setup()
-        pen = PenaltyConfig(alpha=0.5, mode="sp")
         with pytest.raises(ValueError):
-            sp_objective_grad(model, np.zeros((0, 3)), x1, x_full, y_full,
-                              clip, pen, loss_kind="bce")
+            penalized_objective(model, [(np.zeros((0, 3)), model, x1)], 0.5,
+                                clip, erm=(x_full, y_full, "bce"))
 
-    def test_eo_needs_two_label_classes(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(alpha=0.5, mode="eo", num_label_classes=1)
+    def test_penalty_needs_a_pair(self):
+        model, _, _, x_full, y_full, clip = self._setup()
+        with pytest.raises(ValueError, match="penalty pair"):
+            penalized_objective(model, [], 0.5, clip,
+                                erm=(x_full, y_full, "bce"))
 
     def test_eo_combines_per_label_terms(self):
         model, x0, x1, x_full, y_full, clip = self._setup(seed=5)
         rng = np.random.default_rng(6)
         batches = {(j, k): rng.normal(size=(4, 3)) + j - k
                    for j in (0, 1) for k in (0, 1)}
-        pen = PenaltyConfig(alpha=0.4, mode="eo", num_label_classes=2)
-        g = eo_objective_grad(model, batches, x_full, y_full, clip, pen,
-                              loss_kind="bce")
+        pairs = [(batches[(0, k)], model, batches[(1, k)]) for k in (0, 1)]
+        _, w_val, _, g = penalized_objective(model, pairs, 0.4, clip,
+                                             erm=(x_full, y_full, "bce"))
         erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
         w0 = clipped_wasserstein_grad(model, model, batches[(0, 0)],
                                       batches[(1, 0)], clip)
         w1 = clipped_wasserstein_grad(model, model, batches[(0, 1)],
                                       batches[(1, 1)], clip)
         np.testing.assert_allclose(g, 0.6 * erm + 0.2 * (w0 + w1), atol=1e-14)
+        values = [penalized_objective(model, [pair], 1.0, clip)[1]
+                  for pair in pairs]
+        assert w_val == pytest.approx(np.mean(values), rel=1e-15)
 
     def test_eo_missing_batch_rejected(self):
         model, x0, x1, x_full, y_full, clip = self._setup()
-        pen = PenaltyConfig(alpha=0.4, mode="eo", num_label_classes=2)
+        pairs = [(x0, model, x1), (x0, model, np.zeros((0, 3)))]
         with pytest.raises(ValueError):
-            eo_objective_grad(model, {(0, 0): x0, (1, 0): x1, (0, 1): x0},
-                              x_full, y_full, clip, pen, loss_kind="bce")
+            penalized_objective(model, pairs, 0.4, clip,
+                                erm=(x_full, y_full, "bce"))
 
     def test_eo_zero_penalty_when_distributions_identical(self):
         model, x0, x1, x_full, y_full, clip = self._setup(seed=7)
-        batches = {(j, k): x0.copy() for j in (0, 1) for k in (0, 1)}
-        pen = PenaltyConfig(alpha=1.0, mode="eo", num_label_classes=2)
-        g = eo_objective_grad(model, batches, x_full, y_full, clip, pen,
-                              loss_kind="bce")
+        pairs = [(x0.copy(), model, x0.copy()) for _ in (0, 1)]
+        _, w_val, _, g = penalized_objective(model, pairs, 1.0, clip,
+                                             erm=(x_full, y_full, "bce"))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
+        assert w_val == 0.0
 
     def test_penalty_value_reports_clipped_distance(self):
-        model, x0, x1, _, _, clip = self._setup(seed=8)
-        val = clipped_wasserstein_value(model, model, x0, x1, 0.5)
+        model, x0, x1, _, _, _ = self._setup(seed=8)
+        erm_val, val, total, _ = penalized_objective(
+            model, [(x0, model, x1)], 1.0, ClipConfig(0.5, 1.0, 1.0))
         u = np.clip(model.forward_batch(x0)[:, 0], -0.5, 0.5)
         v = np.clip(model.forward_batch(x1)[:, 0], -0.5, 0.5)
         assert val == pytest.approx(w2_squared(u, v), rel=1e-12)
+        assert erm_val == 0.0 and total == val
+
+    def test_reference_pair_matches_plain_gradient(self):
+        # generation: model outputs against a parameter-free reference
+        model = Mlp2Model(2, hidden_dim=3, output_dim=2,
+                          output_activation="linear", seed=4)
+        dirs = sample_directions(2, 5, seed=1)
+        rng = np.random.default_rng(9)
+        x, z = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
+        clip = ClipConfig(1.0, 1.0, 0.0)
+        _, w_val, total, g = penalized_objective(
+            model, [(x, IdentityModel(2), z)], 1.0, clip, dirs)
+        np.testing.assert_array_equal(
+            g, clipped_wasserstein_grad(model, IdentityModel(2), x, z, clip,
+                                        dirs))
+        assert total == w_val > 0.0

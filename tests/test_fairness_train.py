@@ -237,6 +237,13 @@ class TestTasks:
                           batch_fraction=0.01, seed=1)
         with pytest.raises(ValueError, match="empty batch"):
             dpsgd_train(cfg, ds)
+        # generation follows the same batch-size rule as the fairness tasks
+        gen = TrainConfig(task="generation", steps=2, learning_rate=0.05,
+                          epsilon=math.inf, delta=1e-4, alpha=0.0,
+                          clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                          batch_fraction=0.2, gen_samples=3, seed=1)
+        with pytest.raises(ValueError, match="empty batch"):
+            dpsgd_train(gen, None)
 
     def test_model_kind_validation(self):
         with pytest.raises(ValueError, match="model kind"):

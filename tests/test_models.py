@@ -5,11 +5,10 @@ import pytest
 
 from dpswgrad.models import (AffineModel, AffineSigmoidModel,
                              AutoencoderModel, IdentityModel, Mlp2Model,
-                             forward, load_model, make_model,
-                             per_sample_jacobian, per_sample_loss_grad,
-                             save_model)
+                             load_model, make_model, save_model)
 
-from oracles import central_diff, central_diff_jacobian, rel_err
+from oracles import (central_diff, central_diff_jacobian, forward,
+                     per_sample_jacobian, per_sample_loss_grad, rel_err)
 
 
 def _theta_jacobian_fd(model, x, h=1e-6):

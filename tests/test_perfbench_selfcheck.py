@@ -1,0 +1,19 @@
+"""Tier-1 guard for the benchmark harness.
+
+Runs ``perfbench/selfcheck.py``: every workload at a tiny size, traced and
+untraced, must pass its checks and emit every metric BENCHMARK.json names.
+The tracer hooks public function names of the package, so a rename that
+breaks the harness fails here.  Takes about 15 seconds on 2 cores.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import selfcheck  # noqa: E402
+
+
+def test_perfbench_selfcheck():
+    selfcheck.test_every_metric_is_emitted()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpswgrad.privacy import (ACCOUNTANT_FORMULA, AccountantState,
-                              GdpParameter, PrivacyBudget,
+                              PrivacyBudget,
                               PrivacySaturationError,
                               calibrate_noise, compose_subsampled_gaussian,
                               conservative_epsilon, gaussian_mechanism,
@@ -30,9 +30,6 @@ class TestGdpDelta:
         assert gdp_delta(1.0, 0.0) == pytest.approx(0.382925, abs=1e-6)
         assert gdp_delta(1.0, 0.0) == pytest.approx(_delta_oracle(1.0, 0.0),
                                                     rel=1e-12)
-
-    def test_accepts_parameter_wrapper(self):
-        assert gdp_delta(GdpParameter(1.0), 0.0) == gdp_delta(1.0, 0.0)
 
     def test_matches_oracle_on_grid(self):
         for mu in (1e-6, 0.01, 0.3, 1.0, 3.0, 10.0, 50.0):

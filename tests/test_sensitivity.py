@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dpswgrad.dp_gradient import ClipConfig, PenaltyConfig, \
-    clipped_wasserstein_grad, sp_objective_grad
+from dpswgrad.dp_gradient import ClipConfig, clipped_wasserstein_grad, \
+    penalized_objective
 from dpswgrad.models import Mlp2Model, make_model
-from dpswgrad.sensitivity import (NeighborRelation, bound_eo, bound_one_sided,
+from dpswgrad.sensitivity import (bound_eo, bound_one_sided,
                                   bound_sp, bound_two_sided,
                                   empirical_sensitivity,
                                   uniform_box_replacement,
@@ -60,8 +60,11 @@ class TestClosedFormBounds:
             bound_sp(1.0, 1.0, 1.0, 11, 5, 5, 0.5)
         with pytest.raises(ValueError):
             bound_eo(1.0, 1.0, 1.0, 20, [5, 5, 5, 5], 0.5, 1)
-        with pytest.raises(ValueError):
-            NeighborRelation((3, 0))
+        with pytest.raises(ValueError, match="class sizes"):
+            empirical_sensitivity(lambda classes: np.zeros(1),
+                                  [np.zeros((3, 2)), np.zeros((0, 2))],
+                                  uniform_box_replacement([0, 0], [1, 1]),
+                                  trials=1, seed=0)
 
 
 def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
@@ -154,7 +157,6 @@ class TestEmpiricalAuditor:
 
     def test_sp_objective_within_bound(self):
         clip = ClipConfig(1.0, 1.0, 1.0, 2.0)
-        pen = PenaltyConfig(alpha=0.75, mode="sp")
         model = make_model("affine_sigmoid", 2, seed=6)
         model.theta *= 6.0
         rng = np.random.default_rng(7)
@@ -168,8 +170,9 @@ class TestEmpiricalAuditor:
             c0, c1 = classes
             x_full = np.concatenate([c0[:, :2], c1[:, :2]])
             y_full = np.concatenate([c0[:, 2], c1[:, 2]])
-            return sp_objective_grad(model, c0[:, :2], c1[:, :2], x_full,
-                                     y_full, clip, pen, loss_kind="bce")
+            return penalized_objective(
+                model, [(c0[:, :2], model, c1[:, :2])], 0.75, clip,
+                erm=(x_full, y_full, "bce"))[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=2),
