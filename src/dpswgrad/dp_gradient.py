@@ -22,6 +22,7 @@ total values together with the clipped gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class ClipConfig:
     def __post_init__(self):
         for name in ("output_bound", "jac_bound1", "jac_bound2",
                      "loss_grad_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def symmetric(cls, output_bound: float, jac_bound: float,

@@ -39,12 +39,13 @@ TASKS = ("classification_sp", "classification_eo", "regression_sp",
 # substream tags; model init uses [seed, 0..3] internally, so start high
 _TAG_BATCH, _TAG_NOISE, _TAG_DIRS, _TAG_GEN = 101, 102, 103, 104
 
-_TASK_MODEL_KINDS = {
-    "classification_sp": ("affine_sigmoid",),
-    "classification_eo": ("affine_sigmoid",),
-    "regression_sp": ("mlp2", "affine"),
-    "autoencoder_sp": ("autoencoder",),
-    "generation": ("mlp2", "affine"),
+# task -> (model kinds, the first one the default; default hidden width)
+_TASK_MODELS = {
+    "classification_sp": (("affine_sigmoid",), None),
+    "classification_eo": (("affine_sigmoid",), None),
+    "regression_sp": (("mlp2", "affine"), 64),
+    "autoencoder_sp": (("autoencoder",), 62),
+    "generation": (("mlp2", "affine"), 32),
 }
 
 
@@ -77,9 +78,9 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
-        if self.epsilon <= 0:
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and > 0")
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0 (math.inf for non-private)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -95,10 +96,16 @@ class TrainConfig:
                 and self.clip.jac_bound1 != self.clip.jac_bound2:
             raise ValueError(
                 "fairness tasks share one Jacobian bound for both sides")
-        allowed = _TASK_MODEL_KINDS[self.task]
+        allowed = _TASK_MODELS[self.task][0]
         if self.model_kind is not None and self.model_kind not in allowed:
             raise ValueError(f"task {self.task!r} supports model kinds "
                              f"{allowed}, got {self.model_kind!r}")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
+        if not math.isfinite(self.gen_radius):
+            raise ValueError("gen_radius must be finite")
 
 
 @dataclass
@@ -208,20 +215,15 @@ def generation_samples(cfg: TrainConfig) -> tuple:
                                                 np.sin(angles)])
 
 
-def _dataset_task(cfg: TrainConfig, ds: BiasedDataset):
-    """Model, ERM targets and loss kind of a fairness task."""
-    if cfg.task in ("classification_sp", "classification_eo"):
-        return (make_model("affine_sigmoid", ds.dim, seed=cfg.seed),
-                ds.y.astype(np.float64), "bce")
-    if cfg.task == "regression_sp":
-        model = make_model(cfg.model_kind or "mlp2", ds.dim, seed=cfg.seed,
-                           hidden_dim=cfg.hidden_dim or 64, output_dim=2,
-                           output_activation="sigmoid_recentered")
-        return model, centered_targets(ds), "squared_error"
-    model = make_model("autoencoder", ds.dim, seed=cfg.seed,
-                       hidden_dim=cfg.hidden_dim or 62,
-                       latent_dim=cfg.latent_dim)
-    return model, ds.x, "squared_error"
+def _task_model(cfg: TrainConfig, input_dim: int):
+    """The task's seeded model; unset kind and width take the task default."""
+    kinds, hidden_dim = _TASK_MODELS[cfg.task]
+    return make_model(
+        cfg.model_kind or kinds[0], input_dim, seed=cfg.seed,
+        hidden_dim=hidden_dim if cfg.hidden_dim is None else cfg.hidden_dim,
+        output_dim=2, latent_dim=cfg.latent_dim,
+        output_activation=("linear" if cfg.task == "generation"
+                           else "sigmoid_recentered"))
 
 
 def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
@@ -244,15 +246,19 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         # each sample is a class of its own, indexing its own array
         part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
                                           for key in inputs})
-        model = make_model(cfg.model_kind or "mlp2", 2, seed=cfg.seed,
-                           hidden_dim=cfg.hidden_dim or 32, output_dim=2,
-                           output_activation="linear")
+        model = _task_model(cfg, 2)
         pair_keys = [("x", IdentityModel(2), "z")]
         targets, weight = None, 1.0
     else:
         if ds is None:
             raise ValueError(f"task {cfg.task!r} requires a dataset")
-        model, targets, loss_kind = _dataset_task(cfg, ds)
+        model = _task_model(cfg, ds.dim)
+        if cfg.task == "regression_sp":
+            targets, loss_kind = centered_targets(ds), "squared_error"
+        elif cfg.task == "autoencoder_sp":
+            targets, loss_kind = ds.x, "squared_error"
+        else:
+            targets, loss_kind = ds.y.astype(np.float64), "bce"
         eo = cfg.task == "classification_eo"
         part = partition(ds, "by_a_and_y" if eo else "by_a")
         inputs = dict.fromkeys(part.keys, ds.x)

@@ -1,11 +1,17 @@
 """Small parameterized maps with exact forward passes and per-sample Jacobians.
 
-The architectures cover the experiments: an identity map (no parameters),
-a plain affine map, a one-layer sigmoid classifier, a two-layer regressor,
-and a two-layer encoder/decoder pair with a 2D latent space.
-Backpropagation is written out
-analytically per architecture instead of pulling in an autodiff framework;
-every Jacobian is exact, which the finite-difference tests rely on.
+Every model is a stack of dense layers ``a -> act(a W^T + b)``, where
+``act`` is ``sigmoid``, ``sigmoid_recentered`` (sigmoid minus 1/2) or
+``linear``.  The architectures cover the experiments: an identity map (no
+layers), a plain affine map, a one-layer sigmoid classifier, a two-layer
+regressor, and a two-layer encoder/decoder pair with a 2D latent space.
+
+One forward trace and one per-sample backward serve every architecture.
+The backward pulls ``(n, k, d)`` cotangents back through the traced layers
+and returns ``(n, k, n_params)`` per-sample gradients: a Jacobian is the
+backward of the one-hot cotangents, a squared-error loss gradient the
+backward of ``2 (out - y)``.  Every derivative is exact, which the
+finite-difference tests rely on; there is no autodiff framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  Batch methods return
@@ -36,6 +42,8 @@ __all__ = [
 
 LOSS_KINDS = ("bce", "squared_error")
 
+ACTIVATIONS = ("sigmoid", "sigmoid_recentered", "linear")
+
 _MODEL_SCHEMA = "dpswgrad-model-v1"
 
 
@@ -64,14 +72,40 @@ def _as_targets(targets, n: int, d: int) -> np.ndarray:
 
 
 class Model:
-    """Base class: a map theta -> (x -> R^d) with exact per-sample Jacobians."""
+    """A stack of dense layers with exact per-sample Jacobians.
+
+    ``layers`` lists ``(output_dim, activation)`` per layer.  The fairness
+    penalty reads the output of the first ``penalty_layers`` layers (all of
+    them when None).  Without ``theta`` the layers are initialized from
+    ``seed``.
+    """
 
     kind: str = "abstract"
+    penalty_layers: int | None = None
 
-    def __init__(self, input_dim: int, output_dim: int, theta: np.ndarray):
+    def __init__(self, input_dim: int, layers, theta=None, seed=None):
         self.input_dim = int(input_dim)
-        self.output_dim = int(output_dim)
+        self._dims = [self.input_dim] + [int(d) for d, _ in layers]
+        if min(self._dims) < 1:
+            raise ValueError("layer dimensions must be >= 1")
+        self.output_dim = self._dims[-1]
+        # per layer: weight start, bias start, bias end, weight shape,
+        # activation
+        self._layers = []
+        off = 0
+        for d_in, d_out, (_, act) in zip(self._dims, self._dims[1:], layers):
+            if act not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+            mid = off + d_out * d_in
+            self._layers.append((off, mid, mid + d_out, (d_out, d_in), act))
+            off = mid + d_out
+        if theta is None:
+            theta = np.concatenate([np.zeros(0)] + [
+                _init_uniform(seed, layer[3], stream=i)
+                for i, layer in enumerate(self._layers)])
         self.theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        if self.theta.size != off:
+            raise ValueError(f"theta size must be {off}")
 
     @property
     def n_params(self) -> int:
@@ -80,25 +114,75 @@ class Model:
     @property
     def penalty_dim(self) -> int:
         """Dimension of the output the fairness penalty distributions live in."""
-        return self.output_dim
-
-    def forward_batch(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        """(n, output_dim, n_params) Jacobians of the forward map wrt theta."""
-        raise NotImplementedError
-
-    def penalty_forward_batch(self, x) -> np.ndarray:
-        return self.forward_batch(x)
-
-    def penalty_jacobian_batch(self, x) -> np.ndarray:
-        return self.jacobian_batch(x)
+        return self._dims[self.penalty_layers or -1]
 
     def meta(self) -> dict:
         """Shape metadata sufficient to rebuild the model from a flat theta."""
         return {"kind": self.kind, "input_dim": self.input_dim,
                 "output_dim": self.output_dim}
+
+    # -- forward trace and per-sample backward -----------------------------
+
+    def _trace(self, x, depth: int | None = None):
+        """Inputs of the first ``depth`` layers (all when None) followed by
+        the last one's output, and each layer's sigmoid values (None for a
+        linear layer)."""
+        acts = [_as_batch(x, self.input_dim)]
+        sigs = []
+        for lo, mid, hi, shape, act in self._layers[:depth]:
+            z = acts[-1] @ self.theta[lo:mid].reshape(shape).T \
+                + self.theta[mid:hi]
+            s = None if act == "linear" else expit(z)
+            sigs.append(s)
+            acts.append(z if s is None else
+                        s - 0.5 if act == "sigmoid_recentered" else s)
+        return acts, sigs
+
+    def _backward(self, acts, sigs, cot) -> np.ndarray:
+        """Per-sample gradients of ``<cot, traced output>`` wrt theta.
+
+        ``cot`` holds k cotangents per sample, shape (n, k, d), or (1, k, d)
+        for the same k at every sample; the result is (n, k, n_params),
+        zero on the parameters of untraced layers.
+        """
+        n, k = acts[0].shape[0], cot.shape[1]
+        grads = np.zeros((n, k, self.n_params))
+        g = cot
+        for i in reversed(range(len(sigs))):
+            lo, mid, hi, shape, _ = self._layers[i]
+            if sigs[i] is not None:
+                g = g * (sigs[i] * (1.0 - sigs[i]))[:, None, :]
+            # per-sample outer products; a broadcast multiply loops innermost
+            # over the layer's inputs, and with fewer than 8 of them batched
+            # (out, 1) @ (1, in) matmuls are faster, with the same products
+            outer = np.matmul if shape[1] < 8 else np.multiply
+            outer(g[:, :, :, None], acts[i][:, None, None, :],
+                  out=grads[:, :, lo:mid].reshape(n, k, *shape))
+            grads[:, :, mid:hi] = g
+            if i:
+                w = self.theta[lo:mid].reshape(shape)
+                g = (g.reshape(-1, shape[0]) @ w).reshape(len(g), k, shape[1])
+        return grads
+
+    def _jacobian(self, x, depth: int | None) -> np.ndarray:
+        acts, sigs = self._trace(x, depth)
+        return self._backward(acts, sigs, np.eye(acts[-1].shape[1])[None])
+
+    # -- public batch methods ----------------------------------------------
+
+    def forward_batch(self, x) -> np.ndarray:
+        return self._trace(x)[0][-1]
+
+    def jacobian_batch(self, x) -> np.ndarray:
+        """(n, output_dim, n_params) Jacobians of the forward map wrt theta."""
+        return self._jacobian(x, None)
+
+    def penalty_forward_batch(self, x) -> np.ndarray:
+        return self._trace(x, self.penalty_layers)[0][-1]
+
+    def penalty_jacobian_batch(self, x) -> np.ndarray:
+        """(n, penalty_dim, n_params) Jacobians of the penalized output."""
+        return self._jacobian(x, self.penalty_layers)
 
     # -- losses ------------------------------------------------------------
 
@@ -121,31 +205,24 @@ class Model:
     def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
         """Per-sample gradients of the loss wrt theta, shape (n, n_params)."""
         self._check_loss_kind(loss_kind)
-        out = self.forward_batch(x)
-        y = _as_targets(targets, out.shape[0], self.output_dim)
-        jac = self.jacobian_batch(x)
-        return 2.0 * np.einsum("ndp,nd->np", jac, out - y)
+        acts, sigs = self._trace(x)
+        y = _as_targets(targets, acts[0].shape[0], self.output_dim)
+        cot = 2.0 * (acts[-1] - y)
+        return self._backward(acts, sigs, cot[:, None, :])[:, 0, :]
 
 
 class IdentityModel(Model):
-    """g(x) = x.  No parameters, so the Jacobian is the empty matrix."""
+    """g(x) = x.  No layers, so the Jacobian is the empty matrix."""
 
     kind = "identity"
 
     def __init__(self, input_dim: int):
-        super().__init__(input_dim, input_dim, np.zeros(0))
+        super().__init__(input_dim, [])
 
     def forward_batch(self, x) -> np.ndarray:
         return _as_batch(x, self.input_dim).copy()
 
-    def jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        return np.zeros((xb.shape[0], self.output_dim, 0))
-
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        self._check_loss_kind(loss_kind)
-        xb = _as_batch(x, self.input_dim)
-        return np.zeros((xb.shape[0], 0))
+    penalty_forward_batch = forward_batch
 
 
 class AffineModel(Model):
@@ -155,81 +232,26 @@ class AffineModel(Model):
 
     def __init__(self, input_dim: int, output_dim: int,
                  theta: np.ndarray | None = None, seed: int | None = None):
-        if theta is None:
-            theta = _init_uniform(seed, [(output_dim, input_dim),
-                                         (output_dim,)], fan_in=input_dim)
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        if theta.size != output_dim * (input_dim + 1):
-            raise ValueError("theta size must be output_dim * (input_dim + 1)")
-        super().__init__(input_dim, output_dim, theta)
-
-    def _weights(self):
-        q, d = self.input_dim, self.output_dim
-        return self.theta[:d * q].reshape(d, q), self.theta[d * q:]
-
-    def forward_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        w, b = self._weights()
-        return xb @ w.T + b
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        q, d = self.input_dim, self.output_dim
-        jac = np.zeros((n, d, self.n_params))
-        rng_d = np.arange(d)
-        # weight block: row r only depends on W[r, :]
-        jw = np.zeros((n, d, d, q))
-        jw[:, rng_d, rng_d, :] = xb[:, None, :]
-        jac[:, :, :d * q] = jw.reshape(n, d, d * q)
-        jac[:, rng_d, d * q + rng_d] = 1.0
-        return jac
-
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        self._check_loss_kind(loss_kind)
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        out = self.forward_batch(xb)
-        y = _as_targets(targets, n, self.output_dim)
-        r = 2.0 * (out - y)
-        g_w = np.einsum("nd,nq->ndq", r, xb).reshape(n, -1)
-        return np.concatenate([g_w, r], axis=1)
+        super().__init__(input_dim, [(output_dim, "linear")], theta, seed)
 
 
 class AffineSigmoidModel(Model):
     """One-layer classifier: x -> sigmoid(w.x + b), scalar output in (0, 1).
 
-    theta = [w (input_dim), b].
+    theta = [w (input_dim), b].  Its bce loss gradient is the closed form
+    ``(q - y) [x, 1]`` in logit space.
     """
 
     kind = "affine_sigmoid"
 
     def __init__(self, input_dim: int, theta: np.ndarray | None = None,
                  seed: int | None = None):
-        if theta is None:
-            theta = _init_uniform(seed, [(input_dim,), (1,)], fan_in=input_dim)
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        if theta.size != input_dim + 1:
-            raise ValueError("theta size must be input_dim + 1")
-        super().__init__(input_dim, 1, theta)
+        super().__init__(input_dim, [(1, "sigmoid")], theta, seed)
 
     def _logits(self, xb: np.ndarray) -> np.ndarray:
         w = self.theta[:self.input_dim]
         b = self.theta[self.input_dim]
         return xb @ w + b
-
-    def forward_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        return expit(self._logits(xb))[:, None]
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        s = expit(self._logits(xb))
-        ds = s * (1.0 - s)
-        jac = np.empty((xb.shape[0], 1, self.n_params))
-        jac[:, 0, :self.input_dim] = ds[:, None] * xb
-        jac[:, 0, self.input_dim] = ds
-        return jac
 
     def _check_loss_kind(self, loss_kind: str) -> None:
         if loss_kind not in LOSS_KINDS:
@@ -284,83 +306,14 @@ class Mlp2Model(Model):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.hidden_dim = int(hidden_dim)
         self.output_activation = output_activation
-        shapes = [(hidden_dim, input_dim), (hidden_dim,),
-                  (output_dim, hidden_dim), (output_dim,)]
-        if theta is None:
-            theta = np.concatenate([
-                _init_uniform(seed, shapes[:2], fan_in=input_dim, stream=0),
-                _init_uniform(seed, shapes[2:], fan_in=hidden_dim, stream=1),
-            ])
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        expected = hidden_dim * input_dim + hidden_dim \
-            + output_dim * hidden_dim + output_dim
-        if theta.size != expected:
-            raise ValueError(f"theta size must be {expected}")
-        super().__init__(input_dim, output_dim, theta)
+        super().__init__(input_dim, [(hidden_dim, "sigmoid"),
+                                     (output_dim, output_activation)],
+                         theta, seed)
 
     def meta(self) -> dict:
         return {**super().meta(), "hidden_dim": self.hidden_dim,
                 "hidden_activation": "sigmoid",
                 "output_activation": self.output_activation}
-
-    def _weights(self):
-        q, h, d = self.input_dim, self.hidden_dim, self.output_dim
-        o1 = h * q
-        o2 = o1 + h
-        o3 = o2 + d * h
-        t = self.theta
-        return (t[:o1].reshape(h, q), t[o1:o2],
-                t[o2:o3].reshape(d, h), t[o3:])
-
-    def _trace(self, xb: np.ndarray):
-        w1, b1, w2, b2 = self._weights()
-        a1 = expit(xb @ w1.T + b1)
-        z2 = a1 @ w2.T + b2
-        if self.output_activation == "sigmoid_recentered":
-            s2 = expit(z2)
-            out = s2 - 0.5
-            d2 = s2 * (1.0 - s2)
-        else:
-            out = z2
-            d2 = np.ones_like(z2)
-        return a1, out, d2, w2
-
-    def forward_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        return self._trace(xb)[1]
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        q, h, d = self.input_dim, self.hidden_dim, self.output_dim
-        a1, _, d2, w2 = self._trace(xb)
-        da1 = a1 * (1.0 - a1)
-
-        # dout/dz1 through the hidden layer, shape (n, d, h)
-        g1 = d2[:, :, None] * w2[None, :, :]
-        dz1 = g1 * da1[:, None, :]
-
-        j_w1 = np.einsum("nrh,nq->nrhq", dz1, xb).reshape(n, d, h * q)
-        j_w2 = np.zeros((n, d, d, h))
-        rng_d = np.arange(d)
-        j_w2[:, rng_d, rng_d, :] = d2[:, :, None] * a1[:, None, :]
-        j_b2 = np.zeros((n, d, d))
-        j_b2[:, rng_d, rng_d] = d2
-        return np.concatenate(
-            [j_w1, dz1, j_w2.reshape(n, d, d * h), j_b2], axis=2)
-
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        self._check_loss_kind(loss_kind)
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        a1, out, d2, w2 = self._trace(xb)
-        y = _as_targets(targets, n, self.output_dim)
-
-        delta2 = 2.0 * (out - y) * d2
-        g_w2 = np.einsum("nd,nh->ndh", delta2, a1).reshape(n, -1)
-        delta1 = (delta2 @ w2) * (a1 * (1.0 - a1))
-        g_w1 = np.einsum("nh,nq->nhq", delta1, xb).reshape(n, -1)
-        return np.concatenate([g_w1, delta1, g_w2, delta2], axis=1)
 
 
 class AutoencoderModel(Model):
@@ -370,35 +323,23 @@ class AutoencoderModel(Model):
     decode: l -> W4 sigmoid(W3 l + b3) + b4        (reconstruction)
 
     ``forward`` is the reconstruction; the fairness penalty acts on the
-    latent codes, so ``penalty_forward_batch``/``penalty_jacobian_batch``
-    expose the encoder (decoder parameter block zeroed in the Jacobian).
+    latent codes, the output of the first two layers, so the penalty
+    Jacobian is zero on the decoder block.
     theta = [W1, b1, W2, b2, W3, b3, W4, b4].
     """
 
     kind = "autoencoder"
+    penalty_layers = 2
 
     def __init__(self, input_dim: int, hidden_dim: int = 62,
                  latent_dim: int = 2, theta: np.ndarray | None = None,
                  seed: int | None = None):
         self.hidden_dim = int(hidden_dim)
         self.latent_dim = int(latent_dim)
-        q, h, r = input_dim, hidden_dim, latent_dim
-        if theta is None:
-            theta = np.concatenate([
-                _init_uniform(seed, [(h, q), (h,)], fan_in=q, stream=0),
-                _init_uniform(seed, [(r, h), (r,)], fan_in=h, stream=1),
-                _init_uniform(seed, [(h, r), (h,)], fan_in=r, stream=2),
-                _init_uniform(seed, [(q, h), (q,)], fan_in=h, stream=3),
-            ])
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        expected = (h * q + h) + (r * h + r) + (h * r + h) + (q * h + q)
-        if theta.size != expected:
-            raise ValueError(f"theta size must be {expected}")
-        super().__init__(input_dim, input_dim, theta)
-
-    @property
-    def penalty_dim(self) -> int:
-        return self.latent_dim
+        super().__init__(input_dim, [(hidden_dim, "sigmoid"),
+                                     (latent_dim, "linear"),
+                                     (hidden_dim, "sigmoid"),
+                                     (input_dim, "linear")], theta, seed)
 
     def meta(self) -> dict:
         return {**super().meta(), "hidden_dim": self.hidden_dim,
@@ -406,124 +347,47 @@ class AutoencoderModel(Model):
 
     @property
     def n_encoder_params(self) -> int:
-        q, h, r = self.input_dim, self.hidden_dim, self.latent_dim
-        return h * q + h + r * h + r
-
-    def _weights(self):
-        q, h, r = self.input_dim, self.hidden_dim, self.latent_dim
-        sizes = [h * q, h, r * h, r, h * r, h, q * h, q]
-        shapes = [(h, q), None, (r, h), None, (h, r), None, (q, h), None]
-        parts = []
-        off = 0
-        for size, shape in zip(sizes, shapes):
-            seg = self.theta[off:off + size]
-            parts.append(seg.reshape(shape) if shape else seg)
-            off += size
-        return parts
-
-    def _trace(self, xb: np.ndarray):
-        w1, b1, w2, b2, w3, b3, w4, b4 = self._weights()
-        a1 = expit(xb @ w1.T + b1)
-        lat = a1 @ w2.T + b2
-        a3 = expit(lat @ w3.T + b3)
-        out = a3 @ w4.T + b4
-        return a1, lat, a3, out
+        return self._layers[self.penalty_layers - 1][2]
 
     def encode_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        return self._trace(xb)[1]
-
-    def forward_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        return self._trace(xb)[3]
-
-    def penalty_forward_batch(self, x) -> np.ndarray:
-        return self.encode_batch(x)
-
-    def _encoder_jacobian(self, xb, a1) -> np.ndarray:
-        """(n, latent, n_encoder_params) Jacobian of the latent codes."""
-        n = xb.shape[0]
-        q, h, r = self.input_dim, self.hidden_dim, self.latent_dim
-        _, _, w2, _, _, _, _, _ = self._weights()
-        da1 = a1 * (1.0 - a1)
-        dz1 = w2[None, :, :] * da1[:, None, :]          # (n, r, h)
-        j_w1 = np.einsum("nrh,nq->nrhq", dz1, xb).reshape(n, r, h * q)
-        j_w2 = np.zeros((n, r, r, h))
-        rng_r = np.arange(r)
-        j_w2[:, rng_r, rng_r, :] = a1[:, None, :]
-        j_b2 = np.zeros((n, r, r))
-        j_b2[:, rng_r, rng_r] = 1.0
-        return np.concatenate(
-            [j_w1, dz1, j_w2.reshape(n, r, r * h), j_b2], axis=2)
-
-    def penalty_jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        a1 = self._trace(xb)[0]
-        n = xb.shape[0]
-        j_enc = self._encoder_jacobian(xb, a1)
-        j_dec = np.zeros((n, self.latent_dim,
-                          self.n_params - self.n_encoder_params))
-        return np.concatenate([j_enc, j_dec], axis=2)
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        q, h, r = self.input_dim, self.hidden_dim, self.latent_dim
-        _, _, w2, _, w3, _, w4, _ = self._weights()
-        a1, lat, a3, _ = self._trace(xb)
-        da3 = a3 * (1.0 - a3)
-
-        # decoder blocks
-        dz3 = w4[None, :, :] * da3[:, None, :]           # (n, q, h)
-        j_w3 = np.einsum("nqh,nr->nqhr", dz3, lat).reshape(n, q, h * r)
-        j_w4 = np.zeros((n, q, q, h))
-        rng_q = np.arange(q)
-        j_w4[:, rng_q, rng_q, :] = a3[:, None, :]
-        j_b4 = np.zeros((n, q, q))
-        j_b4[:, rng_q, rng_q] = 1.0
-
-        # chain into the encoder via dout/dlatent
-        dlat = dz3 @ w3                                   # (n, q, r)
-        da1 = a1 * (1.0 - a1)
-        dz1 = np.einsum("nqr,rh->nqh", dlat, w2) * da1[:, None, :]
-        j_w1 = np.einsum("nqh,nk->nqhk", dz1, xb).reshape(n, q, h * q)
-        j_w2 = np.einsum("nqr,nh->nqrh", dlat, a1).reshape(n, q, r * h)
-
-        return np.concatenate(
-            [j_w1, dz1, j_w2, dlat,
-             j_w3, dz3, j_w4.reshape(n, q, q * h), j_b4], axis=2)
-
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        self._check_loss_kind(loss_kind)
-        xb = _as_batch(x, self.input_dim)
-        n = xb.shape[0]
-        _, _, w2, _, w3, _, w4, _ = self._weights()
-        a1, lat, a3, out = self._trace(xb)
-        y = _as_targets(targets, n, self.output_dim)
-
-        r4 = 2.0 * (out - y)
-        g_w4 = np.einsum("nq,nh->nqh", r4, a3).reshape(n, -1)
-        d3 = (r4 @ w4) * (a3 * (1.0 - a3))
-        g_w3 = np.einsum("nh,nr->nhr", d3, lat).reshape(n, -1)
-        dl = d3 @ w3
-        g_w2 = np.einsum("nr,nh->nrh", dl, a1).reshape(n, -1)
-        d1 = (dl @ w2) * (a1 * (1.0 - a1))
-        g_w1 = np.einsum("nh,nq->nhq", d1, xb).reshape(n, -1)
-        return np.concatenate([g_w1, d1, g_w2, dl, g_w3, d3, g_w4, r4],
-                              axis=1)
+        return self.penalty_forward_batch(x)
 
 
-def _init_uniform(seed, shapes, fan_in: int, stream: int = 0) -> np.ndarray:
-    """Uniform [-a, a] init with a = 1/sqrt(fan_in), seeded per layer."""
+def _init_uniform(seed, shape, stream: int) -> np.ndarray:
+    """Uniform [-a, a] weights then bias of one layer with weight shape
+    ``(fan_out, fan_in)``, a = 1/sqrt(fan_in), seeded per layer."""
     if seed is None:
         raise ValueError("a seed is required to initialize parameters")
+    fan_out, fan_in = shape
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
     a = 1.0 / np.sqrt(fan_in)
-    return np.concatenate(
-        [rng.uniform(-a, a, size=int(np.prod(s))) for s in shapes])
+    return np.concatenate([rng.uniform(-a, a, size=fan_out * fan_in),
+                           rng.uniform(-a, a, size=fan_out)])
 
 
-_KINDS = ("identity", "affine", "affine_sigmoid", "mlp2", "autoencoder")
+# kind -> constructor from shape metadata plus ``theta=`` or ``seed=``
+_BUILDERS = {
+    "identity": lambda m, **init: IdentityModel(m["input_dim"]),
+    "affine": lambda m, **init: AffineModel(m["input_dim"], m["output_dim"],
+                                            **init),
+    "affine_sigmoid": lambda m, **init: AffineSigmoidModel(m["input_dim"],
+                                                           **init),
+    "mlp2": lambda m, **init: Mlp2Model(
+        m["input_dim"], m["hidden_dim"], m["output_dim"],
+        m["output_activation"], **init),
+    "autoencoder": lambda m, **init: AutoencoderModel(
+        m["input_dim"], m["hidden_dim"], m["latent_dim"], **init),
+}
+
+_DEFAULT_HIDDEN_DIM = {"mlp2": 64, "autoencoder": 62}
+
+
+def _build(meta: dict, **init) -> Model:
+    kind = meta["kind"]
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of "
+                         f"{tuple(_BUILDERS)}")
+    return _BUILDERS[kind](meta, **init)
 
 
 def make_model(kind: str, input_dim: int, *, seed: int | None = None,
@@ -531,26 +395,14 @@ def make_model(kind: str, input_dim: int, *, seed: int | None = None,
                latent_dim: int = 2,
                output_activation: str | None = None) -> Model:
     """Construct a model by kind with per-architecture defaults."""
-    if kind == "identity":
-        return IdentityModel(input_dim)
-    if kind == "affine":
-        return AffineModel(input_dim, 2 if output_dim is None else output_dim,
-                           seed=seed)
-    if kind == "affine_sigmoid":
-        return AffineSigmoidModel(input_dim, seed=seed)
-    if kind == "mlp2":
-        return Mlp2Model(
-            input_dim,
-            hidden_dim=64 if hidden_dim is None else hidden_dim,
-            output_dim=2 if output_dim is None else output_dim,
-            output_activation=output_activation or "sigmoid_recentered",
-            seed=seed)
-    if kind == "autoencoder":
-        return AutoencoderModel(
-            input_dim,
-            hidden_dim=62 if hidden_dim is None else hidden_dim,
-            latent_dim=latent_dim, seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {_KINDS}")
+    return _build({
+        "kind": kind, "input_dim": input_dim,
+        "hidden_dim": (_DEFAULT_HIDDEN_DIM.get(kind) if hidden_dim is None
+                       else hidden_dim),
+        "output_dim": 2 if output_dim is None else output_dim,
+        "latent_dim": latent_dim,
+        "output_activation": output_activation or "sigmoid_recentered",
+    }, seed=seed)
 
 
 def save_model(model: Model, path) -> None:
@@ -564,23 +416,7 @@ def save_model(model: Model, path) -> None:
 
 def model_from_meta(meta: dict, theta) -> Model:
     """Rebuild a model from shape metadata plus a flat parameter vector."""
-    kind = meta["kind"]
-    theta = np.asarray(theta, dtype=np.float64)
-    if kind == "identity":
-        return IdentityModel(meta["input_dim"])
-    if kind == "affine":
-        return AffineModel(meta["input_dim"], meta["output_dim"], theta=theta)
-    if kind == "affine_sigmoid":
-        return AffineSigmoidModel(meta["input_dim"], theta=theta)
-    if kind == "mlp2":
-        return Mlp2Model(meta["input_dim"], meta["hidden_dim"],
-                         meta["output_dim"],
-                         output_activation=meta["output_activation"],
-                         theta=theta)
-    if kind == "autoencoder":
-        return AutoencoderModel(meta["input_dim"], meta["hidden_dim"],
-                                meta["latent_dim"], theta=theta)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return _build(meta, theta=np.asarray(theta, dtype=np.float64))
 
 
 def load_model(path) -> Model:

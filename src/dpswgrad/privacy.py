@@ -25,7 +25,6 @@ calibration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,10 +67,6 @@ class PrivacyBudget:
             raise ValueError("epsilon must be >= 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-
-    @property
-    def is_non_private(self) -> bool:
-        return math.isinf(self.epsilon)
 
 
 def gdp_delta(mu: float, epsilon: float) -> float:
@@ -167,31 +162,6 @@ class AccountantState:
     def epsilon_spent(self, target_delta: float | None = None) -> float:
         return compose_subsampled_gaussian(
             self, self.target_delta if target_delta is None else target_delta)
-
-    def to_dict(self) -> dict:
-        return {"noise_multiplier": self.noise_multiplier,
-                "sampling_rate": self.sampling_rate,
-                "steps": self.steps,
-                "target_delta": self.target_delta,
-                "epsilon_spent": self.epsilon_spent() if self.steps else 0.0,
-                "formula": ACCOUNTANT_FORMULA}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AccountantState":
-        return cls(noise_multiplier=float(doc["noise_multiplier"]),
-                   sampling_rate=float(doc["sampling_rate"]),
-                   steps=int(doc["steps"]),
-                   target_delta=float(doc["target_delta"]))
-
-    @classmethod
-    def from_json(cls, path) -> "AccountantState":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def compose_subsampled_gaussian(state: AccountantState,

@@ -118,6 +118,16 @@ class TestTrain:
                     "--out", str(tmp_path / "empty")) == 1
         assert "error: train: gen_samples must be >= 1" \
             in capsys.readouterr().err
+        for flags, message in [
+                (("--hidden-dim", "0"), "error: hidden_dim must be >= 1"),
+                (("--learning-rate", "nan"), "error: learning rate must be "
+                                             "finite and > 0"),
+                (("--clip-m", "nan", "--epsilon", "1"),
+                 "error: output_bound must be finite and >= 0")]:
+            assert _run("train", "--task", "generation", *flags,
+                        "--out", str(tmp_path / "rejected")) == 1
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "rejected" / "manifest.json").exists()
         out = tmp_path / "gen_task"
         assert _run("train", "--task", "generation", "--steps", "2",
                     "--gen-samples", "100", "--projections", "4",

@@ -37,6 +37,16 @@ def _separated(u, v, min_gap=1e-4):
     return ok(u) and ok(v)
 
 
+class TestClipConfig:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bounds_must_be_finite_and_non_negative(self, bad):
+        for i in range(4):
+            bounds = [1.0, 1.0, 1.0, 1.0]
+            bounds[i] = bad
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                ClipConfig(*bounds)
+
+
 class TestClipVector:
     def test_inside_ball_unchanged(self):
         v = np.array([0.3, -0.4])

@@ -246,10 +246,28 @@ class TestTasks:
             dpsgd_train(gen, None)
 
     def test_model_kind_validation(self):
+        base = dict(task="regression_sp", steps=1, learning_rate=0.1,
+                    epsilon=math.inf, delta=1e-4, alpha=0.0, clip=LOOSE)
         with pytest.raises(ValueError, match="model kind"):
-            TrainConfig(task="classification_sp", steps=1, learning_rate=0.1,
-                        epsilon=math.inf, delta=1e-4, alpha=0.0, clip=LOOSE,
-                        model_kind="mlp2")
+            TrainConfig(**{**base, "task": "classification_sp",
+                           "model_kind": "mlp2"})
+        for field, value, message in [
+                ("hidden_dim", 0, "hidden_dim must be >= 1"),
+                ("hidden_dim", -3, "hidden_dim must be >= 1"),
+                ("latent_dim", 0, "latent_dim must be >= 1"),
+                ("learning_rate", math.nan, "learning rate"),
+                ("learning_rate", math.inf, "learning rate"),
+                ("epsilon", math.nan, "epsilon"),
+                ("gen_radius", math.nan, "gen_radius"),
+                ("gen_radius", math.inf, "gen_radius")]:
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(**{**base, field: value})
+        # an unset width takes the task default, a set one is used as given
+        ds = _dataset(100, seed=3)
+        for hidden_dim, width in [(None, 64), (1, 1)]:
+            record = dpsgd_train(TrainConfig(**{**base,
+                                                "hidden_dim": hidden_dim}), ds)
+            assert record.model_meta["hidden_dim"] == width
 
 
 class _StubModel:

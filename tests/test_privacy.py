@@ -1,14 +1,12 @@
 """Tests for the GDP curve, subsampling amplification, accounting, calibration."""
 
-import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from dpswgrad.privacy import (ACCOUNTANT_FORMULA, AccountantState,
-                              PrivacyBudget,
+from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               PrivacySaturationError,
                               calibrate_noise, compose_subsampled_gaussian,
                               conservative_epsilon, gaussian_mechanism,
@@ -184,17 +182,6 @@ class TestAccountant:
                                 steps=100, target_delta=1e-5)
         with pytest.raises(PrivacySaturationError):
             compose_subsampled_gaussian(state, 1e-5)
-
-    def test_json_round_trip(self, tmp_path):
-        state = AccountantState(1.7, 0.2, steps=42, target_delta=1e-6)
-        path = tmp_path / "accountant.json"
-        state.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["formula"] == ACCOUNTANT_FORMULA
-        restored = AccountantState.from_json(path)
-        assert restored == state
-        assert restored.epsilon_spent() == pytest.approx(
-            state.epsilon_spent())
 
 
 class TestCalibration:
