@@ -21,4 +21,4 @@ The package is organized around one pipeline:
 - :mod:`dpswgrad.cli` -- reproducible command-line experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

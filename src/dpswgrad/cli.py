@@ -213,6 +213,10 @@ def _write_generation_outputs(outdir: Path, tc: TrainConfig, model) -> str:
 
 def _run_train(config: dict, outdir: Path) -> list:
     cfg = _check_keys(config, _TRAIN_DEFAULTS, "train")
+    seeds = cfg["seeds"] if cfg["seeds"] else [cfg["seed"]]
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("train: seeds must be distinct")
     if cfg["task"] != "generation":
         if not cfg["data"]:
             raise ValueError("train: a --data CSV is required for this task")
@@ -220,8 +224,6 @@ def _run_train(config: dict, outdir: Path) -> list:
         ds_test = _load_pair(cfg["test_data"]) if cfg["test_data"] else None
     else:
         ds = ds_test = None
-    seeds = cfg["seeds"] if cfg["seeds"] else [cfg["seed"]]
-    seeds = [int(s) for s in seeds]
     outputs = []
     if len(seeds) == 1:
         outputs += _train_one(cfg, seeds[0], outdir, ds, ds_test)
@@ -342,8 +344,9 @@ def _audit_setup(cfg: dict):
             return np.concatenate([rng_.uniform(-3.0, 3.0, size=d),
                                    [float(rng_.integers(0, 2))]])
 
-        bound = sensitivity.bound_sp(clip.loss_grad_bound, clip.output_bound,
-                                     clip.jac_bound1, n + m, n, m, alpha)
+        bound = sensitivity.bound_penalized(
+            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, [n, m],
+            alpha)
         return grad_fn, [x0, x1], draw, bound
 
     raise ValueError(f"sensitivity-audit: unknown setting {setting!r}")
@@ -416,6 +419,10 @@ def _run_replay(config: dict, outdir: Path) -> list:
     manifest_path = config["manifest"]
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
+            and isinstance(doc.get("config"), dict)):
+        raise ValueError(f"replay: {manifest_path} is not a manifest (a JSON "
+                         "object with a 'command' and a 'config' object)")
     command = doc["command"]
     if command not in _RUNNERS:
         raise ValueError(f"replay: manifest command {command!r} unknown")
@@ -564,7 +571,10 @@ def main(argv=None) -> int:
         config = {}
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
-                config.update(json.load(fh))
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"{args.config}: the config must be a JSON "
+                                 "object")
         config.update(flags)
         merged, outputs = _RUNNERS[command](config, outdir)
         _write_manifest(outdir, command, merged, outputs)

@@ -10,9 +10,12 @@ lets Gaussian noise privatize it cheaply.
 Clipped norms: with output bound B and Jacobian bounds J1 (x-side) and J2
 (z-side), the assembled proxy always satisfies ||grad||_2 <= 4*B*(J1 + J2).
 
-In the multidimensional case the Jacobian rows are clipped to bound/sqrt(d)
-individually (which caps the spectral norm at ``bound``) rather than through
-an SVD; this is the scheme actually used in training.
+Every penalty takes one path: outputs clipped row-wise to the ball,
+projected onto k unit directions, and the per-sample Jacobians contracted
+once with the coupling gradient.  A scalar output is the sliced case with
+the single direction (1), where the ball is the interval [-B, B].  The
+Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
+spectral norm at ``bound``) rather than through an SVD.
 
 :func:`penalized_objective` is the one training step of every task: it
 clips each penalty pair's outputs once and returns the reported ERM, W and
@@ -33,7 +36,6 @@ from .sliced import ProjectionSet
 
 __all__ = [
     "ClipConfig",
-    "clip_vector",
     "clip_rows",
     "clip_jacobian_naive",
     "clipped_wasserstein_grad",
@@ -70,21 +72,6 @@ class ClipConfig:
         return cls(output_bound, jac_bound, jac_bound, loss_grad_bound)
 
 
-def clip_vector(v, bound: float) -> np.ndarray:
-    """Project ``v`` onto the L2 ball of radius ``bound``.
-
-    Vectors inside the ball (and the zero vector) are returned unchanged;
-    for scalars this is clamping to [-bound, bound].
-    """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if norm <= bound or norm == 0.0:
-        return arr.copy()
-    return arr * (bound / norm)
-
-
 def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
     """Clip every row of a 2D array to L2 norm ``bound`` (vectorized)."""
     norms = np.linalg.norm(mat, axis=-1, keepdims=True)
@@ -107,9 +94,16 @@ def clip_jacobian_naive(jac: np.ndarray, bound: float) -> np.ndarray:
     return clip_rows(jac, bound / np.sqrt(d))
 
 
+# the scalar penalty is the sliced penalty along the single direction (1)
+_ONE_DIRECTION = ProjectionSet(directions=np.ones((1, 1)), seed=0)
+
+
 def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
                      dirs: ProjectionSet | None):
-    """Validated inputs and clipped (then projected) outputs of one pair."""
+    """Validated inputs, directions and clipped projected outputs of a pair.
+
+    Without ``dirs`` the outputs must be scalar and take the one direction.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if x.shape[0] == 0 or z.shape[0] == 0:
@@ -127,41 +121,26 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
         if d != 1:
             raise ValueError(
                 "a ProjectionSet is required for multidimensional outputs")
-        u = np.clip(u_raw, -output_bound, output_bound)
-        v = np.clip(v_raw, -output_bound, output_bound)
-        return x, z, u, v
+        dirs = _ONE_DIRECTION
     if d != dirs.dim:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.dim}-dimensional")
-    return (x, z, clip_rows(u_raw, output_bound) @ dirs.directions.T,
+    return (x, z, dirs, clip_rows(u_raw, output_bound) @ dirs.directions.T,
             clip_rows(v_raw, output_bound) @ dirs.directions.T)
 
 
 def _assemble(g: Model, h: Model, x, z, u, v, clip: ClipConfig,
-              dirs: ProjectionSet | None) -> np.ndarray:
+              dirs: ProjectionSet) -> np.ndarray:
     """Coupling-weighted sum of the clipped per-sample Jacobians."""
     gu, gv = w2_grad_columns(u, v)
     total = np.zeros(max(g.n_params, h.n_params))
-    if dirs is None:
-        if g.n_params:
-            jg = clip_rows(g.penalty_jacobian_batch(x)[:, 0, :],
-                           clip.jac_bound1)
-            total += gu[:, 0] @ jg
-        if h.n_params:
-            jh = clip_rows(h.penalty_jacobian_batch(z)[:, 0, :],
-                           clip.jac_bound2)
-            total += gv[:, 0] @ jh
-        return total
-
-    k = dirs.k
-    if g.n_params:
-        jg = clip_jacobian_naive(g.penalty_jacobian_batch(x), clip.jac_bound1)
-        coeff = (gu @ dirs.directions) / k          # (n, d)
-        total += np.einsum("nd,ndp->p", coeff, jg)
-    if h.n_params:
-        jh = clip_jacobian_naive(h.penalty_jacobian_batch(z), clip.jac_bound2)
-        coeff = (gv @ dirs.directions) / k
-        total += np.einsum("nd,ndp->p", coeff, jh)
+    for model, inputs, grad_cols, bound in ((g, x, gu, clip.jac_bound1),
+                                            (h, z, gv, clip.jac_bound2)):
+        if model.n_params:
+            jac = clip_jacobian_naive(model.penalty_jacobian_batch(inputs),
+                                      bound)
+            coeff = (grad_cols @ dirs.directions) / dirs.k    # (n, d)
+            total += coeff.reshape(-1) @ jac.reshape(-1, model.n_params)
     return total
 
 
@@ -171,11 +150,12 @@ def clipped_wasserstein_grad(g: Model, h: Model, x, z, clip: ClipConfig,
 
     Outputs are clipped to the ball of radius ``clip.output_bound`` before
     the coupling is built; per-sample Jacobians are clipped to
-    ``clip.jac_bound1`` / ``clip.jac_bound2`` (row-wise in the sliced case)
-    before being weighted in.  With ``dirs`` given, the result is the average
-    of the per-direction 1D assemblies over the projected outputs.
+    ``clip.jac_bound1`` / ``clip.jac_bound2`` (row-wise) before being
+    weighted in.  The result is the average of the per-direction 1D
+    assemblies over the projected outputs; without ``dirs`` the outputs
+    must be scalar and the one direction is (1).
     """
-    x, z, u, v = _clipped_outputs(g, h, x, z, clip.output_bound, dirs)
+    x, z, dirs, u, v = _clipped_outputs(g, h, x, z, clip.output_bound, dirs)
     return _assemble(g, h, x, z, u, v, clip, dirs)
 
 
@@ -224,7 +204,8 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     values = []
     penalty = np.zeros(model.n_params)
     for x, h, z in pairs:
-        x, z, u, v = _clipped_outputs(model, h, x, z, clip.output_bound, dirs)
+        x, z, dirs, u, v = _clipped_outputs(model, h, x, z,
+                                            clip.output_bound, dirs)
         values.append(float(np.mean(w2_squared_columns(u, v))))
         if alpha > 0.0:
             penalty += _assemble(model, h, x, z, u, v, clip, dirs)

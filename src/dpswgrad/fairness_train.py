@@ -271,22 +271,16 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
 
     class_sizes = part.sizes
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
-    n_batch = sum(batch_sizes.values())
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
 
     if cfg.task == "generation":
         delta2 = sensitivity.bound_two_sided(
             clip.output_bound, clip.jac_bound1, 0.0, batch_sizes["x"],
             batch_sizes["z"])
-    elif cfg.task == "classification_eo":
-        delta2 = sensitivity.bound_eo(
-            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, n_batch,
-            [batch_sizes[k] for k in part.keys], cfg.alpha,
-            num_label_classes=2)
     else:
-        delta2 = sensitivity.bound_sp(
-            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, n_batch,
-            batch_sizes[0], batch_sizes[1], cfg.alpha)
+        delta2 = sensitivity.bound_penalized(
+            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1,
+            [batch_sizes[k] for k in part.keys], cfg.alpha)
 
     non_private = math.isinf(cfg.epsilon)
     if non_private:
@@ -300,7 +294,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             noise_multiplier=nu, sampling_rate=sampling_rate,
             target_delta=cfg.delta)
 
-    # scalar outputs are coupled directly, without projections
+    # scalar outputs take the one direction (1), without projections
     sliced = model.penalty_dim > 1
     dirs = None
     if sliced and not cfg.resample_directions:

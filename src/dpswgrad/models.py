@@ -345,10 +345,6 @@ class AutoencoderModel(Model):
         return {**super().meta(), "hidden_dim": self.hidden_dim,
                 "hidden_activation": "sigmoid", "latent_dim": self.latent_dim}
 
-    @property
-    def n_encoder_params(self) -> int:
-        return self._layers[self.penalty_layers - 1][2]
-
     def encode_batch(self, x) -> np.ndarray:
         return self.penalty_forward_batch(x)
 

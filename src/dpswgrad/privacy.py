@@ -44,7 +44,6 @@ __all__ = [
     "subsample_amplify",
     "calibrate_noise",
     "conservative_epsilon",
-    "noise_rng",
     "gaussian_mechanism",
 ]
 
@@ -274,25 +273,15 @@ def conservative_epsilon(noise_multiplier: float, sampling_rate: float,
     return steps * amplified.epsilon
 
 
-def noise_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for the (seed, stream) noise substream."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be >= 0")
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
-
-
 def gaussian_mechanism(v, sigma: float, rng) -> np.ndarray:
     """Add isotropic Gaussian noise of scale ``sigma`` to ``v``.
 
-    ``rng`` is either a seed (routed through :func:`noise_rng`) or a
-    ``numpy.random.Generator``; the output is deterministic given either.
+    ``rng`` is a ``numpy.random.Generator``; the output is deterministic
+    given its state.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     arr = np.asarray(v, dtype=np.float64)
     if sigma == 0.0:
         return arr.copy()
-    if isinstance(rng, (int, np.integer)):
-        rng = noise_rng(int(rng))
     return arr + sigma * rng.standard_normal(arr.shape)

@@ -6,6 +6,9 @@ a randomized auditor that probes those bounds empirically, and the classical
 counterexample showing that gradients of the *unsquared* W_p cost admit no
 bound decaying with the sample size.
 
+One bound covers every fairness penalty: statistical parity is equality of
+odds with one label class, i.e. R = 1 pair of sensitive classes.
+
 Notation used throughout: ``output_bound`` caps clipped model outputs,
 ``jac_bound1``/``jac_bound2`` cap per-sample Jacobians on the two sides,
 ``loss_grad_bound`` caps per-sample loss gradients in finite-sum terms.
@@ -24,8 +27,7 @@ __all__ = [
     "SensitivityReport",
     "bound_one_sided",
     "bound_two_sided",
-    "bound_sp",
-    "bound_eo",
+    "bound_penalized",
     "empirical_sensitivity",
     "uniform_box_replacement",
     "WpCounterexample",
@@ -57,42 +59,26 @@ def bound_two_sided(output_bound: float, jac_bound1: float,
         (jac_bound1 + 3.0 * jac_bound2) / m)
 
 
-def bound_sp(loss_grad_bound: float, output_bound: float, jac_bound: float,
-             n: int, n0: int, n1: int, alpha: float) -> float:
-    """Sensitivity of the statistical-parity penalized gradient.
+def bound_penalized(loss_grad_bound: float, output_bound: float,
+                    jac_bound: float, sizes, alpha: float) -> float:
+    """Sensitivity of the penalized gradient over R pairs of classes.
 
-    ``(1 - alpha) * 2C/n + alpha * 16*B*J / min(n0, n1)`` where C, B, J are
-    the loss-gradient, output, and Jacobian bounds and n = n0 + n1.
+    ``sizes`` are the 2R class sizes of the penalty pairs: the two
+    sensitive classes for statistical parity (R = 1), the two sensitive
+    classes within each of the R label classes for equality of odds.  With
+    n their sum and C, B, J the loss-gradient, output and Jacobian bounds
+    the bound is ``(1 - alpha) * 2C/n + (alpha / R) * 16*B*J / min(sizes)``.
     """
     _check_bounds(output_bound, jac_bound, loss_grad_bound)
-    _check_alpha(alpha)
-    if n0 < 1 or n1 < 1:
-        raise ValueError("both class sizes must be >= 1")
-    if n != n0 + n1:
-        raise ValueError("n must equal n0 + n1")
-    return ((1.0 - alpha) * 2.0 * loss_grad_bound / n
-            + alpha * 16.0 * output_bound * jac_bound / min(n0, n1))
-
-
-def bound_eo(loss_grad_bound: float, output_bound: float, jac_bound: float,
-             n: int, sizes, alpha: float, num_label_classes: int) -> float:
-    """Sensitivity of the equality-of-odds penalized gradient.
-
-    ``sizes`` are the 2R per-(class, label) sizes; the penalty term is
-    ``(alpha / R) * 16*B*J / min(sizes)``.
-    """
-    _check_bounds(output_bound, jac_bound, loss_grad_bound)
-    _check_alpha(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     sizes = [int(s) for s in sizes]
-    r = int(num_label_classes)
-    if r < 2:
-        raise ValueError("num_label_classes must be >= 2")
-    if len(sizes) != 2 * r:
-        raise ValueError(f"expected {2 * r} class sizes, got {len(sizes)}")
-    if any(s < 1 for s in sizes):
+    if not sizes or len(sizes) % 2:
+        raise ValueError("sizes must list two classes per penalty pair, "
+                         f"got {len(sizes)} sizes")
+    if min(sizes) < 1:
         raise ValueError("all class sizes must be >= 1")
-    if n != sum(sizes):
-        raise ValueError("n must equal the sum of the class sizes")
+    n, r = sum(sizes), len(sizes) // 2
     return ((1.0 - alpha) * 2.0 * loss_grad_bound / n
             + (alpha / r) * 16.0 * output_bound * jac_bound / min(sizes))
 
@@ -100,11 +86,6 @@ def bound_eo(loss_grad_bound: float, output_bound: float, jac_bound: float,
 def _check_bounds(*bounds) -> None:
     if any(b < 0 for b in bounds):
         raise ValueError("bounds must be >= 0")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: the
 quantile-integral oracle runs on exact rational breakpoints, and the
 finite-difference helpers only call whatever scalar function they are
-handed.  The single-sample model helpers only slice a model's batch
+handed.  ``clip_vector`` is the one-vector reference for row clipping.
+The single-sample model helpers only slice a model's batch
 methods, so per-sample checks read like the math.
 """
 
@@ -26,6 +27,19 @@ def w2_squared_quantile_oracle(u, v) -> float:
         qv = vs[min(int(mid * m), m - 1)]
         total += float(hi - lo) * (qu - qv) ** 2
     return total
+
+
+def clip_vector(v, bound: float) -> np.ndarray:
+    """Project ``v`` onto the L2 ball of radius ``bound``.
+
+    Vectors inside the ball (and the zero vector) are returned unchanged;
+    for scalars this is clamping to [-bound, bound].
+    """
+    arr = np.asarray(v, dtype=np.float64)
+    norm = float(np.linalg.norm(arr))
+    if norm <= bound or norm == 0.0:
+        return arr.copy()
+    return arr * (bound / norm)
 
 
 def forward(model, x) -> np.ndarray:

@@ -25,7 +25,7 @@ from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               calibrate_noise, compose_subsampled_gaussian,
                               conservative_epsilon, gdp_delta,
                               subsample_amplify)
-from dpswgrad.sensitivity import (bound_eo, bound_one_sided, bound_sp,
+from dpswgrad.sensitivity import (bound_one_sided, bound_penalized,
                                   bound_two_sided, empirical_sensitivity,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
@@ -246,7 +246,7 @@ def test_c4_sensitivity_obedience():
 
         rep = empirical_sensitivity(
             sp_fn, sp_classes, draw_labeled, trials=1000, seed=13,
-            theoretical_bound=bound_sp(2.0, 1.0, 1.0, n0 + n1, n0, n1, 0.75))
+            theoretical_bound=bound_penalized(2.0, 1.0, 1.0, [n0, n1], 0.75))
         assert rep.empirical_max <= rep.theoretical_bound
 
         sizes = {(0, 0): 12, (0, 1): 15, (1, 0): 10, (1, 1): 14}
@@ -271,8 +271,8 @@ def test_c4_sensitivity_obedience():
 
         rep = empirical_sensitivity(
             eo_fn, eo_classes, draw_eo, trials=1000, seed=14,
-            theoretical_bound=bound_eo(2.0, 1.0, 1.0, sum(sizes.values()),
-                                       [sizes[k] for k in keys], 0.75, 2))
+            theoretical_bound=bound_penalized(
+                2.0, 1.0, 1.0, [sizes[k] for k in keys], 0.75))
         assert rep.empirical_max <= rep.theoretical_bound
 
         # decay: audited max sensitivity shrinks like 1/n.  The reference

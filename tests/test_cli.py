@@ -87,6 +87,16 @@ class TestTrain:
         doc = json.loads((out / "manifest.json").read_text())
         assert "seed_1/metrics.csv" in doc["outputs"]
 
+    def test_repeated_seeds_rejected(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert _run("train", "--task", "classification_sp",
+                    "--data", str(dataset_dir / "data.csv"),
+                    "--steps", "3", "--seeds", "1,2,1",
+                    "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "error: train: seeds must be distinct\n"
+        assert not any(out.iterdir())
+
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({
@@ -175,6 +185,24 @@ class TestOtherCommands:
         doc = json.loads((out / "sensitivity_report.json").read_text())
         assert doc["trials"] == 60
         assert doc["empirical_max"] <= doc["theoretical_bound"]
+
+    def test_malformed_json_rejected(self, tmp_path, capsys):
+        def write(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        runs = [("calibrate-noise", "--config", write("list.json", [1, 2]))]
+        for i, doc in enumerate([{"foo": 1}, [1],
+                                 {"command": "generate", "config": [1]},
+                                 {"command": ["generate"], "config": {}}]):
+            runs.append(("replay", write(f"manifest_{i}.json", doc)))
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"out_{i}"
+            assert _run(*argv, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not any(out.iterdir())
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from dpswgrad.dp_gradient import (ClipConfig, clip_jacobian_naive,
-                                  clip_vector, clipped_erm_grad,
+                                  clip_rows, clipped_erm_grad,
                                   clipped_wasserstein_grad,
                                   penalized_objective)
-from dpswgrad.models import IdentityModel, Mlp2Model, make_model
-from dpswgrad.ot_core import w2_squared
+from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
+from dpswgrad.ot_core import w2_grad_columns, w2_squared
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
 
-from oracles import central_diff, rel_err, spectral_norm_power_iteration
+from oracles import (central_diff, clip_vector, rel_err,
+                     spectral_norm_power_iteration)
 
 NO_CLIP = ClipConfig(1e9, 1e9, 1e9, 1e9)
 
@@ -47,29 +48,37 @@ class TestClipConfig:
                 ClipConfig(*bounds)
 
 
+def _clip_one(v, bound):
+    """``clip_rows`` of the single row ``v``, checked against the reference."""
+    got = clip_rows(np.asarray(v, dtype=np.float64)[None, :], bound)[0]
+    np.testing.assert_allclose(got, clip_vector(v, bound), rtol=1e-15,
+                               atol=0.0)
+    return got
+
+
 class TestClipVector:
     def test_inside_ball_unchanged(self):
         v = np.array([0.3, -0.4])
-        np.testing.assert_array_equal(clip_vector(v, 1.0), v)
+        np.testing.assert_array_equal(_clip_one(v, 1.0), v)
 
     def test_rescaled_to_radius(self):
-        np.testing.assert_allclose(clip_vector(np.array([3.0, 4.0]), 1.0),
+        np.testing.assert_allclose(_clip_one(np.array([3.0, 4.0]), 1.0),
                                    [0.6, 0.8])
 
     def test_scalar_is_clamp(self):
-        assert clip_vector(np.array([5.0]), 2.0)[0] == 2.0
-        assert clip_vector(np.array([-5.0]), 2.0)[0] == -2.0
-        assert clip_vector(np.array([1.5]), 2.0)[0] == 1.5
+        assert _clip_one(np.array([5.0]), 2.0)[0] == 2.0
+        assert _clip_one(np.array([-5.0]), 2.0)[0] == -2.0
+        assert _clip_one(np.array([1.5]), 2.0)[0] == 1.5
 
     def test_zero_vector_unchanged(self):
-        np.testing.assert_array_equal(clip_vector(np.zeros(3), 0.0),
+        np.testing.assert_array_equal(_clip_one(np.zeros(3), 0.0),
                                       np.zeros(3))
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.normal(size=4)
-            c = clip_vector(v, 0.5)
+            c = _clip_one(v, 0.5)
             assert np.dot(c, v) >= 0.0
             assert np.linalg.norm(c) <= 0.5 + 1e-12
 
@@ -136,6 +145,23 @@ class TestClippedWassersteinGrad1D:
         fd = _fd_theta_grad(gen, lambda: w2_squared(
             x[:, 0], gen.forward_batch(z)[:, 0]))
         assert rel_err(grad, fd) < 1e-5
+
+    def test_outputs_beyond_bound_match_explicit_clamp(self):
+        # scalar outputs take the one-direction sliced path, whose row
+        # scaling may differ from a clamp to [-B, B] by an ulp
+        model = AffineModel(2, 1, theta=np.array([1.0, 0.5, 0.0]))
+        x = np.array([[49.0, 0.0], [0.3, -0.2], [-3.1, 1.0], [0.3, 0.1]])
+        z = np.array([[0.1, 0.4], [-3.0, 0.0], [0.2, 0.3]])
+        clip = ClipConfig(0.9, 1.0, 1.0)
+        u = model.forward_batch(x)
+        v = model.forward_batch(z)
+        assert np.abs(u).max() > 0.9 and np.abs(v).max() > 0.9
+        gu, gv = w2_grad_columns(np.clip(u, -0.9, 0.9), np.clip(v, -0.9, 0.9))
+        jx = clip_rows(model.jacobian_batch(x)[:, 0, :], 1.0)
+        jz = clip_rows(model.jacobian_batch(z)[:, 0, :], 1.0)
+        want = gu[:, 0] @ jx + gv[:, 0] @ jz
+        got = clipped_wasserstein_grad(model, model, x, z, clip)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_two_distinct_parametric_models_rejected(self):
         a = make_model("affine_sigmoid", 2, seed=0)

@@ -206,7 +206,9 @@ class TestAutoencoder:
     def test_latent_jacobian_zero_on_decoder_block(self):
         m = AutoencoderModel(3, hidden_dim=4, latent_dim=2, seed=0)
         jac = m.penalty_jacobian_batch(np.zeros((1, 3)))[0]
-        assert np.all(jac[:, m.n_encoder_params:] == 0.0)
+        n_encoder = (3 + 1) * 4 + (4 + 1) * 2    # 3 -> 4 -> 2 layers
+        assert np.all(jac[:, n_encoder:] == 0.0)
+        assert np.any(jac[:, :n_encoder] != 0.0)
 
     def test_reconstruction_gradient_fd(self):
         rng = np.random.default_rng(8)

@@ -6,8 +6,8 @@ import pytest
 from dpswgrad.dp_gradient import ClipConfig, clipped_wasserstein_grad, \
     penalized_objective
 from dpswgrad.models import Mlp2Model, make_model
-from dpswgrad.sensitivity import (bound_eo, bound_one_sided,
-                                  bound_sp, bound_two_sided,
+from dpswgrad.sensitivity import (bound_one_sided, bound_penalized,
+                                  bound_two_sided,
                                   empirical_sensitivity,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
@@ -30,36 +30,55 @@ class TestClosedFormBounds:
             1.0, 2.0, 3.0, 10)
 
     def test_sp_values(self):
-        assert bound_sp(5.0, 1.0, 1.0, 100, 50, 50, 0.0) == pytest.approx(0.1)
-        assert bound_sp(5.0, 1.0, 1.0, 100, 40, 60, 1.0) == pytest.approx(
-            16.0 / 40)
+        assert bound_penalized(5.0, 1.0, 1.0, [50, 50], 0.0) == \
+            pytest.approx(0.1)
+        assert bound_penalized(5.0, 1.0, 1.0, [40, 60], 1.0) == \
+            pytest.approx(16.0 / 40)
         expected = 0.25 * (10.0 / 30000) + 0.75 * (16.0 / 15000)
-        assert bound_sp(5.0, 1.0, 1.0, 30000, 15000, 15000,
-                        0.75) == pytest.approx(expected)
+        assert bound_penalized(5.0, 1.0, 1.0, [15000, 15000],
+                               0.75) == pytest.approx(expected)
+        # one pair is the statistical-parity closed form, bit for bit
+        for c, b, j, n0, n1, a in [(5.0, 1.0, 1.0, 3000, 3000, 0.75),
+                                   (2.0, 0.7, 1.3, 12, 9, 0.3),
+                                   (0.0, 1.0, 1.0, 7, 20, 1.0)]:
+            sp = ((1.0 - a) * 2.0 * c / (n0 + n1)
+                  + a * 16.0 * b * j / min(n0, n1))
+            assert bound_penalized(c, b, j, [n0, n1], a) == sp
 
     def test_eo_values(self):
-        assert bound_eo(5.0, 1.0, 1.0, 40, [10, 10, 10, 10], 0.0,
-                        2) == pytest.approx(0.25)
-        val = bound_eo(0.0, 1.0, 1.0, 40, [10, 10, 10, 10], 0.5, 2)
+        assert bound_penalized(5.0, 1.0, 1.0, [10, 10, 10, 10],
+                               0.0) == pytest.approx(0.25)
+        val = bound_penalized(0.0, 1.0, 1.0, [10, 10, 10, 10], 0.5)
         assert val == pytest.approx(0.5 * 8.0 / 10)
+        # R pairs are the equality-of-odds closed form, bit for bit
+        for c, b, j, sizes, a in [(2.0, 1.0, 1.0, [12, 15, 10, 14], 0.75),
+                                  (5.0, 0.7, 1.3, [3, 8, 5, 5, 9, 4], 0.4)]:
+            r = len(sizes) // 2
+            eo = ((1.0 - a) * 2.0 * c / sum(sizes)
+                  + (a / r) * 16.0 * b * j / min(sizes))
+            assert bound_penalized(c, b, j, sizes, a) == eo
 
     def test_monotonicity(self):
         grid = [1, 2, 5, 10, 40]
         vals = [bound_one_sided(1.0, 1.0, 1.0, n) for n in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         alphas = np.linspace(0, 1, 5)
-        sp = [bound_sp(0.0, 1.0, 1.0, 20, 10, 10, a) for a in alphas]
-        assert all(a <= b for a, b in zip(sp, sp[1:]))
+        for sizes in ([10, 10], [10, 10, 10, 10]):
+            pen = [bound_penalized(0.0, 1.0, 1.0, sizes, a) for a in alphas]
+            assert all(a <= b for a, b in zip(pen, pen[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             bound_one_sided(1.0, 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            bound_sp(1.0, 1.0, 1.0, 10, 0, 10, 0.5)
-        with pytest.raises(ValueError):
-            bound_sp(1.0, 1.0, 1.0, 11, 5, 5, 0.5)
-        with pytest.raises(ValueError):
-            bound_eo(1.0, 1.0, 1.0, 20, [5, 5, 5, 5], 0.5, 1)
+        with pytest.raises(ValueError, match=">= 1"):
+            bound_penalized(1.0, 1.0, 1.0, [0, 10], 0.5)
+        for sizes in ([], [5, 5, 5]):
+            with pytest.raises(ValueError, match="two classes per"):
+                bound_penalized(1.0, 1.0, 1.0, sizes, 0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            bound_penalized(1.0, 1.0, 1.0, [5, 5], 1.5)
+        with pytest.raises(ValueError, match="bounds"):
+            bound_penalized(1.0, -1.0, 1.0, [5, 5], 0.5)
         with pytest.raises(ValueError, match="class sizes"):
             empirical_sensitivity(lambda classes: np.zeros(1),
                                   [np.zeros((3, 2)), np.zeros((0, 2))],
@@ -178,7 +197,7 @@ class TestEmpiricalAuditor:
             return np.concatenate([rng_.uniform(-3, 3, size=2),
                                    [float(rng_.integers(0, 2))]])
 
-        bound = bound_sp(2.0, 1.0, 1.0, n0 + n1, n0, n1, 0.75)
+        bound = bound_penalized(2.0, 1.0, 1.0, [n0, n1], 0.75)
         report = empirical_sensitivity(grad_fn, [x0, x1], draw, trials=250,
                                        seed=8, theoretical_bound=bound)
         assert report.empirical_max <= bound

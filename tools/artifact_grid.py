@@ -1,0 +1,114 @@
+"""Byte-identity grid: run a fixed set of CLI configs and hash every artifact.
+
+Usage::
+
+    PYTHONPATH=<checkout>/src python tools/artifact_grid.py OUT
+
+OUT must be new or empty.  The script generates a small biased dataset
+(n = 600) in ``OUT/data``, then runs every configuration below through
+``dpswgrad.cli.main`` at 5 steps, with OUT as the working directory so that
+the manifests record relative paths.  It prints one ``sha256  path`` line
+per file under OUT, sorted by path.  To compare two versions of the
+library, run each checkout's ``src`` into its own directory and ``diff``
+the two listings.  Manifests record the library version, so they differ
+whenever the version does.
+
+The grid (84 runs, each in its own directory):
+
+- ``generate``, ``calibrate-noise`` and ``counterexample``;
+- each of the five ``train`` tasks at epsilon {1, inf} x alpha
+  {0, 0.5, 1} x ``--resample-directions`` off/on;
+- ``--model-kind affine`` for regression and generation at every epsilon
+  and alpha;
+- a classification_eo and a generation ``--seeds`` sweep;
+- an autoencoder with a 3-D latent space, and two clip/width variants of
+  regression and autoencoder;
+- the four ``sensitivity-audit`` settings at 200 trials.
+
+Runtime: about 6 s on 2 cores.  The script is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from dpswgrad.cli import main
+
+TASKS = ("classification_sp", "classification_eo", "regression_sp",
+         "autoencoder_sp", "generation")
+
+
+def _task_args(task: str) -> list:
+    if task == "generation":
+        return ["--task", task, "--gen-samples", "200", "--hidden-dim", "8"]
+    return ["--task", task, "--data", "data/data.csv"]
+
+
+def grid() -> list:
+    """(run directory, CLI arguments) of every configuration, in run order."""
+    runs = [("data", ["generate", "--n", "600", "--seed", "3"]),
+            ("calibrate", ["calibrate-noise", "--epsilon", "1", "--delta",
+                           "3.3e-6", "--steps", "500", "--sampling-rate",
+                           "0.2", "--sensitivity", "0.0044"]),
+            ("counterexample", ["counterexample"])]
+    common = ["--steps", "5", "--seed", "1"]
+    for task in TASKS:
+        for eps in ("1", "inf"):
+            for alpha in ("0", "0.5", "1"):
+                base = ["train", *_task_args(task), *common,
+                        "--epsilon", eps, "--alpha", alpha]
+                runs.append((f"{task}_eps{eps}_a{alpha}", base))
+                runs.append((f"{task}_eps{eps}_a{alpha}_resample",
+                             base + ["--resample-directions"]))
+    for task in ("regression_sp", "generation"):
+        for eps in ("1", "inf"):
+            for alpha in ("0", "0.5", "1"):
+                runs.append((f"{task}_affine_eps{eps}_a{alpha}",
+                             ["train", *_task_args(task), *common,
+                              "--epsilon", eps, "--alpha", alpha,
+                              "--model-kind", "affine"]))
+    for task, seeds in (("classification_eo", "0,1,2"), ("generation", "0,1")):
+        runs.append((f"{task}_seeds", ["train", *_task_args(task), "--steps",
+                                       "5", "--epsilon", "1", "--alpha",
+                                       "0.5", "--seeds", seeds]))
+    variants = {
+        "autoencoder_latent3": ("autoencoder_sp", ["--latent-dim", "3"]),
+        "regression_clip": ("regression_sp", [
+            "--clip-m", "0.7071", "--clip-l", "1.4142", "--clip-c", "10",
+            "--projections", "7"]),
+        "autoencoder_clip": ("autoencoder_sp", [
+            "--clip-m", "0.5", "--clip-l", "3", "--hidden-dim", "6"]),
+    }
+    for name, (task, extra) in variants.items():
+        runs.append((name, ["train", *_task_args(task), *common, "--epsilon",
+                            "1", "--alpha", "0.5", *extra]))
+    for setting in ("one_sided", "two_sided", "sliced", "sp"):
+        runs.append((f"audit_{setting}", ["sensitivity-audit", "--setting",
+                                          setting, "--trials", "200"]))
+    return runs
+
+
+def run(out: Path) -> None:
+    """Run the grid in ``out`` (its working directory) and list the hashes."""
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"error: {out} is not empty")
+    os.chdir(out)
+    for name, argv in grid():
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main([*argv, "--out", name])
+        if status != 0:
+            raise SystemExit(f"error: run {name} exited with {status}")
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    run(Path(sys.argv[1]).resolve())
