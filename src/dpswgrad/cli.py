@@ -6,8 +6,17 @@ its outputs; ``replay`` re-executes a manifest into a fresh directory and is
 guaranteed to reproduce every CSV/JSON byte for byte.
 
 Config precedence: command-line flags override values from a ``--config``
-JSON file, which override built-in defaults.  Numeric CSV output carries 17
-significant digits so downstream consumers see the exact doubles.
+JSON file, which override built-in defaults.  Each command's fields, with
+their types, defaults, flags and help, are declared once in ``_COMMANDS``.
+A ``--config`` file or a replayed manifest must give every field its JSON
+type: an int field takes an integral number, a float field a number or
+``"inf"``, a string field a string, a bool field ``true``/``false``, a list
+field a list of integers, and only a field whose default is null takes
+null.  Anything else exits with an error naming the command and the field,
+before any output directory is created.  The manifest records the typed
+values that ran (``1`` given for a float field is recorded as ``1.0``).
+Numeric CSV output carries 17 significant digits so downstream consumers
+see the exact doubles.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,22 +38,135 @@ from .data import (GenerationConfig, generate_biased, load_dataset,
                    save_dataset)
 from .dp_gradient import (ClipConfig, clipped_wasserstein_grad,
                           penalized_objective)
-from .fairness_train import TrainConfig, dpsgd_train, generation_samples
+from .fairness_train import (TASKS, TrainConfig, dpsgd_train,
+                             generation_samples)
+from .jsonio import write_json
 from .models import Mlp2Model, make_model, model_from_meta, save_model
 from .sliced import sample_directions
 
 MANIFEST_NAME = "manifest.json"
 _ENV_OUTDIR = "DPSWGRAD_OUTDIR"
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One config field: ``kind`` is int, float, str, bool or list (of ints).
+
+    ``flag`` defaults to ``--`` plus the name with dashes; a field whose
+    default is None also takes None.
+    """
+
+    name: str
+    kind: type
+    default: object = _REQUIRED
+    help: str | None = None
+    flag: str | None = None
+    choices: tuple | None = None
+
+
+_F = _Field
+_COMMANDS = {
+    "generate": ("generate a synthetic biased dataset", [
+        _F("n", int),
+        _F("bias", float, 0.7, "probability that the sensitive attribute "
+                               "matches the label (default 0.7)"),
+        _F("core_dim", int, 8), _F("sp_dim", int, 8),
+        _F("core_var", float, 0.2), _F("sp_var", float, 0.4),
+        _F("seed", int, 0),
+    ]),
+    "train": ("run fairness-penalized DP-SGD", [
+        _F("task", str, choices=TASKS),
+        _F("data", str, None, "dataset CSV (sidecar JSON expected alongside)"),
+        _F("test_data", str, None),
+        _F("steps", int, 200),
+        _F("learning_rate", float, 0.05),
+        _F("epsilon", float, math.inf,
+           "privacy budget; 'inf' for a non-private run"),
+        _F("delta", float, None, "default 0.1/n"),
+        _F("alpha", float, 0.0, "fairness penalty weight in [0, 1]"),
+        _F("clip_c", float, 5.0, "per-sample loss gradient clip"),
+        _F("clip_m", float, 1.0, "model output clip"),
+        _F("clip_l", float, 1.0, "per-sample Jacobian clip"),
+        _F("batch_fraction", float, 0.2),
+        _F("num_projections", int, 50, flag="--projections"),
+        _F("seed", int, 0),
+        _F("seeds", list, None, "comma list; runs one sweep member per seed"),
+        _F("model_kind", str, None),
+        _F("hidden_dim", int, None),
+        _F("latent_dim", int, 2),
+        _F("resample_directions", bool, False),
+        _F("gen_samples", int, 2000),
+        _F("gen_radius", float, 0.75),
+    ]),
+    "calibrate-noise": ("invert the accountant into a noise scale", [
+        _F("epsilon", float), _F("delta", float), _F("steps", int),
+        _F("sampling_rate", float), _F("sensitivity", float),
+        _F("seed", int, 0),
+    ]),
+    "sensitivity-audit": ("probe a gradient's sensitivity bound empirically", [
+        _F("setting", str, "one_sided",
+           choices=("one_sided", "two_sided", "sliced", "sp")),
+        _F("n", int, 50), _F("m", int, 50), _F("input_dim", int, 3),
+        _F("output_bound", float, 1.0), _F("jac_bound1", float, 1.0),
+        _F("jac_bound2", float, 1.0), _F("loss_grad_bound", float, 5.0),
+        _F("alpha", float, 0.75),
+        _F("num_projections", int, 20, flag="--projections"),
+        _F("trials", int, 1000), _F("seed", int, 0),
+    ]),
+    "counterexample": ("gradient-gap table for the unsquared cost", [
+        _F("n_values", list, [10, 100, 1000], "comma list of sample sizes",
+           "--n"),
+        _F("p_orders", list, [1, 2], "comma list of cost orders", "--p"),
+        _F("seed", int, 0),
+    ]),
+}
+
+_EXPECTED = {int: "an integer", float: 'a number or "inf"', str: "a string",
+             bool: "true or false", list: "a list of integers"}
+
+
+def _typed(kind: type, value):
+    """``value`` as ``kind``, or None when its JSON type does not fit."""
+    if kind is list:
+        items = ([_typed(int, v) for v in value] if isinstance(value, list)
+                 else [None])
+        return None if None in items else items
+    if isinstance(value, bool) != (kind is bool):
+        return None
+    if kind is float and (type(value) in (int, float)
+                          or value in ("inf", "-inf")):
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    return value if type(value) is kind else None
+
+
+def _typed_config(command: str, given: dict) -> dict:
+    """``given`` over the command's defaults, every field as its type."""
+    table = _COMMANDS[command][1]
+    unknown = sorted(set(given) - {f.name for f in table})
+    if unknown:
+        raise ValueError(f"{command}: unknown config fields {unknown}")
+    config = {f.name: given.get(f.name, f.default) for f in table}
+    missing = sorted(k for k, v in config.items() if v is _REQUIRED)
+    if missing:
+        raise ValueError(f"{command}: missing required fields {missing}")
+    for f in table:
+        value = config[f.name]
+        if value is None and f.default is None:
+            continue
+        try:
+            config[f.name] = _typed(f.kind, value)
+        except OverflowError:  # an integer beyond the float range
+            config[f.name] = None
+        if config[f.name] is None:
+            raise ValueError(f"{command}: {f.name} must be "
+                             f"{_EXPECTED[f.kind]}, got {json.dumps(value)}")
+    return config
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _sanitize(obj):
@@ -58,7 +182,7 @@ def _sanitize(obj):
 
 def _write_manifest(outdir: Path, command: str, config: dict,
                     outputs: list) -> None:
-    _write_json(outdir / MANIFEST_NAME, {
+    write_json(outdir / MANIFEST_NAME, {
         "schema": 1,
         "command": command,
         "version": __version__,
@@ -69,58 +193,21 @@ def _write_manifest(outdir: Path, command: str, config: dict,
     })
 
 
-def _check_keys(config: dict, allowed: dict, command: str) -> dict:
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise ValueError(f"{command}: unknown config fields {unknown}")
-    merged = dict(allowed)
-    merged.update(config)
-    missing = sorted(k for k, v in merged.items() if v is _REQUIRED)
-    if missing:
-        raise ValueError(f"{command}: missing required fields {missing}")
-    return merged
-
-
-_REQUIRED = object()
-
-
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-_GENERATE_DEFAULTS = {
-    "n": _REQUIRED, "bias": 0.7, "core_dim": 8, "sp_dim": 8,
-    "core_var": 0.2, "sp_var": 0.4, "seed": 0,
-}
-
-
-def _run_generate(config: dict, outdir: Path) -> list:
-    cfg = _check_keys(config, _GENERATE_DEFAULTS, "generate")
-    ds = generate_biased(GenerationConfig(
-        n=int(cfg["n"]), bias=float(cfg["bias"]),
-        core_dim=int(cfg["core_dim"]), sp_dim=int(cfg["sp_dim"]),
-        core_var=float(cfg["core_var"]), sp_var=float(cfg["sp_var"]),
-        seed=int(cfg["seed"])))
+def _run_generate(cfg: dict, outdir: Path) -> list:
+    ds = generate_biased(GenerationConfig(**cfg))
+    outdir.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, outdir / "data.csv", outdir / "data.json")
     print(f"generated {ds.n} records -> {outdir / 'data.csv'}")
-    return cfg, ["data.csv", "data.json"]
+    return ["data.csv", "data.json"]
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-_TRAIN_DEFAULTS = {
-    "task": _REQUIRED, "data": None, "test_data": None,
-    "steps": 200, "learning_rate": 0.05, "epsilon": math.inf,
-    "delta": None,  # None -> 0.1 / n
-    "alpha": 0.0, "clip_c": 5.0, "clip_m": 1.0, "clip_l": 1.0,
-    "batch_fraction": 0.2, "num_projections": 50,
-    "seed": 0, "seeds": None, "model_kind": None, "hidden_dim": None,
-    "latent_dim": 2, "resample_directions": False,
-    "gen_samples": 2000, "gen_radius": 0.75,
-}
-
 
 def _load_pair(path_str: str):
     csv_path = Path(path_str)
@@ -128,39 +215,20 @@ def _load_pair(path_str: str):
     return load_dataset(csv_path, sidecar)
 
 
-def _train_one(cfg: dict, seed: int, outdir: Path, ds, ds_test) -> list:
-    if cfg["task"] == "generation" and cfg["gen_samples"] < 1:
-        raise ValueError("train: gen_samples must be >= 1")
-    n = cfg["gen_samples"] if cfg["task"] == "generation" else ds.n
-    delta = cfg["delta"] if cfg["delta"] is not None else 0.1 / n
-    tc = TrainConfig(
-        task=cfg["task"], steps=int(cfg["steps"]),
-        learning_rate=float(cfg["learning_rate"]),
-        epsilon=float(cfg["epsilon"]), delta=float(delta),
-        alpha=float(cfg["alpha"]),
-        clip=ClipConfig.symmetric(float(cfg["clip_m"]), float(cfg["clip_l"]),
-                                  float(cfg["clip_c"])),
-        batch_fraction=float(cfg["batch_fraction"]),
-        num_projections=int(cfg["num_projections"]), seed=seed,
-        model_kind=cfg["model_kind"],
-        hidden_dim=None if cfg["hidden_dim"] is None
-        else int(cfg["hidden_dim"]),
-        latent_dim=int(cfg["latent_dim"]),
-        resample_directions=bool(cfg["resample_directions"]),
-        gen_samples=int(cfg["gen_samples"]),
-        gen_radius=float(cfg["gen_radius"]))
+def _train_one(tc: TrainConfig, outdir: Path, ds, ds_test) -> list:
     record = dpsgd_train(tc, ds, ds_test)
+    outdir.mkdir(parents=True, exist_ok=True)
     record.to_json(outdir / "train_record.json")
     _write_step_csv(outdir / "metrics.csv", record)
     model = model_from_meta(record.model_meta, record.final_theta)
     save_model(model, outdir / "model.json")
     outputs = ["train_record.json", "metrics.csv", "model.json"]
-    if cfg["task"] == "generation":
+    if tc.task == "generation":
         outputs.append(_write_generation_outputs(outdir, tc, model))
     else:
         outputs.append(_write_outputs_by_group(outdir, ds, model, tc.task))
     spent = record.epsilon_spent
-    print(f"seed {seed}: final loss {record.total_losses[-1]:.6f}, "
+    print(f"seed {tc.seed}: final loss {record.total_losses[-1]:.6f}, "
           f"sigma {record.sigma:.6g}, epsilon spent "
           f"{'inf' if math.isinf(spent) else f'{spent:.4f}'}"
           + (f", metrics {record.metrics}" if record.metrics else ""))
@@ -211,48 +279,43 @@ def _write_generation_outputs(outdir: Path, tc: TrainConfig, model) -> str:
     return name
 
 
-def _run_train(config: dict, outdir: Path) -> list:
-    cfg = _check_keys(config, _TRAIN_DEFAULTS, "train")
-    seeds = cfg["seeds"] if cfg["seeds"] else [cfg["seed"]]
-    seeds = [int(s) for s in seeds]
+def _run_train(cfg: dict, outdir: Path) -> list:
+    seeds = cfg["seeds"] or [cfg["seed"]]
     if len(set(seeds)) != len(seeds):
         raise ValueError("train: seeds must be distinct")
-    if cfg["task"] != "generation":
+    if cfg["task"] == "generation":
+        if cfg["gen_samples"] < 1:
+            raise ValueError("train: gen_samples must be >= 1")
+        ds = ds_test = None
+        n = cfg["gen_samples"]
+    else:
         if not cfg["data"]:
             raise ValueError("train: a --data CSV is required for this task")
         ds = _load_pair(cfg["data"])
         ds_test = _load_pair(cfg["test_data"]) if cfg["test_data"] else None
-    else:
-        ds = ds_test = None
-    outputs = []
-    if len(seeds) == 1:
-        outputs += _train_one(cfg, seeds[0], outdir, ds, ds_test)
-    else:
-        for s in seeds:
-            sub = outdir / f"seed_{s}"
-            sub.mkdir(parents=True, exist_ok=True)
-            outputs += [f"seed_{s}/{name}"
-                        for name in _train_one(cfg, s, sub, ds, ds_test)]
-    return cfg, outputs
+        n = ds.n
+    # the fields TrainConfig shares with the train command, by name
+    shared = {f.name: cfg[f.name] for f in fields(TrainConfig)
+              if f.name in cfg}
+    shared.update(
+        delta=cfg["delta"] if cfg["delta"] is not None else 0.1 / n,
+        clip=ClipConfig.symmetric(cfg["clip_m"], cfg["clip_l"],
+                                  cfg["clip_c"]))
+    configs = [TrainConfig(**{**shared, "seed": s}) for s in seeds]
+    if len(configs) == 1:
+        return _train_one(configs[0], outdir, ds, ds_test)
+    return [f"seed_{tc.seed}/{name}" for tc in configs
+            for name in _train_one(tc, outdir / f"seed_{tc.seed}", ds,
+                                   ds_test)]
 
 
 # ---------------------------------------------------------------------------
 # calibrate-noise
 # ---------------------------------------------------------------------------
 
-_CALIBRATE_DEFAULTS = {
-    "epsilon": _REQUIRED, "delta": _REQUIRED, "steps": _REQUIRED,
-    "sampling_rate": _REQUIRED, "sensitivity": _REQUIRED, "seed": 0,
-}
-
-
-def _run_calibrate(config: dict, outdir: Path) -> list:
-    cfg = _check_keys(config, _CALIBRATE_DEFAULTS, "calibrate-noise")
-    eps, delta = float(cfg["epsilon"]), float(cfg["delta"])
-    steps, p = int(cfg["steps"]), float(cfg["sampling_rate"])
-    sens = float(cfg["sensitivity"])
-    if sens <= 0:
-        raise ValueError("calibrate-noise: sensitivity must be > 0")
+def _run_calibrate(cfg: dict, outdir: Path) -> list:
+    eps, delta, steps = cfg["epsilon"], cfg["delta"], cfg["steps"]
+    p, sens = cfg["sampling_rate"], cfg["sensitivity"]
     sigma = privacy.calibrate_noise(privacy.PrivacyBudget(eps, delta),
                                     steps, p, sens)
     nu = sigma / sens
@@ -267,32 +330,24 @@ def _run_calibrate(config: dict, outdir: Path) -> list:
            "epsilon_achieved": achieved,
            "conservative_epsilon_ceiling": ceiling,
            "formula": privacy.ACCOUNTANT_FORMULA}
-    _write_json(outdir / "calibration.json", doc)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_json(outdir / "calibration.json", doc)
     print(f"{'quantity':<28}{'value':>18}")
     for key in ("sigma", "noise_multiplier", "mu_total", "epsilon_achieved",
                 "conservative_epsilon_ceiling"):
         print(f"{key:<28}{doc[key]:>18.8g}")
-    return cfg, ["calibration.json"]
+    return ["calibration.json"]
 
 
 # ---------------------------------------------------------------------------
 # sensitivity-audit
 # ---------------------------------------------------------------------------
 
-_AUDIT_DEFAULTS = {
-    "setting": "one_sided",  # one_sided | two_sided | sliced | sp
-    "n": 50, "m": 50, "input_dim": 3, "output_bound": 1.0,
-    "jac_bound1": 1.0, "jac_bound2": 1.0, "loss_grad_bound": 5.0,
-    "alpha": 0.75, "num_projections": 20, "trials": 1000, "seed": 0,
-}
-
-
 def _audit_setup(cfg: dict):
     """Seeded model, data, gradient map, and bound for the chosen setting."""
-    seed, d = int(cfg["seed"]), int(cfg["input_dim"])
-    n, m = int(cfg["n"]), int(cfg["m"])
-    clip = ClipConfig(float(cfg["output_bound"]), float(cfg["jac_bound1"]),
-                      float(cfg["jac_bound2"]), float(cfg["loss_grad_bound"]))
+    seed, d, n, m = cfg["seed"], cfg["input_dim"], cfg["n"], cfg["m"]
+    clip = ClipConfig(cfg["output_bound"], cfg["jac_bound1"],
+                      cfg["jac_bound2"], cfg["loss_grad_bound"])
     rng = np.random.default_rng(seed)
     box = sensitivity.uniform_box_replacement([-3.0] * d, [3.0] * d)
     setting = cfg["setting"]
@@ -315,7 +370,7 @@ def _audit_setup(cfg: dict):
     if setting == "sliced":
         model = Mlp2Model(d, hidden_dim=4, output_dim=2, seed=seed)
         model.theta *= 6.0
-        dirs = sample_directions(2, int(cfg["num_projections"]), seed + 1)
+        dirs = sample_directions(2, cfg["num_projections"], seed + 1)
         x = rng.normal(size=(n, d))
         z = rng.normal(size=(m, d))
         bound = sensitivity.bound_one_sided(
@@ -326,7 +381,7 @@ def _audit_setup(cfg: dict):
     if setting == "sp":
         model = make_model("affine_sigmoid", d, seed=seed)
         model.theta *= 6.0
-        alpha = float(cfg["alpha"])
+        alpha = cfg["alpha"]
         x0 = np.column_stack([rng.normal(size=(n, d)),
                               rng.integers(0, 2, n).astype(float)])
         x1 = np.column_stack([rng.normal(size=(m, d)),
@@ -352,12 +407,12 @@ def _audit_setup(cfg: dict):
     raise ValueError(f"sensitivity-audit: unknown setting {setting!r}")
 
 
-def _run_audit(config: dict, outdir: Path) -> list:
-    cfg = _check_keys(config, _AUDIT_DEFAULTS, "sensitivity-audit")
+def _run_audit(cfg: dict, outdir: Path) -> list:
     grad_fn, classes, draw, bound = _audit_setup(cfg)
     report = sensitivity.empirical_sensitivity(
-        grad_fn, classes, draw, trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]) + 2, theoretical_bound=bound)
+        grad_fn, classes, draw, trials=cfg["trials"], seed=cfg["seed"] + 2,
+        theoretical_bound=bound)
+    outdir.mkdir(parents=True, exist_ok=True)
     report.to_json(outdir / "sensitivity_report.json")
     status = "OK" if report.empirical_max <= bound else "VIOLATION"
     print(f"setting {cfg['setting']}: empirical {report.empirical_max:.6g} "
@@ -365,29 +420,23 @@ def _run_audit(config: dict, outdir: Path) -> list:
           f"(ratio {report.ratio:.3f}) -> {status}")
     if report.empirical_max > bound:
         raise ValueError("sensitivity audit violated its theoretical bound")
-    return cfg, ["sensitivity_report.json"]
+    return ["sensitivity_report.json"]
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 # ---------------------------------------------------------------------------
 
-_COUNTEREXAMPLE_DEFAULTS = {"n_values": [10, 100, 1000], "p_orders": [1, 2],
-                            "seed": 0}
-
-
-def _run_counterexample(config: dict, outdir: Path) -> list:
-    cfg = _check_keys(config, _COUNTEREXAMPLE_DEFAULTS, "counterexample")
-    n_values = [int(v) for v in cfg["n_values"]]
-    p_orders = [int(v) for v in cfg["p_orders"]]
+def _run_counterexample(cfg: dict, outdir: Path) -> list:
     rows = []
-    for n in n_values:
+    for n in cfg["n_values"]:
         w2_gap = sensitivity.w2_counterexample_contrast(n)
         w2_bound = sensitivity.bound_one_sided(1.0, 1.0, 0.0, n)
-        for p in p_orders:
+        for p in cfg["p_orders"]:
             res = sensitivity.wp_counterexample(n, p)
             rows.append((n, p, res.grad_x, res.grad_x_tilde, res.gap,
                          w2_gap, w2_bound))
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "counterexample.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -399,7 +448,7 @@ def _run_counterexample(config: dict, outdir: Path) -> list:
     print(f"{'n':>6} {'p':>3} {'gap':>6} {'squared-cost gap':>18}")
     for n, p, _, _, gap, w2_gap, _ in rows:
         print(f"{n:>6} {p:>3} {gap:>6.3f} {w2_gap:>18.3e}")
-    return cfg, ["counterexample.csv"]
+    return ["counterexample.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +464,34 @@ _RUNNERS = {
 }
 
 
-def _run_replay(config: dict, outdir: Path) -> list:
-    manifest_path = config["manifest"]
-    with open(manifest_path, encoding="utf-8") as fh:
+def _read_manifest(path: str):
+    """The command and the config a manifest recorded."""
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
             and isinstance(doc.get("config"), dict)):
-        raise ValueError(f"replay: {manifest_path} is not a manifest (a JSON "
-                         "object with a 'command' and a 'config' object)")
-    command = doc["command"]
-    if command not in _RUNNERS:
-        raise ValueError(f"replay: manifest command {command!r} unknown")
-    merged, outputs = _RUNNERS[command](doc["config"], outdir)
-    _write_manifest(outdir, command, merged, outputs)
-    print(f"replayed {command} -> {outdir}")
-    return merged, outputs
+        raise ValueError(f"replay: {path} is not a manifest (a JSON object "
+                         "with a 'command' and a 'config' object)")
+    if doc["command"] not in _RUNNERS:
+        raise ValueError(f"replay: manifest command {doc['command']!r} "
+                         "unknown")
+    return doc["command"], doc["config"]
+
+
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    return config
 
 
 def _resolve_outdir(args_out, command: str) -> Path:
     if args_out:
-        out = Path(args_out)
-    elif os.environ.get(_ENV_OUTDIR):
-        out = Path(os.environ[_ENV_OUTDIR]) / command
-    else:
-        out = Path("runs") / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(args_out)
+    if os.environ.get(_ENV_OUTDIR):
+        return Path(os.environ[_ENV_OUTDIR]) / command
+    return Path("runs") / command
 
 
 def _int_list(text: str) -> list:
@@ -455,132 +506,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "calibration, sensitivity audits.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("generate", help="generate a synthetic biased dataset")
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--bias", type=float, default=S,
-                   help="probability that the sensitive attribute matches "
-                        "the label (default 0.7)")
-    p.add_argument("--core-dim", dest="core_dim", type=int, default=S)
-    p.add_argument("--sp-dim", dest="sp_dim", type=int, default=S)
-    p.add_argument("--core-var", dest="core_var", type=float, default=S)
-    p.add_argument("--sp-var", dest="sp_var", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-
-    p = sub.add_parser("train", help="run fairness-penalized DP-SGD")
-    p.add_argument("--task", default=S,
-                   choices=["classification_sp", "classification_eo",
-                            "regression_sp", "autoencoder_sp", "generation"])
-    p.add_argument("--data", default=S,
-                   help="dataset CSV (sidecar JSON expected alongside)")
-    p.add_argument("--test-data", dest="test_data", default=S)
-    p.add_argument("--steps", type=int, default=S)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   default=S)
-    p.add_argument("--epsilon", type=float, default=S,
-                   help="privacy budget; 'inf' for a non-private run")
-    p.add_argument("--delta", type=float, default=S,
-                   help="default 0.1/n")
-    p.add_argument("--alpha", type=float, default=S,
-                   help="fairness penalty weight in [0, 1]")
-    p.add_argument("--clip-c", dest="clip_c", type=float, default=S,
-                   help="per-sample loss gradient clip")
-    p.add_argument("--clip-m", dest="clip_m", type=float, default=S,
-                   help="model output clip")
-    p.add_argument("--clip-l", dest="clip_l", type=float, default=S,
-                   help="per-sample Jacobian clip")
-    p.add_argument("--batch-fraction", dest="batch_fraction", type=float,
-                   default=S)
-    p.add_argument("--projections", dest="num_projections", type=int,
-                   default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--seeds", type=_int_list, default=S,
-                   help="comma list; runs one sweep member per seed")
-    p.add_argument("--model-kind", dest="model_kind", default=S)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=S)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int, default=S)
-    p.add_argument("--resample-directions", dest="resample_directions",
-                   action="store_true", default=S)
-    p.add_argument("--gen-samples", dest="gen_samples", type=int, default=S)
-    p.add_argument("--gen-radius", dest="gen_radius", type=float, default=S)
-
-    p = sub.add_parser("calibrate-noise",
-                       help="invert the accountant into a noise scale")
-    p.add_argument("--epsilon", type=float, default=S)
-    p.add_argument("--delta", type=float, default=S)
-    p.add_argument("--steps", type=int, default=S)
-    p.add_argument("--sampling-rate", dest="sampling_rate", type=float,
-                   default=S)
-    p.add_argument("--sensitivity", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-
-    p = sub.add_parser("sensitivity-audit",
-                       help="probe a gradient's sensitivity bound empirically")
-    p.add_argument("--setting", default=S,
-                   choices=["one_sided", "two_sided", "sliced", "sp"])
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--m", type=int, default=S)
-    p.add_argument("--input-dim", dest="input_dim", type=int, default=S)
-    p.add_argument("--output-bound", dest="output_bound", type=float,
-                   default=S)
-    p.add_argument("--jac-bound1", dest="jac_bound1", type=float, default=S)
-    p.add_argument("--jac-bound2", dest="jac_bound2", type=float, default=S)
-    p.add_argument("--loss-grad-bound", dest="loss_grad_bound", type=float,
-                   default=S)
-    p.add_argument("--alpha", type=float, default=S)
-    p.add_argument("--projections", dest="num_projections", type=int,
-                   default=S)
-    p.add_argument("--trials", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-
-    p = sub.add_parser("counterexample",
-                       help="gradient-gap table for the unsquared cost")
-    p.add_argument("--n", dest="n_values", type=_int_list, default=S,
-                   help="comma list of sample sizes")
-    p.add_argument("--p", dest="p_orders", type=_int_list, default=S,
-                   help="comma list of cost orders")
-    p.add_argument("--seed", type=int, default=S)
-
-    p = sub.add_parser("replay", help="re-run a manifest into a new directory")
-    p.add_argument("manifest")
-
-    for sp_parser in sub.choices.values():
-        sp_parser.add_argument("--out", default=None,
-                               help="output directory (default: "
-                                    "$DPSWGRAD_OUTDIR/<command> or "
-                                    "runs/<command>)")
-        if sp_parser.prog.split()[-1] != "replay":
-            sp_parser.add_argument("--config", default=None,
-                                   help="JSON file with config defaults")
+    for command, (help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in table:
+            kind = ({"action": "store_true"} if f.kind is bool else
+                    {"type": _int_list if f.kind is list else f.kind,
+                     "choices": f.choices})
+            p.add_argument(f.flag or "--" + f.name.replace("_", "-"),
+                           dest=f.name, default=argparse.SUPPRESS,
+                           help=f.help, **kind)
+    sub.add_parser("replay", help="re-run a manifest into a new "
+                                  "directory").add_argument("manifest")
+    for command, p in sub.choices.items():
+        p.add_argument("--out", default=None,
+                       help="output directory (default: "
+                            "$DPSWGRAD_OUTDIR/<command> or runs/<command>)")
+        if command != "replay":
+            p.add_argument("--config", default=None,
+                           help="JSON file with config defaults")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    outdir = _resolve_outdir(args.out, command)
-
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "out", "config")}
+    args = _build_parser().parse_args(argv)
     try:
-        if command == "replay":
-            _run_replay(flags, outdir)
-            return 0
-        config = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError(f"{args.config}: the config must be a JSON "
-                                 "object")
-        config.update(flags)
-        merged, outputs = _RUNNERS[command](config, outdir)
-        _write_manifest(outdir, command, merged, outputs)
+        if args.command == "replay":
+            command, given = _read_manifest(args.manifest)
+        else:
+            command = args.command
+            given = _read_config(args.config) if args.config else {}
+            given.update((k, v) for k, v in vars(args).items()
+                         if k not in ("command", "out", "config"))
+        config = _typed_config(command, given)
+        outdir = _resolve_outdir(args.out, args.command)
+        outputs = _RUNNERS[command](config, outdir)
+        _write_manifest(outdir, command, config, outputs)
     except (ValueError, privacy.PrivacySaturationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "replay":
+        print(f"replayed {command} -> {outdir}")
     return 0
 
 

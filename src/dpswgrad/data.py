@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from .jsonio import write_json
 
 __all__ = [
     "GenerationConfig",
@@ -159,16 +161,25 @@ def save_dataset(ds: BiasedDataset, csv_path, sidecar_path) -> None:
             writer.writerow(row)
     doc = {"config": asdict(ds.config), "n": ds.n,
            "class_sizes": _sizes_doc(ds)}
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, doc)
 
 
 def load_dataset(csv_path, sidecar_path) -> BiasedDataset:
     """Read a dataset back and re-validate its invariants."""
     with open(sidecar_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = GenerationConfig(**doc["config"])
+    config = doc.get("config") if isinstance(doc, dict) else None
+    gen_fields = fields(GenerationConfig)
+    if not (isinstance(config, dict)
+            and set(config) == {f.name for f in gen_fields}
+            and all(type(config[f.name]) in ((int,) if f.type in ("int", int)
+                                             else (int, float))
+                    for f in gen_fields)
+            and type(doc.get("n")) is int):
+        raise ValueError(f"{sidecar_path}: not a dataset sidecar (a JSON "
+                         "object with a 'config' object of GenerationConfig "
+                         "fields and an integer 'n')")
+    config = GenerationConfig(**config)
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)

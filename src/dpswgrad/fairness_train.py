@@ -18,7 +18,6 @@ gradient.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -27,6 +26,7 @@ import numpy as np
 from . import privacy, sensitivity
 from .data import BiasedDataset, ClassPartition, centered_targets, partition
 from .dp_gradient import ClipConfig, penalized_objective
+from .jsonio import write_json
 from .models import AffineSigmoidModel, IdentityModel, make_model
 from .sliced import ProjectionSet, sample_directions
 
@@ -170,9 +170,7 @@ class TrainRecord:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def subsample_partitioned(part: ClassPartition, sizes: dict,

@@ -27,6 +27,8 @@ import json
 import numpy as np
 from scipy.special import expit
 
+from .jsonio import write_json
+
 __all__ = [
     "Model",
     "IdentityModel",
@@ -405,9 +407,7 @@ def save_model(model: Model, path) -> None:
     """Persist a model as JSON: kind, shape metadata, flat parameter vector."""
     doc = {"schema": _MODEL_SCHEMA, **model.meta(),
            "theta": [float(t) for t in model.theta]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def model_from_meta(meta: dict, theta) -> Model:

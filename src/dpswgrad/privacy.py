@@ -208,8 +208,8 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
         raise ValueError("steps must be >= 1")
     if not 0.0 < sampling_rate <= 1.0:
         raise ValueError("sampling rate must lie in (0, 1]")
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be > 0")
+    if not 0.0 < sensitivity < math.inf:
+        raise ValueError("sensitivity must be finite and > 0")
 
     # mu* solving delta(mu; eps_target) = delta_target (increasing in mu)
     def delta_gap(mu: float) -> float:

@@ -16,11 +16,11 @@ Notation used throughout: ``output_bound`` caps clipped model outputs,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import write_json
 from .ot_core import w2_grad
 
 __all__ = [
@@ -104,9 +104,7 @@ class SensitivityReport:
                 "ratio": self.ratio}
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def uniform_box_replacement(low, high):

@@ -95,7 +95,7 @@ class TestTrain:
                     "--out", str(out)) == 1
         assert capsys.readouterr().err == \
             "error: train: seeds must be distinct\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -123,6 +123,22 @@ class TestTrain:
         assert _run("train", "--task", "classification_sp",
                     "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("malformed", ["empty", "unknown_field"])
+    def test_malformed_sidecar_rejected(self, dataset_dir, tmp_path, capsys,
+                                        malformed):
+        doc = json.loads((dataset_dir / "data.json").read_text())
+        doc["config"]["colour"] = "red"
+        (dataset_dir / "data.json").write_text(
+            json.dumps({} if malformed == "empty" else doc))
+        out = tmp_path / "t"
+        assert _run("train", "--task", "classification_sp",
+                    "--data", str(dataset_dir / "data.csv"),
+                    "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a dataset sidecar" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_generation_task_needs_no_data(self, tmp_path, capsys):
         assert _run("train", "--task", "generation", "--gen-samples", "0",
                     "--out", str(tmp_path / "empty")) == 1
@@ -137,7 +153,7 @@ class TestTrain:
             assert _run("train", "--task", "generation", *flags,
                         "--out", str(tmp_path / "rejected")) == 1
             assert message in capsys.readouterr().err
-            assert not (tmp_path / "rejected" / "manifest.json").exists()
+            assert not (tmp_path / "rejected").exists()
         out = tmp_path / "gen_task"
         assert _run("train", "--task", "generation", "--steps", "2",
                     "--gen-samples", "100", "--projections", "4",
@@ -202,7 +218,7 @@ class TestOtherCommands:
             assert _run(*argv, "--out", str(out)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert not any(out.iterdir())
+            assert not out.exists()
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -215,6 +231,62 @@ class TestOtherCommands:
         assert _run("counterexample", "--n", "10", "--p", "1") == 0
         assert (tmp_path / "envout" / "counterexample" /
                 "counterexample.csv").exists()
+
+
+# (command, fields over a valid config, their record in the manifest;
+# None when the command must reject them)
+_TYPED_CASES = [
+    ("generate", {"n": [1]}, None),
+    ("train", {"alpha": None}, None),
+    ("train", {"resample_directions": "false"}, None),
+    ("train", {"steps": 2.7}, None),
+    ("train", {"seeds": 5}, None),
+    ("sensitivity-audit", {"n": [10]}, None),
+    ("calibrate-noise", {"epsilon": 10 ** 400}, None),
+    ("calibrate-noise", {"epsilon": 2, "sensitivity": 1},
+     {"epsilon": 2.0, "sensitivity": 1.0}),
+    ("train", {"epsilon": "inf"}, {"epsilon": "inf"}),
+]
+
+
+@pytest.mark.parametrize("source", ["config", "replay"])
+@pytest.mark.parametrize("command, fields, recorded", _TYPED_CASES, ids=[
+    "generate_n_list", "train_alpha_null", "train_resample_string",
+    "train_steps_fraction", "train_seeds_scalar", "audit_n_list",
+    "calibrate_epsilon_overflow", "calibrate_int_in_float",
+    "train_epsilon_inf"])
+def test_config_field_types(dataset_dir, tmp_path, capsys, source, command,
+                            fields, recorded):
+    base = {"generate": {"n": 50},
+            "train": {"task": "classification_sp", "steps": 2,
+                      "data": str(dataset_dir / "data.csv")},
+            "sensitivity-audit": {"trials": 5},
+            "calibrate-noise": {"epsilon": 1, "delta": 1e-5, "steps": 10,
+                                "sampling_rate": 0.2, "sensitivity": 0.05},
+            }[command]
+    config = {**base, **fields}
+    given = tmp_path / "given.json"
+    out = tmp_path / "out"
+    if source == "config":
+        given.write_text(json.dumps(config))
+        argv = [command, "--config", str(given)]
+    else:
+        given.write_text(json.dumps({"command": command, "config": config}))
+        argv = ["replay", str(given)]
+    capsys.readouterr()
+    status = _run(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    if recorded is None:
+        assert status == 1
+        assert err.startswith(f"error: {command}: {next(iter(fields))} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert status == 0 and err == ""
+        doc = json.loads((out / "manifest.json").read_text())
+        for name, value in recorded.items():
+            assert type(doc["config"][name]) is type(value)
+            assert doc["config"][name] == value
 
 
 class TestReplay:

@@ -217,6 +217,9 @@ class TestCalibration:
             calibrate_noise(PrivacyBudget(math.inf, 1e-5), 10, 0.5, 1.0)
         with pytest.raises(ValueError):
             calibrate_noise(PrivacyBudget(1.0, 1e-5), 10, 0.5, 0.0)
+        for sensitivity in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sensitivity must be finite"):
+                calibrate_noise(PrivacyBudget(1.0, 1e-5), 10, 0.5, sensitivity)
 
     def test_reference_classification_fixture(self):
         # the reference training setup: 30000 records split evenly, per-class

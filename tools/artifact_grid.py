@@ -7,13 +7,15 @@ Usage::
 OUT must be new or empty.  The script generates a small biased dataset
 (n = 600) in ``OUT/data``, then runs every configuration below through
 ``dpswgrad.cli.main`` at 5 steps, with OUT as the working directory so that
-the manifests record relative paths.  It prints one ``sha256  path`` line
-per file under OUT, sorted by path.  To compare two versions of the
-library, run each checkout's ``src`` into its own directory and ``diff``
-the two listings.  Manifests record the library version, so they differ
-whenever the version does.
+the manifests record relative paths.  It then replays every run's manifest
+into ``replay/<run>`` and exits with an error unless each replayed file is
+byte-identical to its original.  It prints one ``sha256  path`` line per
+file under OUT, sorted by path.  To compare two versions of the library,
+run each checkout's ``src`` into its own directory and ``diff`` the two
+listings.  Manifests record the library version, so they differ whenever
+the version does.
 
-The grid (84 runs, each in its own directory):
+The grid (85 runs, each in its own directory, and their 85 replays):
 
 - ``generate``, ``calibrate-noise`` and ``counterexample``;
 - each of the five ``train`` tasks at epsilon {1, inf} x alpha
@@ -23,9 +25,11 @@ The grid (84 runs, each in its own directory):
 - a classification_eo and a generation ``--seeds`` sweep;
 - an autoencoder with a 3-D latent space, and two clip/width variants of
   regression and autoencoder;
-- the four ``sensitivity-audit`` settings at 200 trials.
+- the four ``sensitivity-audit`` settings at 200 trials;
+- one ``train --config train_config.json`` run, whose file gives JSON
+  integers to float fields (``CONFIG_FILE_RUN``).
 
-Runtime: about 6 s on 2 cores.  The script is not part of the test suite.
+Runtime: about 7 s on 2 cores.  The script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -41,6 +46,13 @@ from dpswgrad.cli import main
 
 TASKS = ("classification_sp", "classification_eo", "regression_sp",
          "autoencoder_sp", "generation")
+
+
+# a classification_eo run given as a --config file; epsilon and clip_c are
+# JSON integers in float fields
+CONFIG_FILE_RUN = {"task": "classification_eo", "data": "data/data.csv",
+                   "steps": 5, "seed": 1, "epsilon": 2, "alpha": 0.5,
+                   "clip_c": 5, "resample_directions": False}
 
 
 def _task_args(task: str) -> list:
@@ -90,6 +102,8 @@ def grid() -> list:
     for setting in ("one_sided", "two_sided", "sliced", "sp"):
         runs.append((f"audit_{setting}", ["sensitivity-audit", "--setting",
                                           setting, "--trials", "200"]))
+    runs.append(("train_config_file",
+                 ["train", "--config", "train_config.json"]))
     return runs
 
 
@@ -99,11 +113,20 @@ def run(out: Path) -> None:
     if any(out.iterdir()):
         raise SystemExit(f"error: {out} is not empty")
     os.chdir(out)
-    for name, argv in grid():
+    Path("train_config.json").write_text(json.dumps(CONFIG_FILE_RUN))
+    runs = [(name, [*argv, "--out", name]) for name, argv in grid()]
+    runs += [(f"replay/{name}", ["replay", f"{name}/manifest.json", "--out",
+                                 f"replay/{name}"]) for name, _ in runs]
+    for name, argv in runs:
         with contextlib.redirect_stdout(io.StringIO()):
-            status = main([*argv, "--out", name])
+            status = main(argv)
         if status != 0:
             raise SystemExit(f"error: run {name} exited with {status}")
+    differ = [str(path) for name, _ in grid() for path in Path(name).rglob("*")
+              if path.is_file()
+              and path.read_bytes() != (Path("replay") / path).read_bytes()]
+    if differ:
+        raise SystemExit(f"error: replays differ from their runs: {differ}")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
 
