@@ -8,10 +8,10 @@ The package is organized around one pipeline:
   directions.
 - :mod:`dpswgrad.models` -- small analytic models with exact per-sample
   Jacobians (no autodiff framework).
-- :mod:`dpswgrad.dp_gradient` -- inner-clipped Wasserstein gradient proxy and
-  the penalized objective: reported values and clipped gradient in one call.
-- :mod:`dpswgrad.sensitivity` -- closed-form sensitivity bounds, an empirical
-  sensitivity auditor, and the W_p counterexample.
+- :mod:`dpswgrad.dp_gradient` -- the penalized objective over a list of
+  penalty pairs: reported values and inner-clipped gradient in one call.
+- :mod:`dpswgrad.sensitivity` -- the sensitivity bound of the same pairs, an
+  empirical sensitivity auditor, and the W_p counterexample.
 - :mod:`dpswgrad.privacy` -- Gaussian mechanism, GDP accounting for
   subsampled compositions, and noise calibration.
 - :mod:`dpswgrad.data` -- synthetic biased dataset generator and class
@@ -21,4 +21,4 @@ The package is organized around one pipeline:
 - :mod:`dpswgrad.cli` -- reproducible command-line experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -36,12 +36,12 @@ import numpy as np
 from . import __version__, privacy, sensitivity
 from .data import (GenerationConfig, generate_biased, load_dataset,
                    save_dataset)
-from .dp_gradient import (ClipConfig, clipped_wasserstein_grad,
-                          penalized_objective)
+from .dp_gradient import ClipConfig, penalized_objective
 from .fairness_train import (TASKS, TrainConfig, dpsgd_train,
                              generation_samples)
 from .jsonio import write_json
-from .models import Mlp2Model, make_model, model_from_meta, save_model
+from .models import (AffineModel, IdentityModel, Mlp2Model, make_model,
+                     model_from_meta, save_model)
 from .sliced import sample_directions
 
 MANIFEST_NAME = "manifest.json"
@@ -63,6 +63,9 @@ class _Field(NamedTuple):
     flag: str | None = None
     choices: tuple | None = None
 
+
+# sensitivity-audit setting -> how many sides of its pair are private
+_AUDIT_PRIVATE_SIDES = {"one_sided": 1, "two_sided": 2, "sliced": 1, "sp": 2}
 
 _F = _Field
 _COMMANDS = {
@@ -105,7 +108,7 @@ _COMMANDS = {
     ]),
     "sensitivity-audit": ("probe a gradient's sensitivity bound empirically", [
         _F("setting", str, "one_sided",
-           choices=("one_sided", "two_sided", "sliced", "sp")),
+           choices=tuple(_AUDIT_PRIVATE_SIDES)),
         _F("n", int, 50), _F("m", int, 50), _F("input_dim", int, 3),
         _F("output_bound", float, 1.0), _F("jac_bound1", float, 1.0),
         _F("jac_bound2", float, 1.0), _F("loss_grad_bound", float, 5.0),
@@ -344,67 +347,60 @@ def _run_calibrate(cfg: dict, outdir: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _audit_setup(cfg: dict):
-    """Seeded model, data, gradient map, and bound for the chosen setting."""
+    """Seeded model, private classes, gradient map and bound of a setting.
+
+    Every setting is one penalty pair of the model with itself, ``x`` (n
+    records) against ``z`` (m records), run through the objective and
+    bounded from the same pair.  ``one_sided`` and ``sliced`` keep ``z``
+    public, ``two_sided`` and ``sp`` make both sides private.  The first
+    three audit the Wasserstein gradient alone (weight 1, no ERM); ``sp``
+    is the statistical-parity objective over labelled records, with ERM.
+    """
     seed, d, n, m = cfg["seed"], cfg["input_dim"], cfg["n"], cfg["m"]
     clip = ClipConfig(cfg["output_bound"], cfg["jac_bound1"],
                       cfg["jac_bound2"], cfg["loss_grad_bound"])
-    rng = np.random.default_rng(seed)
-    box = sensitivity.uniform_box_replacement([-3.0] * d, [3.0] * d)
     setting = cfg["setting"]
-
-    if setting in ("one_sided", "two_sided"):
-        model = make_model("affine_sigmoid", d, seed=seed)
-        model.theta *= 6.0
-        x = rng.normal(size=(n, d))
-        z = rng.normal(size=(m, d))
-        if setting == "one_sided":
-            bound = sensitivity.bound_one_sided(
-                clip.output_bound, clip.jac_bound1, clip.jac_bound2, n)
-            return (lambda cls: clipped_wasserstein_grad(
-                model, model, cls[0], z, clip)), [x], box, bound
-        bound = sensitivity.bound_two_sided(
-            clip.output_bound, clip.jac_bound1, clip.jac_bound2, n, m)
-        return (lambda cls: clipped_wasserstein_grad(
-            model, model, cls[0], cls[1], clip)), [x, z], box, bound
-
+    if setting not in _AUDIT_PRIVATE_SIDES:
+        raise ValueError(f"sensitivity-audit: unknown setting {setting!r}")
+    rng = np.random.default_rng(seed)
+    dirs = None
     if setting == "sliced":
         model = Mlp2Model(d, hidden_dim=4, output_dim=2, seed=seed)
-        model.theta *= 6.0
         dirs = sample_directions(2, cfg["num_projections"], seed + 1)
-        x = rng.normal(size=(n, d))
-        z = rng.normal(size=(m, d))
-        bound = sensitivity.bound_one_sided(
-            clip.output_bound, clip.jac_bound1, clip.jac_bound2, n)
-        return (lambda cls: clipped_wasserstein_grad(
-            model, model, cls[0], z, clip, dirs)), [x], box, bound
-
-    if setting == "sp":
+    else:
         model = make_model("affine_sigmoid", d, seed=seed)
-        model.theta *= 6.0
+    model.theta *= 6.0
+    labelled = setting == "sp"
+    if labelled:
+        # records carry their label in the last column
+        classes = [np.column_stack([rng.normal(size=(k, d)),
+                                    rng.integers(0, 2, k).astype(float)])
+                   for k in (n, m)]
         alpha = cfg["alpha"]
-        x0 = np.column_stack([rng.normal(size=(n, d)),
-                              rng.integers(0, 2, n).astype(float)])
-        x1 = np.column_stack([rng.normal(size=(m, d)),
-                              rng.integers(0, 2, m).astype(float)])
-
-        def grad_fn(cls):
-            c0, c1 = cls
-            x_full = np.concatenate([c0[:, :d], c1[:, :d]])
-            y_full = np.concatenate([c0[:, d], c1[:, d]])
-            pair = (c0[:, :d], model, c1[:, :d])
-            return penalized_objective(model, [pair], alpha, clip,
-                                       erm=(x_full, y_full, "bce"))[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3.0, 3.0, size=d),
                                    [float(rng_.integers(0, 2))]])
+    else:
+        classes = [rng.normal(size=(k, d)) for k in (n, m)]
+        alpha = 1.0
+        draw = sensitivity.uniform_box_replacement([-3.0] * d, [3.0] * d)
+    private = _AUDIT_PRIVATE_SIDES[setting]
+    public = classes[private:]
 
-        bound = sensitivity.bound_penalized(
-            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1, [n, m],
-            alpha)
-        return grad_fn, [x0, x1], draw, bound
+    def grad_fn(cls):
+        x, z = (c[:, :d] for c in (*cls, *public))
+        erm = None
+        if labelled:
+            erm = (np.concatenate([x, z]),
+                   np.concatenate([c[:, d] for c in cls]), "bce")
+        return penalized_objective(model, [(x, model, z)], alpha, clip,
+                                   dirs, erm)[3]
 
-    raise ValueError(f"sensitivity-audit: unknown setting {setting!r}")
+    bound = sensitivity.sensitivity_bound(
+        model, [(n, model, m if private == 2 else None)], alpha, clip,
+        n + m if labelled else None)
+    return grad_fn, classes[:private], draw, bound
 
 
 def _run_audit(cfg: dict, outdir: Path) -> list:
@@ -428,10 +424,16 @@ def _run_audit(cfg: dict, outdir: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_counterexample(cfg: dict, outdir: Path) -> list:
+    # the squared cost's pair: the shift map x + t (weight 1, bias t) on
+    # the private grid against the public midpoint grid, which passes
+    # through the parameter-free identity; outputs and Jacobians within 1
+    shift = AffineModel(1, 1, theta=np.array([1.0, 0.0]))
     rows = []
     for n in cfg["n_values"]:
         w2_gap = sensitivity.w2_counterexample_contrast(n)
-        w2_bound = sensitivity.bound_one_sided(1.0, 1.0, 0.0, n)
+        w2_bound = sensitivity.sensitivity_bound(
+            shift, [(n, IdentityModel(1), None)], 1.0,
+            ClipConfig(1.0, 1.0, 0.0))
         for p in cfg["p_orders"]:
             res = sensitivity.wp_counterexample(n, p)
             rows.append((n, p, res.grad_x, res.grad_x_tilde, res.gap,

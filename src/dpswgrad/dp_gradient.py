@@ -17,10 +17,12 @@ the single direction (1), where the ball is the interval [-B, B].  The
 Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
 spectral norm at ``bound``) rather than through an SVD.
 
-:func:`penalized_objective` is the one training step of every task: it
-clips each penalty pair's outputs once and returns the reported ERM, W and
-total values together with the clipped gradient.
-:func:`clipped_wasserstein_grad` is the gradient of a single pair alone.
+:func:`penalized_objective` is the one gradient of every task and every
+audit: it takes a list of penalty pairs, clips each pair's outputs once and
+returns the reported ERM, W and total values together with the clipped
+gradient.  A single pair at weight 1 without ERM is the clipped Wasserstein
+gradient of that pair alone.  :func:`dpswgrad.sensitivity.sensitivity_bound`
+reads the same pairs, as batch sizes, for the bound on its sensitivity.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "ClipConfig",
     "clip_rows",
     "clip_jacobian_naive",
-    "clipped_wasserstein_grad",
     "clipped_erm_grad",
     "penalized_objective",
 ]
@@ -68,7 +69,7 @@ class ClipConfig:
     @classmethod
     def symmetric(cls, output_bound: float, jac_bound: float,
                   loss_grad_bound: float = 0.0) -> "ClipConfig":
-        """Both maps share one Jacobian bound (the fairness-training case)."""
+        """Both sides share one Jacobian bound (what ``train`` uses)."""
         return cls(output_bound, jac_bound, jac_bound, loss_grad_bound)
 
 
@@ -108,10 +109,10 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if x.shape[0] == 0 or z.shape[0] == 0:
         raise ValueError("both sample slices must be non-empty")
-    if not (g is h or g.n_params == 0 or h.n_params == 0):
+    if not (h is g or h.n_params == 0):
         raise ValueError(
-            "the two maps must share their parameter vector (same object) "
-            "or one of them must be parameter-free")
+            "the second map must share the model's parameter vector (same "
+            "object) or be parameter-free")
     u_raw = g.penalty_forward_batch(x)
     v_raw = h.penalty_forward_batch(z)
     if u_raw.shape[1] != v_raw.shape[1]:
@@ -130,10 +131,13 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
 
 
 def _assemble(g: Model, h: Model, x, z, u, v, clip: ClipConfig,
-              dirs: ProjectionSet) -> np.ndarray:
-    """Coupling-weighted sum of the clipped per-sample Jacobians."""
-    gu, gv = w2_grad_columns(u, v)
-    total = np.zeros(max(g.n_params, h.n_params))
+              dirs: ProjectionSet):
+    """Coupling-weighted sum of the clipped per-sample Jacobians.
+
+    Returns the gradient and the (k,) per-direction W2^2 of ``u``, ``v``.
+    """
+    gu, gv, values = w2_grad_columns(u, v)
+    total = np.zeros(g.n_params)
     for model, inputs, grad_cols, bound in ((g, x, gu, clip.jac_bound1),
                                             (h, z, gv, clip.jac_bound2)):
         if model.n_params:
@@ -141,22 +145,7 @@ def _assemble(g: Model, h: Model, x, z, u, v, clip: ClipConfig,
                                       bound)
             coeff = (grad_cols @ dirs.directions) / dirs.k    # (n, d)
             total += coeff.reshape(-1) @ jac.reshape(-1, model.n_params)
-    return total
-
-
-def clipped_wasserstein_grad(g: Model, h: Model, x, z, clip: ClipConfig,
-                             dirs: ProjectionSet | None = None) -> np.ndarray:
-    """Clipped parameter-space gradient proxy for (sliced) W2^2.
-
-    Outputs are clipped to the ball of radius ``clip.output_bound`` before
-    the coupling is built; per-sample Jacobians are clipped to
-    ``clip.jac_bound1`` / ``clip.jac_bound2`` (row-wise) before being
-    weighted in.  The result is the average of the per-direction 1D
-    assemblies over the projected outputs; without ``dirs`` the outputs
-    must be scalar and the one direction is (1).
-    """
-    x, z, dirs, u, v = _clipped_outputs(g, h, x, z, clip.output_bound, dirs)
-    return _assemble(g, h, x, z, u, v, clip, dirs)
+    return total, values
 
 
 def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
@@ -176,12 +165,16 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     ``h`` is ``model`` itself (a fairness penalty) or a parameter-free
     reference map.  ``erm`` is ``(x, targets, loss_kind)`` for the
     finite-sum term, or None for a penalty-only objective (ERM reported 0).
+    Without ``dirs`` the outputs must be scalar and take the one direction.
 
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
-    the sum of the clipped Wasserstein gradients of the pairs.  Each pair's
-    outputs are computed and clipped once and serve both the reported W and
-    the gradient.  The Jacobians are skipped at ``alpha == 0`` and the ERM
-    gradient at ``alpha == 1``; both values are still reported.
+    the sum of the clipped Wasserstein gradients of the pairs: on ``x``
+    the model's Jacobians are clipped to ``clip.jac_bound1``, on ``z``
+    those of ``h`` to ``clip.jac_bound2``.  Each pair's outputs are
+    computed and clipped once and serve both the reported W and the
+    gradient; W is read from the gradient's own sort.  The Jacobians are
+    skipped at ``alpha == 0`` and the ERM gradient at ``alpha == 1``; both
+    values are still reported.
 
     Returns ``(erm_value, w_value, total_value, grad)``.
     """
@@ -206,9 +199,12 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     for x, h, z in pairs:
         x, z, dirs, u, v = _clipped_outputs(model, h, x, z,
                                             clip.output_bound, dirs)
-        values.append(float(np.mean(w2_squared_columns(u, v))))
         if alpha > 0.0:
-            penalty += _assemble(model, h, x, z, u, v, clip, dirs)
+            pair_grad, columns = _assemble(model, h, x, z, u, v, clip, dirs)
+            penalty += pair_grad
+        else:
+            columns = w2_squared_columns(u, v)
+        values.append(float(np.mean(columns)))
     r = len(pairs)
     if alpha > 0.0:
         grad += (alpha / r) * penalty

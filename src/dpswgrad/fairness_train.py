@@ -1,13 +1,14 @@
 """DP-SGD training with fairness penalties, budget tracking, and metrics.
 
-Every task, the generation demo included, runs one loop.  Each step draws
+Every task, the generation demo included, is a list of penalty pairs of
+class keys, and one loop runs it.  The pairs, at the per-class batch sizes,
+give the sensitivity bound (:func:`dpswgrad.sensitivity.sensitivity_bound`)
+from which the Gaussian noise is calibrated once per run.  Each step draws
 a fixed-size without-replacement batch per class, evaluates the penalized
-objective on the task's penalty pairs in one call, adds Gaussian noise
-calibrated once per run from the closed-form sensitivity at the realized
-batch sizes, and takes a plain SGD step.  The only randomness beyond
-subsampling is the per-step noise, so a run with noise scale zero is a
-deterministic clipped-SGD trajectory and any run is bit-reproducible from
-its seed.
+objective on the same pairs in one call, adds the noise, and takes a plain
+SGD step.  The only randomness beyond subsampling is the per-step noise, so
+a run with noise scale zero is a deterministic clipped-SGD trajectory and
+any run is bit-reproducible from its seed.
 
 Reported losses are the quantities actually optimized: the finite-sum term
 is the plain per-sample loss mean, the penalty term is the (sliced) W2^2 of
@@ -92,10 +93,6 @@ class TrainConfig:
             raise ValueError("num_projections must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.task != "generation" \
-                and self.clip.jac_bound1 != self.clip.jac_bound2:
-            raise ValueError(
-                "fairness tasks share one Jacobian bound for both sides")
         allowed = _TASK_MODELS[self.task][0]
         if self.model_kind is not None and self.model_kind not in allowed:
             raise ValueError(f"task {self.task!r} supports model kinds "
@@ -228,14 +225,14 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
                 ds_test: BiasedDataset | None = None) -> TrainRecord:
     """Run the subsampled noisy-gradient loop and return the full record.
 
-    Every task is the same loop over penalty pairs of class keys.
-    Statistical parity compares the two sensitive classes (one pair);
-    equality of odds compares them within each label (one pair per label).
-    Generation pushes Gaussian samples onto a circle: one pair of the model
-    against the parameter-free reference, at weight 1 with no ERM term.
-    There both the inputs and the references are treated as private, so the
-    two-sided bound calibrates the noise (with a zero reference-side
-    Jacobian bound).
+    Every task is the same loop over penalty pairs of class keys, and the
+    same pairs, at the batch sizes, give the sensitivity bound that
+    calibrates the noise.  Statistical parity compares the two sensitive
+    classes (one pair); equality of odds compares them within each label
+    (one pair per label).  Generation pushes Gaussian samples onto a
+    circle: one pair of the model against the parameter-free reference, at
+    weight 1 with no ERM term.  Every class is private, the generation
+    references included.
     """
     clip = cfg.clip
     if cfg.task == "generation":
@@ -271,14 +268,10 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
 
-    if cfg.task == "generation":
-        delta2 = sensitivity.bound_two_sided(
-            clip.output_bound, clip.jac_bound1, 0.0, batch_sizes["x"],
-            batch_sizes["z"])
-    else:
-        delta2 = sensitivity.bound_penalized(
-            clip.loss_grad_bound, clip.output_bound, clip.jac_bound1,
-            [batch_sizes[k] for k in part.keys], cfg.alpha)
+    delta2 = sensitivity.sensitivity_bound(
+        model, [(batch_sizes[a], h, batch_sizes[b]) for a, h, b in pair_keys],
+        weight, clip,
+        None if targets is None else sum(batch_sizes[k] for k in part.keys))
 
     non_private = math.isinf(cfg.epsilon)
     if non_private:

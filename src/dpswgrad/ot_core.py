@@ -13,7 +13,8 @@ with at most ``n + m - 1`` nonzero entries, and
 
 which is linear-time after sorting and differentiable in the sample values
 wherever the within-sample orderings are strict.  This module computes the
-coupling, the distance, and its closed-form gradient.
+coupling, the distance, and its closed-form gradient, which comes with the
+distance read from the same sorted arrays.
 
 All indices in :class:`QuantileCoupling` are 0-based; :func:`rank_permutation`
 returns 1-based ranks matching the usual order-statistics convention.
@@ -141,6 +142,13 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     return coupling
 
 
+def _coupled_w2_columns(us_rows, vs_cols, weights) -> np.ndarray:
+    """Columnwise W2^2 from the sorted values gathered along the coupling."""
+    diff = us_rows - vs_cols
+    diff *= diff
+    return weights @ diff
+
+
 def w2_squared_columns(u, v) -> np.ndarray:
     """Columnwise W2^2 for stacked samples ``u`` (n, k) and ``v`` (m, k)."""
     u = _as_columns(u, "u")
@@ -148,8 +156,7 @@ def w2_squared_columns(u, v) -> np.ndarray:
     us = np.sort(u, axis=0)
     vs = np.sort(v, axis=0)
     c = quantile_coupling(u.shape[0], v.shape[0])
-    diff = us[c.rows, :] - vs[c.cols, :]
-    return c.weights @ (diff * diff)
+    return _coupled_w2_columns(us[c.rows, :], vs[c.cols, :], c.weights)
 
 
 def w2_squared(u, v) -> float:
@@ -159,11 +166,13 @@ def w2_squared(u, v) -> float:
     return float(w2_squared_columns(u[:, None], v[:, None])[0])
 
 
-def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray]:
+def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columnwise closed-form gradients of :func:`w2_squared_columns`.
 
-    Returns ``(grad_u, grad_v)`` with the same shapes as the inputs, using
-    the stable-sort rank permutations at repeated values.
+    Returns ``(grad_u, grad_v, values)``: the gradients with the same
+    shapes as the inputs, using the stable-sort rank permutations at
+    repeated values, and the (k,) columnwise W2^2 read from the same sorted
+    arrays, bit-identical to :func:`w2_squared_columns`.
     """
     u = _as_columns(u, "u")
     v = _as_columns(v, "v")
@@ -172,20 +181,23 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray]:
     us = np.take_along_axis(u, order_u, axis=0)
     vs = np.take_along_axis(v, order_v, axis=0)
     c = quantile_coupling(u.shape[0], v.shape[0])
+    us_rows, vs_cols = us[c.rows, :], vs[c.cols, :]
+    values = _coupled_w2_columns(us_rows, vs_cols, c.weights)
 
-    # grad wrt u_i (sorted): 2 * sum_j R[i,j] (u_(i) - v_(j)), then unsort
-    wv = c.weights[:, None] * vs[c.cols, :]
+    # grad wrt u_i (sorted): 2 * sum_j R[i,j] (u_(i) - v_(j)), then unsort;
+    # the gathered copies are weighted in place
+    vs_cols *= c.weights[:, None]
     gu_sorted = 2.0 * (us * c.row_weight_sums[:, None]
-                       - np.add.reduceat(wv, c.row_starts, axis=0))
-    wu = c.weights[:, None] * us[c.rows, :]
+                       - np.add.reduceat(vs_cols, c.row_starts, axis=0))
+    us_rows *= c.weights[:, None]
     gv_sorted = 2.0 * (vs * c.col_weight_sums[:, None]
-                       - np.add.reduceat(wu, c.col_starts, axis=0))
+                       - np.add.reduceat(us_rows, c.col_starts, axis=0))
 
     grad_u = np.empty_like(gu_sorted)
     grad_v = np.empty_like(gv_sorted)
     np.put_along_axis(grad_u, order_u, gu_sorted, axis=0)
     np.put_along_axis(grad_v, order_v, gv_sorted, axis=0)
-    return grad_u, grad_v
+    return grad_u, grad_v, values
 
 
 def w2_grad(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -197,5 +209,5 @@ def w2_grad(u, v) -> tuple[np.ndarray, np.ndarray]:
     """
     u = _as_sample(u, "u")
     v = _as_sample(v, "v")
-    gu, gv = w2_grad_columns(u[:, None], v[:, None])
+    gu, gv, _ = w2_grad_columns(u[:, None], v[:, None])
     return gu[:, 0], gv[:, 0]

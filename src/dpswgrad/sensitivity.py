@@ -1,17 +1,21 @@
-"""Sensitivity bounds for clipped Wasserstein and penalized gradients.
+"""The sensitivity bound of the penalized gradient, and its audits.
 
-Closed-form replace-one sensitivity bounds (how much each gradient can move
-when one record of one class is swapped for an arbitrary admissible one),
-a randomized auditor that probes those bounds empirically, and the classical
-counterexample showing that gradients of the *unsquared* W_p cost admit no
-bound decaying with the sample size.
+One bound (how much the clipped gradient can move when one record of one
+private class is swapped for an arbitrary admissible one) reads the same
+pair list that :func:`dpswgrad.dp_gradient.penalized_objective` receives,
+with batch sizes in place of the batches.  A randomized auditor probes it
+empirically, and the classical counterexample shows that gradients of the
+*unsquared* W_p cost admit no bound decaying with the sample size.
 
-One bound covers every fairness penalty: statistical parity is equality of
-odds with one label class, i.e. R = 1 pair of sensitive classes.
-
-Notation used throughout: ``output_bound`` caps clipped model outputs,
-``jac_bound1``/``jac_bound2`` cap per-sample Jacobians on the two sides,
-``loss_grad_bound`` caps per-sample loss gradients in finite-sum terms.
+A replace-one change touches one class, and each class sits on one side of
+one pair.  Changing a record on a side of size n_s, whose Jacobians are
+clipped to J_s while the other side's are clipped to J_o, moves that
+pair's clipped Wasserstein gradient by at most ``4 B (3 J_s + J_o) / n_s``
+(B the output bound), and the clipped ERM gradient over n_erm records by at
+most ``2 C / n_erm`` (C the loss-gradient bound).  Statistical parity is
+one pair of sensitive classes, equality of odds one pair per label class,
+generation one pair against a parameter-free reference, and a one-sided
+audit a pair whose second side is public.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from .ot_core import w2_grad
 
 __all__ = [
     "SensitivityReport",
-    "bound_one_sided",
-    "bound_two_sided",
-    "bound_penalized",
+    "sensitivity_bound",
     "empirical_sensitivity",
     "uniform_box_replacement",
     "WpCounterexample",
@@ -36,56 +38,43 @@ __all__ = [
 ]
 
 
-def bound_one_sided(output_bound: float, jac_bound1: float,
-                    jac_bound2: float, n: int) -> float:
-    """Sensitivity bound when only the first (size n) sample is private.
+def sensitivity_bound(model, pairs, alpha: float, clip,
+                      n_erm: int | None = None) -> float:
+    """Replace-one sensitivity of the gradient of ``penalized_objective``.
 
-    Returns ``4 * output_bound * (3 * jac_bound1 + jac_bound2) / n``.
+    ``pairs`` lists ``(n_x, h, n_z)`` per penalty pair, as the objective's
+    ``(x, h, z)`` with each batch replaced by its size: ``model`` on a
+    batch of ``n_x`` records against ``h`` on ``n_z`` records.  A side
+    whose records are public has size None.  ``clip`` is the objective's
+    :class:`~dpswgrad.dp_gradient.ClipConfig`, whose ``jac_bound1`` clips
+    the model's Jacobians and ``jac_bound2`` those of ``h``; a
+    parameter-free map has Jacobian bound 0.  ``n_erm`` is the size of the
+    ERM batch, or None for a penalty-only objective.
+
+    With R pairs the bound is ``(1 - alpha) * 2C/n_erm + (alpha/R) *`` the
+    max over pairs and private sides s of ``4B(3 J_s + J_o)/n_s``.
     """
-    _check_bounds(output_bound, jac_bound1, jac_bound2)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 4.0 * output_bound * (3.0 * jac_bound1 + jac_bound2) / n
-
-
-def bound_two_sided(output_bound: float, jac_bound1: float,
-                    jac_bound2: float, n: int, m: int) -> float:
-    """Sensitivity bound when both samples (sizes n and m) are private."""
-    _check_bounds(output_bound, jac_bound1, jac_bound2)
-    if n < 1 or m < 1:
-        raise ValueError("sample sizes must be >= 1")
-    return 4.0 * output_bound * max(
-        (3.0 * jac_bound1 + jac_bound2) / n,
-        (jac_bound1 + 3.0 * jac_bound2) / m)
-
-
-def bound_penalized(loss_grad_bound: float, output_bound: float,
-                    jac_bound: float, sizes, alpha: float) -> float:
-    """Sensitivity of the penalized gradient over R pairs of classes.
-
-    ``sizes`` are the 2R class sizes of the penalty pairs: the two
-    sensitive classes for statistical parity (R = 1), the two sensitive
-    classes within each of the R label classes for equality of odds.  With
-    n their sum and C, B, J the loss-gradient, output and Jacobian bounds
-    the bound is ``(1 - alpha) * 2C/n + (alpha / R) * 16*B*J / min(sizes)``.
-    """
-    _check_bounds(output_bound, jac_bound, loss_grad_bound)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    sizes = [int(s) for s in sizes]
-    if not sizes or len(sizes) % 2:
-        raise ValueError("sizes must list two classes per penalty pair, "
-                         f"got {len(sizes)} sizes")
-    if min(sizes) < 1:
-        raise ValueError("all class sizes must be >= 1")
-    n, r = sum(sizes), len(sizes) // 2
-    return ((1.0 - alpha) * 2.0 * loss_grad_bound / n
-            + (alpha / r) * 16.0 * output_bound * jac_bound / min(sizes))
-
-
-def _check_bounds(*bounds) -> None:
-    if any(b < 0 for b in bounds):
-        raise ValueError("bounds must be >= 0")
+    if not pairs:
+        raise ValueError("at least one penalty pair is required")
+    weight = alpha / len(pairs)
+    j_x = clip.jac_bound1 if model.n_params else 0.0
+    worst = 0.0
+    for n_x, h, n_z in pairs:
+        j_z = clip.jac_bound2 if h.n_params else 0.0
+        for n_s, j_s, j_o in ((n_x, j_x, j_z), (n_z, j_z, j_x)):
+            if n_s is None:
+                continue
+            if n_s < 1:
+                raise ValueError("all batch sizes must be >= 1")
+            worst = max(worst, weight * 4.0 * clip.output_bound
+                        * (3.0 * j_s + j_o) / n_s)
+    if n_erm is None:
+        return worst
+    if n_erm < 1:
+        raise ValueError("the ERM batch size must be >= 1")
+    return (1.0 - alpha) * 2.0 * clip.loss_grad_bound / n_erm + worst
 
 
 @dataclass

@@ -16,17 +16,15 @@ import pytest
 
 from dpswgrad.cli import main as cli_main
 from dpswgrad.data import GenerationConfig, generate_biased
-from dpswgrad.dp_gradient import (ClipConfig, clipped_wasserstein_grad,
-                                  penalized_objective)
+from dpswgrad.dp_gradient import ClipConfig, penalized_objective
 from dpswgrad.fairness_train import TrainConfig, dpsgd_train
-from dpswgrad.models import Mlp2Model, make_model
+from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
 from dpswgrad.ot_core import quantile_coupling, w2_grad, w2_squared
 from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               calibrate_noise, compose_subsampled_gaussian,
                               conservative_epsilon, gdp_delta,
                               subsample_amplify)
-from dpswgrad.sensitivity import (bound_one_sided, bound_penalized,
-                                  bound_two_sided, empirical_sensitivity,
+from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
                                   wp_counterexample)
@@ -119,7 +117,8 @@ def test_c2_gradient_correctness():
             v = model.forward_batch(z)[:, 0]
             if not gaps_ok(u, v):
                 continue
-            grad = clipped_wasserstein_grad(model, model, x, z, no_clip)
+            grad = penalized_objective(model, [(x, model, z)], 1.0,
+                                       no_clip)[3]
             fd = theta_fd(model, lambda: w2_squared(
                 model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
             assert rel_err(grad, fd) < 1e-5
@@ -137,7 +136,8 @@ def test_c2_gradient_correctness():
             pv = model.forward_batch(z) @ dirs.directions.T
             if not gaps_ok(*(list(pu.T) + list(pv.T))):
                 continue
-            grad = clipped_wasserstein_grad(model, model, x, z, no_clip, dirs)
+            grad = penalized_objective(model, [(x, model, z)], 1.0, no_clip,
+                                       dirs)[3]
             fd = theta_fd(model, lambda: sw2_squared_mc(
                 model.forward_batch(x), model.forward_batch(z), dirs))
             assert rel_err(grad, fd) < 1e-5
@@ -170,13 +170,14 @@ def _one_sided_audit(clip_bounds, n, sliced, trials, seed, k=20):
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        return clipped_wasserstein_grad(model, model, classes[0], z, clip,
-                                        dirs)
+        return penalized_objective(model, [(classes[0], model, z)], 1.0,
+                                   clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
         trials=trials, seed=seed + 2,
-        theoretical_bound=bound_one_sided(out_b, j1, j2, n))
+        theoretical_bound=sensitivity_bound(model, [(n, model, None)], 1.0,
+                                            clip))
 
 
 def test_c4_sensitivity_obedience():
@@ -212,14 +213,16 @@ def test_c4_sensitivity_obedience():
             x, z = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
 
             def grad_fn(classes):
-                return clipped_wasserstein_grad(model, model, classes[0],
-                                                classes[1], clip, dirs)
+                return penalized_objective(
+                    model, [(classes[0], model, classes[1])], 1.0, clip,
+                    dirs)[3]
 
             rep = empirical_sensitivity(
                 grad_fn, [x, z], uniform_box_replacement([-3.0] * 3,
                                                          [3.0] * 3),
                 trials=1000, seed=seed + 1,
-                theoretical_bound=bound_two_sided(1.0, 1.0, 1.0, 20, 30))
+                theoretical_bound=sensitivity_bound(
+                    model, [(20, model, 30)], 1.0, clip))
             assert rep.empirical_max <= rep.theoretical_bound
 
         # penalized objectives (statistical parity and equalized odds)
@@ -246,7 +249,8 @@ def test_c4_sensitivity_obedience():
 
         rep = empirical_sensitivity(
             sp_fn, sp_classes, draw_labeled, trials=1000, seed=13,
-            theoretical_bound=bound_penalized(2.0, 1.0, 1.0, [n0, n1], 0.75))
+            theoretical_bound=sensitivity_bound(
+                model, [(n0, model, n1)], 0.75, clip, n0 + n1))
         assert rep.empirical_max <= rep.theoretical_bound
 
         sizes = {(0, 0): 12, (0, 1): 15, (1, 0): 10, (1, 1): 14}
@@ -271,8 +275,9 @@ def test_c4_sensitivity_obedience():
 
         rep = empirical_sensitivity(
             eo_fn, eo_classes, draw_eo, trials=1000, seed=14,
-            theoretical_bound=bound_penalized(
-                2.0, 1.0, 1.0, [sizes[k] for k in keys], 0.75))
+            theoretical_bound=sensitivity_bound(
+                model, [(sizes[(0, k)], model, sizes[(1, k)]) for k in (0, 1)],
+                0.75, clip, sum(sizes.values())))
         assert rep.empirical_max <= rep.theoretical_bound
 
         # decay: audited max sensitivity shrinks like 1/n.  The reference
@@ -288,13 +293,14 @@ def test_c4_sensitivity_obedience():
             x = rng.normal(size=(n, 3))
 
             def grad_fn(classes):
-                return clipped_wasserstein_grad(model, model, classes[0], z,
-                                                clip)
+                return penalized_objective(model, [(classes[0], model, z)],
+                                           1.0, clip)[3]
 
             return empirical_sensitivity(
                 grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
                 trials=15 * n, seed=1001,
-                theoretical_bound=bound_one_sided(1.0, 1.0, 1.0, n))
+                theoretical_bound=sensitivity_bound(
+                    model, [(n, model, None)], 1.0, clip))
 
         sizes_grid = [20, 60, 180, 540]
         reports = [decay_audit(n) for n in sizes_grid]
@@ -313,7 +319,9 @@ def test_c5_counterexample():
                 assert (res.grad_x, res.grad_x_tilde) == (1.0, -1.0)
         gaps = [w2_counterexample_contrast(n) for n in (10, 100, 1000)]
         for n, gap in zip((10, 100, 1000), gaps):
-            assert gap <= bound_one_sided(1.0, 1.0, 0.0, n)
+            assert gap <= sensitivity_bound(
+                AffineModel(1, 1, theta=np.array([1.0, 0.0])),
+                [(n, IdentityModel(1), None)], 1.0, ClipConfig(1.0, 1.0, 0.0))
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 
@@ -402,8 +410,8 @@ def test_c8_norm_bound():
             model.theta *= float(rng.uniform(1.0, 25.0))
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            grad = clipped_wasserstein_grad(model, model, x, z, clip,
-                                            dirs if sliced else None)
+            grad = penalized_objective(model, [(x, model, z)], 1.0, clip,
+                                       dirs if sliced else None)[3]
             assert np.linalg.norm(grad) <= 4.0 * out_b * (j1 + j2) + 1e-10
 
 

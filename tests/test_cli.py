@@ -202,6 +202,16 @@ class TestOtherCommands:
         assert doc["trials"] == 60
         assert doc["empirical_max"] <= doc["theoretical_bound"]
 
+    def test_sp_audit_with_two_jacobian_bounds(self, tmp_path):
+        # each side of the pair weighs its own Jacobian bound
+        out = tmp_path / "aud"
+        assert _run("sensitivity-audit", "--setting", "sp", "--jac-bound1",
+                    "0.01", "--jac-bound2", "5", "--alpha", "1", "--trials",
+                    "300", "--out", str(out)) == 0
+        doc = json.loads((out / "sensitivity_report.json").read_text())
+        assert doc["theoretical_bound"] == 4.0 * (3.0 * 5.0 + 0.01) / 50
+        assert doc["empirical_max"] <= doc["theoretical_bound"]
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         def write(name, doc):
             path = tmp_path / name

@@ -1,14 +1,14 @@
-"""Tests for clipping operators and the clipped Wasserstein gradient proxy."""
+"""Tests for clipping operators and the penalized objective's clipped gradient."""
 
 import numpy as np
 import pytest
 
 from dpswgrad.dp_gradient import (ClipConfig, clip_jacobian_naive,
                                   clip_rows, clipped_erm_grad,
-                                  clipped_wasserstein_grad,
                                   penalized_objective)
 from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
-from dpswgrad.ot_core import w2_grad_columns, w2_squared
+from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns, w2_squared,
+                              w2_squared_columns)
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
 
 from oracles import (central_diff, clip_vector, rel_err,
@@ -113,7 +113,8 @@ class TestClippedWassersteinGrad1D:
     def test_zero_when_both_sides_identical(self):
         model = make_model("affine_sigmoid", 3, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 3))
-        g = clipped_wasserstein_grad(model, model, x, x.copy(), NO_CLIP)
+        g = penalized_objective(model, [(x, model, x.copy())], 1.0,
+                                NO_CLIP)[3]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_matches_fd_through_affine_sigmoid(self):
@@ -127,20 +128,21 @@ class TestClippedWassersteinGrad1D:
             v = model.forward_batch(z)[:, 0]
             if not _separated(np.concatenate([u]), v):
                 continue
-            grad = clipped_wasserstein_grad(model, model, x, z, NO_CLIP)
+            grad = penalized_objective(model, [(x, model, z)], 1.0,
+                                       NO_CLIP)[3]
             fd = _fd_theta_grad(model, lambda: w2_squared(
                 model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
             assert rel_err(grad, fd) < 1e-5
             checked += 1
 
     def test_one_sided_parameter_free_reference(self):
-        # data-generation shape: the x side is an identity map (no params)
+        # data-generation shape: the z side is an identity map (no params)
         rng = np.random.default_rng(4)
         gen = make_model("affine_sigmoid", 2, seed=5)
         ident = IdentityModel(1)
         x = rng.normal(size=(5, 1))
         z = rng.normal(size=(7, 2))
-        grad = clipped_wasserstein_grad(ident, gen, x, z, NO_CLIP)
+        grad = penalized_objective(gen, [(z, ident, x)], 1.0, NO_CLIP)[3]
         assert grad.shape == (gen.n_params,)
         fd = _fd_theta_grad(gen, lambda: w2_squared(
             x[:, 0], gen.forward_batch(z)[:, 0]))
@@ -156,25 +158,26 @@ class TestClippedWassersteinGrad1D:
         u = model.forward_batch(x)
         v = model.forward_batch(z)
         assert np.abs(u).max() > 0.9 and np.abs(v).max() > 0.9
-        gu, gv = w2_grad_columns(np.clip(u, -0.9, 0.9), np.clip(v, -0.9, 0.9))
+        gu, gv, _ = w2_grad_columns(np.clip(u, -0.9, 0.9),
+                                    np.clip(v, -0.9, 0.9))
         jx = clip_rows(model.jacobian_batch(x)[:, 0, :], 1.0)
         jz = clip_rows(model.jacobian_batch(z)[:, 0, :], 1.0)
         want = gu[:, 0] @ jx + gv[:, 0] @ jz
-        got = clipped_wasserstein_grad(model, model, x, z, clip)
+        got = penalized_objective(model, [(x, model, z)], 1.0, clip)[3]
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_two_distinct_parametric_models_rejected(self):
         a = make_model("affine_sigmoid", 2, seed=0)
         b = make_model("affine_sigmoid", 2, seed=1)
         with pytest.raises(ValueError):
-            clipped_wasserstein_grad(a, b, np.zeros((2, 2)), np.zeros((2, 2)),
-                                     NO_CLIP)
+            penalized_objective(a, [(np.zeros((2, 2)), b, np.zeros((2, 2)))],
+                                1.0, NO_CLIP)
 
     def test_empty_slice_rejected(self):
         m = make_model("affine_sigmoid", 2, seed=0)
         with pytest.raises(ValueError):
-            clipped_wasserstein_grad(m, m, np.zeros((0, 2)), np.zeros((2, 2)),
-                                     NO_CLIP)
+            penalized_objective(m, [(np.zeros((0, 2)), m, np.zeros((2, 2)))],
+                                1.0, NO_CLIP)
 
 
 class TestClippedWassersteinGradSliced:
@@ -191,7 +194,8 @@ class TestClippedWassersteinGradSliced:
             pv = model.forward_batch(z) @ dirs.directions.T
             if not all(_separated(pu[:, k], pv[:, k]) for k in range(dirs.k)):
                 continue
-            grad = clipped_wasserstein_grad(model, model, x, z, NO_CLIP, dirs)
+            grad = penalized_objective(model, [(x, model, z)], 1.0, NO_CLIP,
+                                       dirs)[3]
             fd = _fd_theta_grad(model, lambda: sw2_squared_mc(
                 model.forward_batch(x), model.forward_batch(z), dirs))
             assert rel_err(grad, fd) < 1e-5
@@ -201,14 +205,14 @@ class TestClippedWassersteinGradSliced:
         model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            clipped_wasserstein_grad(model, model, x, x, NO_CLIP)
+            penalized_objective(model, [(x, model, x)], 1.0, NO_CLIP)
 
     def test_dimension_mismatch_rejected(self):
         model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=0)
         dirs = sample_directions(3, 4, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            clipped_wasserstein_grad(model, model, x, x, NO_CLIP, dirs)
+            penalized_objective(model, [(x, model, x)], 1.0, NO_CLIP, dirs)
 
     def test_norm_bound_randomized(self):
         rng = np.random.default_rng(6)
@@ -224,7 +228,8 @@ class TestClippedWassersteinGradSliced:
             model.theta *= rng.uniform(1.0, 30.0)
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            grad = clipped_wasserstein_grad(model, model, x, z, clip, dirs)
+            grad = penalized_objective(model, [(x, model, z)], 1.0, clip,
+                                       dirs)[3]
             assert np.linalg.norm(grad) <= 4 * out_b * (j1 + j2) + 1e-10
 
     def test_clipping_noop_when_bounds_loose(self):
@@ -233,9 +238,10 @@ class TestClippedWassersteinGradSliced:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 2))
         z = rng.normal(size=(5, 2))
-        tight = clipped_wasserstein_grad(
-            model, model, x, z, ClipConfig(50.0, 50.0, 50.0), dirs)
-        loose = clipped_wasserstein_grad(model, model, x, z, NO_CLIP, dirs)
+        tight = penalized_objective(
+            model, [(x, model, z)], 1.0, ClipConfig(50.0, 50.0, 50.0), dirs)[3]
+        loose = penalized_objective(model, [(x, model, z)], 1.0, NO_CLIP,
+                                    dirs)[3]
         np.testing.assert_allclose(tight, loose, atol=1e-10)
 
 
@@ -263,7 +269,7 @@ class TestObjectiveGrads:
         model, x0, x1, x_full, y_full, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 1.0, clip, erm=(x_full, y_full, "bce"))
-        w = clipped_wasserstein_grad(model, model, x0, x1, clip)
+        w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
         np.testing.assert_allclose(g, w, atol=1e-15)
         want = np.mean(model.loss_batch(x_full, y_full, "bce"))
         assert erm_val == pytest.approx(want, rel=1e-15)
@@ -274,7 +280,7 @@ class TestObjectiveGrads:
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 0.5, clip, erm=(x_full, y_full, "bce"))
         erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
-        w = clipped_wasserstein_grad(model, model, x0, x1, clip)
+        w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
         assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
 
@@ -299,10 +305,8 @@ class TestObjectiveGrads:
         _, w_val, _, g = penalized_objective(model, pairs, 0.4, clip,
                                              erm=(x_full, y_full, "bce"))
         erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
-        w0 = clipped_wasserstein_grad(model, model, batches[(0, 0)],
-                                      batches[(1, 0)], clip)
-        w1 = clipped_wasserstein_grad(model, model, batches[(0, 1)],
-                                      batches[(1, 1)], clip)
+        w0, w1 = (penalized_objective(model, [pair], 1.0, clip)[3]
+                  for pair in pairs)
         np.testing.assert_allclose(g, 0.6 * erm + 0.2 * (w0 + w1), atol=1e-14)
         values = [penalized_objective(model, [pair], 1.0, clip)[1]
                   for pair in pairs]
@@ -342,7 +346,51 @@ class TestObjectiveGrads:
         clip = ClipConfig(1.0, 1.0, 0.0)
         _, w_val, total, g = penalized_objective(
             model, [(x, IdentityModel(2), z)], 1.0, clip, dirs)
-        np.testing.assert_array_equal(
-            g, clipped_wasserstein_grad(model, IdentityModel(2), x, z, clip,
-                                        dirs))
-        assert total == w_val > 0.0
+        # the model's side alone, summed sample by sample and direction by
+        # direction; the reference side has no parameters
+        u = clip_rows(model.forward_batch(x), 1.0) @ dirs.directions.T
+        v = clip_rows(z, 1.0) @ dirs.directions.T
+        gu, _, columns = w2_grad_columns(u, v)
+        jac = clip_jacobian_naive(model.jacobian_batch(x), 1.0)
+        want = np.einsum("nk,kd,ndp->p", gu, dirs.directions, jac) / dirs.k
+        np.testing.assert_allclose(g, want, rtol=1e-13, atol=0.0)
+        assert total == w_val == np.mean(columns) > 0.0
+
+
+class TestTiedOutputs:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_saturated_outputs_take_the_stable_rank_path(self, alpha):
+        # every scalar output lies beyond the bound 0.5 and clips to exactly
+        # +-0.5 (the scales are powers of two), so every value is tied
+        model = AffineModel(2, 1, theta=np.array([1.0, 0.0, 0.0]))
+        rng = np.random.default_rng(10)
+        n, m = 40, 33
+        x = np.column_stack([rng.choice([-4.0, -2.0, 2.0, 8.0], n),
+                             rng.normal(size=n)])
+        z = np.column_stack([rng.choice([-2.0, 4.0], m), rng.normal(size=m)])
+        x_full = np.concatenate([x, z])
+        targets = rng.normal(size=n + m)
+        clip = ClipConfig(0.5, 1.0, 1.0, 5.0)
+        _, w_val, _, g = penalized_objective(
+            model, [(x, model, z)], alpha, clip,
+            erm=(x_full, targets, "squared_error"))
+        u = clip_rows(model.forward_batch(x), 0.5)
+        v = clip_rows(model.forward_batch(z), 0.5)
+        assert set(np.abs(np.concatenate([u, v])).ravel()) == {0.5}
+        assert w_val == w2_squared_columns(u, v)[0]
+
+        # stable ranks: tied values keep their sample order
+        rank_u = np.argsort(np.argsort(u[:, 0], kind="stable"))
+        rank_v = np.argsort(np.argsort(v[:, 0], kind="stable"))
+        c = quantile_coupling(n, m)
+        coupling = np.zeros((n, m))
+        coupling[c.rows, c.cols] = c.weights
+        weights = coupling[np.ix_(rank_u, rank_v)]
+        diff = u[:, 0][:, None] - v[:, 0][None, :]
+        gu = 2.0 * np.sum(weights * diff, axis=1)
+        gv = -2.0 * np.sum(weights * diff, axis=0)
+        w_grad = (gu @ clip_rows(model.jacobian_batch(x)[:, 0, :], 1.0)
+                  + gv @ clip_rows(model.jacobian_batch(z)[:, 0, :], 1.0))
+        erm = clipped_erm_grad(model, x_full, targets, "squared_error", 5.0)
+        np.testing.assert_allclose(g, (1.0 - alpha) * erm + alpha * w_grad,
+                                   rtol=1e-13, atol=1e-15)

@@ -150,6 +150,22 @@ class TestDeterminismAndBudget:
         assert all(a < b for a, b in zip(eh, eh[1:]))
         assert eh[-1] == pytest.approx(rec.epsilon_spent)
 
+    def test_two_jacobian_bounds_record_the_pair_bound(self):
+        # each sensitive class weighs the Jacobian bound of its own side
+        ds = _dataset(400, seed=15)
+        cfg = TrainConfig(task="classification_sp", steps=3,
+                          learning_rate=0.05, epsilon=1.0, delta=1e-4,
+                          alpha=0.75, clip=ClipConfig(1.0, 0.5, 2.0, 5.0),
+                          seed=2)
+        rec = dpsgd_train(cfg, ds)
+        n0, n1 = rec.batch_sizes[0], rec.batch_sizes[1]
+        assert rec.sensitivity == (1.0 - 0.75) * 2.0 * 5.0 / (n0 + n1) + max(
+            0.75 * 4.0 * 1.0 * (3.0 * 0.5 + 2.0) / n0,
+            0.75 * 4.0 * 1.0 * (3.0 * 2.0 + 0.5) / n1)
+        assert rec.noise_multiplier == rec.sigma / rec.sensitivity
+        assert rec.epsilon_spent <= 1.0
+        assert np.all(np.isfinite(rec.final_theta))
+
     def test_record_serializes(self, tmp_path):
         ds = _dataset(200, seed=9)
         cfg = TrainConfig(task="classification_sp", steps=3,

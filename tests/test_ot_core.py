@@ -177,7 +177,7 @@ class TestW2Grad:
         rng = np.random.default_rng(17)
         u = rng.normal(size=(5, 3))
         v = rng.normal(size=(8, 3))
-        gu, gv = w2_grad_columns(u, v)
+        gu, gv, _ = w2_grad_columns(u, v)
         for k in range(3):
             gu1, gv1 = w2_grad(u[:, k], v[:, k])
             np.testing.assert_allclose(gu[:, k], gu1, atol=1e-15)
@@ -188,3 +188,17 @@ class TestW2Grad:
         # and the gradient still sums to zero
         gu, gv = w2_grad([1.0, 1.0, 0.0], [0.5, 1.5])
         assert abs(gu.sum() + gv.sum()) < 1e-12
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_columns_value_is_the_distance(self, tied):
+        # the value read from the gradient's sorted arrays is bit-identical
+        # to the distance, on distinct and on all-tied columns
+        rng = np.random.default_rng(41)
+        u = rng.normal(size=(40, 5))
+        v = rng.normal(size=(27, 5)) + 0.3
+        if tied:
+            u = np.clip(np.round(u), -1.0, 1.0)
+            v = np.where(v > 0.0, 1.0, -1.0)
+        values = w2_grad_columns(u, v)[2]
+        assert values.shape == (5,)
+        assert np.array_equal(values, w2_squared_columns(u, v))

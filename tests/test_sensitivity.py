@@ -1,41 +1,75 @@
-"""Tests for sensitivity bounds, the empirical auditor, and the counterexample."""
+"""Tests for the sensitivity bound, the auditor, and the counterexample."""
 
 import numpy as np
 import pytest
 
-from dpswgrad.dp_gradient import ClipConfig, clipped_wasserstein_grad, \
-    penalized_objective
-from dpswgrad.models import Mlp2Model, make_model
-from dpswgrad.sensitivity import (bound_one_sided, bound_penalized,
-                                  bound_two_sided,
-                                  empirical_sensitivity,
+from dpswgrad.dp_gradient import ClipConfig, penalized_objective
+from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
+from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
                                   wp_counterexample)
 from dpswgrad.sliced import sample_directions
 
+MODEL = make_model("affine_sigmoid", 2, seed=0)
+
+
+def _fairness_bound(c, b, j, sizes, alpha):
+    """The bound of the fairness pairs over consecutive ``sizes``, with ERM."""
+    pairs = [(n0, MODEL, n1) for n0, n1 in zip(sizes[::2], sizes[1::2])]
+    return sensitivity_bound(MODEL, pairs, alpha,
+                             ClipConfig.symmetric(b, j, c), sum(sizes))
+
+
+def _one_sided(b, j1, j2, n):
+    return sensitivity_bound(MODEL, [(n, MODEL, None)], 1.0,
+                             ClipConfig(b, j1, j2))
+
+
+def _two_sided(b, j1, j2, n, m):
+    return sensitivity_bound(MODEL, [(n, MODEL, m)], 1.0,
+                             ClipConfig(b, j1, j2))
+
+
+def _ulps(a, b):
+    return abs(a - b) / np.spacing(max(a, b))
+
 
 class TestClosedFormBounds:
     def test_one_sided_values(self):
-        assert bound_one_sided(1.0, 0.0, 1.0, 100) == pytest.approx(0.04)
-        assert bound_one_sided(1.0, 0.0, 0.0, 10) == 0.0
-        assert bound_one_sided(2.0, 1.0, 1.0, 50) == pytest.approx(
-            2 * bound_one_sided(2.0, 1.0, 1.0, 100))
+        assert _one_sided(1.0, 0.0, 1.0, 100) == pytest.approx(0.04)
+        assert _one_sided(1.0, 0.0, 0.0, 10) == 0.0
+        assert _one_sided(2.0, 1.0, 1.0, 50) == pytest.approx(
+            2 * _one_sided(2.0, 1.0, 1.0, 100))
 
     def test_two_sided_values(self):
-        assert bound_two_sided(1.0, 1.0, 1.0, 20, 20) == pytest.approx(
-            bound_one_sided(1.0, 1.0, 1.0, 20))
-        assert bound_two_sided(1.0, 1.0, 0.0, 10, 1000) == pytest.approx(1.2)
-        assert bound_two_sided(1.0, 2.0, 3.0, 10, 50) >= bound_one_sided(
+        assert _two_sided(1.0, 1.0, 1.0, 20, 20) == pytest.approx(
+            _one_sided(1.0, 1.0, 1.0, 20))
+        assert _two_sided(1.0, 1.0, 0.0, 10, 1000) == pytest.approx(1.2)
+        assert _two_sided(1.0, 2.0, 3.0, 10, 50) >= _one_sided(
             1.0, 2.0, 3.0, 10)
 
+    def test_parameter_free_and_public_sides(self):
+        # generation: the reference map has no parameters, so J = 0 there
+        # whatever the clip says; a public side adds no term
+        gen = Mlp2Model(2, hidden_dim=3, output_dim=2, seed=0)
+        clip = ClipConfig(1.0, 1.0, 7.0)
+        assert sensitivity_bound(gen, [(10, IdentityModel(2), 1000)], 1.0,
+                                 clip) == pytest.approx(1.2)
+        assert sensitivity_bound(gen, [(1000, IdentityModel(2), 1)], 1.0,
+                                 clip) == pytest.approx(4.0)
+        assert sensitivity_bound(gen, [(None, IdentityModel(2), 1)], 1.0,
+                                 clip) == pytest.approx(4.0)
+        assert sensitivity_bound(MODEL, [(None, MODEL, None)], 1.0,
+                                 clip) == 0.0
+
     def test_sp_values(self):
-        assert bound_penalized(5.0, 1.0, 1.0, [50, 50], 0.0) == \
+        assert _fairness_bound(5.0, 1.0, 1.0, [50, 50], 0.0) == \
             pytest.approx(0.1)
-        assert bound_penalized(5.0, 1.0, 1.0, [40, 60], 1.0) == \
+        assert _fairness_bound(5.0, 1.0, 1.0, [40, 60], 1.0) == \
             pytest.approx(16.0 / 40)
         expected = 0.25 * (10.0 / 30000) + 0.75 * (16.0 / 15000)
-        assert bound_penalized(5.0, 1.0, 1.0, [15000, 15000],
+        assert _fairness_bound(5.0, 1.0, 1.0, [15000, 15000],
                                0.75) == pytest.approx(expected)
         # one pair is the statistical-parity closed form, bit for bit
         for c, b, j, n0, n1, a in [(5.0, 1.0, 1.0, 3000, 3000, 0.75),
@@ -43,12 +77,19 @@ class TestClosedFormBounds:
                                    (0.0, 1.0, 1.0, 7, 20, 1.0)]:
             sp = ((1.0 - a) * 2.0 * c / (n0 + n1)
                   + a * 16.0 * b * j / min(n0, n1))
-            assert bound_penalized(c, b, j, [n0, n1], a) == sp
+            assert _fairness_bound(c, b, j, [n0, n1], a) == sp
+        # two Jacobian bounds: each side weighs its own three times
+        got = sensitivity_bound(MODEL, [(30, MODEL, 20)], 0.75,
+                                ClipConfig(1.0, 0.5, 2.0, 5.0), 50)
+        assert got == (1.0 - 0.75) * 2.0 * 5.0 / 50 + max(
+            0.75 * 4.0 * 1.0 * (3.0 * 0.5 + 2.0) / 30,
+            0.75 * 4.0 * 1.0 * (3.0 * 2.0 + 0.5) / 20)
+        assert got == pytest.approx(0.25 * 10.0 / 50 + 0.75 * 1.3)
 
     def test_eo_values(self):
-        assert bound_penalized(5.0, 1.0, 1.0, [10, 10, 10, 10],
+        assert _fairness_bound(5.0, 1.0, 1.0, [10, 10, 10, 10],
                                0.0) == pytest.approx(0.25)
-        val = bound_penalized(0.0, 1.0, 1.0, [10, 10, 10, 10], 0.5)
+        val = _fairness_bound(0.0, 1.0, 1.0, [10, 10, 10, 10], 0.5)
         assert val == pytest.approx(0.5 * 8.0 / 10)
         # R pairs are the equality-of-odds closed form, bit for bit
         for c, b, j, sizes, a in [(2.0, 1.0, 1.0, [12, 15, 10, 14], 0.75),
@@ -56,29 +97,53 @@ class TestClosedFormBounds:
             r = len(sizes) // 2
             eo = ((1.0 - a) * 2.0 * c / sum(sizes)
                   + (a / r) * 16.0 * b * j / min(sizes))
-            assert bound_penalized(c, b, j, sizes, a) == eo
+            assert _fairness_bound(c, b, j, sizes, a) == eo
+
+    def test_earlier_closed_forms_on_random_draws(self):
+        # bit for bit: statistical parity and equality of odds
+        # ((1 - a) 2C/n + (a/R) 16BJ/min(sizes)) and the one-sided
+        # 4B(3J1 + J2)/n; at most 2 ulp from the two-sided
+        # 4B max((3J1 + J2)/n, (J1 + 3J2)/m), which divides first
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            c, b, j1, j2 = (float(v) for v in rng.uniform(0.0, 10.0, 4))
+            a = float(rng.uniform())
+            sizes = [int(v) for v in rng.integers(1, 5000,
+                                                  2 * rng.integers(1, 4))]
+            r = len(sizes) // 2
+            fair = ((1.0 - a) * 2.0 * c / sum(sizes)
+                    + (a / r) * 16.0 * b * j1 / min(sizes))
+            assert _fairness_bound(c, b, j1, sizes, a) == fair
+            n, m = sizes[:2]
+            assert _one_sided(b, j1, j2, n) == 4.0 * b * (3.0 * j1 + j2) / n
+            two = 4.0 * b * max((3.0 * j1 + j2) / n, (j1 + 3.0 * j2) / m)
+            assert _ulps(_two_sided(b, j1, j2, n, m), two) <= 2.0
 
     def test_monotonicity(self):
         grid = [1, 2, 5, 10, 40]
-        vals = [bound_one_sided(1.0, 1.0, 1.0, n) for n in grid]
+        vals = [_one_sided(1.0, 1.0, 1.0, n) for n in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         alphas = np.linspace(0, 1, 5)
         for sizes in ([10, 10], [10, 10, 10, 10]):
-            pen = [bound_penalized(0.0, 1.0, 1.0, sizes, a) for a in alphas]
+            pen = [_fairness_bound(0.0, 1.0, 1.0, sizes, a) for a in alphas]
             assert all(a <= b for a, b in zip(pen, pen[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            bound_one_sided(1.0, 1.0, 1.0, 0)
+        clip = ClipConfig(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            bound_penalized(1.0, 1.0, 1.0, [0, 10], 0.5)
-        for sizes in ([], [5, 5, 5]):
-            with pytest.raises(ValueError, match="two classes per"):
-                bound_penalized(1.0, 1.0, 1.0, sizes, 0.5)
+            _one_sided(1.0, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match=">= 1"):
+            sensitivity_bound(MODEL, [(0, MODEL, 10)], 0.5, clip, 10)
+        with pytest.raises(ValueError, match=">= 1"):
+            sensitivity_bound(MODEL, [(5, MODEL, 5)], 0.5, clip, 0)
+        with pytest.raises(ValueError, match="penalty pair"):
+            sensitivity_bound(MODEL, [], 0.5, clip, 10)
         with pytest.raises(ValueError, match="alpha"):
-            bound_penalized(1.0, 1.0, 1.0, [5, 5], 1.5)
-        with pytest.raises(ValueError, match="bounds"):
-            bound_penalized(1.0, -1.0, 1.0, [5, 5], 0.5)
+            sensitivity_bound(MODEL, [(5, MODEL, 5)], 1.5, clip, 10)
+        # negative bounds never reach the bound: its ClipConfig rejects them
+        with pytest.raises(ValueError, match=">= 0"):
+            sensitivity_bound(MODEL, [(5, MODEL, 5)], 0.5,
+                              ClipConfig(1.0, -1.0, 1.0, 1.0), 10)
         with pytest.raises(ValueError, match="class sizes"):
             empirical_sensitivity(lambda classes: np.zeros(1),
                                   [np.zeros((3, 2)), np.zeros((0, 2))],
@@ -103,13 +168,14 @@ def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        return clipped_wasserstein_grad(model, model, classes[0], z, clip,
-                                        dirs)
+        return penalized_objective(model, [(classes[0], model, z)], 1.0,
+                                   clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
         trials=trials, seed=seed + 2,
-        theoretical_bound=bound_one_sided(out_b, j1, j2, n))
+        theoretical_bound=sensitivity_bound(model, [(n, model, None)], 1.0,
+                                            clip))
 
 
 class TestEmpiricalAuditor:
@@ -136,10 +202,9 @@ class TestEmpiricalAuditor:
     def test_identity_map_private_side_within_reduced_bound(self):
         # data-generation shape: the private sample passes through the
         # identity (its Jacobian bound contributes nothing), the reference
-        # side carries the parameters
-        from dpswgrad.models import IdentityModel
+        # side carries the parameters; the model's side comes first
         n = 25
-        clip = ClipConfig(1.0, 0.0, 1.0, 0.0)
+        clip = ClipConfig(1.0, 1.0, 0.0, 0.0)
         gen = make_model("affine_sigmoid", 2, seed=9)
         gen.theta *= 6.0
         ident = IdentityModel(1)
@@ -148,9 +213,10 @@ class TestEmpiricalAuditor:
         z = rng.normal(size=(40, 2))
 
         def grad_fn(classes):
-            return clipped_wasserstein_grad(ident, gen, classes[0], z, clip)
+            return penalized_objective(gen, [(z, ident, classes[0])], 1.0,
+                                       clip)[3]
 
-        bound = bound_one_sided(1.0, 0.0, 1.0, n)
+        bound = sensitivity_bound(gen, [(None, ident, n)], 1.0, clip)
         report = empirical_sensitivity(
             grad_fn, [x], uniform_box_replacement([-1.0], [1.0]),
             trials=300, seed=11, theoretical_bound=bound)
@@ -165,10 +231,10 @@ class TestEmpiricalAuditor:
         z = rng.normal(size=(10, 2))
 
         def grad_fn(classes):
-            return clipped_wasserstein_grad(model, model, classes[0],
-                                            classes[1], clip)
+            return penalized_objective(
+                model, [(classes[0], model, classes[1])], 1.0, clip)[3]
 
-        bound = bound_two_sided(1.0, 1.0, 1.0, 15, 10)
+        bound = sensitivity_bound(model, [(15, model, 10)], 1.0, clip)
         report = empirical_sensitivity(
             grad_fn, [x, z], uniform_box_replacement([-3, -3], [3, 3]),
             trials=250, seed=5, theoretical_bound=bound)
@@ -197,7 +263,8 @@ class TestEmpiricalAuditor:
             return np.concatenate([rng_.uniform(-3, 3, size=2),
                                    [float(rng_.integers(0, 2))]])
 
-        bound = bound_penalized(2.0, 1.0, 1.0, [n0, n1], 0.75)
+        bound = sensitivity_bound(model, [(n0, model, n1)], 0.75, clip,
+                                  n0 + n1)
         report = empirical_sensitivity(grad_fn, [x0, x1], draw, trials=250,
                                        seed=8, theoretical_bound=bound)
         assert report.empirical_max <= bound
@@ -241,7 +308,9 @@ class TestCounterexample:
             assert gap == pytest.approx(2.0 / n, rel=1e-9)
             # construction constants: outputs bounded by 1, shift map is
             # 1-Lipschitz in its parameter, reference side has no parameters
-            assert gap <= bound_one_sided(1.0, 1.0, 0.0, n)
+            assert gap <= sensitivity_bound(
+                AffineModel(1, 1, theta=np.array([1.0, 0.0])),
+                [(n, IdentityModel(1), None)], 1.0, ClipConfig(1.0, 1.0, 0.0))
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 

@@ -15,7 +15,7 @@ run each checkout's ``src`` into its own directory and ``diff`` the two
 listings.  Manifests record the library version, so they differ whenever
 the version does.
 
-The grid (85 runs, each in its own directory, and their 85 replays):
+The grid (88 runs, each in its own directory, and their 88 replays):
 
 - ``generate``, ``calibrate-noise`` and ``counterexample``;
 - each of the five ``train`` tasks at epsilon {1, inf} x alpha
@@ -23,9 +23,12 @@ The grid (85 runs, each in its own directory, and their 85 replays):
 - ``--model-kind affine`` for regression and generation at every epsilon
   and alpha;
 - a classification_eo and a generation ``--seeds`` sweep;
-- an autoencoder with a 3-D latent space, and two clip/width variants of
-  regression and autoencoder;
-- the four ``sensitivity-audit`` settings at 200 trials;
+- an autoencoder with a 3-D latent space, two clip/width variants of
+  regression and autoencoder, and a generation run whose output and
+  Jacobian clips (0.7071, 1.4142) are not powers of two;
+- the four ``sensitivity-audit`` settings at 200 trials, and the
+  ``two_sided`` and ``sp`` settings with output bound 0.7071 and Jacobian
+  bounds 1.4142 and 0.5 or 1.4142;
 - one ``train --config train_config.json`` run, whose file gives JSON
   integers to float fields (``CONFIG_FILE_RUN``).
 
@@ -95,6 +98,8 @@ def grid() -> list:
             "--projections", "7"]),
         "autoencoder_clip": ("autoencoder_sp", [
             "--clip-m", "0.5", "--clip-l", "3", "--hidden-dim", "6"]),
+        "generation_clip": ("generation", [
+            "--clip-m", "0.7071", "--clip-l", "1.4142"]),
     }
     for name, (task, extra) in variants.items():
         runs.append((name, ["train", *_task_args(task), *common, "--epsilon",
@@ -102,6 +107,11 @@ def grid() -> list:
     for setting in ("one_sided", "two_sided", "sliced", "sp"):
         runs.append((f"audit_{setting}", ["sensitivity-audit", "--setting",
                                           setting, "--trials", "200"]))
+    for setting, jac_bound2 in (("two_sided", "0.5"), ("sp", "1.4142")):
+        runs.append((f"audit_{setting}_clip", [
+            "sensitivity-audit", "--setting", setting, "--trials", "200",
+            "--output-bound", "0.7071", "--jac-bound1", "1.4142",
+            "--jac-bound2", jac_bound2]))
     runs.append(("train_config_file",
                  ["train", "--config", "train_config.json"]))
     return runs
