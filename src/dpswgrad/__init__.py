@@ -6,8 +6,9 @@ The package is organized around one pipeline:
   empirical measures and its closed-form gradient via quantile couplings.
 - :mod:`dpswgrad.sliced` -- Monte-Carlo sliced extension over random unit
   directions.
-- :mod:`dpswgrad.models` -- small analytic models with exact per-sample
-  Jacobians (no autodiff framework).
+- :mod:`dpswgrad.models` -- small analytic models with exact forward
+  traces and backwards that give per-sample gradient norms and weighted
+  sums without building the per-sample gradients (no autodiff framework).
 - :mod:`dpswgrad.dp_gradient` -- the penalized objective over a list of
   penalty pairs: reported values and inner-clipped gradient in one call.
 - :mod:`dpswgrad.sensitivity` -- the sensitivity bound of the same pairs, an
@@ -21,4 +22,4 @@ The package is organized around one pipeline:
 - :mod:`dpswgrad.cli` -- reproducible command-line experiments.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

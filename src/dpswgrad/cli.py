@@ -219,7 +219,10 @@ def _load_pair(path_str: str):
 
 
 def _train_one(tc: TrainConfig, outdir: Path, ds, ds_test) -> list:
-    record = dpsgd_train(tc, ds, ds_test)
+    try:
+        record = dpsgd_train(tc, ds, ds_test)
+    except ValueError as exc:
+        raise ValueError(f"train: {exc}") from exc
     outdir.mkdir(parents=True, exist_ok=True)
     record.to_json(outdir / "train_record.json")
     _write_step_csv(outdir / "metrics.csv", record)

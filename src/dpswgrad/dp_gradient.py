@@ -11,11 +11,17 @@ Clipped norms: with output bound B and Jacobian bounds J1 (x-side) and J2
 (z-side), the assembled proxy always satisfies ||grad||_2 <= 4*B*(J1 + J2).
 
 Every penalty takes one path: outputs clipped row-wise to the ball,
-projected onto k unit directions, and the per-sample Jacobians contracted
-once with the coupling gradient.  A scalar output is the sliced case with
-the single direction (1), where the ball is the interval [-B, B].  The
-Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
-spectral norm at ``bound``) rather than through an SVD.
+projected onto k unit directions, and the coupling gradient contracted with
+the clipped per-sample Jacobian rows.  A scalar output is the sliced case
+with the single direction (1), where the ball is the interval [-B, B].
+The Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
+spectral norm at ``bound``) rather than through an SVD.  No per-sample
+Jacobian is built: the row norms come from each traced layer's output
+cotangents and inputs (ghost norms), and the clipped, coupling-weighted
+sum of the rows is one summed backward pass (see
+:class:`dpswgrad.models.LayerGrads`).  The per-sample loss gradients of
+the finite-sum term are clipped the same way, except the affine sigmoid
+classifier's closed-form bce gradients, an (n, input_dim + 1) array.
 
 :func:`penalized_objective` is the one gradient of every task and every
 audit: it takes a list of penalty pairs, clips each pair's outputs once and
@@ -39,7 +45,6 @@ from .sliced import ProjectionSet
 __all__ = [
     "ClipConfig",
     "clip_rows",
-    "clip_jacobian_naive",
     "clipped_erm_grad",
     "penalized_objective",
 ]
@@ -73,26 +78,24 @@ class ClipConfig:
         return cls(output_bound, jac_bound, jac_bound, loss_grad_bound)
 
 
+def _clip_scale(norms: np.ndarray, bound: float) -> np.ndarray:
+    """Factors that bring rows of the given norms within ``bound``."""
+    return np.minimum(1.0, np.divide(
+        bound, norms, out=np.ones_like(norms), where=norms > 0))
+
+
 def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
     """Clip every row of a 2D array to L2 norm ``bound`` (vectorized)."""
-    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
-    scale = np.minimum(1.0, np.divide(
-        bound, norms, out=np.ones_like(norms), where=norms > 0))
-    return mat * scale
+    return mat * _clip_scale(np.linalg.norm(mat, axis=-1, keepdims=True),
+                             bound)
 
 
-def clip_jacobian_naive(jac: np.ndarray, bound: float) -> np.ndarray:
-    """Row-wise Jacobian clipping: each of the d rows to bound/sqrt(d).
-
-    Guarantees spectral norm <= ``bound`` without a matrix decomposition.
-    Accepts a single (d, p) Jacobian or a batch (n, d, p); for d = 1 this is
-    plain vector clipping.
-    """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    jac = np.asarray(jac, dtype=np.float64)
-    d = jac.shape[-2]
-    return clip_rows(jac, bound / np.sqrt(d))
+def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
+    """``sum_{i, j} weights[i, j] * clip(row (i, j), bound)`` of per-sample
+    gradients (:class:`~dpswgrad.models.LayerGrads` or ``DenseGrads``);
+    unit weights when None."""
+    scale = _clip_scale(np.sqrt(grads.sq_norms()), bound)
+    return grads.weighted_sum(scale if weights is None else weights * scale)
 
 
 # the scalar penalty is the sliced penalty along the single direction (1)
@@ -101,7 +104,7 @@ _ONE_DIRECTION = ProjectionSet(directions=np.ones((1, 1)), seed=0)
 
 def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
                      dirs: ProjectionSet | None):
-    """Validated inputs, directions and clipped projected outputs of a pair.
+    """Traces, directions and clipped projected outputs of a pair.
 
     Without ``dirs`` the outputs must be scalar and take the one direction.
     """
@@ -113,11 +116,11 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
         raise ValueError(
             "the second map must share the model's parameter vector (same "
             "object) or be parameter-free")
-    u_raw = g.penalty_forward_batch(x)
-    v_raw = h.penalty_forward_batch(z)
-    if u_raw.shape[1] != v_raw.shape[1]:
+    tx = g.penalty_trace(x)
+    tz = h.penalty_trace(z)
+    if tx.output.shape[1] != tz.output.shape[1]:
         raise ValueError("the two maps must produce outputs of equal dimension")
-    d = u_raw.shape[1]
+    d = tx.output.shape[1]
     if dirs is None:
         if d != 1:
             raise ValueError(
@@ -126,33 +129,41 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
     if d != dirs.dim:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.dim}-dimensional")
-    return (x, z, dirs, clip_rows(u_raw, output_bound) @ dirs.directions.T,
-            clip_rows(v_raw, output_bound) @ dirs.directions.T)
+    return (tx, tz, dirs,
+            clip_rows(tx.output, output_bound) @ dirs.directions.T,
+            clip_rows(tz.output, output_bound) @ dirs.directions.T)
 
 
-def _assemble(g: Model, h: Model, x, z, u, v, clip: ClipConfig,
-              dirs: ProjectionSet):
-    """Coupling-weighted sum of the clipped per-sample Jacobians.
+def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: ProjectionSet):
+    """Coupling-weighted sum of the clipped per-sample Jacobian rows.
 
-    Returns the gradient and the (k,) per-direction W2^2 of ``u``, ``v``.
+    ``tx`` and ``tz`` are the penalty traces of the two sides.  Returns the
+    gradient (None when neither side has parameters) and the (k,)
+    per-direction W2^2 of ``u``, ``v``.
     """
     gu, gv, values = w2_grad_columns(u, v)
-    total = np.zeros(g.n_params)
-    for model, inputs, grad_cols, bound in ((g, x, gu, clip.jac_bound1),
-                                            (h, z, gv, clip.jac_bound2)):
-        if model.n_params:
-            jac = clip_jacobian_naive(model.penalty_jacobian_batch(inputs),
-                                      bound)
+    one_hot = np.eye(dirs.dim)[None]
+    total = None
+    for trace, grad_cols, bound in ((tx, gu, clip.jac_bound1),
+                                    (tz, gv, clip.jac_bound2)):
+        if trace.model.n_params:
             coeff = (grad_cols @ dirs.directions) / dirs.k    # (n, d)
-            total += coeff.reshape(-1) @ jac.reshape(-1, model.n_params)
+            side = _clipped_sum(trace.backward(one_hot),
+                                bound / np.sqrt(dirs.dim), coeff)
+            total = side if total is None else total + side
     return total, values
 
 
 def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
-                     bound: float) -> np.ndarray:
-    """Mean of per-sample loss gradients, each clipped to norm ``bound``."""
-    grads = model.loss_grad_batch(x, targets, loss_kind)
-    return clip_rows(grads, bound).mean(axis=0)
+                     bound: float):
+    """Mean loss and mean of the per-sample loss gradients, each clipped to
+    norm ``bound``, from one forward trace.
+
+    Returns ``(erm_value, grad)``.
+    """
+    values, grads = model.loss_and_grads(x, targets, loss_kind)
+    return (float(np.mean(values)),
+            _clipped_sum(grads, bound) / values.shape[0])
 
 
 def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
@@ -169,12 +180,12 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
 
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``x``
-    the model's Jacobians are clipped to ``clip.jac_bound1``, on ``z``
-    those of ``h`` to ``clip.jac_bound2``.  Each pair's outputs are
-    computed and clipped once and serve both the reported W and the
-    gradient; W is read from the gradient's own sort.  The Jacobians are
-    skipped at ``alpha == 0`` and the ERM gradient at ``alpha == 1``; both
-    values are still reported.
+    the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
+    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Each side,
+    and the ERM batch, is traced once; the trace serves both the reported
+    value and the gradient, and W is read from the gradient's own sort.
+    The Jacobian rows are skipped at ``alpha == 0`` and the ERM gradient at
+    ``alpha == 1``; both values are still reported.
 
     Returns ``(erm_value, w_value, total_value, grad)``.
     """
@@ -183,31 +194,41 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     if not pairs:
         raise ValueError("at least one penalty pair is required")
     # ERM first, then the penalty: this summation order is part of every
-    # replayable trajectory.  clipped_erm_grad also frees its (n, p)
-    # per-sample array before the (n, d, p) Jacobians below are built.
-    grad = np.zeros(model.n_params)
+    # replayable trajectory.  Terms are added only where they exist, so a
+    # single pair at weight 1 returns its own gradient array.
+    grad = None
     erm_value = 0.0
     if erm is not None:
         x_full, targets, loss_kind = erm
         if alpha < 1.0:
-            grad += (1.0 - alpha) * clipped_erm_grad(
+            erm_value, erm_grad = clipped_erm_grad(
                 model, x_full, targets, loss_kind, clip.loss_grad_bound)
-        erm_value = float(np.mean(model.loss_batch(x_full, targets,
-                                                   loss_kind)))
+            grad = (1.0 - alpha) * erm_grad
+        else:
+            erm_value = float(np.mean(model.loss_batch(x_full, targets,
+                                                       loss_kind)))
     values = []
-    penalty = np.zeros(model.n_params)
+    penalty = None
     for x, h, z in pairs:
-        x, z, dirs, u, v = _clipped_outputs(model, h, x, z,
-                                            clip.output_bound, dirs)
+        tx, tz, dirs, u, v = _clipped_outputs(model, h, x, z,
+                                              clip.output_bound, dirs)
         if alpha > 0.0:
-            pair_grad, columns = _assemble(model, h, x, z, u, v, clip, dirs)
-            penalty += pair_grad
+            pair_grad, columns = _assemble(tx, tz, u, v, clip, dirs)
+            if penalty is None:
+                penalty = pair_grad
+            else:
+                penalty += pair_grad
         else:
             columns = w2_squared_columns(u, v)
-        values.append(float(np.mean(columns)))
+        # the sum and division of np.mean, without its per-call cost
+        values.append(float(columns.sum()) / columns.size)
     r = len(pairs)
-    if alpha > 0.0:
-        grad += (alpha / r) * penalty
+    if penalty is not None:
+        if alpha != r:    # alpha / r == 1 only for one pair at weight 1
+            penalty *= alpha / r
+        grad = penalty if grad is None else grad + penalty
+    if grad is None:
+        grad = np.zeros(model.n_params)
     w_value = (1.0 / r) * sum(values)
     return (erm_value, w_value, (1.0 - alpha) * erm_value + alpha * w_value,
             grad)

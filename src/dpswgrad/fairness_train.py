@@ -232,7 +232,9 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     (one pair per label).  Generation pushes Gaussian samples onto a
     circle: one pair of the model against the parameter-free reference, at
     weight 1 with no ERM term.  Every class is private, the generation
-    references included.
+    references included.  A step whose loss or updated parameter norm is
+    not finite stops the run with a ValueError that names the step and
+    the budget already spent.
     """
     clip = cfg.clip
     if cfg.task == "generation":
@@ -329,6 +331,15 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             record.epsilon_history.append(accountant.epsilon_spent())
         else:
             record.epsilon_history.append(math.inf)
+        # a norm that overflows means entries past ~1e154, whose squares
+        # (in the output and gradient norms) are no longer finite
+        with np.errstate(over="ignore"):
+            theta_norm = float(np.linalg.norm(model.theta))
+        if not (math.isfinite(total) and math.isfinite(theta_norm)):
+            raise ValueError(
+                f"diverged at step {t + 1} (epsilon spent "
+                f"{record.epsilon_history[-1]:.4f}): the loss or the norm "
+                f"of the parameters is no longer finite")
 
     record.final_theta = model.theta.copy()
     record.epsilon_spent = (math.inf if accountant is None

@@ -1,4 +1,4 @@
-"""Small parameterized maps with exact forward passes and per-sample Jacobians.
+"""Small parameterized maps with exact forward passes and ghost-norm backwards.
 
 Every model is a stack of dense layers ``a -> act(a W^T + b)``, where
 ``act`` is ``sigmoid``, ``sigmoid_recentered`` (sigmoid minus 1/2) or
@@ -6,12 +6,18 @@ Every model is a stack of dense layers ``a -> act(a W^T + b)``, where
 layers), a plain affine map, a one-layer sigmoid classifier, a two-layer
 regressor, and a two-layer encoder/decoder pair with a 2D latent space.
 
-One forward trace and one per-sample backward serve every architecture.
-The backward pulls ``(n, k, d)`` cotangents back through the traced layers
-and returns ``(n, k, n_params)`` per-sample gradients: a Jacobian is the
-backward of the one-hot cotangents, a squared-error loss gradient the
-backward of ``2 (out - y)``.  Every derivative is exact, which the
-finite-difference tests rely on; there is no autodiff framework.
+One forward :class:`Trace` and one backward serve every architecture.  The
+backward pulls ``(n, k, d)`` cotangents back through the traced layers and
+keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
+Jacobian row is the backward of a one-hot cotangent, a squared-error loss
+gradient the backward of ``2 (out - y)``.  The per-sample gradients are
+never built.  :class:`LayerGrads` gives their row norms from the ghost-norm
+identity (a dense layer's per-sample gradient ``g a^T`` has squared norm
+``||g||^2 ||a||^2``) and any weighted sum of them as one ``G^T a`` per
+layer.  The affine sigmoid classifier's bce gradient stays the closed form
+``(q - y) [x, 1]``, an (n, input_dim + 1) array.  Every derivative is
+exact, which the finite-difference tests rely on; there is no autodiff
+framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  Batch methods return
@@ -74,7 +80,7 @@ def _as_targets(targets, n: int, d: int) -> np.ndarray:
 
 
 class Model:
-    """A stack of dense layers with exact per-sample Jacobians.
+    """A stack of dense layers with exact per-sample gradients.
 
     ``layers`` lists ``(output_dim, activation)`` per layer.  The fairness
     penalty reads the output of the first ``penalty_layers`` layers (all of
@@ -123,12 +129,10 @@ class Model:
         return {"kind": self.kind, "input_dim": self.input_dim,
                 "output_dim": self.output_dim}
 
-    # -- forward trace and per-sample backward -----------------------------
+    # -- forward traces ----------------------------------------------------
 
-    def _trace(self, x, depth: int | None = None):
-        """Inputs of the first ``depth`` layers (all when None) followed by
-        the last one's output, and each layer's sigmoid values (None for a
-        linear layer)."""
+    def _trace(self, x, depth: int | None) -> "Trace":
+        """Forward pass through the first ``depth`` layers (all when None)."""
         acts = [_as_batch(x, self.input_dim)]
         sigs = []
         for lo, mid, hi, shape, act in self._layers[:depth]:
@@ -138,53 +142,21 @@ class Model:
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
-        return acts, sigs
+        return Trace(self, acts, sigs)
 
-    def _backward(self, acts, sigs, cot) -> np.ndarray:
-        """Per-sample gradients of ``<cot, traced output>`` wrt theta.
+    def trace(self, x) -> "Trace":
+        """Forward pass of the whole stack, kept for its backward."""
+        return self._trace(x, None)
 
-        ``cot`` holds k cotangents per sample, shape (n, k, d), or (1, k, d)
-        for the same k at every sample; the result is (n, k, n_params),
-        zero on the parameters of untraced layers.
-        """
-        n, k = acts[0].shape[0], cot.shape[1]
-        grads = np.zeros((n, k, self.n_params))
-        g = cot
-        for i in reversed(range(len(sigs))):
-            lo, mid, hi, shape, _ = self._layers[i]
-            if sigs[i] is not None:
-                g = g * (sigs[i] * (1.0 - sigs[i]))[:, None, :]
-            # per-sample outer products; a broadcast multiply loops innermost
-            # over the layer's inputs, and with fewer than 8 of them batched
-            # (out, 1) @ (1, in) matmuls are faster, with the same products
-            outer = np.matmul if shape[1] < 8 else np.multiply
-            outer(g[:, :, :, None], acts[i][:, None, None, :],
-                  out=grads[:, :, lo:mid].reshape(n, k, *shape))
-            grads[:, :, mid:hi] = g
-            if i:
-                w = self.theta[lo:mid].reshape(shape)
-                g = (g.reshape(-1, shape[0]) @ w).reshape(len(g), k, shape[1])
-        return grads
-
-    def _jacobian(self, x, depth: int | None) -> np.ndarray:
-        acts, sigs = self._trace(x, depth)
-        return self._backward(acts, sigs, np.eye(acts[-1].shape[1])[None])
-
-    # -- public batch methods ----------------------------------------------
+    def penalty_trace(self, x) -> "Trace":
+        """Forward pass of the layers whose output the penalty reads."""
+        return self._trace(x, self.penalty_layers)
 
     def forward_batch(self, x) -> np.ndarray:
-        return self._trace(x)[0][-1]
-
-    def jacobian_batch(self, x) -> np.ndarray:
-        """(n, output_dim, n_params) Jacobians of the forward map wrt theta."""
-        return self._jacobian(x, None)
+        return self.trace(x).output
 
     def penalty_forward_batch(self, x) -> np.ndarray:
-        return self._trace(x, self.penalty_layers)[0][-1]
-
-    def penalty_jacobian_batch(self, x) -> np.ndarray:
-        """(n, penalty_dim, n_params) Jacobians of the penalized output."""
-        return self._jacobian(x, self.penalty_layers)
+        return self.penalty_trace(x).output
 
     # -- losses ------------------------------------------------------------
 
@@ -196,25 +168,117 @@ class Model:
                 f"bce loss requires a probability-valued scalar model, "
                 f"not {self.kind!r}")
 
+    def _residuals(self, out, targets) -> np.ndarray:
+        return out - _as_targets(targets, out.shape[0], self.output_dim)
+
     def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
         """Per-sample loss values, shape (n,)."""
         self._check_loss_kind(loss_kind)
-        out = self.forward_batch(x)
-        y = _as_targets(targets, out.shape[0], self.output_dim)
-        r = out - y
+        r = self._residuals(self.forward_batch(x), targets)
         return np.sum(r * r, axis=1)
 
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        """Per-sample gradients of the loss wrt theta, shape (n, n_params)."""
+    def loss_and_grads(self, x, targets, loss_kind: str):
+        """Per-sample loss values and loss gradients from one trace.
+
+        The gradients are the backward of the cotangents ``2 (out - y)``,
+        kept as :class:`LayerGrads` rather than an (n, n_params) array.
+        """
         self._check_loss_kind(loss_kind)
-        acts, sigs = self._trace(x)
-        y = _as_targets(targets, acts[0].shape[0], self.output_dim)
-        cot = 2.0 * (acts[-1] - y)
-        return self._backward(acts, sigs, cot[:, None, :])[:, 0, :]
+        tr = self.trace(x)
+        r = self._residuals(tr.output, targets)
+        return np.sum(r * r, axis=1), tr.backward(2.0 * r[:, None, :])
+
+
+class Trace:
+    """One forward pass of a model over a batch, kept for its backward.
+
+    ``acts`` holds the inputs of the traced layers followed by the last
+    one's output, ``sigs`` each layer's sigmoid values (None for a linear
+    layer).
+    """
+
+    def __init__(self, model: Model, acts: list, sigs: list):
+        self.model = model
+        self.acts = acts
+        self.sigs = sigs
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.acts[-1]
+
+    def backward(self, cot) -> "LayerGrads":
+        """Per-sample gradients of ``<cot[i, j], output[i]>`` wrt theta.
+
+        ``cot`` holds k cotangents per sample, shape (n, k, d), or (1, k, d)
+        for the same k at every sample.  Only the (n, k, out) cotangent of
+        each layer's pre-activation is kept.
+        """
+        n, k = self.acts[0].shape[0], cot.shape[1]
+        g = np.broadcast_to(cot, (n, k, cot.shape[2]))
+        cots = [None] * len(self.sigs)
+        for i in reversed(range(len(self.sigs))):
+            lo, mid, _, shape, _ = self.model._layers[i]
+            s = self.sigs[i]
+            if s is not None:
+                g = g * (s * (1.0 - s))[:, None, :]
+            cots[i] = g
+            if i:
+                w = self.model.theta[lo:mid].reshape(shape)
+                g = (g.reshape(-1, shape[0]) @ w).reshape(n, k, shape[1])
+        return LayerGrads(self, cots, (n, k))
+
+
+class LayerGrads:
+    """The (n, k) per-sample gradients of a backward, never materialized.
+
+    Row (i, j) is, layer by layer, the outer product of the layer's output
+    cotangent ``g[i, j]`` with its input ``a[i]``, then ``g[i, j]`` for the
+    bias.  Its squared norm is therefore ``sum over layers of ||g[i, j]||^2
+    (||a[i]||^2 + 1)``, and a weighted sum of the rows is one
+    ``G^T a`` per layer, with ``G[i] = sum_j w[i, j] g[i, j]``.
+    """
+
+    def __init__(self, trace: Trace, cots: list, shape: tuple):
+        self.trace = trace
+        self.cots = cots
+        self.shape = shape
+
+    def sq_norms(self) -> np.ndarray:
+        """(n, k) squared norms of the rows."""
+        sq = np.zeros(self.shape)
+        for a, g in zip(self.trace.acts, self.cots):
+            sq += np.einsum("nko,nko->nk", g, g) \
+                * (np.einsum("ni,ni->n", a, a) + 1.0)[:, None]
+        return sq
+
+    def weighted_sum(self, weights) -> np.ndarray:
+        """``sum_{i, j} weights[i, j] * row (i, j)``, shape (n_params,);
+        zero on the parameters of untraced layers."""
+        model = self.trace.model
+        total = np.zeros(model.n_params)
+        for (lo, mid, hi, _, _), a, g in zip(model._layers, self.trace.acts,
+                                             self.cots):
+            big_g = np.einsum("nk,nko->no", weights, g)
+            total[lo:mid] = (big_g.T @ a).reshape(-1)
+            total[mid:hi] = big_g.sum(axis=0)
+        return total
+
+
+class DenseGrads:
+    """(n, n_params) per-sample gradients held as an array: one row each."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def sq_norms(self) -> np.ndarray:
+        return np.add.reduce(self.rows * self.rows, axis=-1)[:, None]
+
+    def weighted_sum(self, weights) -> np.ndarray:
+        return (self.rows * weights).sum(axis=0)
 
 
 class IdentityModel(Model):
-    """g(x) = x.  No layers, so the Jacobian is the empty matrix."""
+    """g(x) = x.  No layers and no parameters."""
 
     kind = "identity"
 
@@ -259,27 +323,42 @@ class AffineSigmoidModel(Model):
         if loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
 
-    def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        if loss_kind == "squared_error":
-            return super().loss_batch(x, targets, loss_kind)
-        self._check_loss_kind(loss_kind)
+    def _bce_terms(self, x, targets):
         xb = _as_batch(x, self.input_dim)
-        y = _check_binary(targets, xb.shape[0])
-        z = self._logits(xb)
-        # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
-        return np.logaddexp(0.0, z) - y * z
+        return xb, _check_binary(targets, xb.shape[0]), self._logits(xb)
+
+    def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
+        if loss_kind != "bce":
+            return super().loss_batch(x, targets, loss_kind)
+        _, y, z = self._bce_terms(x, targets)
+        return _bce(z, y)
 
     def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        if loss_kind == "squared_error":
-            return super().loss_grad_batch(x, targets, loss_kind)
-        self._check_loss_kind(loss_kind)
-        xb = _as_batch(x, self.input_dim)
-        y = _check_binary(targets, xb.shape[0])
-        q = expit(self._logits(xb))
-        grads = np.empty((xb.shape[0], self.n_params))
-        grads[:, :self.input_dim] = (q - y)[:, None] * xb
-        grads[:, self.input_dim] = q - y
-        return grads
+        """Closed-form per-sample bce gradients, shape (n, n_params)."""
+        if loss_kind != "bce":
+            raise ValueError("only the bce loss has a closed-form per-sample "
+                             "gradient")
+        return _bce_grads(*self._bce_terms(x, targets))
+
+    def loss_and_grads(self, x, targets, loss_kind: str):
+        if loss_kind != "bce":
+            return super().loss_and_grads(x, targets, loss_kind)
+        xb, y, z = self._bce_terms(x, targets)
+        return _bce(z, y), DenseGrads(_bce_grads(xb, y, z))
+
+
+def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
+    return np.logaddexp(0.0, z) - y * z
+
+
+def _bce_grads(xb: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(q - y) [x, 1]`` per sample, with q = sigmoid(z)."""
+    q = expit(z)
+    grads = np.empty((xb.shape[0], xb.shape[1] + 1))
+    grads[:, :-1] = (q - y)[:, None] * xb
+    grads[:, -1] = q - y
+    return grads
 
 
 def _check_binary(targets, n: int) -> np.ndarray:
@@ -325,8 +404,9 @@ class AutoencoderModel(Model):
     decode: l -> W4 sigmoid(W3 l + b3) + b4        (reconstruction)
 
     ``forward`` is the reconstruction; the fairness penalty acts on the
-    latent codes, the output of the first two layers, so the penalty
-    Jacobian is zero on the decoder block.
+    latent codes, the output of the first two layers, so its backward
+    walks the encoder only and the penalty gradient is zero on the
+    decoder block.
     theta = [W1, b1, W2, b2, W3, b3, W4, b4].
     """
 

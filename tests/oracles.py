@@ -4,13 +4,22 @@ Everything here deliberately avoids the library's own code paths: the
 quantile-integral oracle runs on exact rational breakpoints, and the
 finite-difference helpers only call whatever scalar function they are
 handed.  ``clip_vector`` is the one-vector reference for row clipping.
-The single-sample model helpers only slice a model's batch
-methods, so per-sample checks read like the math.
+
+The dense per-sample path is the reference for the library's ghost-norm
+clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
+gradients of a model trace layer by layer, and the Jacobian and loss
+gradient helpers are its one-hot and ``2 (out - y)`` cases.  The
+finite-difference tests check them; they in turn check the row norms and
+summed backward of :class:`dpswgrad.models.LayerGrads`.  The single-sample
+model helpers only slice these batch functions, so per-sample checks read
+like the math.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from dpswgrad.dp_gradient import clip_rows
 
 
 def w2_squared_quantile_oracle(u, v) -> float:
@@ -47,16 +56,79 @@ def forward(model, x) -> np.ndarray:
     return model.forward_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
+def dense_backward(trace, cot) -> np.ndarray:
+    """Per-sample gradients of ``<cot, traced output>`` wrt theta.
+
+    ``cot`` holds k cotangents per sample, shape (n, k, d), or (1, k, d)
+    for the same k at every sample; the result is (n, k, n_params), zero on
+    the parameters of untraced layers.
+    """
+    model, acts, sigs = trace.model, trace.acts, trace.sigs
+    n, k = acts[0].shape[0], cot.shape[1]
+    grads = np.zeros((n, k, model.n_params))
+    g = cot
+    for i in reversed(range(len(sigs))):
+        lo, mid, hi, shape, _ = model._layers[i]
+        if sigs[i] is not None:
+            g = g * (sigs[i] * (1.0 - sigs[i]))[:, None, :]
+        grads[:, :, lo:mid] = (g[:, :, :, None]
+                               * acts[i][:, None, None, :]).reshape(n, k, -1)
+        grads[:, :, mid:hi] = g
+        if i:
+            w = model.theta[lo:mid].reshape(shape)
+            g = (g.reshape(-1, shape[0]) @ w).reshape(len(g), k, shape[1])
+    return grads
+
+
+def _one_hot_backward(trace) -> np.ndarray:
+    return dense_backward(trace, np.eye(trace.output.shape[1])[None])
+
+
+def jacobian_batch(model, x) -> np.ndarray:
+    """(n, output_dim, n_params) Jacobians of the forward map wrt theta."""
+    return _one_hot_backward(model.trace(x))
+
+
+def penalty_jacobian_batch(model, x) -> np.ndarray:
+    """(n, penalty_dim, n_params) Jacobians of the penalized output."""
+    return _one_hot_backward(model.penalty_trace(x))
+
+
+def loss_grad_batch(model, x, targets, loss_kind: str) -> np.ndarray:
+    """(n, n_params) per-sample loss gradients: the affine sigmoid model's
+    closed form for bce, the dense backward of ``2 (out - y)`` otherwise."""
+    model.loss_batch(x, targets, loss_kind)    # validates kind and targets
+    if loss_kind == "bce":
+        return model.loss_grad_batch(x, targets, loss_kind)
+    tr = model.trace(x)
+    y = np.asarray(targets, dtype=np.float64).reshape(tr.output.shape)
+    return dense_backward(tr, 2.0 * (tr.output - y)[:, None, :])[:, 0, :]
+
+
+def clip_jacobian_naive(jac: np.ndarray, bound: float) -> np.ndarray:
+    """Row-wise Jacobian clipping: each of the d rows to bound/sqrt(d).
+
+    Guarantees spectral norm <= ``bound`` without a matrix decomposition.
+    Accepts a single (d, p) Jacobian or a batch (n, d, p); for d = 1 this is
+    plain vector clipping.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    jac = np.asarray(jac, dtype=np.float64)
+    d = jac.shape[-2]
+    return clip_rows(jac, bound / np.sqrt(d))
+
+
 def per_sample_jacobian(model, x) -> np.ndarray:
     """Exact (d_out, n_params) Jacobian of the forward map at one input."""
-    return model.jacobian_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
+    return jacobian_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def per_sample_loss_grad(model, x, target, loss_kind: str) -> np.ndarray:
     """Exact gradient of one sample's loss wrt theta."""
     xb = np.asarray(x, dtype=np.float64)[None, :]
     tb = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return model.loss_grad_batch(xb, tb, loss_kind)[0]
+    return loss_grad_batch(model, xb, tb, loss_kind)[0]
 
 
 def central_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:

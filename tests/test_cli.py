@@ -166,6 +166,20 @@ class TestTrain:
         assert groups == {"model", "reference"}
 
 
+    def test_divergence_exits_without_a_record(self, tmp_path, capsys):
+        # the first update takes theta to about 1e300: each entry is still
+        # finite, but its norm is not
+        out = tmp_path / "diverged"
+        assert _run("train", "--task", "generation", "--gen-samples", "200",
+                    "--steps", "20", "--epsilon", "1",
+                    "--learning-rate", "1e300", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: train: diverged at step 1 (epsilon spent 0.")
+        assert err.count("\n") == 1
+        assert not (out / "train_record.json").exists()
+
+
 class TestOtherCommands:
     def test_calibrate_writes_budget_table(self, tmp_path, capsys):
         out = tmp_path / "cal"

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from dpswgrad.dp_gradient import (ClipConfig, clip_jacobian_naive,
-                                  clip_rows, clipped_erm_grad,
+from dpswgrad.dp_gradient import (ClipConfig, clip_rows, clipped_erm_grad,
                                   penalized_objective)
-from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
+from dpswgrad.models import (AffineModel, AffineSigmoidModel,
+                             AutoencoderModel, IdentityModel, Mlp2Model,
+                             make_model)
 from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns, w2_squared,
                               w2_squared_columns)
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
 
-from oracles import (central_diff, clip_vector, rel_err,
-                     spectral_norm_power_iteration)
+from oracles import (central_diff, clip_jacobian_naive, clip_vector,
+                     jacobian_batch, loss_grad_batch, penalty_jacobian_batch,
+                     rel_err, spectral_norm_power_iteration)
 
 NO_CLIP = ClipConfig(1e9, 1e9, 1e9, 1e9)
 
@@ -160,8 +162,8 @@ class TestClippedWassersteinGrad1D:
         assert np.abs(u).max() > 0.9 and np.abs(v).max() > 0.9
         gu, gv, _ = w2_grad_columns(np.clip(u, -0.9, 0.9),
                                     np.clip(v, -0.9, 0.9))
-        jx = clip_rows(model.jacobian_batch(x)[:, 0, :], 1.0)
-        jz = clip_rows(model.jacobian_batch(z)[:, 0, :], 1.0)
+        jx = clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
+        jz = clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0)
         want = gu[:, 0] @ jx + gv[:, 0] @ jz
         got = penalized_objective(model, [(x, model, z)], 1.0, clip)[3]
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
@@ -260,7 +262,8 @@ class TestObjectiveGrads:
         model, x0, x1, x_full, y_full, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 0.0, clip, erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
+        erm = clipped_erm_grad(model, x_full, y_full, "bce",
+                               clip.loss_grad_bound)[1]
         np.testing.assert_allclose(g, erm, atol=1e-15)
         # the penalty value is still reported when its gradient is skipped
         assert w_val > 0.0 and total == erm_val
@@ -279,7 +282,8 @@ class TestObjectiveGrads:
         model, x0, x1, x_full, y_full, clip = self._setup(seed=3)
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 0.5, clip, erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
+        erm = clipped_erm_grad(model, x_full, y_full, "bce",
+                               clip.loss_grad_bound)[1]
         w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
         assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
@@ -304,7 +308,8 @@ class TestObjectiveGrads:
         pairs = [(batches[(0, k)], model, batches[(1, k)]) for k in (0, 1)]
         _, w_val, _, g = penalized_objective(model, pairs, 0.4, clip,
                                              erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce", clip.loss_grad_bound)
+        erm = clipped_erm_grad(model, x_full, y_full, "bce",
+                               clip.loss_grad_bound)[1]
         w0, w1 = (penalized_objective(model, [pair], 1.0, clip)[3]
                   for pair in pairs)
         np.testing.assert_allclose(g, 0.6 * erm + 0.2 * (w0 + w1), atol=1e-14)
@@ -351,7 +356,7 @@ class TestObjectiveGrads:
         u = clip_rows(model.forward_batch(x), 1.0) @ dirs.directions.T
         v = clip_rows(z, 1.0) @ dirs.directions.T
         gu, _, columns = w2_grad_columns(u, v)
-        jac = clip_jacobian_naive(model.jacobian_batch(x), 1.0)
+        jac = clip_jacobian_naive(jacobian_batch(model, x), 1.0)
         want = np.einsum("nk,kd,ndp->p", gu, dirs.directions, jac) / dirs.k
         np.testing.assert_allclose(g, want, rtol=1e-13, atol=0.0)
         assert total == w_val == np.mean(columns) > 0.0
@@ -389,8 +394,122 @@ class TestTiedOutputs:
         diff = u[:, 0][:, None] - v[:, 0][None, :]
         gu = 2.0 * np.sum(weights * diff, axis=1)
         gv = -2.0 * np.sum(weights * diff, axis=0)
-        w_grad = (gu @ clip_rows(model.jacobian_batch(x)[:, 0, :], 1.0)
-                  + gv @ clip_rows(model.jacobian_batch(z)[:, 0, :], 1.0))
-        erm = clipped_erm_grad(model, x_full, targets, "squared_error", 5.0)
+        w_grad = (gu @ clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
+                  + gv @ clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0))
+        erm = clipped_erm_grad(model, x_full, targets, "squared_error",
+                               5.0)[1]
         np.testing.assert_allclose(g, (1.0 - alpha) * erm + alpha * w_grad,
                                    rtol=1e-13, atol=1e-15)
+
+
+# every model kind, with 3 inputs; the tests scale theta by 4 so that the
+# far inputs of _ghost_inputs saturate the first-layer sigmoids
+_GHOST_MODELS = {
+    "identity": lambda: IdentityModel(3),
+    "affine": lambda: AffineModel(3, 2, seed=1),
+    "affine_sigmoid": lambda: AffineSigmoidModel(3, seed=2),
+    "mlp2": lambda: Mlp2Model(3, hidden_dim=5, output_dim=2, seed=3),
+    "mlp2_linear": lambda: Mlp2Model(3, hidden_dim=5, output_dim=2,
+                                     output_activation="linear", seed=4),
+    "autoencoder": lambda: AutoencoderModel(3, hidden_dim=4, latent_dim=2,
+                                            seed=5),
+}
+
+
+def _ghost_inputs(rng, n):
+    """Normal rows, then zero rows and rows far out on either side, which
+    saturate the sigmoids they reach."""
+    x = rng.normal(size=(n, 3))
+    x[:3] = 0.0
+    x[3:6] *= 60.0
+    x[6:9] = -x[3:6]
+    return x
+
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestGhostClipping:
+    """Row norms and summed backward against the dense per-sample oracle."""
+
+    @pytest.mark.parametrize("kind", _GHOST_MODELS)
+    def test_penalty_side_matches_dense_rows(self, kind):
+        rng = np.random.default_rng(11)
+        model = _GHOST_MODELS[kind]()
+        model.theta *= 4.0
+        x, z = _ghost_inputs(rng, 17), _ghost_inputs(rng, 13)
+        d = model.penalty_dim
+        dirs = sample_directions(d, 5, seed=2) if d > 1 else None
+        directions = np.ones((1, 1)) if dirs is None else dirs.directions
+
+        # the ghost row norms are the dense ones
+        trace = model.penalty_trace(x)
+        jac = penalty_jacobian_batch(model, x)
+        dense_sq = np.sum(jac * jac, axis=-1)
+        assert _close(trace.backward(np.eye(d)[None]).sq_norms(), dense_sq)
+        # the far rows saturate first-layer sigmoids to a zero derivative,
+        # and a saturated scalar output has an all-zero Jacobian row
+        first = trace.sigs[0] if trace.sigs else None
+        assert first is None or np.any(first * (1.0 - first) == 0.0)
+        if kind == "affine_sigmoid":
+            assert np.any(dense_sq == 0.0)
+
+        # the row bound splits the nonzero rows: some clipped, some not
+        norms = np.sqrt(np.concatenate([
+            dense_sq, np.sum(penalty_jacobian_batch(model, z) ** 2, -1)]))
+        row_bound = float(np.median(norms[norms > 0])) if norms.any() else 1.0
+        if model.n_params:
+            assert np.any(norms > row_bound)
+            assert np.any((norms > 0.0) & (norms < row_bound))
+        clip = ClipConfig(0.3, row_bound * np.sqrt(d),
+                          0.5 * row_bound * np.sqrt(d))
+
+        got = penalized_objective(model, [(x, model, z)], 1.0, clip, dirs)[3]
+        u = clip_rows(model.penalty_forward_batch(x), 0.3) @ directions.T
+        v = clip_rows(model.penalty_forward_batch(z), 0.3) @ directions.T
+        gu, gv, _ = w2_grad_columns(u, v)
+        want = sum(
+            np.einsum("nk,kd,ndp->p", g, directions,
+                      clip_jacobian_naive(penalty_jacobian_batch(model, s),
+                                          bound))
+            for g, s, bound in ((gu, x, clip.jac_bound1),
+                                (gv, z, clip.jac_bound2))) / len(directions)
+        assert got.shape == (model.n_params,)
+        assert _close(got, want)
+        if kind == "autoencoder":
+            n_encoder = (3 + 1) * 4 + (4 + 1) * 2
+            assert np.all(got[n_encoder:] == 0.0)
+            assert np.any(got[:n_encoder] != 0.0)
+
+    @pytest.mark.parametrize("kind", _GHOST_MODELS)
+    def test_erm_side_matches_dense_rows(self, kind):
+        rng = np.random.default_rng(12)
+        model = _GHOST_MODELS[kind]()
+        model.theta *= 4.0
+        x = _ghost_inputs(rng, 23)
+        targets = model.forward_batch(x) + rng.normal(size=(23, 1)) * 0.3
+        # exact fits, and zero inputs fitted by the bias: zero rows
+        targets[:2] = model.forward_batch(x[:2])
+        dense = loss_grad_batch(model, x, targets, "squared_error")
+        norms = np.linalg.norm(dense, axis=1)
+        assert np.all(norms[:2] == 0.0)
+        bound = float(np.median(norms)) if norms.any() else 1.0
+        if model.n_params:
+            assert np.any(norms > bound)
+            assert np.any((norms > 0.0) & (norms < bound))
+        value, got = clipped_erm_grad(model, x, targets, "squared_error",
+                                      bound)
+        assert _close(got, clip_rows(dense, bound).mean(axis=0))
+        assert value == np.mean(model.loss_batch(x, targets,
+                                                 "squared_error"))
+
+    def test_bce_closed_form_is_the_dense_clip(self):
+        rng = np.random.default_rng(13)
+        model = AffineSigmoidModel(3, seed=6)
+        x = _ghost_inputs(rng, 20)
+        y = rng.integers(0, 2, size=20).astype(float)
+        dense = loss_grad_batch(model, x, y, "bce")
+        value, got = clipped_erm_grad(model, x, y, "bce", 0.8)
+        np.testing.assert_array_equal(got, clip_rows(dense, 0.8).mean(axis=0))
+        assert value == np.mean(model.loss_batch(x, y, "bce"))

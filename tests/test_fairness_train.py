@@ -261,6 +261,29 @@ class TestTasks:
         with pytest.raises(ValueError, match="empty batch"):
             dpsgd_train(gen, None)
 
+    @pytest.mark.parametrize("epsilon", [1.0, math.inf])
+    def test_divergence_stops_the_run(self, epsilon):
+        cfg = TrainConfig(task="generation", steps=20, learning_rate=1e300,
+                          epsilon=epsilon, delta=1e-4, alpha=0.0,
+                          clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                          gen_samples=200, seed=0)
+        spent = r"0\.\d{4}" if math.isfinite(epsilon) else "inf"
+        with pytest.raises(ValueError, match=rf"^diverged at step 1 "
+                                             rf"\(epsilon spent {spent}\)"):
+            dpsgd_train(cfg, None)
+
+    def test_non_finite_loss_stops_the_run(self):
+        # each update is at most 1e153 * C = 5e153 long, so the parameters'
+        # norm stays below 1e154 (its square below the float range) for two
+        # steps, while the squared error at the second one overflows
+        ds = _dataset(200, seed=3)
+        cfg = TrainConfig(task="regression_sp", steps=5, learning_rate=1e153,
+                          epsilon=math.inf, delta=1e-4, alpha=0.0,
+                          clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                          model_kind="affine", seed=0)
+        with pytest.raises(ValueError, match="^diverged at step 2 "):
+            dpsgd_train(cfg, ds)
+
     def test_model_kind_validation(self):
         base = dict(task="regression_sp", steps=1, learning_rate=0.1,
                     epsilon=math.inf, delta=1e-4, alpha=0.0, clip=LOOSE)
