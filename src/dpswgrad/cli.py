@@ -218,11 +218,14 @@ def _load_pair(path_str: str):
     return load_dataset(csv_path, sidecar)
 
 
-def _train_one(tc: TrainConfig, outdir: Path, ds, ds_test) -> list:
+def _train_one(tc: TrainConfig, ds, ds_test):
     try:
-        record = dpsgd_train(tc, ds, ds_test)
+        return dpsgd_train(tc, ds, ds_test)
     except ValueError as exc:
         raise ValueError(f"train: {exc}") from exc
+
+
+def _write_train_outputs(tc: TrainConfig, record, outdir: Path, ds) -> list:
     outdir.mkdir(parents=True, exist_ok=True)
     record.to_json(outdir / "train_record.json")
     _write_step_csv(outdir / "metrics.csv", record)
@@ -308,11 +311,14 @@ def _run_train(cfg: dict, outdir: Path) -> list:
         clip=ClipConfig.symmetric(cfg["clip_m"], cfg["clip_l"],
                                   cfg["clip_c"]))
     configs = [TrainConfig(**{**shared, "seed": s}) for s in seeds]
+    # every seed trains before any artifact is written, so a seed that
+    # fails (say, by diverging) leaves no partial sweep without a manifest
+    records = [_train_one(tc, ds, ds_test) for tc in configs]
     if len(configs) == 1:
-        return _train_one(configs[0], outdir, ds, ds_test)
-    return [f"seed_{tc.seed}/{name}" for tc in configs
-            for name in _train_one(tc, outdir / f"seed_{tc.seed}", ds,
-                                   ds_test)]
+        return _write_train_outputs(configs[0], records[0], outdir, ds)
+    return [f"seed_{tc.seed}/{name}" for tc, record in zip(configs, records)
+            for name in _write_train_outputs(
+                tc, record, outdir / f"seed_{tc.seed}", ds)]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,6 @@ def penalty_jacobian_batch(model, x) -> np.ndarray:
 def loss_grad_batch(model, x, targets, loss_kind: str) -> np.ndarray:
     """(n, n_params) per-sample loss gradients: the affine sigmoid model's
     closed form for bce, the dense backward of ``2 (out - y)`` otherwise."""
-    model.loss_batch(x, targets, loss_kind)    # validates kind and targets
     if loss_kind == "bce":
         return model.loss_grad_batch(x, targets, loss_kind)
     tr = model.trace(x)

@@ -179,6 +179,23 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (out / "train_record.json").exists()
 
+    def test_divergence_in_a_sweep_writes_nothing(self, tmp_path, capsys):
+        # at this step size the noise decides: seed 1 stays finite for 20
+        # steps and seed 4 does not
+        argv = ("train", "--task", "generation", "--gen-samples", "200",
+                "--steps", "20", "--epsilon", "1",
+                "--learning-rate", "2.6e152")
+        assert _run(*argv, "--seed", "1", "--out",
+                    str(tmp_path / "seed1")) == 0
+        assert _run(*argv, "--seed", "4", "--out",
+                    str(tmp_path / "seed4")) == 1
+        capsys.readouterr()
+        out = tmp_path / "sweep"
+        assert _run(*argv, "--seeds", "1,4", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: train: diverged at step ")
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_calibrate_writes_budget_table(self, tmp_path, capsys):

@@ -8,8 +8,8 @@ from dpswgrad.models import (AffineModel, AffineSigmoidModel,
                              load_model, make_model, save_model)
 
 from oracles import (central_diff, central_diff_jacobian, forward,
-                     loss_grad_batch, penalty_jacobian_batch,
-                     per_sample_jacobian, per_sample_loss_grad, rel_err)
+                     penalty_jacobian_batch, per_sample_jacobian,
+                     per_sample_loss_grad, rel_err)
 
 
 def _theta_jacobian_fd(model, x, h=1e-6):
@@ -110,6 +110,8 @@ class TestAffineSigmoid:
         m = AffineSigmoidModel(2, seed=0)
         with pytest.raises(ValueError):
             per_sample_loss_grad(m, np.zeros(2), 0.5, "bce")
+        with pytest.raises(ValueError):
+            m.loss_and_grads(np.zeros((1, 2)), np.array([0.5]), "bce")
 
 
 class TestMlp2:
@@ -175,7 +177,7 @@ class TestMlp2:
     def test_bce_rejected(self):
         m = Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0)
         with pytest.raises(ValueError):
-            loss_grad_batch(m, np.zeros((1, 2)), np.zeros(1), "bce")
+            m.loss_and_grads(np.zeros((1, 2)), np.zeros(1), "bce")
 
 
 class TestAutoencoder:
