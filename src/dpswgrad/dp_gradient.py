@@ -20,8 +20,7 @@ Jacobian is built: the row norms come from each traced layer's output
 cotangents and inputs (ghost norms), and the clipped, coupling-weighted
 sum of the rows is one summed backward pass (see
 :class:`dpswgrad.models.LayerGrads`).  The per-sample loss gradients of
-the finite-sum term are clipped the same way, except the affine sigmoid
-classifier's closed-form bce gradients, an (n, input_dim + 1) array.
+the finite-sum term are clipped the same way.
 
 :func:`penalized_objective` is the one gradient of every task and every
 audit: it takes a list of penalty pairs, clips each pair's outputs once and
@@ -86,13 +85,22 @@ def _clip_scale(norms: np.ndarray, bound: float) -> np.ndarray:
 
 def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
     """Clip every row of a 2D array to L2 norm ``bound`` (vectorized)."""
-    return mat * _clip_scale(np.linalg.norm(mat, axis=-1, keepdims=True),
-                             bound)
+    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
+    over = np.isinf(norms[..., 0])
+    if over.any():
+        # finite rows whose norm overflows: take it relative to their
+        # largest entry
+        peak = np.max(np.abs(mat), axis=-1)
+        over &= np.isfinite(peak)
+        peak = peak[over][:, None]
+        norms[over] = peak * np.linalg.norm(mat[over] / peak, axis=-1,
+                                            keepdims=True)
+    return mat * _clip_scale(norms, bound)
 
 
 def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
-    """``sum_{i, j} weights[i, j] * clip(row (i, j), bound)`` of per-sample
-    gradients (:class:`~dpswgrad.models.LayerGrads` or ``DenseGrads``);
+    """``sum_{i, j} weights[i, j] * clip(row (i, j), bound)`` of the
+    per-sample gradients ``grads`` (:class:`~dpswgrad.models.LayerGrads`);
     unit weights when None."""
     scale = _clip_scale(np.sqrt(grads.sq_norms()), bound)
     return grads.weighted_sum(scale if weights is None else weights * scale)

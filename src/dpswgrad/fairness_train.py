@@ -423,9 +423,10 @@ def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray,
     probe = AffineSigmoidModel(codes.shape[1],
                                theta=np.zeros(codes.shape[1] + 1))
     y_train = y[:n_train].astype(np.float64)
+    ones = np.ones((n_train, 1))
     for _ in range(gd_steps):
-        g = probe.loss_grad_batch(codes[:n_train], y_train, "bce").mean(axis=0)
-        probe.theta -= gd_lr * g
+        grads = probe.loss_and_grads(codes[:n_train], y_train, "bce")[1]
+        probe.theta -= gd_lr * (grads.weighted_sum(ones) / n_train)
     q = probe.forward_batch(codes[n_train:])[:, 0]
     pred = (q > 0.5).astype(np.int64)
     return {"probe_accuracy": float(np.mean(pred == y[n_train:])),

@@ -10,14 +10,14 @@ One forward :class:`Trace` and one backward serve every architecture.  The
 backward pulls ``(n, k, d)`` cotangents back through the traced layers and
 keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
 Jacobian row is the backward of a one-hot cotangent, a squared-error loss
-gradient the backward of ``2 (out - y)``.  The per-sample gradients are
-never built.  :class:`LayerGrads` gives their row norms from the ghost-norm
-identity (a dense layer's per-sample gradient ``g a^T`` has squared norm
-``||g||^2 ||a||^2``) and any weighted sum of them as one ``G^T a`` per
-layer.  The affine sigmoid classifier's bce gradient stays the closed form
-``(q - y) [x, 1]``, an (n, input_dim + 1) array.  Every derivative is
-exact, which the finite-difference tests rely on; there is no autodiff
-framework.
+gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
+model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
+that layer's pre-activation.  The per-sample gradients are never built.
+:class:`LayerGrads` gives their row norms from the ghost-norm identity (a
+dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
+||a||^2``) and any weighted sum of them as one ``G^T a`` per layer.  Every
+derivative is exact, which the finite-difference tests rely on; there is
+no autodiff framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  Batch methods return
@@ -79,6 +79,15 @@ def _as_targets(targets, n: int, d: int) -> np.ndarray:
     return arr
 
 
+def _check_binary(targets, n: int) -> np.ndarray:
+    y = np.asarray(targets, dtype=np.float64).reshape(-1)
+    if y.shape != (n,):
+        raise ValueError(f"expected {n} scalar targets")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("bce targets must be 0 or 1")
+    return y
+
+
 class Model:
     """A stack of dense layers with exact per-sample gradients.
 
@@ -135,6 +144,7 @@ class Model:
         """Forward pass through the first ``depth`` layers (all when None)."""
         acts = [_as_batch(x, self.input_dim)]
         sigs = []
+        z = None
         for lo, mid, hi, shape, act in self._layers[:depth]:
             z = acts[-1] @ self.theta[lo:mid].reshape(shape).T \
                 + self.theta[mid:hi]
@@ -142,7 +152,7 @@ class Model:
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
-        return Trace(self, acts, sigs)
+        return Trace(self, acts, sigs, z)
 
     def trace(self, x) -> "Trace":
         """Forward pass of the whole stack, kept for its backward."""
@@ -160,33 +170,46 @@ class Model:
 
     # -- losses ------------------------------------------------------------
 
-    def _check_loss_kind(self, loss_kind: str) -> None:
+    def _loss(self, x, targets, loss_kind: str):
+        """Trace of ``x``, per-sample loss values and the (n, d) cotangent
+        whose backward gives their gradients.
+
+        Squared error's cotangent ``2 (out - y)`` enters at the output.
+        bce, ``softplus(z) - y z`` of the last pre-activation z, needs a
+        last layer that is a scalar sigmoid; its cotangent ``q - y`` enters
+        at z, so saturated logits stay exact.
+        """
         if loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
-        if loss_kind == "bce":
+        bce = loss_kind == "bce"
+        if bce and not (self._layers and self.output_dim == 1
+                        and self._layers[-1][4] == "sigmoid"):
             raise ValueError(
                 f"bce loss requires a probability-valued scalar model, "
                 f"not {self.kind!r}")
-
-    def _residuals(self, out, targets) -> np.ndarray:
-        return out - _as_targets(targets, out.shape[0], self.output_dim)
+        tr = self.trace(x)
+        n = tr.output.shape[0]
+        if bce:
+            y = _check_binary(targets, n)[:, None]
+            # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
+            return (tr, (np.logaddexp(0.0, tr.logit) - y * tr.logit)[:, 0],
+                    tr.output - y)
+        r = tr.output - _as_targets(targets, n, self.output_dim)
+        return tr, np.sum(r * r, axis=1), 2.0 * r
 
     def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
         """Per-sample loss values, shape (n,)."""
-        self._check_loss_kind(loss_kind)
-        r = self._residuals(self.forward_batch(x), targets)
-        return np.sum(r * r, axis=1)
+        return self._loss(x, targets, loss_kind)[1]
 
     def loss_and_grads(self, x, targets, loss_kind: str):
         """Per-sample loss values and loss gradients from one trace.
 
-        The gradients are the backward of the cotangents ``2 (out - y)``,
-        kept as :class:`LayerGrads` rather than an (n, n_params) array.
+        The gradients are kept as :class:`LayerGrads` rather than an
+        (n, n_params) array.
         """
-        self._check_loss_kind(loss_kind)
-        tr = self.trace(x)
-        r = self._residuals(tr.output, targets)
-        return np.sum(r * r, axis=1), tr.backward(2.0 * r[:, None, :])
+        tr, values, cot = self._loss(x, targets, loss_kind)
+        return values, tr._backward(cot[:, None, :],
+                                    at_logit=loss_kind == "bce")
 
 
 class Trace:
@@ -194,13 +217,15 @@ class Trace:
 
     ``acts`` holds the inputs of the traced layers followed by the last
     one's output, ``sigs`` each layer's sigmoid values (None for a linear
-    layer).
+    layer) and ``logit`` the last one's pre-activation (None without
+    layers).
     """
 
-    def __init__(self, model: Model, acts: list, sigs: list):
+    def __init__(self, model: Model, acts: list, sigs: list, logit):
         self.model = model
         self.acts = acts
         self.sigs = sigs
+        self.logit = logit
 
     @property
     def output(self) -> np.ndarray:
@@ -213,13 +238,18 @@ class Trace:
         for the same k at every sample.  Only the (n, k, out) cotangent of
         each layer's pre-activation is kept.
         """
+        return self._backward(cot, at_logit=False)
+
+    def _backward(self, cot, at_logit: bool) -> "LayerGrads":
+        """:meth:`backward`; with ``at_logit`` the cotangents are those of
+        the last layer's pre-activation, whose derivative is not applied."""
         n, k = self.acts[0].shape[0], cot.shape[1]
         g = np.broadcast_to(cot, (n, k, cot.shape[2]))
         cots = [None] * len(self.sigs)
         for i in reversed(range(len(self.sigs))):
             lo, mid, _, shape, _ = self.model._layers[i]
             s = self.sigs[i]
-            if s is not None:
+            if s is not None and not (at_logit and i == len(self.sigs) - 1):
                 g = g * (s * (1.0 - s))[:, None, :]
             cots[i] = g
             if i:
@@ -264,19 +294,6 @@ class LayerGrads:
         return total
 
 
-class DenseGrads:
-    """(n, n_params) per-sample gradients held as an array: one row each."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def sq_norms(self) -> np.ndarray:
-        return np.add.reduce(self.rows * self.rows, axis=-1)[:, None]
-
-    def weighted_sum(self, weights) -> np.ndarray:
-        return (self.rows * weights).sum(axis=0)
-
-
 class IdentityModel(Model):
     """g(x) = x.  No layers and no parameters."""
 
@@ -304,8 +321,7 @@ class AffineModel(Model):
 class AffineSigmoidModel(Model):
     """One-layer classifier: x -> sigmoid(w.x + b), scalar output in (0, 1).
 
-    theta = [w (input_dim), b].  Its bce loss gradient is the closed form
-    ``(q - y) [x, 1]`` in logit space.
+    theta = [w (input_dim), b].
     """
 
     kind = "affine_sigmoid"
@@ -313,61 +329,6 @@ class AffineSigmoidModel(Model):
     def __init__(self, input_dim: int, theta: np.ndarray | None = None,
                  seed: int | None = None):
         super().__init__(input_dim, [(1, "sigmoid")], theta, seed)
-
-    def _logits(self, xb: np.ndarray) -> np.ndarray:
-        w = self.theta[:self.input_dim]
-        b = self.theta[self.input_dim]
-        return xb @ w + b
-
-    def _check_loss_kind(self, loss_kind: str) -> None:
-        if loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-
-    def _bce_terms(self, x, targets):
-        xb = _as_batch(x, self.input_dim)
-        return xb, _check_binary(targets, xb.shape[0]), self._logits(xb)
-
-    def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        if loss_kind != "bce":
-            return super().loss_batch(x, targets, loss_kind)
-        _, y, z = self._bce_terms(x, targets)
-        return _bce(z, y)
-
-    def loss_grad_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        """Closed-form per-sample bce gradients, shape (n, n_params)."""
-        if loss_kind != "bce":
-            raise ValueError("only the bce loss has a closed-form per-sample "
-                             "gradient")
-        return _bce_grads(*self._bce_terms(x, targets))
-
-    def loss_and_grads(self, x, targets, loss_kind: str):
-        if loss_kind != "bce":
-            return super().loss_and_grads(x, targets, loss_kind)
-        xb, y, z = self._bce_terms(x, targets)
-        return _bce(z, y), DenseGrads(_bce_grads(xb, y, z))
-
-
-def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
-    return np.logaddexp(0.0, z) - y * z
-
-
-def _bce_grads(xb: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``(q - y) [x, 1]`` per sample, with q = sigmoid(z)."""
-    q = expit(z)
-    grads = np.empty((xb.shape[0], xb.shape[1] + 1))
-    grads[:, :-1] = (q - y)[:, None] * xb
-    grads[:, -1] = q - y
-    return grads
-
-
-def _check_binary(targets, n: int) -> np.ndarray:
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if y.shape != (n,):
-        raise ValueError(f"expected {n} scalar targets")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("bce targets must be 0 or 1")
-    return y
 
 
 class Mlp2Model(Model):

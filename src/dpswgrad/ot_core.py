@@ -16,8 +16,7 @@ wherever the within-sample orderings are strict.  This module computes the
 coupling, the distance, and its closed-form gradient, which comes with the
 distance read from the same sorted arrays.
 
-All indices in :class:`QuantileCoupling` are 0-based; :func:`rank_permutation`
-returns 1-based ranks matching the usual order-statistics convention.
+All indices in :class:`QuantileCoupling` are 0-based.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "QuantileCoupling",
-    "rank_permutation",
     "quantile_coupling",
     "w2_squared",
     "w2_grad",
@@ -58,20 +56,6 @@ def _as_columns(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite (no NaN/inf)")
     return arr
-
-
-def rank_permutation(values) -> np.ndarray:
-    """1-based ranks of ``values`` under a stable sort.
-
-    Ties are broken by original index, so the map is always a bijection on
-    ``{1, ..., n}`` and agrees with any rank permutation on strictly sorted
-    data.
-    """
-    arr = _as_sample(values, "values")
-    order = np.argsort(arr, kind="stable")
-    perm = np.empty(arr.size, dtype=np.int64)
-    perm[order] = np.arange(1, arr.size + 1)
-    return perm
 
 
 @dataclass(frozen=True)

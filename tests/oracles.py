@@ -7,8 +7,9 @@ handed.  ``clip_vector`` is the one-vector reference for row clipping.
 
 The dense per-sample path is the reference for the library's ghost-norm
 clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
-gradients of a model trace layer by layer, and the Jacobian and loss
-gradient helpers are its one-hot and ``2 (out - y)`` cases.  The
+gradients of a model trace layer by layer, and the Jacobian and
+squared-error gradient helpers are its one-hot and ``2 (out - y)`` cases;
+the bce gradient is the affine sigmoid model's closed form.  The
 finite-difference tests check them; they in turn check the row norms and
 summed backward of :class:`dpswgrad.models.LayerGrads`.  The single-sample
 model helpers only slice these batch functions, so per-sample checks read
@@ -96,9 +97,13 @@ def penalty_jacobian_batch(model, x) -> np.ndarray:
 
 def loss_grad_batch(model, x, targets, loss_kind: str) -> np.ndarray:
     """(n, n_params) per-sample loss gradients: the affine sigmoid model's
-    closed form for bce, the dense backward of ``2 (out - y)`` otherwise."""
+    closed form ``(q - y) [x, 1]`` for bce, the dense backward of
+    ``2 (out - y)`` otherwise."""
     if loss_kind == "bce":
-        return model.loss_grad_batch(x, targets, loss_kind)
+        xb = np.asarray(x, dtype=np.float64)
+        q = model.forward_batch(xb)
+        y = np.asarray(targets, dtype=np.float64).reshape(q.shape)
+        return (q - y) * np.column_stack([xb, np.ones(len(xb))])
     tr = model.trace(x)
     y = np.asarray(targets, dtype=np.float64).reshape(tr.output.shape)
     return dense_backward(tr, 2.0 * (tr.output - y)[:, None, :])[:, 0, :]

@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import tomllib
 from pathlib import Path
 
 import pytest
 
+import dpswgrad
 from dpswgrad.cli import main
 from dpswgrad.data import load_dataset
 
@@ -376,3 +378,10 @@ class TestReplay:
                         "--out", str(second)) == 0
             for path in sorted(first.iterdir()):
                 assert _files_equal(path, second / path.name)
+
+
+def test_version_matches_pyproject():
+    # manifests record __version__; the package metadata must agree
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(path, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == dpswgrad.__version__

@@ -76,6 +76,16 @@ class TestClipVector:
         np.testing.assert_array_equal(_clip_one(np.zeros(3), 0.0),
                                       np.zeros(3))
 
+    def test_overflowing_norm_is_clipped_not_zeroed(self):
+        # ||row|| overflows to inf; the other rows keep their exact clip
+        rows = np.array([[1e200, 1e200], [3e307, -1e308], [3.0, 4.0]])
+        got = clip_rows(rows, 1.0)
+        for row, want in zip(got[:2], ([1.0, 1.0], [0.3, -1.0])):
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
+            np.testing.assert_allclose(row, want / np.linalg.norm(want),
+                                       rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(got[2], clip_rows(rows[2:], 1.0)[0])
+
     def test_direction_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -482,34 +492,35 @@ class TestGhostClipping:
             assert np.all(got[n_encoder:] == 0.0)
             assert np.any(got[:n_encoder] != 0.0)
 
-    @pytest.mark.parametrize("kind", _GHOST_MODELS)
+    @pytest.mark.parametrize("kind", [*_GHOST_MODELS, "affine_sigmoid_bce"])
     def test_erm_side_matches_dense_rows(self, kind):
         rng = np.random.default_rng(12)
-        model = _GHOST_MODELS[kind]()
+        model = _GHOST_MODELS[kind.removesuffix("_bce")]()
         model.theta *= 4.0
         x = _ghost_inputs(rng, 23)
-        targets = model.forward_batch(x) + rng.normal(size=(23, 1)) * 0.3
-        # exact fits, and zero inputs fitted by the bias: zero rows
-        targets[:2] = model.forward_batch(x[:2])
-        dense = loss_grad_batch(model, x, targets, "squared_error")
+        if kind.endswith("_bce"):
+            loss_kind = "bce"
+            # rows far along +-w saturate q to exactly 1 and 0: a zero row
+            # where y matches q, a long one where it does not
+            x[9:13] = 1e3 * np.sign(model.theta[:3]) * [[1], [-1], [1], [-1]]
+            targets = rng.integers(0, 2, size=23).astype(float)
+            targets[9:13] = [1.0, 0.0, 0.0, 1.0]
+            q = model.forward_batch(x)[:, 0]
+            assert set(q[9:13]) == {0.0, 1.0}
+            zero_rows = [9, 10]
+        else:
+            loss_kind = "squared_error"
+            targets = model.forward_batch(x) + rng.normal(size=(23, 1)) * 0.3
+            # exact fits, and zero inputs fitted by the bias: zero rows
+            targets[:2] = model.forward_batch(x[:2])
+            zero_rows = [0, 1]
+        dense = loss_grad_batch(model, x, targets, loss_kind)
         norms = np.linalg.norm(dense, axis=1)
-        assert np.all(norms[:2] == 0.0)
+        assert np.all(norms[zero_rows] == 0.0)
         bound = float(np.median(norms)) if norms.any() else 1.0
         if model.n_params:
             assert np.any(norms > bound)
             assert np.any((norms > 0.0) & (norms < bound))
-        value, got = clipped_erm_grad(model, x, targets, "squared_error",
-                                      bound)
+        value, got = clipped_erm_grad(model, x, targets, loss_kind, bound)
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
-        assert value == np.mean(model.loss_batch(x, targets,
-                                                 "squared_error"))
-
-    def test_bce_closed_form_is_the_dense_clip(self):
-        rng = np.random.default_rng(13)
-        model = AffineSigmoidModel(3, seed=6)
-        x = _ghost_inputs(rng, 20)
-        y = rng.integers(0, 2, size=20).astype(float)
-        dense = loss_grad_batch(model, x, y, "bce")
-        value, got = clipped_erm_grad(model, x, y, "bce", 0.8)
-        np.testing.assert_array_equal(got, clip_rows(dense, 0.8).mean(axis=0))
-        assert value == np.mean(model.loss_batch(x, y, "bce"))
+        assert value == np.mean(model.loss_batch(x, targets, loss_kind))

@@ -5,7 +5,7 @@ import pytest
 
 from dpswgrad.models import (AffineModel, AffineSigmoidModel,
                              AutoencoderModel, IdentityModel, Mlp2Model,
-                             load_model, make_model, save_model)
+                             Model, load_model, make_model, save_model)
 
 from oracles import (central_diff, central_diff_jacobian, forward,
                      penalty_jacobian_batch, per_sample_jacobian,
@@ -98,19 +98,23 @@ class TestAffineSigmoid:
         rng = np.random.default_rng(2)
         for i in range(40):
             m = AffineSigmoidModel(3, seed=100 + i)
-            x = rng.normal(size=3)
-            y = float(rng.integers(0, 2))
-            g = per_sample_loss_grad(m, x, y, "bce")
-            q = forward(m, x)[0]
-            np.testing.assert_allclose(
-                g, (q - y) * np.concatenate([x, [1.0]]), rtol=1e-12)
-            assert rel_err(g, _loss_grad_fd(m, x, y, "bce")) < 1e-5
+            xs = rng.normal(size=(4, 3))
+            ys = rng.integers(0, 2, size=4).astype(float)
+            values, grads = m.loss_and_grads(xs, ys, "bce")
+            np.testing.assert_array_equal(values, m.loss_batch(xs, ys, "bce"))
+            for j, (x, y) in enumerate(zip(xs, ys)):
+                # row j of the library's per-sample gradients
+                g = grads.weighted_sum(np.eye(4)[:, j:j + 1])
+                q = forward(m, x)[0]
+                np.testing.assert_allclose(
+                    g, (q - y) * np.concatenate([x, [1.0]]), rtol=1e-12)
+                assert rel_err(g, _loss_grad_fd(m, x, y, "bce")) < 1e-5
 
     def test_bce_rejects_non_binary_targets(self):
         m = AffineSigmoidModel(2, seed=0)
-        with pytest.raises(ValueError):
-            per_sample_loss_grad(m, np.zeros(2), 0.5, "bce")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
+            m.loss_batch(np.zeros((1, 2)), np.array([0.5]), "bce")
+        with pytest.raises(ValueError, match="0 or 1"):
             m.loss_and_grads(np.zeros((1, 2)), np.array([0.5]), "bce")
 
 
@@ -178,6 +182,24 @@ class TestMlp2:
         m = Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0)
         with pytest.raises(ValueError):
             m.loss_and_grads(np.zeros((1, 2)), np.zeros(1), "bce")
+
+
+@pytest.mark.parametrize("model", [
+    IdentityModel(1),
+    AffineModel(2, 1, seed=0),
+    Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0),
+    Mlp2Model(2, hidden_dim=3, output_dim=1, output_activation="linear",
+              seed=0),
+    AutoencoderModel(2, hidden_dim=3, latent_dim=1, seed=0),
+    Model(2, [(2, "sigmoid")], seed=0),
+], ids=["identity", "affine", "mlp2", "mlp2_linear", "autoencoder",
+        "two_sigmoid_outputs"])
+def test_bce_needs_a_scalar_sigmoid_model(model):
+    x, y = np.zeros((2, model.input_dim)), np.array([0.0, 1.0])
+    for loss in (model.loss_batch, model.loss_and_grads):
+        with pytest.raises(ValueError, match="bce loss requires a "
+                           "probability-valued scalar model"):
+            loss(x, y, "bce")
 
 
 class TestAutoencoder:

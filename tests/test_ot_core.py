@@ -3,44 +3,11 @@
 import numpy as np
 import pytest
 
-from dpswgrad.ot_core import (quantile_coupling, rank_permutation, w2_grad,
-                              w2_grad_columns, w2_squared, w2_squared_columns)
+from dpswgrad.ot_core import (quantile_coupling, w2_grad, w2_grad_columns,
+                              w2_squared, w2_squared_columns)
 
 from oracles import central_diff, distinct_values, rel_err, \
     w2_squared_quantile_oracle
-
-
-class TestRankPermutation:
-    def test_sorting_forced(self):
-        assert rank_permutation([3.0, 1.0, 2.0]).tolist() == [3, 1, 2]
-
-    def test_singleton(self):
-        assert rank_permutation([5.0]).tolist() == [1]
-
-    def test_tie_break_by_original_index(self):
-        assert rank_permutation([1.0, 1.0]).tolist() == [1, 2]
-
-    def test_bijection_on_random_input(self):
-        rng = np.random.default_rng(0)
-        vals = rng.uniform(-5, 5, size=40)
-        perm = rank_permutation(vals)
-        assert sorted(perm.tolist()) == list(range(1, 41))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rank_permutation([])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            rank_permutation([1.0, float("nan")])
-
-    def test_tie_break_w2_matches_any_other_tie_break(self):
-        # with repeated values, the distance must agree with the oracle,
-        # which never looks at the permutation choice
-        u = [1.0, 1.0, 0.5]
-        v = [0.25, 1.0]
-        assert w2_squared(u, v) == pytest.approx(
-            w2_squared_quantile_oracle(u, v), rel=1e-12)
 
 
 class TestQuantileCoupling:
@@ -87,6 +54,14 @@ class TestQuantileCoupling:
 
 
 class TestW2Squared:
+    def test_tie_break_w2_matches_any_other_tie_break(self):
+        # with repeated values, the distance must agree with the oracle,
+        # which never looks at the permutation choice
+        u = [1.0, 1.0, 0.5]
+        v = [0.25, 1.0]
+        assert w2_squared(u, v) == pytest.approx(
+            w2_squared_quantile_oracle(u, v), rel=1e-12)
+
     def test_same_measure_different_order(self):
         assert w2_squared([0.0, 1.0], [1.0, 0.0]) == 0.0
 
