@@ -102,7 +102,7 @@ def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
     """``sum_{i, j} weights[i, j] * clip(row (i, j), bound)`` of the
     per-sample gradients ``grads`` (:class:`~dpswgrad.models.LayerGrads`);
     unit weights when None."""
-    scale = _clip_scale(np.sqrt(grads.sq_norms()), bound)
+    scale = _clip_scale(grads.norms(), bound)
     return grads.weighted_sum(scale if weights is None else weights * scale)
 
 

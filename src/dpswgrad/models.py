@@ -281,6 +281,41 @@ class LayerGrads:
                 * (np.einsum("ni,ni->n", a, a) + 1.0)[:, None]
         return sq
 
+    def norms(self) -> np.ndarray:
+        """(n, k) norms of the rows.
+
+        A row whose squared norm overflows is normed again relative to its
+        largest entry (see :meth:`_rescaled_norms`); every other row is the
+        square root of :meth:`sq_norms`.
+        """
+        norms = np.sqrt(self.sq_norms())
+        i, j = np.nonzero(np.isinf(norms))
+        if i.size:
+            norms[i, j] = self._rescaled_norms(i, j)
+        return norms
+
+    def _rescaled_norms(self, i, j) -> np.ndarray:
+        """Norms of rows ``(i[r], j[r])``, with each layer block scaled by its
+        largest entry ``max|g| * max(max|a|, 1)``, so that no square
+        overflows; inf where an entry itself is not finite."""
+        peak = np.zeros(i.size)
+        blocks = []
+        for a, g in zip(self.trace.acts, self.cots):
+            g, a = g[i, j], a[i]
+            g_max = np.max(np.abs(g), axis=-1)
+            a_max = np.maximum(np.max(np.abs(a), axis=-1), 1.0)
+            g = g / np.where(g_max > 0.0, g_max, 1.0)[:, None]
+            a = a / a_max[:, None]
+            blocks.append((g_max * a_max,
+                           np.sqrt(np.einsum("ro,ro->r", g, g)
+                                   * (np.einsum("ri,ri->r", a, a)
+                                      + a_max ** -2.0))))
+            peak = np.maximum(peak, blocks[-1][0])
+        finite = np.isfinite(peak)
+        unit = np.where(finite & (peak > 0.0), peak, 1.0)
+        rel = np.sqrt(sum((p / unit * q) ** 2 for p, q in blocks))
+        return np.where(finite, peak * rel, np.inf)
+
     def weighted_sum(self, weights) -> np.ndarray:
         """``sum_{i, j} weights[i, j] * row (i, j)``, shape (n_params,);
         zero on the parameters of untraced layers."""

@@ -16,6 +16,14 @@ wherever the within-sample orderings are strict.  This module computes the
 coupling, the distance, and its closed-form gradient, which comes with the
 distance read from the same sorted arrays.
 
+At repeated values the gradient depends on which tied sample takes which
+rank; it uses the stable-sort permutation (tied samples keep their input
+order).  Each column is ordered by one default-kind ``argsort``, which is
+cheaper than a stable one.  Where a column's values are distinct, the
+sorting permutation is unique, so that order is the stable one; only
+columns with a tie are sorted again with ``kind="stable"``.  The distance
+alone needs no permutation and takes a plain ``np.sort``.
+
 All indices in :class:`QuantileCoupling` are 0-based.
 """
 
@@ -150,20 +158,40 @@ def w2_squared(u, v) -> float:
     return float(w2_squared_columns(u[:, None], v[:, None])[0])
 
 
+def _stable_sort_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-sort permutation of every column of ``a`` and the sorted values.
+
+    One default-kind argsort orders all columns.  A column whose sorted
+    values hold no two equal neighbours has exactly one sorting permutation,
+    which is the stable one; only columns with a tie (``-0.0 == 0.0``
+    included) are sorted again with ``kind="stable"``.
+    """
+    order = np.argsort(a, axis=0)
+    s = np.take_along_axis(a, order, axis=0)
+    tied = np.flatnonzero((s[1:] == s[:-1]).any(axis=0))
+    if tied.size:
+        sub = a[:, tied]
+        order[:, tied] = np.argsort(sub, axis=0, kind="stable")
+        s[:, tied] = np.take_along_axis(sub, order[:, tied], axis=0)
+    return order, s
+
+
 def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columnwise closed-form gradients of :func:`w2_squared_columns`.
 
     Returns ``(grad_u, grad_v, values)``: the gradients with the same
     shapes as the inputs, using the stable-sort rank permutations at
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
-    arrays, bit-identical to :func:`w2_squared_columns`.
+    arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
+    come from one default-kind argsort per side, redone stably only on the
+    columns that hold a tie (see :func:`_stable_sort_columns`); a tie-free
+    column has one sorting permutation, so the outputs equal those of two
+    stable argsorts bit for bit.
     """
     u = _as_columns(u, "u")
     v = _as_columns(v, "v")
-    order_u = np.argsort(u, axis=0, kind="stable")
-    order_v = np.argsort(v, axis=0, kind="stable")
-    us = np.take_along_axis(u, order_u, axis=0)
-    vs = np.take_along_axis(v, order_v, axis=0)
+    order_u, us = _stable_sort_columns(u)
+    order_v, vs = _stable_sort_columns(v)
     c = quantile_coupling(u.shape[0], v.shape[0])
     us_rows, vs_cols = us[c.rows, :], vs[c.cols, :]
     values = _coupled_w2_columns(us_rows, vs_cols, c.weights)

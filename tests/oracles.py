@@ -4,6 +4,10 @@ Everything here deliberately avoids the library's own code paths: the
 quantile-integral oracle runs on exact rational breakpoints, and the
 finite-difference helpers only call whatever scalar function they are
 handed.  ``clip_vector`` is the one-vector reference for row clipping.
+``w2_grad_columns_stable`` is the exception: it shares the library's
+quantile coupling and arithmetic and differs only in how it orders the
+samples (two stable argsorts), so the OT gradient kernel must equal it bit
+for bit.
 
 The dense per-sample path is the reference for the library's ghost-norm
 clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
@@ -21,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from dpswgrad.dp_gradient import clip_rows
+from dpswgrad.ot_core import quantile_coupling
 
 
 def w2_squared_quantile_oracle(u, v) -> float:
@@ -37,6 +42,45 @@ def w2_squared_quantile_oracle(u, v) -> float:
         qv = vs[min(int(mid * m), m - 1)]
         total += float(hi - lo) * (qu - qv) ** 2
     return total
+
+
+def w2_grad_columns_stable(u, v):
+    """Reference for :func:`dpswgrad.ot_core.w2_grad_columns`.
+
+    Takes two ``kind="stable"`` argsorts and no tie test, and otherwise the
+    library's arithmetic in the library's order, so the library must match
+    it bit for bit.  Returns ``(grad_u, grad_v, values)``.
+    """
+    u = np.asarray(u, dtype=np.float64).reshape(len(u), -1)
+    v = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
+    order_u = np.argsort(u, axis=0, kind="stable")
+    order_v = np.argsort(v, axis=0, kind="stable")
+    us = np.take_along_axis(u, order_u, axis=0)
+    vs = np.take_along_axis(v, order_v, axis=0)
+    c = quantile_coupling(u.shape[0], v.shape[0])
+    us_rows, vs_cols = us[c.rows, :], vs[c.cols, :]
+    diff = us_rows - vs_cols
+    diff *= diff
+    values = c.weights @ diff
+
+    vs_cols *= c.weights[:, None]
+    gu_sorted = 2.0 * (us * c.row_weight_sums[:, None]
+                       - np.add.reduceat(vs_cols, c.row_starts, axis=0))
+    us_rows *= c.weights[:, None]
+    gv_sorted = 2.0 * (vs * c.col_weight_sums[:, None]
+                       - np.add.reduceat(us_rows, c.col_starts, axis=0))
+    grad_u = np.empty_like(gu_sorted)
+    grad_v = np.empty_like(gv_sorted)
+    np.put_along_axis(grad_u, order_u, gu_sorted, axis=0)
+    np.put_along_axis(grad_v, order_v, gv_sorted, axis=0)
+    return grad_u, grad_v, values
+
+
+def bit_equal(a, b) -> bool:
+    """Equal shapes, dtypes and bits, so a -0.0 never passes for a 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
 
 
 def clip_vector(v, bound: float) -> np.ndarray:

@@ -524,3 +524,49 @@ class TestGhostClipping:
         value, got = clipped_erm_grad(model, x, targets, loss_kind, bound)
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
         assert value == np.mean(model.loss_batch(x, targets, loss_kind))
+
+    def test_overflowing_ghost_norm_is_clipped_not_zeroed(self):
+        # the Jacobian row [x, 1] of the first sample has a squared norm
+        # beyond the float range; it is clipped to the bound, not dropped
+        model = AffineModel(2, 1, theta=np.array([1.0, 1.0, 0.0]))
+        x = np.array([[1e160, -3e159], [0.3, -0.2], [2.0, 1.0]])
+        z = np.array([[0.1], [-0.2], [0.4]])
+        grads = model.penalty_trace(x).backward(np.ones((1, 1, 1)))
+        assert np.isinf(grads.sq_norms()[0, 0])
+        norms = grads.norms()
+        assert norms[0, 0] == pytest.approx(1e160 * np.sqrt(1.09), rel=1e-12)
+        assert np.array_equal(norms[1:], np.sqrt(grads.sq_norms()[1:]))
+
+        bound = 0.75
+        clip = ClipConfig(0.5, bound, bound)
+        reference = IdentityModel(1)
+        got = penalized_objective(model, [(x[:1], reference, z)], 1.0,
+                                  clip)[3]
+        gu = w2_grad_columns(clip_rows(model.forward_batch(x[:1]), 0.5),
+                             z)[0][0, 0]
+        direction = np.array([1.0, -0.3, 1e-160]) / np.sqrt(1.09)
+        np.testing.assert_allclose(got, gu * bound * direction, rtol=1e-12,
+                                   atol=0.0)
+        assert np.linalg.norm(got) == pytest.approx(abs(gu) * bound,
+                                                    rel=1e-12)
+
+        # with finite rows beside it, the sum matches the dense oracle
+        got = penalized_objective(model, [(x, reference, z)], 1.0, clip)[3]
+        gu = w2_grad_columns(clip_rows(model.forward_batch(x), 0.5), z)[0]
+        want = gu[:, 0] @ clip_rows(jacobian_batch(model, x)[:, 0, :], bound)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", _GHOST_MODELS)
+    def test_rescaled_norms_match_direct_norms(self, kind):
+        # the overflow rescue, run on rows whose squares stay finite, agrees
+        # with the plain ghost norms on every model's layer stack
+        rng = np.random.default_rng(13)
+        model = _GHOST_MODELS[kind]()
+        model.theta *= 4.0
+        d = model.penalty_dim
+        grads = model.penalty_trace(_ghost_inputs(rng, 15)).backward(
+            np.eye(d)[None])
+        i, j = np.nonzero(np.ones(grads.shape, dtype=bool))
+        direct = np.sqrt(grads.sq_norms())[i, j]
+        np.testing.assert_allclose(grads._rescaled_norms(i, j), direct,
+                                   rtol=1e-14, atol=0.0)

@@ -6,8 +6,9 @@ import pytest
 from dpswgrad.ot_core import (quantile_coupling, w2_grad, w2_grad_columns,
                               w2_squared, w2_squared_columns)
 
-from oracles import central_diff, distinct_values, rel_err, \
-    w2_squared_quantile_oracle
+from dpswgrad.dp_gradient import clip_rows
+from oracles import bit_equal, central_diff, distinct_values, rel_err, \
+    w2_grad_columns_stable, w2_squared_quantile_oracle
 
 
 class TestQuantileCoupling:
@@ -177,3 +178,62 @@ class TestW2Grad:
         values = w2_grad_columns(u, v)[2]
         assert values.shape == (5,)
         assert np.array_equal(values, w2_squared_columns(u, v))
+
+
+class TestOrderAgainstStableOracle:
+    """``w2_grad_columns`` against the two-stable-argsort reference."""
+
+    @staticmethod
+    def _check(u, v):
+        got = w2_grad_columns(u, v)
+        want = w2_grad_columns_stable(u, v)
+        for g, w in zip(got, want):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("n, m, k", [(1, 1, 3), (1, 9, 4), (9, 1, 4),
+                                         (40, 27, 5), (300, 300, 6),
+                                         (311, 197, 3)])
+    def test_tie_free_blocks(self, n, m, k):
+        rng = np.random.default_rng(n * 1000 + m)
+        u = rng.normal(size=(n, k))
+        v = rng.normal(size=(m, k)) + 0.3
+        assert all(np.unique(u[:, j]).size == n for j in range(k))
+        self._check(u, v)
+
+    def test_block_mixing_tied_and_untied_columns(self):
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(60, 6))
+        v = rng.normal(size=(45, 6))
+        u[:, 1] = np.round(u[:, 1])
+        u[:, 4] = rng.choice([-1.0, 2.0], 60)
+        v[:, 4] = np.round(v[:, 4] * 2.0)
+        v[:, 5] = 0.25
+        self._check(u, v)
+
+    def test_all_tied_clipped_one_dimensional_columns(self):
+        # scalar outputs beyond the bound clip to exactly +-0.5 (the scales
+        # are powers of two), so every value is one of two
+        rng = np.random.default_rng(10)
+        u = clip_rows(rng.choice([-4.0, -2.0, 2.0, 8.0], (40, 1)), 0.5)
+        v = clip_rows(rng.choice([-2.0, 4.0], (33, 1)), 0.5)
+        assert set(np.abs(np.concatenate([u, v])).ravel()) == {0.5}
+        self._check(u, v)
+        self._check(u[:, 0], v[:, 0])
+
+    def test_signed_zero_ties(self):
+        # -0.0 == 0.0 is a tie: columns whose only repeat is one 0.0 and one
+        # -0.0 keep the stable order of the two, and columns of +-1 and +-0
+        # keep the signed zeros of the gradient
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(40, 8))
+        for j in range(8):
+            first, second = np.sort(rng.choice(40, 2, replace=False))
+            u[first, j], u[second, j] = (0.0, -0.0) if j % 2 else (-0.0, 0.0)
+        self._check(u, rng.normal(size=(29, 8)))
+
+        u = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(40, 4))
+        v = rng.choice([-0.0, 0.0, 1.0], size=(31, 4))
+        self._check(u, v)
+        gu = w2_grad_columns(u, v)[0]
+        assert np.signbit(gu[gu == 0.0]).any()
+        assert not np.signbit(gu[gu == 0.0]).all()

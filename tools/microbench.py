@@ -1,0 +1,110 @@
+"""Micro-benchmarks of the OT gradient kernel, row clipping and calibration.
+
+Usage::
+
+    PYTHONPATH=<checkout>/src python tools/microbench.py [--repeats R]
+
+Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
+workloads sort, plus an all-tied block (its worst case), then
+``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.  Each case runs
+once untimed, then R times (default 30); one line per case gives the
+median and the quartiles in ms.  Every OT case also checks that the
+kernel's three outputs equal, bit for bit, those of the two-stable-argsort
+reference ``w2_grad_columns_stable`` in ``tests/oracles.py``, and exits
+with an error if they do not.  To compare two versions of the library, run
+this script with each checkout's ``src`` on ``PYTHONPATH``.
+
+Runtime: about 4 s on 2 cores at the default R.  The script is not part of
+the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from dpswgrad.dp_gradient import clip_rows  # noqa: E402
+from dpswgrad.ot_core import w2_grad_columns  # noqa: E402
+from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
+from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
+
+# (label, n, m, k, tied): gen_circle sorts 2000 x 2000 per side, reg_sp_paper
+# its two classes, cls_eo_paper a class split like 1427 x 1573 and the
+# sliced audit 100 x 100; in the tied block every column repeats values
+OT_CASES = (
+    ("gen_circle", 2000, 2000, 50, False),
+    ("reg_sp", 2986, 3014, 50, False),
+    ("class_split", 1427, 1573, 50, False),
+    ("audit", 100, 100, 20, False),
+    ("all_tied", 2000, 2000, 50, True),
+)
+
+
+def _ot_inputs(n: int, m: int, k: int, tied: bool, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, k))
+    v = rng.normal(size=(m, k)) + 0.3
+    if tied:
+        u = np.clip(np.round(4.0 * u) / 4.0, -1.0, 1.0)
+        v = np.clip(np.round(4.0 * v) / 4.0, -1.0, 1.0)
+    return u, v
+
+
+def _timings_ms(fn, repeats: int) -> np.ndarray:
+    fn()
+    out = np.empty(repeats)
+    for r in range(repeats):
+        start = time.perf_counter()
+        fn()
+        out[r] = (time.perf_counter() - start) * 1e3
+    return out
+
+
+def _report(label: str, ms: np.ndarray, note: str = "") -> None:
+    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+    print(f"{label:<34} median {med:9.3f} ms   q1 {q1:9.3f}   q3 {q3:9.3f}"
+          f"   n={ms.size}{note}")
+
+
+def run(repeats: int) -> int:
+    failed = []
+    for label, n, m, k, tied in OT_CASES:
+        u, v = _ot_inputs(n, m, k, tied)
+        same = all(bit_equal(g, w) for g, w in
+                   zip(w2_grad_columns(u, v), w2_grad_columns_stable(u, v)))
+        if not same:
+            failed.append(label)
+        _report(f"w2_grad_columns {label} {n}x{m}x{k}",
+                _timings_ms(lambda: w2_grad_columns(u, v), repeats),
+                "   oracle: " + ("identical" if same else "DIFFERENT"))
+
+    rng = np.random.default_rng(1)
+    for n, d in ((2000, 2), (3000, 16)):
+        mat = rng.normal(size=(n, d)) * 2.0
+        _report(f"clip_rows {n}x{d}",
+                _timings_ms(lambda: clip_rows(mat, 1.0), repeats))
+
+    budget = PrivacyBudget(1.0, 1e-5)
+    _report("calibrate_noise eps=1 T=500 p=0.2",
+            _timings_ms(lambda: calibrate_noise(budget, 500, 0.2, 1.0),
+                        repeats))
+    if failed:
+        print("error: outputs differ from the stable-sort reference: "
+              + ", ".join(failed), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=30)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    sys.exit(run(args.repeats))
