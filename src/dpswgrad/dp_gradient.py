@@ -110,22 +110,34 @@ def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
 _ONE_DIRECTION = ProjectionSet(directions=np.ones((1, 1)), seed=0)
 
 
+def _side_trace(model: Model, side, shared):
+    """Penalty trace of one side: the ERM trace's rows for a ``slice``,
+    else a forward pass of ``side``."""
+    if not isinstance(side, slice):
+        return model.penalty_trace(
+            np.atleast_2d(np.asarray(side, dtype=np.float64)))
+    if shared is None or model is not shared.model:
+        raise ValueError("a slice side reads the rows of the ERM batch and "
+                         "needs the model's ERM term")
+    return shared.penalty_rows(side)
+
+
 def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
-                     dirs: ProjectionSet | None):
+                     dirs: ProjectionSet | None, shared):
     """Traces, directions and clipped projected outputs of a pair.
 
-    Without ``dirs`` the outputs must be scalar and take the one direction.
+    ``shared`` is the trace of the ERM batch (None without ERM), whose
+    rows a ``slice`` side reads.  Without ``dirs`` the outputs must be
+    scalar and take the one direction.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if x.shape[0] == 0 or z.shape[0] == 0:
-        raise ValueError("both sample slices must be non-empty")
     if not (h is g or h.n_params == 0):
         raise ValueError(
             "the second map must share the model's parameter vector (same "
             "object) or be parameter-free")
-    tx = g.penalty_trace(x)
-    tz = h.penalty_trace(z)
+    tx = _side_trace(g, x, shared)
+    tz = _side_trace(h, z, shared)
+    if tx.output.shape[0] == 0 or tz.output.shape[0] == 0:
+        raise ValueError("both sample slices must be non-empty")
     if tx.output.shape[1] != tz.output.shape[1]:
         raise ValueError("the two maps must produce outputs of equal dimension")
     d = tx.output.shape[1]
@@ -162,6 +174,13 @@ def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: ProjectionSet):
     return total, values
 
 
+def _clipped_erm(trace, targets, loss_kind: str, bound: float):
+    """Mean loss and mean clipped loss gradient of a whole-stack trace."""
+    values, grads = trace.loss_and_grads(targets, loss_kind)
+    return (float(np.mean(values)),
+            _clipped_sum(grads, bound) / values.shape[0])
+
+
 def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
                      bound: float):
     """Mean loss and mean of the per-sample loss gradients, each clipped to
@@ -169,9 +188,7 @@ def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
 
     Returns ``(erm_value, grad)``.
     """
-    values, grads = model.loss_and_grads(x, targets, loss_kind)
-    return (float(np.mean(values)),
-            _clipped_sum(grads, bound) / values.shape[0])
+    return _clipped_erm(model.trace(x), targets, loss_kind, bound)
 
 
 def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
@@ -186,14 +203,21 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     finite-sum term, or None for a penalty-only objective (ERM reported 0).
     Without ``dirs`` the outputs must be scalar and take the one direction.
 
+    With ``erm``, its batch is traced once, and a side of ``model`` given
+    as a ``slice`` is that block of the batch's rows: it reads its outputs
+    and its backward from the same trace (:meth:`Trace.penalty_rows
+    <dpswgrad.models.Trace.penalty_rows>`).  Every other side, an array of
+    inputs, is traced on its own.  So a step whose pairs cut their classes
+    from the ERM batch makes one forward pass.
+
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``x``
     the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
-    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Each side,
-    and the ERM batch, is traced once; the trace serves both the reported
-    value and the gradient, and W is read from the gradient's own sort.
-    The Jacobian rows are skipped at ``alpha == 0`` and the ERM gradient at
-    ``alpha == 1``; both values are still reported.
+    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  A trace
+    serves both the reported values and the gradient, and W is read from
+    the gradient's own sort.  The Jacobian rows are skipped at
+    ``alpha == 0`` and the ERM gradient at ``alpha == 1``; both values are
+    still reported.
 
     Returns ``(erm_value, w_value, total_value, grad)``.
     """
@@ -206,20 +230,21 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     # single pair at weight 1 returns its own gradient array.
     grad = None
     erm_value = 0.0
+    shared = None
     if erm is not None:
         x_full, targets, loss_kind = erm
+        shared = model.trace(x_full)
         if alpha < 1.0:
-            erm_value, erm_grad = clipped_erm_grad(
-                model, x_full, targets, loss_kind, clip.loss_grad_bound)
+            erm_value, erm_grad = _clipped_erm(shared, targets, loss_kind,
+                                               clip.loss_grad_bound)
             grad = (1.0 - alpha) * erm_grad
         else:
-            erm_value = float(np.mean(model.loss_batch(x_full, targets,
-                                                       loss_kind)))
+            erm_value = float(np.mean(shared.loss(targets, loss_kind)))
     values = []
     penalty = None
     for x, h, z in pairs:
         tx, tz, dirs, u, v = _clipped_outputs(model, h, x, z,
-                                              clip.output_bound, dirs)
+                                              clip.output_bound, dirs, shared)
         if alpha > 0.0:
             pair_grad, columns = _assemble(tx, tz, u, v, clip, dirs)
             if penalty is None:

@@ -232,9 +232,11 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     (one pair per label).  Generation pushes Gaussian samples onto a
     circle: one pair of the model against the parameter-free reference, at
     weight 1 with no ERM term.  Every class is private, the generation
-    references included.  A step whose loss or updated parameter norm is
-    not finite stops the run with a ValueError that names the step and
-    the budget already spent.
+    references included.  With an ERM term the step's batch stacks the
+    class batches, and each side of a pair is its class's block of rows
+    (a ``slice``), so the model traces the batch once per step.  A step
+    whose loss or updated parameter norm is not finite stops the run with
+    a ValueError that names the step and the budget already spent.
     """
     clip = cfg.clip
     if cfg.task == "generation":
@@ -258,7 +260,6 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             targets, loss_kind = ds.y.astype(np.float64), "bce"
         eo = cfg.task == "classification_eo"
         part = partition(ds, "by_a_and_y" if eo else "by_a")
-        inputs = dict.fromkeys(part.keys, ds.x)
         pair_keys = ([((0, k), model, (1, k)) for k in (0, 1)] if eo
                      else [(0, model, 1)])
         weight = cfg.alpha
@@ -269,6 +270,13 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     class_sizes = part.sizes
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
+    if targets is not None:
+        # the ERM batch stacks the class batches in key order, and each
+        # penalty side is its class's block of rows
+        ends = np.cumsum([batch_sizes[k] for k in part.keys])
+        blocks = {k: slice(int(end) - batch_sizes[k], int(end))
+                  for k, end in zip(part.keys, ends)}
+        pairs = [(blocks[a], h, blocks[b]) for a, h, b in pair_keys]
 
     delta2 = sensitivity.sensitivity_bound(
         model, [(batch_sizes[a], h, batch_sizes[b]) for a, h, b in pair_keys],
@@ -309,10 +317,11 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             dirs = _draw_directions(cfg, model.penalty_dim, step=t)
         rng_batch = _substream(cfg.seed, _TAG_BATCH, t)
         batch = subsample_partitioned(part, batch_sizes, rng_batch)
-        pairs = [(inputs[a][batch[a]], h, inputs[b][batch[b]])
-                 for a, h, b in pair_keys]
-        erm = None
-        if targets is not None:
+        if targets is None:
+            pairs = [(inputs[a][batch[a]], h, inputs[b][batch[b]])
+                     for a, h, b in pair_keys]
+            erm = None
+        else:
             union = np.concatenate([batch[k] for k in part.keys])
             erm = (ds.x[union], targets[union], loss_kind)
         erm_val, w_val, total, grad = penalized_objective(

@@ -12,7 +12,10 @@ keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
 Jacobian row is the backward of a one-hot cotangent, a squared-error loss
 gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
 model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
-that layer's pre-activation.  The per-sample gradients are never built.
+that layer's pre-activation.  A trace of a whole batch also serves the
+penalty of any block of its rows (:meth:`Trace.penalty_rows`), so a
+training step traces its batch once.  The per-sample gradients are never
+built.
 :class:`LayerGrads` gives their row norms from the ghost-norm identity (a
 dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
 ||a||^2``) and any weighted sum of them as one ``G^T a`` per layer.  Every
@@ -170,36 +173,9 @@ class Model:
 
     # -- losses ------------------------------------------------------------
 
-    def _loss(self, x, targets, loss_kind: str):
-        """Trace of ``x``, per-sample loss values and the (n, d) cotangent
-        whose backward gives their gradients.
-
-        Squared error's cotangent ``2 (out - y)`` enters at the output.
-        bce, ``softplus(z) - y z`` of the last pre-activation z, needs a
-        last layer that is a scalar sigmoid; its cotangent ``q - y`` enters
-        at z, so saturated logits stay exact.
-        """
-        if loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-        bce = loss_kind == "bce"
-        if bce and not (self._layers and self.output_dim == 1
-                        and self._layers[-1][4] == "sigmoid"):
-            raise ValueError(
-                f"bce loss requires a probability-valued scalar model, "
-                f"not {self.kind!r}")
-        tr = self.trace(x)
-        n = tr.output.shape[0]
-        if bce:
-            y = _check_binary(targets, n)[:, None]
-            # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
-            return (tr, (np.logaddexp(0.0, tr.logit) - y * tr.logit)[:, 0],
-                    tr.output - y)
-        r = tr.output - _as_targets(targets, n, self.output_dim)
-        return tr, np.sum(r * r, axis=1), 2.0 * r
-
     def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
         """Per-sample loss values, shape (n,)."""
-        return self._loss(x, targets, loss_kind)[1]
+        return self.trace(x).loss(targets, loss_kind)
 
     def loss_and_grads(self, x, targets, loss_kind: str):
         """Per-sample loss values and loss gradients from one trace.
@@ -207,9 +183,7 @@ class Model:
         The gradients are kept as :class:`LayerGrads` rather than an
         (n, n_params) array.
         """
-        tr, values, cot = self._loss(x, targets, loss_kind)
-        return values, tr._backward(cot[:, None, :],
-                                    at_logit=loss_kind == "bce")
+        return self.trace(x).loss_and_grads(targets, loss_kind)
 
 
 class Trace:
@@ -218,7 +192,8 @@ class Trace:
     ``acts`` holds the inputs of the traced layers followed by the last
     one's output, ``sigs`` each layer's sigmoid values (None for a linear
     layer) and ``logit`` the last one's pre-activation (None without
-    layers).
+    layers, and in a :meth:`penalty_rows` block that stops short of the
+    last layer).
     """
 
     def __init__(self, model: Model, acts: list, sigs: list, logit):
@@ -230,6 +205,54 @@ class Trace:
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
+
+    def penalty_rows(self, rows: slice) -> "Trace":
+        """Rows ``rows`` of this whole-stack trace, cut at the layers the
+        penalty reads: ``model.penalty_trace(x[rows])`` without a second
+        forward pass, its arrays row views of this trace's."""
+        sigs = self.sigs[:self.model.penalty_layers]
+        whole = len(sigs) == len(self.sigs)
+        return Trace(self.model, [a[rows] for a in self.acts[:len(sigs) + 1]],
+                     [s if s is None else s[rows] for s in sigs],
+                     self.logit[rows] if whole and self.logit is not None
+                     else None)
+
+    def _loss(self, targets, loss_kind: str):
+        """Per-sample loss values of the traced stack and the (n, d)
+        cotangent whose backward gives their gradients.
+
+        Squared error's cotangent ``2 (out - y)`` enters at the output.
+        bce, ``softplus(z) - y z`` of the last pre-activation z, needs a
+        last layer that is a scalar sigmoid; its cotangent ``q - y`` enters
+        at z, so saturated logits stay exact.
+        """
+        if loss_kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {loss_kind!r}")
+        model = self.model
+        n = self.output.shape[0]
+        if loss_kind == "bce":
+            if not (model._layers and model.output_dim == 1
+                    and model._layers[-1][4] == "sigmoid"):
+                raise ValueError(
+                    f"bce loss requires a probability-valued scalar model, "
+                    f"not {model.kind!r}")
+            y = _check_binary(targets, n)[:, None]
+            # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
+            return ((np.logaddexp(0.0, self.logit) - y * self.logit)[:, 0],
+                    self.output - y)
+        r = self.output - _as_targets(targets, n, model.output_dim)
+        return np.sum(r * r, axis=1), 2.0 * r
+
+    def loss(self, targets, loss_kind: str) -> np.ndarray:
+        """Per-sample loss values, shape (n,)."""
+        return self._loss(targets, loss_kind)[0]
+
+    def loss_and_grads(self, targets, loss_kind: str):
+        """Per-sample loss values and their gradients as
+        :class:`LayerGrads`."""
+        values, cot = self._loss(targets, loss_kind)
+        return values, self._backward(cot[:, None, :],
+                                      at_logit=loss_kind == "bce")
 
     def backward(self, cot) -> "LayerGrads":
         """Per-sample gradients of ``<cot[i, j], output[i]>`` wrt theta.
@@ -285,10 +308,11 @@ class LayerGrads:
         """(n, k) norms of the rows.
 
         A row whose squared norm overflows is normed again relative to its
-        largest entry (see :meth:`_rescaled_norms`); every other row is the
-        square root of :meth:`sq_norms`.
+        largest entry (see :meth:`_rescaled_norms`), so its overflow is not
+        reported; every other row is the square root of :meth:`sq_norms`.
         """
-        norms = np.sqrt(self.sq_norms())
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(self.sq_norms())
         i, j = np.nonzero(np.isinf(norms))
         if i.size:
             norms[i, j] = self._rescaled_norms(i, j)

@@ -14,7 +14,12 @@ with at most ``n + m - 1`` nonzero entries, and
 which is linear-time after sorting and differentiable in the sample values
 wherever the within-sample orderings are strict.  This module computes the
 coupling, the distance, and its closed-form gradient, which comes with the
-distance read from the same sorted arrays.
+distance read from the same sorted arrays.  Along the coupling's entries
+``e`` the displacements ``D[e] = u_(rows[e]) - v_(cols[e])`` of the sorted
+samples give both: ``W2^2 = sum_e weights[e] D[e]^2``, and the gradient of
+sorted sample ``i`` is ``2 sum_{e: rows[e] = i} weights[e] D[e]`` (of
+``v_(j)``, minus the same sum over ``cols[e] = j``), one sparse product of
+a cached weighting matrix with ``D`` per side.
 
 At repeated values the gradient depends on which tied sample takes which
 rank; it uses the stable-sort permutation (tied samples keep their input
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "QuantileCoupling",
@@ -70,10 +76,11 @@ def _as_columns(values, name: str) -> np.ndarray:
 class QuantileCoupling:
     """Sparse optimal coupling between uniform n-point and m-point measures.
 
-    ``rows[e], cols[e], weights[e]`` enumerate the nonzero entries of R in
-    increasing quantile order (0-based row/column indices).  Because both
-    index arrays are nondecreasing, ``row_starts``/``col_starts`` delimit
-    contiguous segments usable with ``np.add.reduceat``.
+    ``rows[e], cols[e], weights[e]`` enumerate the E nonzero entries of R
+    in increasing quantile order (0-based row/column indices).  ``by_row``
+    and ``by_col`` are the (n, E) and (m, E) CSR matrices that carry the
+    weights, so ``by_row @ a`` sums ``weights[e] * a[e]`` over the entries
+    of each row of R, and ``by_col @ a`` over those of each column.
     """
 
     n: int
@@ -81,13 +88,24 @@ class QuantileCoupling:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    row_starts: np.ndarray
-    col_starts: np.ndarray
-    row_weight_sums: np.ndarray
-    col_weight_sums: np.ndarray
+    by_row: sparse.csr_array
+    by_col: sparse.csr_array
 
     def __len__(self) -> int:
         return self.weights.size
+
+
+def _segment_matrix(segments: np.ndarray, size: int,
+                    weights: np.ndarray) -> sparse.csr_array:
+    """(size, E) CSR matrix with ``weights[e]`` at (segments[e], e), for
+    nondecreasing ``segments``."""
+    mat = sparse.csr_array(
+        (weights, np.arange(weights.size),
+         np.searchsorted(segments, np.arange(size + 1))),
+        shape=(size, weights.size))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 @lru_cache(maxsize=1024)
@@ -111,34 +129,22 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     weights = (edges - starts) / float(n * m)
     rows = (edges + m - 1) // m - 1
     cols = (edges + n - 1) // n - 1
-
-    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    col_starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    row_weight_sums = np.add.reduceat(weights, row_starts)
-    col_weight_sums = np.add.reduceat(weights, col_starts)
-
-    coupling = QuantileCoupling(
+    for arr in (rows, cols, weights):
+        arr.setflags(write=False)
+    return QuantileCoupling(
         n=n,
         m=m,
         rows=rows,
         cols=cols,
         weights=weights,
-        row_starts=row_starts,
-        col_starts=col_starts,
-        row_weight_sums=row_weight_sums,
-        col_weight_sums=col_weight_sums,
+        by_row=_segment_matrix(rows, n, weights),
+        by_col=_segment_matrix(cols, m, weights),
     )
-    for arr in (rows, cols, weights, row_starts, col_starts,
-                row_weight_sums, col_weight_sums):
-        arr.setflags(write=False)
-    return coupling
 
 
-def _coupled_w2_columns(us_rows, vs_cols, weights) -> np.ndarray:
-    """Columnwise W2^2 from the sorted values gathered along the coupling."""
-    diff = us_rows - vs_cols
-    diff *= diff
-    return weights @ diff
+def _coupled_w2_columns(displacements, weights) -> np.ndarray:
+    """Columnwise W2^2 from the displacements along the coupling."""
+    return weights @ (displacements * displacements)
 
 
 def w2_squared_columns(u, v) -> np.ndarray:
@@ -148,7 +154,7 @@ def w2_squared_columns(u, v) -> np.ndarray:
     us = np.sort(u, axis=0)
     vs = np.sort(v, axis=0)
     c = quantile_coupling(u.shape[0], v.shape[0])
-    return _coupled_w2_columns(us[c.rows, :], vs[c.cols, :], c.weights)
+    return _coupled_w2_columns(us[c.rows, :] - vs[c.cols, :], c.weights)
 
 
 def w2_squared(u, v) -> float:
@@ -184,26 +190,24 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
     come from one default-kind argsort per side, redone stably only on the
-    columns that hold a tie (see :func:`_stable_sort_columns`); a tie-free
-    column has one sorting permutation, so the outputs equal those of two
-    stable argsorts bit for bit.
+    columns that hold a tie (see :func:`_stable_sort_columns`).  Both
+    sorted gradients are weighted sums of the displacements along the
+    coupling, one sparse product per side.
     """
     u = _as_columns(u, "u")
     v = _as_columns(v, "v")
     order_u, us = _stable_sort_columns(u)
     order_v, vs = _stable_sort_columns(v)
     c = quantile_coupling(u.shape[0], v.shape[0])
-    us_rows, vs_cols = us[c.rows, :], vs[c.cols, :]
-    values = _coupled_w2_columns(us_rows, vs_cols, c.weights)
+    disp = us[c.rows, :] - vs[c.cols, :]
+    values = _coupled_w2_columns(disp, c.weights)
 
-    # grad wrt u_i (sorted): 2 * sum_j R[i,j] (u_(i) - v_(j)), then unsort;
-    # the gathered copies are weighted in place
-    vs_cols *= c.weights[:, None]
-    gu_sorted = 2.0 * (us * c.row_weight_sums[:, None]
-                       - np.add.reduceat(vs_cols, c.row_starts, axis=0))
-    us_rows *= c.weights[:, None]
-    gv_sorted = 2.0 * (vs * c.col_weight_sums[:, None]
-                       - np.add.reduceat(us_rows, c.col_starts, axis=0))
+    # grad wrt u_(i): 2 sum_j R[i, j] (u_(i) - v_(j)); wrt v_(j): minus
+    # twice the same sum over i; then unsort
+    gu_sorted = c.by_row @ disp
+    gu_sorted *= 2.0
+    gv_sorted = c.by_col @ disp
+    gv_sorted *= -2.0
 
     grad_u = np.empty_like(gu_sorted)
     grad_v = np.empty_like(gv_sorted)

@@ -7,7 +7,8 @@ handed.  ``clip_vector`` is the one-vector reference for row clipping.
 ``w2_grad_columns_stable`` is the exception: it shares the library's
 quantile coupling and arithmetic and differs only in how it orders the
 samples (two stable argsorts), so the OT gradient kernel must equal it bit
-for bit.
+for bit.  ``w2_grad_exact`` checks that arithmetic itself: the closed form
+in exact rationals.
 
 The dense per-sample path is the reference for the library's ghost-norm
 clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
@@ -58,22 +59,48 @@ def w2_grad_columns_stable(u, v):
     us = np.take_along_axis(u, order_u, axis=0)
     vs = np.take_along_axis(v, order_v, axis=0)
     c = quantile_coupling(u.shape[0], v.shape[0])
-    us_rows, vs_cols = us[c.rows, :], vs[c.cols, :]
-    diff = us_rows - vs_cols
-    diff *= diff
-    values = c.weights @ diff
-
-    vs_cols *= c.weights[:, None]
-    gu_sorted = 2.0 * (us * c.row_weight_sums[:, None]
-                       - np.add.reduceat(vs_cols, c.row_starts, axis=0))
-    us_rows *= c.weights[:, None]
-    gv_sorted = 2.0 * (vs * c.col_weight_sums[:, None]
-                       - np.add.reduceat(us_rows, c.col_starts, axis=0))
+    disp = us[c.rows, :] - vs[c.cols, :]
+    values = c.weights @ (disp * disp)
+    gu_sorted = c.by_row @ disp
+    gu_sorted *= 2.0
+    gv_sorted = c.by_col @ disp
+    gv_sorted *= -2.0
     grad_u = np.empty_like(gu_sorted)
     grad_v = np.empty_like(gv_sorted)
     np.put_along_axis(grad_u, order_u, gu_sorted, axis=0)
     np.put_along_axis(grad_v, order_v, gv_sorted, axis=0)
     return grad_u, grad_v, values
+
+
+def w2_grad_exact(u, v):
+    """Exact closed-form W2^2 and gradient of two 1-D samples of distinct
+    values, in rationals.
+
+    Every float is a rational, so the sorted samples and the coupling
+    weights R[i, j] (lengths of the overlaps of the quantile cells) are
+    taken exactly as :class:`fractions.Fraction`, and
+    ``grad_u[i] = 2 sum_j R[rank_u(i), rank_v(j)] (u_i - v_j)`` and its
+    mirror for ``v`` are summed without rounding.  Returns ``(grad_u,
+    grad_v, value)`` rounded once to float64.
+    """
+    u = [Fraction(float(x)) for x in u]
+    v = [Fraction(float(x)) for x in v]
+    n, m = len(u), len(v)
+    rank_u = sorted(range(n), key=u.__getitem__)
+    rank_v = sorted(range(m), key=v.__getitem__)
+    gu, gv = [Fraction(0)] * n, [Fraction(0)] * m
+    value = Fraction(0)
+    for a, i in enumerate(rank_u):
+        for b, j in enumerate(rank_v):
+            weight = (min(Fraction(a + 1, n), Fraction(b + 1, m))
+                      - max(Fraction(a, n), Fraction(b, m)))
+            if weight > 0:
+                d = u[i] - v[j]
+                gu[i] += 2 * weight * d
+                gv[j] -= 2 * weight * d
+                value += weight * d * d
+    return (np.array([float(g) for g in gu]),
+            np.array([float(g) for g in gv]), float(value))
 
 
 def bit_equal(a, b) -> bool:

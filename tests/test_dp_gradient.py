@@ -1,5 +1,7 @@
 """Tests for clipping operators and the penalized objective's clipped gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,48 @@ class TestObjectiveGrads:
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
         assert w_val == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("kind", ["affine_sigmoid", "mlp2",
+                                      "autoencoder"])
+    def test_slice_sides_read_the_erm_trace(self, kind, alpha):
+        # class blocks of the ERM batch given as slices give what the same
+        # blocks give as inputs of their own traces; the autoencoder's
+        # blocks stop at its latent codes
+        rng = np.random.default_rng(21)
+        model = make_model(kind, 3, seed=2, hidden_dim=5)
+        x_full = rng.normal(size=(13, 3))
+        if kind == "affine_sigmoid":
+            dirs, targets = None, rng.integers(0, 2, size=13).astype(float)
+            loss_kind = "bce"
+        else:
+            dirs = sample_directions(model.penalty_dim, 6, seed=3)
+            targets = (x_full if kind == "autoencoder"
+                       else 0.3 * rng.normal(size=(13, 2)))
+            loss_kind = "squared_error"
+        clip = ClipConfig(0.3, 1.0, 1.0, 2.0)
+        erm = (x_full, targets, loss_kind)
+        pairs = [(slice(0, 4), model, slice(4, 9)),
+                 (slice(9, 11), model, slice(11, 13))]
+        got = penalized_objective(model, pairs, alpha, clip, dirs, erm)
+        want = penalized_objective(
+            model, [(x_full[a], h, x_full[b]) for a, h, b in pairs], alpha,
+            clip, dirs, erm)
+        assert got[:3] == pytest.approx(want[:3], rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(got[3], want[3], rtol=1e-13, atol=0.0)
+
+    def test_slice_side_needs_the_erm_batch(self):
+        model, x0, x1, x_full, y_full, clip = self._setup()
+        erm = (x_full, y_full, "bce")
+        with pytest.raises(ValueError, match="ERM"):
+            penalized_objective(model, [(slice(0, 6), model, x1)], 0.5, clip)
+        with pytest.raises(ValueError, match="ERM"):
+            penalized_objective(
+                model, [(slice(0, 6), IdentityModel(1), slice(6, 12))], 0.5,
+                clip, erm=erm)
+        with pytest.raises(ValueError, match="non-empty"):
+            penalized_objective(model, [(slice(0, 6), model, slice(6, 6))],
+                                0.5, clip, erm=erm)
+
     def test_penalty_value_reports_clipped_distance(self):
         model, x0, x1, _, _, _ = self._setup(seed=8)
         erm_val, val, total, _ = penalized_objective(
@@ -532,10 +576,23 @@ class TestGhostClipping:
         x = np.array([[1e160, -3e159], [0.3, -0.2], [2.0, 1.0]])
         z = np.array([[0.1], [-0.2], [0.4]])
         grads = model.penalty_trace(x).backward(np.ones((1, 1, 1)))
-        assert np.isinf(grads.sq_norms()[0, 0])
-        norms = grads.norms()
+        with np.errstate(over="ignore"):
+            sq_norms = grads.sq_norms()
+        assert np.isinf(sq_norms[0, 0])
+        # the rescued row is normed without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = grads.norms()
         assert norms[0, 0] == pytest.approx(1e160 * np.sqrt(1.09), rel=1e-12)
-        assert np.array_equal(norms[1:], np.sqrt(grads.sq_norms()[1:]))
+        assert np.array_equal(norms[1:], np.sqrt(sq_norms[1:]))
+        # a loss-gradient row 2e100 [1e100, 0, 1] whose ghost factors
+        # ||g||^2 and ||a||^2 + 1 are finite but whose product overflows
+        loss_grads = model.loss_and_grads(np.array([[1e100, 0.0]]),
+                                          np.zeros(1), "squared_error")[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert loss_grads.norms()[0, 0] == pytest.approx(2e200,
+                                                             rel=1e-12)
 
         bound = 0.75
         clip = ClipConfig(0.5, bound, bound)

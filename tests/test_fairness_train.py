@@ -11,7 +11,7 @@ from dpswgrad.data import (GenerationConfig, centered_targets,
 from dpswgrad.dp_gradient import ClipConfig
 from dpswgrad.fairness_train import (TrainConfig, dpsgd_train, metrics,
                                      subsample_partitioned)
-from dpswgrad.models import AffineModel, AffineSigmoidModel
+from dpswgrad.models import AffineModel, AffineSigmoidModel, Model
 
 from oracles import central_diff, w2_squared_quantile_oracle
 
@@ -229,6 +229,31 @@ class TestTasks:
         assert len(rec.w_losses) == 4
         assert rec.epsilon_spent == pytest.approx(2.0, rel=1e-4)
         assert rec.class_sizes == {"x": 300, "z": 300}
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
+    @pytest.mark.parametrize("task", ["regression_sp", "classification_eo",
+                                      "autoencoder_sp", "generation"])
+    def test_one_forward_trace_of_the_model_per_step(self, task, alpha,
+                                                     monkeypatch):
+        # the ERM batch is traced once and every penalty side reads its
+        # rows; generation traces its one model side (the reference map is
+        # parameter-free and not counted)
+        traced = []
+        trace = Model._trace
+
+        def counted(self, x, depth):
+            traced.append(self.n_params > 0)
+            return trace(self, x, depth)
+
+        monkeypatch.setattr(Model, "_trace", counted)
+        cfg = TrainConfig(task=task, steps=3, learning_rate=0.01,
+                          epsilon=math.inf, delta=1e-4, alpha=alpha,
+                          clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                          num_projections=4, hidden_dim=4, gen_samples=60,
+                          seed=2)
+        dpsgd_train(cfg, None if task == "generation"
+                    else _dataset(300, seed=14))
+        assert sum(traced) == 3
 
     def test_resampled_directions_change_but_stay_reproducible(self):
         ds = _dataset(300, seed=13)

@@ -8,7 +8,7 @@ from dpswgrad.ot_core import (quantile_coupling, w2_grad, w2_grad_columns,
 
 from dpswgrad.dp_gradient import clip_rows
 from oracles import bit_equal, central_diff, distinct_values, rel_err, \
-    w2_grad_columns_stable, w2_squared_quantile_oracle
+    w2_grad_columns_stable, w2_grad_exact, w2_squared_quantile_oracle
 
 
 class TestQuantileCoupling:
@@ -25,6 +25,14 @@ class TestQuantileCoupling:
                            (0, 1, pytest.approx(1 / 6)),
                            (1, 1, pytest.approx(1 / 6)),
                            (1, 2, pytest.approx(1 / 3))]
+        # the weighting matrices put entry e's weight in its row / column
+        np.testing.assert_array_equal(
+            c.by_row.toarray(), [[c.weights[0], c.weights[1], 0, 0],
+                                 [0, 0, c.weights[2], c.weights[3]]])
+        np.testing.assert_array_equal(
+            c.by_col.toarray(), [[c.weights[0], 0, 0, 0],
+                                 [0, c.weights[1], c.weights[2], 0],
+                                 [0, 0, 0, c.weights[3]]])
 
     def test_single_row_absorbs_all_mass(self):
         c = quantile_coupling(1, 7)
@@ -222,8 +230,8 @@ class TestOrderAgainstStableOracle:
 
     def test_signed_zero_ties(self):
         # -0.0 == 0.0 is a tie: columns whose only repeat is one 0.0 and one
-        # -0.0 keep the stable order of the two, and columns of +-1 and +-0
-        # keep the signed zeros of the gradient
+        # -0.0 keep the stable order of the two, and so do columns of +-1
+        # and +-0 in which both zeros occur
         rng = np.random.default_rng(3)
         u = rng.normal(size=(40, 8))
         for j in range(8):
@@ -233,7 +241,29 @@ class TestOrderAgainstStableOracle:
 
         u = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(40, 4))
         v = rng.choice([-0.0, 0.0, 1.0], size=(31, 4))
+        for col in np.concatenate([u, v]).T:
+            zero_signs = np.signbit(col[col == 0.0])
+            assert zero_signs.any() and not zero_signs.all()
         self._check(u, v)
-        gu = w2_grad_columns(u, v)[0]
-        assert np.signbit(gu[gu == 0.0]).any()
-        assert not np.signbit(gu[gu == 0.0]).all()
+
+
+class TestExactReference:
+    """``w2_grad_columns`` against the closed form in exact rationals."""
+
+    @pytest.mark.parametrize("n, m", [(1, 9), (9, 1), (7, 11), (40, 27)])
+    def test_normwise_error_on_offset_samples(self, n, m):
+        # samples near 5 spread by 1e-3: the displacements are small next
+        # to the values, so a kernel that forms them from weighted sums of
+        # the values (e.g. u R1 - R v) loses digits to cancellation
+        rng = np.random.default_rng(n * 100 + m)
+        u = 5.0 + 1e-3 * rng.normal(size=(n, 4))
+        v = 5.0 + 1e-3 * rng.normal(size=(m, 4))
+        assert all(np.unique(col).size == col.size
+                   for col in np.concatenate([u, v]).T)
+        gu, gv, values = w2_grad_columns(u, v)
+        exact = [w2_grad_exact(u[:, j], v[:, j]) for j in range(4)]
+        for got, want in ((gu, np.column_stack([e[0] for e in exact])),
+                          (gv, np.column_stack([e[1] for e in exact]))):
+            assert np.linalg.norm(got - want) <= 4e-16 * np.linalg.norm(want)
+        np.testing.assert_allclose(values, [e[2] for e in exact],
+                                   rtol=1e-15, atol=0.0)

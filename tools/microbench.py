@@ -1,20 +1,26 @@
-"""Micro-benchmarks of the OT gradient kernel, row clipping and calibration.
+"""Micro-benchmarks of the OT gradient kernel, one objective step, row
+clipping and calibration.
 
 Usage::
 
     PYTHONPATH=<checkout>/src python tools/microbench.py [--repeats R]
 
 Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
-workloads sort, plus an all-tied block (its worst case), then
-``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.  Each case runs
-once untimed, then R times (default 30); one line per case gives the
-median and the quartiles in ms.  Every OT case also checks that the
-kernel's three outputs equal, bit for bit, those of the two-stable-argsort
-reference ``w2_grad_columns_stable`` in ``tests/oracles.py``, and exits
-with an error if they do not.  To compare two versions of the library, run
-this script with each checkout's ``src`` on ``PYTHONPATH``.
+workloads sort, plus an all-tied block (its worst case), then one
+``dp_gradient.penalized_objective`` step at the ``reg_sp_paper`` batch
+(mlp2 with 16 inputs, 64 hidden units and 2 outputs; 2986 + 3014 rows
+traced once, the two classes as slices of the ERM batch; 50 directions,
+alpha 0.75), then ``dp_gradient.clip_rows`` and
+``privacy.calibrate_noise``.  Each case runs once untimed, then R times
+(default 30); one line per case gives the median and the quartiles in ms.
+Every OT case also checks that the kernel's three outputs equal, bit for
+bit, those of the two-stable-argsort reference ``w2_grad_columns_stable``
+in ``tests/oracles.py``, and exits with an error if they do not.  To
+compare two versions of the library, run each checkout's own copy of this
+script with that checkout's ``src`` on ``PYTHONPATH``: the reference
+follows the library's arithmetic.
 
-Runtime: about 4 s on 2 cores at the default R.  The script is not part of
+Runtime: about 6 s on 2 cores at the default R.  The script is not part of
 the test suite.
 """
 
@@ -29,9 +35,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from dpswgrad.dp_gradient import clip_rows  # noqa: E402
+from dpswgrad.dp_gradient import (ClipConfig, clip_rows,  # noqa: E402
+                                  penalized_objective)
+from dpswgrad.models import make_model  # noqa: E402
 from dpswgrad.ot_core import w2_grad_columns  # noqa: E402
 from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
+from dpswgrad.sliced import sample_directions  # noqa: E402
 from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
 
 # (label, n, m, k, tied): gen_circle sorts 2000 x 2000 per side, reg_sp_paper
@@ -54,6 +63,19 @@ def _ot_inputs(n: int, m: int, k: int, tied: bool, seed: int = 0):
         u = np.clip(np.round(4.0 * u) / 4.0, -1.0, 1.0)
         v = np.clip(np.round(4.0 * v) / 4.0, -1.0, 1.0)
     return u, v
+
+
+def _objective_step(sizes=(2986, 3014), seed: int = 0):
+    """One ``penalized_objective`` call at the ``reg_sp_paper`` batch, as a
+    function of no arguments."""
+    rng = np.random.default_rng(seed)
+    model = make_model("mlp2", 16, seed=seed, hidden_dim=64, output_dim=2)
+    x = rng.normal(size=(sum(sizes), 16))
+    erm = (x, 0.3 * rng.normal(size=(x.shape[0], 2)), "squared_error")
+    pair = (slice(0, sizes[0]), model, slice(sizes[0], x.shape[0]))
+    clip = ClipConfig.symmetric(0.7071, 1.4142, 10.0)
+    dirs = sample_directions(2, 50, seed)
+    return lambda: penalized_objective(model, [pair], 0.75, clip, dirs, erm)
 
 
 def _timings_ms(fn, repeats: int) -> np.ndarray:
@@ -83,6 +105,9 @@ def run(repeats: int) -> int:
         _report(f"w2_grad_columns {label} {n}x{m}x{k}",
                 _timings_ms(lambda: w2_grad_columns(u, v), repeats),
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
+
+    _report("penalized_objective reg_sp 2986+3014",
+            _timings_ms(_objective_step(), repeats))
 
     rng = np.random.default_rng(1)
     for n, d in ((2000, 2), (3000, 16)):
