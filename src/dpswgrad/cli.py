@@ -259,7 +259,7 @@ def _write_step_csv(path: Path, record) -> None:
 def _write_outputs_by_group(outdir: Path, ds, model, task: str) -> str:
     """Penalized model outputs conditioned on the penalty's classes."""
     name = "outputs_by_group.csv"
-    values = model.penalty_forward_batch(ds.x)
+    values = model.penalty_trace(ds.x).output
     if task == "classification_eo":
         labels = [f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
     else:

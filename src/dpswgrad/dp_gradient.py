@@ -39,12 +39,10 @@ import numpy as np
 
 from .models import Model
 from .ot_core import w2_grad_columns, w2_squared_columns
-from .sliced import ProjectionSet
 
 __all__ = [
     "ClipConfig",
     "clip_rows",
-    "clipped_erm_grad",
     "penalized_objective",
 ]
 
@@ -85,7 +83,8 @@ def _clip_scale(norms: np.ndarray, bound: float) -> np.ndarray:
 
 def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
     """Clip every row of a 2D array to L2 norm ``bound`` (vectorized)."""
-    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=-1, keepdims=True)
     over = np.isinf(norms[..., 0])
     if over.any():
         # finite rows whose norm overflows: take it relative to their
@@ -107,7 +106,8 @@ def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
 
 
 # the scalar penalty is the sliced penalty along the single direction (1)
-_ONE_DIRECTION = ProjectionSet(directions=np.ones((1, 1)), seed=0)
+_ONE_DIRECTION = np.ones((1, 1))
+_ONE_DIRECTION.setflags(write=False)
 
 
 def _side_trace(model: Model, side, shared):
@@ -123,12 +123,12 @@ def _side_trace(model: Model, side, shared):
 
 
 def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
-                     dirs: ProjectionSet | None, shared):
+                     dirs: np.ndarray | None, shared):
     """Traces, directions and clipped projected outputs of a pair.
 
     ``shared`` is the trace of the ERM batch (None without ERM), whose
-    rows a ``slice`` side reads.  Without ``dirs`` the outputs must be
-    scalar and take the one direction.
+    rows a ``slice`` side reads.  Without the (k, d) ``dirs`` the outputs
+    must be scalar and take the one direction.
     """
     if not (h is g or h.n_params == 0):
         raise ValueError(
@@ -144,17 +144,18 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
     if dirs is None:
         if d != 1:
             raise ValueError(
-                "a ProjectionSet is required for multidimensional outputs")
+                "a (k, d) array of directions is required for "
+                "multidimensional outputs")
         dirs = _ONE_DIRECTION
-    if d != dirs.dim:
+    if d != dirs.shape[1]:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
-                         f"{dirs.dim}-dimensional")
+                         f"{dirs.shape[1]}-dimensional")
     return (tx, tz, dirs,
-            clip_rows(tx.output, output_bound) @ dirs.directions.T,
-            clip_rows(tz.output, output_bound) @ dirs.directions.T)
+            clip_rows(tx.output, output_bound) @ dirs.T,
+            clip_rows(tz.output, output_bound) @ dirs.T)
 
 
-def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: ProjectionSet):
+def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: np.ndarray):
     """Coupling-weighted sum of the clipped per-sample Jacobian rows.
 
     ``tx`` and ``tz`` are the penalty traces of the two sides.  Returns the
@@ -162,14 +163,14 @@ def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: ProjectionSet):
     per-direction W2^2 of ``u``, ``v``.
     """
     gu, gv, values = w2_grad_columns(u, v)
-    one_hot = np.eye(dirs.dim)[None]
+    one_hot = np.eye(dirs.shape[1])[None]
     total = None
     for trace, grad_cols, bound in ((tx, gu, clip.jac_bound1),
                                     (tz, gv, clip.jac_bound2)):
         if trace.model.n_params:
-            coeff = (grad_cols @ dirs.directions) / dirs.k    # (n, d)
+            coeff = (grad_cols @ dirs) / dirs.shape[0]    # (n, d)
             side = _clipped_sum(trace.backward(one_hot),
-                                bound / np.sqrt(dirs.dim), coeff)
+                                bound / np.sqrt(dirs.shape[1]), coeff)
             total = side if total is None else total + side
     return total, values
 
@@ -177,22 +178,18 @@ def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: ProjectionSet):
 def _clipped_erm(trace, targets, loss_kind: str, bound: float):
     """Mean loss and mean clipped loss gradient of a whole-stack trace."""
     values, grads = trace.loss_and_grads(targets, loss_kind)
-    return (float(np.mean(values)),
+    return (_mean_loss(values),
             _clipped_sum(grads, bound) / values.shape[0])
 
 
-def clipped_erm_grad(model: Model, x, targets, loss_kind: str,
-                     bound: float):
-    """Mean loss and mean of the per-sample loss gradients, each clipped to
-    norm ``bound``, from one forward trace.
-
-    Returns ``(erm_value, grad)``.
-    """
-    return _clipped_erm(model.trace(x), targets, loss_kind, bound)
+def _mean_loss(values: np.ndarray) -> float:
+    """Mean loss: inf, without a warning, where the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(values))
 
 
 def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
-                        dirs: ProjectionSet | None = None, erm=None):
+                        dirs: np.ndarray | None = None, erm=None):
     """Values and clipped gradient of the penalized objective.
 
     The objective is ``(1 - alpha) * ERM + alpha * W``, where W averages the
@@ -201,7 +198,8 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     ``h`` is ``model`` itself (a fairness penalty) or a parameter-free
     reference map.  ``erm`` is ``(x, targets, loss_kind)`` for the
     finite-sum term, or None for a penalty-only objective (ERM reported 0).
-    Without ``dirs`` the outputs must be scalar and take the one direction.
+    ``dirs`` holds k unit directions as the rows of a (k, d) array; without
+    it the outputs must be scalar and take the one direction.
 
     With ``erm``, its batch is traced once, and a side of ``model`` given
     as a ``slice`` is that block of the batch's rows: it reads its outputs
@@ -239,7 +237,7 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
                                                clip.loss_grad_bound)
             grad = (1.0 - alpha) * erm_grad
         else:
-            erm_value = float(np.mean(shared.loss(targets, loss_kind)))
+            erm_value = _mean_loss(shared.loss(targets, loss_kind))
     values = []
     penalty = None
     for x, h, z in pairs:

@@ -20,7 +20,7 @@ gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .data import BiasedDataset, ClassPartition, centered_targets, partition
 from .dp_gradient import ClipConfig, penalized_objective
 from .jsonio import write_json
 from .models import AffineSigmoidModel, IdentityModel, make_model
-from .sliced import ProjectionSet, sample_directions
+from .sliced import sample_directions
 
 __all__ = ["TASKS", "TrainConfig", "TrainRecord", "subsample_partitioned",
            "generation_samples", "dpsgd_train", "metrics"]
@@ -131,43 +131,23 @@ class TrainRecord:
     config: dict | None = None
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return None
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            return v
-
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "steps": self.steps,
-            "non_private": self.non_private,
-            "epsilon_target": enc(self.epsilon_target),
-            "delta": self.delta,
-            "sensitivity": self.sensitivity,
-            "sampling_rate": self.sampling_rate,
-            "sigma": self.sigma,
-            "noise_multiplier": self.noise_multiplier,
-            "epsilon_spent": enc(self.epsilon_spent),
-            "accountant_formula": self.accountant_formula,
-            "class_sizes": {str(k): int(v)
-                            for k, v in self.class_sizes.items()},
-            "batch_sizes": {str(k): int(v)
-                            for k, v in self.batch_sizes.items()},
-            "model_meta": self.model_meta,
-            "final_theta": [float(t) for t in self.final_theta],
-            "erm_losses": [float(v) for v in self.erm_losses],
-            "w_losses": [float(v) for v in self.w_losses],
-            "total_losses": [float(v) for v in self.total_losses],
-            "epsilon_history": [enc(float(v)) for v in self.epsilon_history],
-            "metrics": None if self.metrics is None else
-                       {k: enc(float(v)) for k, v in self.metrics.items()},
-            "config": self.config,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
+
+
+def _plain(value):
+    """``value`` as JSON data: arrays as lists, dict keys as str, NumPy
+    scalars as Python numbers and non-finite floats as None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else None
 
 
 def subsample_partitioned(part: ClassPartition, sizes: dict,
@@ -359,7 +339,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
 
 
 def _draw_directions(cfg: TrainConfig, dim: int,
-                     step: int | None = None) -> ProjectionSet:
+                     step: int | None = None) -> np.ndarray:
     tags = [cfg.seed, _TAG_DIRS] + ([] if step is None else [step])
     ss = np.random.SeedSequence(tags)
     return sample_directions(dim, cfg.num_projections,
@@ -410,7 +390,7 @@ def metrics(ds_test: BiasedDataset, model, task: str) -> dict:
         recon = model.forward_batch(ds_test.x)
         resid = recon - ds_test.x
         core = ds_test.config.core_dim
-        codes = model.encode_batch(ds_test.x)
+        codes = model.penalty_trace(ds_test.x).output
         out = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
                "rl_core": float(np.mean(
                    np.sum(resid[:, :core] * resid[:, :core], axis=1)))}
@@ -434,7 +414,8 @@ def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray,
     y_train = y[:n_train].astype(np.float64)
     ones = np.ones((n_train, 1))
     for _ in range(gd_steps):
-        grads = probe.loss_and_grads(codes[:n_train], y_train, "bce")[1]
+        grads = probe.trace(codes[:n_train]).loss_and_grads(y_train,
+                                                            "bce")[1]
         probe.theta -= gd_lr * (grads.weighted_sum(ones) / n_train)
     q = probe.forward_batch(codes[n_train:])[:, 0]
     pred = (q > 0.5).astype(np.int64)

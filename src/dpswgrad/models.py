@@ -23,10 +23,11 @@ derivative is exact, which the finite-difference tests rely on; there is
 no autodiff framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
-layer by layer (weights row-major, then bias).  Batch methods return
-per-sample quantities stacked on the leading axis.  Each model's ``meta()``
-is the one record of the shape metadata that rebuilds it from a flat theta;
-training records and checkpoints both store it.
+layer by layer (weights row-major, then bias).  ``forward_batch`` and the
+:class:`Trace` methods return per-sample quantities stacked on the leading
+axis.  Each model's ``meta()`` is the one record of the shape metadata that
+rebuilds it from a flat theta; training records and checkpoints both store
+it.
 """
 
 from __future__ import annotations
@@ -167,23 +168,6 @@ class Model:
 
     def forward_batch(self, x) -> np.ndarray:
         return self.trace(x).output
-
-    def penalty_forward_batch(self, x) -> np.ndarray:
-        return self.penalty_trace(x).output
-
-    # -- losses ------------------------------------------------------------
-
-    def loss_batch(self, x, targets, loss_kind: str) -> np.ndarray:
-        """Per-sample loss values, shape (n,)."""
-        return self.trace(x).loss(targets, loss_kind)
-
-    def loss_and_grads(self, x, targets, loss_kind: str):
-        """Per-sample loss values and loss gradients from one trace.
-
-        The gradients are kept as :class:`LayerGrads` rather than an
-        (n, n_params) array.
-        """
-        return self.trace(x).loss_and_grads(targets, loss_kind)
 
 
 class Trace:
@@ -364,8 +348,6 @@ class IdentityModel(Model):
     def forward_batch(self, x) -> np.ndarray:
         return _as_batch(x, self.input_dim).copy()
 
-    penalty_forward_batch = forward_batch
-
 
 class AffineModel(Model):
     """Plain linear map x -> W x + b.  theta = [W row-major, b]."""
@@ -446,9 +428,6 @@ class AutoencoderModel(Model):
     def meta(self) -> dict:
         return {**super().meta(), "hidden_dim": self.hidden_dim,
                 "hidden_activation": "sigmoid", "latent_dim": self.latent_dim}
-
-    def encode_batch(self, x) -> np.ndarray:
-        return self.penalty_forward_batch(x)
 
 
 def _init_uniform(seed, shape, stream: int) -> np.ndarray:

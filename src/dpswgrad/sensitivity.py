@@ -20,7 +20,7 @@ audit a pair whose second side is public.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,14 +86,8 @@ class SensitivityReport:
     trials: int
     ratio: float | None
 
-    def to_dict(self) -> dict:
-        return {"theoretical_bound": self.theoretical_bound,
-                "empirical_max": self.empirical_max,
-                "trials": self.trials,
-                "ratio": self.ratio}
-
     def to_json(self, path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, asdict(self))
 
 
 def uniform_box_replacement(low, high):

@@ -2,44 +2,26 @@
 
 Multidimensional samples are projected onto random unit directions and the
 exact 1D machinery of :mod:`dpswgrad.ot_core` is averaged over directions.
-Directions are materialized in a :class:`ProjectionSet` so callers (and
-tests) can pin them; samplers draw fresh sets per training step only when
-explicitly asked to.
+Directions are a read-only (k, d) array of unit rows, so callers (and
+tests) can pin them; samplers draw fresh directions per training step only
+when explicitly asked to.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ot_core import w2_squared_columns
 
-__all__ = ["ProjectionSet", "sample_directions", "project",
-           "sw2_per_direction", "sw2_squared_mc"]
+__all__ = ["sample_directions", "sw2_squared_mc"]
 
 
-@dataclass(frozen=True)
-class ProjectionSet:
-    """``k`` unit vectors in R^d plus the seed they were drawn from."""
-
-    directions: np.ndarray
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-
-def sample_directions(d: int, k: int, seed: int) -> ProjectionSet:
+def sample_directions(d: int, k: int, seed: int) -> np.ndarray:
     """Draw ``k`` i.i.d. uniform directions on the unit sphere of R^d.
 
     Normalized standard Gaussian vectors from a seeded generator; rows with
-    degenerate norm are redrawn.  Deterministic given ``seed``.
+    degenerate norm are redrawn.  Deterministic given ``seed``.  Returns a
+    read-only (k, d) array.
     """
     if d < 1 or k < 1:
         raise ValueError("d and k must be >= 1")
@@ -52,36 +34,24 @@ def sample_directions(d: int, k: int, seed: int) -> ProjectionSet:
         norms = np.linalg.norm(mat, axis=1)
     mat /= norms[:, None]
     mat.setflags(write=False)
-    return ProjectionSet(directions=mat, seed=int(seed))
+    return mat
 
 
-def _as_points(values, name: str = "points") -> np.ndarray:
-    """Validate a non-empty (n, d) array of finite points."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} must be a non-empty (n, d) array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def project(points, dirs: ProjectionSet) -> np.ndarray:
-    """Project (n, d) points onto every direction, returning (n, k)."""
-    pts = _as_points(points)
-    if pts.shape[1] != dirs.dim:
-        raise ValueError(
-            f"dimension mismatch: points are {pts.shape[1]}-dimensional, "
-            f"directions are {dirs.dim}-dimensional")
-    return pts @ dirs.directions.T
-
-
-def sw2_per_direction(a, b, dirs: ProjectionSet) -> np.ndarray:
-    """W2^2 of the projected samples for each direction separately."""
-    return w2_squared_columns(project(a, dirs), project(b, dirs))
-
-
-def sw2_squared_mc(a, b, dirs: ProjectionSet) -> float:
-    """Monte-Carlo sliced W2^2: the mean over directions of projected W2^2."""
-    return float(np.mean(sw2_per_direction(a, b, dirs)))
+def sw2_squared_mc(a, b, dirs: np.ndarray) -> float:
+    """Monte-Carlo sliced W2^2 of the (n, d) points ``a``, ``b`` along the
+    rows of the (k, d) ``dirs``: the mean over directions of projected W2^2."""
+    projected = []
+    for points in (a, b):
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+            raise ValueError("points must be a non-empty (n, d) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if pts.shape[1] != dirs.shape[1]:
+            raise ValueError(
+                f"dimension mismatch: points are {pts.shape[1]}-dimensional, "
+                f"directions are {dirs.shape[1]}-dimensional")
+        projected.append(pts @ dirs.T)
+    return float(np.mean(w2_squared_columns(*projected)))

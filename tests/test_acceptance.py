@@ -132,8 +132,8 @@ def test_c2_gradient_correctness():
             dirs = sample_directions(2, 5, seed=int(rng.integers(1e9)))
             x = rng.normal(size=(int(rng.integers(3, 7)), 3))
             z = rng.normal(size=(int(rng.integers(3, 7)), 3))
-            pu = model.forward_batch(x) @ dirs.directions.T
-            pv = model.forward_batch(z) @ dirs.directions.T
+            pu = model.forward_batch(x) @ dirs.T
+            pv = model.forward_batch(z) @ dirs.T
             if not gaps_ok(*(list(pu.T) + list(pv.T))):
                 continue
             grad = penalized_objective(model, [(x, model, z)], 1.0, no_clip,

@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dpswgrad.dp_gradient import (ClipConfig, clip_rows, clipped_erm_grad,
-                                  penalized_objective)
+from dpswgrad.dp_gradient import ClipConfig, clip_rows, penalized_objective
 from dpswgrad.models import (AffineModel, AffineSigmoidModel,
                              AutoencoderModel, IdentityModel, Mlp2Model,
                              make_model)
@@ -81,7 +80,9 @@ class TestClipVector:
     def test_overflowing_norm_is_clipped_not_zeroed(self):
         # ||row|| overflows to inf; the other rows keep their exact clip
         rows = np.array([[1e200, 1e200], [3e307, -1e308], [3.0, 4.0]])
-        got = clip_rows(rows, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = clip_rows(rows, 1.0)
         for row, want in zip(got[:2], ([1.0, 1.0], [0.3, -1.0])):
             assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
             np.testing.assert_allclose(row, want / np.linalg.norm(want),
@@ -204,9 +205,10 @@ class TestClippedWassersteinGradSliced:
                               seed=int(rng.integers(1e6)))
             x = rng.normal(size=(5, 3))
             z = rng.normal(size=(6, 3))
-            pu = model.forward_batch(x) @ dirs.directions.T
-            pv = model.forward_batch(z) @ dirs.directions.T
-            if not all(_separated(pu[:, k], pv[:, k]) for k in range(dirs.k)):
+            pu = model.forward_batch(x) @ dirs.T
+            pv = model.forward_batch(z) @ dirs.T
+            if not all(_separated(pu[:, k], pv[:, k])
+                       for k in range(dirs.shape[0])):
                 continue
             grad = penalized_objective(model, [(x, model, z)], 1.0, NO_CLIP,
                                        dirs)[3]
@@ -274,8 +276,8 @@ class TestObjectiveGrads:
         model, x0, x1, x_full, y_full, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 0.0, clip, erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce",
-                               clip.loss_grad_bound)[1]
+        erm = penalized_objective(model, [(x0, model, x1)], 0.0, clip,
+                                  erm=(x_full, y_full, "bce"))[3]
         np.testing.assert_allclose(g, erm, atol=1e-15)
         # the penalty value is still reported when its gradient is skipped
         assert w_val > 0.0 and total == erm_val
@@ -286,7 +288,7 @@ class TestObjectiveGrads:
             model, [(x0, model, x1)], 1.0, clip, erm=(x_full, y_full, "bce"))
         w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
         np.testing.assert_allclose(g, w, atol=1e-15)
-        want = np.mean(model.loss_batch(x_full, y_full, "bce"))
+        want = np.mean(model.trace(x_full).loss(y_full, "bce"))
         assert erm_val == pytest.approx(want, rel=1e-15)
         assert total == w_val
 
@@ -294,8 +296,8 @@ class TestObjectiveGrads:
         model, x0, x1, x_full, y_full, clip = self._setup(seed=3)
         erm_val, w_val, total, g = penalized_objective(
             model, [(x0, model, x1)], 0.5, clip, erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce",
-                               clip.loss_grad_bound)[1]
+        erm = penalized_objective(model, [(x0, model, x1)], 0.0, clip,
+                                  erm=(x_full, y_full, "bce"))[3]
         w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
         assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
@@ -320,8 +322,8 @@ class TestObjectiveGrads:
         pairs = [(batches[(0, k)], model, batches[(1, k)]) for k in (0, 1)]
         _, w_val, _, g = penalized_objective(model, pairs, 0.4, clip,
                                              erm=(x_full, y_full, "bce"))
-        erm = clipped_erm_grad(model, x_full, y_full, "bce",
-                               clip.loss_grad_bound)[1]
+        erm = penalized_objective(model, pairs, 0.0, clip,
+                                  erm=(x_full, y_full, "bce"))[3]
         w0, w1 = (penalized_objective(model, [pair], 1.0, clip)[3]
                   for pair in pairs)
         np.testing.assert_allclose(g, 0.6 * erm + 0.2 * (w0 + w1), atol=1e-14)
@@ -407,11 +409,11 @@ class TestObjectiveGrads:
             model, [(x, IdentityModel(2), z)], 1.0, clip, dirs)
         # the model's side alone, summed sample by sample and direction by
         # direction; the reference side has no parameters
-        u = clip_rows(model.forward_batch(x), 1.0) @ dirs.directions.T
-        v = clip_rows(z, 1.0) @ dirs.directions.T
+        u = clip_rows(model.forward_batch(x), 1.0) @ dirs.T
+        v = clip_rows(z, 1.0) @ dirs.T
         gu, _, columns = w2_grad_columns(u, v)
         jac = clip_jacobian_naive(jacobian_batch(model, x), 1.0)
-        want = np.einsum("nk,kd,ndp->p", gu, dirs.directions, jac) / dirs.k
+        want = np.einsum("nk,kd,ndp->p", gu, dirs, jac) / dirs.shape[0]
         np.testing.assert_allclose(g, want, rtol=1e-13, atol=0.0)
         assert total == w_val == np.mean(columns) > 0.0
 
@@ -450,8 +452,8 @@ class TestTiedOutputs:
         gv = -2.0 * np.sum(weights * diff, axis=0)
         w_grad = (gu @ clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
                   + gv @ clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0))
-        erm = clipped_erm_grad(model, x_full, targets, "squared_error",
-                               5.0)[1]
+        erm = penalized_objective(model, [(x, model, z)], 0.0, clip,
+                                  erm=(x_full, targets, "squared_error"))[3]
         np.testing.assert_allclose(g, (1.0 - alpha) * erm + alpha * w_grad,
                                    rtol=1e-13, atol=1e-15)
 
@@ -495,7 +497,7 @@ class TestGhostClipping:
         x, z = _ghost_inputs(rng, 17), _ghost_inputs(rng, 13)
         d = model.penalty_dim
         dirs = sample_directions(d, 5, seed=2) if d > 1 else None
-        directions = np.ones((1, 1)) if dirs is None else dirs.directions
+        directions = np.ones((1, 1)) if dirs is None else dirs
 
         # the ghost row norms are the dense ones
         trace = model.penalty_trace(x)
@@ -520,8 +522,8 @@ class TestGhostClipping:
                           0.5 * row_bound * np.sqrt(d))
 
         got = penalized_objective(model, [(x, model, z)], 1.0, clip, dirs)[3]
-        u = clip_rows(model.penalty_forward_batch(x), 0.3) @ directions.T
-        v = clip_rows(model.penalty_forward_batch(z), 0.3) @ directions.T
+        u = clip_rows(model.penalty_trace(x).output, 0.3) @ directions.T
+        v = clip_rows(model.penalty_trace(z).output, 0.3) @ directions.T
         gu, gv, _ = w2_grad_columns(u, v)
         want = sum(
             np.einsum("nk,kd,ndp->p", g, directions,
@@ -565,9 +567,13 @@ class TestGhostClipping:
         if model.n_params:
             assert np.any(norms > bound)
             assert np.any((norms > 0.0) & (norms < bound))
-        value, got = clipped_erm_grad(model, x, targets, loss_kind, bound)
+        d = model.penalty_dim
+        dirs = sample_directions(d, 1, seed=0) if d > 1 else None
+        value, _, _, got = penalized_objective(
+            model, [(x, model, x)], 0.0, ClipConfig(1.0, 1.0, 1.0, bound),
+            dirs, erm=(x, targets, loss_kind))
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
-        assert value == np.mean(model.loss_batch(x, targets, loss_kind))
+        assert value == np.mean(model.trace(x).loss(targets, loss_kind))
 
     def test_overflowing_ghost_norm_is_clipped_not_zeroed(self):
         # the Jacobian row [x, 1] of the first sample has a squared norm
@@ -587,8 +593,8 @@ class TestGhostClipping:
         assert np.array_equal(norms[1:], np.sqrt(sq_norms[1:]))
         # a loss-gradient row 2e100 [1e100, 0, 1] whose ghost factors
         # ||g||^2 and ||a||^2 + 1 are finite but whose product overflows
-        loss_grads = model.loss_and_grads(np.array([[1e100, 0.0]]),
-                                          np.zeros(1), "squared_error")[1]
+        loss_grads = model.trace(np.array([[1e100, 0.0]])).loss_and_grads(
+            np.zeros(1), "squared_error")[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert loss_grads.norms()[0, 0] == pytest.approx(2e200,
@@ -597,8 +603,10 @@ class TestGhostClipping:
         bound = 0.75
         clip = ClipConfig(0.5, bound, bound)
         reference = IdentityModel(1)
-        got = penalized_objective(model, [(x[:1], reference, z)], 1.0,
-                                  clip)[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = penalized_objective(model, [(x[:1], reference, z)], 1.0,
+                                      clip)[3]
         gu = w2_grad_columns(clip_rows(model.forward_batch(x[:1]), 0.5),
                              z)[0][0, 0]
         direction = np.array([1.0, -0.3, 1e-160]) / np.sqrt(1.09)

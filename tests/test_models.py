@@ -29,9 +29,8 @@ def _loss_grad_fd(model, x, target, loss_kind, h=1e-6):
 
     def fn(theta):
         model.theta[:] = theta
-        val = float(model.loss_batch(x[None, :],
-                                     np.asarray(target).reshape(1, -1),
-                                     loss_kind)[0])
+        val = float(model.trace(x[None, :]).loss(
+            np.asarray(target).reshape(1, -1), loss_kind)[0])
         model.theta[:] = base
         return val
 
@@ -100,8 +99,8 @@ class TestAffineSigmoid:
             m = AffineSigmoidModel(3, seed=100 + i)
             xs = rng.normal(size=(4, 3))
             ys = rng.integers(0, 2, size=4).astype(float)
-            values, grads = m.loss_and_grads(xs, ys, "bce")
-            np.testing.assert_array_equal(values, m.loss_batch(xs, ys, "bce"))
+            values, grads = m.trace(xs).loss_and_grads(ys, "bce")
+            np.testing.assert_array_equal(values, m.trace(xs).loss(ys, "bce"))
             for j, (x, y) in enumerate(zip(xs, ys)):
                 # row j of the library's per-sample gradients
                 g = grads.weighted_sum(np.eye(4)[:, j:j + 1])
@@ -113,9 +112,9 @@ class TestAffineSigmoid:
     def test_bce_rejects_non_binary_targets(self):
         m = AffineSigmoidModel(2, seed=0)
         with pytest.raises(ValueError, match="0 or 1"):
-            m.loss_batch(np.zeros((1, 2)), np.array([0.5]), "bce")
+            m.trace(np.zeros((1, 2))).loss(np.array([0.5]), "bce")
         with pytest.raises(ValueError, match="0 or 1"):
-            m.loss_and_grads(np.zeros((1, 2)), np.array([0.5]), "bce")
+            m.trace(np.zeros((1, 2))).loss_and_grads(np.array([0.5]), "bce")
 
 
 class TestMlp2:
@@ -181,7 +180,7 @@ class TestMlp2:
     def test_bce_rejected(self):
         m = Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0)
         with pytest.raises(ValueError):
-            m.loss_and_grads(np.zeros((1, 2)), np.zeros(1), "bce")
+            m.trace(np.zeros((1, 2))).loss_and_grads(np.zeros(1), "bce")
 
 
 @pytest.mark.parametrize("model", [
@@ -196,10 +195,11 @@ class TestMlp2:
         "two_sigmoid_outputs"])
 def test_bce_needs_a_scalar_sigmoid_model(model):
     x, y = np.zeros((2, model.input_dim)), np.array([0.0, 1.0])
-    for loss in (model.loss_batch, model.loss_and_grads):
+    trace = model.trace(x)
+    for loss in (trace.loss, trace.loss_and_grads):
         with pytest.raises(ValueError, match="bce loss requires a "
                            "probability-valued scalar model"):
-            loss(x, y, "bce")
+            loss(y, "bce")
 
 
 class TestAutoencoder:
@@ -220,7 +220,7 @@ class TestAutoencoder:
 
             def encode(theta):
                 m.theta[:] = theta
-                out = m.encode_batch(x[None, :])[0]
+                out = m.penalty_trace(x[None, :]).output[0]
                 m.theta[:] = base
                 return out
 
@@ -296,5 +296,5 @@ class TestFactoryAndCheckpoint:
         ys = np.random.default_rng(5).integers(0, 2, size=10).astype(float)
         q = m.forward_batch(xs)[:, 0]
         direct = -(ys * np.log(q) + (1 - ys) * np.log(1 - q))
-        np.testing.assert_allclose(m.loss_batch(xs, ys, "bce"), direct,
+        np.testing.assert_allclose(m.trace(xs).loss(ys, "bce"), direct,
                                    rtol=1e-10)
