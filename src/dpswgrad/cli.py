@@ -40,8 +40,7 @@ from .dp_gradient import ClipConfig, penalized_objective
 from .fairness_train import (TASKS, TrainConfig, dpsgd_train,
                              generation_samples)
 from .jsonio import write_json
-from .models import (AffineModel, IdentityModel, Mlp2Model, make_model,
-                     model_from_meta, save_model)
+from .models import make_model, model_from_meta, save_model
 from .sliced import sample_directions
 
 MANIFEST_NAME = "manifest.json"
@@ -374,7 +373,7 @@ def _audit_setup(cfg: dict):
     rng = np.random.default_rng(seed)
     dirs = None
     if setting == "sliced":
-        model = Mlp2Model(d, hidden_dim=4, output_dim=2, seed=seed)
+        model = make_model("mlp2", d, seed=seed, hidden_dim=4, output_dim=2)
         dirs = sample_directions(2, cfg["num_projections"], seed + 1)
     else:
         model = make_model("affine_sigmoid", d, seed=seed)
@@ -436,12 +435,13 @@ def _run_counterexample(cfg: dict, outdir: Path) -> list:
     # the squared cost's pair: the shift map x + t (weight 1, bias t) on
     # the private grid against the public midpoint grid, which passes
     # through the parameter-free identity; outputs and Jacobians within 1
-    shift = AffineModel(1, 1, theta=np.array([1.0, 0.0]))
+    shift = make_model("affine", 1, output_dim=1,
+                       theta=np.array([1.0, 0.0]))
     rows = []
     for n in cfg["n_values"]:
         w2_gap = sensitivity.w2_counterexample_contrast(n)
         w2_bound = sensitivity.sensitivity_bound(
-            shift, [(n, IdentityModel(1), None)], 1.0,
+            shift, [(n, make_model("identity", 1), None)], 1.0,
             ClipConfig(1.0, 1.0, 0.0))
         for p in cfg["p_orders"]:
             res = sensitivity.wp_counterexample(n, p)

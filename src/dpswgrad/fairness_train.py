@@ -28,7 +28,7 @@ from . import privacy, sensitivity
 from .data import BiasedDataset, ClassPartition, centered_targets, partition
 from .dp_gradient import ClipConfig, penalized_objective
 from .jsonio import write_json
-from .models import AffineSigmoidModel, IdentityModel, make_model
+from .models import make_model
 from .sliced import sample_directions
 
 __all__ = ["TASKS", "TrainConfig", "TrainRecord", "subsample_partitioned",
@@ -40,13 +40,13 @@ TASKS = ("classification_sp", "classification_eo", "regression_sp",
 # substream tags; model init uses [seed, 0..3] internally, so start high
 _TAG_BATCH, _TAG_NOISE, _TAG_DIRS, _TAG_GEN = 101, 102, 103, 104
 
-# task -> (model kinds, the first one the default; default hidden width)
+# task -> model kinds, the first one the default
 _TASK_MODELS = {
-    "classification_sp": (("affine_sigmoid",), None),
-    "classification_eo": (("affine_sigmoid",), None),
-    "regression_sp": (("mlp2", "affine"), 64),
-    "autoencoder_sp": (("autoencoder",), 62),
-    "generation": (("mlp2", "affine"), 32),
+    "classification_sp": ("affine_sigmoid",),
+    "classification_eo": ("affine_sigmoid",),
+    "regression_sp": ("mlp2", "affine"),
+    "autoencoder_sp": ("autoencoder",),
+    "generation": ("mlp2", "affine"),
 }
 
 
@@ -93,7 +93,7 @@ class TrainConfig:
             raise ValueError("num_projections must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        allowed = _TASK_MODELS[self.task][0]
+        allowed = _TASK_MODELS[self.task]
         if self.model_kind is not None and self.model_kind not in allowed:
             raise ValueError(f"task {self.task!r} supports model kinds "
                              f"{allowed}, got {self.model_kind!r}")
@@ -191,14 +191,14 @@ def generation_samples(cfg: TrainConfig) -> tuple:
 
 
 def _task_model(cfg: TrainConfig, input_dim: int):
-    """The task's seeded model; unset kind and width take the task default."""
-    kinds, hidden_dim = _TASK_MODELS[cfg.task]
+    """The task's seeded model; an unset kind takes the task default, an
+    unset width the kind's (generation's: 32, with a linear output)."""
+    gen = cfg.task == "generation"
     return make_model(
-        cfg.model_kind or kinds[0], input_dim, seed=cfg.seed,
-        hidden_dim=hidden_dim if cfg.hidden_dim is None else cfg.hidden_dim,
+        cfg.model_kind or _TASK_MODELS[cfg.task][0], input_dim, seed=cfg.seed,
+        hidden_dim=32 if gen and cfg.hidden_dim is None else cfg.hidden_dim,
         output_dim=2, latent_dim=cfg.latent_dim,
-        output_activation=("linear" if cfg.task == "generation"
-                           else "sigmoid_recentered"))
+        output_activation="linear" if gen else None)
 
 
 def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
@@ -226,7 +226,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
                                           for key in inputs})
         model = _task_model(cfg, 2)
-        pair_keys = [("x", IdentityModel(2), "z")]
+        pair_keys = [("x", make_model("identity", 2), "z")]
         targets, weight = None, 1.0
     else:
         if ds is None:
@@ -387,10 +387,10 @@ def metrics(ds_test: BiasedDataset, model, task: str) -> dict:
                 "od_1": (float(np.mean(over[a == 1]))
                          if (a == 1).any() else float("nan"))}
     if task == "autoencoder_sp":
-        recon = model.forward_batch(ds_test.x)
-        resid = recon - ds_test.x
+        trace = model.trace(ds_test.x)
+        resid = trace.output - ds_test.x
         core = ds_test.config.core_dim
-        codes = model.penalty_trace(ds_test.x).output
+        codes = trace.penalty_rows(slice(None)).output
         out = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
                "rl_core": float(np.mean(
                    np.sum(resid[:, :core] * resid[:, :core], axis=1)))}
@@ -409,8 +409,8 @@ def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray,
     n_train = int(train_frac * n)
     if n_train < 1 or n_train >= n:
         return {"probe_accuracy": float("nan"), "probe_di": float("nan")}
-    probe = AffineSigmoidModel(codes.shape[1],
-                               theta=np.zeros(codes.shape[1] + 1))
+    probe = make_model("affine_sigmoid", codes.shape[1],
+                       theta=np.zeros(codes.shape[1] + 1))
     y_train = y[:n_train].astype(np.float64)
     ones = np.ones((n_train, 1))
     for _ in range(gd_steps):

@@ -2,9 +2,11 @@
 
 Every model is a stack of dense layers ``a -> act(a W^T + b)``, where
 ``act`` is ``sigmoid``, ``sigmoid_recentered`` (sigmoid minus 1/2) or
-``linear``.  The architectures cover the experiments: an identity map (no
-layers), a plain affine map, a one-layer sigmoid classifier, a two-layer
-regressor, and a two-layer encoder/decoder pair with a 2D latent space.
+``linear``.  One table, ``_KINDS``, declares once each kind the
+experiments use (an identity map, a plain affine map, a one-layer sigmoid
+classifier, a two-layer regressor, and a two-layer encoder/decoder pair
+with a 2D latent space): its shape fields with their defaults, its layer
+list and the layers its penalty reads.  :func:`make_model` builds them all.
 
 One forward :class:`Trace` and one backward serve every architecture.  The
 backward pulls ``(n, k, d)`` cotangents back through the traced layers and
@@ -41,11 +43,6 @@ from .jsonio import write_json
 
 __all__ = [
     "Model",
-    "IdentityModel",
-    "AffineModel",
-    "AffineSigmoidModel",
-    "Mlp2Model",
-    "AutoencoderModel",
     "make_model",
     "model_from_meta",
     "save_model",
@@ -98,11 +95,12 @@ class Model:
     ``layers`` lists ``(output_dim, activation)`` per layer.  The fairness
     penalty reads the output of the first ``penalty_layers`` layers (all of
     them when None).  Without ``theta`` the layers are initialized from
-    ``seed``.
+    ``seed``.  A stack not built by :func:`make_model` is ``"abstract"``.
     """
 
     kind: str = "abstract"
     penalty_layers: int | None = None
+    _fields: dict = {}    # the kind's shape fields, recorded by meta()
 
     def __init__(self, input_dim: int, layers, theta=None, seed=None):
         self.input_dim = int(input_dim)
@@ -140,7 +138,7 @@ class Model:
     def meta(self) -> dict:
         """Shape metadata sufficient to rebuild the model from a flat theta."""
         return {"kind": self.kind, "input_dim": self.input_dim,
-                "output_dim": self.output_dim}
+                "output_dim": self.output_dim, **self._fields}
 
     # -- forward traces ----------------------------------------------------
 
@@ -337,99 +335,6 @@ class LayerGrads:
         return total
 
 
-class IdentityModel(Model):
-    """g(x) = x.  No layers and no parameters."""
-
-    kind = "identity"
-
-    def __init__(self, input_dim: int):
-        super().__init__(input_dim, [])
-
-    def forward_batch(self, x) -> np.ndarray:
-        return _as_batch(x, self.input_dim).copy()
-
-
-class AffineModel(Model):
-    """Plain linear map x -> W x + b.  theta = [W row-major, b]."""
-
-    kind = "affine"
-
-    def __init__(self, input_dim: int, output_dim: int,
-                 theta: np.ndarray | None = None, seed: int | None = None):
-        super().__init__(input_dim, [(output_dim, "linear")], theta, seed)
-
-
-class AffineSigmoidModel(Model):
-    """One-layer classifier: x -> sigmoid(w.x + b), scalar output in (0, 1).
-
-    theta = [w (input_dim), b].
-    """
-
-    kind = "affine_sigmoid"
-
-    def __init__(self, input_dim: int, theta: np.ndarray | None = None,
-                 seed: int | None = None):
-        super().__init__(input_dim, [(1, "sigmoid")], theta, seed)
-
-
-class Mlp2Model(Model):
-    """Two-layer network: sigmoid hidden layer, configurable output head.
-
-    ``output_activation`` is either ``"sigmoid_recentered"`` (sigmoid minus
-    1/2 per coordinate, so outputs lie in (-1/2, 1/2)) or ``"linear"``.
-    theta = [W1 (h, d_in), b1 (h), W2 (d_out, h), b2 (d_out)].
-    """
-
-    kind = "mlp2"
-
-    def __init__(self, input_dim: int, hidden_dim: int, output_dim: int,
-                 output_activation: str = "sigmoid_recentered",
-                 theta: np.ndarray | None = None, seed: int | None = None):
-        if output_activation not in ("sigmoid_recentered", "linear"):
-            raise ValueError(f"unknown output activation {output_activation!r}")
-        self.hidden_dim = int(hidden_dim)
-        self.output_activation = output_activation
-        super().__init__(input_dim, [(hidden_dim, "sigmoid"),
-                                     (output_dim, output_activation)],
-                         theta, seed)
-
-    def meta(self) -> dict:
-        return {**super().meta(), "hidden_dim": self.hidden_dim,
-                "hidden_activation": "sigmoid",
-                "output_activation": self.output_activation}
-
-
-class AutoencoderModel(Model):
-    """Encoder/decoder pair with sigmoid hidden layers and linear heads.
-
-    encode: x -> W2 sigmoid(W1 x + b1) + b2        (latent, default 2D)
-    decode: l -> W4 sigmoid(W3 l + b3) + b4        (reconstruction)
-
-    ``forward`` is the reconstruction; the fairness penalty acts on the
-    latent codes, the output of the first two layers, so its backward
-    walks the encoder only and the penalty gradient is zero on the
-    decoder block.
-    theta = [W1, b1, W2, b2, W3, b3, W4, b4].
-    """
-
-    kind = "autoencoder"
-    penalty_layers = 2
-
-    def __init__(self, input_dim: int, hidden_dim: int = 62,
-                 latent_dim: int = 2, theta: np.ndarray | None = None,
-                 seed: int | None = None):
-        self.hidden_dim = int(hidden_dim)
-        self.latent_dim = int(latent_dim)
-        super().__init__(input_dim, [(hidden_dim, "sigmoid"),
-                                     (latent_dim, "linear"),
-                                     (hidden_dim, "sigmoid"),
-                                     (input_dim, "linear")], theta, seed)
-
-    def meta(self) -> dict:
-        return {**super().meta(), "hidden_dim": self.hidden_dim,
-                "hidden_activation": "sigmoid", "latent_dim": self.latent_dim}
-
-
 def _init_uniform(seed, shape, stream: int) -> np.ndarray:
     """Uniform [-a, a] weights then bias of one layer with weight shape
     ``(fan_out, fan_in)``, a = 1/sqrt(fan_in), seeded per layer."""
@@ -442,44 +347,62 @@ def _init_uniform(seed, shape, stream: int) -> np.ndarray:
                            rng.uniform(-a, a, size=fan_out)])
 
 
-# kind -> constructor from shape metadata plus ``theta=`` or ``seed=``
-_BUILDERS = {
-    "identity": lambda m, **init: IdentityModel(m["input_dim"]),
-    "affine": lambda m, **init: AffineModel(m["input_dim"], m["output_dim"],
-                                            **init),
-    "affine_sigmoid": lambda m, **init: AffineSigmoidModel(m["input_dim"],
-                                                           **init),
-    "mlp2": lambda m, **init: Mlp2Model(
-        m["input_dim"], m["hidden_dim"], m["output_dim"],
-        m["output_activation"], **init),
-    "autoencoder": lambda m, **init: AutoencoderModel(
-        m["input_dim"], m["hidden_dim"], m["latent_dim"], **init),
+# kind -> (shape fields with their defaults; the (width, activation) layer
+# list from input_dim d and the fields f; how many layers the penalty
+# reads, None for all).  ``hidden_activation`` has one value, which the
+# meta records.  theta holds each layer's weight (width, fan_in) row-major,
+# then its bias:
+#   identity        x -> x; no layers, no parameters
+#   affine          x -> W x + b; theta = [W, b]
+#   affine_sigmoid  x -> sigmoid(w.x + b), in (0, 1); theta = [w, b]
+#   mlp2            x -> act(W2 sigmoid(W1 x + b1) + b2), act sigmoid minus
+#                   1/2 (outputs in (-1/2, 1/2)) or linear; theta = [W1 (h,
+#                   d_in), b1 (h), W2 (d_out, h), b2 (d_out)]
+#   autoencoder     codes l = W2 sigmoid(W1 x + b1) + b2, which the penalty
+#                   reads, and reconstruction W4 sigmoid(W3 l + b3) + b4;
+#                   theta = [W1, b1, W2, b2, W3, b3, W4, b4], the penalty
+#                   gradient zero on the decoder block W3 .. b4
+_KINDS = {
+    "identity": ({}, lambda d, f: [], None),
+    "affine": ({"output_dim": 2},
+               lambda d, f: [(f["output_dim"], "linear")], None),
+    "affine_sigmoid": ({}, lambda d, f: [(1, "sigmoid")], None),
+    "mlp2": ({"hidden_dim": 64, "hidden_activation": "sigmoid",
+              "output_dim": 2, "output_activation": "sigmoid_recentered"},
+             lambda d, f: [(f["hidden_dim"], f["hidden_activation"]),
+                           (f["output_dim"], f["output_activation"])], None),
+    "autoencoder": ({"hidden_dim": 62, "hidden_activation": "sigmoid",
+                     "latent_dim": 2},
+                    lambda d, f: [(f["hidden_dim"], f["hidden_activation"]),
+                                  (f["latent_dim"], "linear"),
+                                  (f["hidden_dim"], f["hidden_activation"]),
+                                  (d, "linear")], 2),
 }
-
-_DEFAULT_HIDDEN_DIM = {"mlp2": 64, "autoencoder": 62}
-
-
-def _build(meta: dict, **init) -> Model:
-    kind = meta["kind"]
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of "
-                         f"{tuple(_BUILDERS)}")
-    return _BUILDERS[kind](meta, **init)
 
 
 def make_model(kind: str, input_dim: int, *, seed: int | None = None,
-               hidden_dim: int | None = None, output_dim: int | None = None,
-               latent_dim: int = 2,
+               theta=None, hidden_dim: int | None = None,
+               output_dim: int | None = None, latent_dim: int | None = None,
                output_activation: str | None = None) -> Model:
-    """Construct a model by kind with per-architecture defaults."""
-    return _build({
-        "kind": kind, "input_dim": input_dim,
-        "hidden_dim": (_DEFAULT_HIDDEN_DIM.get(kind) if hidden_dim is None
-                       else hidden_dim),
-        "output_dim": 2 if output_dim is None else output_dim,
-        "latent_dim": latent_dim,
-        "output_activation": output_activation or "sigmoid_recentered",
-    }, seed=seed)
+    """A model of one of the kinds in ``_KINDS``: parameters ``theta``, or
+    initialized from ``seed``.  A shape field left as None takes the kind's
+    default; a field the kind does not have is ignored."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of "
+                         f"{tuple(_KINDS)}")
+    defaults, layers, penalty_layers = _KINDS[kind]
+    given = {"hidden_dim": hidden_dim, "output_dim": output_dim,
+             "latent_dim": latent_dim, "output_activation": output_activation}
+    fields = {name: type(default)(default if given.get(name) is None
+                                  else given[name])
+              for name, default in defaults.items()}
+    act = fields.get("output_activation", "linear")
+    if act not in ("sigmoid_recentered", "linear"):
+        raise ValueError(f"unknown output activation {act!r}")
+    model = Model(input_dim, layers(int(input_dim), fields), theta, seed)
+    model.kind, model.penalty_layers, model._fields = \
+        kind, penalty_layers, fields
+    return model
 
 
 def save_model(model: Model, path) -> None:
@@ -491,7 +414,9 @@ def save_model(model: Model, path) -> None:
 
 def model_from_meta(meta: dict, theta) -> Model:
     """Rebuild a model from shape metadata plus a flat parameter vector."""
-    return _build(meta, theta=np.asarray(theta, dtype=np.float64))
+    return make_model(meta["kind"], meta["input_dim"], theta=theta, **{
+        name: meta.get(name) for name in ("hidden_dim", "output_dim",
+                                          "latent_dim", "output_activation")})
 
 
 def load_model(path) -> Model:

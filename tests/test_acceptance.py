@@ -18,7 +18,7 @@ from dpswgrad.cli import main as cli_main
 from dpswgrad.data import GenerationConfig, generate_biased
 from dpswgrad.dp_gradient import ClipConfig, penalized_objective
 from dpswgrad.fairness_train import TrainConfig, dpsgd_train
-from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
+from dpswgrad.models import make_model
 from dpswgrad.ot_core import quantile_coupling, w2_grad, w2_squared
 from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               calibrate_noise, compose_subsampled_gaussian,
@@ -127,8 +127,8 @@ def test_c2_gradient_correctness():
         # 50 instances through the two-layer regressor (sliced, pinned dirs)
         done = 0
         while done < 50:
-            model = Mlp2Model(3, hidden_dim=4, output_dim=2,
-                              seed=int(rng.integers(1e9)))
+            model = make_model("mlp2", 3, hidden_dim=4, output_dim=2,
+                               seed=int(rng.integers(1e9)))
             dirs = sample_directions(2, 5, seed=int(rng.integers(1e9)))
             x = rng.normal(size=(int(rng.integers(3, 7)), 3))
             z = rng.normal(size=(int(rng.integers(3, 7)), 3))
@@ -160,7 +160,7 @@ def _one_sided_audit(clip_bounds, n, sliced, trials, seed, k=20):
     clip = ClipConfig(out_b, j1, j2, 0.0)
     rng = np.random.default_rng(seed)
     if sliced:
-        model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=seed)
+        model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=seed)
         dirs = sample_directions(2, k, seed=seed + 1)
     else:
         model = make_model("affine_sigmoid", 3, seed=seed)
@@ -204,7 +204,8 @@ def test_c4_sensitivity_obedience():
             seed = 777 + sliced
             rng = np.random.default_rng(seed)
             if sliced:
-                model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=seed)
+                model = make_model("mlp2", 3, hidden_dim=4, output_dim=2,
+                                   seed=seed)
                 dirs = sample_directions(2, 20, seed=seed)
             else:
                 model = make_model("affine_sigmoid", 3, seed=seed)
@@ -320,8 +321,10 @@ def test_c5_counterexample():
         gaps = [w2_counterexample_contrast(n) for n in (10, 100, 1000)]
         for n, gap in zip((10, 100, 1000), gaps):
             assert gap <= sensitivity_bound(
-                AffineModel(1, 1, theta=np.array([1.0, 0.0])),
-                [(n, IdentityModel(1), None)], 1.0, ClipConfig(1.0, 1.0, 0.0))
+                make_model("affine", 1, output_dim=1,
+                           theta=np.array([1.0, 0.0])),
+                [(n, make_model("identity", 1), None)], 1.0,
+                ClipConfig(1.0, 1.0, 0.0))
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 
@@ -404,7 +407,8 @@ def test_c8_norm_bound():
             j2 = float(rng.uniform(0.0, 2.0))
             clip = ClipConfig(out_b, j1, j2, 0.0)
             if sliced:
-                model = Mlp2Model(2, hidden_dim=3, output_dim=2, seed=trial)
+                model = make_model("mlp2", 2, hidden_dim=3, output_dim=2,
+                                   seed=trial)
             else:
                 model = make_model("affine_sigmoid", 2, seed=trial)
             model.theta *= float(rng.uniform(1.0, 25.0))

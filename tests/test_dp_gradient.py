@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from dpswgrad.dp_gradient import ClipConfig, clip_rows, penalized_objective
-from dpswgrad.models import (AffineModel, AffineSigmoidModel,
-                             AutoencoderModel, IdentityModel, Mlp2Model,
-                             make_model)
+from dpswgrad.models import make_model
 from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns, w2_squared,
                               w2_squared_columns)
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
@@ -136,7 +134,8 @@ class TestClippedWassersteinGrad1D:
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 25:
-            model = make_model("affine_sigmoid", 3, seed=int(rng.integers(1e6)))
+            model = make_model("affine_sigmoid", 3,
+                               seed=int(rng.integers(1e6)))
             x = rng.normal(size=(6, 3))
             z = rng.normal(size=(4, 3))
             u = model.forward_batch(x)[:, 0]
@@ -154,7 +153,7 @@ class TestClippedWassersteinGrad1D:
         # data-generation shape: the z side is an identity map (no params)
         rng = np.random.default_rng(4)
         gen = make_model("affine_sigmoid", 2, seed=5)
-        ident = IdentityModel(1)
+        ident = make_model("identity", 1)
         x = rng.normal(size=(5, 1))
         z = rng.normal(size=(7, 2))
         grad = penalized_objective(gen, [(z, ident, x)], 1.0, NO_CLIP)[3]
@@ -166,7 +165,8 @@ class TestClippedWassersteinGrad1D:
     def test_outputs_beyond_bound_match_explicit_clamp(self):
         # scalar outputs take the one-direction sliced path, whose row
         # scaling may differ from a clamp to [-B, B] by an ulp
-        model = AffineModel(2, 1, theta=np.array([1.0, 0.5, 0.0]))
+        model = make_model("affine", 2, output_dim=1,
+                           theta=np.array([1.0, 0.5, 0.0]))
         x = np.array([[49.0, 0.0], [0.3, -0.2], [-3.1, 1.0], [0.3, 0.1]])
         z = np.array([[0.1, 0.4], [-3.0, 0.0], [0.2, 0.3]])
         clip = ClipConfig(0.9, 1.0, 1.0)
@@ -201,8 +201,8 @@ class TestClippedWassersteinGradSliced:
         dirs = sample_directions(2, 7, seed=9)
         checked = 0
         while checked < 10:
-            model = Mlp2Model(3, hidden_dim=4, output_dim=2,
-                              seed=int(rng.integers(1e6)))
+            model = make_model("mlp2", 3, hidden_dim=4, output_dim=2,
+                               seed=int(rng.integers(1e6)))
             x = rng.normal(size=(5, 3))
             z = rng.normal(size=(6, 3))
             pu = model.forward_batch(x) @ dirs.T
@@ -218,13 +218,13 @@ class TestClippedWassersteinGradSliced:
             checked += 1
 
     def test_requires_directions_for_multidim_outputs(self):
-        model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=0)
+        model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
             penalized_objective(model, [(x, model, x)], 1.0, NO_CLIP)
 
     def test_dimension_mismatch_rejected(self):
-        model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=0)
+        model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         dirs = sample_directions(3, 4, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
@@ -238,8 +238,8 @@ class TestClippedWassersteinGradSliced:
             j1 = float(rng.uniform(0.0, 2.0))
             j2 = float(rng.uniform(0.0, 2.0))
             clip = ClipConfig(out_b, j1, j2, 0.0)
-            model = Mlp2Model(2, hidden_dim=3, output_dim=2,
-                              seed=trial)
+            model = make_model("mlp2", 2, hidden_dim=3, output_dim=2,
+                               seed=trial)
             # scale parameters up so clipping actually bites
             model.theta *= rng.uniform(1.0, 30.0)
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
@@ -249,7 +249,7 @@ class TestClippedWassersteinGradSliced:
             assert np.linalg.norm(grad) <= 4 * out_b * (j1 + j2) + 1e-10
 
     def test_clipping_noop_when_bounds_loose(self):
-        model = Mlp2Model(2, hidden_dim=3, output_dim=2, seed=1)
+        model = make_model("mlp2", 2, hidden_dim=3, output_dim=2, seed=1)
         dirs = sample_directions(2, 6, seed=2)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 2))
@@ -382,8 +382,8 @@ class TestObjectiveGrads:
             penalized_objective(model, [(slice(0, 6), model, x1)], 0.5, clip)
         with pytest.raises(ValueError, match="ERM"):
             penalized_objective(
-                model, [(slice(0, 6), IdentityModel(1), slice(6, 12))], 0.5,
-                clip, erm=erm)
+                model, [(slice(0, 6), make_model("identity", 1),
+                         slice(6, 12))], 0.5, clip, erm=erm)
         with pytest.raises(ValueError, match="non-empty"):
             penalized_objective(model, [(slice(0, 6), model, slice(6, 6))],
                                 0.5, clip, erm=erm)
@@ -399,14 +399,14 @@ class TestObjectiveGrads:
 
     def test_reference_pair_matches_plain_gradient(self):
         # generation: model outputs against a parameter-free reference
-        model = Mlp2Model(2, hidden_dim=3, output_dim=2,
-                          output_activation="linear", seed=4)
+        model = make_model("mlp2", 2, hidden_dim=3, output_dim=2,
+                           output_activation="linear", seed=4)
         dirs = sample_directions(2, 5, seed=1)
         rng = np.random.default_rng(9)
         x, z = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
         clip = ClipConfig(1.0, 1.0, 0.0)
         _, w_val, total, g = penalized_objective(
-            model, [(x, IdentityModel(2), z)], 1.0, clip, dirs)
+            model, [(x, make_model("identity", 2), z)], 1.0, clip, dirs)
         # the model's side alone, summed sample by sample and direction by
         # direction; the reference side has no parameters
         u = clip_rows(model.forward_batch(x), 1.0) @ dirs.T
@@ -423,7 +423,8 @@ class TestTiedOutputs:
     def test_saturated_outputs_take_the_stable_rank_path(self, alpha):
         # every scalar output lies beyond the bound 0.5 and clips to exactly
         # +-0.5 (the scales are powers of two), so every value is tied
-        model = AffineModel(2, 1, theta=np.array([1.0, 0.0, 0.0]))
+        model = make_model("affine", 2, output_dim=1,
+                           theta=np.array([1.0, 0.0, 0.0]))
         rng = np.random.default_rng(10)
         n, m = 40, 33
         x = np.column_stack([rng.choice([-4.0, -2.0, 2.0, 8.0], n),
@@ -461,14 +462,14 @@ class TestTiedOutputs:
 # every model kind, with 3 inputs; the tests scale theta by 4 so that the
 # far inputs of _ghost_inputs saturate the first-layer sigmoids
 _GHOST_MODELS = {
-    "identity": lambda: IdentityModel(3),
-    "affine": lambda: AffineModel(3, 2, seed=1),
-    "affine_sigmoid": lambda: AffineSigmoidModel(3, seed=2),
-    "mlp2": lambda: Mlp2Model(3, hidden_dim=5, output_dim=2, seed=3),
-    "mlp2_linear": lambda: Mlp2Model(3, hidden_dim=5, output_dim=2,
-                                     output_activation="linear", seed=4),
-    "autoencoder": lambda: AutoencoderModel(3, hidden_dim=4, latent_dim=2,
-                                            seed=5),
+    "identity": lambda: make_model("identity", 3),
+    "affine": lambda: make_model("affine", 3, output_dim=2, seed=1),
+    "affine_sigmoid": lambda: make_model("affine_sigmoid", 3, seed=2),
+    "mlp2": lambda: make_model("mlp2", 3, hidden_dim=5, output_dim=2, seed=3),
+    "mlp2_linear": lambda: make_model("mlp2", 3, hidden_dim=5, output_dim=2,
+                                      output_activation="linear", seed=4),
+    "autoencoder": lambda: make_model("autoencoder", 3, hidden_dim=4,
+                                      latent_dim=2, seed=5),
 }
 
 
@@ -578,7 +579,8 @@ class TestGhostClipping:
     def test_overflowing_ghost_norm_is_clipped_not_zeroed(self):
         # the Jacobian row [x, 1] of the first sample has a squared norm
         # beyond the float range; it is clipped to the bound, not dropped
-        model = AffineModel(2, 1, theta=np.array([1.0, 1.0, 0.0]))
+        model = make_model("affine", 2, output_dim=1,
+                           theta=np.array([1.0, 1.0, 0.0]))
         x = np.array([[1e160, -3e159], [0.3, -0.2], [2.0, 1.0]])
         z = np.array([[0.1], [-0.2], [0.4]])
         grads = model.penalty_trace(x).backward(np.ones((1, 1, 1)))
@@ -602,7 +604,7 @@ class TestGhostClipping:
 
         bound = 0.75
         clip = ClipConfig(0.5, bound, bound)
-        reference = IdentityModel(1)
+        reference = make_model("identity", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = penalized_objective(model, [(x[:1], reference, z)], 1.0,

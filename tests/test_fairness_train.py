@@ -13,7 +13,7 @@ from dpswgrad.data import (GenerationConfig, centered_targets,
 from dpswgrad.dp_gradient import ClipConfig
 from dpswgrad.fairness_train import (TrainConfig, dpsgd_train, metrics,
                                      subsample_partitioned)
-from dpswgrad.models import AffineModel, AffineSigmoidModel, Model
+from dpswgrad.models import Model, make_model
 
 from oracles import central_diff, w2_squared_quantile_oracle
 
@@ -81,7 +81,7 @@ class TestMicroInstanceOracle:
         rec = dpsgd_train(cfg, ds)
 
         # hand-computed objective via independent pieces, differentiated by fd
-        theta0 = AffineSigmoidModel(ds.dim, seed=7).theta
+        theta0 = make_model("affine_sigmoid", ds.dim, seed=7).theta
         idx0, idx1 = part.indices[0], part.indices[1]
 
         def objective(theta):
@@ -111,7 +111,8 @@ class TestMicroInstanceOracle:
                           clip=ClipConfig.symmetric(2.0, 2.0, 1e9),
                           batch_fraction=1.0, model_kind="affine", seed=0)
         rec = dpsgd_train(cfg, ds)
-        model = AffineModel(ds.dim, 2, theta=rec.final_theta)
+        model = make_model("affine", ds.dim, output_dim=2,
+                           theta=rec.final_theta)
         assert np.max(np.abs(model.forward_batch(ds.x) - ls_pred)) < 1e-3
 
 
@@ -349,14 +350,17 @@ class _StubModel:
     def forward_batch(self, x):
         return self._outputs
 
-    def penalty_trace(self, x):
-        return types.SimpleNamespace(output=self._codes)
+    def trace(self, x):
+        codes = types.SimpleNamespace(output=self._codes)
+        return types.SimpleNamespace(output=self._outputs,
+                                     penalty_rows=lambda rows: codes)
 
 
 class TestMetrics:
     def test_identical_predictions_give_di_one(self):
         ds = _dataset(500, seed=15)
-        model = AffineSigmoidModel(ds.dim, theta=np.zeros(ds.dim + 1))
+        model = make_model("affine_sigmoid", ds.dim,
+                           theta=np.zeros(ds.dim + 1))
         model.theta[-1] = 10.0  # predicts 1 for everyone
         table = metrics(ds, model, "classification_sp")
         assert table["di"] == pytest.approx(1.0)
@@ -365,7 +369,8 @@ class TestMetrics:
 
     def test_degenerate_rates_reported_as_nan(self):
         ds = _dataset(500, seed=16)
-        model = AffineSigmoidModel(ds.dim, theta=np.zeros(ds.dim + 1))
+        model = make_model("affine_sigmoid", ds.dim,
+                           theta=np.zeros(ds.dim + 1))
         model.theta[-1] = -10.0  # predicts 0 for everyone
         table = metrics(ds, model, "classification_sp")
         assert math.isnan(table["di"])
@@ -375,6 +380,22 @@ class TestMetrics:
         stub = _StubModel(ds.x, codes=ds.x[:, :2])
         table = metrics(ds, stub, "autoencoder_sp")
         assert table["rl"] == 0.0 and table["rl_core"] == 0.0
+
+    def test_one_trace_of_the_autoencoder_test_set(self, monkeypatch):
+        # the reconstruction and the latent codes come from one trace; the
+        # probe classifier fit on the codes traces itself and is not counted
+        ds = _dataset(200, seed=17)
+        model = make_model("autoencoder", ds.dim, hidden_dim=4, seed=0)
+        traced = []
+        trace = Model._trace
+
+        def counted(self, x, depth):
+            traced.append(self is model)
+            return trace(self, x, depth)
+
+        monkeypatch.setattr(Model, "_trace", counted)
+        metrics(ds, model, "autoencoder_sp")
+        assert sum(traced) == 1
 
     def test_exact_regression_diagonal_fractions(self):
         # model returning the centered continuous response: the fraction of

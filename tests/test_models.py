@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from dpswgrad.models import (AffineModel, AffineSigmoidModel,
-                             AutoencoderModel, IdentityModel, Mlp2Model,
-                             Model, load_model, make_model, save_model)
+from dpswgrad.models import (Model, load_model, make_model, model_from_meta,
+                             save_model)
 
 from oracles import (central_diff, central_diff_jacobian, forward,
                      penalty_jacobian_batch, per_sample_jacobian,
@@ -39,26 +38,27 @@ def _loss_grad_fd(model, x, target, loss_kind, h=1e-6):
 
 class TestIdentity:
     def test_forward_is_input(self):
-        m = IdentityModel(3)
+        m = make_model("identity", 3)
         x = np.array([0.3, -1.0, 2.0])
         np.testing.assert_array_equal(forward(m, x), x)
 
     def test_jacobian_is_empty(self):
-        m = IdentityModel(3)
+        m = make_model("identity", 3)
         assert per_sample_jacobian(m, np.zeros(3)).shape == (3, 0)
         assert m.n_params == 0
 
 
 class TestAffine:
     def test_forward_is_linear(self):
-        m = AffineModel(2, 2, theta=np.array([1.0, 0.0, 0.0, 1.0, 0.5, -0.5]))
+        m = make_model("affine", 2, output_dim=2,
+                       theta=np.array([1.0, 0.0, 0.0, 1.0, 0.5, -0.5]))
         np.testing.assert_allclose(forward(m, np.array([2.0, 3.0])),
                                    [2.5, 2.5])
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(40)
         for i in range(50):
-            m = AffineModel(3, 2, seed=i)
+            m = make_model("affine", 3, output_dim=2, seed=i)
             x = rng.normal(size=3)
             assert rel_err(per_sample_jacobian(m, x),
                            _theta_jacobian_fd(m, x)) < 1e-5
@@ -66,7 +66,7 @@ class TestAffine:
     def test_squared_error_gradient_fd(self):
         rng = np.random.default_rng(41)
         for i in range(50):
-            m = AffineModel(3, 2, seed=i)
+            m = make_model("affine", 3, output_dim=2, seed=i)
             x = rng.normal(size=3)
             y = rng.normal(size=2)
             g = per_sample_loss_grad(m, x, y, "squared_error")
@@ -75,20 +75,20 @@ class TestAffine:
 
 class TestAffineSigmoid:
     def test_zero_parameters_give_half(self):
-        m = AffineSigmoidModel(4, theta=np.zeros(5))
+        m = make_model("affine_sigmoid", 4, theta=np.zeros(5))
         for x in np.random.default_rng(0).normal(size=(5, 4)):
             assert forward(m, x)[0] == 0.5
 
     def test_jacobian_at_zero_theta(self):
         x = np.array([0.7, -0.2])
-        m = AffineSigmoidModel(2, theta=np.zeros(3))
+        m = make_model("affine_sigmoid", 2, theta=np.zeros(3))
         jac = per_sample_jacobian(m, x)
         np.testing.assert_allclose(jac, 0.25 * np.array([[0.7, -0.2, 1.0]]))
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for i in range(60):
-            m = AffineSigmoidModel(3, seed=i)
+            m = make_model("affine_sigmoid", 3, seed=i)
             x = rng.normal(size=3)
             assert rel_err(per_sample_jacobian(m, x),
                            _theta_jacobian_fd(m, x)) < 1e-5
@@ -96,7 +96,7 @@ class TestAffineSigmoid:
     def test_bce_gradient_closed_form_and_fd(self):
         rng = np.random.default_rng(2)
         for i in range(40):
-            m = AffineSigmoidModel(3, seed=100 + i)
+            m = make_model("affine_sigmoid", 3, seed=100 + i)
             xs = rng.normal(size=(4, 3))
             ys = rng.integers(0, 2, size=4).astype(float)
             values, grads = m.trace(xs).loss_and_grads(ys, "bce")
@@ -110,7 +110,7 @@ class TestAffineSigmoid:
                 assert rel_err(g, _loss_grad_fd(m, x, y, "bce")) < 1e-5
 
     def test_bce_rejects_non_binary_targets(self):
-        m = AffineSigmoidModel(2, seed=0)
+        m = make_model("affine_sigmoid", 2, seed=0)
         with pytest.raises(ValueError, match="0 or 1"):
             m.trace(np.zeros((1, 2))).loss(np.array([0.5]), "bce")
         with pytest.raises(ValueError, match="0 or 1"):
@@ -120,7 +120,7 @@ class TestAffineSigmoid:
 class TestMlp2:
     def _reference_forward(self, m, x):
         # independent straightforward re-implementation with explicit loops
-        h, q, d = m.hidden_dim, m.input_dim, m.output_dim
+        h, q, d = m.meta()["hidden_dim"], m.input_dim, m.output_dim
         t = m.theta
         w1 = t[:h * q].reshape(h, q)
         b1 = t[h * q:h * q + h]
@@ -131,7 +131,7 @@ class TestMlp2:
         out = []
         for r in range(d):
             z = np.dot(w2[r], a1) + b2[r]
-            if m.output_activation == "sigmoid_recentered":
+            if m.meta()["output_activation"] == "sigmoid_recentered":
                 out.append(1.0 / (1.0 + np.exp(-z)) - 0.5)
             else:
                 out.append(z)
@@ -140,14 +140,14 @@ class TestMlp2:
     def test_forward_against_duplicate_evaluation(self):
         rng = np.random.default_rng(3)
         for i in range(10):
-            m = Mlp2Model(4, hidden_dim=5, output_dim=2, seed=i)
+            m = make_model("mlp2", 4, hidden_dim=5, output_dim=2, seed=i)
             x = rng.normal(size=4)
             np.testing.assert_allclose(forward(m, x),
                                        self._reference_forward(m, x),
                                        rtol=1e-12)
 
     def test_recentered_outputs_bounded(self):
-        m = Mlp2Model(3, hidden_dim=8, output_dim=2, seed=0)
+        m = make_model("mlp2", 3, hidden_dim=8, output_dim=2, seed=0)
         outs = m.forward_batch(np.random.default_rng(0).normal(size=(50, 3)))
         assert np.all(np.abs(outs) < 0.5)
 
@@ -155,8 +155,8 @@ class TestMlp2:
     def test_jacobian_matches_finite_differences(self, activation):
         rng = np.random.default_rng(4)
         for i in range(30):
-            m = Mlp2Model(3, hidden_dim=4, output_dim=2,
-                          output_activation=activation, seed=i)
+            m = make_model("mlp2", 3, hidden_dim=4, output_dim=2,
+                           output_activation=activation, seed=i)
             x = rng.normal(size=3)
             assert rel_err(per_sample_jacobian(m, x),
                            _theta_jacobian_fd(m, x)) < 1e-5
@@ -164,32 +164,32 @@ class TestMlp2:
     def test_squared_error_gradient_fd(self):
         rng = np.random.default_rng(5)
         for i in range(40):
-            m = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=50 + i)
+            m = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=50 + i)
             x = rng.normal(size=3)
             y = rng.uniform(-0.4, 0.4, size=2)
             g = per_sample_loss_grad(m, x, y, "squared_error")
             assert rel_err(g, _loss_grad_fd(m, x, y, "squared_error")) < 1e-5
 
     def test_gradient_zero_at_exact_fit(self):
-        m = Mlp2Model(2, hidden_dim=3, output_dim=2, seed=0)
+        m = make_model("mlp2", 2, hidden_dim=3, output_dim=2, seed=0)
         x = np.array([0.1, 0.2])
         y = forward(m, x)
         g = per_sample_loss_grad(m, x, y, "squared_error")
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
     def test_bce_rejected(self):
-        m = Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0)
+        m = make_model("mlp2", 2, hidden_dim=3, output_dim=1, seed=0)
         with pytest.raises(ValueError):
             m.trace(np.zeros((1, 2))).loss_and_grads(np.zeros(1), "bce")
 
 
 @pytest.mark.parametrize("model", [
-    IdentityModel(1),
-    AffineModel(2, 1, seed=0),
-    Mlp2Model(2, hidden_dim=3, output_dim=1, seed=0),
-    Mlp2Model(2, hidden_dim=3, output_dim=1, output_activation="linear",
-              seed=0),
-    AutoencoderModel(2, hidden_dim=3, latent_dim=1, seed=0),
+    make_model("identity", 1),
+    make_model("affine", 2, output_dim=1, seed=0),
+    make_model("mlp2", 2, hidden_dim=3, output_dim=1, seed=0),
+    make_model("mlp2", 2, hidden_dim=3, output_dim=1,
+               output_activation="linear", seed=0),
+    make_model("autoencoder", 2, hidden_dim=3, latent_dim=1, seed=0),
     Model(2, [(2, "sigmoid")], seed=0),
 ], ids=["identity", "affine", "mlp2", "mlp2_linear", "autoencoder",
         "two_sigmoid_outputs"])
@@ -206,7 +206,8 @@ class TestAutoencoder:
     def test_reconstruction_jacobian_fd(self):
         rng = np.random.default_rng(6)
         for i in range(40):
-            m = AutoencoderModel(3, hidden_dim=4, latent_dim=2, seed=i)
+            m = make_model("autoencoder", 3, hidden_dim=4, latent_dim=2,
+                           seed=i)
             x = rng.normal(size=3)
             assert rel_err(per_sample_jacobian(m, x),
                            _theta_jacobian_fd(m, x)) < 1e-5
@@ -214,7 +215,8 @@ class TestAutoencoder:
     def test_latent_jacobian_fd(self):
         rng = np.random.default_rng(7)
         for i in range(30):
-            m = AutoencoderModel(3, hidden_dim=4, latent_dim=2, seed=10 + i)
+            m = make_model("autoencoder", 3, hidden_dim=4, latent_dim=2,
+                           seed=10 + i)
             x = rng.normal(size=3)
             base = m.theta.copy()
 
@@ -229,7 +231,7 @@ class TestAutoencoder:
             assert rel_err(got, fd) < 1e-5
 
     def test_latent_jacobian_zero_on_decoder_block(self):
-        m = AutoencoderModel(3, hidden_dim=4, latent_dim=2, seed=0)
+        m = make_model("autoencoder", 3, hidden_dim=4, latent_dim=2, seed=0)
         jac = penalty_jacobian_batch(m, np.zeros((1, 3)))[0]
         n_encoder = (3 + 1) * 4 + (4 + 1) * 2    # 3 -> 4 -> 2 layers
         assert np.all(jac[:, n_encoder:] == 0.0)
@@ -238,13 +240,14 @@ class TestAutoencoder:
     def test_reconstruction_gradient_fd(self):
         rng = np.random.default_rng(8)
         for i in range(30):
-            m = AutoencoderModel(3, hidden_dim=4, latent_dim=2, seed=20 + i)
+            m = make_model("autoencoder", 3, hidden_dim=4, latent_dim=2,
+                           seed=20 + i)
             x = rng.normal(size=3)
             g = per_sample_loss_grad(m, x, x, "squared_error")
             assert rel_err(g, _loss_grad_fd(m, x, x, "squared_error")) < 1e-5
 
     def test_perfect_reconstruction_zero_gradient(self):
-        m = AutoencoderModel(2, hidden_dim=3, latent_dim=2, seed=0)
+        m = make_model("autoencoder", 2, hidden_dim=3, latent_dim=2, seed=0)
         x = np.array([0.4, -0.1])
         target = forward(m, x)  # pretend the target is whatever it outputs
         g = per_sample_loss_grad(m, x, target, "squared_error")
@@ -253,11 +256,29 @@ class TestAutoencoder:
 
 class TestFactoryAndCheckpoint:
     def test_factory_defaults(self):
-        assert make_model("mlp2", 16, seed=0).hidden_dim == 64
-        assert make_model("autoencoder", 16, seed=0).hidden_dim == 62
-        assert make_model("autoencoder", 16, seed=0).latent_dim == 2
+        assert make_model("mlp2", 16, seed=0).meta()["hidden_dim"] == 64
+        assert make_model("autoencoder", 16, seed=0).meta()["hidden_dim"] == 62
+        assert make_model("autoencoder", 16, seed=0).meta()["latent_dim"] == 2
         with pytest.raises(ValueError):
             make_model("transformer", 4, seed=0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_model("transformer", 4, seed=0),
+         r"^unknown model kind 'transformer'; expected one of \('identity', "
+         r"'affine', 'affine_sigmoid', 'mlp2', 'autoencoder'\)$"),
+        (lambda: Model(2, [(2, "tanh")]), r"^unknown activation 'tanh'$"),
+        (lambda: make_model("mlp2", 3, hidden_dim=0, seed=0),
+         r"^layer dimensions must be >= 1$"),
+        (lambda: make_model("mlp2", 3, hidden_dim=4, theta=np.zeros(25)),
+         r"^theta size must be 26$"),
+        (lambda: make_model("affine", 3), r"^a seed is required"),
+        (lambda: make_model("mlp2", 3, output_activation="sigmoid", seed=0),
+         r"^unknown output activation 'sigmoid'$"),
+    ], ids=["kind", "activation", "width", "theta_size", "no_seed",
+            "output_activation"])
+    def test_construction_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_seeded_init_reproducible(self):
         a = make_model("mlp2", 5, seed=9)
@@ -266,9 +287,17 @@ class TestFactoryAndCheckpoint:
         c = make_model("mlp2", 5, seed=10)
         assert not np.array_equal(a.theta, c.theta)
 
-    @pytest.mark.parametrize("kind", ["identity", "affine", "affine_sigmoid",
-                                      "mlp2", "autoencoder"])
-    def test_checkpoint_round_trip(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind, meta", [
+        ("identity", {"output_dim": 4}),
+        ("affine", {"output_dim": 2}),
+        ("affine_sigmoid", {"output_dim": 1}),
+        ("mlp2", {"output_dim": 2, "hidden_dim": 64,
+                  "hidden_activation": "sigmoid",
+                  "output_activation": "sigmoid_recentered"}),
+        ("autoencoder", {"output_dim": 4, "hidden_dim": 62,
+                         "hidden_activation": "sigmoid", "latent_dim": 2}),
+    ])
+    def test_checkpoint_round_trip(self, tmp_path, kind, meta):
         m = make_model(kind, 4, seed=3)
         path = tmp_path / "model.json"
         save_model(m, path)
@@ -277,6 +306,19 @@ class TestFactoryAndCheckpoint:
         np.testing.assert_array_equal(m2.theta, m.theta)
         x = np.random.default_rng(0).normal(size=(6, 4))
         np.testing.assert_array_equal(m.forward_batch(x), m2.forward_batch(x))
+        # the metadata records and artifacts store, field for field and
+        # type for type (ints stay ints)
+        expected = {"kind": kind, "input_dim": 4, **meta}
+
+        def typed(doc):
+            return {key: (value, type(value)) for key, value in doc.items()}
+
+        rebuilt = model_from_meta(m.meta(), m.theta)
+        assert typed(m.meta()) == typed(expected)
+        assert typed(rebuilt.meta()) == typed(expected)
+        for trace in ("trace", "penalty_trace"):
+            np.testing.assert_array_equal(getattr(rebuilt, trace)(x).output,
+                                          getattr(m, trace)(x).output)
 
     def test_sigmoid_outputs_in_unit_interval(self):
         m = make_model("affine_sigmoid", 4, seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpswgrad.dp_gradient import ClipConfig, penalized_objective
-from dpswgrad.models import AffineModel, IdentityModel, Mlp2Model, make_model
+from dpswgrad.models import make_model
 from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
@@ -52,13 +52,14 @@ class TestClosedFormBounds:
     def test_parameter_free_and_public_sides(self):
         # generation: the reference map has no parameters, so J = 0 there
         # whatever the clip says; a public side adds no term
-        gen = Mlp2Model(2, hidden_dim=3, output_dim=2, seed=0)
+        gen = make_model("mlp2", 2, hidden_dim=3, output_dim=2, seed=0)
         clip = ClipConfig(1.0, 1.0, 7.0)
-        assert sensitivity_bound(gen, [(10, IdentityModel(2), 1000)], 1.0,
+        ident = make_model("identity", 2)
+        assert sensitivity_bound(gen, [(10, ident, 1000)], 1.0,
                                  clip) == pytest.approx(1.2)
-        assert sensitivity_bound(gen, [(1000, IdentityModel(2), 1)], 1.0,
+        assert sensitivity_bound(gen, [(1000, ident, 1)], 1.0,
                                  clip) == pytest.approx(4.0)
-        assert sensitivity_bound(gen, [(None, IdentityModel(2), 1)], 1.0,
+        assert sensitivity_bound(gen, [(None, ident, 1)], 1.0,
                                  clip) == pytest.approx(4.0)
         assert sensitivity_bound(MODEL, [(None, MODEL, None)], 1.0,
                                  clip) == 0.0
@@ -158,7 +159,7 @@ def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
     clip = ClipConfig(out_b, j1, j2, 0.0)
     rng = np.random.default_rng(seed)
     if sliced:
-        model = Mlp2Model(3, hidden_dim=4, output_dim=2, seed=seed)
+        model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=seed)
         dirs = sample_directions(2, 20, seed=seed + 1)
     else:
         model = make_model("affine_sigmoid", 3, seed=seed)
@@ -207,7 +208,7 @@ class TestEmpiricalAuditor:
         clip = ClipConfig(1.0, 1.0, 0.0, 0.0)
         gen = make_model("affine_sigmoid", 2, seed=9)
         gen.theta *= 6.0
-        ident = IdentityModel(1)
+        ident = make_model("identity", 1)
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, size=(n, 1))
         z = rng.normal(size=(40, 2))
@@ -309,8 +310,10 @@ class TestCounterexample:
             # construction constants: outputs bounded by 1, shift map is
             # 1-Lipschitz in its parameter, reference side has no parameters
             assert gap <= sensitivity_bound(
-                AffineModel(1, 1, theta=np.array([1.0, 0.0])),
-                [(n, IdentityModel(1), None)], 1.0, ClipConfig(1.0, 1.0, 0.0))
+                make_model("affine", 1, output_dim=1,
+                           theta=np.array([1.0, 0.0])),
+                [(n, make_model("identity", 1), None)], 1.0,
+                ClipConfig(1.0, 1.0, 0.0))
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 
