@@ -296,7 +296,7 @@ class TestFactoryAndCheckpoint:
                   "output_activation": "sigmoid_recentered"}),
         ("autoencoder", {"output_dim": 4, "hidden_dim": 62,
                          "hidden_activation": "sigmoid", "latent_dim": 2}),
-    ])
+    ], ids=["identity", "affine", "affine_sigmoid", "mlp2", "autoencoder"])
     def test_checkpoint_round_trip(self, tmp_path, kind, meta):
         m = make_model(kind, 4, seed=3)
         path = tmp_path / "model.json"
