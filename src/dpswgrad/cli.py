@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -538,7 +539,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters, and a size above any one step's temporaries
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_BYTES = 256 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep the memory a training step frees for the
+    next step, instead of returning it to the system at every ``free`` and
+    faulting it in again: blocks up to ``_KEEP_BYTES`` come from the heap,
+    and the heap is trimmed only above that much free memory at its top.
+    A no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no loadable C library (TypeError: Windows takes no None), or
+        # one without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        mallopt(param, _KEEP_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "replay":

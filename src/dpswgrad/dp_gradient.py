@@ -150,9 +150,10 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
     if d != dirs.shape[1]:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.shape[1]}-dimensional")
+    # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
     return (tx, tz, dirs,
-            clip_rows(tx.output, output_bound) @ dirs.T,
-            clip_rows(tz.output, output_bound) @ dirs.T)
+            (dirs @ clip_rows(tx.output, output_bound).T).T,
+            (dirs @ clip_rows(tz.output, output_bound).T).T)
 
 
 def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: np.ndarray):

@@ -16,7 +16,11 @@ gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
 model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
 that layer's pre-activation.  A trace of a whole batch also serves the
 penalty of any block of its rows (:meth:`Trace.penalty_rows`), so a
-training step traces its batch once.  The per-sample gradients are never
+training step traces its batch once.  A trace computes each sigmoid
+layer's derivative ``s (1 - s)`` once, at its first backward, and a block
+of its rows reads row views of it; each backward multiplies it in place
+into the fresh arrays its matmuls return.  The sigmoid itself is
+``1 / (1 + exp(-z))`` in one buffer.  The per-sample gradients are never
 built.
 :class:`LayerGrads` gives their row norms from the ghost-norm identity (a
 dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
@@ -37,7 +41,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.special import expit
 
 from .jsonio import write_json
 
@@ -150,7 +153,7 @@ class Model:
         for lo, mid, hi, shape, act in self._layers[:depth]:
             z = acts[-1] @ self.theta[lo:mid].reshape(shape).T \
                 + self.theta[mid:hi]
-            s = None if act == "linear" else expit(z)
+            s = None if act == "linear" else _sigmoid(z)
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
@@ -175,18 +178,36 @@ class Trace:
     one's output, ``sigs`` each layer's sigmoid values (None for a linear
     layer) and ``logit`` the last one's pre-activation (None without
     layers, and in a :meth:`penalty_rows` block that stops short of the
-    last layer).
+    last layer).  Each sigmoid layer's derivative ``s (1 - s)`` is computed
+    once, at the first backward that needs it (:meth:`_derivatives`).
     """
 
-    def __init__(self, model: Model, acts: list, sigs: list, logit):
+    def __init__(self, model: Model, acts: list, sigs: list, logit,
+                 rows_of=None):
         self.model = model
         self.acts = acts
         self.sigs = sigs
         self.logit = logit
+        self._derivs = None
+        self._rows_of = rows_of    # (trace, rows) of a penalty_rows block
 
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
+
+    def _derivatives(self) -> list:
+        """Each traced layer's sigmoid derivative ``s (1 - s)`` (None for a
+        linear layer), computed once per trace; a :meth:`penalty_rows`
+        block reads row views of its whole trace's."""
+        if self._derivs is None:
+            if self._rows_of is None:
+                self._derivs = [s if s is None else s * (1.0 - s)
+                                for s in self.sigs]
+            else:
+                whole, rows = self._rows_of
+                self._derivs = [d if d is None else d[rows] for d in
+                                whole._derivatives()[:len(self.sigs)]]
+        return self._derivs
 
     def penalty_rows(self, rows: slice) -> "Trace":
         """Rows ``rows`` of this whole-stack trace, cut at the layers the
@@ -197,7 +218,7 @@ class Trace:
         return Trace(self.model, [a[rows] for a in self.acts[:len(sigs) + 1]],
                      [s if s is None else s[rows] for s in sigs],
                      self.logit[rows] if whole and self.logit is not None
-                     else None)
+                     else None, rows_of=(self, rows))
 
     def _loss(self, targets, loss_kind: str):
         """Per-sample loss values of the traced stack and the (n, d)
@@ -250,12 +271,16 @@ class Trace:
         the last layer's pre-activation, whose derivative is not applied."""
         n, k = self.acts[0].shape[0], cot.shape[1]
         g = np.broadcast_to(cot, (n, k, cot.shape[2]))
+        derivs = self._derivatives()
         cots = [None] * len(self.sigs)
         for i in reversed(range(len(self.sigs))):
             lo, mid, _, shape, _ = self.model._layers[i]
-            s = self.sigs[i]
-            if s is not None and not (at_logit and i == len(self.sigs) - 1):
-                g = g * (s * (1.0 - s))[:, None, :]
+            ds = derivs[i]
+            if ds is not None and not (at_logit and i == len(self.sigs) - 1):
+                if i == len(self.sigs) - 1:
+                    g = g * ds[:, None, :]    # g still broadcasts ``cot``
+                else:
+                    g *= ds[:, None, :]    # g is the matmul's fresh array
             cots[i] = g
             if i:
                 w = self.model.theta[lo:mid].reshape(shape)
@@ -335,6 +360,16 @@ class LayerGrads:
         return total
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` in one new buffer; exactly 0 where ``exp(-z)``
+    overflows, without a warning."""
+    s = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
+
+
 def _init_uniform(seed, shape, stream: int) -> np.ndarray:
     """Uniform [-a, a] weights then bias of one layer with weight shape
     ``(fan_out, fan_in)``, a = 1/sqrt(fan_in), seeded per layer."""
@@ -406,7 +441,15 @@ def make_model(kind: str, input_dim: int, *, seed: int | None = None,
 
 
 def save_model(model: Model, path) -> None:
-    """Persist a model as JSON: kind, shape metadata, flat parameter vector."""
+    """Persist a model as JSON: kind, shape metadata, flat parameter vector.
+
+    Only a model of one of the kinds of :func:`make_model` can be loaded
+    again; any other raises ValueError and writes nothing.
+    """
+    if model.kind not in _KINDS:
+        raise ValueError(f"cannot save a model of kind {model.kind!r}: "
+                         f"load_model rebuilds only the kinds "
+                         f"{tuple(_KINDS)}")
     doc = {"schema": _MODEL_SCHEMA, **model.meta(),
            "theta": [float(t) for t in model.theta]}
     write_json(path, doc)

@@ -25,9 +25,17 @@ At repeated values the gradient depends on which tied sample takes which
 rank; it uses the stable-sort permutation (tied samples keep their input
 order).  Each column is ordered by one default-kind ``argsort``, which is
 cheaper than a stable one.  Where a column's values are distinct, the
-sorting permutation is unique, so that order is the stable one; only
-columns with a tie are sorted again with ``kind="stable"``.  The distance
-alone needs no permutation and takes a plain ``np.sort``.
+sorting permutation is unique, so that order is the stable one; in a
+column with a tie only the runs of equal values are put back in sample
+order.  The distance alone needs no permutation and takes a plain
+``np.sort``.
+
+The column functions take (n, k) blocks, one sample per column, but work
+in the row layout: on the C-contiguous (k, n) transpose, so that each
+sample is one contiguous row to sort, gather and scatter through flat
+indices.  An (n, k) block that is a view of a (k, n) one, as
+``(dirs @ points.T).T`` is, enters without a copy, and the gradients come
+back as such views; a C-ordered block is copied once.
 
 All indices in :class:`QuantileCoupling` are 0-based.
 """
@@ -142,19 +150,33 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     )
 
 
-def _coupled_w2_columns(displacements, weights) -> np.ndarray:
-    """Columnwise W2^2 from the displacements along the coupling."""
-    return weights @ (displacements * displacements)
+def _as_rows(values, name: str) -> np.ndarray:
+    """The C-contiguous (k, n) transpose of an (n, k) block of samples,
+    which is a view (no copy) of an F-ordered block."""
+    return np.ascontiguousarray(_as_columns(values, name).T)
+
+
+def _displacements(us, vs, c: QuantileCoupling) -> np.ndarray:
+    """(k, E) displacements ``us[:, rows] - vs[:, cols]`` of the sorted
+    rows along the coupling."""
+    disp = us[:, c.rows]
+    disp -= vs[:, c.cols]
+    return disp
+
+
+def _coupled_w2_rows(displacements, weights) -> np.ndarray:
+    """Rowwise W2^2 from the (k, E) displacements along the coupling."""
+    return (displacements * displacements) @ weights
 
 
 def w2_squared_columns(u, v) -> np.ndarray:
     """Columnwise W2^2 for stacked samples ``u`` (n, k) and ``v`` (m, k)."""
-    u = _as_columns(u, "u")
-    v = _as_columns(v, "v")
-    us = np.sort(u, axis=0)
-    vs = np.sort(v, axis=0)
-    c = quantile_coupling(u.shape[0], v.shape[0])
-    return _coupled_w2_columns(us[c.rows, :] - vs[c.cols, :], c.weights)
+    u = _as_rows(u, "u")
+    v = _as_rows(v, "v")
+    us = np.sort(u, axis=1)
+    vs = np.sort(v, axis=1)
+    c = quantile_coupling(u.shape[1], v.shape[1])
+    return _coupled_w2_rows(_displacements(us, vs, c), c.weights)
 
 
 def w2_squared(u, v) -> float:
@@ -164,22 +186,43 @@ def w2_squared(u, v) -> float:
     return float(w2_squared_columns(u[:, None], v[:, None])[0])
 
 
-def _stable_sort_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort permutation of every column of ``a`` and the sorted values.
+def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-sort permutation of every row of the C-contiguous ``a`` (k, n),
+    as flat indices into ``a`` (the argsort's ``order + row * n``), and the
+    sorted values.
 
-    One default-kind argsort orders all columns.  A column whose sorted
-    values hold no two equal neighbours has exactly one sorting permutation,
-    which is the stable one; only columns with a tie (``-0.0 == 0.0``
-    included) are sorted again with ``kind="stable"``.
+    One default-kind argsort orders all rows.  It may leave the samples of
+    a run of equal values (``-0.0 == 0.0`` included) out of input order,
+    which only rows with a tie can hold; in those rows the entries are
+    reordered by (run, sample index), which sorts each run by sample index
+    and moves nothing across runs.
     """
-    order = np.argsort(a, axis=0)
-    s = np.take_along_axis(a, order, axis=0)
-    tied = np.flatnonzero((s[1:] == s[:-1]).any(axis=0))
+    k, n = a.shape
+    flat = np.argsort(a, axis=1)
+    flat += np.arange(0, k * n, n)[:, None]
+    s = np.take(a, flat)
+    ties = s[:, 1:] == s[:, :-1]
+    tied = np.flatnonzero(ties.any(axis=1))
     if tied.size:
-        sub = a[:, tied]
-        order[:, tied] = np.argsort(sub, axis=0, kind="stable")
-        s[:, tied] = np.take_along_axis(sub, order[:, tied], axis=0)
-    return order, s
+        # key run * n + flat index: within a row, by run, then by sample
+        base = np.zeros((tied.size, n), dtype=flat.dtype)
+        np.cumsum(~ties[tied], axis=1, out=base[:, 1:])
+        base *= n
+        key = base + flat[tied]
+        key.sort(axis=1)
+        key -= base
+        flat[tied] = key
+        s[tied] = np.take(a, key)
+    return flat, s
+
+
+def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(n, k) view of the (k, n) array that holds ``sorted_rows`` (k, n)
+    at the flat indices ``flat``."""
+    out = np.empty(flat.size)
+    # a scatter from contiguous values is faster than the strided one
+    out[flat] = np.ascontiguousarray(sorted_rows)
+    return out.reshape(flat.shape).T
 
 
 def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,31 +232,33 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shapes as the inputs, using the stable-sort rank permutations at
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
-    come from one default-kind argsort per side, redone stably only on the
-    columns that hold a tie (see :func:`_stable_sort_columns`).  Both
-    sorted gradients are weighted sums of the displacements along the
-    coupling, one sparse product per side.
+    come from one default-kind argsort per side, whose runs of equal values
+    are put in input order only in the rows that hold a tie (see
+    :func:`_stable_sort_rows`).  Both sorted gradients are weighted sums of
+    the displacements along the coupling, one sparse product per side.
+
+    The kernel works on the C-contiguous (k, n) transposes of the blocks,
+    so an (n, k) block that is a view of a (k, n) one, as
+    ``(dirs @ points.T).T`` is, enters without a copy; the gradients are
+    returned in that layout too.
     """
-    u = _as_columns(u, "u")
-    v = _as_columns(v, "v")
-    order_u, us = _stable_sort_columns(u)
-    order_v, vs = _stable_sort_columns(v)
-    c = quantile_coupling(u.shape[0], v.shape[0])
-    disp = us[c.rows, :] - vs[c.cols, :]
-    values = _coupled_w2_columns(disp, c.weights)
+    u = _as_rows(u, "u")
+    v = _as_rows(v, "v")
+    flat_u, us = _stable_sort_rows(u)
+    flat_v, vs = _stable_sort_rows(v)
+    c = quantile_coupling(u.shape[1], v.shape[1])
+    disp = _displacements(us, vs, c)
+    values = _coupled_w2_rows(disp, c.weights)
 
     # grad wrt u_(i): 2 sum_j R[i, j] (u_(i) - v_(j)); wrt v_(j): minus
     # twice the same sum over i; then unsort
-    gu_sorted = c.by_row @ disp
+    gu_sorted = c.by_row @ disp.T
     gu_sorted *= 2.0
-    gv_sorted = c.by_col @ disp
+    gv_sorted = c.by_col @ disp.T
     gv_sorted *= -2.0
-
-    grad_u = np.empty_like(gu_sorted)
-    grad_v = np.empty_like(gv_sorted)
-    np.put_along_axis(grad_u, order_u, gu_sorted, axis=0)
-    np.put_along_axis(grad_v, order_v, gv_sorted, axis=0)
-    return grad_u, grad_v, values
+    del disp    # freed before the two scatters allocate
+    return (_unsort(gu_sorted.T, flat_u), _unsort(gv_sorted.T, flat_v),
+            values)
 
 
 def w2_grad(u, v) -> tuple[np.ndarray, np.ndarray]:

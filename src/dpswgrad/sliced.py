@@ -53,5 +53,5 @@ def sw2_squared_mc(a, b, dirs: np.ndarray) -> float:
             raise ValueError(
                 f"dimension mismatch: points are {pts.shape[1]}-dimensional, "
                 f"directions are {dirs.shape[1]}-dimensional")
-        projected.append(pts @ dirs.T)
+        projected.append((dirs @ pts.T).T)
     return float(np.mean(w2_squared_columns(*projected)))

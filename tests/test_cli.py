@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dpswgrad
+from dpswgrad import cli
 from dpswgrad.cli import main
 from dpswgrad.data import load_dataset
 
@@ -197,6 +198,45 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(
             "error: train: diverged at step ")
         assert not out.exists()
+
+
+class TestAllocatorPolicy:
+    """``cli._keep_freed_memory`` tunes glibc's malloc where it can and is
+    a silent no-op elsewhere."""
+
+    def test_no_c_library(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert cli._keep_freed_memory() is None
+
+    def test_no_mallopt(self, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+        assert cli._keep_freed_memory() is None
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class FakeMallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class FakeLibc:
+            def __init__(self, name):
+                self.mallopt = FakeMallopt()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", FakeLibc)
+        cli._keep_freed_memory()
+        assert calls == [(-1, 256 << 20), (-3, 256 << 20)]
 
 
 class TestOtherCommands:

@@ -1,12 +1,15 @@
 """Tests for the analytic models: forwards, Jacobians, loss gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from dpswgrad.models import (Model, load_model, make_model, model_from_meta,
-                             save_model)
+from dpswgrad.models import (Model, _sigmoid, load_model, make_model,
+                             model_from_meta, save_model)
 
-from oracles import (central_diff, central_diff_jacobian, forward,
+from oracles import (bit_equal, central_diff, central_diff_jacobian, forward,
                      penalty_jacobian_batch, per_sample_jacobian,
                      per_sample_loss_grad, rel_err)
 
@@ -320,6 +323,14 @@ class TestFactoryAndCheckpoint:
             np.testing.assert_array_equal(getattr(rebuilt, trace)(x).output,
                                           getattr(m, trace)(x).output)
 
+    def test_abstract_stack_is_not_saved(self, tmp_path):
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=r"^cannot save a model of kind "
+                                             r"'abstract': load_model"):
+            save_model(Model(2, [(2, "sigmoid")], seed=0), path)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_sigmoid_outputs_in_unit_interval(self):
         m = make_model("affine_sigmoid", 4, seed=1)
         out = m.forward_batch(np.random.default_rng(1).normal(size=(30, 4)))
@@ -340,3 +351,82 @@ class TestFactoryAndCheckpoint:
         direct = -(ys * np.log(q) + (1 - ys) * np.log(1 - q))
         np.testing.assert_allclose(m.trace(xs).loss(ys, "bce"), direct,
                                    rtol=1e-10)
+
+
+class TestSigmoid:
+    """``models._sigmoid`` against SciPy's ``expit`` and exact values."""
+
+    def test_agrees_with_expit(self):
+        z = np.linspace(-745.0, 745.0, 14901)
+        got, want = _sigmoid(z), expit(z)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nz = want > 0.0
+        assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 4e-16
+
+    def test_close_to_exact_values(self):
+        # the 1 + exp(-z) sum is rounded at a spacing of 2 near z = -37,
+        # where the exp values of NumPy and of the C library, each within
+        # an ulp, can round it apart; both stay this close to the truth
+        mpmath = pytest.importorskip("mpmath")
+        z = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                            np.linspace(-37.0, -36.5, 2001)])
+        with mpmath.workdps(40):
+            exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(t))))
+                              for t in z])
+        got = _sigmoid(z)
+        assert np.max(np.abs(got - exact) / exact) <= 4e-16
+
+    def test_saturates_without_warnings(self):
+        z = np.array([-800.0, -746.0, 0.0, 746.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigmoid(z)
+        assert s[0] == 0.0 and s[1] == 0.0 and s[-1] == 1.0 and s[-2] == 1.0
+        assert s[2] == 0.5
+
+    def test_input_is_not_written(self):
+        z = np.linspace(-3.0, 3.0, 7)
+        before = z.copy()
+        _sigmoid(z)
+        np.testing.assert_array_equal(z, before)
+
+
+class TestDerivativeCache:
+    """A penalty row block reads its whole trace's sigmoid derivatives."""
+
+    @pytest.mark.parametrize("kind", ["mlp2", "autoencoder"])
+    @pytest.mark.parametrize("rows", [slice(0, 23), slice(23, 60),
+                                      slice(None)],
+                             ids=["head", "tail", "all"])
+    def test_penalty_rows_backward_is_the_blocks_own(self, kind, rows):
+        model = make_model(kind, 5, seed=7)
+        x = np.random.default_rng(8).normal(size=(60, 5))
+        d = model.penalty_dim
+        cot = np.eye(d)[None]
+        whole = model.trace(x)
+        whole.loss_and_grads(x if kind == "autoencoder"
+                             else np.zeros((60, 2)), "squared_error")
+        block = whole.penalty_rows(rows)
+        got = block.backward(cot)
+        want = model.penalty_trace(x[rows]).backward(cot)
+        assert len(got.cots) == len(want.cots)
+        for g, w in zip(got.cots, want.cots):
+            assert g.shape == w.shape
+            assert bit_equal(g, w)
+        assert bit_equal(got.norms(), want.norms())
+        weights = np.random.default_rng(9).normal(size=got.shape)
+        assert bit_equal(got.weighted_sum(weights),
+                         want.weighted_sum(weights))
+
+    def test_derivatives_computed_once_and_shared(self):
+        model = make_model("autoencoder", 5, seed=7)
+        whole = model.trace(np.random.default_rng(8).normal(size=(40, 5)))
+        block = whole.penalty_rows(slice(10, 30))
+        derivs = block._derivatives()
+        assert block._derivatives() is derivs
+        shared = whole._derivatives()
+        assert len(derivs) == model.penalty_layers
+        for d, full in zip(derivs, shared):
+            if d is not None:
+                assert np.shares_memory(d, full)
+                assert bit_equal(d, full[10:30])

@@ -247,6 +247,41 @@ class TestOrderAgainstStableOracle:
         self._check(u, v)
 
 
+class TestMemoryLayout:
+    """The kernel sorts the (k, n) transpose of each block, so C-ordered
+    blocks and (n, k) views of (k, n) ones must give the same bits."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_c_and_f_ordered_inputs_agree(self, tied):
+        rng = np.random.default_rng(21)
+        u = rng.normal(size=(57, 7))
+        v = rng.normal(size=(38, 7)) + 0.3
+        if tied:
+            u[:, 2] = np.round(u[:, 2])
+            u[:, 5] = rng.choice([-0.0, 0.0, 1.0], 57)
+            v[:, 5] = 0.5
+            v[:, 6] = np.round(v[:, 6] * 2.0)
+        uf, vf = np.asfortranarray(u), np.asfortranarray(v)
+        assert u.flags.c_contiguous and uf.flags.f_contiguous
+        got_c = w2_grad_columns(u, v)
+        got_f = w2_grad_columns(uf, vf)
+        got_mixed = w2_grad_columns(u, vf)
+        for a, b, c in zip(got_c, got_f, got_mixed):
+            assert bit_equal(a, b) and bit_equal(a, c)
+        for g, w in zip(got_f, w2_grad_columns_stable(u, v)):
+            assert bit_equal(g, w)
+        assert bit_equal(got_f[2], w2_squared_columns(uf, vf))
+        assert bit_equal(got_f[2], w2_squared_columns(u, v))
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(22)
+        u = np.asfortranarray(np.round(rng.normal(size=(30, 4))))
+        v = rng.normal(size=(20, 4))
+        before = u.copy(), v.copy()
+        w2_grad_columns(u, v)
+        assert bit_equal(u, before[0]) and bit_equal(v, before[1])
+
+
 class TestExactReference:
     """``w2_grad_columns`` against the closed form in exact rationals."""
 

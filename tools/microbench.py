@@ -6,13 +6,19 @@ Usage::
     PYTHONPATH=<checkout>/src python tools/microbench.py [--repeats R]
 
 Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
-workloads sort, plus an all-tied block (its worst case), then one
+workloads sort, plus an all-tied block (its worst case), each given as the
+training step passes it: an (n, k) view of a C-contiguous (k, n) block;
+one more case gives the reg_sp blocks C-ordered, which the kernel copies
+into its (k, n) layout.  Then it times one
 ``dp_gradient.penalized_objective`` step at the ``reg_sp_paper`` batch
 (mlp2 with 16 inputs, 64 hidden units and 2 outputs; 2986 + 3014 rows
 traced once, the two classes as slices of the ERM batch; 50 directions,
 alpha 0.75), then ``dp_gradient.clip_rows`` and
 ``privacy.calibrate_noise``.  Each case runs once untimed, then R times
-(default 30); one line per case gives the median and the quartiles in ms.
+(default 30); one line per case gives the median and the quartiles in ms
+and the minor page faults per timed call (``resource.getrusage``), which
+count the fresh memory the C library maps in for the call's temporaries.
+The script leaves the C library's allocator at its defaults.
 Every OT case also checks that the kernel's three outputs equal, bit for
 bit, those of the two-stable-argsort reference ``w2_grad_columns_stable``
 in ``tests/oracles.py``, and exits with an error if they do not.  To
@@ -27,6 +33,7 @@ the test suite.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,26 +50,33 @@ from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
 from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
 
-# (label, n, m, k, tied): gen_circle sorts 2000 x 2000 per side, reg_sp_paper
-# its two classes, cls_eo_paper a class split like 1427 x 1573 and the
-# sliced audit 100 x 100; in the tied block every column repeats values
+# (label, n, m, k, tied, C-ordered): gen_circle sorts 2000 x 2000 per side,
+# reg_sp_paper its two classes, cls_eo_paper a class split like 1427 x 1573
+# and the sliced audit 100 x 100; in the tied block every column repeats
+# values
 OT_CASES = (
-    ("gen_circle", 2000, 2000, 50, False),
-    ("reg_sp", 2986, 3014, 50, False),
-    ("class_split", 1427, 1573, 50, False),
-    ("audit", 100, 100, 20, False),
-    ("all_tied", 2000, 2000, 50, True),
+    ("gen_circle", 2000, 2000, 50, False, False),
+    ("reg_sp", 2986, 3014, 50, False, False),
+    ("reg_sp C-ordered", 2986, 3014, 50, False, True),
+    ("class_split", 1427, 1573, 50, False, False),
+    ("audit", 100, 100, 20, False, False),
+    ("all_tied", 2000, 2000, 50, True, False),
 )
 
 
-def _ot_inputs(n: int, m: int, k: int, tied: bool, seed: int = 0):
+def _ot_inputs(n: int, m: int, k: int, tied: bool, c_ordered: bool,
+               seed: int = 0):
+    """(n, k) and (m, k) blocks: views of C-contiguous (k, n) and (k, m)
+    ones, or C-ordered copies of those."""
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n, k))
-    v = rng.normal(size=(m, k)) + 0.3
+    u = rng.normal(size=(k, n))
+    v = rng.normal(size=(k, m)) + 0.3
     if tied:
         u = np.clip(np.round(4.0 * u) / 4.0, -1.0, 1.0)
         v = np.clip(np.round(4.0 * v) / 4.0, -1.0, 1.0)
-    return u, v
+    if c_ordered:
+        return np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
+    return u.T, v.T
 
 
 def _objective_step(sizes=(2986, 3014), seed: int = 0):
@@ -78,26 +92,31 @@ def _objective_step(sizes=(2986, 3014), seed: int = 0):
     return lambda: penalized_objective(model, [pair], 0.75, clip, dirs, erm)
 
 
-def _timings_ms(fn, repeats: int) -> np.ndarray:
+def _timings_ms(fn, repeats: int) -> tuple[np.ndarray, float]:
+    """Times of ``repeats`` calls after one untimed call, and the minor
+    page faults per timed call."""
     fn()
     out = np.empty(repeats)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for r in range(repeats):
         start = time.perf_counter()
         fn()
         out[r] = (time.perf_counter() - start) * 1e3
-    return out
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return out, faults / repeats
 
 
-def _report(label: str, ms: np.ndarray, note: str = "") -> None:
+def _report(label: str, timings: tuple, note: str = "") -> None:
+    ms, faults = timings
     q1, med, q3 = np.percentile(ms, [25, 50, 75])
-    print(f"{label:<34} median {med:9.3f} ms   q1 {q1:9.3f}   q3 {q3:9.3f}"
-          f"   n={ms.size}{note}")
+    print(f"{label:<46} median {med:9.3f} ms   q1 {q1:9.3f}   q3 {q3:9.3f}"
+          f"   faults/call {faults:7.1f}   n={ms.size}{note}")
 
 
 def run(repeats: int) -> int:
     failed = []
-    for label, n, m, k, tied in OT_CASES:
-        u, v = _ot_inputs(n, m, k, tied)
+    for label, n, m, k, tied, c_ordered in OT_CASES:
+        u, v = _ot_inputs(n, m, k, tied, c_ordered)
         same = all(bit_equal(g, w) for g, w in
                    zip(w2_grad_columns(u, v), w2_grad_columns_stable(u, v)))
         if not same:
