@@ -147,6 +147,8 @@ def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
                 "a (k, d) array of directions is required for "
                 "multidimensional outputs")
         dirs = _ONE_DIRECTION
+    if dirs.shape[0] == 0:
+        raise ValueError("at least one direction is required")
     if d != dirs.shape[1]:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.shape[1]}-dimensional")

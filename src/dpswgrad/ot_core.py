@@ -23,12 +23,15 @@ a cached weighting matrix with ``D`` per side.
 
 At repeated values the gradient depends on which tied sample takes which
 rank; it uses the stable-sort permutation (tied samples keep their input
-order).  Each column is ordered by one default-kind ``argsort``, which is
-cheaper than a stable one.  Where a column's values are distinct, the
-sorting permutation is unique, so that order is the stable one; in a
-column with a tie only the runs of equal values are put back in sample
-order.  The distance alone needs no permutation and takes a plain
-``np.sort``.
+order).  It comes from value sorts, not argsorts: each value maps to the
+int64 that orders as the float does (both zeros to one integer), a key
+packs that integer with the sample index, and one in-place sort of the
+keys orders every column, exact ties in index order.  Where the block's
+integers spread too widely to keep them whole beside the index, the key
+drops their low bits; distinct values that close (a few ulps apart) then
+come back out of order, and only their columns are sorted again, by a
+second packed sort or, beyond ``2**21`` samples, by a stable argsort.  The
+distance alone needs no permutation and takes a plain ``np.sort``.
 
 The column functions take (n, k) blocks, one sample per column, but work
 in the row layout: on the C-contiguous (k, n) transpose, so that each
@@ -58,6 +61,9 @@ __all__ = [
 ]
 
 
+_INT64_MAX = np.int64(np.iinfo(np.int64).max)
+
+
 def _as_sample(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -73,8 +79,9 @@ def _as_columns(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty (n, k) array")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"{name} must be a non-empty (n, k) array with "
+                         "k >= 1")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite (no NaN/inf)")
     return arr
@@ -150,10 +157,16 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     )
 
 
-def _as_rows(values, name: str) -> np.ndarray:
-    """The C-contiguous (k, n) transpose of an (n, k) block of samples,
-    which is a view (no copy) of an F-ordered block."""
-    return np.ascontiguousarray(_as_columns(values, name).T)
+def _as_row_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The C-contiguous (k, n) and (k, m) transposes of the (n, k) and
+    (m, k) blocks ``u`` and ``v``, each a view (no copy) of an F-ordered
+    block."""
+    u = _as_columns(u, "u")
+    v = _as_columns(v, "v")
+    if u.shape[1] != v.shape[1]:
+        raise ValueError(f"u and v must have equal column counts, got "
+                         f"{u.shape[1]} and {v.shape[1]}")
+    return np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
 
 
 def _displacements(us, vs, c: QuantileCoupling) -> np.ndarray:
@@ -171,8 +184,7 @@ def _coupled_w2_rows(displacements, weights) -> np.ndarray:
 
 def w2_squared_columns(u, v) -> np.ndarray:
     """Columnwise W2^2 for stacked samples ``u`` (n, k) and ``v`` (m, k)."""
-    u = _as_rows(u, "u")
-    v = _as_rows(v, "v")
+    u, v = _as_row_pair(u, v)
     us = np.sort(u, axis=1)
     vs = np.sort(v, axis=1)
     c = quantile_coupling(u.shape[1], v.shape[1])
@@ -186,34 +198,97 @@ def w2_squared(u, v) -> float:
     return float(w2_squared_columns(u[:, None], v[:, None])[0])
 
 
+def _ordered_ints(a: np.ndarray) -> np.ndarray:
+    """The int64s that order as the finite values of ``a`` do: the float's
+    bits, with those below the sign flipped for negative values, after
+    ``-0.0`` is made ``0.0``."""
+    key = (a + 0.0).view(np.int64)    # -0.0 + 0.0 is 0.0
+    key ^= (key >> 63) & _INT64_MAX
+    return key
+
+
+@lru_cache(maxsize=1024)
+def _steps(count: int, step: int) -> np.ndarray:
+    """Read-only ``0, step, ..., (count - 1) * step``: sample positions
+    (step 1) or the flat indices at which the rows of a C-contiguous
+    (count, step) array start."""
+    out = np.arange(0, count * step, step)
+    out.setflags(write=False)
+    return out
+
+
 def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable-sort permutation of every row of the C-contiguous ``a`` (k, n),
     as flat indices into ``a`` (the argsort's ``order + row * n``), and the
     sorted values.
 
-    One default-kind argsort orders all rows.  It may leave the samples of
-    a run of equal values (``-0.0 == 0.0`` included) out of input order,
-    which only rows with a tie can hold; in those rows the entries are
-    reordered by (run, sample index), which sorts each run by sample index
-    and moves nothing across runs.
+    Each value maps to the int64 that orders as the float does (``-0.0``
+    made ``+0.0`` first, so equal values map to equal integers), and one
+    in-place sort of keys that pack it with the sample index in the low
+    ``b = (n - 1).bit_length()`` bits orders all rows.  Where every row's
+    integers span fewer than ``2**(63 - b)``, as rows of near-equal
+    values do, the key is the integer less the row's least, shifted up by
+    b bits: exact, so equal values sort by index.
+    Otherwise the integer's own low b bits are dropped.  Where the values
+    come back nondecreasing, the row holds the stable-sort permutation:
+    equal values have equal keys and so sort by index.  A row that does
+    not holds distinct values closer than the dropped bits; it is put in
+    order by :func:`_repair_order`.
     """
     k, n = a.shape
-    flat = np.argsort(a, axis=1)
-    flat += np.arange(0, k * n, n)[:, None]
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    starts = _steps(k, n)[:, None]
+    key = _ordered_ints(a)
+    # the widest row's span, exact as uint64 where the int64 wraps
+    span = np.ptp(key, axis=1).view(np.uint64).max()
+    if int(span).bit_length() + b <= 63:
+        key -= key.min(axis=1, keepdims=True)
+        key <<= b
+    else:
+        key &= ~low
+    key |= _steps(n, 1)
+    key.sort(axis=1)
+    key &= low
+    flat = key
+    flat += starts
     s = np.take(a, flat)
-    ties = s[:, 1:] == s[:, :-1]
-    tied = np.flatnonzero(ties.any(axis=1))
-    if tied.size:
-        # key run * n + flat index: within a row, by run, then by sample
-        base = np.zeros((tied.size, n), dtype=flat.dtype)
-        np.cumsum(~ties[tied], axis=1, out=base[:, 1:])
-        base *= n
-        key = base + flat[tied]
-        key.sort(axis=1)
-        key -= base
-        flat[tied] = key
-        s[tied] = np.take(a, key)
+    descents = s[:, 1:] < s[:, :-1]
+    if descents.any():
+        bad = np.flatnonzero(descents.any(axis=1))
+        sb = s[bad]
+        order = _repair_order(sb, b)
+        order += starts[:bad.size]
+        flat[bad] = np.take(flat[bad], order)
+        s[bad] = np.take(sb, order)
     return flat, s
+
+
+def _repair_order(s: np.ndarray, b: int) -> np.ndarray:
+    """Positions that stably sort each row of ``s`` (r, n), a row ordered
+    by (value without its low ``b`` bits, sample index).
+
+    In such a row each run of equal truncated keys holds its samples in
+    index order, so ordering by position breaks ties as the index does.
+    One in-place sort of (run number, dropped bits, position), packed in an
+    int64 while ``3b <= 63``, sorts each run by value, then position, and
+    moves nothing across runs.  Longer rows take a stable argsort instead.
+    """
+    if 3 * b > 63:
+        return np.argsort(s, axis=1, kind="stable")
+    low = (1 << b) - 1
+    key = _ordered_ints(s)
+    high = key >> b
+    run = np.zeros_like(key)
+    np.cumsum(high[:, 1:] != high[:, :-1], axis=1, out=run[:, 1:])
+    run <<= b
+    key &= low
+    key |= run
+    key <<= b
+    key |= _steps(s.shape[1], 1)
+    key.sort(axis=1)
+    key &= low
+    return key
 
 
 def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -232,18 +307,17 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shapes as the inputs, using the stable-sort rank permutations at
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
-    come from one default-kind argsort per side, whose runs of equal values
-    are put in input order only in the rows that hold a tie (see
-    :func:`_stable_sort_rows`).  Both sorted gradients are weighted sums of
-    the displacements along the coupling, one sparse product per side.
+    come from one in-place sort of packed (value, index) int64 keys per
+    side (see :func:`_stable_sort_rows`).  Both sorted gradients are
+    weighted sums of the displacements along the coupling, one sparse
+    product per side.
 
     The kernel works on the C-contiguous (k, n) transposes of the blocks,
     so an (n, k) block that is a view of a (k, n) one, as
     ``(dirs @ points.T).T`` is, enters without a copy; the gradients are
     returned in that layout too.
     """
-    u = _as_rows(u, "u")
-    v = _as_rows(v, "v")
+    u, v = _as_row_pair(u, v)
     flat_u, us = _stable_sort_rows(u)
     flat_v, vs = _stable_sort_rows(v)
     c = quantile_coupling(u.shape[1], v.shape[1])

@@ -261,6 +261,18 @@ class TestClippedWassersteinGradSliced:
         np.testing.assert_allclose(tight, loose, atol=1e-10)
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_no_directions_rejected(self, alpha):
+        # zero directions used to give a NaN gradient at alpha 1 and a
+        # ZeroDivisionError at alpha 0
+        model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        erm = (x, np.zeros((6, 2)), "squared_error")
+        with pytest.raises(ValueError, match="direction"):
+            penalized_objective(model, [(x[:3], model, x[3:])], alpha,
+                                NO_CLIP, np.zeros((0, 2)), erm)
+
+
 class TestObjectiveGrads:
     def _setup(self, seed=0, n=12, d=3):
         rng = np.random.default_rng(seed)

@@ -3,12 +3,50 @@
 import numpy as np
 import pytest
 
+from dpswgrad import ot_core
 from dpswgrad.ot_core import (quantile_coupling, w2_grad, w2_grad_columns,
                               w2_squared, w2_squared_columns)
 
 from dpswgrad.dp_gradient import clip_rows
+from dpswgrad.sliced import sample_directions
 from oracles import bit_equal, central_diff, distinct_values, rel_err, \
     w2_grad_columns_stable, w2_grad_exact, w2_squared_quantile_oracle
+
+
+def _ulp_spaced(rng, start: float, size: int) -> np.ndarray:
+    """``size`` distinct floats from ``start`` away from zero, 1 to 3 ulps
+    apart, in random order."""
+    bits = np.float64(start).view(np.int64) \
+        + np.cumsum(rng.integers(1, 4, size))
+    return rng.permutation(bits.view(np.float64))
+
+
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call made while the test runs."""
+    kinds = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return kinds
+
+
+@pytest.fixture
+def repaired_rows(monkeypatch):
+    """The number of rows of every block the kernel sorts a second time."""
+    rows = []
+    repair = ot_core._repair_order
+
+    def spy(s, b):
+        rows.append(s.shape[0])
+        return repair(s, b)
+
+    monkeypatch.setattr(ot_core, "_repair_order", spy)
+    return rows
 
 
 class TestQuantileCoupling:
@@ -245,6 +283,100 @@ class TestOrderAgainstStableOracle:
             zero_signs = np.signbit(col[col == 0.0])
             assert zero_signs.any() and not zero_signs.all()
         self._check(u, v)
+
+    @pytest.mark.parametrize("far", [False, True], ids=["narrow", "wide"])
+    def test_ulp_spaced_distinct_values(self, far, argsort_kinds,
+                                        repaired_rows):
+        # shuffled distinct values a few ulps apart, of either sign and
+        # across zero.  Alone they span so few integers that the first sort
+        # keeps every bit; one far value per column drops the low bits, and
+        # then every row takes the repair sort (and no row an argsort)
+        rng = np.random.default_rng(30)
+        u, v = (np.column_stack(
+            [_ulp_spaced(rng, start, size)
+             for start in (1.0, -3.5, 0.0, 1e-300, -2.0 ** -1000)]
+            + [rng.permutation(np.arange(-(size // 2), size - size // 2)
+                               * 5e-324)]) for size in (700, 650))
+        if far:
+            u[rng.integers(700, size=6), range(6)] = -2.0
+            v[rng.integers(650, size=6), range(6)] = 2.0
+        for block in (u, v):
+            assert all(np.unique(col).size == col.size for col in block.T)
+        got = w2_grad_columns(u, v)
+        assert repaired_rows == ([6, 6] if far else [])
+        assert argsort_kinds == []
+        for g, w in zip(got, w2_grad_columns_stable(u, v)):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("far", [False, True], ids=["narrow", "wide"])
+    def test_projected_saturated_sigmoid_outputs(self, far, repaired_rows):
+        # sigmoid_recentered outputs at z in [25, 40] lie within 1.4e-11 of
+        # 1/2, and at exactly 1/2 from z = 36.8: projected, they hold exact
+        # ties and near-ties; one unsaturated output per side widens the
+        # block, so that its near-ties take the repair sort
+        rng = np.random.default_rng(31)
+        dirs = sample_directions(2, 12, seed=31)
+        z_u, z_v = (rng.uniform(25.0, 40.0, (size, 2)) for size in (400, 333))
+        if far:
+            z_u[7] = z_v[3] = -3.0
+        u, v = ((dirs @ (1.0 / (1.0 + np.exp(-z)) - 0.5).T).T
+                for z in (z_u, z_v))
+        for block in (u, v):
+            assert all(np.unique(col).size < col.size for col in block.T)
+        self._check(u, v)
+        assert repaired_rows == ([12, 12] if far else [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 2048, 2049])
+    def test_sizes_around_index_widths(self, n, argsort_kinds):
+        # the key keeps b = (n - 1).bit_length() index bits, which steps up
+        # after n = 2, 4, 8 and 2048: exact ties, both signed zeros and
+        # values one ulp apart (so low bits are dropped, and a row holding
+        # 1.0 and its neighbours out of order is repaired), next to
+        # distinct values
+        rng = np.random.default_rng(n)
+        one_up = np.nextafter(1.0, 2.0)
+        pool = [-1.0, -0.0, 0.0, 1.0, one_up, np.nextafter(one_up, 2.0)]
+        u, v = (np.column_stack([rng.choice(pool, (size, 5)),
+                                 rng.normal(size=size)])
+                for size in (n, max(n - 1, 1)))
+        got = w2_grad_columns(u, v)
+        assert argsort_kinds == []
+        for g, w in zip(got, w2_grad_columns_stable(u, v)):
+            assert bit_equal(g, w)
+
+    def test_long_row_takes_stable_argsort(self, argsort_kinds):
+        # at n = 2**21 + 1 the repair key would need 3 * 22 > 63 bits, so a
+        # row of near-ties and exact ties, widened by a few far values, is
+        # stably argsorted
+        rng = np.random.default_rng(32)
+        n = 2 ** 21 + 1
+        u = _ulp_spaced(rng, 1.0, n)[:, None]
+        u[rng.choice(n, 64, replace=False), 0] = u[0, 0]
+        u[rng.choice(n, 8, replace=False), 0] = -1.0
+        v = np.array([[1.0], [0.5], [2.0]])
+        try:
+            got = w2_grad_columns(u, v)
+            assert argsort_kinds == ["stable"]
+            for g, w in zip(got, w2_grad_columns_stable(u, v)):
+                assert bit_equal(g, w)
+        finally:
+            quantile_coupling.cache_clear()    # it holds 128 MB of arrays
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("fn", [w2_grad_columns, w2_squared_columns])
+    def test_column_counts_must_agree(self, fn):
+        rng = np.random.default_rng(33)
+        with pytest.raises(ValueError, match="equal column counts"):
+            fn(rng.normal(size=(5, 3)), rng.normal(size=(4, 2)))
+
+    @pytest.mark.parametrize("fn", [w2_grad_columns, w2_squared_columns])
+    @pytest.mark.parametrize("shapes", [((5, 0), (4, 0)), ((5, 0), (4, 2)),
+                                        ((5, 2), (4, 0))])
+    def test_no_columns_rejected(self, fn, shapes):
+        u, v = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="k >= 1"):
+            fn(u, v)
 
 
 class TestMemoryLayout:

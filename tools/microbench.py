@@ -6,10 +6,22 @@ Usage::
     PYTHONPATH=<checkout>/src python tools/microbench.py [--repeats R]
 
 Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
-workloads sort, plus an all-tied block (its worst case), each given as the
-training step passes it: an (n, k) view of a C-contiguous (k, n) block;
-one more case gives the reg_sp blocks C-ordered, which the kernel copies
-into its (k, n) layout.  Then it times one
+workloads sort, each given as the training step passes it: an (n, k) view
+of a C-contiguous (k, n) block; one more case gives the reg_sp blocks
+C-ordered, which the kernel copies into its (k, n) layout.  Four more
+cases at the gen_circle size time blocks of ties and near-ties:
+``all_tied`` (every column repeats a few values), ``near_tied`` (every
+column holds distinct values 1 to 3 ulps apart, shuffled),
+``saturated`` (projections of ``sigmoid_recentered`` outputs at
+pre-activations in [25, 40], which hold both exact ties and near-ties)
+and ``near_tied_signed`` (the ``near_tied`` values, each negated with
+probability 1/2).  ``near_tied`` and ``saturated`` span so few integers
+per column that the kernel's first sort keeps every bit; ``all_tied``
+spans more, so its first sort drops low bits, but it holds only exact
+ties, which need no second sort; ``near_tied_signed`` spans as much and
+holds near-ties, so every row takes the second, repair sort.  No
+benchmark workload reaches that repair, so this case is its timed
+evidence.  Then it times one
 ``dp_gradient.penalized_objective`` step at the ``reg_sp_paper`` batch
 (mlp2 with 16 inputs, 64 hidden units and 2 outputs; 2986 + 3014 rows
 traced once, the two classes as slices of the ERM batch; 50 directions,
@@ -26,7 +38,7 @@ compare two versions of the library, run each checkout's own copy of this
 script with that checkout's ``src`` on ``PYTHONPATH``: the reference
 follows the library's arithmetic.
 
-Runtime: about 6 s on 2 cores at the default R.  The script is not part of
+Runtime: about 8 s on 2 cores at the default R.  The script is not part of
 the test suite.
 """
 
@@ -50,30 +62,53 @@ from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
 from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
 
-# (label, n, m, k, tied, C-ordered): gen_circle sorts 2000 x 2000 per side,
-# reg_sp_paper its two classes, cls_eo_paper a class split like 1427 x 1573
-# and the sliced audit 100 x 100; in the tied block every column repeats
-# values
+# (label, n, m, k, values, C-ordered): gen_circle sorts 2000 x 2000 per
+# side, reg_sp_paper its two classes, cls_eo_paper a class split like
+# 1427 x 1573 and the sliced audit 100 x 100; see _ot_inputs for the values
 OT_CASES = (
-    ("gen_circle", 2000, 2000, 50, False, False),
-    ("reg_sp", 2986, 3014, 50, False, False),
-    ("reg_sp C-ordered", 2986, 3014, 50, False, True),
-    ("class_split", 1427, 1573, 50, False, False),
-    ("audit", 100, 100, 20, False, False),
-    ("all_tied", 2000, 2000, 50, True, False),
+    ("gen_circle", 2000, 2000, 50, "normal", False),
+    ("reg_sp", 2986, 3014, 50, "normal", False),
+    ("reg_sp C-ordered", 2986, 3014, 50, "normal", True),
+    ("class_split", 1427, 1573, 50, "normal", False),
+    ("audit", 100, 100, 20, "normal", False),
+    ("all_tied", 2000, 2000, 50, "tied", False),
+    ("near_tied", 2000, 2000, 50, "near_tied", False),
+    ("saturated", 2000, 2000, 50, "saturated", False),
+    ("near_tied_signed", 2000, 2000, 50, "near_tied_signed", False),
 )
 
 
-def _ot_inputs(n: int, m: int, k: int, tied: bool, c_ordered: bool,
+def _ot_rows(rng, size: int, k: int, values: str, shift: float):
+    """A (k, size) block of ``values``: "normal" draws, their "tied"
+    rounding to multiples of 1/4 in [-1, 1], "near_tied" distinct values
+    1 to 3 ulps apart from ``1 + shift`` in random order per row,
+    "near_tied_signed" those with random signs, or "saturated"
+    projections of 2-d ``sigmoid_recentered`` outputs at pre-activations
+    in [25, 40] onto k unit directions."""
+    if values.startswith("near_tied"):
+        start = np.float64(1.0 + shift).view(np.int64)
+        bits = start + np.cumsum(rng.integers(1, 4, (k, size)), axis=1)
+        block = rng.permuted(bits.view(np.float64), axis=1)
+        if values == "near_tied_signed":
+            block *= rng.choice([-1.0, 1.0], size=(k, size))
+        return block
+    if values == "saturated":
+        z = rng.uniform(25.0, 40.0, size=(size, 2))
+        return sample_directions(2, k, 0) @ (1.0 / (1.0 + np.exp(-z))
+                                             - 0.5).T
+    block = rng.normal(size=(k, size)) + shift
+    if values == "tied":
+        block = np.clip(np.round(4.0 * block) / 4.0, -1.0, 1.0)
+    return block
+
+
+def _ot_inputs(n: int, m: int, k: int, values: str, c_ordered: bool,
                seed: int = 0):
     """(n, k) and (m, k) blocks: views of C-contiguous (k, n) and (k, m)
     ones, or C-ordered copies of those."""
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(k, n))
-    v = rng.normal(size=(k, m)) + 0.3
-    if tied:
-        u = np.clip(np.round(4.0 * u) / 4.0, -1.0, 1.0)
-        v = np.clip(np.round(4.0 * v) / 4.0, -1.0, 1.0)
+    u = _ot_rows(rng, n, k, values, 0.0)
+    v = _ot_rows(rng, m, k, values, 0.3)
     if c_ordered:
         return np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
     return u.T, v.T
@@ -115,8 +150,8 @@ def _report(label: str, timings: tuple, note: str = "") -> None:
 
 def run(repeats: int) -> int:
     failed = []
-    for label, n, m, k, tied, c_ordered in OT_CASES:
-        u, v = _ot_inputs(n, m, k, tied, c_ordered)
+    for label, n, m, k, values, c_ordered in OT_CASES:
+        u, v = _ot_inputs(n, m, k, values, c_ordered)
         same = all(bit_equal(g, w) for g, w in
                    zip(w2_grad_columns(u, v), w2_grad_columns_stable(u, v)))
         if not same:
