@@ -30,7 +30,7 @@ keys orders every column, exact ties in index order.  Where the block's
 integers spread too widely to keep them whole beside the index, the key
 drops their low bits; distinct values that close (a few ulps apart) then
 come back out of order, and only their columns are sorted again, by a
-second packed sort or, beyond ``2**21`` samples, by a stable argsort.  The
+second packed sort or, beyond ``2**20`` samples, by a stable argsort.  The
 distance alone needs no permutation and takes a plain ``np.sort``.
 
 The column functions take (n, k) blocks, one sample per column, but work
@@ -207,16 +207,6 @@ def _ordered_ints(a: np.ndarray) -> np.ndarray:
     return key
 
 
-@lru_cache(maxsize=1024)
-def _steps(count: int, step: int) -> np.ndarray:
-    """Read-only ``0, step, ..., (count - 1) * step``: sample positions
-    (step 1) or the flat indices at which the rows of a C-contiguous
-    (count, step) array start."""
-    out = np.arange(0, count * step, step)
-    out.setflags(write=False)
-    return out
-
-
 def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable-sort permutation of every row of the C-contiguous ``a`` (k, n),
     as flat indices into ``a`` (the argsort's ``order + row * n``), and the
@@ -225,69 +215,70 @@ def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each value maps to the int64 that orders as the float does (``-0.0``
     made ``+0.0`` first, so equal values map to equal integers), and one
     in-place sort of keys that pack it with the sample index in the low
-    ``b = (n - 1).bit_length()`` bits orders all rows.  Where every row's
-    integers span fewer than ``2**(63 - b)``, as rows of near-equal
-    values do, the key is the integer less the row's least, shifted up by
-    b bits: exact, so equal values sort by index.
-    Otherwise the integer's own low b bits are dropped.  Where the values
-    come back nondecreasing, the row holds the stable-sort permutation:
-    equal values have equal keys and so sort by index.  A row that does
-    not holds distinct values closer than the dropped bits; it is put in
-    order by :func:`_repair_order`.
+    ``b = (n - 1).bit_length()`` bits orders all rows.  The key holds the
+    integer less its row's least without its low ``drop`` bits, as few as
+    fit the widest row's span beside the index in 63 bits: none for rows
+    of near-equal values, whose sort is then exact.  Where the values come
+    back nondecreasing, the row holds the stable-sort permutation: equal
+    values have equal keys and so sort by index.  A row that does not
+    holds distinct values closer than the dropped bits; it is put in order
+    by :func:`_repair_order`.
     """
     k, n = a.shape
     b = (n - 1).bit_length()
-    low = (1 << b) - 1
-    starts = _steps(k, n)[:, None]
     key = _ordered_ints(a)
+    least = key.min(axis=1, keepdims=True)
     # the widest row's span, exact as uint64 where the int64 wraps
-    span = np.ptp(key, axis=1).view(np.uint64).max()
-    if int(span).bit_length() + b <= 63:
-        key -= key.min(axis=1, keepdims=True)
-        key <<= b
-    else:
-        key &= ~low
-    key |= _steps(n, 1)
+    span = (key.max(axis=1, keepdims=True) - least).view(np.uint64).max()
+    drop = max(0, int(span).bit_length() + b - 63)
+    key -= least
+    offsets = key.view(np.uint64)
+    offsets >>= drop
+    offsets <<= b
+    key |= np.arange(n)
     key.sort(axis=1)
-    key &= low
+    key &= (1 << b) - 1
     flat = key
-    flat += starts
+    flat += np.arange(0, k * n, n)[:, None]
     s = np.take(a, flat)
     descents = s[:, 1:] < s[:, :-1]
     if descents.any():
         bad = np.flatnonzero(descents.any(axis=1))
         sb = s[bad]
-        order = _repair_order(sb, b)
-        order += starts[:bad.size]
+        order = _repair_order(sb, least[bad], b, drop)
+        order += np.arange(0, bad.size * n, n)[:, None]
         flat[bad] = np.take(flat[bad], order)
         s[bad] = np.take(sb, order)
     return flat, s
 
 
-def _repair_order(s: np.ndarray, b: int) -> np.ndarray:
+def _repair_order(s: np.ndarray, least: np.ndarray, b: int,
+                  drop: int) -> np.ndarray:
     """Positions that stably sort each row of ``s`` (r, n), a row ordered
-    by (value without its low ``b`` bits, sample index).
+    by (its integers less ``least`` without their low ``drop`` bits,
+    sample index), as :func:`_stable_sort_rows` leaves it.
 
     In such a row each run of equal truncated keys holds its samples in
     index order, so ordering by position breaks ties as the index does.
     One in-place sort of (run number, dropped bits, position), packed in an
-    int64 while ``3b <= 63``, sorts each run by value, then position, and
-    moves nothing across runs.  Longer rows take a stable argsort instead.
+    int64 while ``2b + drop <= 63``, sorts each run by value, then
+    position, and moves nothing across runs; a stable argsort of the
+    values does the same for longer rows (n > 2**20).
     """
-    if 3 * b > 63:
+    if 2 * b + drop > 63:
         return np.argsort(s, axis=1, kind="stable")
-    low = (1 << b) - 1
     key = _ordered_ints(s)
-    high = key >> b
+    key -= least
+    high = key.view(np.uint64) >> drop
     run = np.zeros_like(key)
     np.cumsum(high[:, 1:] != high[:, :-1], axis=1, out=run[:, 1:])
-    run <<= b
-    key &= low
+    run <<= drop
+    key &= (1 << drop) - 1
     key |= run
     key <<= b
-    key |= _steps(s.shape[1], 1)
+    key |= np.arange(s.shape[1])
     key.sort(axis=1)
-    key &= low
+    key &= (1 << b) - 1
     return key
 
 

@@ -22,28 +22,14 @@ def _ulp_spaced(rng, start: float, size: int) -> np.ndarray:
 
 
 @pytest.fixture
-def argsort_kinds(monkeypatch):
-    """The ``kind`` of every ``np.argsort`` call made while the test runs."""
-    kinds = []
-    argsort = np.argsort
-
-    def spy(*args, **kwargs):
-        kinds.append(kwargs.get("kind"))
-        return argsort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", spy)
-    return kinds
-
-
-@pytest.fixture
 def repaired_rows(monkeypatch):
     """The number of rows of every block the kernel sorts a second time."""
     rows = []
     repair = ot_core._repair_order
 
-    def spy(s, b):
+    def spy(s, *args):
         rows.append(s.shape[0])
-        return repair(s, b)
+        return repair(s, *args)
 
     monkeypatch.setattr(ot_core, "_repair_order", spy)
     return rows
@@ -285,12 +271,11 @@ class TestOrderAgainstStableOracle:
         self._check(u, v)
 
     @pytest.mark.parametrize("far", [False, True], ids=["narrow", "wide"])
-    def test_ulp_spaced_distinct_values(self, far, argsort_kinds,
-                                        repaired_rows):
+    def test_ulp_spaced_distinct_values(self, far, repaired_rows):
         # shuffled distinct values a few ulps apart, of either sign and
         # across zero.  Alone they span so few integers that the first sort
         # keeps every bit; one far value per column drops the low bits, and
-        # then every row takes the repair sort (and no row an argsort)
+        # then every row takes the repair sort
         rng = np.random.default_rng(30)
         u, v = (np.column_stack(
             [_ulp_spaced(rng, start, size)
@@ -304,7 +289,6 @@ class TestOrderAgainstStableOracle:
             assert all(np.unique(col).size == col.size for col in block.T)
         got = w2_grad_columns(u, v)
         assert repaired_rows == ([6, 6] if far else [])
-        assert argsort_kinds == []
         for g, w in zip(got, w2_grad_columns_stable(u, v)):
             assert bit_equal(g, w)
 
@@ -323,11 +307,13 @@ class TestOrderAgainstStableOracle:
                 for z in (z_u, z_v))
         for block in (u, v):
             assert all(np.unique(col).size < col.size for col in block.T)
-        self._check(u, v)
+        got = w2_grad_columns(u, v)
         assert repaired_rows == ([12, 12] if far else [])
+        for g, w in zip(got, w2_grad_columns_stable(u, v)):
+            assert bit_equal(g, w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 2048, 2049])
-    def test_sizes_around_index_widths(self, n, argsort_kinds):
+    def test_sizes_around_index_widths(self, n):
         # the key keeps b = (n - 1).bit_length() index bits, which steps up
         # after n = 2, 4, 8 and 2048: exact ties, both signed zeros and
         # values one ulp apart (so low bits are dropped, and a row holding
@@ -339,28 +325,23 @@ class TestOrderAgainstStableOracle:
         u, v = (np.column_stack([rng.choice(pool, (size, 5)),
                                  rng.normal(size=size)])
                 for size in (n, max(n - 1, 1)))
-        got = w2_grad_columns(u, v)
-        assert argsort_kinds == []
-        for g, w in zip(got, w2_grad_columns_stable(u, v)):
-            assert bit_equal(g, w)
+        self._check(u, v)
 
-    def test_long_row_takes_stable_argsort(self, argsort_kinds):
-        # at n = 2**21 + 1 the repair key would need 3 * 22 > 63 bits, so a
-        # row of near-ties and exact ties, widened by a few far values, is
-        # stably argsorted
+    def test_long_row_takes_stable_argsort(self):
+        # at n = 2**21 + 1 a row of normal draws drops 23 low bits beside
+        # 22 index bits, and a packed repair key would need its run number
+        # in more than the 18 bits left, so the row's ulp-neighbour pairs
+        # and exact ties are stably argsorted
         rng = np.random.default_rng(32)
         n = 2 ** 21 + 1
-        u = _ulp_spaced(rng, 1.0, n)[:, None]
-        u[rng.choice(n, 64, replace=False), 0] = u[0, 0]
-        u[rng.choice(n, 8, replace=False), 0] = -1.0
-        v = np.array([[1.0], [0.5], [2.0]])
-        try:
-            got = w2_grad_columns(u, v)
-            assert argsort_kinds == ["stable"]
-            for g, w in zip(got, w2_grad_columns_stable(u, v)):
-                assert bit_equal(g, w)
-        finally:
-            quantile_coupling.cache_clear()    # it holds 128 MB of arrays
+        row = rng.normal(size=n)
+        pairs = rng.permutation(n)[:2 * (n // 4)].reshape(2, -1)
+        row[pairs[1]] = np.nextafter(row[pairs[0]], np.inf)
+        row[rng.choice(n, 64, replace=False)] = row[0]
+        flat, s = ot_core._stable_sort_rows(row[None, :])
+        want = np.argsort(row, kind="stable")
+        assert np.array_equal(flat[0], want)
+        assert bit_equal(s[0], row[want])
 
 
 class TestInputValidation:
