@@ -216,9 +216,9 @@ def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     made ``+0.0`` first, so equal values map to equal integers), and one
     in-place sort of keys that pack it with the sample index in the low
     ``b = (n - 1).bit_length()`` bits orders all rows.  The key holds the
-    integer less its row's least without its low ``drop`` bits, as few as
-    fit the widest row's span beside the index in 63 bits: none for rows
-    of near-equal values, whose sort is then exact.  Where the values come
+    integer less its row's least without its low ``drop`` bits, only as
+    many as the widest row's span needs to fit beside the index in 63
+    bits: none for rows of near-equal values, whose sort is then exact.  Where the values come
     back nondecreasing, the row holds the stable-sort permutation: equal
     values have equal keys and so sort by index.  A row that does not
     holds distinct values closer than the dropped bits; it is put in order
