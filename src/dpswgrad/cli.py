@@ -363,7 +363,9 @@ def _audit_setup(cfg: dict):
     bounded from the same pair.  ``one_sided`` and ``sliced`` keep ``z``
     public, ``two_sided`` and ``sp`` make both sides private.  The first
     three audit the Wasserstein gradient alone (weight 1, no ERM); ``sp``
-    is the statistical-parity objective over labelled records, with ERM.
+    is the statistical-parity objective over labelled records, with ERM,
+    whose pair is the two classes' blocks of rows of the ERM batch.  Each
+    gradient of every setting traces the model once.
     """
     seed, d, n, m = cfg["seed"], cfg["input_dim"], cfg["n"], cfg["m"]
     clip = ClipConfig(cfg["output_bound"], cfg["jac_bound1"],
@@ -401,8 +403,10 @@ def _audit_setup(cfg: dict):
         x, z = (c[:, :d] for c in (*cls, *public))
         erm = None
         if labelled:
+            # the sides are the two classes' blocks of the ERM batch
             erm = (np.concatenate([x, z]),
                    np.concatenate([c[:, d] for c in cls]), "bce")
+            x, z = slice(0, n), slice(n, n + m)
         return penalized_objective(model, [(x, model, z)], alpha, clip,
                                    dirs, erm)[3]
 

@@ -19,11 +19,13 @@ spectral norm at ``bound``) rather than through an SVD.  No per-sample
 Jacobian is built: the row norms come from each traced layer's output
 cotangents and inputs (ghost norms), and the clipped, coupling-weighted
 sum of the rows is one summed backward pass (see
-:class:`dpswgrad.models.LayerGrads`).  The per-sample loss gradients of
+:class:`dpswgrad.models.LayerGrads`).  Every side of the model, in every
+pair, is a block of rows of one penalty trace, so a call makes one such
+backward whatever the number of pairs.  The per-sample loss gradients of
 the finite-sum term are clipped the same way.
 
 :func:`penalized_objective` is the one gradient of every task and every
-audit: it takes a list of penalty pairs, clips each pair's outputs once and
+audit: it takes a list of penalty pairs, clips the outputs once and
 returns the reported ERM, W and total values together with the clipped
 gradient.  A single pair at weight 1 without ERM is the clipped Wasserstein
 gradient of that pair alone.  :func:`dpswgrad.sensitivity.sensitivity_bound`
@@ -97,92 +99,50 @@ def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
     return mat * _clip_scale(norms, bound)
 
 
-def _clipped_sum(grads, bound: float, weights=None) -> np.ndarray:
-    """``sum_{i, j} weights[i, j] * clip(row (i, j), bound)`` of the
-    per-sample gradients ``grads`` (:class:`~dpswgrad.models.LayerGrads`);
-    unit weights when None."""
-    scale = _clip_scale(grads.norms(), bound)
-    return grads.weighted_sum(scale if weights is None else weights * scale)
-
-
 # the scalar penalty is the sliced penalty along the single direction (1)
 _ONE_DIRECTION = np.ones((1, 1))
 _ONE_DIRECTION.setflags(write=False)
 
-
-def _side_trace(model: Model, side, shared):
-    """Penalty trace of one side: the ERM trace's rows for a ``slice``,
-    else a forward pass of ``side``."""
-    if not isinstance(side, slice):
-        return model.penalty_trace(
-            np.atleast_2d(np.asarray(side, dtype=np.float64)))
-    if shared is None or model is not shared.model:
-        raise ValueError("a slice side reads the rows of the ERM batch and "
-                         "needs the model's ERM term")
-    return shared.penalty_rows(side)
-
-
-def _clipped_outputs(g: Model, h: Model, x, z, output_bound: float,
-                     dirs: np.ndarray | None, shared):
-    """Traces, directions and clipped projected outputs of a pair.
-
-    ``shared`` is the trace of the ERM batch (None without ERM), whose
-    rows a ``slice`` side reads.  Without the (k, d) ``dirs`` the outputs
-    must be scalar and take the one direction.
-    """
-    if not (h is g or h.n_params == 0):
+def _model_sides(model: Model, pairs, has_erm: bool) -> list:
+    """The sides of ``model`` in pair order, ``x`` of every pair and ``z``
+    where ``h`` is ``model``: all slices of the ERM batch or all arrays."""
+    if not all(h is model or h.n_params == 0 for _, h, _ in pairs):
         raise ValueError(
             "the second map must share the model's parameter vector (same "
             "object) or be parameter-free")
-    tx = _side_trace(g, x, shared)
-    tz = _side_trace(h, z, shared)
-    if tx.output.shape[0] == 0 or tz.output.shape[0] == 0:
-        raise ValueError("both sample slices must be non-empty")
-    if tx.output.shape[1] != tz.output.shape[1]:
-        raise ValueError("the two maps must produce outputs of equal dimension")
-    d = tx.output.shape[1]
-    if dirs is None:
-        if d != 1:
-            raise ValueError(
-                "a (k, d) array of directions is required for "
-                "multidimensional outputs")
-        dirs = _ONE_DIRECTION
-    if dirs.shape[0] == 0:
-        raise ValueError("at least one direction is required")
-    if d != dirs.shape[1]:
-        raise ValueError(f"outputs are {d}-dimensional but directions are "
-                         f"{dirs.shape[1]}-dimensional")
-    # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
-    return (tx, tz, dirs,
-            (dirs @ clip_rows(tx.output, output_bound).T).T,
-            (dirs @ clip_rows(tz.output, output_bound).T).T)
+    sides = [side for x, h, z in pairs
+             for side in ((x, z) if h is model else (x,))]
+    sliced = sum(isinstance(side, slice) for side in sides)
+    if 0 < sliced < len(sides):
+        raise ValueError("the model's sides must be all slices of the ERM "
+                         "batch or all arrays of inputs")
+    if (sliced and not has_erm) or any(
+            isinstance(z, slice) for _, h, z in pairs if h is not model):
+        raise ValueError("a slice side reads the rows of the ERM batch and "
+                         "needs the model's ERM term")
+    return sides
 
 
-def _assemble(tx, tz, u, v, clip: ClipConfig, dirs: np.ndarray):
-    """Coupling-weighted sum of the clipped per-sample Jacobian rows.
-
-    ``tx`` and ``tz`` are the penalty traces of the two sides.  Returns the
-    gradient (None when neither side has parameters) and the (k,)
-    per-direction W2^2 of ``u``, ``v``.
-    """
-    gu, gv, values = w2_grad_columns(u, v)
-    one_hot = np.eye(dirs.shape[1])[None]
-    total = None
-    for trace, grad_cols, bound in ((tx, gu, clip.jac_bound1),
-                                    (tz, gv, clip.jac_bound2)):
-        if trace.model.n_params:
-            coeff = (grad_cols @ dirs) / dirs.shape[0]    # (n, d)
-            side = _clipped_sum(trace.backward(one_hot),
-                                bound / np.sqrt(dirs.shape[1]), coeff)
-            total = side if total is None else total + side
-    return total, values
+def _penalty_trace(model: Model, sides: list, shared):
+    """The one penalty trace of the model's ``sides`` and each side's
+    rows in it: the ERM trace ``shared`` cut at the penalty layers for
+    slices, else one forward pass of the arrays stacked in order."""
+    if isinstance(sides[0], slice):
+        return shared.penalty(), sides
+    arrays = [np.atleast_2d(np.asarray(side, dtype=np.float64))
+              for side in sides]
+    ends = np.cumsum([a.shape[0] for a in arrays]).tolist()
+    rows = [slice(end - a.shape[0], end) for a, end in zip(arrays, ends)]
+    return model.penalty_trace(arrays[0] if len(arrays) == 1
+                               else np.concatenate(arrays)), rows
 
 
 def _clipped_erm(trace, targets, loss_kind: str, bound: float):
     """Mean loss and mean clipped loss gradient of a whole-stack trace."""
     values, grads = trace.loss_and_grads(targets, loss_kind)
     return (_mean_loss(values),
-            _clipped_sum(grads, bound) / values.shape[0])
+            grads.weighted_sum(_clip_scale(grads.norms(), bound))
+            / values.shape[0])
 
 
 def _mean_loss(values: np.ndarray) -> float:
@@ -204,21 +164,24 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
     ``dirs`` holds k unit directions as the rows of a (k, d) array; without
     it the outputs must be scalar and take the one direction.
 
-    With ``erm``, its batch is traced once, and a side of ``model`` given
-    as a ``slice`` is that block of the batch's rows: it reads its outputs
-    and its backward from the same trace (:meth:`Trace.penalty_rows
-    <dpswgrad.models.Trace.penalty_rows>`).  Every other side, an array of
-    inputs, is traced on its own.  So a step whose pairs cut their classes
-    from the ERM batch makes one forward pass.
+    Every side of ``model``, across all pairs, is a block of rows of one
+    penalty trace.  Its sides are all ``slice`` objects or all arrays (a
+    mix is rejected before any forward pass).  A slice is that block of
+    the ERM batch's rows, read from the ERM trace cut at the penalty
+    layers (:meth:`Trace.penalty <dpswgrad.models.Trace.penalty>`); arrays
+    are stacked in pair order and traced once.  A side of a parameter-free
+    ``h`` is an array traced on its own, with no backward.
 
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``x``
     the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
-    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  A trace
-    serves both the reported values and the gradient, and W is read from
-    the gradient's own sort.  The Jacobian rows are skipped at
-    ``alpha == 0`` and the ERM gradient at ``alpha == 1``; both values are
-    still reported.
+    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Whatever R,
+    the outputs are clipped once and, after every pair's OT kernel, one
+    backward, one norm pass and one weighted sum give the penalty term;
+    each side adds its rows' clipped coupling weights into one array, so
+    shared rows add up.  W is read from the gradient's own sort.  The
+    Jacobian rows are skipped at ``alpha == 0`` and the ERM gradient at
+    ``alpha == 1``; both values are still reported.
 
     Returns ``(erm_value, w_value, total_value, grad)``.
     """
@@ -226,6 +189,7 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
         raise ValueError("alpha must lie in [0, 1]")
     if not pairs:
         raise ValueError("at least one penalty pair is required")
+    sides = _model_sides(model, pairs, erm is not None)
     # ERM first, then the penalty: this summation order is part of every
     # replayable trajectory.  Terms are added only where they exist, so a
     # single pair at weight 1 returns its own gradient array.
@@ -241,23 +205,60 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
             grad = (1.0 - alpha) * erm_grad
         else:
             erm_value = _mean_loss(shared.loss(targets, loss_kind))
+    trace, rows = _penalty_trace(model, sides, shared)
+    d = trace.output.shape[1]
+    if dirs is None:
+        if d != 1:
+            raise ValueError(
+                "a (k, d) array of directions is required for "
+                "multidimensional outputs")
+        dirs = _ONE_DIRECTION
+    if dirs.shape[0] == 0:
+        raise ValueError("at least one direction is required")
+    if d != dirs.shape[1]:
+        raise ValueError(f"outputs are {d}-dimensional but directions are "
+                         f"{dirs.shape[1]}-dimensional")
+    clipped = clip_rows(trace.output, clip.output_bound)
+    rows = iter(rows)
+    # (rows, coupling gradient columns, Jacobian row bound) of every side
+    # of the model, for the one backward after every pair's OT kernel
+    columns_of = []
     values = []
-    penalty = None
     for x, h, z in pairs:
-        tx, tz, dirs, u, v = _clipped_outputs(model, h, x, z,
-                                              clip.output_bound, dirs, shared)
+        rx = next(rows)
+        if h is model:
+            rz = next(rows)
+            cz = clipped[rz]
+        else:
+            cz = clip_rows(h.penalty_trace(z).output, clip.output_bound)
+        cx = clipped[rx]
+        if cx.shape[0] == 0 or cz.shape[0] == 0:
+            raise ValueError("both sample slices must be non-empty")
+        if cz.shape[1] != d:
+            raise ValueError(
+                "the two maps must produce outputs of equal dimension")
+        # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
+        u, v = (dirs @ cx.T).T, (dirs @ cz.T).T
         if alpha > 0.0:
-            pair_grad, columns = _assemble(tx, tz, u, v, clip, dirs)
-            if penalty is None:
-                penalty = pair_grad
-            else:
-                penalty += pair_grad
+            gu, gv, columns = w2_grad_columns(u, v)
+            columns_of.append((rx, gu, clip.jac_bound1))
+            if h is model:
+                columns_of.append((rz, gv, clip.jac_bound2))
         else:
             columns = w2_squared_columns(u, v)
         # the sum and division of np.mean, without its per-call cost
         values.append(float(columns.sum()) / columns.size)
     r = len(pairs)
-    if penalty is not None:
+    if alpha > 0.0 and model.n_params:
+        # every side's clipped, coupling-weighted Jacobian rows in one
+        # weighted sum of one backward; overlapping rows add their weights
+        grads = trace.backward(np.eye(d)[None])
+        norms = grads.norms()
+        weights = np.zeros(norms.shape)
+        for side_rows, cols, bound in columns_of:
+            weights[side_rows] += (cols @ dirs) / dirs.shape[0] \
+                * _clip_scale(norms[side_rows], bound / np.sqrt(d))
+        penalty = grads.weighted_sum(weights)
         if alpha != r:    # alpha / r == 1 only for one pair at weight 1
             penalty *= alpha / r
         grad = penalty if grad is None else grad + penalty

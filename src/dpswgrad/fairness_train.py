@@ -101,6 +101,8 @@ class TrainConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if self.gen_samples < 1:
+            raise ValueError("gen_samples must be >= 1")
         if not math.isfinite(self.gen_radius):
             raise ValueError("gen_radius must be finite")
 
@@ -390,7 +392,7 @@ def metrics(ds_test: BiasedDataset, model, task: str) -> dict:
         trace = model.trace(ds_test.x)
         resid = trace.output - ds_test.x
         core = ds_test.config.core_dim
-        codes = trace.penalty_rows(slice(None)).output
+        codes = trace.penalty().output
         out = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
                "rl_core": float(np.mean(
                    np.sum(resid[:, :core] * resid[:, :core], axis=1)))}

@@ -14,14 +14,13 @@ keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
 Jacobian row is the backward of a one-hot cotangent, a squared-error loss
 gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
 model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
-that layer's pre-activation.  A trace of a whole batch also serves the
-penalty of any block of its rows (:meth:`Trace.penalty_rows`), so a
+that layer's pre-activation.  A trace of the whole stack also serves the
+penalty, cut at the layers it reads (:meth:`Trace.penalty`), so a
 training step traces its batch once.  A trace computes each sigmoid
-layer's derivative ``s (1 - s)`` once, at its first backward, and a block
-of its rows reads row views of it; each backward multiplies it in place
-into the fresh arrays its matmuls return.  The sigmoid itself is
-``1 / (1 + exp(-z))`` in one buffer.  The per-sample gradients are never
-built.
+layer's derivative ``s (1 - s)`` once, at its first backward, into a list
+that the cut shares; each backward multiplies it in place into the fresh
+arrays its matmuls return.  The sigmoid itself is ``1 / (1 + exp(-z))``
+in one buffer.  The per-sample gradients are never built.
 :class:`LayerGrads` gives their row norms from the ghost-norm identity (a
 dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
 ||a||^2``) and any weighted sum of them as one ``G^T a`` per layer.  Every
@@ -157,7 +156,7 @@ class Model:
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
-        return Trace(self, acts, sigs, z)
+        return Trace(self, acts, sigs, z, [None] * len(sigs))
 
     def trace(self, x) -> "Trace":
         """Forward pass of the whole stack, kept for its backward."""
@@ -177,48 +176,35 @@ class Trace:
     ``acts`` holds the inputs of the traced layers followed by the last
     one's output, ``sigs`` each layer's sigmoid values (None for a linear
     layer) and ``logit`` the last one's pre-activation (None without
-    layers, and in a :meth:`penalty_rows` block that stops short of the
-    last layer).  Each sigmoid layer's derivative ``s (1 - s)`` is computed
-    once, at the first backward that needs it (:meth:`_derivatives`).
+    layers, and in a :meth:`penalty` cut that stops short of the last
+    layer).  ``derivs`` holds each sigmoid layer's derivative ``s (1 -
+    s)``, computed at the first backward that needs it, so that no
+    forward-only pass pays for it and it is not held while the penalty's
+    OT kernels run; the cut shares this list with its whole trace.
     """
 
     def __init__(self, model: Model, acts: list, sigs: list, logit,
-                 rows_of=None):
+                 derivs: list):
         self.model = model
         self.acts = acts
         self.sigs = sigs
         self.logit = logit
-        self._derivs = None
-        self._rows_of = rows_of    # (trace, rows) of a penalty_rows block
+        self.derivs = derivs
 
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
 
-    def _derivatives(self) -> list:
-        """Each traced layer's sigmoid derivative ``s (1 - s)`` (None for a
-        linear layer), computed once per trace; a :meth:`penalty_rows`
-        block reads row views of its whole trace's."""
-        if self._derivs is None:
-            if self._rows_of is None:
-                self._derivs = [s if s is None else s * (1.0 - s)
-                                for s in self.sigs]
-            else:
-                whole, rows = self._rows_of
-                self._derivs = [d if d is None else d[rows] for d in
-                                whole._derivatives()[:len(self.sigs)]]
-        return self._derivs
-
-    def penalty_rows(self, rows: slice) -> "Trace":
-        """Rows ``rows`` of this whole-stack trace, cut at the layers the
-        penalty reads: ``model.penalty_trace(x[rows])`` without a second
-        forward pass, its arrays row views of this trace's."""
-        sigs = self.sigs[:self.model.penalty_layers]
-        whole = len(sigs) == len(self.sigs)
-        return Trace(self.model, [a[rows] for a in self.acts[:len(sigs) + 1]],
-                     [s if s is None else s[rows] for s in sigs],
-                     self.logit[rows] if whole and self.logit is not None
-                     else None, rows_of=(self, rows))
+    def penalty(self) -> "Trace":
+        """This whole-stack trace cut at the layers the penalty reads, or
+        itself when the penalty reads them all: ``model.penalty_trace(x)``
+        without a second forward pass, its lists prefixes of this trace's
+        and its derivatives shared with it."""
+        depth = self.model.penalty_layers
+        if depth is None:
+            return self
+        return Trace(self.model, self.acts[:depth + 1], self.sigs[:depth],
+                     None, self.derivs)
 
     def _loss(self, targets, loss_kind: str):
         """Per-sample loss values of the traced stack and the (n, d)
@@ -271,13 +257,16 @@ class Trace:
         the last layer's pre-activation, whose derivative is not applied."""
         n, k = self.acts[0].shape[0], cot.shape[1]
         g = np.broadcast_to(cot, (n, k, cot.shape[2]))
-        derivs = self._derivatives()
+        last = len(self.sigs) - 1
         cots = [None] * len(self.sigs)
         for i in reversed(range(len(self.sigs))):
             lo, mid, _, shape, _ = self.model._layers[i]
-            ds = derivs[i]
-            if ds is not None and not (at_logit and i == len(self.sigs) - 1):
-                if i == len(self.sigs) - 1:
+            s = self.sigs[i]
+            if s is not None and not (at_logit and i == last):
+                if self.derivs[i] is None:
+                    self.derivs[i] = s * (1.0 - s)
+                ds = self.derivs[i]
+                if i == last:
                     g = g * ds[:, None, :]    # g still broadcasts ``cot``
                 else:
                     g *= ds[:, None, :]    # g is the matmul's fresh array

@@ -135,11 +135,12 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
         raise ValueError("sample sizes must be >= 1")
     n = int(n)
     m = int(m)
-    # right edges of the merged partition, scaled by n*m (exact integers)
-    edges = np.union1d(
-        np.arange(1, n + 1, dtype=np.int64) * m,
-        np.arange(1, m + 1, dtype=np.int64) * n,
-    )
+    # right edges of the merged partition, scaled by n*m (exact integers):
+    # the two sorted grids merged (a stable sort of two runs) and deduped
+    edges = np.concatenate((np.arange(1, n + 1, dtype=np.int64) * m,
+                            np.arange(1, m + 1, dtype=np.int64) * n))
+    edges.sort(kind="stable")
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     starts = np.concatenate((np.zeros(1, dtype=np.int64), edges[:-1]))
     weights = (edges - starts) / float(n * m)
     rows = (edges + m - 1) // m - 1

@@ -135,7 +135,19 @@ def dense_backward(trace, cot) -> np.ndarray:
     for the same k at every sample; the result is (n, k, n_params), zero on
     the parameters of untraced layers.
     """
-    model, acts, sigs = trace.model, trace.acts, trace.sigs
+    model = trace.model
+    # a forward pass of its own from the traced inputs: every layer's
+    # input and sigmoid, independent of the trace's stored state
+    acts, sigs = [trace.acts[0]], []
+    for lo, mid, hi, shape, act in model._layers[:len(trace.acts) - 1]:
+        z = acts[-1] @ model.theta[lo:mid].reshape(shape).T \
+            + model.theta[mid:hi]
+        with np.errstate(over="ignore"):
+            sigs.append(None if act == "linear"
+                        else 1.0 / (1.0 + np.exp(-z)))
+        acts.append(z if sigs[-1] is None else
+                    sigs[-1] - 0.5 if act == "sigmoid_recentered"
+                    else sigs[-1])
     n, k = acts[0].shape[0], cot.shape[1]
     grads = np.zeros((n, k, model.n_params))
     g = cot

@@ -12,6 +12,7 @@ import dpswgrad
 from dpswgrad import cli
 from dpswgrad.cli import main
 from dpswgrad.data import load_dataset
+from dpswgrad.models import Model
 
 
 def _files_equal(a: Path, b: Path) -> bool:
@@ -274,6 +275,26 @@ class TestOtherCommands:
         doc = json.loads((out / "sensitivity_report.json").read_text())
         assert doc["trials"] == 60
         assert doc["empirical_max"] <= doc["theoretical_bound"]
+
+    @pytest.mark.parametrize("setting", ["one_sided", "two_sided",
+                                         "sliced", "sp"])
+    def test_audited_gradient_traces_the_model_once(self, setting,
+                                                    monkeypatch):
+        # sp's sides are row blocks of its ERM batch; the other settings
+        # stack their two sides into one penalty trace
+        grad_fn, classes, _, _ = cli._audit_setup(cli._typed_config(
+            "sensitivity-audit", {"setting": setting, "n": 12, "m": 10}))
+        traced = []
+        trace = Model._trace
+
+        def counted(self, x, depth):
+            traced.append(x.shape[0])
+            return trace(self, x, depth)
+
+        monkeypatch.setattr(Model, "_trace", counted)
+        grad_fn(classes)
+        grad_fn(classes)
+        assert traced == [22, 22]
 
     def test_sp_audit_with_two_jacobian_bounds(self, tmp_path):
         # each side of the pair weighs its own Jacobian bound

@@ -649,3 +649,101 @@ class TestGhostClipping:
         direct = np.sqrt(grads.sq_norms())[i, j]
         np.testing.assert_allclose(grads._rescaled_norms(i, j), direct,
                                    rtol=1e-14, atol=0.0)
+
+
+class TestOnePenaltyPass:
+    """Every side of the model, in every pair, is a block of rows of one
+    penalty trace: one clip, one backward, one norm pass, one weighted sum
+    per call."""
+
+    def _setup(self, seed=30, n=20):
+        rng = np.random.default_rng(seed)
+        model = make_model("mlp2", 3, seed=seed, hidden_dim=5, output_dim=2)
+        x = rng.normal(size=(n, 3))
+        erm = (x, 0.3 * rng.normal(size=(n, 2)), "squared_error")
+        return model, x, erm, sample_directions(2, 4, seed=seed)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls per name of the penalty pass's parts and of the forward."""
+        from dpswgrad import dp_gradient, models
+        counts = dict.fromkeys(["_trace", "_backward", "norms",
+                                "weighted_sum", "clip_rows"], 0)
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(models.Model, "_trace")
+        counted(models.Trace, "_backward")
+        counted(models.LayerGrads, "norms")
+        counted(models.LayerGrads, "weighted_sum")
+        counted(dp_gradient, "clip_rows")
+        return counts
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    @pytest.mark.parametrize("sides", ["slices", "arrays", "arrays_no_erm"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_one_penalty_pass_per_call(self, calls, r, sides, alpha):
+        model, x, erm, dirs = self._setup()
+        blocks = [(slice(0, 6), slice(6, 10)), (slice(10, 13),
+                                                slice(13, 20))][:r]
+        if sides == "slices":
+            pairs = [(a, model, b) for a, b in blocks]
+        else:
+            pairs = [(x[a], model, x[b]) for a, b in blocks]
+        if sides == "arrays_no_erm":
+            erm = None
+        penalized_objective(model, pairs, alpha, NO_CLIP, dirs, erm)
+        # below alpha 1 the ERM term adds its own backward, norms and
+        # weighted sum; slices read the ERM trace, arrays trace once more
+        erm_pass = int(alpha < 1.0 and erm is not None)
+        assert calls == {"_trace": 1 + (sides == "arrays"),
+                         "_backward": 1 + erm_pass, "norms": 1 + erm_pass,
+                         "weighted_sum": 1 + erm_pass, "clip_rows": 1}
+
+    @pytest.mark.parametrize("pairs", [
+        lambda x, model: [(slice(0, 6), model, x[6:])],
+        lambda x, model: [(x[:6], model, slice(6, 20))],
+        lambda x, model: [(slice(0, 6), model, slice(6, 20)),
+                          (x[:6], model, x[6:])]],
+        ids=["slice_array", "array_slice", "pair_of_each"])
+    def test_mixed_sides_rejected_before_any_trace(self, calls, pairs):
+        model, x, erm, dirs = self._setup()
+        with pytest.raises(ValueError, match="all slices"):
+            penalized_objective(model, pairs(x, model), 0.5, NO_CLIP, dirs,
+                                erm)
+        assert calls["_trace"] == 0
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_shared_rows_give_the_per_pair_sum(self, alpha):
+        # pairs that share rows, across pairs and within one pair, add
+        # their weights on those rows: the per-pair gradients' mean
+        model, x, erm, dirs = self._setup(seed=31)
+        model.theta *= 3.0
+        clip = ClipConfig(0.2, 0.5, 0.6, 1.0)
+        # each bound clips some outputs and Jacobian rows and not others
+        norms = model.penalty_trace(x).backward(np.eye(2)[None]).norms()
+        out = np.linalg.norm(model.forward_batch(x), axis=1)
+        for values, bound in ((out, 0.2), (norms, 0.5 / np.sqrt(2)),
+                              (norms, 0.6 / np.sqrt(2))):
+            assert np.any(values > bound) and np.any(values < bound)
+        pairs = [(slice(0, 8), model, slice(8, 14)),
+                 (slice(0, 8), model, slice(14, 20)),
+                 (slice(4, 12), model, slice(10, 18))]
+        got = penalized_objective(model, pairs, alpha, clip, dirs, erm)
+        erm_grad = penalized_objective(model, pairs, 0.0, clip, dirs,
+                                       erm)[3]
+        per_pair = [penalized_objective(model, [pair], 1.0, clip, dirs,
+                                        erm) for pair in pairs]
+        want = (1.0 - alpha) * erm_grad \
+            + alpha * sum(p[3] for p in per_pair) / len(pairs)
+        assert np.abs(want).max() > 0.0
+        np.testing.assert_allclose(got[3], want, rtol=0.0, atol=1e-14)
+        assert got[1] == pytest.approx(np.mean([p[1] for p in per_pair]),
+                                       rel=1e-15)

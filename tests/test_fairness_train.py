@@ -315,6 +315,15 @@ class TestTasks:
             with pytest.raises(ValueError, match="^diverged at step 2 "):
                 dpsgd_train(cfg, ds)
 
+    @pytest.mark.parametrize("gen_samples", [0, -3])
+    def test_gen_samples_must_be_positive(self, gen_samples):
+        # rejected with the config, not as an empty class or a negative
+        # array dimension inside the loop
+        with pytest.raises(ValueError, match="^gen_samples must be >= 1$"):
+            TrainConfig(task="generation", steps=1, learning_rate=0.1,
+                        epsilon=math.inf, delta=1e-4, alpha=1.0, clip=LOOSE,
+                        gen_samples=gen_samples)
+
     def test_model_kind_validation(self):
         base = dict(task="regression_sp", steps=1, learning_rate=0.1,
                     epsilon=math.inf, delta=1e-4, alpha=0.0, clip=LOOSE)
@@ -353,7 +362,7 @@ class _StubModel:
     def trace(self, x):
         codes = types.SimpleNamespace(output=self._codes)
         return types.SimpleNamespace(output=self._outputs,
-                                     penalty_rows=lambda rows: codes)
+                                     penalty=lambda: codes)
 
 
 class TestMetrics:

@@ -392,13 +392,15 @@ class TestSigmoid:
 
 
 class TestDerivativeCache:
-    """A penalty row block reads its whole trace's sigmoid derivatives."""
+    """The penalty cut of a whole-stack trace reads its derivatives."""
 
     @pytest.mark.parametrize("kind", ["mlp2", "autoencoder"])
     @pytest.mark.parametrize("rows", [slice(0, 23), slice(23, 60),
                                       slice(None)],
                              ids=["head", "tail", "all"])
     def test_penalty_rows_backward_is_the_blocks_own(self, kind, rows):
+        # a block of rows of the cut's backward is the backward of the
+        # block's own penalty trace, after a loss backward of the whole
         model = make_model(kind, 5, seed=7)
         x = np.random.default_rng(8).normal(size=(60, 5))
         d = model.penalty_dim
@@ -406,27 +408,34 @@ class TestDerivativeCache:
         whole = model.trace(x)
         whole.loss_and_grads(x if kind == "autoencoder"
                              else np.zeros((60, 2)), "squared_error")
-        block = whole.penalty_rows(rows)
-        got = block.backward(cot)
+        got = whole.penalty().backward(cot)
         want = model.penalty_trace(x[rows]).backward(cot)
         assert len(got.cots) == len(want.cots)
         for g, w in zip(got.cots, want.cots):
-            assert g.shape == w.shape
-            assert bit_equal(g, w)
-        assert bit_equal(got.norms(), want.norms())
-        weights = np.random.default_rng(9).normal(size=got.shape)
-        assert bit_equal(got.weighted_sum(weights),
-                         want.weighted_sum(weights))
+            assert g[rows].shape == w.shape
+            assert bit_equal(g[rows], w)
+        assert bit_equal(got.norms()[rows], want.norms())
+        if rows == slice(None):
+            weights = np.random.default_rng(9).normal(size=got.shape)
+            assert bit_equal(got.weighted_sum(weights),
+                             want.weighted_sum(weights))
 
     def test_derivatives_computed_once_and_shared(self):
+        # no forward pass computes them; the loss backward of the whole
+        # computes each once, and the cut's backward reuses those arrays
         model = make_model("autoencoder", 5, seed=7)
-        whole = model.trace(np.random.default_rng(8).normal(size=(40, 5)))
-        block = whole.penalty_rows(slice(10, 30))
-        derivs = block._derivatives()
-        assert block._derivatives() is derivs
-        shared = whole._derivatives()
-        assert len(derivs) == model.penalty_layers
-        for d, full in zip(derivs, shared):
-            if d is not None:
-                assert np.shares_memory(d, full)
-                assert bit_equal(d, full[10:30])
+        x = np.random.default_rng(8).normal(size=(40, 5))
+        whole = model.trace(x)
+        cut = whole.penalty()
+        assert cut.derivs is whole.derivs
+        assert len(cut.sigs) == model.penalty_layers
+        assert all(d is None for d in whole.derivs)
+        whole.loss_and_grads(x, "squared_error")
+        first = list(whole.derivs)
+        assert [d is None for d in first] == [s is None for s in whole.sigs]
+        cut.backward(np.eye(model.penalty_dim)[None])
+        assert all(d is f for d, f in zip(whole.derivs, first))
+        # a penalty that reads every layer is the whole trace itself
+        mlp = make_model("mlp2", 5, seed=7)
+        whole = mlp.trace(x)
+        assert whole.penalty() is whole

@@ -74,6 +74,24 @@ class TestQuantileCoupling:
         with pytest.raises(ValueError):
             quantile_coupling(3, 0)
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (9, 1), (7, 7),
+                                      (200, 200), (3, 5), (101, 64),
+                                      (3000, 2986), (4, 12), (36, 9),
+                                      (100, 300)],
+                             ids=["1x1", "1x9", "9x1", "7x7", "200x200",
+                                  "3x5", "101x64", "3000x2986", "4x12",
+                                  "36x9", "100x300"])
+    def test_entries_match_a_union1d_reference(self, n, m):
+        # equal, coprime, multiple and unit sizes: the merged breakpoints
+        # are the union of the two integer grids, bit for bit
+        edges = np.union1d(np.arange(1, n + 1, dtype=np.int64) * m,
+                           np.arange(1, m + 1, dtype=np.int64) * n)
+        starts = np.concatenate(([0], edges[:-1]))
+        c = quantile_coupling(n, m)
+        assert bit_equal(c.rows, (edges + m - 1) // m - 1)
+        assert bit_equal(c.cols, (edges + n - 1) // n - 1)
+        assert bit_equal(c.weights, (edges - starts) / float(n * m))
+
     def test_mass_conservation_all_sizes_up_to_200(self):
         for n in range(1, 201):
             for m in (1, 2, 3, n, 197, 200):

@@ -21,15 +21,24 @@ spans more, so its first sort drops low bits, but it holds only exact
 ties, which need no second sort; ``near_tied_signed`` spans as much and
 holds near-ties, so every row takes the second, repair sort.  No
 benchmark workload reaches that repair, so this case is its timed
-evidence.  Then it times one
-``dp_gradient.penalized_objective`` step at the ``reg_sp_paper`` batch
-(mlp2 with 16 inputs, 64 hidden units and 2 outputs; 2986 + 3014 rows
-traced once, the two classes as slices of the ERM batch; 50 directions,
-alpha 0.75), then ``dp_gradient.clip_rows`` and
-``privacy.calibrate_noise``.  Each case runs once untimed, then R times
-(default 30); one line per case gives the median and the quartiles in ms
-and the minor page faults per timed call (``resource.getrusage``), which
-count the fresh memory the C library maps in for the call's temporaries.
+evidence.  Then it times one ``dp_gradient.penalized_objective`` call
+in each of three shapes:
+
+- ``reg_sp``: the ``reg_sp_paper`` batch (mlp2 with 16 inputs, 64 hidden
+  units and 2 outputs; 2986 + 3014 rows traced once, the two classes as
+  slices of the ERM batch; 50 directions, alpha 0.75);
+- ``eo``: the ``cls_eo_paper`` batch (affine_sigmoid with 16 inputs, bce;
+  four class blocks of 2094, 906, 891 and 2109 rows as slices of the ERM
+  batch, in two pairs; alpha 0.75);
+- ``audit``: one gradient of the ``audit_sliced`` workload (mlp2 with 3
+  inputs, 4 hidden units and 2 outputs at 6 times its initial weights;
+  100 against 100 rows given as arrays; 20 directions, weight 1, no ERM).
+
+Then it times ``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.
+Each case runs once untimed, then R times (default 30); one line per case
+gives the median and the quartiles in ms and the minor page faults per
+timed call (``resource.getrusage``), which count the fresh memory the C
+library maps in for the call's temporaries.
 The script leaves the C library's allocator at its defaults.
 Every OT case also checks that the kernel's three outputs equal, bit for
 bit, those of the two-stable-argsort reference ``w2_grad_columns_stable``
@@ -114,7 +123,7 @@ def _ot_inputs(n: int, m: int, k: int, values: str, c_ordered: bool,
     return u.T, v.T
 
 
-def _objective_step(sizes=(2986, 3014), seed: int = 0):
+def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
     """One ``penalized_objective`` call at the ``reg_sp_paper`` batch, as a
     function of no arguments."""
     rng = np.random.default_rng(seed)
@@ -125,6 +134,34 @@ def _objective_step(sizes=(2986, 3014), seed: int = 0):
     clip = ClipConfig.symmetric(0.7071, 1.4142, 10.0)
     dirs = sample_directions(2, 50, seed)
     return lambda: penalized_objective(model, [pair], 0.75, clip, dirs, erm)
+
+
+def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
+    """One ``penalized_objective`` call at the ``cls_eo_paper`` batch: the
+    class blocks (a, y) = (0, 0), (0, 1), (1, 0), (1, 1) of the ERM batch,
+    paired within each label."""
+    rng = np.random.default_rng(seed)
+    model = make_model("affine_sigmoid", 16, seed=seed)
+    x = rng.normal(size=(sum(sizes), 16))
+    erm = (x, rng.integers(0, 2, x.shape[0]).astype(np.float64), "bce")
+    ends = np.cumsum(sizes).tolist()
+    blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    pairs = [(blocks[0], model, blocks[2]), (blocks[1], model, blocks[3])]
+    clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
+    return lambda: penalized_objective(model, pairs, 0.75, clip, None, erm)
+
+
+def _objective_audit(n: int = 100, seed: int = 0):
+    """One gradient of the ``audit_sliced`` workload: the Wasserstein
+    gradient alone of two arrays of ``n`` rows."""
+    rng = np.random.default_rng(seed)
+    model = make_model("mlp2", 3, seed=seed, hidden_dim=4, output_dim=2)
+    model.theta *= 6.0
+    x, z = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    clip = ClipConfig(1.0, 1.0, 1.0, 5.0)
+    dirs = sample_directions(2, 20, seed + 1)
+    return lambda: penalized_objective(model, [(x, model, z)], 1.0, clip,
+                                       dirs)
 
 
 def _timings_ms(fn, repeats: int) -> tuple[np.ndarray, float]:
@@ -160,8 +197,10 @@ def run(repeats: int) -> int:
                 _timings_ms(lambda: w2_grad_columns(u, v), repeats),
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
 
-    _report("penalized_objective reg_sp 2986+3014",
-            _timings_ms(_objective_step(), repeats))
+    for label, step in (("reg_sp 2986+3014", _objective_reg_sp()),
+                        ("eo 2094+891, 906+2109", _objective_eo()),
+                        ("audit 100+100", _objective_audit())):
+        _report(f"penalized_objective {label}", _timings_ms(step, repeats))
 
     rng = np.random.default_rng(1)
     for n, d in ((2000, 2), (3000, 16)):
