@@ -259,7 +259,7 @@ def _write_step_csv(path: Path, record) -> None:
 def _write_outputs_by_group(outdir: Path, ds, model, task: str) -> str:
     """Penalized model outputs conditioned on the penalty's classes."""
     name = "outputs_by_group.csv"
-    values = model.penalty_trace(ds.x).output
+    values = model.trace(ds.x).penalty().output
     if task == "classification_eo":
         labels = [f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
     else:
@@ -359,13 +359,13 @@ def _audit_setup(cfg: dict):
     """Seeded model, private classes, gradient map and bound of a setting.
 
     Every setting is one penalty pair of the model with itself, ``x`` (n
-    records) against ``z`` (m records), run through the objective and
-    bounded from the same pair.  ``one_sided`` and ``sliced`` keep ``z``
-    public, ``two_sided`` and ``sp`` make both sides private.  The first
-    three audit the Wasserstein gradient alone (weight 1, no ERM); ``sp``
-    is the statistical-parity objective over labelled records, with ERM,
-    whose pair is the two classes' blocks of rows of the ERM batch.  Each
-    gradient of every setting traces the model once.
+    records) against ``z`` (m records) as two blocks of one batch, run
+    through the objective and bounded from the same pair.  ``one_sided``
+    and ``sliced`` keep ``z`` public, ``two_sided`` and ``sp`` make both
+    sides private.  The first three audit the Wasserstein gradient alone
+    (weight 1, no ERM); ``sp`` is the statistical-parity objective over
+    labelled records, with ERM over the batch.  Each gradient of every
+    setting traces the model once.
     """
     seed, d, n, m = cfg["seed"], cfg["input_dim"], cfg["n"], cfg["m"]
     clip = ClipConfig(cfg["output_bound"], cfg["jac_bound1"],
@@ -398,17 +398,16 @@ def _audit_setup(cfg: dict):
         draw = sensitivity.uniform_box_replacement([-3.0] * d, [3.0] * d)
     private = _AUDIT_PRIVATE_SIDES[setting]
     public = classes[private:]
+    pairs = [(slice(0, n), model, slice(n, n + m))]
 
     def grad_fn(cls):
-        x, z = (c[:, :d] for c in (*cls, *public))
-        erm = None
-        if labelled:
-            # the sides are the two classes' blocks of the ERM batch
-            erm = (np.concatenate([x, z]),
-                   np.concatenate([c[:, d] for c in cls]), "bce")
-            x, z = slice(0, n), slice(n, n + m)
-        return penalized_objective(model, [(x, model, z)], alpha, clip,
-                                   dirs, erm)[3]
+        # contiguous copies of the features: the matmul of a strided view
+        # of the labelled records rounds differently
+        x = np.concatenate([c[:, :d] for c in (*cls, *public)])
+        erm = (np.concatenate([c[:, d] for c in cls]), "bce") \
+            if labelled else None
+        return penalized_objective(model, x, pairs, alpha, clip, dirs,
+                                   erm)[3]
 
     bound = sensitivity.sensitivity_bound(
         model, [(n, model, m if private == 2 else None)], alpha, clip,

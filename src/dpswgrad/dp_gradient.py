@@ -19,17 +19,19 @@ spectral norm at ``bound``) rather than through an SVD.  No per-sample
 Jacobian is built: the row norms come from each traced layer's output
 cotangents and inputs (ghost norms), and the clipped, coupling-weighted
 sum of the rows is one summed backward pass (see
-:class:`dpswgrad.models.LayerGrads`).  Every side of the model, in every
-pair, is a block of rows of one penalty trace, so a call makes one such
-backward whatever the number of pairs.  The per-sample loss gradients of
-the finite-sum term are clipped the same way.
+:class:`dpswgrad.models.LayerGrads`).  A call traces one batch of the
+model, and every side of the model, in every pair, is a block of its rows
+(a ``slice``), so a call makes one forward pass and one such backward
+whatever the number of pairs.  The per-sample loss gradients of the
+finite-sum term over that batch are clipped the same way.
 
 :func:`penalized_objective` is the one gradient of every task and every
-audit: it takes a list of penalty pairs, clips the outputs once and
-returns the reported ERM, W and total values together with the clipped
-gradient.  A single pair at weight 1 without ERM is the clipped Wasserstein
-gradient of that pair alone.  :func:`dpswgrad.sensitivity.sensitivity_bound`
-reads the same pairs, as batch sizes, for the bound on its sensitivity.
+audit: it takes the model's batch and a list of penalty pairs, clips the
+outputs once and returns the reported ERM, W and total values together
+with the clipped gradient.  A single pair at weight 1 without ERM is the
+clipped Wasserstein gradient of that pair alone.
+:func:`dpswgrad.sensitivity.sensitivity_bound` reads the same pairs, as
+batch sizes, for the bound on its sensitivity.
 """
 
 from __future__ import annotations
@@ -103,39 +105,6 @@ def clip_rows(mat: np.ndarray, bound: float) -> np.ndarray:
 _ONE_DIRECTION = np.ones((1, 1))
 _ONE_DIRECTION.setflags(write=False)
 
-def _model_sides(model: Model, pairs, has_erm: bool) -> list:
-    """The sides of ``model`` in pair order, ``x`` of every pair and ``z``
-    where ``h`` is ``model``: all slices of the ERM batch or all arrays."""
-    if not all(h is model or h.n_params == 0 for _, h, _ in pairs):
-        raise ValueError(
-            "the second map must share the model's parameter vector (same "
-            "object) or be parameter-free")
-    sides = [side for x, h, z in pairs
-             for side in ((x, z) if h is model else (x,))]
-    sliced = sum(isinstance(side, slice) for side in sides)
-    if 0 < sliced < len(sides):
-        raise ValueError("the model's sides must be all slices of the ERM "
-                         "batch or all arrays of inputs")
-    if (sliced and not has_erm) or any(
-            isinstance(z, slice) for _, h, z in pairs if h is not model):
-        raise ValueError("a slice side reads the rows of the ERM batch and "
-                         "needs the model's ERM term")
-    return sides
-
-
-def _penalty_trace(model: Model, sides: list, shared):
-    """The one penalty trace of the model's ``sides`` and each side's
-    rows in it: the ERM trace ``shared`` cut at the penalty layers for
-    slices, else one forward pass of the arrays stacked in order."""
-    if isinstance(sides[0], slice):
-        return shared.penalty(), sides
-    arrays = [np.atleast_2d(np.asarray(side, dtype=np.float64))
-              for side in sides]
-    ends = np.cumsum([a.shape[0] for a in arrays]).tolist()
-    rows = [slice(end - a.shape[0], end) for a, end in zip(arrays, ends)]
-    return model.penalty_trace(arrays[0] if len(arrays) == 1
-                               else np.concatenate(arrays)), rows
-
 
 def _clipped_erm(trace, targets, loss_kind: str, bound: float):
     """Mean loss and mean clipped loss gradient of a whole-stack trace."""
@@ -151,29 +120,26 @@ def _mean_loss(values: np.ndarray) -> float:
         return float(np.mean(values))
 
 
-def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
-                        dirs: np.ndarray | None = None, erm=None):
+def penalized_objective(model: Model, x, pairs, alpha: float,
+                        clip: ClipConfig, dirs: np.ndarray | None = None,
+                        erm=None):
     """Values and clipped gradient of the penalized objective.
 
     The objective is ``(1 - alpha) * ERM + alpha * W``, where W averages the
-    (sliced) W2^2 of the clipped outputs over the R penalty ``pairs``.  Each
-    pair ``(x, h, z)`` compares ``model`` on ``x`` with ``h`` on ``z``;
-    ``h`` is ``model`` itself (a fairness penalty) or a parameter-free
-    reference map.  ``erm`` is ``(x, targets, loss_kind)`` for the
-    finite-sum term, or None for a penalty-only objective (ERM reported 0).
+    (sliced) W2^2 of the clipped outputs over the R penalty ``pairs``.  The
+    model traces its batch ``x`` once, and the penalty reads that trace cut
+    at its layers (:meth:`Trace.penalty <dpswgrad.models.Trace.penalty>`).
+    Each pair ``(rx, h, z)`` compares ``model`` on the rows ``rx`` (a
+    ``slice``) of ``x`` with ``h`` on ``z``: a slice of ``x`` where ``h`` is
+    ``model`` (a fairness penalty), else the own inputs of a parameter-free
+    reference map ``h``, traced with no backward.  Other pairs are rejected
+    before any forward pass.  ``erm`` is ``(targets, loss_kind)`` over all
+    of ``x``, or None for a penalty-only objective (ERM reported 0).
     ``dirs`` holds k unit directions as the rows of a (k, d) array; without
     it the outputs must be scalar and take the one direction.
 
-    Every side of ``model``, across all pairs, is a block of rows of one
-    penalty trace.  Its sides are all ``slice`` objects or all arrays (a
-    mix is rejected before any forward pass).  A slice is that block of
-    the ERM batch's rows, read from the ERM trace cut at the penalty
-    layers (:meth:`Trace.penalty <dpswgrad.models.Trace.penalty>`); arrays
-    are stacked in pair order and traced once.  A side of a parameter-free
-    ``h`` is an array traced on its own, with no backward.
-
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
-    the sum of the clipped Wasserstein gradients of the pairs: on ``x``
+    the sum of the clipped Wasserstein gradients of the pairs: on ``rx``
     the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
     on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Whatever R,
     the outputs are clipped once and, after every pair's OT kernel, one
@@ -189,23 +155,26 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
         raise ValueError("alpha must lie in [0, 1]")
     if not pairs:
         raise ValueError("at least one penalty pair is required")
-    sides = _model_sides(model, pairs, erm is not None)
+    if not all(isinstance(rx, slice) and (
+            isinstance(z, slice) if h is model
+            else not (h.n_params or isinstance(z, slice)))
+            for rx, h, z in pairs):
+        raise ValueError(
+            "each pair compares the model on a slice of its batch with "
+            "itself on another slice or with a parameter-free map on its "
+            "own array of inputs")
+    trace = model.trace(x)
     # ERM first, then the penalty: this summation order is part of every
     # replayable trajectory.  Terms are added only where they exist, so a
     # single pair at weight 1 returns its own gradient array.
     grad = None
     erm_value = 0.0
-    shared = None
-    if erm is not None:
-        x_full, targets, loss_kind = erm
-        shared = model.trace(x_full)
-        if alpha < 1.0:
-            erm_value, erm_grad = _clipped_erm(shared, targets, loss_kind,
-                                               clip.loss_grad_bound)
-            grad = (1.0 - alpha) * erm_grad
-        else:
-            erm_value = _mean_loss(shared.loss(targets, loss_kind))
-    trace, rows = _penalty_trace(model, sides, shared)
+    if erm is not None and alpha < 1.0:
+        erm_value, erm_grad = _clipped_erm(trace, *erm, clip.loss_grad_bound)
+        grad = (1.0 - alpha) * erm_grad
+    elif erm is not None:
+        erm_value = _mean_loss(trace.loss(*erm))
+    trace = trace.penalty()
     d = trace.output.shape[1]
     if dirs is None:
         if d != 1:
@@ -219,18 +188,15 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.shape[1]}-dimensional")
     clipped = clip_rows(trace.output, clip.output_bound)
-    rows = iter(rows)
     # (rows, coupling gradient columns, Jacobian row bound) of every side
     # of the model, for the one backward after every pair's OT kernel
     columns_of = []
     values = []
-    for x, h, z in pairs:
-        rx = next(rows)
+    for rx, h, z in pairs:
         if h is model:
-            rz = next(rows)
-            cz = clipped[rz]
+            cz = clipped[z]
         else:
-            cz = clip_rows(h.penalty_trace(z).output, clip.output_bound)
+            cz = clip_rows(h.trace(z).penalty().output, clip.output_bound)
         cx = clipped[rx]
         if cx.shape[0] == 0 or cz.shape[0] == 0:
             raise ValueError("both sample slices must be non-empty")
@@ -243,7 +209,7 @@ def penalized_objective(model: Model, pairs, alpha: float, clip: ClipConfig,
             gu, gv, columns = w2_grad_columns(u, v)
             columns_of.append((rx, gu, clip.jac_bound1))
             if h is model:
-                columns_of.append((rz, gv, clip.jac_bound2))
+                columns_of.append((z, gv, clip.jac_bound2))
         else:
             columns = w2_squared_columns(u, v)
         # the sum and division of np.mean, without its per-call cost

@@ -214,19 +214,19 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     (one pair per label).  Generation pushes Gaussian samples onto a
     circle: one pair of the model against the parameter-free reference, at
     weight 1 with no ERM term.  Every class is private, the generation
-    references included.  With an ERM term the step's batch stacks the
-    class batches, and each side of a pair is its class's block of rows
-    (a ``slice``), so the model traces the batch once per step.  A step
+    references included.  The model traces one batch per step: the class
+    batches stacked in key order, each side of a pair its class's block of
+    rows (a ``slice``), or for generation the batch of model inputs, whose
+    references pass the identity map as their own array.  A step
     whose loss or updated parameter norm is not finite stops the run with
     a ValueError that names the step and the budget already spent.
     """
     clip = cfg.clip
     if cfg.task == "generation":
         x, z = generation_samples(cfg)
-        inputs = {"x": x, "z": z}
         # each sample is a class of its own, indexing its own array
         part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
-                                          for key in inputs})
+                                          for key in ("x", "z")})
         model = _task_model(cfg, 2)
         pair_keys = [("x", make_model("identity", 2), "z")]
         targets, weight = None, 1.0
@@ -253,7 +253,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
     if targets is not None:
-        # the ERM batch stacks the class batches in key order, and each
+        # the step's batch stacks the class batches in key order, and each
         # penalty side is its class's block of rows
         ends = np.cumsum([batch_sizes[k] for k in part.keys])
         blocks = {k: slice(int(end) - batch_sizes[k], int(end))
@@ -300,14 +300,13 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         rng_batch = _substream(cfg.seed, _TAG_BATCH, t)
         batch = subsample_partitioned(part, batch_sizes, rng_batch)
         if targets is None:
-            pairs = [(inputs[a][batch[a]], h, inputs[b][batch[b]])
-                     for a, h, b in pair_keys]
-            erm = None
+            inputs, erm = x[batch["x"]], None
+            pairs = [(slice(None), h, z[batch[b]]) for _, h, b in pair_keys]
         else:
             union = np.concatenate([batch[k] for k in part.keys])
-            erm = (ds.x[union], targets[union], loss_kind)
+            inputs, erm = ds.x[union], (targets[union], loss_kind)
         erm_val, w_val, total, grad = penalized_objective(
-            model, pairs, weight, clip, dirs, erm)
+            model, inputs, pairs, weight, clip, dirs, erm)
         record.erm_losses.append(erm_val)
         record.w_losses.append(w_val)
         record.total_losses.append(total)

@@ -14,18 +14,18 @@ keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
 Jacobian row is the backward of a one-hot cotangent, a squared-error loss
 gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
 model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
-that layer's pre-activation.  A trace of the whole stack also serves the
-penalty, cut at the layers it reads (:meth:`Trace.penalty`), so a
-training step traces its batch once.  A trace computes each sigmoid
-layer's derivative ``s (1 - s)`` once, at its first backward, into a list
-that the cut shares; each backward multiplies it in place into the fresh
-arrays its matmuls return.  The sigmoid itself is ``1 / (1 + exp(-z))``
-in one buffer.  The per-sample gradients are never built.
-:class:`LayerGrads` gives their row norms from the ghost-norm identity (a
-dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
-||a||^2``) and any weighted sum of them as one ``G^T a`` per layer.  Every
-derivative is exact, which the finite-difference tests rely on; there is
-no autodiff framework.
+that layer's pre-activation.  :meth:`Model.trace` is the one forward
+pass, always of the whole stack; the penalty reads that trace cut at its
+layers (:meth:`Trace.penalty`), so a training step traces its batch once.
+A trace computes each sigmoid layer's derivative ``s (1 - s)`` once, at
+its first backward, into a list that the cut shares; each backward
+multiplies it in place into the fresh arrays its matmuls return.  The
+sigmoid itself is ``1 / (1 + exp(-z))`` in one buffer.  The per-sample
+gradients are never built.  :class:`LayerGrads` gives their row norms from
+the ghost-norm identity (a dense layer's per-sample gradient ``g a^T`` has
+squared norm ``||g||^2 ||a||^2``) and any weighted sum of them as one
+``G^T a`` per layer.  Every derivative is exact, which the
+finite-difference tests rely on; there is no autodiff framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  ``forward_batch`` and the
@@ -144,12 +144,12 @@ class Model:
 
     # -- forward traces ----------------------------------------------------
 
-    def _trace(self, x, depth: int | None) -> "Trace":
-        """Forward pass through the first ``depth`` layers (all when None)."""
+    def trace(self, x) -> "Trace":
+        """Forward pass of the whole stack, kept for its backward."""
         acts = [_as_batch(x, self.input_dim)]
         sigs = []
         z = None
-        for lo, mid, hi, shape, act in self._layers[:depth]:
+        for lo, mid, hi, shape, act in self._layers:
             z = acts[-1] @ self.theta[lo:mid].reshape(shape).T \
                 + self.theta[mid:hi]
             s = None if act == "linear" else _sigmoid(z)
@@ -157,14 +157,6 @@ class Model:
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
         return Trace(self, acts, sigs, z, [None] * len(sigs))
-
-    def trace(self, x) -> "Trace":
-        """Forward pass of the whole stack, kept for its backward."""
-        return self._trace(x, None)
-
-    def penalty_trace(self, x) -> "Trace":
-        """Forward pass of the layers whose output the penalty reads."""
-        return self._trace(x, self.penalty_layers)
 
     def forward_batch(self, x) -> np.ndarray:
         return self.trace(x).output
@@ -197,9 +189,9 @@ class Trace:
 
     def penalty(self) -> "Trace":
         """This whole-stack trace cut at the layers the penalty reads, or
-        itself when the penalty reads them all: ``model.penalty_trace(x)``
-        without a second forward pass, its lists prefixes of this trace's
-        and its derivatives shared with it."""
+        itself when the penalty reads them all: the trace of those layers
+        alone, without a second forward pass, its lists prefixes of this
+        trace's and its derivatives shared with it."""
         depth = self.model.penalty_layers
         if depth is None:
             return self

@@ -110,13 +110,13 @@ class QuantileCoupling:
         return self.weights.size
 
 
-def _segment_matrix(segments: np.ndarray, size: int,
-                    weights: np.ndarray) -> sparse.csr_array:
+def _segment_matrix(segments: np.ndarray, size: int, weights: np.ndarray,
+                    entries: np.ndarray) -> sparse.csr_array:
     """(size, E) CSR matrix with ``weights[e]`` at (segments[e], e), for
-    nondecreasing ``segments``."""
+    nondecreasing ``segments``; ``entries`` is the read-only ``arange(E)``
+    that both matrices of a coupling share as their column indices."""
     mat = sparse.csr_array(
-        (weights, np.arange(weights.size),
-         np.searchsorted(segments, np.arange(size + 1))),
+        (weights, entries, np.searchsorted(segments, np.arange(size + 1))),
         shape=(size, weights.size))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
@@ -145,7 +145,8 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     weights = (edges - starts) / float(n * m)
     rows = (edges + m - 1) // m - 1
     cols = (edges + n - 1) // n - 1
-    for arr in (rows, cols, weights):
+    entries = np.arange(weights.size)
+    for arr in (rows, cols, weights, entries):
         arr.setflags(write=False)
     return QuantileCoupling(
         n=n,
@@ -153,8 +154,8 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
         rows=rows,
         cols=cols,
         weights=weights,
-        by_row=_segment_matrix(rows, n, weights),
-        by_col=_segment_matrix(cols, m, weights),
+        by_row=_segment_matrix(rows, n, weights, entries),
+        by_col=_segment_matrix(cols, m, weights, entries),
     )
 
 

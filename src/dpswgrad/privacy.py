@@ -156,6 +156,9 @@ class AccountantState:
             raise ValueError("target delta must lie in (0, 1)")
 
     def step(self, k: int = 1) -> None:
+        """Record ``k >= 0`` more steps."""
+        if k < 0:
+            raise ValueError("steps taken must be >= 0")
         self.steps += int(k)
 
     def epsilon_spent(self, target_delta: float | None = None) -> float:
@@ -279,8 +282,8 @@ def gaussian_mechanism(v, sigma: float, rng) -> np.ndarray:
     ``rng`` is a ``numpy.random.Generator``; the output is deterministic
     given its state.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     arr = np.asarray(v, dtype=np.float64)
     if sigma == 0.0:
         return arr.copy()

@@ -43,7 +43,7 @@ def sensitivity_bound(model, pairs, alpha: float, clip,
     """Replace-one sensitivity of the gradient of ``penalized_objective``.
 
     ``pairs`` lists ``(n_x, h, n_z)`` per penalty pair, as the objective's
-    ``(x, h, z)`` with each batch replaced by its size: ``model`` on a
+    ``(rx, h, z)`` with each side replaced by its size: ``model`` on a
     batch of ``n_x`` records against ``h`` on ``n_z`` records.  A side
     whose records are public has size None.  ``clip`` is the objective's
     :class:`~dpswgrad.dp_gradient.ClipConfig`, whose ``jac_bound1`` clips

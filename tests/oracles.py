@@ -14,11 +14,13 @@ The dense per-sample path is the reference for the library's ghost-norm
 clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
 gradients of a model trace layer by layer, and the Jacobian and
 squared-error gradient helpers are its one-hot and ``2 (out - y)`` cases;
-the bce gradient is the affine sigmoid model's closed form.  The
-finite-difference tests check them; they in turn check the row norms and
-summed backward of :class:`dpswgrad.models.LayerGrads`.  The single-sample
-model helpers only slice these batch functions, so per-sample checks read
-like the math.
+the bce gradient is the affine sigmoid model's closed form, and the
+penalty's Jacobians are those of a standalone model of the layers it
+reads.  The finite-difference tests check them; they in turn check the
+row norms and summed backward of :class:`dpswgrad.models.LayerGrads`.
+The single-sample model helpers only slice these batch functions, so
+per-sample checks read like the math.  :func:`stacked_pairs` writes
+penalty pairs of input arrays in the objective's one-batch form.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from dpswgrad.dp_gradient import clip_rows
+from dpswgrad.models import Model
 from dpswgrad.ot_core import quantile_coupling
 
 
@@ -173,9 +176,41 @@ def jacobian_batch(model, x) -> np.ndarray:
     return _one_hot_backward(model.trace(x))
 
 
+def penalty_model(model):
+    """A standalone model of the layers the penalty reads, on the prefix
+    of ``model.theta`` they use (a view of it), or ``model`` itself when
+    the penalty reads every layer: the reference for the penalty cut of a
+    whole-stack trace."""
+    depth = model.penalty_layers
+    if depth is None:
+        return model
+    layers = [(shape[0], act) for *_, shape, act in model._layers[:depth]]
+    return Model(model.input_dim, layers,
+                 theta=model.theta[:model._layers[depth - 1][2]])
+
+
 def penalty_jacobian_batch(model, x) -> np.ndarray:
-    """(n, penalty_dim, n_params) Jacobians of the penalized output."""
-    return _one_hot_backward(model.penalty_trace(x))
+    """(n, penalty_dim, n_params) Jacobians of the penalized output: those
+    of :func:`penalty_model`, zero on the parameters past its layers."""
+    jac = _one_hot_backward(penalty_model(model).trace(x))
+    return np.pad(jac, ((0, 0), (0, 0), (0, model.n_params - jac.shape[2])))
+
+
+def stacked_pairs(model, pairs) -> tuple:
+    """The batch and pairs of ``penalized_objective`` for penalty pairs
+    ``(x, h, z)`` of input arrays: the model's sides stacked in pair order
+    into one batch, each replaced by its slice of it; a parameter-free
+    ``h`` keeps its own array ``z``."""
+    sides, out = [], []
+
+    def rows(side):
+        start = sum(len(s) for s in sides)
+        sides.append(side)
+        return slice(start, start + len(side))
+
+    for x, h, z in pairs:
+        out.append((rows(x), h, rows(z) if h is model else z))
+    return np.concatenate(sides), out
 
 
 def loss_grad_batch(model, x, targets, loss_kind: str) -> np.ndarray:

@@ -31,7 +31,7 @@ from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
 from dpswgrad.sliced import sample_directions, sw2_squared_mc
 
 from oracles import central_diff, distinct_values, rel_err, \
-    w2_squared_quantile_oracle
+    stacked_pairs, w2_squared_quantile_oracle
 
 
 class _Gate:
@@ -117,8 +117,8 @@ def test_c2_gradient_correctness():
             v = model.forward_batch(z)[:, 0]
             if not gaps_ok(u, v):
                 continue
-            grad = penalized_objective(model, [(x, model, z)], 1.0,
-                                       no_clip)[3]
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, no_clip)[3]
             fd = theta_fd(model, lambda: w2_squared(
                 model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
             assert rel_err(grad, fd) < 1e-5
@@ -136,7 +136,8 @@ def test_c2_gradient_correctness():
             pv = model.forward_batch(z) @ dirs.T
             if not gaps_ok(*(list(pu.T) + list(pv.T))):
                 continue
-            grad = penalized_objective(model, [(x, model, z)], 1.0, no_clip,
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, no_clip,
                                        dirs)[3]
             fd = theta_fd(model, lambda: sw2_squared_mc(
                 model.forward_batch(x), model.forward_batch(z), dirs))
@@ -170,8 +171,8 @@ def _one_sided_audit(clip_bounds, n, sliced, trials, seed, k=20):
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        return penalized_objective(model, [(classes[0], model, z)], 1.0,
-                                   clip, dirs)[3]
+        batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+        return penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
@@ -214,9 +215,10 @@ def test_c4_sensitivity_obedience():
             x, z = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
 
             def grad_fn(classes):
-                return penalized_objective(
-                    model, [(classes[0], model, classes[1])], 1.0, clip,
-                    dirs)[3]
+                batch, pairs = stacked_pairs(
+                    model, [(classes[0], model, classes[1])])
+                return penalized_objective(model, batch, pairs, 1.0, clip,
+                                           dirs)[3]
 
             rep = empirical_sensitivity(
                 grad_fn, [x, z], uniform_box_replacement([-3.0] * 3,
@@ -241,8 +243,8 @@ def test_c4_sensitivity_obedience():
             x_full = np.concatenate([c0[:, :3], c1[:, :3]])
             y_full = np.concatenate([c0[:, 3], c1[:, 3]])
             return penalized_objective(
-                model, [(c0[:, :3], model, c1[:, :3])], 0.75, clip,
-                erm=(x_full, y_full, "bce"))[3]
+                model, x_full, [(slice(0, n0), model, slice(n0, n0 + n1))],
+                0.75, clip, erm=(y_full, "bce"))[3]
 
         def draw_labeled(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=3),
@@ -260,14 +262,16 @@ def test_c4_sensitivity_obedience():
                                        np.full(sizes[k], float(k[1]))])
                       for k in keys]
 
+        # each class is its block of rows of the batch, in key order
+        ends = np.cumsum([sizes[k] for k in keys]).tolist()
+        blocks = {k: slice(end - sizes[k], end) for k, end in zip(keys, ends)}
+        eo_pairs = [(blocks[(0, k)], model, blocks[(1, k)]) for k in (0, 1)]
+
         def eo_fn(classes):
-            batches = {k: c[:, :3] for k, c in zip(keys, classes)}
             x_full = np.concatenate([c[:, :3] for c in classes])
             y_full = np.concatenate([c[:, 3] for c in classes])
-            pairs = [(batches[(0, k)], model, batches[(1, k)])
-                     for k in (0, 1)]
-            return penalized_objective(model, pairs, 0.75, clip,
-                                       erm=(x_full, y_full, "bce"))[3]
+            return penalized_objective(model, x_full, eo_pairs, 0.75, clip,
+                                       erm=(y_full, "bce"))[3]
 
         def draw_eo(rng_, class_index):
             # label is pinned by the class, only the features vary
@@ -294,8 +298,9 @@ def test_c4_sensitivity_obedience():
             x = rng.normal(size=(n, 3))
 
             def grad_fn(classes):
-                return penalized_objective(model, [(classes[0], model, z)],
-                                           1.0, clip)[3]
+                batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+                return penalized_objective(model, batch, pairs, 1.0,
+                                           clip)[3]
 
             return empirical_sensitivity(
                 grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
@@ -414,7 +419,8 @@ def test_c8_norm_bound():
             model.theta *= float(rng.uniform(1.0, 25.0))
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            grad = penalized_objective(model, [(x, model, z)], 1.0, clip,
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, clip,
                                        dirs if sliced else None)[3]
             assert np.linalg.norm(grad) <= 4.0 * out_b * (j1 + j2) + 1e-10
 

@@ -280,18 +280,18 @@ class TestOtherCommands:
                                          "sliced", "sp"])
     def test_audited_gradient_traces_the_model_once(self, setting,
                                                     monkeypatch):
-        # sp's sides are row blocks of its ERM batch; the other settings
-        # stack their two sides into one penalty trace
+        # every setting stacks its two sides into the one batch the model
+        # traces, and sp's ERM term reads that trace too
         grad_fn, classes, _, _ = cli._audit_setup(cli._typed_config(
             "sensitivity-audit", {"setting": setting, "n": 12, "m": 10}))
         traced = []
-        trace = Model._trace
+        trace = Model.trace
 
-        def counted(self, x, depth):
+        def counted(self, x):
             traced.append(x.shape[0])
-            return trace(self, x, depth)
+            return trace(self, x)
 
-        monkeypatch.setattr(Model, "_trace", counted)
+        monkeypatch.setattr(Model, "trace", counted)
         grad_fn(classes)
         grad_fn(classes)
         assert traced == [22, 22]

@@ -13,7 +13,8 @@ from dpswgrad.sliced import sample_directions, sw2_squared_mc
 
 from oracles import (central_diff, clip_jacobian_naive, clip_vector,
                      jacobian_batch, loss_grad_batch, penalty_jacobian_batch,
-                     rel_err, spectral_norm_power_iteration)
+                     penalty_model, rel_err, spectral_norm_power_iteration,
+                     stacked_pairs)
 
 NO_CLIP = ClipConfig(1e9, 1e9, 1e9, 1e9)
 
@@ -126,8 +127,8 @@ class TestClippedWassersteinGrad1D:
     def test_zero_when_both_sides_identical(self):
         model = make_model("affine_sigmoid", 3, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 3))
-        g = penalized_objective(model, [(x, model, x.copy())], 1.0,
-                                NO_CLIP)[3]
+        batch, pairs = stacked_pairs(model, [(x, model, x.copy())])
+        g = penalized_objective(model, batch, pairs, 1.0, NO_CLIP)[3]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_matches_fd_through_affine_sigmoid(self):
@@ -142,8 +143,8 @@ class TestClippedWassersteinGrad1D:
             v = model.forward_batch(z)[:, 0]
             if not _separated(np.concatenate([u]), v):
                 continue
-            grad = penalized_objective(model, [(x, model, z)], 1.0,
-                                       NO_CLIP)[3]
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP)[3]
             fd = _fd_theta_grad(model, lambda: w2_squared(
                 model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
             assert rel_err(grad, fd) < 1e-5
@@ -156,7 +157,8 @@ class TestClippedWassersteinGrad1D:
         ident = make_model("identity", 1)
         x = rng.normal(size=(5, 1))
         z = rng.normal(size=(7, 2))
-        grad = penalized_objective(gen, [(z, ident, x)], 1.0, NO_CLIP)[3]
+        batch, pairs = stacked_pairs(gen, [(z, ident, x)])
+        grad = penalized_objective(gen, batch, pairs, 1.0, NO_CLIP)[3]
         assert grad.shape == (gen.n_params,)
         fd = _fd_theta_grad(gen, lambda: w2_squared(
             x[:, 0], gen.forward_batch(z)[:, 0]))
@@ -178,21 +180,24 @@ class TestClippedWassersteinGrad1D:
         jx = clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
         jz = clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0)
         want = gu[:, 0] @ jx + gv[:, 0] @ jz
-        got = penalized_objective(model, [(x, model, z)], 1.0, clip)[3]
+        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        got = penalized_objective(model, batch, pairs, 1.0, clip)[3]
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_two_distinct_parametric_models_rejected(self):
         a = make_model("affine_sigmoid", 2, seed=0)
         b = make_model("affine_sigmoid", 2, seed=1)
         with pytest.raises(ValueError):
-            penalized_objective(a, [(np.zeros((2, 2)), b, np.zeros((2, 2)))],
-                                1.0, NO_CLIP)
+            batch, pairs = stacked_pairs(
+                a, [(np.zeros((2, 2)), b, np.zeros((2, 2)))])
+            penalized_objective(a, batch, pairs, 1.0, NO_CLIP)
 
     def test_empty_slice_rejected(self):
         m = make_model("affine_sigmoid", 2, seed=0)
         with pytest.raises(ValueError):
-            penalized_objective(m, [(np.zeros((0, 2)), m, np.zeros((2, 2)))],
-                                1.0, NO_CLIP)
+            batch, pairs = stacked_pairs(
+                m, [(np.zeros((0, 2)), m, np.zeros((2, 2)))])
+            penalized_objective(m, batch, pairs, 1.0, NO_CLIP)
 
 
 class TestClippedWassersteinGradSliced:
@@ -210,7 +215,8 @@ class TestClippedWassersteinGradSliced:
             if not all(_separated(pu[:, k], pv[:, k])
                        for k in range(dirs.shape[0])):
                 continue
-            grad = penalized_objective(model, [(x, model, z)], 1.0, NO_CLIP,
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP,
                                        dirs)[3]
             fd = _fd_theta_grad(model, lambda: sw2_squared_mc(
                 model.forward_batch(x), model.forward_batch(z), dirs))
@@ -221,14 +227,16 @@ class TestClippedWassersteinGradSliced:
         model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            penalized_objective(model, [(x, model, x)], 1.0, NO_CLIP)
+            batch, pairs = stacked_pairs(model, [(x, model, x)])
+            penalized_objective(model, batch, pairs, 1.0, NO_CLIP)
 
     def test_dimension_mismatch_rejected(self):
         model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         dirs = sample_directions(3, 4, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            penalized_objective(model, [(x, model, x)], 1.0, NO_CLIP, dirs)
+            batch, pairs = stacked_pairs(model, [(x, model, x)])
+            penalized_objective(model, batch, pairs, 1.0, NO_CLIP, dirs)
 
     def test_norm_bound_randomized(self):
         rng = np.random.default_rng(6)
@@ -244,7 +252,8 @@ class TestClippedWassersteinGradSliced:
             model.theta *= rng.uniform(1.0, 30.0)
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            grad = penalized_objective(model, [(x, model, z)], 1.0, clip,
+            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            grad = penalized_objective(model, batch, pairs, 1.0, clip,
                                        dirs)[3]
             assert np.linalg.norm(grad) <= 4 * out_b * (j1 + j2) + 1e-10
 
@@ -254,9 +263,10 @@ class TestClippedWassersteinGradSliced:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 2))
         z = rng.normal(size=(5, 2))
+        batch, pairs = stacked_pairs(model, [(x, model, z)])
         tight = penalized_objective(
-            model, [(x, model, z)], 1.0, ClipConfig(50.0, 50.0, 50.0), dirs)[3]
-        loose = penalized_objective(model, [(x, model, z)], 1.0, NO_CLIP,
+            model, batch, pairs, 1.0, ClipConfig(50.0, 50.0, 50.0), dirs)[3]
+        loose = penalized_objective(model, batch, pairs, 1.0, NO_CLIP,
                                     dirs)[3]
         np.testing.assert_allclose(tight, loose, atol=1e-10)
 
@@ -267,10 +277,10 @@ class TestClippedWassersteinGradSliced:
         # ZeroDivisionError at alpha 0
         model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 3))
-        erm = (x, np.zeros((6, 2)), "squared_error")
+        erm = (np.zeros((6, 2)), "squared_error")
         with pytest.raises(ValueError, match="direction"):
-            penalized_objective(model, [(x[:3], model, x[3:])], alpha,
-                                NO_CLIP, np.zeros((0, 2)), erm)
+            penalized_objective(model, x, [(slice(0, 3), model, slice(3, 6))],
+                                alpha, NO_CLIP, np.zeros((0, 2)), erm)
 
 
 class TestObjectiveGrads:
@@ -282,79 +292,91 @@ class TestObjectiveGrads:
         x_full = np.concatenate([x0, x1])
         y_full = rng.integers(0, 2, size=n).astype(float)
         clip = ClipConfig(1.0, 1.0, 1.0, 5.0)
-        return model, x0, x1, x_full, y_full, clip
+        # the one pair of the blocks x0 and x1 of the batch x_full
+        pairs = [(slice(0, n // 2), model, slice(n // 2, n))]
+        return model, x0, x1, x_full, y_full, pairs, clip
 
     def test_alpha_zero_is_clipped_erm(self):
-        model, x0, x1, x_full, y_full, clip = self._setup()
+        model, _, _, x_full, y_full, pairs, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
-            model, [(x0, model, x1)], 0.0, clip, erm=(x_full, y_full, "bce"))
-        erm = penalized_objective(model, [(x0, model, x1)], 0.0, clip,
-                                  erm=(x_full, y_full, "bce"))[3]
+            model, x_full, pairs, 0.0, clip, erm=(y_full, "bce"))
+        erm = penalized_objective(model, x_full, pairs, 0.0, clip,
+                                  erm=(y_full, "bce"))[3]
         np.testing.assert_allclose(g, erm, atol=1e-15)
         # the penalty value is still reported when its gradient is skipped
         assert w_val > 0.0 and total == erm_val
 
     def test_alpha_one_is_pure_penalty(self):
-        model, x0, x1, x_full, y_full, clip = self._setup()
+        model, _, _, x_full, y_full, pairs, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
-            model, [(x0, model, x1)], 1.0, clip, erm=(x_full, y_full, "bce"))
-        w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
+            model, x_full, pairs, 1.0, clip, erm=(y_full, "bce"))
+        w = penalized_objective(model, x_full, pairs, 1.0, clip)[3]
         np.testing.assert_allclose(g, w, atol=1e-15)
         want = np.mean(model.trace(x_full).loss(y_full, "bce"))
         assert erm_val == pytest.approx(want, rel=1e-15)
         assert total == w_val
 
     def test_alpha_half_combines_halves(self):
-        model, x0, x1, x_full, y_full, clip = self._setup(seed=3)
+        model, _, _, x_full, y_full, pairs, clip = self._setup(seed=3)
         erm_val, w_val, total, g = penalized_objective(
-            model, [(x0, model, x1)], 0.5, clip, erm=(x_full, y_full, "bce"))
-        erm = penalized_objective(model, [(x0, model, x1)], 0.0, clip,
-                                  erm=(x_full, y_full, "bce"))[3]
-        w = penalized_objective(model, [(x0, model, x1)], 1.0, clip)[3]
+            model, x_full, pairs, 0.5, clip, erm=(y_full, "bce"))
+        erm = penalized_objective(model, x_full, pairs, 0.0, clip,
+                                  erm=(y_full, "bce"))[3]
+        w = penalized_objective(model, x_full, pairs, 1.0, clip)[3]
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
         assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
 
     def test_empty_class_batch_rejected(self):
-        model, x0, x1, x_full, y_full, clip = self._setup()
+        model, _, _, x_full, y_full, _, clip = self._setup()
         with pytest.raises(ValueError):
-            penalized_objective(model, [(np.zeros((0, 3)), model, x1)], 0.5,
-                                clip, erm=(x_full, y_full, "bce"))
+            penalized_objective(model, x_full,
+                                [(slice(0, 0), model, slice(6, 12))], 0.5,
+                                clip, erm=(y_full, "bce"))
+        with pytest.raises(ValueError, match="non-empty"):
+            penalized_objective(model, x_full,
+                                [(slice(0, 6), model, slice(6, 6))], 0.5,
+                                clip, erm=(y_full, "bce"))
 
     def test_penalty_needs_a_pair(self):
-        model, _, _, x_full, y_full, clip = self._setup()
+        model, _, _, x_full, y_full, _, clip = self._setup()
         with pytest.raises(ValueError, match="penalty pair"):
-            penalized_objective(model, [], 0.5, clip,
-                                erm=(x_full, y_full, "bce"))
+            penalized_objective(model, x_full, [], 0.5, clip,
+                                erm=(y_full, "bce"))
 
     def test_eo_combines_per_label_terms(self):
-        model, x0, x1, x_full, y_full, clip = self._setup(seed=5)
+        model, _, _, _, _, _, clip = self._setup(seed=5)
         rng = np.random.default_rng(6)
-        batches = {(j, k): rng.normal(size=(4, 3)) + j - k
-                   for j in (0, 1) for k in (0, 1)}
-        pairs = [(batches[(0, k)], model, batches[(1, k)]) for k in (0, 1)]
-        _, w_val, _, g = penalized_objective(model, pairs, 0.4, clip,
-                                             erm=(x_full, y_full, "bce"))
-        erm = penalized_objective(model, pairs, 0.0, clip,
-                                  erm=(x_full, y_full, "bce"))[3]
-        w0, w1 = (penalized_objective(model, [pair], 1.0, clip)[3]
+        # the (a, y) class batches are blocks of 4 rows of one batch
+        keys = [(j, k) for j in (0, 1) for k in (0, 1)]
+        x_full = np.concatenate([rng.normal(size=(4, 3)) + j - k
+                                 for j, k in keys])
+        erm = (rng.integers(0, 2, size=16).astype(float), "bce")
+        blocks = {key: slice(4 * i, 4 * i + 4) for i, key in enumerate(keys)}
+        pairs = [(blocks[(0, k)], model, blocks[(1, k)]) for k in (0, 1)]
+        _, w_val, _, g = penalized_objective(model, x_full, pairs, 0.4, clip,
+                                             erm=erm)
+        erm_grad = penalized_objective(model, x_full, pairs, 0.0, clip,
+                                       erm=erm)[3]
+        w0, w1 = (penalized_objective(model, x_full, [pair], 1.0, clip)[3]
                   for pair in pairs)
-        np.testing.assert_allclose(g, 0.6 * erm + 0.2 * (w0 + w1), atol=1e-14)
-        values = [penalized_objective(model, [pair], 1.0, clip)[1]
+        np.testing.assert_allclose(g, 0.6 * erm_grad + 0.2 * (w0 + w1),
+                                   atol=1e-14)
+        values = [penalized_objective(model, x_full, [pair], 1.0, clip)[1]
                   for pair in pairs]
         assert w_val == pytest.approx(np.mean(values), rel=1e-15)
 
     def test_eo_missing_batch_rejected(self):
-        model, x0, x1, x_full, y_full, clip = self._setup()
-        pairs = [(x0, model, x1), (x0, model, np.zeros((0, 3)))]
+        model, _, _, x_full, y_full, pairs, clip = self._setup()
+        pairs = [*pairs, (slice(0, 6), model, slice(12, 12))]
         with pytest.raises(ValueError):
-            penalized_objective(model, pairs, 0.4, clip,
-                                erm=(x_full, y_full, "bce"))
+            penalized_objective(model, x_full, pairs, 0.4, clip,
+                                erm=(y_full, "bce"))
 
     def test_eo_zero_penalty_when_distributions_identical(self):
-        model, x0, x1, x_full, y_full, clip = self._setup(seed=7)
-        pairs = [(x0.copy(), model, x0.copy()) for _ in (0, 1)]
-        _, w_val, _, g = penalized_objective(model, pairs, 1.0, clip,
-                                             erm=(x_full, y_full, "bce"))
+        model, _, _, x_full, y_full, _, clip = self._setup(seed=7)
+        pairs = [(slice(0, 6), model, slice(0, 6)) for _ in (0, 1)]
+        _, w_val, _, g = penalized_objective(model, x_full, pairs, 1.0, clip,
+                                             erm=(y_full, "bce"))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
         assert w_val == 0.0
 
@@ -362,9 +384,10 @@ class TestObjectiveGrads:
     @pytest.mark.parametrize("kind", ["affine_sigmoid", "mlp2",
                                       "autoencoder"])
     def test_slice_sides_read_the_erm_trace(self, kind, alpha):
-        # class blocks of the ERM batch given as slices give what the same
-        # blocks give as inputs of their own traces; the autoencoder's
-        # blocks stop at its latent codes
+        # class blocks of the batch read its trace cut at the penalty
+        # layers: the penalty is that of a standalone model of those
+        # layers, zero past them (the autoencoder's decoder), added to
+        # the ERM term of the whole stack
         rng = np.random.default_rng(21)
         model = make_model(kind, 3, seed=2, hidden_dim=5)
         x_full = rng.normal(size=(13, 3))
@@ -377,33 +400,29 @@ class TestObjectiveGrads:
                        else 0.3 * rng.normal(size=(13, 2)))
             loss_kind = "squared_error"
         clip = ClipConfig(0.3, 1.0, 1.0, 2.0)
-        erm = (x_full, targets, loss_kind)
+        erm = (targets, loss_kind)
         pairs = [(slice(0, 4), model, slice(4, 9)),
                  (slice(9, 11), model, slice(11, 13))]
-        got = penalized_objective(model, pairs, alpha, clip, dirs, erm)
-        want = penalized_objective(
-            model, [(x_full[a], h, x_full[b]) for a, h, b in pairs], alpha,
-            clip, dirs, erm)
-        assert got[:3] == pytest.approx(want[:3], rel=1e-14, abs=0.0)
-        np.testing.assert_allclose(got[3], want[3], rtol=1e-13, atol=0.0)
-
-    def test_slice_side_needs_the_erm_batch(self):
-        model, x0, x1, x_full, y_full, clip = self._setup()
-        erm = (x_full, y_full, "bce")
-        with pytest.raises(ValueError, match="ERM"):
-            penalized_objective(model, [(slice(0, 6), model, x1)], 0.5, clip)
-        with pytest.raises(ValueError, match="ERM"):
-            penalized_objective(
-                model, [(slice(0, 6), make_model("identity", 1),
-                         slice(6, 12))], 0.5, clip, erm=erm)
-        with pytest.raises(ValueError, match="non-empty"):
-            penalized_objective(model, [(slice(0, 6), model, slice(6, 6))],
-                                0.5, clip, erm=erm)
+        got = penalized_objective(model, x_full, pairs, alpha, clip, dirs,
+                                  erm)
+        sub = penalty_model(model)
+        assert (sub is model) == (kind != "autoencoder")
+        penalty = penalized_objective(sub, x_full,
+                                      [(a, sub, b) for a, _, b in pairs],
+                                      1.0, clip, dirs)
+        erm_only = penalized_objective(model, x_full, pairs, 0.0, clip,
+                                       dirs, erm)
+        want = ((1.0 - alpha) * erm_only[0] + alpha * penalty[1],
+                (1.0 - alpha) * erm_only[3] + alpha * np.pad(
+                    penalty[3], (0, model.n_params - sub.n_params)))
+        assert got[:3] == pytest.approx(
+            (erm_only[0], penalty[1], want[0]), rel=1e-14, abs=0.0)
+        np.testing.assert_allclose(got[3], want[1], rtol=1e-13, atol=0.0)
 
     def test_penalty_value_reports_clipped_distance(self):
-        model, x0, x1, _, _, _ = self._setup(seed=8)
+        model, x0, x1, x_full, _, pairs, _ = self._setup(seed=8)
         erm_val, val, total, _ = penalized_objective(
-            model, [(x0, model, x1)], 1.0, ClipConfig(0.5, 1.0, 1.0))
+            model, x_full, pairs, 1.0, ClipConfig(0.5, 1.0, 1.0))
         u = np.clip(model.forward_batch(x0)[:, 0], -0.5, 0.5)
         v = np.clip(model.forward_batch(x1)[:, 0], -0.5, 0.5)
         assert val == pytest.approx(w2_squared(u, v), rel=1e-12)
@@ -418,7 +437,8 @@ class TestObjectiveGrads:
         x, z = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
         clip = ClipConfig(1.0, 1.0, 0.0)
         _, w_val, total, g = penalized_objective(
-            model, [(x, make_model("identity", 2), z)], 1.0, clip, dirs)
+            model, x, [(slice(None), make_model("identity", 2), z)], 1.0,
+            clip, dirs)
         # the model's side alone, summed sample by sample and direction by
         # direction; the reference side has no parameters
         u = clip_rows(model.forward_batch(x), 1.0) @ dirs.T
@@ -445,9 +465,10 @@ class TestTiedOutputs:
         x_full = np.concatenate([x, z])
         targets = rng.normal(size=n + m)
         clip = ClipConfig(0.5, 1.0, 1.0, 5.0)
+        pairs = [(slice(0, n), model, slice(n, n + m))]
         _, w_val, _, g = penalized_objective(
-            model, [(x, model, z)], alpha, clip,
-            erm=(x_full, targets, "squared_error"))
+            model, x_full, pairs, alpha, clip,
+            erm=(targets, "squared_error"))
         u = clip_rows(model.forward_batch(x), 0.5)
         v = clip_rows(model.forward_batch(z), 0.5)
         assert set(np.abs(np.concatenate([u, v])).ravel()) == {0.5}
@@ -465,8 +486,8 @@ class TestTiedOutputs:
         gv = -2.0 * np.sum(weights * diff, axis=0)
         w_grad = (gu @ clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
                   + gv @ clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0))
-        erm = penalized_objective(model, [(x, model, z)], 0.0, clip,
-                                  erm=(x_full, targets, "squared_error"))[3]
+        erm = penalized_objective(model, x_full, pairs, 0.0, clip,
+                                  erm=(targets, "squared_error"))[3]
         np.testing.assert_allclose(g, (1.0 - alpha) * erm + alpha * w_grad,
                                    rtol=1e-13, atol=1e-15)
 
@@ -513,7 +534,7 @@ class TestGhostClipping:
         directions = np.ones((1, 1)) if dirs is None else dirs
 
         # the ghost row norms are the dense ones
-        trace = model.penalty_trace(x)
+        trace = penalty_model(model).trace(x)
         jac = penalty_jacobian_batch(model, x)
         dense_sq = np.sum(jac * jac, axis=-1)
         assert _close(trace.backward(np.eye(d)[None]).sq_norms(), dense_sq)
@@ -534,9 +555,11 @@ class TestGhostClipping:
         clip = ClipConfig(0.3, row_bound * np.sqrt(d),
                           0.5 * row_bound * np.sqrt(d))
 
-        got = penalized_objective(model, [(x, model, z)], 1.0, clip, dirs)[3]
-        u = clip_rows(model.penalty_trace(x).output, 0.3) @ directions.T
-        v = clip_rows(model.penalty_trace(z).output, 0.3) @ directions.T
+        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        got = penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
+        encode = penalty_model(model).forward_batch
+        u = clip_rows(encode(x), 0.3) @ directions.T
+        v = clip_rows(encode(z), 0.3) @ directions.T
         gu, gv, _ = w2_grad_columns(u, v)
         want = sum(
             np.einsum("nk,kd,ndp->p", g, directions,
@@ -583,8 +606,8 @@ class TestGhostClipping:
         d = model.penalty_dim
         dirs = sample_directions(d, 1, seed=0) if d > 1 else None
         value, _, _, got = penalized_objective(
-            model, [(x, model, x)], 0.0, ClipConfig(1.0, 1.0, 1.0, bound),
-            dirs, erm=(x, targets, loss_kind))
+            model, x, [(slice(None), model, slice(None))], 0.0,
+            ClipConfig(1.0, 1.0, 1.0, bound), dirs, erm=(targets, loss_kind))
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
         assert value == np.mean(model.trace(x).loss(targets, loss_kind))
 
@@ -595,7 +618,7 @@ class TestGhostClipping:
                            theta=np.array([1.0, 1.0, 0.0]))
         x = np.array([[1e160, -3e159], [0.3, -0.2], [2.0, 1.0]])
         z = np.array([[0.1], [-0.2], [0.4]])
-        grads = model.penalty_trace(x).backward(np.ones((1, 1, 1)))
+        grads = model.trace(x).backward(np.ones((1, 1, 1)))
         with np.errstate(over="ignore"):
             sq_norms = grads.sq_norms()
         assert np.isinf(sq_norms[0, 0])
@@ -619,7 +642,8 @@ class TestGhostClipping:
         reference = make_model("identity", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = penalized_objective(model, [(x[:1], reference, z)], 1.0,
+            batch, pairs = stacked_pairs(model, [(x[:1], reference, z)])
+            got = penalized_objective(model, batch, pairs, 1.0,
                                       clip)[3]
         gu = w2_grad_columns(clip_rows(model.forward_batch(x[:1]), 0.5),
                              z)[0][0, 0]
@@ -630,7 +654,8 @@ class TestGhostClipping:
                                                     rel=1e-12)
 
         # with finite rows beside it, the sum matches the dense oracle
-        got = penalized_objective(model, [(x, reference, z)], 1.0, clip)[3]
+        batch, pairs = stacked_pairs(model, [(x, reference, z)])
+        got = penalized_objective(model, batch, pairs, 1.0, clip)[3]
         gu = w2_grad_columns(clip_rows(model.forward_batch(x), 0.5), z)[0]
         want = gu[:, 0] @ clip_rows(jacobian_batch(model, x)[:, 0, :], bound)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -643,7 +668,7 @@ class TestGhostClipping:
         model = _GHOST_MODELS[kind]()
         model.theta *= 4.0
         d = model.penalty_dim
-        grads = model.penalty_trace(_ghost_inputs(rng, 15)).backward(
+        grads = model.trace(_ghost_inputs(rng, 15)).penalty().backward(
             np.eye(d)[None])
         i, j = np.nonzero(np.ones(grads.shape, dtype=bool))
         direct = np.sqrt(grads.sq_norms())[i, j]
@@ -652,23 +677,25 @@ class TestGhostClipping:
 
 
 class TestOnePenaltyPass:
-    """Every side of the model, in every pair, is a block of rows of one
-    penalty trace: one clip, one backward, one norm pass, one weighted sum
-    per call."""
+    """Every side of the model, in every pair, is a block of rows of the
+    one batch the model traces: one trace, one clip, one backward, one
+    norm pass, one weighted sum per call."""
 
     def _setup(self, seed=30, n=20):
         rng = np.random.default_rng(seed)
         model = make_model("mlp2", 3, seed=seed, hidden_dim=5, output_dim=2)
         x = rng.normal(size=(n, 3))
-        erm = (x, 0.3 * rng.normal(size=(n, 2)), "squared_error")
+        erm = (0.3 * rng.normal(size=(n, 2)), "squared_error")
         return model, x, erm, sample_directions(2, 4, seed=seed)
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls per name of the penalty pass's parts and of the forward."""
+        """Calls per name of the penalty pass's parts and of the forward:
+        ``trace`` counts the traces of a model with parameters,
+        ``reference_trace`` those of a parameter-free map."""
         from dpswgrad import dp_gradient, models
-        counts = dict.fromkeys(["_trace", "_backward", "norms",
-                                "weighted_sum", "clip_rows"], 0)
+        counts = dict.fromkeys(["trace", "reference_trace", "_backward",
+                                "norms", "weighted_sum", "clip_rows"], 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -679,7 +706,13 @@ class TestOnePenaltyPass:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(models.Model, "_trace")
+        trace = models.Model.trace
+
+        def counted_trace(model, x):
+            counts["trace" if model.n_params else "reference_trace"] += 1
+            return trace(model, x)
+
+        monkeypatch.setattr(models.Model, "trace", counted_trace)
         counted(models.Trace, "_backward")
         counted(models.LayerGrads, "norms")
         counted(models.LayerGrads, "weighted_sum")
@@ -690,35 +723,48 @@ class TestOnePenaltyPass:
     @pytest.mark.parametrize("sides", ["slices", "arrays", "arrays_no_erm"])
     @pytest.mark.parametrize("r", [1, 2])
     def test_one_penalty_pass_per_call(self, calls, r, sides, alpha):
+        # "slices" pairs the model with itself; "arrays" pairs it with a
+        # parameter-free reference, whose sides are arrays of their own,
+        # with and without the ERM term
         model, x, erm, dirs = self._setup()
         blocks = [(slice(0, 6), slice(6, 10)), (slice(10, 13),
                                                 slice(13, 20))][:r]
         if sides == "slices":
             pairs = [(a, model, b) for a, b in blocks]
         else:
-            pairs = [(x[a], model, x[b]) for a, b in blocks]
+            reference = make_model("identity", 2)
+            pairs = [(a, reference, 0.3 * x[b, :2]) for a, b in blocks]
         if sides == "arrays_no_erm":
             erm = None
-        penalized_objective(model, pairs, alpha, NO_CLIP, dirs, erm)
+        penalized_objective(model, x, pairs, alpha, NO_CLIP, dirs, erm)
         # below alpha 1 the ERM term adds its own backward, norms and
-        # weighted sum; slices read the ERM trace, arrays trace once more
+        # weighted sum; the ERM term and every pair read the one trace,
+        # and each reference side is traced and clipped on its own
         erm_pass = int(alpha < 1.0 and erm is not None)
-        assert calls == {"_trace": 1 + (sides == "arrays"),
+        references = r * (sides != "slices")
+        assert calls == {"trace": 1, "reference_trace": references,
                          "_backward": 1 + erm_pass, "norms": 1 + erm_pass,
-                         "weighted_sum": 1 + erm_pass, "clip_rows": 1}
+                         "weighted_sum": 1 + erm_pass,
+                         "clip_rows": 1 + references}
 
     @pytest.mark.parametrize("pairs", [
-        lambda x, model: [(slice(0, 6), model, x[6:])],
-        lambda x, model: [(x[:6], model, slice(6, 20))],
-        lambda x, model: [(slice(0, 6), model, slice(6, 20)),
-                          (x[:6], model, x[6:])]],
-        ids=["slice_array", "array_slice", "pair_of_each"])
-    def test_mixed_sides_rejected_before_any_trace(self, calls, pairs):
+        lambda x, model, ref: [(x[:6], model, slice(6, 20))],
+        lambda x, model, ref: [(slice(0, 6), model, x[6:])],
+        lambda x, model, ref: [(slice(0, 6), ref, slice(6, 20))],
+        lambda x, model, ref: [(slice(0, 6), model, slice(6, 20)),
+                               (x[:6], ref, x[6:, :2])]],
+        ids=["array_x", "array_z_of_model", "slice_z_of_reference",
+             "array_x_in_second_pair"])
+    def test_sides_off_the_batch_rejected_before_any_trace(self, calls,
+                                                           pairs):
+        # the model's sides are slices of its batch, and a parameter-free
+        # map's side is an array of its own inputs
         model, x, erm, dirs = self._setup()
-        with pytest.raises(ValueError, match="all slices"):
-            penalized_objective(model, pairs(x, model), 0.5, NO_CLIP, dirs,
-                                erm)
-        assert calls["_trace"] == 0
+        reference = make_model("identity", 2)
+        with pytest.raises(ValueError, match="slice of its batch"):
+            penalized_objective(model, x, pairs(x, model, reference), 0.5,
+                                NO_CLIP, dirs, erm)
+        assert calls["trace"] == calls["reference_trace"] == 0
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_shared_rows_give_the_per_pair_sum(self, alpha):
@@ -728,7 +774,7 @@ class TestOnePenaltyPass:
         model.theta *= 3.0
         clip = ClipConfig(0.2, 0.5, 0.6, 1.0)
         # each bound clips some outputs and Jacobian rows and not others
-        norms = model.penalty_trace(x).backward(np.eye(2)[None]).norms()
+        norms = model.trace(x).backward(np.eye(2)[None]).norms()
         out = np.linalg.norm(model.forward_batch(x), axis=1)
         for values, bound in ((out, 0.2), (norms, 0.5 / np.sqrt(2)),
                               (norms, 0.6 / np.sqrt(2))):
@@ -736,10 +782,10 @@ class TestOnePenaltyPass:
         pairs = [(slice(0, 8), model, slice(8, 14)),
                  (slice(0, 8), model, slice(14, 20)),
                  (slice(4, 12), model, slice(10, 18))]
-        got = penalized_objective(model, pairs, alpha, clip, dirs, erm)
-        erm_grad = penalized_objective(model, pairs, 0.0, clip, dirs,
+        got = penalized_objective(model, x, pairs, alpha, clip, dirs, erm)
+        erm_grad = penalized_objective(model, x, pairs, 0.0, clip, dirs,
                                        erm)[3]
-        per_pair = [penalized_objective(model, [pair], 1.0, clip, dirs,
+        per_pair = [penalized_objective(model, x, [pair], 1.0, clip, dirs,
                                         erm) for pair in pairs]
         want = (1.0 - alpha) * erm_grad \
             + alpha * sum(p[3] for p in per_pair) / len(pairs)

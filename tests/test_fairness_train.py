@@ -238,17 +238,17 @@ class TestTasks:
                                       "autoencoder_sp", "generation"])
     def test_one_forward_trace_of_the_model_per_step(self, task, alpha,
                                                      monkeypatch):
-        # the ERM batch is traced once and every penalty side reads its
+        # the step's batch is traced once and every penalty side reads its
         # rows; generation traces its one model side (the reference map is
         # parameter-free and not counted)
         traced = []
-        trace = Model._trace
+        trace = Model.trace
 
-        def counted(self, x, depth):
+        def counted(self, x):
             traced.append(self.n_params > 0)
-            return trace(self, x, depth)
+            return trace(self, x)
 
-        monkeypatch.setattr(Model, "_trace", counted)
+        monkeypatch.setattr(Model, "trace", counted)
         cfg = TrainConfig(task=task, steps=3, learning_rate=0.01,
                           epsilon=math.inf, delta=1e-4, alpha=alpha,
                           clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
@@ -396,13 +396,13 @@ class TestMetrics:
         ds = _dataset(200, seed=17)
         model = make_model("autoencoder", ds.dim, hidden_dim=4, seed=0)
         traced = []
-        trace = Model._trace
+        trace = Model.trace
 
-        def counted(self, x, depth):
+        def counted(self, x):
             traced.append(self is model)
-            return trace(self, x, depth)
+            return trace(self, x)
 
-        monkeypatch.setattr(Model, "_trace", counted)
+        monkeypatch.setattr(Model, "trace", counted)
         metrics(ds, model, "autoencoder_sp")
         assert sum(traced) == 1
 

@@ -10,8 +10,8 @@ from dpswgrad.models import (Model, _sigmoid, load_model, make_model,
                              model_from_meta, save_model)
 
 from oracles import (bit_equal, central_diff, central_diff_jacobian, forward,
-                     penalty_jacobian_batch, per_sample_jacobian,
-                     per_sample_loss_grad, rel_err)
+                     penalty_jacobian_batch, penalty_model,
+                     per_sample_jacobian, per_sample_loss_grad, rel_err)
 
 
 def _theta_jacobian_fd(model, x, h=1e-6):
@@ -225,7 +225,7 @@ class TestAutoencoder:
 
             def encode(theta):
                 m.theta[:] = theta
-                out = m.penalty_trace(x[None, :]).output[0]
+                out = m.trace(x[None, :]).penalty().output[0]
                 m.theta[:] = base
                 return out
 
@@ -319,9 +319,9 @@ class TestFactoryAndCheckpoint:
         rebuilt = model_from_meta(m.meta(), m.theta)
         assert typed(m.meta()) == typed(expected)
         assert typed(rebuilt.meta()) == typed(expected)
-        for trace in ("trace", "penalty_trace"):
-            np.testing.assert_array_equal(getattr(rebuilt, trace)(x).output,
-                                          getattr(m, trace)(x).output)
+        for cut in (lambda t: t, lambda t: t.penalty()):
+            np.testing.assert_array_equal(cut(rebuilt.trace(x)).output,
+                                          cut(m.trace(x)).output)
 
     def test_abstract_stack_is_not_saved(self, tmp_path):
         path = tmp_path / "model.json"
@@ -400,7 +400,8 @@ class TestDerivativeCache:
                              ids=["head", "tail", "all"])
     def test_penalty_rows_backward_is_the_blocks_own(self, kind, rows):
         # a block of rows of the cut's backward is the backward of the
-        # block's own penalty trace, after a loss backward of the whole
+        # block's own trace through a standalone model of the penalty's
+        # layers, after a loss backward of the whole
         model = make_model(kind, 5, seed=7)
         x = np.random.default_rng(8).normal(size=(60, 5))
         d = model.penalty_dim
@@ -409,7 +410,8 @@ class TestDerivativeCache:
         whole.loss_and_grads(x if kind == "autoencoder"
                              else np.zeros((60, 2)), "squared_error")
         got = whole.penalty().backward(cot)
-        want = model.penalty_trace(x[rows]).backward(cot)
+        sub = penalty_model(model)
+        want = sub.trace(x[rows]).backward(cot)
         assert len(got.cots) == len(want.cots)
         for g, w in zip(got.cots, want.cots):
             assert g[rows].shape == w.shape
@@ -417,8 +419,10 @@ class TestDerivativeCache:
         assert bit_equal(got.norms()[rows], want.norms())
         if rows == slice(None):
             weights = np.random.default_rng(9).normal(size=got.shape)
-            assert bit_equal(got.weighted_sum(weights),
+            total = got.weighted_sum(weights)
+            assert bit_equal(total[:sub.n_params],
                              want.weighted_sum(weights))
+            assert np.all(total[sub.n_params:] == 0.0)
 
     def test_derivatives_computed_once_and_shared(self):
         # no forward pass computes them; the loss backward of the whole

@@ -68,6 +68,15 @@ class TestQuantileCoupling:
         for n, m in [(3, 5), (7, 7), (13, 9), (200, 199)]:
             assert len(quantile_coupling(n, m)) <= n + m - 1
 
+    def test_matrices_share_one_read_only_index_array(self):
+        # both CSR matrices index the entries 0..E-1 with one array, which
+        # the cache holds once per coupling
+        c = quantile_coupling(3000, 2986)
+        assert np.shares_memory(c.by_row.indices, c.by_col.indices)
+        assert bit_equal(c.by_row.indices, np.arange(len(c)))
+        assert not c.by_row.indices.flags.writeable
+        assert not c.by_col.indices.flags.writeable
+
     def test_zero_sizes_rejected(self):
         with pytest.raises(ValueError):
             quantile_coupling(0, 3)

@@ -177,6 +177,18 @@ class TestAccountant:
         state = AccountantState(1.0, 0.5)
         assert compose_subsampled_gaussian(state, 1e-5) == 0.0
 
+    def test_negative_step_rejected(self):
+        # a negative step would take back budget already spent
+        state = AccountantState(1.0, 0.5, target_delta=1e-5)
+        state.step(3)
+        spent = state.epsilon_spent()
+        for k in (-2, -5):
+            with pytest.raises(ValueError, match=">= 0"):
+                state.step(k)
+        assert state.steps == 3 and state.epsilon_spent() == spent
+        state.step(0)
+        assert state.steps == 3
+
     def test_saturation_reported(self):
         state = AccountantState(noise_multiplier=0.01, sampling_rate=0.5,
                                 steps=100, target_delta=1e-5)
@@ -284,3 +296,9 @@ class TestGaussianMechanism:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_mechanism(np.zeros(3), -1.0, _stream(0))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN fails every comparison, so a sign check alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_mechanism(np.zeros(3), sigma, _stream(0))

@@ -11,6 +11,8 @@ from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
                                   wp_counterexample)
 from dpswgrad.sliced import sample_directions
 
+from oracles import stacked_pairs
+
 MODEL = make_model("affine_sigmoid", 2, seed=0)
 
 
@@ -169,8 +171,8 @@ def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        return penalized_objective(model, [(classes[0], model, z)], 1.0,
-                                   clip, dirs)[3]
+        batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+        return penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
@@ -214,8 +216,8 @@ class TestEmpiricalAuditor:
         z = rng.normal(size=(40, 2))
 
         def grad_fn(classes):
-            return penalized_objective(gen, [(z, ident, classes[0])], 1.0,
-                                       clip)[3]
+            batch, pairs = stacked_pairs(gen, [(z, ident, classes[0])])
+            return penalized_objective(gen, batch, pairs, 1.0, clip)[3]
 
         bound = sensitivity_bound(gen, [(None, ident, n)], 1.0, clip)
         report = empirical_sensitivity(
@@ -232,8 +234,9 @@ class TestEmpiricalAuditor:
         z = rng.normal(size=(10, 2))
 
         def grad_fn(classes):
-            return penalized_objective(
-                model, [(classes[0], model, classes[1])], 1.0, clip)[3]
+            batch, pairs = stacked_pairs(
+                model, [(classes[0], model, classes[1])])
+            return penalized_objective(model, batch, pairs, 1.0, clip)[3]
 
         bound = sensitivity_bound(model, [(15, model, 10)], 1.0, clip)
         report = empirical_sensitivity(
@@ -257,8 +260,8 @@ class TestEmpiricalAuditor:
             x_full = np.concatenate([c0[:, :2], c1[:, :2]])
             y_full = np.concatenate([c0[:, 2], c1[:, 2]])
             return penalized_objective(
-                model, [(c0[:, :2], model, c1[:, :2])], 0.75, clip,
-                erm=(x_full, y_full, "bce"))[3]
+                model, x_full, [(slice(0, n0), model, slice(n0, n0 + n1))],
+                0.75, clip, erm=(y_full, "bce"))[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=2),

@@ -26,13 +26,14 @@ in each of three shapes:
 
 - ``reg_sp``: the ``reg_sp_paper`` batch (mlp2 with 16 inputs, 64 hidden
   units and 2 outputs; 2986 + 3014 rows traced once, the two classes as
-  slices of the ERM batch; 50 directions, alpha 0.75);
+  slices of the batch; 50 directions, alpha 0.75);
 - ``eo``: the ``cls_eo_paper`` batch (affine_sigmoid with 16 inputs, bce;
-  four class blocks of 2094, 906, 891 and 2109 rows as slices of the ERM
+  four class blocks of 2094, 906, 891 and 2109 rows as slices of the
   batch, in two pairs; alpha 0.75);
 - ``audit``: one gradient of the ``audit_sliced`` workload (mlp2 with 3
   inputs, 4 hidden units and 2 outputs at 6 times its initial weights;
-  100 against 100 rows given as arrays; 20 directions, weight 1, no ERM).
+  100 against 100 rows, stacked into one batch per call as the audit
+  stacks them; 20 directions, weight 1, no ERM).
 
 Then it times ``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.
 Each case runs once untimed, then R times (default 30); one line per case
@@ -129,11 +130,12 @@ def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
     rng = np.random.default_rng(seed)
     model = make_model("mlp2", 16, seed=seed, hidden_dim=64, output_dim=2)
     x = rng.normal(size=(sum(sizes), 16))
-    erm = (x, 0.3 * rng.normal(size=(x.shape[0], 2)), "squared_error")
+    erm = (0.3 * rng.normal(size=(x.shape[0], 2)), "squared_error")
     pair = (slice(0, sizes[0]), model, slice(sizes[0], x.shape[0]))
     clip = ClipConfig.symmetric(0.7071, 1.4142, 10.0)
     dirs = sample_directions(2, 50, seed)
-    return lambda: penalized_objective(model, [pair], 0.75, clip, dirs, erm)
+    return lambda: penalized_objective(model, x, [pair], 0.75, clip, dirs,
+                                       erm)
 
 
 def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
@@ -143,25 +145,28 @@ def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
     rng = np.random.default_rng(seed)
     model = make_model("affine_sigmoid", 16, seed=seed)
     x = rng.normal(size=(sum(sizes), 16))
-    erm = (x, rng.integers(0, 2, x.shape[0]).astype(np.float64), "bce")
+    erm = (rng.integers(0, 2, x.shape[0]).astype(np.float64), "bce")
     ends = np.cumsum(sizes).tolist()
     blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
     pairs = [(blocks[0], model, blocks[2]), (blocks[1], model, blocks[3])]
     clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
-    return lambda: penalized_objective(model, pairs, 0.75, clip, None, erm)
+    return lambda: penalized_objective(model, x, pairs, 0.75, clip, None,
+                                       erm)
 
 
 def _objective_audit(n: int = 100, seed: int = 0):
     """One gradient of the ``audit_sliced`` workload: the Wasserstein
-    gradient alone of two arrays of ``n`` rows."""
+    gradient alone of two blocks of ``n`` rows of one batch, which the
+    audit stacks anew for every gradient."""
     rng = np.random.default_rng(seed)
     model = make_model("mlp2", 3, seed=seed, hidden_dim=4, output_dim=2)
     model.theta *= 6.0
     x, z = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    pairs = [(slice(0, n), model, slice(n, 2 * n))]
     clip = ClipConfig(1.0, 1.0, 1.0, 5.0)
     dirs = sample_directions(2, 20, seed + 1)
-    return lambda: penalized_objective(model, [(x, model, z)], 1.0, clip,
-                                       dirs)
+    return lambda: penalized_objective(model, np.concatenate([x, z]), pairs,
+                                       1.0, clip, dirs)
 
 
 def _timings_ms(fn, repeats: int) -> tuple[np.ndarray, float]:
