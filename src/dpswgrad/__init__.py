@@ -4,8 +4,8 @@ The package is organized around one pipeline:
 
 - :mod:`dpswgrad.ot_core` -- exact 1D squared Wasserstein distance between
   empirical measures and its closed-form gradient via quantile couplings.
-- :mod:`dpswgrad.sliced` -- Monte-Carlo sliced extension over random unit
-  directions, the rows of a read-only (k, d) array.
+- :mod:`dpswgrad.sliced` -- random unit directions, the rows of a
+  read-only (k, d) array, onto which the sliced distance projects.
 - :mod:`dpswgrad.models` -- small analytic models with exact forward
   traces and backwards that give per-sample gradient norms and weighted
   sums without building the per-sample gradients (no autodiff framework).

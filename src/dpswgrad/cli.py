@@ -233,9 +233,17 @@ def _write_train_outputs(tc: TrainConfig, record, outdir: Path, ds) -> list:
     save_model(model, outdir / "model.json")
     outputs = ["train_record.json", "metrics.csv", "model.json"]
     if tc.task == "generation":
-        outputs.append(_write_generation_outputs(outdir, tc, model))
+        # pushed-forward samples next to the reference circle samples
+        x, z = generation_samples(tc)
+        labels = ["model"] * len(x) + ["reference"] * len(z)
+        values = np.vstack([model.forward_batch(x), z])
     else:
-        outputs.append(_write_outputs_by_group(outdir, ds, model, tc.task))
+        # penalized model outputs conditioned on the penalty's classes
+        values = model.trace(ds.x).penalty().output
+        labels = ([f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
+                  if tc.task == "classification_eo"
+                  else [f"a={a}" for a in ds.a])
+    outputs.append(_write_outputs_by_group(outdir, labels, values))
     spent = record.epsilon_spent
     print(f"seed {tc.seed}: final loss {record.total_losses[-1]:.6f}, "
           f"sigma {record.sigma:.6g}, epsilon spent "
@@ -256,40 +264,22 @@ def _write_step_csv(path: Path, record) -> None:
                 _fmt(record.epsilon_history[t])])
 
 
-def _write_outputs_by_group(outdir: Path, ds, model, task: str) -> str:
-    """Penalized model outputs conditioned on the penalty's classes."""
+def _write_outputs_by_group(outdir: Path, labels: list, values) -> str:
+    """One row per output row of ``values`` (r, k), led by its group label."""
     name = "outputs_by_group.csv"
-    values = model.trace(ds.x).penalty().output
-    if task == "classification_eo":
-        labels = [f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
-    else:
-        labels = [f"a={a}" for a in ds.a]
     with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group"] + [f"v{i + 1}"
                                      for i in range(values.shape[1])])
         for label, row in zip(labels, values):
-            writer.writerow([label] + [_fmt(v) for v in row])
-    return name
-
-
-def _write_generation_outputs(outdir: Path, tc: TrainConfig, model) -> str:
-    """Pushed-forward samples next to the reference circle samples."""
-    name = "outputs_by_group.csv"
-    x, z = generation_samples(tc)
-    pushed = model.forward_batch(x)
-    with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "v1", "v2"])
-        for row in pushed:
-            writer.writerow(["model", _fmt(row[0]), _fmt(row[1])])
-        for row in z:
-            writer.writerow(["reference", _fmt(row[0]), _fmt(row[1])])
+            writer.writerow([label, *map(_fmt, row.tolist())])
     return name
 
 
 def _run_train(cfg: dict, outdir: Path) -> list:
-    seeds = cfg["seeds"] or [cfg["seed"]]
+    seeds = [cfg["seed"]] if cfg["seeds"] is None else cfg["seeds"]
+    if not seeds:
+        raise ValueError("train: seeds must list at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("train: seeds must be distinct")
     if cfg["task"] == "generation":
@@ -331,9 +321,8 @@ def _run_calibrate(cfg: dict, outdir: Path) -> list:
     sigma = privacy.calibrate_noise(privacy.PrivacyBudget(eps, delta),
                                     steps, p, sens)
     nu = sigma / sens
-    achieved = privacy.compose_subsampled_gaussian(
-        privacy.AccountantState(nu, p, steps=steps, target_delta=delta),
-        delta)
+    achieved = privacy.AccountantState(
+        nu, p, steps=steps, target_delta=delta).epsilon_spent()
     ceiling = privacy.conservative_epsilon(nu, p, steps, delta)
     doc = {"epsilon_target": eps, "delta": delta, "steps": steps,
            "sampling_rate": p, "sensitivity": sens, "sigma": sigma,

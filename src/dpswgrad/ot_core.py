@@ -33,12 +33,13 @@ come back out of order, and only their columns are sorted again, by a
 second packed sort or, beyond ``2**20`` samples, by a stable argsort.  The
 distance alone needs no permutation and takes a plain ``np.sort``.
 
-The column functions take (n, k) blocks, one sample per column, but work
-in the row layout: on the C-contiguous (k, n) transpose, so that each
-sample is one contiguous row to sort, gather and scatter through flat
-indices.  An (n, k) block that is a view of a (k, n) one, as
-``(dirs @ points.T).T`` is, enters without a copy, and the gradients come
-back as such views; a C-ordered block is copied once.
+The column functions take (n, k) blocks, one sample per column (a 1-D
+array is one column), but work in the row layout: on the C-contiguous
+(k, n) transpose, so that each sample is one contiguous row to sort,
+gather and scatter through flat indices.  An (n, k) block that is a view
+of a (k, n) one, as ``(dirs @ points.T).T`` is, enters without a copy,
+and the gradients come back as such views; a C-ordered block is copied
+once.
 
 All indices in :class:`QuantileCoupling` are 0-based.
 """
@@ -54,25 +55,12 @@ from scipy import sparse
 __all__ = [
     "QuantileCoupling",
     "quantile_coupling",
-    "w2_squared",
-    "w2_grad",
     "w2_squared_columns",
     "w2_grad_columns",
 ]
 
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
-
-
-def _as_sample(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} must contain at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite (no NaN/inf)")
-    return arr
 
 
 def _as_columns(values, name: str) -> np.ndarray:
@@ -98,16 +86,11 @@ class QuantileCoupling:
     of each row of R, and ``by_col @ a`` over those of each column.
     """
 
-    n: int
-    m: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     by_row: sparse.csr_array
     by_col: sparse.csr_array
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 def _segment_matrix(segments: np.ndarray, size: int, weights: np.ndarray,
@@ -149,8 +132,6 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     for arr in (rows, cols, weights, entries):
         arr.setflags(write=False)
     return QuantileCoupling(
-        n=n,
-        m=m,
         rows=rows,
         cols=cols,
         weights=weights,
@@ -191,13 +172,6 @@ def w2_squared_columns(u, v) -> np.ndarray:
     vs = np.sort(v, axis=1)
     c = quantile_coupling(u.shape[1], v.shape[1])
     return _coupled_w2_rows(_displacements(us, vs, c), c.weights)
-
-
-def w2_squared(u, v) -> float:
-    """Squared W2 distance between the empirical measures of ``u`` and ``v``."""
-    u = _as_sample(u, "u")
-    v = _as_sample(v, "v")
-    return float(w2_squared_columns(u[:, None], v[:, None])[0])
 
 
 def _ordered_ints(a: np.ndarray) -> np.ndarray:
@@ -304,11 +278,6 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     side (see :func:`_stable_sort_rows`).  Both sorted gradients are
     weighted sums of the displacements along the coupling, one sparse
     product per side.
-
-    The kernel works on the C-contiguous (k, n) transposes of the blocks,
-    so an (n, k) block that is a view of a (k, n) one, as
-    ``(dirs @ points.T).T`` is, enters without a copy; the gradients are
-    returned in that layout too.
     """
     u, v = _as_row_pair(u, v)
     flat_u, us = _stable_sort_rows(u)
@@ -326,16 +295,3 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del disp    # freed before the two scatters allocate
     return (_unsort(gu_sorted.T, flat_u), _unsort(gv_sorted.T, flat_v),
             values)
-
-
-def w2_grad(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of :func:`w2_squared` in the sample values.
-
-    ``grad_u[i] = 2 sum_j R[rank_u(i), rank_v(j)] (u_i - v_j)`` and
-    symmetrically for ``grad_v``; the two gradients sum to zero by
-    translation invariance.
-    """
-    u = _as_sample(u, "u")
-    v = _as_sample(v, "v")
-    gu, gv, _ = w2_grad_columns(u[:, None], v[:, None])
-    return gu[:, 0], gv[:, 0]

@@ -40,7 +40,6 @@ __all__ = [
     "gdp_delta",
     "gdp_epsilon",
     "total_gdp_mu",
-    "compose_subsampled_gaussian",
     "subsample_amplify",
     "calibrate_noise",
     "conservative_epsilon",
@@ -119,8 +118,8 @@ def total_gdp_mu(noise_multiplier: float, sampling_rate: float,
     nu = float(noise_multiplier)
     p = float(sampling_rate)
     steps = int(steps)
-    if nu <= 0:
-        raise ValueError("noise multiplier must be > 0")
+    if not 0.0 < nu < math.inf:
+        raise ValueError("noise multiplier must be finite and > 0")
     if not 0.0 < p <= 1.0:
         raise ValueError("sampling rate must lie in (0, 1]")
     if steps < 0:
@@ -146,8 +145,8 @@ class AccountantState:
     target_delta: float = 1e-5
 
     def __post_init__(self):
-        if self.noise_multiplier <= 0:
-            raise ValueError("noise multiplier must be > 0")
+        if not 0.0 < self.noise_multiplier < math.inf:
+            raise ValueError("noise multiplier must be finite and > 0")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling rate must lie in (0, 1]")
         if self.steps < 0:
@@ -162,20 +161,17 @@ class AccountantState:
         self.steps += int(k)
 
     def epsilon_spent(self, target_delta: float | None = None) -> float:
-        return compose_subsampled_gaussian(
-            self, self.target_delta if target_delta is None else target_delta)
-
-
-def compose_subsampled_gaussian(state: AccountantState,
-                                target_delta: float) -> float:
-    """Epsilon spent by the composition tracked in ``state`` at ``target_delta``."""
-    if state.steps == 0:
-        return 0.0
-    mu = total_gdp_mu(state.noise_multiplier, state.sampling_rate, state.steps)
-    if math.isinf(mu):
-        raise PrivacySaturationError(
-            "composed mu is infinite (noise multiplier too small)")
-    return gdp_epsilon(mu, target_delta)
+        """Epsilon spent by the steps taken, at ``target_delta`` (default:
+        the state's own)."""
+        if self.steps == 0:
+            return 0.0
+        mu = total_gdp_mu(self.noise_multiplier, self.sampling_rate,
+                          self.steps)
+        if math.isinf(mu):
+            raise PrivacySaturationError(
+                "composed mu is infinite (noise multiplier too small)")
+        return gdp_epsilon(
+            mu, self.target_delta if target_delta is None else target_delta)
 
 
 def subsample_amplify(budget: PrivacyBudget, p: float) -> PrivacyBudget:

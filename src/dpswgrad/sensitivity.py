@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .jsonio import write_json
-from .ot_core import w2_grad
+from .ot_core import w2_grad_columns
 
 __all__ = [
     "SensitivityReport",
@@ -160,6 +160,15 @@ def _wp_value(sample, reference, p_order: int, shift: float) -> float:
     return float(np.mean(diffs ** p_order) ** (1.0 / p_order))
 
 
+def _counterexample_grids(n: int) -> tuple:
+    """The grid ``x_i = i/n``, its neighbor ``(i-1)/n`` and the midpoint
+    grid ``(2i-1)/(2n)``, for i = 1..n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    idx = np.arange(1, n + 1, dtype=np.float64)
+    return idx / n, (idx - 1.0) / n, (2.0 * idx - 1.0) / (2.0 * n)
+
+
 def wp_counterexample(n: int, p_order: int = 1) -> WpCounterexample:
     """Neighboring grids whose W_p gradient gap stays 2 for every n.
 
@@ -171,14 +180,9 @@ def wp_counterexample(n: int, p_order: int = 1) -> WpCounterexample:
     contrast with the squared-cost gradient (see
     :func:`w2_counterexample_contrast`).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    x, x_tilde, z = _counterexample_grids(n)
     if p_order < 1:
         raise ValueError("p_order must be >= 1")
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    x = idx / n
-    x_tilde = (idx - 1.0) / n
-    z = (2.0 * idx - 1.0) / (2.0 * n)
 
     # constant sorted differences: derivative of |c + t| at t=0 is sign(c)
     c_x = x - z
@@ -205,13 +209,8 @@ def w2_counterexample_contrast(n: int) -> float:
     Same construction and shift map as :func:`wp_counterexample` but with
     W2^2 as the cost: the gap decays like 2/n instead of staying at 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    x = idx / n
-    x_tilde = (idx - 1.0) / n
-    z = (2.0 * idx - 1.0) / (2.0 * n)
+    x, x_tilde, z = _counterexample_grids(n)
     # d/dt W2^2(x + t, z) at t=0 is the sum of the value-space gradient
-    grad_x = float(np.sum(w2_grad(x, z)[0]))
-    grad_xt = float(np.sum(w2_grad(x_tilde, z)[0]))
+    grad_x = float(np.sum(w2_grad_columns(x, z)[0]))
+    grad_xt = float(np.sum(w2_grad_columns(x_tilde, z)[0]))
     return abs(grad_x - grad_xt)

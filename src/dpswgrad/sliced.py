@@ -1,7 +1,9 @@
-"""Monte-Carlo sliced squared Wasserstein distance.
+"""Random directions for the Monte-Carlo sliced squared Wasserstein distance.
 
-Multidimensional samples are projected onto random unit directions and the
-exact 1D machinery of :mod:`dpswgrad.ot_core` is averaged over directions.
+The sliced W2^2 of the (n, d) points ``a`` and ``b`` along the rows of the
+(k, d) ``dirs`` is the mean over directions of the exact 1D distance,
+``w2_squared_columns((dirs @ a.T).T, (dirs @ b.T).T).mean()`` (see
+:mod:`dpswgrad.ot_core`); the penalized objective reports it as W.
 Directions are a read-only (k, d) array of unit rows, so callers (and
 tests) can pin them; samplers draw fresh directions per training step only
 when explicitly asked to.
@@ -11,9 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ot_core import w2_squared_columns
-
-__all__ = ["sample_directions", "sw2_squared_mc"]
+__all__ = ["sample_directions"]
 
 
 def sample_directions(d: int, k: int, seed: int) -> np.ndarray:
@@ -35,23 +35,3 @@ def sample_directions(d: int, k: int, seed: int) -> np.ndarray:
     mat /= norms[:, None]
     mat.setflags(write=False)
     return mat
-
-
-def sw2_squared_mc(a, b, dirs: np.ndarray) -> float:
-    """Monte-Carlo sliced W2^2 of the (n, d) points ``a``, ``b`` along the
-    rows of the (k, d) ``dirs``: the mean over directions of projected W2^2."""
-    projected = []
-    for points in (a, b):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError("points must be a non-empty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if pts.shape[1] != dirs.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: points are {pts.shape[1]}-dimensional, "
-                f"directions are {dirs.shape[1]}-dimensional")
-        projected.append((dirs @ pts.T).T)
-    return float(np.mean(w2_squared_columns(*projected)))

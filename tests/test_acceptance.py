@@ -19,16 +19,16 @@ from dpswgrad.data import GenerationConfig, generate_biased
 from dpswgrad.dp_gradient import ClipConfig, penalized_objective
 from dpswgrad.fairness_train import TrainConfig, dpsgd_train
 from dpswgrad.models import make_model
-from dpswgrad.ot_core import quantile_coupling, w2_grad, w2_squared
+from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
+                              w2_squared_columns)
 from dpswgrad.privacy import (AccountantState, PrivacyBudget,
-                              calibrate_noise, compose_subsampled_gaussian,
-                              conservative_epsilon, gdp_delta,
-                              subsample_amplify)
+                              calibrate_noise, conservative_epsilon,
+                              gdp_delta, subsample_amplify)
 from dpswgrad.sensitivity import (empirical_sensitivity, sensitivity_bound,
                                   uniform_box_replacement,
                                   w2_counterexample_contrast,
                                   wp_counterexample)
-from dpswgrad.sliced import sample_directions, sw2_squared_mc
+from dpswgrad.sliced import sample_directions
 
 from oracles import central_diff, distinct_values, rel_err, \
     stacked_pairs, w2_squared_quantile_oracle
@@ -62,7 +62,7 @@ def test_c1_closed_form_correctness():
             n, m = rng.integers(1, 51, size=2)
             u = rng.uniform(-10, 10, size=n)
             v = rng.uniform(-10, 10, size=m)
-            got = w2_squared(u, v)
+            got = w2_squared_columns(u, v)[0]
             want = w2_squared_quantile_oracle(u, v)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
         # equal sizes: the coupling degenerates to the sorted pairing
@@ -71,8 +71,8 @@ def test_c1_closed_form_correctness():
             u = rng.uniform(-10, 10, size=n)
             v = rng.uniform(-10, 10, size=n)
             sorted_formula = float(np.mean((np.sort(u) - np.sort(v)) ** 2))
-            assert w2_squared(u, v) == pytest.approx(sorted_formula,
-                                                     rel=1e-12, abs=1e-15)
+            assert w2_squared_columns(u, v)[0] == pytest.approx(
+                sorted_formula, rel=1e-12, abs=1e-15)
 
 
 def test_c2_gradient_correctness():
@@ -85,11 +85,11 @@ def test_c2_gradient_correctness():
             n, m = rng.integers(2, 20, size=2)
             u = distinct_values(rng, int(n), -5, 5)
             v = distinct_values(rng, int(m), -5, 5)
-            gu, gv = w2_grad(u, v)
-            assert rel_err(gu, central_diff(
-                lambda uu: w2_squared(uu, v), u)) < 1e-5
-            assert rel_err(gv, central_diff(
-                lambda vv: w2_squared(u, vv), v)) < 1e-5
+            gu, gv, _ = w2_grad_columns(u, v)
+            assert rel_err(gu[:, 0], central_diff(
+                lambda uu: w2_squared_columns(uu, v)[0], u)) < 1e-5
+            assert rel_err(gv[:, 0], central_diff(
+                lambda vv: w2_squared_columns(u, vv)[0], v)) < 1e-5
 
         def theta_fd(model, objective):
             base = model.theta.copy()
@@ -119,8 +119,8 @@ def test_c2_gradient_correctness():
                 continue
             batch, pairs = stacked_pairs(model, [(x, model, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, no_clip)[3]
-            fd = theta_fd(model, lambda: w2_squared(
-                model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
+            fd = theta_fd(model, lambda: w2_squared_columns(
+                model.forward_batch(x), model.forward_batch(z))[0])
             assert rel_err(grad, fd) < 1e-5
             done += 1
 
@@ -139,8 +139,9 @@ def test_c2_gradient_correctness():
             batch, pairs = stacked_pairs(model, [(x, model, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, no_clip,
                                        dirs)[3]
-            fd = theta_fd(model, lambda: sw2_squared_mc(
-                model.forward_batch(x), model.forward_batch(z), dirs))
+            fd = theta_fd(model, lambda: w2_squared_columns(
+                model.forward_batch(x) @ dirs.T,
+                model.forward_batch(z) @ dirs.T).mean())
             assert rel_err(grad, fd) < 1e-5
             done += 1
 
@@ -354,8 +355,8 @@ def test_c6_privacy_math():
                                      p).epsilon <= eps + 1e-12
 
         # single full-batch step inverts the curve
-        eps1 = compose_subsampled_gaussian(
-            AccountantState(1.3, 1.0, steps=1, target_delta=1e-5), 1e-5)
+        eps1 = AccountantState(1.3, 1.0, steps=1,
+                               target_delta=1e-5).epsilon_spent(1e-5)
         assert abs(gdp_delta(1.0 / 1.3, eps1) - 1e-5) < 1e-9
 
         # monotonicity + conservative ceiling on the 4-D grid
@@ -366,9 +367,9 @@ def test_c6_privacy_math():
             for p in ps:
                 for t in ts:
                     for d in deltas:
-                        eps[(nu, p, t, d)] = compose_subsampled_gaussian(
-                            AccountantState(nu, p, steps=t, target_delta=d),
-                            d)
+                        eps[(nu, p, t, d)] = AccountantState(
+                            nu, p, steps=t,
+                            target_delta=d).epsilon_spent(d)
                         assert eps[(nu, p, t, d)] <= conservative_epsilon(
                             nu, p, t, d)
         for key, val in eps.items():
@@ -395,9 +396,9 @@ def test_c7_calibration_round_trip():
             p = float(rng.uniform(0.02, 1.0))
             sens = float(10 ** rng.uniform(-4, 1))
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, sens)
-            achieved = compose_subsampled_gaussian(
-                AccountantState(sigma / sens, p, steps=steps,
-                                target_delta=delta), delta)
+            achieved = AccountantState(
+                sigma / sens, p, steps=steps,
+                target_delta=delta).epsilon_spent(delta)
             assert achieved == pytest.approx(eps, rel=1e-4)
 
 

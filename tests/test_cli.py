@@ -101,6 +101,24 @@ class TestTrain:
             "error: train: seeds must be distinct\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
+    def test_empty_seed_list_rejected(self, tmp_path, capsys, given):
+        # fails before the (missing) dataset is read and before any output
+        out = tmp_path / "sweep"
+        cfg = {"task": "classification_sp",
+               "data": str(tmp_path / "missing.csv"), "seeds": []}
+        doc = tmp_path / "given.json"
+        doc.write_text(json.dumps({"command": "train", "config": cfg}
+                                  if given == "manifest" else cfg))
+        argv = {"flag": ["train", "--task", "classification_sp", "--data",
+                         cfg["data"], "--seeds", ","],
+                "config": ["train", "--config", str(doc)],
+                "manifest": ["replay", str(doc)]}[given]
+        assert _run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "error: train: seeds must list at least one seed\n"
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

@@ -7,9 +7,9 @@ import pytest
 
 from dpswgrad.dp_gradient import ClipConfig, clip_rows, penalized_objective
 from dpswgrad.models import make_model
-from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns, w2_squared,
+from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
                               w2_squared_columns)
-from dpswgrad.sliced import sample_directions, sw2_squared_mc
+from dpswgrad.sliced import sample_directions
 
 from oracles import (central_diff, clip_jacobian_naive, clip_vector,
                      jacobian_batch, loss_grad_batch, penalty_jacobian_batch,
@@ -145,8 +145,8 @@ class TestClippedWassersteinGrad1D:
                 continue
             batch, pairs = stacked_pairs(model, [(x, model, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP)[3]
-            fd = _fd_theta_grad(model, lambda: w2_squared(
-                model.forward_batch(x)[:, 0], model.forward_batch(z)[:, 0]))
+            fd = _fd_theta_grad(model, lambda: w2_squared_columns(
+                model.forward_batch(x), model.forward_batch(z))[0])
             assert rel_err(grad, fd) < 1e-5
             checked += 1
 
@@ -160,8 +160,8 @@ class TestClippedWassersteinGrad1D:
         batch, pairs = stacked_pairs(gen, [(z, ident, x)])
         grad = penalized_objective(gen, batch, pairs, 1.0, NO_CLIP)[3]
         assert grad.shape == (gen.n_params,)
-        fd = _fd_theta_grad(gen, lambda: w2_squared(
-            x[:, 0], gen.forward_batch(z)[:, 0]))
+        fd = _fd_theta_grad(gen, lambda: w2_squared_columns(
+            x, gen.forward_batch(z))[0])
         assert rel_err(grad, fd) < 1e-5
 
     def test_outputs_beyond_bound_match_explicit_clamp(self):
@@ -218,8 +218,9 @@ class TestClippedWassersteinGradSliced:
             batch, pairs = stacked_pairs(model, [(x, model, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP,
                                        dirs)[3]
-            fd = _fd_theta_grad(model, lambda: sw2_squared_mc(
-                model.forward_batch(x), model.forward_batch(z), dirs))
+            fd = _fd_theta_grad(model, lambda: w2_squared_columns(
+                model.forward_batch(x) @ dirs.T,
+                model.forward_batch(z) @ dirs.T).mean())
             assert rel_err(grad, fd) < 1e-5
             checked += 1
 
@@ -425,7 +426,7 @@ class TestObjectiveGrads:
             model, x_full, pairs, 1.0, ClipConfig(0.5, 1.0, 1.0))
         u = np.clip(model.forward_batch(x0)[:, 0], -0.5, 0.5)
         v = np.clip(model.forward_batch(x1)[:, 0], -0.5, 0.5)
-        assert val == pytest.approx(w2_squared(u, v), rel=1e-12)
+        assert val == pytest.approx(w2_squared_columns(u, v)[0], rel=1e-12)
         assert erm_val == 0.0 and total == val
 
     def test_reference_pair_matches_plain_gradient(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpswgrad import ot_core
-from dpswgrad.ot_core import (quantile_coupling, w2_grad, w2_grad_columns,
-                              w2_squared, w2_squared_columns)
+from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
+                              w2_squared_columns)
 
 from dpswgrad.dp_gradient import clip_rows
 from dpswgrad.sliced import sample_directions
@@ -66,14 +66,14 @@ class TestQuantileCoupling:
 
     def test_entry_count_bound(self):
         for n, m in [(3, 5), (7, 7), (13, 9), (200, 199)]:
-            assert len(quantile_coupling(n, m)) <= n + m - 1
+            assert quantile_coupling(n, m).weights.size <= n + m - 1
 
     def test_matrices_share_one_read_only_index_array(self):
         # both CSR matrices index the entries 0..E-1 with one array, which
         # the cache holds once per coupling
         c = quantile_coupling(3000, 2986)
         assert np.shares_memory(c.by_row.indices, c.by_col.indices)
-        assert bit_equal(c.by_row.indices, np.arange(len(c)))
+        assert bit_equal(c.by_row.indices, np.arange(c.weights.size))
         assert not c.by_row.indices.flags.writeable
         assert not c.by_col.indices.flags.writeable
 
@@ -114,22 +114,25 @@ class TestQuantileCoupling:
 
 
 class TestW2Squared:
+    """The distance of 1-D samples, each one column."""
+
     def test_tie_break_w2_matches_any_other_tie_break(self):
         # with repeated values, the distance must agree with the oracle,
         # which never looks at the permutation choice
         u = [1.0, 1.0, 0.5]
         v = [0.25, 1.0]
-        assert w2_squared(u, v) == pytest.approx(
+        assert w2_squared_columns(u, v)[0] == pytest.approx(
             w2_squared_quantile_oracle(u, v), rel=1e-12)
 
     def test_same_measure_different_order(self):
-        assert w2_squared([0.0, 1.0], [1.0, 0.0]) == 0.0
+        assert w2_squared_columns([0.0, 1.0], [1.0, 0.0])[0] == 0.0
 
     def test_point_masses(self):
-        assert w2_squared([0.0], [1.0]) == 1.0
+        assert w2_squared_columns([0.0], [1.0])[0] == 1.0
 
     def test_unequal_sizes_against_hand_value(self):
-        assert w2_squared([0.0, 1.0], [0.5]) == pytest.approx(0.25, abs=1e-15)
+        assert w2_squared_columns([0.0, 1.0], [0.5])[0] == pytest.approx(
+            0.25, abs=1e-15)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(7)
@@ -137,7 +140,7 @@ class TestW2Squared:
             n, m = rng.integers(1, 51, size=2)
             u = rng.uniform(-10, 10, size=n)
             v = rng.uniform(-10, 10, size=m)
-            got = w2_squared(u, v)
+            got = w2_squared_columns(u, v)[0]
             want = w2_squared_quantile_oracle(u, v)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
@@ -148,8 +151,8 @@ class TestW2Squared:
             u = rng.uniform(-3, 3, size=n)
             v = rng.uniform(-3, 3, size=n)
             direct = np.mean((np.sort(u) - np.sort(v)) ** 2)
-            assert w2_squared(u, v) == pytest.approx(direct, rel=1e-12,
-                                                     abs=1e-15)
+            assert w2_squared_columns(u, v)[0] == pytest.approx(
+                direct, rel=1e-12, abs=1e-15)
 
     def test_symmetry_bitwise(self):
         rng = np.random.default_rng(3)
@@ -157,14 +160,14 @@ class TestW2Squared:
             n, m = rng.integers(1, 40, size=2)
             u = rng.uniform(-5, 5, size=n)
             v = rng.uniform(-5, 5, size=m)
-            assert w2_squared(u, v) == w2_squared(v, u)
+            assert w2_squared_columns(u, v)[0] == w2_squared_columns(v, u)[0]
 
     def test_non_negative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             u = rng.normal(size=rng.integers(1, 20))
             v = rng.normal(size=rng.integers(1, 20))
-            assert w2_squared(u, v) >= 0.0
+            assert w2_squared_columns(u, v)[0] >= 0.0
 
     def test_columns_variant_matches_scalar(self):
         rng = np.random.default_rng(9)
@@ -172,28 +175,37 @@ class TestW2Squared:
         v = rng.normal(size=(9, 4))
         cols = w2_squared_columns(u, v)
         for k in range(4):
-            assert cols[k] == pytest.approx(w2_squared(u[:, k], v[:, k]),
-                                            rel=1e-14)
+            assert cols[k] == pytest.approx(
+                w2_squared_columns(u[:, k], v[:, k])[0], rel=1e-14)
 
 
 class TestW2Grad:
+    """The gradients of 1-D samples, each one column."""
+
+    def test_one_dimensional_samples_are_one_column(self):
+        gu, gv, values = w2_grad_columns([0.0, 1.0], [0.5])
+        assert (gu.shape, gv.shape, values.shape) == ((2, 1), (1, 1), (1,))
+        assert gu[:, 0].tolist() == [-0.5, 0.5]
+        assert gv[0, 0] == 0.0 and np.signbit(gv[0, 0])
+        assert values[0] == 0.25
+
     def test_zero_at_identical_sorted_samples(self):
         u = np.array([0.1, 0.4, 0.9])
-        gu, gv = w2_grad(u, u.copy())
+        gu, gv, _ = w2_grad_columns(u, u.copy())
         np.testing.assert_allclose(gu, 0.0, atol=1e-15)
         np.testing.assert_allclose(gv, 0.0, atol=1e-15)
 
     def test_hand_example(self):
-        gu, gv = w2_grad([0.0, 1.0], [0.5])
-        np.testing.assert_allclose(gu, [-0.5, 0.5])
-        np.testing.assert_allclose(gv, [0.0])
+        gu, gv, _ = w2_grad_columns([0.0, 1.0], [0.5])
+        np.testing.assert_allclose(gu[:, 0], [-0.5, 0.5])
+        np.testing.assert_allclose(gv[:, 0], [0.0])
 
     def test_translation_invariance_sums(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             u = rng.uniform(-4, 4, size=rng.integers(1, 30))
             v = rng.uniform(-4, 4, size=rng.integers(1, 30))
-            gu, gv = w2_grad(u, v)
+            gu, gv, _ = w2_grad_columns(u, v)
             assert abs(gu.sum() + gv.sum()) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -202,11 +214,11 @@ class TestW2Grad:
             n, m = rng.integers(2, 15, size=2)
             u = distinct_values(rng, int(n), -4, 4)
             v = distinct_values(rng, int(m), -4, 4)
-            gu, gv = w2_grad(u, v)
-            fd_u = central_diff(lambda uu: w2_squared(uu, v), u)
-            fd_v = central_diff(lambda vv: w2_squared(u, vv), v)
-            assert rel_err(gu, fd_u) < 1e-5
-            assert rel_err(gv, fd_v) < 1e-5
+            gu, gv, _ = w2_grad_columns(u, v)
+            fd_u = central_diff(lambda uu: w2_squared_columns(uu, v)[0], u)
+            fd_v = central_diff(lambda vv: w2_squared_columns(u, vv)[0], v)
+            assert rel_err(gu[:, 0], fd_u) < 1e-5
+            assert rel_err(gv[:, 0], fd_v) < 1e-5
 
     def test_columns_variant_matches_scalar(self):
         rng = np.random.default_rng(17)
@@ -214,14 +226,14 @@ class TestW2Grad:
         v = rng.normal(size=(8, 3))
         gu, gv, _ = w2_grad_columns(u, v)
         for k in range(3):
-            gu1, gv1 = w2_grad(u[:, k], v[:, k])
-            np.testing.assert_allclose(gu[:, k], gu1, atol=1e-15)
-            np.testing.assert_allclose(gv[:, k], gv1, atol=1e-15)
+            gu1, gv1, _ = w2_grad_columns(u[:, k], v[:, k])
+            np.testing.assert_allclose(gu[:, k], gu1[:, 0], atol=1e-15)
+            np.testing.assert_allclose(gv[:, k], gv1[:, 0], atol=1e-15)
 
     def test_gradient_with_ties_uses_documented_permutation(self):
         # value identical regardless of which tied element gets which rank,
         # and the gradient still sums to zero
-        gu, gv = w2_grad([1.0, 1.0, 0.0], [0.5, 1.5])
+        gu, gv, _ = w2_grad_columns([1.0, 1.0, 0.0], [0.5, 1.5])
         assert abs(gu.sum() + gv.sum()) < 1e-12
 
     @pytest.mark.parametrize("tied", [False, True])

@@ -8,8 +8,8 @@ import pytest
 
 from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               PrivacySaturationError,
-                              calibrate_noise, compose_subsampled_gaussian,
-                              conservative_epsilon, gaussian_mechanism,
+                              calibrate_noise, conservative_epsilon,
+                              gaussian_mechanism,
                               gdp_delta, gdp_epsilon, subsample_amplify,
                               total_gdp_mu)
 
@@ -118,7 +118,7 @@ class TestAccountant:
     def test_single_full_step_inverts_the_curve(self):
         state = AccountantState(noise_multiplier=1.3, sampling_rate=1.0,
                                 steps=1, target_delta=1e-5)
-        eps = compose_subsampled_gaussian(state, 1e-5)
+        eps = state.epsilon_spent(1e-5)
         assert gdp_delta(1.0 / 1.3, eps) == pytest.approx(1e-5, abs=1e-9)
 
     def test_full_rate_composition_is_exact_sqrt(self):
@@ -127,7 +127,7 @@ class TestAccountant:
     def test_reference_configuration_is_finite_and_below_ceiling(self):
         state = AccountantState(noise_multiplier=2.0, sampling_rate=0.2,
                                 steps=500, target_delta=1e-5)
-        eps = compose_subsampled_gaussian(state, 1e-5)
+        eps = state.epsilon_spent(1e-5)
         assert math.isfinite(eps) and eps > 0
         ceiling = conservative_epsilon(2.0, 0.2, 500, 1e-5)
         assert eps <= ceiling
@@ -139,8 +139,8 @@ class TestAccountant:
         deltas = [1e-6, 1e-5, 1e-4]
 
         def eps(nu, p, t, d):
-            return compose_subsampled_gaussian(
-                AccountantState(nu, p, steps=t, target_delta=d), d)
+            return AccountantState(nu, p, steps=t,
+                                   target_delta=d).epsilon_spent(d)
 
         for p in ps:
             for t in ts:
@@ -170,12 +170,12 @@ class TestAccountant:
                     for d in (1e-6, 1e-5, 1e-4):
                         state = AccountantState(nu, p, steps=t,
                                                 target_delta=d)
-                        assert compose_subsampled_gaussian(state, d) <= \
+                        assert state.epsilon_spent(d) <= \
                             conservative_epsilon(nu, p, t, d)
 
     def test_zero_steps_spends_nothing(self):
         state = AccountantState(1.0, 0.5)
-        assert compose_subsampled_gaussian(state, 1e-5) == 0.0
+        assert state.epsilon_spent(1e-5) == 0.0
 
     def test_negative_step_rejected(self):
         # a negative step would take back budget already spent
@@ -193,7 +193,16 @@ class TestAccountant:
         state = AccountantState(noise_multiplier=0.01, sampling_rate=0.5,
                                 steps=100, target_delta=1e-5)
         with pytest.raises(PrivacySaturationError):
-            compose_subsampled_gaussian(state, 1e-5)
+            state.epsilon_spent(1e-5)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_noise_multiplier_rejected(self, nu):
+        # rejected where it enters, not later by the curve's root finder
+        message = "noise multiplier must be finite and > 0"
+        with pytest.raises(ValueError, match=message):
+            AccountantState(nu, 0.5)
+        with pytest.raises(ValueError, match=message):
+            total_gdp_mu(nu, 0.5, 3)
 
 
 class TestCalibration:
@@ -208,7 +217,7 @@ class TestCalibration:
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, sens)
             state = AccountantState(sigma / sens, p, steps=steps,
                                     target_delta=delta)
-            achieved = compose_subsampled_gaussian(state, delta)
+            achieved = state.epsilon_spent(delta)
             assert achieved == pytest.approx(eps, rel=1e-4)
 
     def test_sigma_linear_in_sensitivity(self):
@@ -257,9 +266,8 @@ class TestCalibration:
             steps = int(rng.integers(1, 500))
             p = float(rng.uniform(0.02, 1.0))
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, 1.0)
-            spent = compose_subsampled_gaussian(
-                AccountantState(sigma, p, steps=steps, target_delta=delta),
-                delta)
+            spent = AccountantState(sigma, p, steps=steps,
+                                    target_delta=delta).epsilon_spent(delta)
             assert spent <= eps
 
 

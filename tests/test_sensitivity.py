@@ -320,6 +320,11 @@ class TestCounterexample:
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 
+    def test_squared_cost_contrast_values_are_pinned(self):
+        # the gap of the summed column gradients, to the last bit
+        assert [w2_counterexample_contrast(n) for n in (10, 100, 1000)] == [
+            0.19999999999999998, 0.01999999999999999, 0.002]
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             wp_counterexample(0, 1)
