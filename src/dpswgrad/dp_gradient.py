@@ -19,7 +19,9 @@ spectral norm at ``bound``) rather than through an SVD.  No per-sample
 Jacobian is built: the row norms come from each traced layer's output
 cotangents and inputs (ghost norms), and the clipped, coupling-weighted
 sum of the rows is one summed backward pass (see
-:class:`dpswgrad.models.LayerGrads`).  A call traces one batch of the
+:class:`dpswgrad.models.LayerGrads`).  The OT kernel sorts the model's sides
+for their rank permutations; a parameter-free reference side takes a value
+sort only, as no gradient is asked for it.  A call traces one batch of the
 model, and every side of the model, in every pair, is a block of its rows
 (a ``slice``), so a call makes one forward pass and one such backward
 whatever the number of pairs.  The per-sample loss gradients of the
@@ -206,7 +208,7 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
         # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
         u, v = (dirs @ cx.T).T, (dirs @ cz.T).T
         if alpha > 0.0:
-            gu, gv, columns = w2_grad_columns(u, v)
+            gu, gv, columns = w2_grad_columns(u, v, grad_v=h is model)
             columns_of.append((rx, gu, clip.jac_bound1))
             if h is model:
                 columns_of.append((z, gv, clip.jac_bound2))

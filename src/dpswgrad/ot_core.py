@@ -30,8 +30,11 @@ keys orders every column, exact ties in index order.  Where the block's
 integers spread too widely to keep them whole beside the index, the key
 drops their low bits; distinct values that close (a few ulps apart) then
 come back out of order, and only their columns are sorted again, by a
-second packed sort or, beyond ``2**20`` samples, by a stable argsort.  The
-distance alone needs no permutation and takes a plain ``np.sort``.
+second packed sort or, beyond ``2**20`` samples, by a stable argsort.  Only
+a side whose gradient is returned needs the permutation: the distance
+alone, and a side whose gradient is not asked for (a parameter-free
+reference sample), take a plain ``np.sort``, whose sorted values are the
+same bits whatever the order of ties.
 
 The column functions take (n, k) blocks, one sample per column (a 1-D
 array is one column), but work in the row layout: on the C-contiguous
@@ -267,7 +270,8 @@ def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return out.reshape(flat.shape).T
 
 
-def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def w2_grad_columns(u, v, grad_v: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Columnwise closed-form gradients of :func:`w2_squared_columns`.
 
     Returns ``(grad_u, grad_v, values)``: the gradients with the same
@@ -277,11 +281,13 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     come from one in-place sort of packed (value, index) int64 keys per
     side (see :func:`_stable_sort_rows`).  Both sorted gradients are
     weighted sums of the displacements along the coupling, one sparse
-    product per side.
+    product per side.  With ``grad_v=False`` (``v`` a reference sample
+    that nothing differentiates) ``grad_v`` is None, ``v`` takes a value
+    sort only, and ``grad_u`` and ``values`` are the same bits.
     """
     u, v = _as_row_pair(u, v)
     flat_u, us = _stable_sort_rows(u)
-    flat_v, vs = _stable_sort_rows(v)
+    flat_v, vs = _stable_sort_rows(v) if grad_v else (None, np.sort(v, axis=1))
     c = quantile_coupling(u.shape[1], v.shape[1])
     disp = _displacements(us, vs, c)
     values = _coupled_w2_rows(disp, c.weights)
@@ -290,8 +296,9 @@ def w2_grad_columns(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # twice the same sum over i; then unsort
     gu_sorted = c.by_row @ disp.T
     gu_sorted *= 2.0
-    gv_sorted = c.by_col @ disp.T
-    gv_sorted *= -2.0
-    del disp    # freed before the two scatters allocate
-    return (_unsort(gu_sorted.T, flat_u), _unsort(gv_sorted.T, flat_v),
-            values)
+    if grad_v:
+        gv_sorted = c.by_col @ disp.T
+        gv_sorted *= -2.0
+    del disp    # freed before the scatters allocate
+    return (_unsort(gu_sorted.T, flat_u),
+            _unsort(gv_sorted.T, flat_v) if grad_v else None, values)

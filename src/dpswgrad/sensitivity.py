@@ -211,6 +211,6 @@ def w2_counterexample_contrast(n: int) -> float:
     """
     x, x_tilde, z = _counterexample_grids(n)
     # d/dt W2^2(x + t, z) at t=0 is the sum of the value-space gradient
-    grad_x = float(np.sum(w2_grad_columns(x, z)[0]))
-    grad_xt = float(np.sum(w2_grad_columns(x_tilde, z)[0]))
+    grad_x = float(np.sum(w2_grad_columns(x, z, grad_v=False)[0]))
+    grad_xt = float(np.sum(w2_grad_columns(x_tilde, z, grad_v=False)[0]))
     return abs(grad_x - grad_xt)

@@ -11,10 +11,10 @@ from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
                               w2_squared_columns)
 from dpswgrad.sliced import sample_directions
 
-from oracles import (central_diff, clip_jacobian_naive, clip_vector,
-                     jacobian_batch, loss_grad_batch, penalty_jacobian_batch,
-                     penalty_model, rel_err, spectral_norm_power_iteration,
-                     stacked_pairs)
+from oracles import (bit_equal, central_diff, clip_jacobian_naive,
+                     clip_vector, jacobian_batch, loss_grad_batch,
+                     penalty_jacobian_batch, penalty_model, rel_err,
+                     spectral_norm_power_iteration, stacked_pairs)
 
 NO_CLIP = ClipConfig(1e9, 1e9, 1e9, 1e9)
 
@@ -747,6 +747,43 @@ class TestOnePenaltyPass:
                          "_backward": 1 + erm_pass, "norms": 1 + erm_pass,
                          "weighted_sum": 1 + erm_pass,
                          "clip_rows": 1 + references}
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    @pytest.mark.parametrize("sides", ["slices", "arrays"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_reference_sides_take_a_value_sort(self, monkeypatch, r, sides,
+                                               alpha):
+        # no gradient is asked for a parameter-free reference side, so the
+        # OT kernel sorts it for its values only: one permutation sort per
+        # generation pair ("arrays"), two per pair of the model with itself
+        from dpswgrad import dp_gradient, ot_core
+        model, x, erm, dirs = self._setup()
+        blocks = [(slice(0, 6), slice(6, 10)), (slice(10, 13),
+                                                slice(13, 20))][:r]
+        if sides == "slices":
+            pairs = [(a, model, b) for a, b in blocks]
+        else:
+            reference = make_model("identity", 2)
+            pairs = [(a, reference, 0.3 * x[b, :2]) for a, b in blocks]
+        sorted_rows = []
+        stable_sort_rows = ot_core._stable_sort_rows
+
+        def spy(a):
+            sorted_rows.append(a.shape[1])
+            return stable_sort_rows(a)
+
+        monkeypatch.setattr(ot_core, "_stable_sort_rows", spy)
+        got = penalized_objective(model, x, pairs, alpha, NO_CLIP, dirs, erm)
+        model_sides = [side for pair in blocks
+                       for side in (pair if sides == "slices" else pair[:1])]
+        assert sorted_rows == [side.stop - side.start for side in model_sides]
+        # and the same bits as with both sides sorted for permutations
+        kernel = ot_core.w2_grad_columns
+        monkeypatch.setattr(dp_gradient, "w2_grad_columns",
+                            lambda u, v, grad_v: kernel(u, v))
+        want = penalized_objective(model, x, pairs, alpha, NO_CLIP, dirs,
+                                   erm)
+        assert got[:3] == want[:3] and bit_equal(got[3], want[3])
 
     @pytest.mark.parametrize("pairs", [
         lambda x, model, ref: [(x[:6], model, slice(6, 20))],

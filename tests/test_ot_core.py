@@ -383,6 +383,104 @@ class TestOrderAgainstStableOracle:
         assert bit_equal(s[0], row[want])
 
 
+class TestOneSidedGradient:
+    """``grad_v=False``: ``v`` is a reference sample whose gradient is not
+    asked for.  It takes a value sort only, whose sorted values are the
+    same bits whatever the order of ties, so ``grad_u`` and the values are
+    those of the two-sided call and of the stable-sort reference."""
+
+    @staticmethod
+    def _check(u, v, got):
+        gu, gv, values = got
+        assert gv is None
+        both, want = w2_grad_columns(u, v), w2_grad_columns_stable(u, v)
+        for g, i in ((gu, 0), (values, 2)):
+            assert bit_equal(g, both[i]) and bit_equal(g, want[i])
+
+    @pytest.fixture
+    def sorted_rows(self, monkeypatch):
+        """The shape of every block the kernel sorts for its permutation."""
+        shapes = []
+        stable_sort_rows = ot_core._stable_sort_rows
+
+        def spy(a):
+            shapes.append(a.shape)
+            return stable_sort_rows(a)
+
+        monkeypatch.setattr(ot_core, "_stable_sort_rows", spy)
+        return shapes
+
+    @pytest.mark.parametrize("n, m, k", [(1, 1, 3), (1, 9, 4), (9, 1, 4),
+                                         (40, 27, 5), (311, 197, 3)])
+    def test_tie_free_blocks(self, n, m, k, sorted_rows):
+        rng = np.random.default_rng(n * 1000 + m + 7)
+        u = rng.normal(size=(n, k))
+        v = rng.normal(size=(m, k)) + 0.3
+        got = w2_grad_columns(u, v, grad_v=False)
+        # only u is sorted for its permutation
+        assert sorted_rows == [(k, n)]
+        self._check(u, v, got)
+
+    def test_exact_ties(self):
+        # tied columns on both sides, a constant reference column, and
+        # scalar outputs clipped to exactly +-0.5
+        rng = np.random.default_rng(11)
+        u = np.round(rng.normal(size=(50, 4)))
+        v = np.round(2.0 * rng.normal(size=(37, 4)))
+        v[:, 2] = 0.25
+        self._check(u, v, w2_grad_columns(u, v, grad_v=False))
+        u = clip_rows(rng.choice([-4.0, -2.0, 2.0, 8.0], (40, 1)), 0.5)
+        v = clip_rows(rng.choice([-2.0, 4.0], (33, 1)), 0.5)
+        self._check(u, v, w2_grad_columns(u, v, grad_v=False))
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 2000])
+    def test_signed_zeros(self, m):
+        # -0.0 == 0.0 is a tie that a value sort may order either way: the
+        # displacements then differ in the sign of some zeros, which
+        # neither their squares nor the sums of the gradient keep
+        rng = np.random.default_rng(m)
+        u = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(40, 4))
+        v = rng.choice([-0.0, 0.0, 0.5], size=(m, 4))
+        if m > 1:
+            v[:2] = [[0.0] * 4, [-0.0] * 4]
+            v[:2, ::2] = v[1::-1, ::2]
+        self._check(u, v, w2_grad_columns(u, v, grad_v=False))
+        self._check(v, u, w2_grad_columns(v, u, grad_v=False))
+
+    @pytest.mark.parametrize("far", [False, True], ids=["narrow", "wide"])
+    def test_ulp_spaced_near_ties(self, far, repaired_rows):
+        # as in the two-sided test, one far value per column drops low
+        # bits; then only u's rows take the repair sort
+        rng = np.random.default_rng(34)
+        u, v = (np.column_stack(
+            [_ulp_spaced(rng, start, size)
+             for start in (1.0, -3.5, 0.0, 1e-300, -2.0 ** -1000)]
+            + [rng.permutation(np.arange(-(size // 2), size - size // 2)
+                               * 5e-324)]) for size in (700, 650))
+        if far:
+            u[rng.integers(700, size=6), range(6)] = -2.0
+            v[rng.integers(650, size=6), range(6)] = 2.0
+        got = w2_grad_columns(u, v, grad_v=False)
+        assert repaired_rows == ([6] if far else [])
+        self._check(u, v, got)
+
+    @pytest.mark.parametrize("far", [False, True], ids=["narrow", "wide"])
+    def test_saturated_reference(self, far, repaired_rows):
+        # projected sigmoid_recentered outputs at z in [25, 40], exact ties
+        # and near-ties, on the reference side, against normal draws
+        rng = np.random.default_rng(35)
+        dirs = sample_directions(2, 12, seed=35)
+        z = rng.uniform(25.0, 40.0, (333, 2))
+        if far:
+            z[3] = -3.0
+        v = (dirs @ (1.0 / (1.0 + np.exp(-z)) - 0.5).T).T
+        u = 1e-11 * rng.normal(size=(400, 12))
+        assert all(np.unique(col).size < col.size for col in v.T)
+        got = w2_grad_columns(u, v, grad_v=False)
+        assert repaired_rows == []
+        self._check(u, v, got)
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("fn", [w2_grad_columns, w2_squared_columns])
     def test_column_counts_must_agree(self, fn):

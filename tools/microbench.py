@@ -21,8 +21,11 @@ spans more, so its first sort drops low bits, but it holds only exact
 ties, which need no second sort; ``near_tied_signed`` spans as much and
 holds near-ties, so every row takes the second, repair sort.  No
 benchmark workload reaches that repair, so this case is its timed
-evidence.  Then it times one ``dp_gradient.penalized_objective`` call
-in each of three shapes:
+evidence.  ``gen_circle one-sided`` times the gen_circle blocks with
+``grad_v=False``, as the generation step sorts them: the reference side
+takes a value sort only, and no gradient comes back for it.  Then it
+times one ``dp_gradient.penalized_objective`` call in each of four
+shapes:
 
 - ``reg_sp``: the ``reg_sp_paper`` batch (mlp2 with 16 inputs, 64 hidden
   units and 2 outputs; 2986 + 3014 rows traced once, the two classes as
@@ -33,7 +36,10 @@ in each of three shapes:
 - ``audit``: one gradient of the ``audit_sliced`` workload (mlp2 with 3
   inputs, 4 hidden units and 2 outputs at 6 times its initial weights;
   100 against 100 rows, stacked into one batch per call as the audit
-  stacks them; 20 directions, weight 1, no ERM).
+  stacks them; 20 directions, weight 1, no ERM);
+- ``gen``: one ``gen_circle`` step (mlp2 with 2 inputs, 32 hidden units
+  and a linear 2-D output; 2000 rows against the identity map on 2000
+  references; 50 directions, weight 1, no ERM).
 
 Then it times ``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.
 Each case runs once untimed, then R times (default 30); one line per case
@@ -41,12 +47,14 @@ gives the median and the quartiles in ms and the minor page faults per
 timed call (``resource.getrusage``), which count the fresh memory the C
 library maps in for the call's temporaries.
 The script leaves the C library's allocator at its defaults.
-Every OT case also checks that the kernel's three outputs equal, bit for
-bit, those of the two-stable-argsort reference ``w2_grad_columns_stable``
-in ``tests/oracles.py``, and exits with an error if they do not.  To
-compare two versions of the library, run each checkout's own copy of this
-script with that checkout's ``src`` on ``PYTHONPATH``: the reference
-follows the library's arithmetic.
+Every OT case also checks that the kernel's outputs equal, bit for bit,
+those of the two-stable-argsort reference ``w2_grad_columns_stable`` in
+``tests/oracles.py`` (a one-sided case its ``grad_u`` and values), and
+every objective that its four outputs equal those of the same call with
+its OT kernel replaced by that reference; the script exits with an error
+if any differ.  To compare two versions of the library, run each
+checkout's own copy of this script with that checkout's ``src`` on
+``PYTHONPATH``: the reference follows the library's arithmetic.
 
 Runtime: about 8 s on 2 cores at the default R.  The script is not part of
 the test suite.
@@ -64,6 +72,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+from dpswgrad import dp_gradient  # noqa: E402
 from dpswgrad.dp_gradient import (ClipConfig, clip_rows,  # noqa: E402
                                   penalized_objective)
 from dpswgrad.models import make_model  # noqa: E402
@@ -72,19 +81,21 @@ from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
 from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
 
-# (label, n, m, k, values, C-ordered): gen_circle sorts 2000 x 2000 per
-# side, reg_sp_paper its two classes, cls_eo_paper a class split like
-# 1427 x 1573 and the sliced audit 100 x 100; see _ot_inputs for the values
+# (label, n, m, k, values, C-ordered, grad_v): gen_circle sorts
+# 2000 x 2000 per side, reg_sp_paper its two classes, cls_eo_paper a class
+# split like 1427 x 1573 and the sliced audit 100 x 100; see _ot_inputs for
+# the values
 OT_CASES = (
-    ("gen_circle", 2000, 2000, 50, "normal", False),
-    ("reg_sp", 2986, 3014, 50, "normal", False),
-    ("reg_sp C-ordered", 2986, 3014, 50, "normal", True),
-    ("class_split", 1427, 1573, 50, "normal", False),
-    ("audit", 100, 100, 20, "normal", False),
-    ("all_tied", 2000, 2000, 50, "tied", False),
-    ("near_tied", 2000, 2000, 50, "near_tied", False),
-    ("saturated", 2000, 2000, 50, "saturated", False),
-    ("near_tied_signed", 2000, 2000, 50, "near_tied_signed", False),
+    ("gen_circle", 2000, 2000, 50, "normal", False, True),
+    ("gen_circle one-sided", 2000, 2000, 50, "normal", False, False),
+    ("reg_sp", 2986, 3014, 50, "normal", False, True),
+    ("reg_sp C-ordered", 2986, 3014, 50, "normal", True, True),
+    ("class_split", 1427, 1573, 50, "normal", False, True),
+    ("audit", 100, 100, 20, "normal", False, True),
+    ("all_tied", 2000, 2000, 50, "tied", False, True),
+    ("near_tied", 2000, 2000, 50, "near_tied", False, True),
+    ("saturated", 2000, 2000, 50, "saturated", False, True),
+    ("near_tied_signed", 2000, 2000, 50, "near_tied_signed", False, True),
 )
 
 
@@ -169,6 +180,38 @@ def _objective_audit(n: int = 100, seed: int = 0):
                                        1.0, clip, dirs)
 
 
+def _objective_gen(n: int = 2000, seed: int = 0):
+    """One ``gen_circle`` step: the Wasserstein gradient alone of the
+    model's ``n`` outputs against ``n`` references on a circle, which pass
+    the identity map as their own array."""
+    rng = np.random.default_rng(seed)
+    model = make_model("mlp2", 2, seed=seed, hidden_dim=32, output_dim=2,
+                       output_activation="linear")
+    x = rng.normal(size=(n, 2))
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    z = 0.75 * np.column_stack([np.cos(angles), np.sin(angles)])
+    pairs = [(slice(0, n), make_model("identity", 2), z)]
+    clip = ClipConfig.symmetric(1.0, 1.0)
+    dirs = sample_directions(2, 50, seed)
+    return lambda: penalized_objective(model, x, pairs, 1.0, clip, dirs)
+
+
+def _matches_oracle_kernel(step) -> bool:
+    """Whether ``step()`` gives the same bits as with the objective's OT
+    kernel replaced by the stable-sort reference, whose gradients are laid
+    out as the kernel's are ((n, k) views of (k, n) arrays), so that the
+    products that read them take the same path."""
+    got = step()
+    kernel = dp_gradient.w2_grad_columns
+    dp_gradient.w2_grad_columns = lambda u, v, grad_v=True: tuple(
+        np.asfortranarray(g) for g in w2_grad_columns_stable(u, v))
+    try:
+        want = step()
+    finally:
+        dp_gradient.w2_grad_columns = kernel
+    return got[:3] == want[:3] and bit_equal(got[3], want[3])
+
+
 def _timings_ms(fn, repeats: int) -> tuple[np.ndarray, float]:
     """Times of ``repeats`` calls after one untimed call, and the minor
     page faults per timed call."""
@@ -192,20 +235,28 @@ def _report(label: str, timings: tuple, note: str = "") -> None:
 
 def run(repeats: int) -> int:
     failed = []
-    for label, n, m, k, values, c_ordered in OT_CASES:
+    for label, n, m, k, values, c_ordered, grad_v in OT_CASES:
         u, v = _ot_inputs(n, m, k, values, c_ordered)
-        same = all(bit_equal(g, w) for g, w in
-                   zip(w2_grad_columns(u, v), w2_grad_columns_stable(u, v)))
+        want = list(w2_grad_columns_stable(u, v))
+        if not grad_v:
+            want[1] = None
+        same = all(g is w or bit_equal(g, w) for g, w in
+                   zip(w2_grad_columns(u, v, grad_v), want))
         if not same:
             failed.append(label)
         _report(f"w2_grad_columns {label} {n}x{m}x{k}",
-                _timings_ms(lambda: w2_grad_columns(u, v), repeats),
+                _timings_ms(lambda: w2_grad_columns(u, v, grad_v), repeats),
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
 
     for label, step in (("reg_sp 2986+3014", _objective_reg_sp()),
                         ("eo 2094+891, 906+2109", _objective_eo()),
-                        ("audit 100+100", _objective_audit())):
-        _report(f"penalized_objective {label}", _timings_ms(step, repeats))
+                        ("audit 100+100", _objective_audit()),
+                        ("gen 2000+2000", _objective_gen())):
+        same = _matches_oracle_kernel(step)
+        if not same:
+            failed.append(label)
+        _report(f"penalized_objective {label}", _timings_ms(step, repeats),
+                "   oracle: " + ("identical" if same else "DIFFERENT"))
 
     rng = np.random.default_rng(1)
     for n, d in ((2000, 2), (3000, 16)):
