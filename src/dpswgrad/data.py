@@ -18,13 +18,16 @@ order, so a config plus seed reproduces the dataset bit for bit.
 
 Datasets persist as a CSV of records plus a JSON sidecar carrying the
 generation config and the realized class sizes (public metadata under the
-fixed-class-sizes neighboring relation).
+fixed-class-sizes neighboring relation).  The loader checks the header's
+column names and parses the body straight into one float64 array
+(``np.loadtxt``), holding no per-field Python strings.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -147,13 +150,15 @@ def _sizes_doc(ds: BiasedDataset) -> dict:
                            for (j, k), v in by_ay.items()}}
 
 
+def _header(d: int) -> list:
+    return [f"x_{i + 1}" for i in range(d)] + ["a", "y", "yc_1", "yc_2"]
+
+
 def save_dataset(ds: BiasedDataset, csv_path, sidecar_path) -> None:
     """Write records as CSV (17 significant digits) plus the JSON sidecar."""
-    d = ds.dim
-    header = [f"x_{i + 1}" for i in range(d)] + ["a", "y", "yc_1", "yc_2"]
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_header(ds.dim))
         for i in range(ds.n):
             row = [f"{v:.17g}" for v in ds.x[i]]
             row += [str(int(ds.a[i])), str(int(ds.y[i]))]
@@ -165,7 +170,10 @@ def save_dataset(ds: BiasedDataset, csv_path, sidecar_path) -> None:
 
 
 def load_dataset(csv_path, sidecar_path) -> BiasedDataset:
-    """Read a dataset back and re-validate its invariants."""
+    """Read a dataset back and re-validate its invariants.
+
+    The CSV header must name the columns as :func:`save_dataset` does; every
+    error names the file it was found in."""
     with open(sidecar_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     config = doc.get("config") if isinstance(doc, dict) else None
@@ -180,16 +188,34 @@ def load_dataset(csv_path, sidecar_path) -> BiasedDataset:
                          "object with a 'config' object of GenerationConfig "
                          "fields and an integer 'n')")
     config = GenerationConfig(**config)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
     d = config.core_dim + config.sp_dim
-    if len(header) != d + 4:
-        raise ValueError(f"CSV has {len(header)} columns, expected {d + 4}")
-    data = np.asarray(rows, dtype=np.float64)
+    with open(csv_path, encoding="utf-8") as fh:
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{csv_path}: empty file, expected a header")
+        header = line.rstrip("\n").split(",")
+        if len(header) != d + 4:
+            raise ValueError(f"{csv_path}: CSV has {len(header)} columns, "
+                             f"expected {d + 4}")
+        for i, (name, want) in enumerate(zip(header, _header(d))):
+            if name != want:
+                raise ValueError(f"{csv_path}: column {i + 1} is {name!r}, "
+                                 f"expected {want!r}")
+        with warnings.catch_warnings():
+            # a body without rows reads as (0, 1) with a warning; the row
+            # count check below reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            try:
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64,
+                                  ndmin=2, comments=None)
+            except ValueError as exc:  # a ragged row or a non-number
+                raise ValueError(f"{csv_path}: {exc}") from exc
     if data.shape[0] != doc["n"]:
-        raise ValueError("CSV row count disagrees with sidecar")
+        raise ValueError(f"{csv_path}: CSV has {data.shape[0]} rows, the "
+                         f"sidecar says {doc['n']}")
+    if data.shape[1] != d + 4:
+        raise ValueError(f"{csv_path}: CSV rows have {data.shape[1]} "
+                         f"columns, expected {d + 4}")
     ds = BiasedDataset(x=data[:, :d],
                        a=data[:, d].astype(np.int64),
                        y=data[:, d + 1].astype(np.int64),

@@ -21,6 +21,10 @@ A deliberately loose companion accountant (per-step curve + amplification-
 by-subsampling + additive composition) is provided as a sanity ceiling for
 tests; it is an upper bound in composition regimes but is never used for
 calibration.
+
+Both root solves (epsilon from mu, and mu* in calibration) run Brent's
+method in :func:`_brentq`, a step-for-step port of SciPy's C ``brentq``
+that returns its bits, so the module imports only ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, log_ndtr, ndtr
 
 __all__ = [
@@ -65,6 +68,74 @@ class PrivacyBudget:
             raise ValueError("epsilon must be >= 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of ``f`` in [a, b] by Brent's method, step for step as SciPy's
+    ``scipy.optimize.brentq`` (its C ``brentq``), with its errors: ValueError
+    for a bracket whose ends have the same sign or a NaN value of ``f``,
+    RuntimeError when ``maxiter`` iterations do not converge."""
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    def sign(v: float) -> float:  # C's signbit, as a value
+        return math.copysign(1.0, v)
+
+    def div(num: float, den: float) -> float:  # C's x/0: inf or nan
+        if den != 0:
+            return num / den
+        if num == 0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num) * sign(den)
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if sign(fpre) == sign(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and sign(fpre) != sign(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = div(fpre - fcur, xpre - xcur)
+                dblk = div(fblk - fcur, xblk - xcur)
+                stry = div(-fcur * (fblk * dblk - fpre * dpre),
+                           dblk * dpre * (fblk - fpre))
+            # C's MIN(|spre|, 3|sbis| - delta) takes the second on a tie
+            bound = min(3 * abs(sbis) - delta, abs(spre))
+            if 2 * abs(stry) < bound:  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def gdp_delta(mu: float, epsilon: float) -> float:
@@ -103,8 +174,8 @@ def gdp_epsilon(mu: float, delta: float) -> float:
         if hi > 1e15:
             raise PrivacySaturationError(
                 f"no epsilon below 1e15 reaches delta={delta} at mu={mu}")
-    return float(brentq(lambda e: gdp_delta(mu, e) - delta, 0.0, hi,
-                        xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    return _brentq(lambda e: gdp_delta(mu, e) - delta, 0.0, hi,
+                   xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 def total_gdp_mu(noise_multiplier: float, sampling_rate: float,
@@ -219,8 +290,8 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
         hi *= 2.0
         if hi > 1e9:
             raise PrivacySaturationError("target budget requires mu > 1e9")
-    mu_star = float(brentq(delta_gap, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                           maxiter=200))
+    mu_star = _brentq(delta_gap, lo, hi, xtol=1e-15, rtol=8.9e-16,
+                      maxiter=200)
 
     if sampling_rate == 1.0:
         # nudge to the noisy side so the spent budget never exceeds the target

@@ -21,11 +21,19 @@ row norms and summed backward of :class:`dpswgrad.models.LayerGrads`.
 The single-sample model helpers only slice these batch functions, so
 per-sample checks read like the math.  :func:`stacked_pairs` writes
 penalty pairs of input arrays in the objective's one-batch form.
+
+SciPy's ``brentq`` is the reference for the accountant's in-module Brent
+root finder, which must return its bits, and this is the only module that
+imports ``scipy.optimize``.  :func:`matches_csv_rows` checks the dataset
+loader against the reference parse: ``csv.reader`` rows converted by
+``np.asarray``.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import brentq  # noqa: F401  (re-exported oracle)
 
 from dpswgrad.dp_gradient import clip_rows
 from dpswgrad.models import Model
@@ -104,6 +112,20 @@ def w2_grad_exact(u, v):
                 value += weight * d * d
     return (np.array([float(g) for g in gu]),
             np.array([float(g) for g in gv]), float(value))
+
+
+def matches_csv_rows(ds, path) -> bool:
+    """Whether the dataset's arrays hold the bits of the CSV body at
+    ``path``, parsed row by row with ``csv.reader`` and converted in one
+    ``np.asarray(rows, float64)``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = np.asarray(list(reader), dtype=np.float64)
+    d = ds.dim
+    return (bit_equal(ds.x, rows[:, :d]) and bit_equal(ds.yc, rows[:, d + 2:])
+            and bit_equal(ds.a, rows[:, d].astype(np.int64))
+            and bit_equal(ds.y, rows[:, d + 1].astype(np.int64)))
 
 
 def bit_equal(a, b) -> bool:

@@ -161,6 +161,23 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "--test-data"])
+    def test_empty_csv_rejected(self, dataset_dir, tmp_path, capsys, flag):
+        empty = tmp_path / "empty" / "data.csv"
+        empty.parent.mkdir()
+        empty.write_bytes(b"")
+        (empty.parent / "data.json").write_bytes(
+            (dataset_dir / "data.json").read_bytes())
+        good = str(dataset_dir / "data.csv")
+        paths = {"--data": good, "--test-data": good, flag: str(empty)}
+        out = tmp_path / "t"
+        assert _run("train", "--task", "classification_sp",
+                    *(arg for item in paths.items() for arg in item),
+                    "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: empty file, expected a header\n"
+        assert not out.exists()
+
     def test_generation_task_needs_no_data(self, tmp_path, capsys):
         assert _run("train", "--task", "generation", "--gen-samples", "0",
                     "--out", str(tmp_path / "empty")) == 1

@@ -6,6 +6,7 @@ import pytest
 from dpswgrad.data import (GenerationConfig, centered_targets,
                            generate_biased, load_dataset, partition,
                            save_dataset)
+from oracles import bit_equal, matches_csv_rows
 
 
 class TestGenerator:
@@ -152,3 +153,85 @@ class TestPersistence:
             (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+
+class TestLoader:
+    """``load_dataset`` parses the CSV body straight into one float64 array;
+    it must give the bits of the row-by-row reference parse and reject every
+    file that parse rejects, plus headers whose names are not the writer's."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = generate_biased(GenerationConfig(n=40, bias=0.7, seed=15))
+        ds.x[0, :6] = [-0.0, 5e-324, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 0.1 + 0.2,
+                       -1.2345678901234567e-150]
+        csv_path, sidecar = tmp_path / "d.csv", tmp_path / "d.json"
+        save_dataset(ds, csv_path, sidecar)
+        return ds, csv_path, sidecar
+
+    @staticmethod
+    def _edit(csv_path, edit):
+        """Rewrite the file's lines (header first, CRLF-ended) by ``edit``."""
+        lines = csv_path.read_bytes().decode().split("\r\n")[:-1]
+        csv_path.write_bytes(("".join(f"{line}\r\n"
+                                      for line in edit(lines))).encode())
+
+    def test_bit_equal_to_reference_parse(self, saved):
+        ds, csv_path, sidecar = saved
+        back = load_dataset(csv_path, sidecar)
+        assert matches_csv_rows(back, csv_path)
+        assert bit_equal(back.x, ds.x) and bit_equal(back.yc, ds.yc)
+        assert np.signbit(back.x[0, 0]) and back.x[0, 1] == 5e-324
+
+    def test_crlf_and_lf_files_load_alike(self, saved):
+        _, csv_path, sidecar = saved
+        crlf = csv_path.read_bytes()
+        assert crlf.count(b"\r\n") == 41
+        crlf_ds = load_dataset(csv_path, sidecar)
+        csv_path.write_bytes(crlf.replace(b"\r\n", b"\n"))
+        lf_ds = load_dataset(csv_path, sidecar)
+        for name in ("x", "a", "y", "yc"):
+            assert bit_equal(getattr(crlf_ds, name), getattr(lf_ds, name))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "number of columns changed"),
+        (lambda lines: lines[:3] + ["abc," + lines[3].split(",", 1)[1]]
+         + lines[4:], "could not convert string 'abc'"),
+        (lambda lines: lines[:3] + ["#" + lines[3]] + lines[4:],
+         "could not convert string '#"),
+        (lambda lines: lines[:1], "CSV has 0 rows, the sidecar says 40"),
+        (lambda lines: [], "empty file"),
+        (lambda lines: [lines[0] + ",z"] + lines[1:],
+         "CSV has 21 columns, expected 20"),
+        (lambda lines: [lines[0]] + [line + ",0" for line in lines[1:]],
+         "CSV rows have 21 columns, expected 20"),
+    ], ids=["ragged_row", "non_numeric", "comment_line", "header_only",
+            "empty", "long_header", "long_rows"])
+    def test_malformed_body_rejected(self, saved, edit, message):
+        _, csv_path, sidecar = saved
+        self._edit(csv_path, edit)
+        with pytest.raises(ValueError, match=message) as info:
+            load_dataset(csv_path, sidecar)
+        assert str(info.value).startswith(f"{csv_path}: ")
+
+    @staticmethod
+    def _swap_columns(lines, i, j):
+        out = []
+        for line in lines:
+            fields = line.split(",")
+            fields[i], fields[j] = fields[j], fields[i]
+            out.append(",".join(fields))
+        return out
+
+    @pytest.mark.parametrize("i, j, message", [
+        (0, 1, "column 1 is 'x_2', expected 'x_1'"),
+        (18, 19, "column 19 is 'yc_2', expected 'yc_1'"),
+    ], ids=["reordered_x", "swapped_yc"])
+    def test_header_names_checked(self, saved, i, j, message):
+        # the whole columns move with their names, so only the names tell
+        _, csv_path, sidecar = saved
+        self._edit(csv_path, lambda lines: self._swap_columns(lines, i, j))
+        with pytest.raises(ValueError, match=message):
+            load_dataset(csv_path, sidecar)

@@ -523,6 +523,21 @@ class TestMemoryLayout:
         assert bit_equal(got_f[2], w2_squared_columns(uf, vf))
         assert bit_equal(got_f[2], w2_squared_columns(u, v))
 
+    @pytest.mark.parametrize("grad_v", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gradients_are_views_of_row_blocks(self, order, grad_v):
+        # penalized_objective's products read these gradients, and their
+        # bits follow the layout: a C-ordered (n, k) gradient would change
+        # every replayed artifact
+        rng = np.random.default_rng(23)
+        u = np.asarray(rng.normal(size=(31, 6)), order=order)
+        v = np.asarray(rng.normal(size=(44, 6)), order=order)
+        gu, gv, _ = w2_grad_columns(u, v, grad_v)
+        for g, n in ((gu, 31), (gv, 44))[:2 if grad_v else 1]:
+            assert g.shape == (n, 6) and g.strides == (8, 8 * n)
+            assert g.T.flags.c_contiguous and not g.flags.owndata
+        assert grad_v or gv is None
+
     def test_inputs_are_not_written(self):
         rng = np.random.default_rng(22)
         u = np.asfortranarray(np.round(rng.normal(size=(30, 4))))

@@ -1,17 +1,23 @@
 """Tests for the GDP curve, subsampling amplification, accounting, calibration."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from dpswgrad import privacy
 from dpswgrad.privacy import (AccountantState, PrivacyBudget,
-                              PrivacySaturationError,
+                              PrivacySaturationError, _brentq,
                               calibrate_noise, conservative_epsilon,
                               gaussian_mechanism,
                               gdp_delta, gdp_epsilon, subsample_amplify,
                               total_gdp_mu)
+from oracles import brentq
 
 
 def _delta_oracle(mu: float, eps: float) -> float:
@@ -310,3 +316,109 @@ class TestGaussianMechanism:
         # NaN fails every comparison, so a sign check alone lets it through
         with pytest.raises(ValueError, match="finite"):
             gaussian_mechanism(np.zeros(3), sigma, _stream(0))
+
+
+def _same_outcome(f, a, b, **kw) -> bool:
+    """Whether the port and SciPy return the same bits, or raise the same
+    error type with the same message."""
+    outcomes = []
+    for solve in (_brentq, brentq):
+        try:
+            outcomes.append(np.float64(solve(f, a, b, **kw)).tobytes())
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes[0] == outcomes[1]
+
+
+_TOLS = {"xtol": 1e-15, "rtol": 8.9e-16, "maxiter": 200}
+
+
+class TestBrentRootFinder:
+    """``privacy._brentq`` follows SciPy's C ``brentq`` step for step, so it
+    must return SciPy's bits and raise SciPy's errors."""
+
+    @pytest.fixture
+    def checked_solves(self, monkeypatch):
+        """Route the accountant's own solves through a check against SciPy
+        and count them."""
+        solves = []
+
+        def checked(f, a, b, **kw):
+            assert _same_outcome(f, a, b, **kw)
+            solves.append((a, b))
+            return _brentq(f, a, b, **kw)
+
+        monkeypatch.setattr(privacy, "_brentq", checked)
+        return solves
+
+    def test_epsilon_call_site(self, checked_solves):
+        for mu in np.geomspace(1e-3, 40.0, 25):
+            for delta in np.geomspace(1e-300, 0.9, 25):
+                try:
+                    gdp_epsilon(float(mu), float(delta))
+                except PrivacySaturationError:
+                    pass
+        assert len(checked_solves) > 600
+
+    def test_calibration_call_site(self, checked_solves):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            eps = float(10 ** rng.uniform(-2, 1.5))
+            delta = float(10 ** rng.uniform(-250, -1))
+            steps = int(rng.integers(1, 2000))
+            p = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+            try:
+                calibrate_noise(PrivacyBudget(eps, delta), steps, p, 1.0)
+            except PrivacySaturationError:
+                pass
+        assert len(checked_solves) == 60  # one solve for mu* each
+
+    def test_generic_brackets(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            c = rng.normal(size=3)
+            root = float(rng.uniform(-1.0, 1.0))
+            scale = float(10.0 ** rng.uniform(-300, 300))
+            freq = float(rng.uniform(0.5, 20.0))
+            shapes = (
+                lambda x: float(c[0] * (x - root) ** 3 + c[1] * (x - root)
+                                + c[2] * math.sin(freq * (x - root))
+                                * (x - root)),
+                lambda x: scale * math.tanh(50.0 * (x - root)) ** 3,
+                lambda x: scale * max(min(x - root, 0.1), -0.2),
+                lambda x: scale * (math.floor(8.0 * (x - root)) + 0.5),
+            )
+            for f in shapes:
+                assert _same_outcome(f, -2.0, 2.0, **_TOLS)
+                assert _same_outcome(f, 2.0, -2.0, xtol=1e-300,
+                                     rtol=8.9e-16, maxiter=100)
+                assert _same_outcome(f, -2.0, 2.0, xtol=2e-12, rtol=8.9e-16,
+                                     maxiter=int(rng.integers(0, 8)))
+
+    @pytest.mark.parametrize("f, error, message", [
+        (lambda x: 1e-200, ValueError,
+         "f(a) and f(b) must have different signs"),
+        (lambda x: x - 0.3 if x < 0.9 else math.nan, ValueError,
+         "The function value at x=1.0 is NaN; solver cannot continue."),
+        (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.3, ValueError,
+         "The function value at x=0.3 is NaN; solver cannot continue."),
+        (lambda x: math.atan(x - 0.3) ** 3, RuntimeError,
+         "Failed to converge after 3 iterations."),
+    ], ids=["same_sign", "nan_at_end", "nan_inside", "maxiter"])
+    def test_errors(self, f, error, message):
+        kw = {**_TOLS, "maxiter": 3}
+        with pytest.raises(error) as info:
+            _brentq(f, 0.0, 1.0, **kw)
+        assert str(info.value) == message
+        assert _same_outcome(f, 0.0, 1.0, **kw)
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        src = str(Path(privacy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, dpswgrad.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "'scipy.optimize')))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout == "[]\n"

@@ -41,7 +41,11 @@ shapes:
   and a linear 2-D output; 2000 rows against the identity map on 2000
   references; 50 directions, weight 1, no ERM).
 
-Then it times ``dp_gradient.clip_rows`` and ``privacy.calibrate_noise``.
+Then it times ``dp_gradient.clip_rows``, ``privacy.calibrate_noise`` and
+``data.load_dataset`` of a 30000-record dataset with 16 features (the
+paper-scale CSV of 20 columns), whose arrays it checks bit for bit against
+the row-by-row reference parse (``matches_csv_rows`` in
+``tests/oracles.py``).
 Each case runs once untimed, then R times (default 30); one line per case
 gives the median and the quartiles in ms and the minor page faults per
 timed call (``resource.getrusage``), which count the fresh memory the C
@@ -56,7 +60,7 @@ if any differ.  To compare two versions of the library, run each
 checkout's own copy of this script with that checkout's ``src`` on
 ``PYTHONPATH``: the reference follows the library's arithmetic.
 
-Runtime: about 8 s on 2 cores at the default R.  The script is not part of
+Runtime: about 15 s on 2 cores at the default R.  The script is not part of
 the test suite.
 """
 
@@ -65,6 +69,7 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -73,13 +78,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from dpswgrad import dp_gradient  # noqa: E402
+from dpswgrad.data import (GenerationConfig, generate_biased,  # noqa: E402
+                           load_dataset, save_dataset)
 from dpswgrad.dp_gradient import (ClipConfig, clip_rows,  # noqa: E402
                                   penalized_objective)
 from dpswgrad.models import make_model  # noqa: E402
 from dpswgrad.ot_core import w2_grad_columns  # noqa: E402
 from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
-from oracles import bit_equal, w2_grad_columns_stable  # noqa: E402
+from oracles import (bit_equal, matches_csv_rows,  # noqa: E402
+                     w2_grad_columns_stable)
 
 # (label, n, m, k, values, C-ordered, grad_v): gen_circle sorts
 # 2000 x 2000 per side, reg_sp_paper its two classes, cls_eo_paper a class
@@ -268,8 +276,20 @@ def run(repeats: int) -> int:
     _report("calibrate_noise eps=1 T=500 p=0.2",
             _timings_ms(lambda: calibrate_noise(budget, 500, 0.2, 1.0),
                         repeats))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, sidecar = Path(tmp) / "data.csv", Path(tmp) / "data.json"
+        save_dataset(generate_biased(GenerationConfig(n=30000, bias=0.7)),
+                     csv_path, sidecar)
+        same = matches_csv_rows(load_dataset(csv_path, sidecar), csv_path)
+        if not same:
+            failed.append("load_dataset")
+        _report("load_dataset 30000x20",
+                _timings_ms(lambda: load_dataset(csv_path, sidecar), repeats),
+                "   reference parse: "
+                + ("identical" if same else "DIFFERENT"))
     if failed:
-        print("error: outputs differ from the stable-sort reference: "
+        print("error: outputs differ from the reference: "
               + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
