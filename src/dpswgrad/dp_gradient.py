@@ -16,16 +16,20 @@ the clipped per-sample Jacobian rows.  A scalar output is the sliced case
 with the single direction (1), where the ball is the interval [-B, B].
 The Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
 spectral norm at ``bound``) rather than through an SVD.  No per-sample
-Jacobian is built: the row norms come from each traced layer's output
-cotangents and inputs (ghost norms), and the clipped, coupling-weighted
-sum of the rows is one summed backward pass (see
-:class:`dpswgrad.models.LayerGrads`).  The OT kernel sorts the model's sides
-for their rank permutations; a parameter-free reference side takes a value
-sort only, as no gradient is asked for it.  A call traces one batch of the
-model, and every side of the model, in every pair, is a block of its rows
-(a ``slice``), so a call makes one forward pass and one such backward
-whatever the number of pairs.  The per-sample loss gradients of the
-finite-sum term over that batch are clipped the same way.
+Jacobian is built: the rows' cotangents are kept factored at the top two
+layers (:meth:`dpswgrad.models.Trace.jacobian_rows`), the row norms come
+from those factors and each traced layer's inputs (ghost norms), and the
+clipped, coupling-weighted sum of the rows is one (n, out) cotangent sum
+per layer (see :class:`dpswgrad.models.LayerGrads`).  The OT kernel sorts
+the model's sides for their rank permutations; a parameter-free reference
+side takes a value sort only, as no gradient is asked for it.  A call
+traces one batch of the model, and every side of the model, in every
+pair, is a block of its rows (a ``slice``), so a call makes one forward
+pass and one norm pass of the Jacobian rows whatever the number of pairs.
+The per-sample loss gradients of the finite-sum term over that batch are
+clipped the same way, from one backward of their cotangents.  Both terms'
+per-layer sums are added and contracted with the layer inputs in one
+weighted sum.
 
 :func:`penalized_objective` is the one gradient of every task and every
 audit: it takes the model's batch and a list of penalty pairs, clips the
@@ -108,12 +112,17 @@ _ONE_DIRECTION = np.ones((1, 1))
 _ONE_DIRECTION.setflags(write=False)
 
 
-def _clipped_erm(trace, targets, loss_kind: str, bound: float):
-    """Mean loss and mean clipped loss gradient of a whole-stack trace."""
+def _clipped_erm(trace, targets, loss_kind: str, bound: float,
+                 scale: float):
+    """Mean loss of a whole-stack trace and each layer's sum of the clipped
+    per-sample loss gradients' cotangents, times ``scale`` over the batch
+    size (see :meth:`LayerGrads.layer_sums
+    <dpswgrad.models.LayerGrads.layer_sums>`); the per-sample cotangents
+    are not kept past this call."""
     values, grads = trace.loss_and_grads(targets, loss_kind)
-    return (_mean_loss(values),
-            grads.weighted_sum(_clip_scale(grads.norms(), bound))
-            / values.shape[0])
+    weights = _clip_scale(grads.norms(), bound)
+    weights *= scale / values.shape[0]
+    return _mean_loss(values), grads.layer_sums(weights, in_place=True)
 
 
 def _mean_loss(values: np.ndarray) -> float:
@@ -145,11 +154,14 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
     on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Whatever R,
     the outputs are clipped once and, after every pair's OT kernel, one
-    backward, one norm pass and one weighted sum give the penalty term;
-    each side adds its rows' clipped coupling weights into one array, so
-    shared rows add up.  W is read from the gradient's own sort.  The
-    Jacobian rows are skipped at ``alpha == 0`` and the ERM gradient at
-    ``alpha == 1``; both values are still reported.
+    set of factored Jacobian rows and one norm pass of them give the
+    penalty term; each side adds its rows' clipped coupling weights into
+    one array, so shared rows add up.  The ERM term's one backward runs
+    after the OT kernels too, so that no per-sample cotangent is held
+    while they run, and the two terms share one weighted sum.  W is read
+    from the gradient's own sort.  The Jacobian rows are skipped at
+    ``alpha == 0`` and the ERM gradient at ``alpha == 1``; both values
+    are still reported.
 
     Returns ``(erm_value, w_value, total_value, grad)``.
     """
@@ -166,18 +178,8 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
             "itself on another slice or with a parameter-free map on its "
             "own array of inputs")
     trace = model.trace(x)
-    # ERM first, then the penalty: this summation order is part of every
-    # replayable trajectory.  Terms are added only where they exist, so a
-    # single pair at weight 1 returns its own gradient array.
-    grad = None
-    erm_value = 0.0
-    if erm is not None and alpha < 1.0:
-        erm_value, erm_grad = _clipped_erm(trace, *erm, clip.loss_grad_bound)
-        grad = (1.0 - alpha) * erm_grad
-    elif erm is not None:
-        erm_value = _mean_loss(trace.loss(*erm))
-    trace = trace.penalty()
-    d = trace.output.shape[1]
+    cut = trace.penalty()
+    d = cut.output.shape[1]
     if dirs is None:
         if d != 1:
             raise ValueError(
@@ -189,10 +191,10 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     if d != dirs.shape[1]:
         raise ValueError(f"outputs are {d}-dimensional but directions are "
                          f"{dirs.shape[1]}-dimensional")
-    clipped = clip_rows(trace.output, clip.output_bound)
-    # (rows, coupling gradient columns, Jacobian row bound) of every side
-    # of the model, for the one backward after every pair's OT kernel
-    columns_of = []
+    clipped = clip_rows(cut.output, clip.output_bound)
+    # (rows, (n, d) coupling gradient mapped back through the directions,
+    # Jacobian row bound) of every side of the model
+    sides = []
     values = []
     for rx, h, z in pairs:
         if h is model:
@@ -209,29 +211,47 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
         u, v = (dirs @ cx.T).T, (dirs @ cz.T).T
         if alpha > 0.0:
             gu, gv, columns = w2_grad_columns(u, v, grad_v=h is model)
-            columns_of.append((rx, gu, clip.jac_bound1))
+            sides.append((rx, (gu @ dirs) / dirs.shape[0],
+                          clip.jac_bound1))
             if h is model:
-                columns_of.append((z, gv, clip.jac_bound2))
+                sides.append((z, (gv @ dirs) / dirs.shape[0],
+                              clip.jac_bound2))
+            del gu, gv
         else:
             columns = w2_squared_columns(u, v)
+        # (n, k) arrays, not held across the next pair's kernel
+        del u, v
         # the sum and division of np.mean, without its per-call cost
         values.append(float(columns.sum()) / columns.size)
     r = len(pairs)
+    # each layer's sum of both terms' clipped row cotangents, ERM first,
+    # then the penalty, contracted with the layer inputs in one weighted
+    # sum; this summation order is part of every replayable trajectory
+    sums = None
+    erm_value = 0.0
+    if erm is not None and alpha < 1.0:
+        erm_value, sums = _clipped_erm(trace, *erm, clip.loss_grad_bound,
+                                       1.0 - alpha)
+    elif erm is not None:
+        erm_value = _mean_loss(trace.loss(*erm))
     if alpha > 0.0 and model.n_params:
-        # every side's clipped, coupling-weighted Jacobian rows in one
-        # weighted sum of one backward; overlapping rows add their weights
-        grads = trace.backward(np.eye(d)[None])
-        norms = grads.norms()
+        # every side's clipped, coupling-weighted Jacobian rows add their
+        # weights into one (n, d) array, so shared rows add up
+        rows = cut.jacobian_rows()
+        norms = rows.norms()
         weights = np.zeros(norms.shape)
-        for side_rows, cols, bound in columns_of:
-            weights[side_rows] += (cols @ dirs) / dirs.shape[0] \
-                * _clip_scale(norms[side_rows], bound / np.sqrt(d))
-        penalty = grads.weighted_sum(weights)
-        if alpha != r:    # alpha / r == 1 only for one pair at weight 1
-            penalty *= alpha / r
-        grad = penalty if grad is None else grad + penalty
-    if grad is None:
-        grad = np.zeros(model.n_params)
+        for side_rows, coupling, bound in sides:
+            weights[side_rows] += coupling * _clip_scale(
+                norms[side_rows], bound / np.sqrt(d))
+        weights *= alpha / r
+        penalty = rows.layer_sums(weights)
+        if sums is None:
+            sums = penalty
+        else:
+            for g, p in zip(sums, penalty):
+                g += p
+    grad = np.zeros(model.n_params) if sums is None \
+        else trace.weighted_sum(sums)
     w_value = (1.0 / r) * sum(values)
     return (erm_value, w_value, (1.0 - alpha) * erm_value + alpha * w_value,
             grad)

@@ -415,9 +415,10 @@ def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray,
     y_train = y[:n_train].astype(np.float64)
     ones = np.ones((n_train, 1))
     for _ in range(gd_steps):
-        grads = probe.trace(codes[:n_train]).loss_and_grads(y_train,
-                                                            "bce")[1]
-        probe.theta -= gd_lr * (grads.weighted_sum(ones) / n_train)
+        trace = probe.trace(codes[:n_train])
+        grads = trace.loss_and_grads(y_train, "bce")[1]
+        probe.theta -= gd_lr * (trace.weighted_sum(grads.layer_sums(ones))
+                                / n_train)
     q = probe.forward_batch(codes[n_train:])[:, 0]
     pred = (q > 0.5).astype(np.int64)
     return {"probe_accuracy": float(np.mean(pred == y[n_train:])),

@@ -10,22 +10,31 @@ list and the layers its penalty reads.  :func:`make_model` builds them all.
 
 One forward :class:`Trace` and one backward serve every architecture.  The
 backward pulls ``(n, k, d)`` cotangents back through the traced layers and
-keeps only each layer's ``(n, k, out)`` output cotangent: a penalty
-Jacobian row is the backward of a one-hot cotangent, a squared-error loss
-gradient the backward of ``2 (out - y)``, and a bce loss gradient (for a
-model whose last layer is a scalar sigmoid) the backward of ``q - y`` from
-that layer's pre-activation.  :meth:`Model.trace` is the one forward
-pass, always of the whole stack; the penalty reads that trace cut at its
-layers (:meth:`Trace.penalty`), so a training step traces its batch once.
-A trace computes each sigmoid layer's derivative ``s (1 - s)`` once, at
-its first backward, into a list that the cut shares; each backward
-multiplies it in place into the fresh arrays its matmuls return.  The
-sigmoid itself is ``1 / (1 + exp(-z))`` in one buffer.  The per-sample
-gradients are never built.  :class:`LayerGrads` gives their row norms from
-the ghost-norm identity (a dense layer's per-sample gradient ``g a^T`` has
-squared norm ``||g||^2 ||a||^2``) and any weighted sum of them as one
-``G^T a`` per layer.  Every derivative is exact, which the
-finite-difference tests rely on; there is no autodiff framework.
+keeps only each layer's ``(n, k, out)`` pre-activation cotangent: a
+squared-error loss gradient is the backward of ``2 (out - y)``, and a bce
+loss gradient (for a model whose last layer is a scalar sigmoid) the
+backward of ``q - y`` from that layer's pre-activation.  The penalty's
+Jacobian rows, the backward of one-hot cotangents, take no backward at
+the top two layers, where each row's cotangent factors
+(:meth:`Trace.jacobian_rows`): ``c[i, j] e_j`` at the top, with ``c`` its
+derivative, and ``c[i, j] W[j] * ds[i]`` one layer down, so that their
+norms and sums are products of (n, d) and (n, out) arrays; a deeper stack
+continues densely from the second layer down.  :meth:`Model.trace` is the
+one forward pass, always of the whole stack; the penalty reads that trace
+cut at its layers (:meth:`Trace.penalty`), so a training step traces its
+batch once.  The forward pass adds each bias in place and takes each
+hidden sigmoid, ``1 / (1 + exp(-z))``, in its pre-activation's buffer.  A
+trace computes each sigmoid layer's derivative ``s (1 - s)`` once, at the
+first backward or Jacobian rows that need it, into a list that the cut
+shares; each backward multiplies it in place into the fresh arrays its
+matmuls return.  The per-sample gradients are never built.
+:class:`LayerGrads` gives their row norms from the ghost-norm identity (a
+dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
+||a||^2``) and, for any weights, each layer's sum ``G`` of the weighted
+row cotangents; :meth:`Trace.weighted_sum` turns the per-layer sums of
+every term of an objective, added up, into one ``G^T a`` per layer.
+Every derivative is exact, which the finite-difference tests rely on;
+there is no autodiff framework.
 
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  ``forward_batch`` and the
@@ -149,10 +158,14 @@ class Model:
         acts = [_as_batch(x, self.input_dim)]
         sigs = []
         z = None
-        for lo, mid, hi, shape, act in self._layers:
-            z = acts[-1] @ self.theta[lo:mid].reshape(shape).T \
-                + self.theta[mid:hi]
-            s = None if act == "linear" else _sigmoid(z)
+        last = len(self._layers) - 1
+        for i, (lo, mid, hi, shape, act) in enumerate(self._layers):
+            z = acts[-1] @ self.theta[lo:mid].reshape(shape).T
+            z += self.theta[mid:hi]
+            # a hidden pre-activation has no reader past its sigmoid, which
+            # takes its buffer; the last one is kept as the logit
+            s = None if act == "linear" else \
+                _sigmoid(z, out=z if i < last else None)
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
@@ -170,9 +183,10 @@ class Trace:
     layer) and ``logit`` the last one's pre-activation (None without
     layers, and in a :meth:`penalty` cut that stops short of the last
     layer).  ``derivs`` holds each sigmoid layer's derivative ``s (1 -
-    s)``, computed at the first backward that needs it, so that no
-    forward-only pass pays for it and it is not held while the penalty's
-    OT kernels run; the cut shares this list with its whole trace.
+    s)``, computed at the first backward or Jacobian rows that need it, so
+    that no forward-only pass pays for it and it is not held while the
+    penalty's OT kernels run; the cut shares this list with its whole
+    trace.
     """
 
     def __init__(self, model: Model, acts: list, sigs: list, logit,
@@ -235,34 +249,88 @@ class Trace:
         return values, self._backward(cot[:, None, :],
                                       at_logit=loss_kind == "bce")
 
-    def backward(self, cot) -> "LayerGrads":
-        """Per-sample gradients of ``<cot[i, j], output[i]>`` wrt theta.
+    def jacobian_rows(self) -> "LayerGrads":
+        """The (n, d) Jacobian rows of the traced output wrt theta, row
+        (i, j) the gradient of output j at sample i, as
+        :class:`LayerGrads`.
 
-        ``cot`` holds k cotangents per sample, shape (n, k, d), or (1, k, d)
-        for the same k at every sample.  Only the (n, k, out) cotangent of
-        each layer's pre-activation is kept.
+        The cotangents of these one-hot rows factor at the top two layers:
+        ``c[i, j] e_j`` at the top, with ``c`` its derivative (1 for a
+        linear layer), and ``c[i, j] W[j] * ds[i]`` one layer down, with
+        ``W`` the top weight and ``ds`` the lower layer's derivative; both
+        are kept as these (n, d) and (n, out) factors.  A deeper stack
+        continues densely from the second layer down: the backward of the
+        (n, d, out) cotangents ``c[i, j] W[j]`` of its output.
         """
-        return self._backward(cot, at_logit=False)
+        n, d = self.output.shape
+        top = len(self.sigs) - 1
+        if top < 0:
+            return LayerGrads(self, [], (n, d))
+        c = self._deriv(top, n)
+        blocks = [_TopRows(c)]
+        if top:
+            lo, mid, _, shape, _ = self.model._layers[top]
+            w = self.model.theta[lo:mid].reshape(shape)
+            if top == 1:
+                blocks.insert(0, _SecondRows(c, w, self._deriv(0, n)))
+            else:
+                blocks[:0] = self._backward(c[:, :, None] * w, False,
+                                            top - 1).blocks
+        return LayerGrads(self, blocks, (n, d))
 
-    def _backward(self, cot, at_logit: bool) -> "LayerGrads":
-        """:meth:`backward`; with ``at_logit`` the cotangents are those of
-        the last layer's pre-activation, whose derivative is not applied."""
+    def weighted_sum(self, sums) -> np.ndarray:
+        """A weighted sum of per-sample gradient rows of this trace, shape
+        (n_params,), from each layer's (n, out) cotangent sums ``G``
+        (:meth:`LayerGrads.layer_sums`, added over every set of rows
+        summed): one ``G^T a`` and one bias sum per layer; zero on the
+        parameters of the layers past ``sums``."""
+        model = self.model
+        total = np.zeros(model.n_params)
+        for (lo, mid, hi, _, _), a, g in zip(model._layers, self.acts, sums):
+            total[lo:mid] = (g.T @ a).reshape(-1)
+            total[mid:hi] = g.sum(axis=0)
+        return total
+
+    def _deriv(self, i: int, n: int | None = None):
+        """Layer ``i``'s sigmoid derivative ``s (1 - s)``, computed once
+        into ``derivs``; for a linear layer None, or ones of ``n`` rows
+        when ``n`` is given."""
+        s = self.sigs[i]
+        if s is None:
+            return None if n is None else \
+                np.ones((n, self.model._layers[i][3][0]))
+        if self.derivs[i] is None:
+            ds = 1.0 - s
+            ds *= s
+            self.derivs[i] = ds
+        return self.derivs[i]
+
+    def _backward(self, cot, at_logit: bool,
+                  top: int | None = None) -> "LayerGrads":
+        """Per-sample gradients of ``<cot[i, j], output of layer top>`` wrt
+        theta (the last layer by default), as :class:`LayerGrads` of the
+        layers up to ``top``.
+
+        ``cot`` holds k cotangents per sample, shape (n, k, out), or (1, k,
+        out) for the same k at every sample.  Only the (n, k, out)
+        cotangent of each layer's pre-activation is kept.  With
+        ``at_logit`` the cotangents are those of the last layer's
+        pre-activation, whose derivative is not applied.
+        """
+        last = len(self.sigs) - 1
+        top = last if top is None else top
         n, k = self.acts[0].shape[0], cot.shape[1]
         g = np.broadcast_to(cot, (n, k, cot.shape[2]))
-        last = len(self.sigs) - 1
-        cots = [None] * len(self.sigs)
-        for i in reversed(range(len(self.sigs))):
+        cots = [None] * (top + 1)
+        for i in reversed(range(top + 1)):
             lo, mid, _, shape, _ = self.model._layers[i]
-            s = self.sigs[i]
-            if s is not None and not (at_logit and i == last):
-                if self.derivs[i] is None:
-                    self.derivs[i] = s * (1.0 - s)
-                ds = self.derivs[i]
-                if i == last:
+            ds = None if at_logit and i == last else self._deriv(i)
+            if ds is not None:
+                if i == top:
                     g = g * ds[:, None, :]    # g still broadcasts ``cot``
                 else:
                     g *= ds[:, None, :]    # g is the matmul's fresh array
-            cots[i] = g
+            cots[i] = _Dense(g)
             if i:
                 w = self.model.theta[lo:mid].reshape(shape)
                 g = (g.reshape(-1, shape[0]) @ w).reshape(n, k, shape[1])
@@ -272,36 +340,40 @@ class Trace:
 class LayerGrads:
     """The (n, k) per-sample gradients of a backward, never materialized.
 
-    Row (i, j) is, layer by layer, the outer product of the layer's output
-    cotangent ``g[i, j]`` with its input ``a[i]``, then ``g[i, j]`` for the
-    bias.  Its squared norm is therefore ``sum over layers of ||g[i, j]||^2
-    (||a[i]||^2 + 1)``, and a weighted sum of the rows is one
-    ``G^T a`` per layer, with ``G[i] = sum_j w[i, j] g[i, j]``.
+    Row (i, j) is, layer by layer, the outer product of the layer's
+    pre-activation cotangent ``g[i, j]`` with its input ``a[i]``, then
+    ``g[i, j]`` for the bias.  Its squared norm is therefore ``sum over
+    layers of ||g[i, j]||^2 (||a[i]||^2 + 1)``, and a weighted sum of the
+    rows is one ``G^T a`` per layer, with ``G[i] = sum_j w[i, j] g[i,
+    j]``.  ``blocks`` holds each traced layer's cotangents ``g``, dense or
+    factored, as an object with ``sq()`` (the (n, k) ``||g[i, j]||^2``),
+    ``rows(i, j)`` (the cotangents at those index arrays) and ``sums(w,
+    in_place)`` (the (n, out) ``G``).
     """
 
-    def __init__(self, trace: Trace, cots: list, shape: tuple):
+    def __init__(self, trace: Trace, blocks: list, shape: tuple):
         self.trace = trace
-        self.cots = cots
+        self.blocks = blocks
         self.shape = shape
 
     def sq_norms(self) -> np.ndarray:
         """(n, k) squared norms of the rows."""
         sq = np.zeros(self.shape)
-        for a, g in zip(self.trace.acts, self.cots):
-            sq += np.einsum("nko,nko->nk", g, g) \
-                * (np.einsum("ni,ni->n", a, a) + 1.0)[:, None]
+        for a, block in zip(self.trace.acts, self.blocks):
+            sq += block.sq() * (np.einsum("ni,ni->n", a, a) + 1.0)[:, None]
         return sq
 
     def norms(self) -> np.ndarray:
         """(n, k) norms of the rows.
 
-        A row whose squared norm overflows is normed again relative to its
-        largest entry (see :meth:`_rescaled_norms`), so its overflow is not
+        A row whose squared norm is not finite, as when it overflows or
+        when a factor of it does, is normed again relative to its largest
+        entry (see :meth:`_rescaled_norms`), so its overflow is not
         reported; every other row is the square root of :meth:`sq_norms`.
         """
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             norms = np.sqrt(self.sq_norms())
-        i, j = np.nonzero(np.isinf(norms))
+        i, j = np.nonzero(~np.isfinite(norms))
         if i.size:
             norms[i, j] = self._rescaled_norms(i, j)
         return norms
@@ -312,8 +384,8 @@ class LayerGrads:
         overflows; inf where an entry itself is not finite."""
         peak = np.zeros(i.size)
         blocks = []
-        for a, g in zip(self.trace.acts, self.cots):
-            g, a = g[i, j], a[i]
+        for a, block in zip(self.trace.acts, self.blocks):
+            g, a = block.rows(i, j), a[i]
             g_max = np.max(np.abs(g), axis=-1)
             a_max = np.maximum(np.max(np.abs(a), axis=-1), 1.0)
             g = g / np.where(g_max > 0.0, g_max, 1.0)[:, None]
@@ -328,23 +400,86 @@ class LayerGrads:
         rel = np.sqrt(sum((p / unit * q) ** 2 for p, q in blocks))
         return np.where(finite, peak * rel, np.inf)
 
-    def weighted_sum(self, weights) -> np.ndarray:
-        """``sum_{i, j} weights[i, j] * row (i, j)``, shape (n_params,);
-        zero on the parameters of untraced layers."""
-        model = self.trace.model
-        total = np.zeros(model.n_params)
-        for (lo, mid, hi, _, _), a, g in zip(model._layers, self.trace.acts,
-                                             self.cots):
-            big_g = np.einsum("nk,nko->no", weights, g)
-            total[lo:mid] = (big_g.T @ a).reshape(-1)
-            total[mid:hi] = big_g.sum(axis=0)
-        return total
+    def layer_sums(self, weights, in_place: bool = False) -> list:
+        """Each traced layer's (n, out) ``G[i] = sum_j weights[i, j]
+        g[i, j]``, for :meth:`Trace.weighted_sum`.
+
+        With ``in_place`` a layer of dense rows with k = 1 is scaled in
+        the buffer the backward made for it, so no second array of its
+        size is held; that spends these gradients, which must not be read
+        again.
+        """
+        return [block.sums(weights, in_place) for block in self.blocks]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-z))`` in one new buffer; exactly 0 where ``exp(-z)``
-    overflows, without a warning."""
-    s = np.negative(z)
+class _Dense:
+    """A layer's rows ``g[i, j]`` held as one (n, k, out) array."""
+
+    def __init__(self, g: np.ndarray):
+        self.g = g
+
+    def sq(self) -> np.ndarray:
+        return np.einsum("nko,nko->nk", self.g, self.g)
+
+    def rows(self, i, j) -> np.ndarray:
+        return self.g[i, j]
+
+    def sums(self, weights, in_place: bool) -> np.ndarray:
+        if in_place and self.g.shape[1] == 1 and self.g.flags.writeable:
+            g = self.g[:, 0, :]
+            g *= weights
+            return g
+        return np.einsum("nk,nko->no", weights, self.g)
+
+
+class _TopRows:
+    """The top layer's Jacobian rows ``c[i, j] e_j``, from the (n, d)
+    factor ``c``."""
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def sq(self) -> np.ndarray:
+        return self.c * self.c
+
+    def rows(self, i, j) -> np.ndarray:
+        g = np.zeros((i.size, self.c.shape[1]))
+        g[np.arange(i.size), j] = self.c[i, j]
+        return g
+
+    def sums(self, weights, in_place: bool) -> np.ndarray:
+        return weights * self.c
+
+
+class _SecondRows:
+    """The Jacobian rows ``c[i, j] W[j] * ds[i]`` one layer below the top,
+    from the (n, d) factor ``c``, the (d, out) top weight ``W`` and the
+    (n, out) derivative ``ds``: squared norms ``c^2 (ds^2 @ (W^2)^T)``
+    and sums ``((w c) @ W) * ds``, of (n, d) and (n, out) arrays."""
+
+    def __init__(self, c: np.ndarray, w: np.ndarray, ds: np.ndarray):
+        self.c, self.w, self.ds = c, w, ds
+
+    def sq(self) -> np.ndarray:
+        # an overflowing W^2 gives inf, or nan against a zero ds^2: both
+        # not finite, so norms() takes those rows from their entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.c * self.c * ((self.ds * self.ds)
+                                      @ (self.w * self.w).T)
+
+    def rows(self, i, j) -> np.ndarray:
+        return self.c[i, j, None] * self.w[j] * self.ds[i]
+
+    def sums(self, weights, in_place: bool) -> np.ndarray:
+        g = (weights * self.c) @ self.w
+        g *= self.ds
+        return g
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` in one buffer, ``out`` or a new one; exactly 0
+    where ``exp(-z)`` overflows, without a warning."""
+    s = np.negative(z, out=out)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0

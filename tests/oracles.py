@@ -17,7 +17,10 @@ squared-error gradient helpers are its one-hot and ``2 (out - y)`` cases;
 the bce gradient is the affine sigmoid model's closed form, and the
 penalty's Jacobians are those of a standalone model of the layers it
 reads.  The finite-difference tests check them; they in turn check the
-row norms and summed backward of :class:`dpswgrad.models.LayerGrads`.
+row norms and per-layer sums of :class:`dpswgrad.models.LayerGrads`, the
+penalty's factored Jacobian rows included.  :func:`ghost_backward` gives
+the library's dense rows of any cotangents, which the factored rows must
+match.
 The single-sample model helpers only slice these batch functions, so
 per-sample checks read like the math.  :func:`stacked_pairs` writes
 penalty pairs of input arrays in the objective's one-batch form.
@@ -187,6 +190,16 @@ def dense_backward(trace, cot) -> np.ndarray:
             w = model.theta[lo:mid].reshape(shape)
             g = (g.reshape(-1, shape[0]) @ w).reshape(len(g), k, shape[1])
     return grads
+
+
+def ghost_backward(trace, cot):
+    """The library's dense ghost rows of any cotangents: per-sample
+    gradients of ``<cot[i, j], traced output[i]>`` as
+    :class:`dpswgrad.models.LayerGrads` of (n, k, out) cotangents per
+    layer, ``cot`` of shape (n, k, d) or (1, k, d).  Of one-hot cotangents
+    these are the rows that the penalty keeps factored
+    (:meth:`dpswgrad.models.Trace.jacobian_rows`)."""
+    return trace._backward(cot, at_logit=False)
 
 
 def _one_hot_backward(trace) -> np.ndarray:

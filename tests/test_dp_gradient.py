@@ -1,18 +1,20 @@
 """Tests for clipping operators and the penalized objective's clipped gradient."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from dpswgrad.dp_gradient import ClipConfig, clip_rows, penalized_objective
-from dpswgrad.models import make_model
+from dpswgrad.models import Model, make_model
 from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
                               w2_squared_columns)
 from dpswgrad.sliced import sample_directions
 
 from oracles import (bit_equal, central_diff, clip_jacobian_naive,
-                     clip_vector, jacobian_batch, loss_grad_batch,
+                     clip_vector, ghost_backward, jacobian_batch,
+                     loss_grad_batch,
                      penalty_jacobian_batch, penalty_model, rel_err,
                      spectral_norm_power_iteration, stacked_pairs)
 
@@ -538,7 +540,7 @@ class TestGhostClipping:
         trace = penalty_model(model).trace(x)
         jac = penalty_jacobian_batch(model, x)
         dense_sq = np.sum(jac * jac, axis=-1)
-        assert _close(trace.backward(np.eye(d)[None]).sq_norms(), dense_sq)
+        assert _close(trace.jacobian_rows().sq_norms(), dense_sq)
         # the far rows saturate first-layer sigmoids to a zero derivative,
         # and a saturated scalar output has an all-zero Jacobian row
         first = trace.sigs[0] if trace.sigs else None
@@ -619,7 +621,7 @@ class TestGhostClipping:
                            theta=np.array([1.0, 1.0, 0.0]))
         x = np.array([[1e160, -3e159], [0.3, -0.2], [2.0, 1.0]])
         z = np.array([[0.1], [-0.2], [0.4]])
-        grads = model.trace(x).backward(np.ones((1, 1, 1)))
+        grads = model.trace(x).jacobian_rows()
         with np.errstate(over="ignore"):
             sq_norms = grads.sq_norms()
         assert np.isinf(sq_norms[0, 0])
@@ -668,9 +670,7 @@ class TestGhostClipping:
         rng = np.random.default_rng(13)
         model = _GHOST_MODELS[kind]()
         model.theta *= 4.0
-        d = model.penalty_dim
-        grads = model.trace(_ghost_inputs(rng, 15)).penalty().backward(
-            np.eye(d)[None])
+        grads = model.trace(_ghost_inputs(rng, 15)).penalty().jacobian_rows()
         i, j = np.nonzero(np.ones(grads.shape, dtype=bool))
         direct = np.sqrt(grads.sq_norms())[i, j]
         np.testing.assert_allclose(grads._rescaled_norms(i, j), direct,
@@ -679,8 +679,9 @@ class TestGhostClipping:
 
 class TestOnePenaltyPass:
     """Every side of the model, in every pair, is a block of rows of the
-    one batch the model traces: one trace, one clip, one backward, one
-    norm pass, one weighted sum per call."""
+    one batch the model traces: one trace, one clip, one set of factored
+    Jacobian rows and one norm pass of them, and one weighted sum per
+    call."""
 
     def _setup(self, seed=30, n=20):
         rng = np.random.default_rng(seed)
@@ -696,7 +697,8 @@ class TestOnePenaltyPass:
         ``reference_trace`` those of a parameter-free map."""
         from dpswgrad import dp_gradient, models
         counts = dict.fromkeys(["trace", "reference_trace", "_backward",
-                                "norms", "weighted_sum", "clip_rows"], 0)
+                                "jacobian_rows", "norms", "weighted_sum",
+                                "clip_rows"], 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -715,8 +717,9 @@ class TestOnePenaltyPass:
 
         monkeypatch.setattr(models.Model, "trace", counted_trace)
         counted(models.Trace, "_backward")
+        counted(models.Trace, "jacobian_rows")
         counted(models.LayerGrads, "norms")
-        counted(models.LayerGrads, "weighted_sum")
+        counted(models.Trace, "weighted_sum")
         counted(dp_gradient, "clip_rows")
         return counts
 
@@ -738,14 +741,16 @@ class TestOnePenaltyPass:
         if sides == "arrays_no_erm":
             erm = None
         penalized_objective(model, x, pairs, alpha, NO_CLIP, dirs, erm)
-        # below alpha 1 the ERM term adds its own backward, norms and
-        # weighted sum; the ERM term and every pair read the one trace,
-        # and each reference side is traced and clipped on its own
+        # the penalty's Jacobian rows are factored, with no dense
+        # backward; below alpha 1 the ERM term adds the one backward and
+        # its own norm pass, and both terms share the one weighted sum;
+        # the ERM term and every pair read the one trace, and each
+        # reference side is traced and clipped on its own
         erm_pass = int(alpha < 1.0 and erm is not None)
         references = r * (sides != "slices")
         assert calls == {"trace": 1, "reference_trace": references,
-                         "_backward": 1 + erm_pass, "norms": 1 + erm_pass,
-                         "weighted_sum": 1 + erm_pass,
+                         "_backward": erm_pass, "jacobian_rows": 1,
+                         "norms": 1 + erm_pass, "weighted_sum": 1,
                          "clip_rows": 1 + references}
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
@@ -812,7 +817,7 @@ class TestOnePenaltyPass:
         model.theta *= 3.0
         clip = ClipConfig(0.2, 0.5, 0.6, 1.0)
         # each bound clips some outputs and Jacobian rows and not others
-        norms = model.trace(x).backward(np.eye(2)[None]).norms()
+        norms = model.trace(x).jacobian_rows().norms()
         out = np.linalg.norm(model.forward_batch(x), axis=1)
         for values, bound in ((out, 0.2), (norms, 0.5 / np.sqrt(2)),
                               (norms, 0.6 / np.sqrt(2))):
@@ -831,3 +836,191 @@ class TestOnePenaltyPass:
         np.testing.assert_allclose(got[3], want, rtol=0.0, atol=1e-14)
         assert got[1] == pytest.approx(np.mean([p[1] for p in per_pair]),
                                        rel=1e-15)
+
+
+# every kind with parameters (both mlp2 output activations, the
+# autoencoder at latent 2 and 3) and two hand-built stacks: a three-layer
+# penalty, which continues densely below its top two layers, and a
+# linear hidden layer under a sigmoid top
+_FACTORED_MODELS = {
+    **{kind: make for kind, make in _GHOST_MODELS.items()
+       if kind != "identity"},
+    "autoencoder_latent3": lambda: make_model(
+        "autoencoder", 3, hidden_dim=4, latent_dim=3, seed=6),
+    "stack3": lambda: Model(3, [(5, "sigmoid"), (4, "sigmoid"),
+                                (2, "sigmoid_recentered")], seed=7),
+    "linear_hidden": lambda: Model(3, [(4, "linear"),
+                                       (2, "sigmoid_recentered")], seed=8),
+}
+
+
+def _row_norms(jac):
+    """Norms of the last axis's rows, each taken relative to its largest
+    entry, so that rows of entries near 1e160 do not overflow."""
+    peak = np.max(np.abs(jac), axis=-1, keepdims=True)
+    unit = np.where(peak > 0.0, peak, 1.0)
+    return peak[..., 0] * np.linalg.norm(jac / unit, axis=-1)
+
+
+def _saturates(trace) -> bool:
+    """Whether some sigmoid layer of a trace has a derivative exactly 0,
+    or the trace has none; call after its Jacobian rows."""
+    derivs = [d for d in trace.derivs[:len(trace.sigs)] if d is not None]
+    return not any(s is not None for s in trace.sigs) or any(
+        np.any(d == 0.0) for d in derivs)
+
+
+class TestFactoredRows:
+    """The penalty's Jacobian rows, factored at the top two layers,
+    against the dense per-sample Jacobians of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("kind", _FACTORED_MODELS)
+    def test_norms_and_sums_match_dense_rows(self, kind):
+        rng = np.random.default_rng(21)
+        model = _FACTORED_MODELS[kind]()
+        model.theta *= 4.0
+        x = _ghost_inputs(rng, 19)
+        cut = model.trace(x).penalty()
+        rows = cut.jacobian_rows()
+        jac = penalty_jacobian_batch(model, x)
+        # far rows saturate sigmoids to a derivative of exactly 0; a row
+        # below 1e-154, whose square underflows, may read 0 (no bound
+        # clips it)
+        assert _saturates(cut)
+        np.testing.assert_allclose(rows.norms(), _row_norms(jac),
+                                   rtol=1e-13, atol=1e-150)
+        weights = rng.normal(size=rows.shape)
+        want = np.einsum("nk,nkp->p", weights, jac)
+        got = cut.weighted_sum(rows.layer_sums(weights))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # and the dense ghost rows of one-hot cotangents, the backward
+        # the penalty took before its rows were factored
+        dense = ghost_backward(cut, np.eye(model.penalty_dim)[None])
+        np.testing.assert_allclose(rows.sq_norms(), dense.sq_norms(),
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
+            got, cut.weighted_sum(dense.layer_sums(weights)), rtol=1e-13,
+            atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    @pytest.mark.parametrize("kind", _FACTORED_MODELS)
+    def test_objective_matches_dense_rows(self, kind, alpha):
+        # both terms' clipped rows, each bound splitting the rows into
+        # clipped and unclipped ones, against the dense oracle
+        rng = np.random.default_rng(22)
+        model = _FACTORED_MODELS[kind]()
+        model.theta *= 4.0
+        x, z = _ghost_inputs(rng, 17), _ghost_inputs(rng, 13)
+        d = model.penalty_dim
+        dirs = sample_directions(d, 5, seed=3) if d > 1 else None
+        directions = np.ones((1, 1)) if dirs is None else dirs
+        penalty_norms = np.concatenate([
+            np.linalg.norm(penalty_jacobian_batch(model, s), axis=-1)
+            for s in (x, z)])
+        row_bound = float(np.median(penalty_norms[penalty_norms > 0]))
+        assert np.any(penalty_norms > row_bound)
+        assert np.any((penalty_norms > 0.0) & (penalty_norms < row_bound))
+        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        targets = model.forward_batch(batch) \
+            + 0.3 * rng.normal(size=(len(batch), model.output_dim))
+        loss_grads = loss_grad_batch(model, batch, targets, "squared_error")
+        loss_norms = np.linalg.norm(loss_grads, axis=1)
+        loss_bound = float(np.median(loss_norms))
+        assert np.any(loss_norms > loss_bound)
+        assert np.any(loss_norms < loss_bound)
+        clip = ClipConfig(0.3, row_bound * np.sqrt(d),
+                          0.5 * row_bound * np.sqrt(d), loss_bound)
+
+        got = penalized_objective(model, batch, pairs, alpha, clip, dirs,
+                                  (targets, "squared_error"))[3]
+        encode = penalty_model(model).forward_batch
+        u = clip_rows(encode(x), 0.3) @ directions.T
+        v = clip_rows(encode(z), 0.3) @ directions.T
+        gu, gv, _ = w2_grad_columns(u, v)
+        penalty = sum(
+            np.einsum("nk,kd,ndp->p", g, directions,
+                      clip_jacobian_naive(penalty_jacobian_batch(model, s),
+                                          bound))
+            for g, s, bound in ((gu, x, clip.jac_bound1),
+                                (gv, z, clip.jac_bound2))) / len(directions)
+        want = (1.0 - alpha) * clip_rows(loss_grads, loss_bound).mean(
+            axis=0) + alpha * penalty
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["mlp2_linear", "autoencoder",
+                                      "autoencoder_latent3"])
+    def test_overflowing_top_weight_is_rescued(self, kind):
+        # a top weight near 1e160 overflows W^2, so the factored squared
+        # norms of finite rows are inf, or nan where a saturated row's
+        # zero derivative meets it; those rows are normed from their
+        # entries, to the dense norm, without a RuntimeWarning
+        rng = np.random.default_rng(23)
+        model = _FACTORED_MODELS[kind]()
+        model.theta *= 4.0
+        lo, mid, _, _, _ = model._layers[
+            (model.penalty_layers or len(model._layers)) - 1]
+        model.theta[lo:mid] *= 1e160
+        x, z = _ghost_inputs(rng, 17), _ghost_inputs(rng, 13)
+        jac = penalty_jacobian_batch(model, x)
+        assert np.all(np.isfinite(jac))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cut = model.trace(x).penalty()
+            rows = cut.jacobian_rows()
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = rows.sq_norms()
+            norms = rows.norms()
+        assert _saturates(cut)
+        assert np.any(np.isinf(sq)) and np.any(np.isnan(sq))
+        np.testing.assert_allclose(norms, _row_norms(jac), rtol=1e-13,
+                                   atol=0.0)
+        # and the clipped gradient matches the dense oracle
+        d = model.penalty_dim
+        dirs = sample_directions(d, 5, seed=4)
+        clip = ClipConfig(0.3, 0.5, 0.7)
+        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = penalized_objective(model, batch, pairs, 1.0, clip,
+                                      dirs)[3]
+        encode = penalty_model(model).forward_batch
+        u = clip_rows(encode(x), 0.3) @ dirs.T
+        v = clip_rows(encode(z), 0.3) @ dirs.T
+        gu, gv, _ = w2_grad_columns(u, v)
+        want = sum(
+            np.einsum("nk,kd,ndp->p", g, dirs,
+                      clip_jacobian_naive(penalty_jacobian_batch(model, s),
+                                          bound))
+            for g, s, bound in ((gu, x, clip.jac_bound1),
+                                (gv, z, clip.jac_bound2))) / len(dirs)
+        assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestPenaltyMemory:
+    """No (n, d, hidden) array of the penalty's Jacobian row cotangents."""
+
+    def test_autoencoder_penalty_peaks_below_dense_cotangents(self):
+        # an autoencoder with an 8-d latent space at n = 2000: the dense
+        # cotangents of its hidden layer alone were n * 8 * hidden
+        # float64s
+        n, hidden, latent = 2000, 62, 8
+        model = make_model("autoencoder", 16, seed=0, hidden_dim=hidden,
+                           latent_dim=latent)
+        x = np.random.default_rng(0).normal(size=(n, 16))
+        pairs = [(slice(0, n // 2), model, slice(n // 2, n))]
+        dirs = sample_directions(latent, 50, seed=0)
+        clip = ClipConfig(1.0, 1.0, 1.0)
+
+        def call():
+            return penalized_objective(model, x, pairs, 1.0, clip, dirs)
+
+        call()    # the first call fills the coupling cache
+        tracemalloc.start()
+        try:
+            grad = call()[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(grad != 0.0)
+        assert peak < n * latent * hidden * 8

@@ -102,11 +102,12 @@ class TestAffineSigmoid:
             m = make_model("affine_sigmoid", 3, seed=100 + i)
             xs = rng.normal(size=(4, 3))
             ys = rng.integers(0, 2, size=4).astype(float)
-            values, grads = m.trace(xs).loss_and_grads(ys, "bce")
+            trace = m.trace(xs)
+            values, grads = trace.loss_and_grads(ys, "bce")
             np.testing.assert_array_equal(values, m.trace(xs).loss(ys, "bce"))
             for j, (x, y) in enumerate(zip(xs, ys)):
                 # row j of the library's per-sample gradients
-                g = grads.weighted_sum(np.eye(4)[:, j:j + 1])
+                g = trace.weighted_sum(grads.layer_sums(np.eye(4)[:, [j]]))
                 q = forward(m, x)[0]
                 np.testing.assert_allclose(
                     g, (q - y) * np.concatenate([x, [1.0]]), rtol=1e-12)
@@ -399,29 +400,33 @@ class TestDerivativeCache:
                                       slice(None)],
                              ids=["head", "tail", "all"])
     def test_penalty_rows_backward_is_the_blocks_own(self, kind, rows):
-        # a block of rows of the cut's backward is the backward of the
-        # block's own trace through a standalone model of the penalty's
-        # layers, after a loss backward of the whole
+        # a block of rows of the cut's Jacobian rows is the Jacobian rows
+        # of the block's own trace through a standalone model of the
+        # penalty's layers, after a loss backward of the whole
         model = make_model(kind, 5, seed=7)
         x = np.random.default_rng(8).normal(size=(60, 5))
         d = model.penalty_dim
-        cot = np.eye(d)[None]
         whole = model.trace(x)
         whole.loss_and_grads(x if kind == "autoencoder"
                              else np.zeros((60, 2)), "squared_error")
-        got = whole.penalty().backward(cot)
+        got = whole.penalty().jacobian_rows()
         sub = penalty_model(model)
-        want = sub.trace(x[rows]).backward(cot)
-        assert len(got.cots) == len(want.cots)
-        for g, w in zip(got.cots, want.cots):
-            assert g[rows].shape == w.shape
-            assert bit_equal(g[rows], w)
+        block = sub.trace(x[rows])
+        want = block.jacobian_rows()
+        assert len(got.blocks) == len(want.blocks)
+        for j in range(d):
+            # each layer's row cotangents of output j: its one-hot sums
+            at_j = np.zeros(got.shape)
+            at_j[:, j] = 1.0
+            for g, w in zip(got.layer_sums(at_j), want.layer_sums(at_j[rows])):
+                assert g[rows].shape == w.shape
+                assert bit_equal(g[rows], w)
         assert bit_equal(got.norms()[rows], want.norms())
         if rows == slice(None):
             weights = np.random.default_rng(9).normal(size=got.shape)
-            total = got.weighted_sum(weights)
+            total = whole.weighted_sum(got.layer_sums(weights))
             assert bit_equal(total[:sub.n_params],
-                             want.weighted_sum(weights))
+                             block.weighted_sum(want.layer_sums(weights)))
             assert np.all(total[sub.n_params:] == 0.0)
 
     def test_derivatives_computed_once_and_shared(self):
@@ -437,7 +442,7 @@ class TestDerivativeCache:
         whole.loss_and_grads(x, "squared_error")
         first = list(whole.derivs)
         assert [d is None for d in first] == [s is None for s in whole.sigs]
-        cut.backward(np.eye(model.penalty_dim)[None])
+        cut.jacobian_rows()
         assert all(d is f for d, f in zip(whole.derivs, first))
         # a penalty that reads every layer is the whole trace itself
         mlp = make_model("mlp2", 5, seed=7)

@@ -24,12 +24,16 @@ benchmark workload reaches that repair, so this case is its timed
 evidence.  ``gen_circle one-sided`` times the gen_circle blocks with
 ``grad_v=False``, as the generation step sorts them: the reference side
 takes a value sort only, and no gradient comes back for it.  Then it
-times one ``dp_gradient.penalized_objective`` call in each of four
+times one ``dp_gradient.penalized_objective`` call in each of five
 shapes:
 
 - ``reg_sp``: the ``reg_sp_paper`` batch (mlp2 with 16 inputs, 64 hidden
   units and 2 outputs; 2986 + 3014 rows traced once, the two classes as
   slices of the batch; 50 directions, alpha 0.75);
+- ``ae``: an ``autoencoder_sp`` batch at the paper scale (autoencoder
+  16-62-2-62-16, squared reconstruction error; 2986 + 3014 rows traced
+  once, the penalty comparing the 2-D codes of the two blocks; 50
+  directions, alpha 0.75), which no benchmark workload runs;
 - ``eo``: the ``cls_eo_paper`` batch (affine_sigmoid with 16 inputs, bce;
   four class blocks of 2094, 906, 891 and 2109 rows as slices of the
   batch, in two pairs; alpha 0.75);
@@ -157,6 +161,21 @@ def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
                                        erm)
 
 
+def _objective_ae(sizes=(2986, 3014), seed: int = 0):
+    """One ``penalized_objective`` call at an ``autoencoder_sp`` batch: the
+    reconstruction error of all rows and the penalty on the codes of two
+    blocks of them."""
+    rng = np.random.default_rng(seed)
+    model = make_model("autoencoder", 16, seed=seed, hidden_dim=62,
+                       latent_dim=2)
+    x = rng.normal(size=(sum(sizes), 16))
+    pair = (slice(0, sizes[0]), model, slice(sizes[0], x.shape[0]))
+    clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
+    dirs = sample_directions(2, 50, seed)
+    return lambda: penalized_objective(model, x, [pair], 0.75, clip, dirs,
+                                       (x, "squared_error"))
+
+
 def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
     """One ``penalized_objective`` call at the ``cls_eo_paper`` batch: the
     class blocks (a, y) = (0, 0), (0, 1), (1, 0), (1, 1) of the ERM batch,
@@ -257,6 +276,7 @@ def run(repeats: int) -> int:
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
 
     for label, step in (("reg_sp 2986+3014", _objective_reg_sp()),
+                        ("ae 2986+3014", _objective_ae()),
                         ("eo 2094+891, 906+2109", _objective_eo()),
                         ("audit 100+100", _objective_audit()),
                         ("gen 2000+2000", _objective_gen())):
