@@ -22,4 +22,4 @@ The package is organized around one pipeline:
 - :mod:`dpswgrad.cli` -- reproducible command-line experiments.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -18,8 +18,10 @@ distance read from the same sorted arrays.  Along the coupling's entries
 ``e`` the displacements ``D[e] = u_(rows[e]) - v_(cols[e])`` of the sorted
 samples give both: ``W2^2 = sum_e weights[e] D[e]^2``, and the gradient of
 sorted sample ``i`` is ``2 sum_{e: rows[e] = i} weights[e] D[e]`` (of
-``v_(j)``, minus the same sum over ``cols[e] = j``), one sparse product of
-a cached weighting matrix with ``D`` per side.
+``v_(j)``, minus the same sum over ``cols[e] = j``).  ``rows`` and ``cols``
+are nondecreasing, so each such sum runs over one contiguous segment of the
+entries: the weighted displacements are formed once, and each side sums
+its segments in entry order from ``0.0`` (see :class:`SegmentPlan`).
 
 At repeated values the gradient depends on which tied sample takes which
 rank; it uses the stable-sort permutation (tied samples keep their input
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "QuantileCoupling",
@@ -64,6 +65,9 @@ __all__ = [
 
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
+# segments of at most this many entries past their pair are summed by one
+# vector add per entry; a cumsum's cost per segment pays off past it
+_LOOP_WIDTH = 16
 
 
 def _as_columns(values, name: str) -> np.ndarray:
@@ -79,34 +83,64 @@ def _as_columns(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SegmentPlan:
+    """Where one side's gradient sums read the weighted displacements.
+
+    The gradient kernel lays the coupling's E weighted displacements ``P``
+    out as one (k, 2E) buffer ``[P | W | 0]``, ``W[e] = P[e] + P[e + 1]``
+    the sums of neighbouring entries and the last column zero.  Segment
+    ``i`` of the side (the entries of its sample ``i``, ``length`` of them
+    from ``start``) starts from buffer column ``first[i]``: ``start`` for
+    one entry, ``E + start`` (the pair) for more.  The r segments of three
+    or more entries, ``long`` (None when there are none or they are all
+    the segments), go on down the columns of ``rest`` (w, r; None when
+    r = 0): each further entry in order, padded with the zero column.
+    With ``first`` None each segment is the one entry of its index (a side
+    of n == E samples), and the buffer's first E columns are the sums.
+    """
+
+    first: np.ndarray | None
+    long: np.ndarray | None = None
+    rest: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class QuantileCoupling:
     """Sparse optimal coupling between uniform n-point and m-point measures.
 
     ``rows[e], cols[e], weights[e]`` enumerate the E nonzero entries of R
     in increasing quantile order (0-based row/column indices).  ``by_row``
-    and ``by_col`` are the (n, E) and (m, E) CSR matrices that carry the
-    weights, so ``by_row @ a`` sums ``weights[e] * a[e]`` over the entries
-    of each row of R, and ``by_col @ a`` over those of each column.
+    and ``by_col`` are the read-only :class:`SegmentPlan` of the segments
+    of the entries of each row of R and of each column.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    by_row: sparse.csr_array
-    by_col: sparse.csr_array
+    by_row: SegmentPlan
+    by_col: SegmentPlan
 
 
-def _segment_matrix(segments: np.ndarray, size: int, weights: np.ndarray,
-                    entries: np.ndarray) -> sparse.csr_array:
-    """(size, E) CSR matrix with ``weights[e]`` at (segments[e], e), for
-    nondecreasing ``segments``; ``entries`` is the read-only ``arange(E)``
-    that both matrices of a coupling share as their column indices."""
-    mat = sparse.csr_array(
-        (weights, entries, np.searchsorted(segments, np.arange(size + 1))),
-        shape=(size, weights.size))
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.setflags(write=False)
-    return mat
+def _segment_plan(segments: np.ndarray, size: int) -> SegmentPlan:
+    """The plan of the segments of the nondecreasing ``segments`` (E,),
+    which take every value in ``range(size)``."""
+    entries = segments.size
+    if size == entries:
+        return SegmentPlan(None)
+    length = np.bincount(segments, minlength=size)
+    start = np.cumsum(length) - length
+    first = np.where(length == 1, start, entries + start)
+    long = np.flatnonzero(length > 2)
+    rest = None
+    if long.size:
+        offsets = np.arange(2, length[long].max())[:, None]
+        rest = np.where(offsets < length[long], start[long] + offsets,
+                        2 * entries - 1)
+    plan = SegmentPlan(first, long if 0 < long.size < size else None, rest)
+    for arr in (first, plan.long, rest):
+        if arr is not None:
+            arr.setflags(write=False)
+    return plan
 
 
 @lru_cache(maxsize=1024)
@@ -131,16 +165,11 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     weights = (edges - starts) / float(n * m)
     rows = (edges + m - 1) // m - 1
     cols = (edges + n - 1) // n - 1
-    entries = np.arange(weights.size)
-    for arr in (rows, cols, weights, entries):
+    for arr in (rows, cols, weights):
         arr.setflags(write=False)
-    return QuantileCoupling(
-        rows=rows,
-        cols=cols,
-        weights=weights,
-        by_row=_segment_matrix(rows, n, weights, entries),
-        by_col=_segment_matrix(cols, m, weights, entries),
-    )
+    return QuantileCoupling(rows=rows, cols=cols, weights=weights,
+                            by_row=_segment_plan(rows, n),
+                            by_col=_segment_plan(cols, m))
 
 
 def _as_row_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +184,22 @@ def _as_row_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
 
 
-def _displacements(us, vs, c: QuantileCoupling) -> np.ndarray:
-    """(k, E) displacements ``us[:, rows] - vs[:, cols]`` of the sorted
-    rows along the coupling."""
-    disp = us[:, c.rows]
-    disp -= vs[:, c.cols]
-    return disp
-
-
-def _coupled_w2_rows(displacements, weights) -> np.ndarray:
-    """Rowwise W2^2 from the (k, E) displacements along the coupling."""
-    return (displacements * displacements) @ weights
+def _coupled_w2_rows(us, vs, c: QuantileCoupling
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise W2^2 of the sorted rows ``us`` (k, n) and ``vs`` (k, m), and
+    their (k, E) displacements ``us[:, rows] - vs[:, cols]`` along the
+    coupling: gathered, F-ordered, or of the identity coupling (n == m)
+    one C-ordered subtraction.  The distance's matrix-vector product reads
+    the squares F-ordered either way, as the gathers leave them: its bits
+    depend on the layout."""
+    if us.shape[1] == vs.shape[1]:
+        disp = us - vs
+        squares = np.multiply(disp, disp, order="F")
+    else:
+        disp = us[:, c.rows]
+        disp -= vs[:, c.cols]
+        squares = disp * disp
+    return squares @ c.weights, disp
 
 
 def w2_squared_columns(u, v) -> np.ndarray:
@@ -173,8 +207,8 @@ def w2_squared_columns(u, v) -> np.ndarray:
     u, v = _as_row_pair(u, v)
     us = np.sort(u, axis=1)
     vs = np.sort(v, axis=1)
-    c = quantile_coupling(u.shape[1], v.shape[1])
-    return _coupled_w2_rows(_displacements(us, vs, c), c.weights)
+    return _coupled_w2_rows(us, vs,
+                            quantile_coupling(u.shape[1], v.shape[1]))[0]
 
 
 def _ordered_ints(a: np.ndarray) -> np.ndarray:
@@ -261,12 +295,60 @@ def _repair_order(s: np.ndarray, least: np.ndarray, b: int,
     return key
 
 
+def _weighted_buffer(disp, weights) -> np.ndarray:
+    """The C-ordered (k, 2E) buffer ``[P | W | 0]`` of :class:`SegmentPlan`
+    from the (k, E) displacements, ``P = disp * weights``."""
+    k, entries = disp.shape
+    buf = np.empty((k, 2 * entries))
+    np.multiply(disp, weights, out=buf[:, :entries])
+    np.add(buf[:, :entries - 1], buf[:, 1:entries],
+           out=buf[:, entries:-1])
+    buf[:, -1] = 0.0
+    return buf
+
+
+def _segment_sums(buf: np.ndarray, plan: SegmentPlan, entries: int,
+                  scale: float) -> np.ndarray:
+    """(k, size) sums of the side's segments of ``buf``'s weighted
+    displacements, each taken in entry order from ``0.0`` and then scaled
+    by ``scale``: the arithmetic of a CSR product with the weights, bit for
+    bit (a sum that starts at its first entry equals the one from ``0.0``
+    once ``0.0`` is added, which makes only a ``-0.0`` ``0.0``)."""
+    if plan.first is None:
+        out = buf[:, :entries] + 0.0
+    else:
+        out = np.take(buf, plan.first, axis=1)
+        if plan.rest is not None:
+            if plan.long is None:
+                out = _add_rest(out, buf, plan.rest)
+            else:
+                out[:, plan.long] = _add_rest(out[:, plan.long], buf,
+                                              plan.rest)
+        out += 0.0
+    out *= scale
+    return out
+
+
+def _add_rest(head: np.ndarray, buf: np.ndarray,
+              rest: np.ndarray) -> np.ndarray:
+    """``head`` (k, r) plus, in order, ``buf``'s columns down ``rest``
+    (w, r): one vector add per row of ``rest`` up to ``_LOOP_WIDTH`` of
+    them (into ``head``), else one ``cumsum``, which also adds in order, of
+    the (k, 1 + w, r) block."""
+    if len(rest) > _LOOP_WIDTH:
+        block = np.concatenate((head[:, None], np.take(buf, rest, axis=1)),
+                               axis=1)
+        return np.cumsum(block, axis=1)[:, -1]
+    for row in rest:
+        head += np.take(buf, row, axis=1)
+    return head
+
+
 def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """(n, k) view of the (k, n) array that holds ``sorted_rows`` (k, n)
-    at the flat indices ``flat``."""
+    """(n, k) view of the (k, n) array that holds the C-ordered
+    ``sorted_rows`` (k, n) at the flat indices ``flat``."""
     out = np.empty(flat.size)
-    # a scatter from contiguous values is faster than the strided one
-    out[flat] = np.ascontiguousarray(sorted_rows)
+    out[flat] = sorted_rows
     return out.reshape(flat.shape).T
 
 
@@ -280,25 +362,30 @@ def w2_grad_columns(u, v, grad_v: bool = True
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
     come from one in-place sort of packed (value, index) int64 keys per
     side (see :func:`_stable_sort_rows`).  Both sorted gradients are
-    weighted sums of the displacements along the coupling, one sparse
-    product per side.  With ``grad_v=False`` (``v`` a reference sample
-    that nothing differentiates) ``grad_v`` is None, ``v`` takes a value
-    sort only, and ``grad_u`` and ``values`` are the same bits.
+    segment sums of the weighted displacements along the coupling, formed
+    once for both sides (see :class:`SegmentPlan`).  With ``grad_v=False``
+    (``v`` a reference sample that nothing differentiates) ``grad_v`` is
+    None, ``v`` takes a value sort only, and ``grad_u`` and ``values`` are
+    the same bits.
     """
     u, v = _as_row_pair(u, v)
     flat_u, us = _stable_sort_rows(u)
     flat_v, vs = _stable_sort_rows(v) if grad_v else (None, np.sort(v, axis=1))
     c = quantile_coupling(u.shape[1], v.shape[1])
-    disp = _displacements(us, vs, c)
-    values = _coupled_w2_rows(disp, c.weights)
+    values, disp = _coupled_w2_rows(us, vs, c)
 
     # grad wrt u_(i): 2 sum_j R[i, j] (u_(i) - v_(j)); wrt v_(j): minus
     # twice the same sum over i; then unsort
-    gu_sorted = c.by_row @ disp.T
-    gu_sorted *= 2.0
-    if grad_v:
-        gv_sorted = c.by_col @ disp.T
-        gv_sorted *= -2.0
-    del disp    # freed before the scatters allocate
-    return (_unsort(gu_sorted.T, flat_u),
-            _unsort(gv_sorted.T, flat_v) if grad_v else None, values)
+    entries = c.weights.size
+    if u.shape[1] == v.shape[1]:
+        # the identity coupling: every segment is one entry, the sum its P
+        disp *= c.weights
+        buf = disp
+    else:
+        buf = _weighted_buffer(disp, c.weights)
+    del disp    # freed before the sums allocate
+    gu = _unsort(_segment_sums(buf, c.by_row, entries, 2.0), flat_u)
+    if not grad_v:
+        return gu, None, values
+    gv = _segment_sums(buf, c.by_col, entries, -2.0)
+    return gu, _unsort(gv, flat_v), values

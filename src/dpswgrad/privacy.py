@@ -24,7 +24,9 @@ calibration.
 
 Both root solves (epsilon from mu, and mu* in calibration) run Brent's
 method in :func:`_brentq`, a step-for-step port of SciPy's C ``brentq``
-that returns its bits, so the module imports only ``scipy.special``.
+that returns its bits.  The curve and the composition read the normal
+CDF through ``math.erf`` and :func:`_log_ndtr`, a small function of
+``math.erfc``, so the module needs no SciPy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, log_ndtr, ndtr
 
 __all__ = [
     "ACCOUNTANT_FORMULA",
@@ -50,6 +51,35 @@ __all__ = [
 ]
 
 ACCOUNTANT_FORMULA = "gdp-clt-uniform-subsampling-v1"
+
+
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# the accountant's two special functions, each read through one module
+# name so that a reference implementation can stand in: erf (libm's) and
+# _log_ndtr
+_erf = math.erf
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x) of the standard normal CDF, accurate where Phi(x)
+    underflows.
+
+    ``log1p(-Phi(-x))`` above -1, ``log(Phi(x))`` down to -37, and below,
+    where ``erfc`` leaves the normal range, the asymptotic expansion
+    ``log Phi(x) = -x^2/2 - log(-x sqrt(2 pi))
+    + log(1 - 1/x^2 + 3/x^4 - 15/x^6 + ...)`` to its eighth term, past
+    which the terms are below 1e-20 there.
+    """
+    if x > -1.0:
+        return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
+    if x > -37.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
+    r = 1.0 / (x * x)
+    series = 0.0
+    for k in range(8, 0, -1):  # sum_k (-1)^k (2k-1)!! r^k, by Horner
+        series = -(2 * k - 1) * r * (1.0 + series)
+    return -0.5 * x * x - (math.log(-x) + _LOG_SQRT_2PI) + math.log1p(series)
 
 
 class PrivacySaturationError(RuntimeError):
@@ -149,9 +179,9 @@ def gdp_delta(mu: float, epsilon: float) -> float:
         return 1.0
     if epsilon == 0.0:
         # Phi(mu/2) - Phi(-mu/2), exactly conditioned through erf
-        return float(erf(mu / (2.0 * math.sqrt(2.0))))
-    log1 = log_ndtr(mu / 2.0 - epsilon / mu)
-    log2 = epsilon + log_ndtr(-mu / 2.0 - epsilon / mu)
+        return _erf(mu / (2.0 * math.sqrt(2.0)))
+    log1 = _log_ndtr(mu / 2.0 - epsilon / mu)
+    log2 = epsilon + _log_ndtr(-mu / 2.0 - epsilon / mu)
     if log2 >= log1:
         return 0.0
     return float(-math.exp(log1) * math.expm1(log2 - log1))
@@ -202,7 +232,13 @@ def total_gdp_mu(noise_multiplier: float, sampling_rate: float,
     x = nu ** -2
     if x > 700.0:
         return float("inf")
-    f = math.exp(x) * ndtr(1.5 / nu) + 3.0 * ndtr(-0.5 / nu) - 2.0
+    # f = exp(x) Phi(1.5/nu) + 3 Phi(-0.5/nu) - 2 through erf, so that the
+    # constants cancel exactly: 2 f = expm1(x) (1 + E_a) + (E_a - 3 E_b)
+    # with E_a = erf(1.5/(nu sqrt 2)), E_b = erf(0.5/(nu sqrt 2)); the
+    # direct sum loses digits to cancellation as nu grows (1e-13 at nu 24)
+    ea = _erf(1.5 / nu * _SQRT1_2)
+    eb = _erf(0.5 / nu * _SQRT1_2)
+    f = 0.5 * (math.expm1(x) * (1.0 + ea) + (ea - 3.0 * eb))
     return math.sqrt(2.0) * p * math.sqrt(steps) * math.sqrt(max(f, 0.0))
 
 

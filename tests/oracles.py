@@ -5,10 +5,12 @@ quantile-integral oracle runs on exact rational breakpoints, and the
 finite-difference helpers only call whatever scalar function they are
 handed.  ``clip_vector`` is the one-vector reference for row clipping.
 ``w2_grad_columns_stable`` is the exception: it shares the library's
-quantile coupling and arithmetic and differs only in how it orders the
-samples (two stable argsorts), so the OT gradient kernel must equal it bit
-for bit.  ``w2_grad_exact`` checks that arithmetic itself: the closed form
-in exact rationals.
+quantile coupling and orders the samples by two stable argsorts, and sums
+the weighted displacements by SciPy CSR products of weighting matrices it
+builds from the coupling's entries (:func:`coupling_matrices`), so the OT
+gradient kernel's segment sums must equal it bit for bit.
+``w2_grad_exact`` checks that arithmetic itself: the closed form in exact
+rationals.
 
 The dense per-sample path is the reference for the library's ghost-norm
 clipping: :func:`dense_backward` builds the (n, k, n_params) per-sample
@@ -26,17 +28,20 @@ per-sample checks read like the math.  :func:`stacked_pairs` writes
 penalty pairs of input arrays in the objective's one-batch form.
 
 SciPy's ``brentq`` is the reference for the accountant's in-module Brent
-root finder, which must return its bits, and this is the only module that
-imports ``scipy.optimize``.  :func:`matches_csv_rows` checks the dataset
-loader against the reference parse: ``csv.reader`` rows converted by
-``np.asarray``.
+root finder, which must return its bits, and ``scipy.special``'s ``erf``
+and ``log_ndtr`` the reference for its special functions; this is the only
+module that imports SciPy, which the library does not use.
+:func:`matches_csv_rows` checks the dataset loader against the reference
+parse: ``csv.reader`` rows converted by ``np.asarray``.
 """
 
 import csv
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import brentq  # noqa: F401  (re-exported oracle)
+from scipy.special import erf, log_ndtr  # noqa: F401  (re-exported oracles)
 
 from dpswgrad.dp_gradient import clip_rows
 from dpswgrad.models import Model
@@ -59,12 +64,27 @@ def w2_squared_quantile_oracle(u, v) -> float:
     return total
 
 
+def coupling_matrices(c):
+    """The (n, E) and (m, E) CSR matrices that put the weight of entry
+    ``e`` of the coupling ``c`` at (rows[e], e) and (cols[e], e), so that
+    ``by_row @ a`` sums ``weights[e] * a[e]`` over the entries of each row
+    of R, in entry order from 0, and ``by_col @ a`` over those of each
+    column."""
+    entries = np.arange(c.weights.size)
+    return tuple(
+        sparse.csr_array((c.weights, entries, np.searchsorted(
+            segments, np.arange(segments[-1] + 2))),
+            shape=(segments[-1] + 1, c.weights.size))
+        for segments in (c.rows, c.cols))
+
+
 def w2_grad_columns_stable(u, v):
     """Reference for :func:`dpswgrad.ot_core.w2_grad_columns`.
 
-    Takes two ``kind="stable"`` argsorts and no tie test, and otherwise the
-    library's arithmetic in the library's order, so the library must match
-    it bit for bit.  Returns ``(grad_u, grad_v, values)``.
+    Takes two ``kind="stable"`` argsorts and no tie test, and sums each
+    side's weighted displacements by one CSR product: the library's
+    arithmetic in the library's order, so the library must match it bit
+    for bit.  Returns ``(grad_u, grad_v, values)``.
     """
     u = np.asarray(u, dtype=np.float64).reshape(len(u), -1)
     v = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
@@ -75,9 +95,10 @@ def w2_grad_columns_stable(u, v):
     c = quantile_coupling(u.shape[0], v.shape[0])
     disp = us[c.rows, :] - vs[c.cols, :]
     values = c.weights @ (disp * disp)
-    gu_sorted = c.by_row @ disp
+    by_row, by_col = coupling_matrices(c)
+    gu_sorted = by_row @ disp
     gu_sorted *= 2.0
-    gv_sorted = c.by_col @ disp
+    gv_sorted = by_col @ disp
     gv_sorted *= -2.0
     grad_u = np.empty_like(gu_sorted)
     grad_v = np.empty_like(gv_sorted)

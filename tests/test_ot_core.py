@@ -9,8 +9,9 @@ from dpswgrad.ot_core import (quantile_coupling, w2_grad_columns,
 
 from dpswgrad.dp_gradient import clip_rows
 from dpswgrad.sliced import sample_directions
-from oracles import bit_equal, central_diff, distinct_values, rel_err, \
-    w2_grad_columns_stable, w2_grad_exact, w2_squared_quantile_oracle
+from oracles import bit_equal, central_diff, coupling_matrices, \
+    distinct_values, rel_err, w2_grad_columns_stable, w2_grad_exact, \
+    w2_squared_quantile_oracle
 
 
 def _ulp_spaced(rng, start: float, size: int) -> np.ndarray:
@@ -49,14 +50,14 @@ class TestQuantileCoupling:
                            (0, 1, pytest.approx(1 / 6)),
                            (1, 1, pytest.approx(1 / 6)),
                            (1, 2, pytest.approx(1 / 3))]
-        # the weighting matrices put entry e's weight in its row / column
-        np.testing.assert_array_equal(
-            c.by_row.toarray(), [[c.weights[0], c.weights[1], 0, 0],
-                                 [0, 0, c.weights[2], c.weights[3]]])
-        np.testing.assert_array_equal(
-            c.by_col.toarray(), [[c.weights[0], 0, 0, 0],
-                                 [0, c.weights[1], c.weights[2], 0],
-                                 [0, 0, 0, c.weights[3]]])
+        # each row and column is one segment of the entries: row 0 holds
+        # entries 0-1 and row 1 entries 2-3, both read from the pair sums
+        # W[e] (buffer column E + e); column 1 holds entries 1-2, columns 0
+        # and 2 the one entries 0 and 3 (buffer columns e)
+        assert c.by_row.first.tolist() == [4, 6]
+        assert c.by_col.first.tolist() == [0, 5, 3]
+        for plan in (c.by_row, c.by_col):
+            assert plan.long is None and plan.rest is None
 
     def test_single_row_absorbs_all_mass(self):
         c = quantile_coupling(1, 7)
@@ -68,14 +69,29 @@ class TestQuantileCoupling:
         for n, m in [(3, 5), (7, 7), (13, 9), (200, 199)]:
             assert quantile_coupling(n, m).weights.size <= n + m - 1
 
-    def test_matrices_share_one_read_only_index_array(self):
-        # both CSR matrices index the entries 0..E-1 with one array, which
-        # the cache holds once per coupling
-        c = quantile_coupling(3000, 2986)
-        assert np.shares_memory(c.by_row.indices, c.by_col.indices)
-        assert bit_equal(c.by_row.indices, np.arange(c.weights.size))
-        assert not c.by_row.indices.flags.writeable
-        assert not c.by_col.indices.flags.writeable
+    @pytest.mark.parametrize("n, m", [(3000, 2986), (2986, 3014), (1, 7),
+                                      (7, 1), (5, 1000), (2094, 921),
+                                      (921, 2094), (40, 40)])
+    def test_plans_are_read_only_cached_and_no_larger_than_csr(self, n, m):
+        # the cache holds one coupling per (n, m), whose plans every call
+        # reads and none writes, in no more index bytes than the CSR
+        # weighting matrices they replace (their column indices, shared by
+        # both, and row pointers)
+        c = quantile_coupling(n, m)
+        arrays = [a for plan in (c.by_row, c.by_col)
+                  for a in (plan.first, plan.long, plan.rest)
+                  if a is not None]
+        assert all(not a.flags.writeable for a in arrays)
+        rng = np.random.default_rng(n + m)
+        w2_grad_columns(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+        again = quantile_coupling(n, m)
+        assert again is c and again.by_row is c.by_row
+        by_row, by_col = coupling_matrices(c)
+        csr = (by_row.indices.nbytes + by_row.indptr.nbytes
+               + by_col.indptr.nbytes)
+        assert np.shares_memory(by_row.indices, by_col.indices)
+        assert sum(a.nbytes for a in arrays) <= csr
+        assert (n == m) == (not arrays)
 
     def test_zero_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -270,6 +286,45 @@ class TestOrderAgainstStableOracle:
         v = rng.normal(size=(m, k)) + 0.3
         assert all(np.unique(u[:, j]).size == n for j in range(k))
         self._check(u, v)
+
+    @pytest.mark.parametrize("n, m, k", [
+        (300, 300, 4), (2000, 2000, 3), (300, 311, 4), (2986, 3014, 5),
+        (1427, 1573, 2), (1, 7, 3), (7, 1, 3), (5, 1000, 2), (1000, 5, 2),
+        (2094, 921, 1), (921, 2094, 1), (6, 3, 2), (3, 6, 2), (40, 27, 1)],
+        ids=["identity", "identity_2000", "near_square", "reg_sp",
+             "class_split", "1x7", "7x1", "5x1000", "1000x5", "2094x921",
+             "921x2094", "6x3", "3x6", "k1"])
+    def test_segment_length_regimes(self, n, m, k):
+        # segments of one entry (identity), of 1-3 (near-square), of tens
+        # to hundreds (far ratios, past the loop width) and one side of
+        # single entries against pairs (6x3), with k = 1 to 5 columns
+        rng = np.random.default_rng(n * 7 + m)
+        u = rng.normal(size=(n, k))
+        v = rng.normal(size=(m, k)) + 0.3
+        if {n, m} == {5, 1000}:
+            # segments of 200 entries: past the loop width, one cumsum
+            c = quantile_coupling(n, m)
+            plan = c.by_row if n < m else c.by_col
+            assert len(plan.rest) > ot_core._LOOP_WIDTH
+        self._check(u, v)
+        gu, gv, values = w2_grad_columns(u, v, grad_v=False)
+        want = w2_grad_columns_stable(u, v)
+        assert gv is None
+        assert bit_equal(gu, want[0]) and bit_equal(values, want[2])
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (40, 40),
+                                      (300, 311), (5, 1000)])
+    @pytest.mark.parametrize("value", [-3.0, 0.0, -0.0])
+    def test_all_equal_samples(self, n, m, value):
+        # every displacement is +-0: the sums keep the CSR product's signs
+        # of zero (its sums start from 0.0, so grad_u is +0 and grad_v -0);
+        # then against the negated sample (zeros of the other sign)
+        u, v = np.full((n, 2), value), np.full((m, 2), value)
+        gu, gv, values = w2_grad_columns(u, v)
+        assert not np.signbit(gu).any() and np.signbit(gv).all()
+        assert not values.any()
+        self._check(u, v)
+        self._check(u, -v)
 
     def test_block_mixing_tied_and_untied_columns(self):
         rng = np.random.default_rng(5)

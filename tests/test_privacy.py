@@ -18,6 +18,8 @@ from dpswgrad.privacy import (AccountantState, PrivacyBudget,
                               gdp_delta, gdp_epsilon, subsample_amplify,
                               total_gdp_mu)
 from oracles import brentq
+from oracles import erf as scipy_erf
+from oracles import log_ndtr as scipy_log_ndtr
 
 
 def _delta_oracle(mu: float, eps: float) -> float:
@@ -260,7 +262,7 @@ class TestCalibration:
                                    ClipConfig.symmetric(1.0, 1.0, 5.0), 6000)
         sigma = calibrate_noise(PrivacyBudget(1.0, 0.1 / 30000), 500, 0.2,
                                 delta2)
-        assert sigma == 0.08021849535110816  # frozen regression value
+        assert sigma == 0.08021849535110229  # frozen regression value
         assert sigma == calibrate_noise(PrivacyBudget(1.0, 0.1 / 30000), 500,
                                         0.2, delta2)
 
@@ -412,13 +414,108 @@ class TestBrentRootFinder:
         assert str(info.value) == message
         assert _same_outcome(f, 0.0, 1.0, **kw)
 
-    def test_cli_import_leaves_scipy_optimize_out(self):
+
+def _ulps(got: float, want: float) -> float:
+    """|got - want| in units in the last place of ``want``."""
+    return 0.0 if got == want else abs(got - want) / math.ulp(want)
+
+
+def _log_ndtr_oracle(x: float) -> float:
+    """log Phi(x) at 50 digits; above 0 as log1p(-Phi(-x)), whose small
+    Phi(-x) keeps its digits."""
+    with mpmath.workdps(50):
+        x_ = mpmath.mpf(x)
+        if x > 0:
+            return float(mpmath.log1p(-mpmath.ncdf(-x_)))
+        return float(mpmath.log(mpmath.ncdf(x_)))
+
+
+def _scipy_backed(monkeypatch):
+    """Run the accountant on SciPy's ``erf`` and ``log_ndtr``."""
+    monkeypatch.setattr(privacy, "_erf", lambda x: float(scipy_erf(x)))
+    monkeypatch.setattr(privacy, "_log_ndtr",
+                        lambda x: float(scipy_log_ndtr(x)))
+
+
+# the points on both sides of where the branches of _log_ndtr meet (-37,
+# -1), deep in its tail and where Phi(x) rounds to 1, and a sweep of both
+# signs over 12 decades
+_SF_POINTS = (-1e4, -1e3, -40.0, -37.5, -37.0, math.nextafter(-37.0, 0.0),
+              -1.0 - 1e-12, -1.0 + 1e-12, 0.0, 6.0, 40.0)
+_SF_GRID = _SF_POINTS + tuple(
+    float(x) for x in np.concatenate([-np.geomspace(1e-8, 1e4, 400),
+                                      np.geomspace(1e-8, 40.0, 300)]))
+
+
+def _sf_bound(x: float) -> float:
+    """The stated ulp bound of ``_log_ndtr``: rounding x/sqrt(2) (twice,
+    at most 2^-52 relative) moves erfc by x^2 2^-52 relative, at most
+    2 x^2 ulps, and the other roundings add up to 3."""
+    return 3.0 + 2.0 * x * x
+
+
+class TestSpecialFunctions:
+    """The accountant's ``erf`` (libm's) and ``_log_ndtr`` against 50-digit
+    mpmath and SciPy, and the accountant built on them against the same
+    code on SciPy's functions."""
+
+    def test_erf_against_mpmath(self):
+        for x in _SF_GRID:
+            with mpmath.workdps(50):
+                want = float(mpmath.erf(mpmath.mpf(x)))
+            assert _ulps(privacy._erf(x), want) <= 1.0, x
+
+    def test_log_ndtr_against_mpmath(self):
+        for x in _SF_GRID:
+            got, want = privacy._log_ndtr(x), _log_ndtr_oracle(x)
+            assert _ulps(got, want) <= _sf_bound(x), (x, got, want)
+
+    def test_against_scipy(self):
+        for x in _SF_GRID:
+            want = float(scipy_log_ndtr(x))
+            assert _ulps(privacy._log_ndtr(x), want) <= 2 * _sf_bound(x), x
+            assert _ulps(privacy._erf(x), float(scipy_erf(x))) <= 2.0, x
+
+    def test_composed_mu_against_mpmath(self):
+        # 2 f = expm1(x) (1 + E_a) + (E_a - 3 E_b) keeps its digits where
+        # the direct exp(x) Phi(a) + 3 Phi(-b) - 2 cancels them (7.6e-13
+        # relative at nu = 75)
+        for nu in np.geomspace(0.15, 100.0, 60):
+            with mpmath.workdps(50):
+                nu_ = mpmath.mpf(float(nu))
+                f = (mpmath.exp(nu_ ** -2) * mpmath.ncdf(1.5 / nu_)
+                     + 3 * mpmath.ncdf(-0.5 / nu_) - 2)
+                want = float(mpmath.sqrt(2) * mpmath.mpf(0.2)
+                             * mpmath.sqrt(500) * mpmath.sqrt(f))
+            assert total_gdp_mu(float(nu), 0.2, 500) == pytest.approx(
+                want, rel=2e-14, abs=0.0), nu
+
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    @pytest.mark.parametrize("steps", [100, 1000, 10000])
+    def test_accountant_matches_scipy_backed_reference(self, epsilon, steps,
+                                                       monkeypatch):
+        # the 36-point grid: eps in {1, 4}, p in {1e-5, ..., 0.2},
+        # T in {100, 1000, 10000}, delta = 1e-5
+        budget = PrivacyBudget(epsilon, 1e-5)
+        for p in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2):
+            sigma = calibrate_noise(budget, steps, p, 1.0)
+            spent = AccountantState(sigma, p, steps=steps).epsilon_spent()
+            with monkeypatch.context() as patch:
+                _scipy_backed(patch)
+                ref_sigma = calibrate_noise(budget, steps, p, 1.0)
+                ref_spent = AccountantState(sigma, p,
+                                            steps=steps).epsilon_spent()
+            assert sigma == pytest.approx(ref_sigma, rel=1e-13, abs=0.0)
+            assert spent == pytest.approx(ref_spent, rel=1e-13, abs=0.0)
+
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime is NumPy alone: no scipy module of any kind
         src = str(Path(privacy.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         out = subprocess.run(
             [sys.executable, "-c", "import sys, dpswgrad.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith("
-             "'scipy.optimize')))"],
+             "print(sorted(m for m in sys.modules if m == 'scipy' "
+             "or m.startswith('scipy.')))"],
             env=env, capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout == "[]\n"

@@ -8,7 +8,14 @@ Usage::
 Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
 workloads sort, each given as the training step passes it: an (n, k) view
 of a C-contiguous (k, n) block; one more case gives the reg_sp blocks
-C-ordered, which the kernel copies into its (k, n) layout.  Four more
+C-ordered, which the kernel copies into its (k, n) layout.  Each OT case
+alternates, call by call, with the same kernel whose segment sums are
+replaced by SciPy CSR products of the weighting matrices
+(``coupling_matrices`` in ``tests/oracles.py``) and whose gradients are
+transposed back as the CSR products leave them: the line below each
+case, ``csr product``, times that kernel, and its outputs must be the
+kernel's bits.  The two ``eo`` cases are the scalar (k = 1) class pairs
+of the ``cls_eo_paper`` batch.  Four more
 cases at the gen_circle size time blocks of ties and near-ties:
 ``all_tied`` (every column repeats a few values), ``near_tied`` (every
 column holds distinct values 1 to 3 ulps apart, shuffled),
@@ -57,14 +64,15 @@ library maps in for the call's temporaries.
 The script leaves the C library's allocator at its defaults.
 Every OT case also checks that the kernel's outputs equal, bit for bit,
 those of the two-stable-argsort reference ``w2_grad_columns_stable`` in
-``tests/oracles.py`` (a one-sided case its ``grad_u`` and values), and
+``tests/oracles.py`` (a one-sided case its ``grad_u`` and values) and of
+the CSR product kernel, and
 every objective that its four outputs equal those of the same call with
 its OT kernel replaced by that reference; the script exits with an error
 if any differ.  To compare two versions of the library, run each
 checkout's own copy of this script with that checkout's ``src`` on
 ``PYTHONPATH``: the reference follows the library's arithmetic.
 
-Runtime: about 15 s on 2 cores at the default R.  The script is not part of
+Runtime: about 25 s on 2 cores at the default R.  The script is not part of
 the test suite.
 """
 
@@ -75,6 +83,7 @@ import resource
 import sys
 import tempfile
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +95,13 @@ from dpswgrad.data import (GenerationConfig, generate_biased,  # noqa: E402
                            load_dataset, save_dataset)
 from dpswgrad.dp_gradient import (ClipConfig, clip_rows,  # noqa: E402
                                   penalized_objective)
+from dpswgrad import ot_core  # noqa: E402
 from dpswgrad.models import make_model  # noqa: E402
 from dpswgrad.ot_core import w2_grad_columns  # noqa: E402
 from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
-from oracles import (bit_equal, matches_csv_rows,  # noqa: E402
-                     w2_grad_columns_stable)
+from oracles import (bit_equal, coupling_matrices,  # noqa: E402
+                     matches_csv_rows, w2_grad_columns_stable)
 
 # (label, n, m, k, values, C-ordered, grad_v): gen_circle sorts
 # 2000 x 2000 per side, reg_sp_paper its two classes, cls_eo_paper a class
@@ -104,6 +114,8 @@ OT_CASES = (
     ("reg_sp C-ordered", 2986, 3014, 50, "normal", True, True),
     ("class_split", 1427, 1573, 50, "normal", False, True),
     ("audit", 100, 100, 20, "normal", False, True),
+    ("eo", 2094, 921, 1, "normal", False, True),
+    ("eo", 891, 2093, 1, "normal", False, True),
     ("all_tied", 2000, 2000, 50, "tied", False, True),
     ("near_tied", 2000, 2000, 50, "near_tied", False, True),
     ("saturated", 2000, 2000, 50, "saturated", False, True),
@@ -145,6 +157,34 @@ def _ot_inputs(n: int, m: int, k: int, values: str, c_ordered: bool,
     if c_ordered:
         return np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
     return u.T, v.T
+
+
+def _csr_kernel(u, v, grad_v: bool = True):
+    """``w2_grad_columns`` with each side's segment sums taken by one CSR
+    product of its weighting matrix with the (E, k) displacements, scaled
+    in place, and the (n, k) products transposed to the (k, n) layout
+    that the unsort scatters from."""
+    u, v = ot_core._as_row_pair(u, v)
+    flat_u, us = ot_core._stable_sort_rows(u)
+    flat_v, vs = (ot_core._stable_sort_rows(v) if grad_v
+                  else (None, np.sort(v, axis=1)))
+    c = ot_core.quantile_coupling(u.shape[1], v.shape[1])
+    values, disp = ot_core._coupled_w2_rows(us, vs, c)
+    by_row, by_col = _matrices(u.shape[1], v.shape[1])
+    grads = []
+    for mat, flat, scale in ((by_row, flat_u, 2.0), (by_col, flat_v, -2.0)
+                             )[:2 if grad_v else 1]:
+        g = mat @ disp.T
+        g *= scale
+        grads.append(ot_core._unsort(np.ascontiguousarray(g.T), flat))
+    return grads[0], grads[1] if grad_v else None, values
+
+
+@lru_cache(maxsize=None)
+def _matrices(n: int, m: int) -> tuple:
+    """The CSR matrices of the (n, m) coupling, built once, as the
+    coupling cache holds the coupling."""
+    return coupling_matrices(ot_core.quantile_coupling(n, m))
 
 
 def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
@@ -253,6 +293,23 @@ def _timings_ms(fn, repeats: int) -> tuple[np.ndarray, float]:
     return out, faults / repeats
 
 
+def _alternating_ms(fa, fb, repeats: int) -> tuple[tuple, tuple]:
+    """:func:`_timings_ms` of ``fa`` and ``fb``, called in turn (``fb``
+    first on odd rounds) so that both see the same load."""
+    fa(), fb()
+    times = {fa: np.empty(repeats), fb: np.empty(repeats)}
+    faults = {fa: 0, fb: 0}
+    for r in range(repeats):
+        for fn in (fa, fb) if r % 2 == 0 else (fb, fa):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            fn()
+            times[fn][r] = (time.perf_counter() - start) * 1e3
+            faults[fn] += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                           - before)
+    return tuple((times[fn], faults[fn] / repeats) for fn in (fa, fb))
+
+
 def _report(label: str, timings: tuple, note: str = "") -> None:
     ms, faults = timings
     q1, med, q3 = np.percentile(ms, [25, 50, 75])
@@ -267,13 +324,19 @@ def run(repeats: int) -> int:
         want = list(w2_grad_columns_stable(u, v))
         if not grad_v:
             want[1] = None
-        same = all(g is w or bit_equal(g, w) for g, w in
-                   zip(w2_grad_columns(u, v, grad_v), want))
-        if not same:
+        got = w2_grad_columns(u, v, grad_v)
+        same = all(g is w or bit_equal(g, w) for g, w in zip(got, want))
+        same_csr = all(g is w or bit_equal(g, w) for g, w in
+                       zip(_csr_kernel(u, v, grad_v), got))
+        if not (same and same_csr):
             failed.append(label)
-        _report(f"w2_grad_columns {label} {n}x{m}x{k}",
-                _timings_ms(lambda: w2_grad_columns(u, v, grad_v), repeats),
+        kernel, csr = _alternating_ms(
+            lambda: w2_grad_columns(u, v, grad_v),
+            lambda: _csr_kernel(u, v, grad_v), repeats)
+        _report(f"w2_grad_columns {label} {n}x{m}x{k}", kernel,
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
+        _report("  csr product", csr,
+                "   kernel: " + ("identical" if same_csr else "DIFFERENT"))
 
     for label, step in (("reg_sp 2986+3014", _objective_reg_sp()),
                         ("ae 2986+3014", _objective_ae()),
