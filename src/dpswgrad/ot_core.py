@@ -65,9 +65,6 @@ __all__ = [
 
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
-# segments of at most this many entries past their pair are summed by one
-# vector add per entry; a cumsum's cost per segment pays off past it
-_LOOP_WIDTH = 16
 
 
 def _as_columns(values, name: str) -> np.ndarray:
@@ -313,35 +310,23 @@ def _segment_sums(buf: np.ndarray, plan: SegmentPlan, entries: int,
     displacements, each taken in entry order from ``0.0`` and then scaled
     by ``scale``: the arithmetic of a CSR product with the weights, bit for
     bit (a sum that starts at its first entry equals the one from ``0.0``
-    once ``0.0`` is added, which makes only a ``-0.0`` ``0.0``)."""
+    once ``0.0`` is added, which makes only a ``-0.0`` ``0.0``).  The
+    long segments' further entries take one vector add per row of
+    ``rest``."""
     if plan.first is None:
         out = buf[:, :entries] + 0.0
     else:
         out = np.take(buf, plan.first, axis=1)
         if plan.rest is not None:
-            if plan.long is None:
-                out = _add_rest(out, buf, plan.rest)
-            else:
-                out[:, plan.long] = _add_rest(out[:, plan.long], buf,
-                                              plan.rest)
+            # with every segment long (``long`` None) the adds go in place
+            head = out if plan.long is None else out[:, plan.long]
+            for row in plan.rest:
+                head += np.take(buf, row, axis=1)
+            if plan.long is not None:
+                out[:, plan.long] = head
         out += 0.0
     out *= scale
     return out
-
-
-def _add_rest(head: np.ndarray, buf: np.ndarray,
-              rest: np.ndarray) -> np.ndarray:
-    """``head`` (k, r) plus, in order, ``buf``'s columns down ``rest``
-    (w, r): one vector add per row of ``rest`` up to ``_LOOP_WIDTH`` of
-    them (into ``head``), else one ``cumsum``, which also adds in order, of
-    the (k, 1 + w, r) block."""
-    if len(rest) > _LOOP_WIDTH:
-        block = np.concatenate((head[:, None], np.take(buf, rest, axis=1)),
-                               axis=1)
-        return np.cumsum(block, axis=1)[:, -1]
-    for row in rest:
-        head += np.take(buf, row, axis=1)
-    return head
 
 
 def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:

@@ -296,16 +296,16 @@ class TestOrderAgainstStableOracle:
              "921x2094", "6x3", "3x6", "k1"])
     def test_segment_length_regimes(self, n, m, k):
         # segments of one entry (identity), of 1-3 (near-square), of tens
-        # to hundreds (far ratios, past the loop width) and one side of
-        # single entries against pairs (6x3), with k = 1 to 5 columns
+        # to hundreds (far ratios) and one side of single entries against
+        # pairs (6x3), with k = 1 to 5 columns
         rng = np.random.default_rng(n * 7 + m)
         u = rng.normal(size=(n, k))
         v = rng.normal(size=(m, k)) + 0.3
         if {n, m} == {5, 1000}:
-            # segments of 200 entries: past the loop width, one cumsum
+            # every segment holds 200 entries: 198 past its pair
             c = quantile_coupling(n, m)
             plan = c.by_row if n < m else c.by_col
-            assert len(plan.rest) > ot_core._LOOP_WIDTH
+            assert plan.rest.shape == (198, 5) and plan.long is None
         self._check(u, v)
         gu, gv, values = w2_grad_columns(u, v, grad_v=False)
         want = w2_grad_columns_stable(u, v)
