@@ -292,7 +292,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         accountant_formula=privacy.ACCOUNTANT_FORMULA,
         class_sizes=class_sizes, batch_sizes=batch_sizes,
         model_meta=model.meta(),
-        final_theta=model.theta, config=_config_dict(cfg))
+        final_theta=model.theta, config=asdict(cfg))
 
     for t in range(cfg.steps):
         if sliced and cfg.resample_directions:
@@ -345,12 +345,6 @@ def _draw_directions(cfg: TrainConfig, dim: int,
     ss = np.random.SeedSequence(tags)
     return sample_directions(dim, cfg.num_projections,
                              int(ss.generate_state(1, np.uint64)[0]))
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    doc = asdict(cfg)
-    doc["epsilon"] = None if math.isinf(cfg.epsilon) else cfg.epsilon
-    return doc
 
 
 def _rate_ratio(positive: np.ndarray, mask0: np.ndarray,

@@ -18,10 +18,12 @@ distance read from the same sorted arrays.  Along the coupling's entries
 ``e`` the displacements ``D[e] = u_(rows[e]) - v_(cols[e])`` of the sorted
 samples give both: ``W2^2 = sum_e weights[e] D[e]^2``, and the gradient of
 sorted sample ``i`` is ``2 sum_{e: rows[e] = i} weights[e] D[e]`` (of
-``v_(j)``, minus the same sum over ``cols[e] = j``).  ``rows`` and ``cols``
-are nondecreasing, so each such sum runs over one contiguous segment of the
-entries: the weighted displacements are formed once, and each side sums
-its segments in entry order from ``0.0`` (see :class:`SegmentPlan`).
+``v_(j)``, minus the same sum over ``cols[e] = j``).  The weighted
+displacements are formed once, and each side's sums are one
+``np.bincount`` of them into the slots of its samples' input positions.
+``np.bincount`` adds its weights into a zeroed array in input order, so
+each sum runs in entry order from ``0.0``: a CSR product's arithmetic, bit
+for bit.
 
 At repeated values the gradient depends on which tied sample takes which
 rank; it uses the stable-sort permutation (tied samples keep their input
@@ -80,64 +82,17 @@ def _as_columns(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SegmentPlan:
-    """Where one side's gradient sums read the weighted displacements.
-
-    The gradient kernel lays the coupling's E weighted displacements ``P``
-    out as one (k, 2E) buffer ``[P | W | 0]``, ``W[e] = P[e] + P[e + 1]``
-    the sums of neighbouring entries and the last column zero.  Segment
-    ``i`` of the side (the entries of its sample ``i``, ``length`` of them
-    from ``start``) starts from buffer column ``first[i]``: ``start`` for
-    one entry, ``E + start`` (the pair) for more.  The r segments of three
-    or more entries, ``long`` (None when there are none or they are all
-    the segments), go on down the columns of ``rest`` (w, r; None when
-    r = 0): each further entry in order, padded with the zero column.
-    With ``first`` None each segment is the one entry of its index (a side
-    of n == E samples), and the buffer's first E columns are the sums.
-    """
-
-    first: np.ndarray | None
-    long: np.ndarray | None = None
-    rest: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class QuantileCoupling:
     """Sparse optimal coupling between uniform n-point and m-point measures.
 
     ``rows[e], cols[e], weights[e]`` enumerate the E nonzero entries of R
-    in increasing quantile order (0-based row/column indices).  ``by_row``
-    and ``by_col`` are the read-only :class:`SegmentPlan` of the segments
-    of the entries of each row of R and of each column.
+    in increasing quantile order (0-based row/column indices), as
+    read-only arrays.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    by_row: SegmentPlan
-    by_col: SegmentPlan
-
-
-def _segment_plan(segments: np.ndarray, size: int) -> SegmentPlan:
-    """The plan of the segments of the nondecreasing ``segments`` (E,),
-    which take every value in ``range(size)``."""
-    entries = segments.size
-    if size == entries:
-        return SegmentPlan(None)
-    length = np.bincount(segments, minlength=size)
-    start = np.cumsum(length) - length
-    first = np.where(length == 1, start, entries + start)
-    long = np.flatnonzero(length > 2)
-    rest = None
-    if long.size:
-        offsets = np.arange(2, length[long].max())[:, None]
-        rest = np.where(offsets < length[long], start[long] + offsets,
-                        2 * entries - 1)
-    plan = SegmentPlan(first, long if 0 < long.size < size else None, rest)
-    for arr in (first, plan.long, rest):
-        if arr is not None:
-            arr.setflags(write=False)
-    return plan
 
 
 @lru_cache(maxsize=1024)
@@ -164,9 +119,7 @@ def quantile_coupling(n: int, m: int) -> QuantileCoupling:
     cols = (edges + n - 1) // n - 1
     for arr in (rows, cols, weights):
         arr.setflags(write=False)
-    return QuantileCoupling(rows=rows, cols=cols, weights=weights,
-                            by_row=_segment_plan(rows, n),
-                            by_col=_segment_plan(cols, m))
+    return QuantileCoupling(rows=rows, cols=cols, weights=weights)
 
 
 def _as_row_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -292,48 +245,16 @@ def _repair_order(s: np.ndarray, least: np.ndarray, b: int,
     return key
 
 
-def _weighted_buffer(disp, weights) -> np.ndarray:
-    """The C-ordered (k, 2E) buffer ``[P | W | 0]`` of :class:`SegmentPlan`
-    from the (k, E) displacements, ``P = disp * weights``."""
-    k, entries = disp.shape
-    buf = np.empty((k, 2 * entries))
-    np.multiply(disp, weights, out=buf[:, :entries])
-    np.add(buf[:, :entries - 1], buf[:, 1:entries],
-           out=buf[:, entries:-1])
-    buf[:, -1] = 0.0
-    return buf
-
-
-def _segment_sums(buf: np.ndarray, plan: SegmentPlan, entries: int,
-                  scale: float) -> np.ndarray:
-    """(k, size) sums of the side's segments of ``buf``'s weighted
-    displacements, each taken in entry order from ``0.0`` and then scaled
-    by ``scale``: the arithmetic of a CSR product with the weights, bit for
-    bit (a sum that starts at its first entry equals the one from ``0.0``
-    once ``0.0`` is added, which makes only a ``-0.0`` ``0.0``).  The
-    long segments' further entries take one vector add per row of
-    ``rest``."""
-    if plan.first is None:
-        out = buf[:, :entries] + 0.0
-    else:
-        out = np.take(buf, plan.first, axis=1)
-        if plan.rest is not None:
-            # with every segment long (``long`` None) the adds go in place
-            head = out if plan.long is None else out[:, plan.long]
-            for row in plan.rest:
-                head += np.take(buf, row, axis=1)
-            if plan.long is not None:
-                out[:, plan.long] = head
-        out += 0.0
+def _sums(p: np.ndarray, flat: np.ndarray, segments: np.ndarray | None,
+          scale: float) -> np.ndarray:
+    """(n, k) view of the (k, n) array whose slot ``flat[r, i]`` holds
+    ``scale`` times the sum, in entry order from ``0.0``, of the weighted
+    displacements ``p`` (k, E) of row ``r`` over the entries ``e`` with
+    ``segments[e] == i`` (``segments`` None: ``e == i``, the identity
+    coupling)."""
+    index = flat if segments is None else np.take(flat, segments, axis=1)
+    out = np.bincount(index.ravel(), weights=p.ravel(), minlength=flat.size)
     out *= scale
-    return out
-
-
-def _unsort(sorted_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """(n, k) view of the (k, n) array that holds the C-ordered
-    ``sorted_rows`` (k, n) at the flat indices ``flat``."""
-    out = np.empty(flat.size)
-    out[flat] = sorted_rows
     return out.reshape(flat.shape).T
 
 
@@ -346,12 +267,13 @@ def w2_grad_columns(u, v, grad_v: bool = True
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
     come from one in-place sort of packed (value, index) int64 keys per
-    side (see :func:`_stable_sort_rows`).  Both sorted gradients are
-    segment sums of the weighted displacements along the coupling, formed
-    once for both sides (see :class:`SegmentPlan`).  With ``grad_v=False``
-    (``v`` a reference sample that nothing differentiates) ``grad_v`` is
-    None, ``v`` takes a value sort only, and ``grad_u`` and ``values`` are
-    the same bits.
+    side (see :func:`_stable_sort_rows`).  The weighted displacements
+    ``weights[e] * D[e]`` are formed once, C-ordered (k, E), and each
+    side's sorted sums land straight in its samples' input positions by
+    one ``np.bincount``, which adds them in entry order from ``0.0`` as a
+    CSR product does.  With ``grad_v=False`` (``v`` a reference sample
+    that nothing differentiates) ``grad_v`` is None, ``v`` takes a value
+    sort only, and ``grad_u`` and ``values`` are the same bits.
     """
     u, v = _as_row_pair(u, v)
     flat_u, us = _stable_sort_rows(u)
@@ -360,17 +282,11 @@ def w2_grad_columns(u, v, grad_v: bool = True
     values, disp = _coupled_w2_rows(us, vs, c)
 
     # grad wrt u_(i): 2 sum_j R[i, j] (u_(i) - v_(j)); wrt v_(j): minus
-    # twice the same sum over i; then unsort
-    entries = c.weights.size
-    if u.shape[1] == v.shape[1]:
-        # the identity coupling: every segment is one entry, the sum its P
-        disp *= c.weights
-        buf = disp
-    else:
-        buf = _weighted_buffer(disp, c.weights)
+    # twice the same sum over i
+    p = np.multiply(disp, c.weights, order="C")
     del disp    # freed before the sums allocate
-    gu = _unsort(_segment_sums(buf, c.by_row, entries, 2.0), flat_u)
+    identity = u.shape[1] == v.shape[1]
+    gu = _sums(p, flat_u, None if identity else c.rows, 2.0)
     if not grad_v:
         return gu, None, values
-    gv = _segment_sums(buf, c.by_col, entries, -2.0)
-    return gu, _unsort(gv, flat_v), values
+    return gu, _sums(p, flat_v, None if identity else c.cols, -2.0), values

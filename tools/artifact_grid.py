@@ -5,7 +5,8 @@ Usage::
     PYTHONPATH=<checkout>/src python tools/artifact_grid.py OUT
 
 OUT must be new or empty.  The script generates a small biased dataset
-(n = 600) in ``OUT/data``, then runs every configuration below through
+(n = 600) in ``OUT/data`` and a test set (n = 300) in ``OUT/test_data``,
+then runs every configuration below through
 ``dpswgrad.cli.main`` at 5 steps, with OUT as the working directory so that
 the manifests record relative paths.  It then replays every run's manifest
 into ``replay/<run>`` and exits with an error unless each replayed file is
@@ -15,13 +16,15 @@ run each checkout's ``src`` into its own directory and ``diff`` the two
 listings.  Manifests record the library version, so they differ whenever
 the version does.
 
-The grid (88 runs, each in its own directory, and their 88 replays):
+The grid (93 runs, each in its own directory, and their 93 replays):
 
-- ``generate``, ``calibrate-noise`` and ``counterexample``;
+- two ``generate`` runs, ``calibrate-noise`` and ``counterexample``;
 - each of the five ``train`` tasks at epsilon {1, inf} x alpha
   {0, 0.5, 1} x ``--resample-directions`` off/on;
 - ``--model-kind affine`` for regression and generation at every epsilon
   and alpha;
+- each of the four dataset tasks with ``--test-data``, so that every
+  task's test metrics are written;
 - a classification_eo and a generation ``--seeds`` sweep;
 - an autoencoder with a 3-D latent space, two clip/width variants of
   regression and autoencoder, and a generation run whose output and
@@ -67,6 +70,7 @@ def _task_args(task: str) -> list:
 def grid() -> list:
     """(run directory, CLI arguments) of every configuration, in run order."""
     runs = [("data", ["generate", "--n", "600", "--seed", "3"]),
+            ("test_data", ["generate", "--n", "300", "--seed", "4"]),
             ("calibrate", ["calibrate-noise", "--epsilon", "1", "--delta",
                            "3.3e-6", "--steps", "500", "--sampling-rate",
                            "0.2", "--sensitivity", "0.0044"]),
@@ -87,6 +91,10 @@ def grid() -> list:
                              ["train", *_task_args(task), *common,
                               "--epsilon", eps, "--alpha", alpha,
                               "--model-kind", "affine"]))
+    for task in TASKS[:-1]:
+        runs.append((f"{task}_test_data", [
+            "train", *_task_args(task), "--test-data", "test_data/data.csv",
+            *common, "--epsilon", "1", "--alpha", "0.5"]))
     for task, seeds in (("classification_eo", "0,1,2"), ("generation", "0,1")):
         runs.append((f"{task}_seeds", ["train", *_task_args(task), "--steps",
                                        "5", "--epsilon", "1", "--alpha",

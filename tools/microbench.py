@@ -9,13 +9,16 @@ Times ``ot_core.w2_grad_columns`` on the column blocks that the benchmark
 workloads sort, each given as the training step passes it: an (n, k) view
 of a C-contiguous (k, n) block; one more case gives the reg_sp blocks
 C-ordered, which the kernel copies into its (k, n) layout.  Each OT case
-alternates, call by call, with the same kernel whose segment sums are
-replaced by SciPy CSR products of the weighting matrices
-(``coupling_matrices`` in ``tests/oracles.py``) and whose gradients are
-transposed back as the CSR products leave them: the line below each
-case, ``csr product``, times that kernel, and its outputs must be the
-kernel's bits.  The two ``eo`` cases are the scalar (k = 1) class pairs
-of the ``cls_eo_paper`` batch.  Four more
+alternates, call by call, with the same kernel whose ``np.bincount``
+sums are replaced by SciPy CSR products of the weighting matrices
+(``coupling_matrices`` in ``tests/oracles.py``), transposed back as the
+CSR products leave them and then scattered to the samples' input
+positions: the line below each case, ``csr product``, times that kernel,
+and its outputs must be the kernel's bits.  The two ``eo`` cases are the
+scalar (k = 1) class pairs of the ``cls_eo_paper`` batch.  The two
+``far`` cases (5 x 1000 and 1 x 100000) are couplings whose every
+segment on the small side holds hundreds to 100000 entries, a group-size
+ratio that no benchmark workload has.  Four more
 cases at the gen_circle size time blocks of ties and near-ties:
 ``all_tied`` (every column repeats a few values), ``near_tied`` (every
 column holds distinct values 1 to 3 ulps apart, shuffled),
@@ -120,6 +123,8 @@ OT_CASES = (
     ("near_tied", 2000, 2000, 50, "near_tied", False, True),
     ("saturated", 2000, 2000, 50, "saturated", False, True),
     ("near_tied_signed", 2000, 2000, 50, "near_tied_signed", False, True),
+    ("far", 5, 1000, 2, "normal", False, True),
+    ("far", 1, 100000, 1, "normal", False, True),
 )
 
 
@@ -160,10 +165,10 @@ def _ot_inputs(n: int, m: int, k: int, values: str, c_ordered: bool,
 
 
 def _csr_kernel(u, v, grad_v: bool = True):
-    """``w2_grad_columns`` with each side's segment sums taken by one CSR
-    product of its weighting matrix with the (E, k) displacements, scaled
-    in place, and the (n, k) products transposed to the (k, n) layout
-    that the unsort scatters from."""
+    """``w2_grad_columns`` with each side's sums taken by one CSR product
+    of its weighting matrix with the (E, k) displacements, scaled in
+    place, and the (n, k) products transposed to the (k, n) layout and
+    scattered to the samples' flat input positions."""
     u, v = ot_core._as_row_pair(u, v)
     flat_u, us = ot_core._stable_sort_rows(u)
     flat_v, vs = (ot_core._stable_sort_rows(v) if grad_v
@@ -176,7 +181,9 @@ def _csr_kernel(u, v, grad_v: bool = True):
                              )[:2 if grad_v else 1]:
         g = mat @ disp.T
         g *= scale
-        grads.append(ot_core._unsort(np.ascontiguousarray(g.T), flat))
+        out = np.empty(flat.size)
+        out[flat] = np.ascontiguousarray(g.T)
+        grads.append(out.reshape(flat.shape).T)
     return grads[0], grads[1] if grad_v else None, values
 
 
