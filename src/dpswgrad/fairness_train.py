@@ -233,6 +233,9 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     else:
         if ds is None:
             raise ValueError(f"task {cfg.task!r} requires a dataset")
+        if ds_test is not None and ds_test.dim != ds.dim:
+            raise ValueError(f"the test data has {ds_test.dim} features, "
+                             f"the training data {ds.dim}")
         model = _task_model(cfg, ds.dim)
         if cfg.task == "regression_sp":
             targets, loss_kind = centered_targets(ds), "squared_error"

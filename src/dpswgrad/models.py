@@ -8,26 +8,26 @@ classifier, a two-layer regressor, and a two-layer encoder/decoder pair
 with a 2D latent space): its shape fields with their defaults, its layer
 list and the layers its penalty reads.  :func:`make_model` builds them all.
 
-One forward :class:`Trace` and one backward serve every architecture.  The
-backward pulls ``(n, k, d)`` cotangents back through the traced layers and
-keeps only each layer's ``(n, k, out)`` pre-activation cotangent: a
+One forward :class:`Trace` and one backward serve every kind.  The
+backward pulls one (n, d) cotangent per sample back through the traced
+layers and keeps only each layer's (n, out) pre-activation cotangent: a
 squared-error loss gradient is the backward of ``2 (out - y)``, and a bce
 loss gradient (for a model whose last layer is a scalar sigmoid) the
-backward of ``q - y`` from that layer's pre-activation.  The penalty's
-Jacobian rows, the backward of one-hot cotangents, take no backward at
-the top two layers, where each row's cotangent factors
-(:meth:`Trace.jacobian_rows`): ``c[i, j] e_j`` at the top, with ``c`` its
+backward of ``q - y`` from that layer's pre-activation.  The penalty reads
+at most two layers, so its Jacobian rows, the backward of one-hot
+cotangents, take no backward at all: each row's cotangent factors
+(:meth:`Trace.jacobian_rows`), ``c[i, j] e_j`` at the top, with ``c`` its
 derivative, and ``c[i, j] W[j] * ds[i]`` one layer down, so that their
-norms and sums are products of (n, d) and (n, out) arrays; a deeper stack
-continues densely from the second layer down.  :meth:`Model.trace` is the
-one forward pass, always of the whole stack; the penalty reads that trace
-cut at its layers (:meth:`Trace.penalty`), so a training step traces its
-batch once.  The forward pass adds each bias in place and takes each
-hidden sigmoid, ``1 / (1 + exp(-z))``, in its pre-activation's buffer.  A
-trace computes each sigmoid layer's derivative ``s (1 - s)`` once, at the
-first backward or Jacobian rows that need it, into a list that the cut
-shares; each backward multiplies it in place into the fresh arrays its
-matmuls return.  The per-sample gradients are never built.
+norms and sums are products of (n, d) and (n, out) arrays.
+:meth:`Model.trace` is the one forward pass, always of the whole stack;
+the penalty reads that trace cut at its layers (:meth:`Trace.penalty`), so
+a training step traces its batch once.  The forward pass adds each bias in
+place and takes each hidden sigmoid, ``1 / (1 + exp(-z))``, in its
+pre-activation's buffer.  A trace computes each sigmoid layer's derivative
+``s (1 - s)`` once, at the first backward or Jacobian rows that need it,
+into a list that the cut shares; the backward multiplies it in place into
+the loss cotangent and the fresh arrays its matmuls return.  The
+per-sample gradients are never built.
 :class:`LayerGrads` gives their row norms from the ghost-norm identity (a
 dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
 ||a||^2``) and, for any weights, each layer's sum ``G`` of the weighted
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("bce", "squared_error")
-
-ACTIVATIONS = ("sigmoid", "sigmoid_recentered", "linear")
 
 _MODEL_SCHEMA = "dpswgrad-model-v1"
 
@@ -101,20 +99,21 @@ def _check_binary(targets, n: int) -> np.ndarray:
 
 
 class Model:
-    """A stack of dense layers with exact per-sample gradients.
+    """A model of one of the kinds in ``_KINDS``: a stack of dense layers
+    with exact per-sample gradients.
 
-    ``layers`` lists ``(output_dim, activation)`` per layer.  The fairness
-    penalty reads the output of the first ``penalty_layers`` layers (all of
-    them when None).  Without ``theta`` the layers are initialized from
-    ``seed``.  A stack not built by :func:`make_model` is ``"abstract"``.
+    ``fields`` are the kind's shape fields, which give its layers and
+    which ``meta()`` records; the fairness penalty reads the output of the
+    kind's first ``penalty_layers`` layers (all of them when None).
+    Without ``theta`` the layers are initialized from ``seed``.
     """
 
-    kind: str = "abstract"
-    penalty_layers: int | None = None
-    _fields: dict = {}    # the kind's shape fields, recorded by meta()
-
-    def __init__(self, input_dim: int, layers, theta=None, seed=None):
+    def __init__(self, kind: str, input_dim: int, fields: dict, theta=None,
+                 seed=None):
+        _, layers, self.penalty_layers = _KINDS[kind]
+        self.kind, self._fields = kind, fields
         self.input_dim = int(input_dim)
+        layers = layers(self.input_dim, fields)
         self._dims = [self.input_dim] + [int(d) for d, _ in layers]
         if min(self._dims) < 1:
             raise ValueError("layer dimensions must be >= 1")
@@ -124,8 +123,6 @@ class Model:
         self._layers = []
         off = 0
         for d_in, d_out, (_, act) in zip(self._dims, self._dims[1:], layers):
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
             mid = off + d_out * d_in
             self._layers.append((off, mid, mid + d_out, (d_out, d_in), act))
             off = mid + d_out
@@ -246,36 +243,33 @@ class Trace:
         """Per-sample loss values and their gradients as
         :class:`LayerGrads`."""
         values, cot = self._loss(targets, loss_kind)
-        return values, self._backward(cot[:, None, :],
-                                      at_logit=loss_kind == "bce")
+        return values, self._backward(cot, at_logit=loss_kind == "bce")
 
     def jacobian_rows(self) -> "LayerGrads":
         """The (n, d) Jacobian rows of the traced output wrt theta, row
         (i, j) the gradient of output j at sample i, as
-        :class:`LayerGrads`.
+        :class:`LayerGrads`, for a trace of at most two layers (every
+        kind's penalty cut).
 
-        The cotangents of these one-hot rows factor at the top two layers:
-        ``c[i, j] e_j`` at the top, with ``c`` its derivative (1 for a
-        linear layer), and ``c[i, j] W[j] * ds[i]`` one layer down, with
-        ``W`` the top weight and ``ds`` the lower layer's derivative; both
-        are kept as these (n, d) and (n, out) factors.  A deeper stack
-        continues densely from the second layer down: the backward of the
-        (n, d, out) cotangents ``c[i, j] W[j]`` of its output.
+        The cotangents of these one-hot rows factor: ``c[i, j] e_j`` at
+        the top, with ``c`` its derivative (1 for a linear layer), and
+        ``c[i, j] W[j] * ds[i]`` one layer down, with ``W`` the top weight
+        and ``ds`` the lower layer's derivative; both are kept as these
+        (n, d) and (n, out) factors.
         """
         n, d = self.output.shape
         top = len(self.sigs) - 1
+        if top > 1:
+            raise ValueError("Jacobian rows of at most two layers")
         if top < 0:
             return LayerGrads(self, [], (n, d))
         c = self._deriv(top, n)
         blocks = [_TopRows(c)]
         if top:
             lo, mid, _, shape, _ = self.model._layers[top]
-            w = self.model.theta[lo:mid].reshape(shape)
-            if top == 1:
-                blocks.insert(0, _SecondRows(c, w, self._deriv(0, n)))
-            else:
-                blocks[:0] = self._backward(c[:, :, None] * w, False,
-                                            top - 1).blocks
+            blocks.insert(0, _SecondRows(
+                c, self.model.theta[lo:mid].reshape(shape),
+                self._deriv(0, n)))
         return LayerGrads(self, blocks, (n, d))
 
     def weighted_sum(self, sums) -> np.ndarray:
@@ -305,40 +299,32 @@ class Trace:
             self.derivs[i] = ds
         return self.derivs[i]
 
-    def _backward(self, cot, at_logit: bool,
-                  top: int | None = None) -> "LayerGrads":
-        """Per-sample gradients of ``<cot[i, j], output of layer top>`` wrt
-        theta (the last layer by default), as :class:`LayerGrads` of the
-        layers up to ``top``.
+    def _backward(self, cot, at_logit: bool) -> "LayerGrads":
+        """Per-sample gradients of ``<cot[i], output[i]>`` wrt theta, as
+        (n, 1) :class:`LayerGrads`.
 
-        ``cot`` holds k cotangents per sample, shape (n, k, out), or (1, k,
-        out) for the same k at every sample.  Only the (n, k, out)
-        cotangent of each layer's pre-activation is kept.  With
-        ``at_logit`` the cotangents are those of the last layer's
+        ``cot`` is a fresh (n, d) array, which the backward scales in
+        place; only the (n, out) cotangent of each layer's pre-activation
+        is kept.  With ``at_logit`` ``cot`` is that of the last layer's
         pre-activation, whose derivative is not applied.
         """
         last = len(self.sigs) - 1
-        top = last if top is None else top
-        n, k = self.acts[0].shape[0], cot.shape[1]
-        g = np.broadcast_to(cot, (n, k, cot.shape[2]))
-        cots = [None] * (top + 1)
-        for i in reversed(range(top + 1)):
+        g = cot
+        cots = [None] * (last + 1)
+        for i in reversed(range(last + 1)):
             lo, mid, _, shape, _ = self.model._layers[i]
             ds = None if at_logit and i == last else self._deriv(i)
             if ds is not None:
-                if i == top:
-                    g = g * ds[:, None, :]    # g still broadcasts ``cot``
-                else:
-                    g *= ds[:, None, :]    # g is the matmul's fresh array
+                g *= ds
             cots[i] = _Dense(g)
             if i:
-                w = self.model.theta[lo:mid].reshape(shape)
-                g = (g.reshape(-1, shape[0]) @ w).reshape(n, k, shape[1])
-        return LayerGrads(self, cots, (n, k))
+                g = g @ self.model.theta[lo:mid].reshape(shape)
+        return LayerGrads(self, cots, (g.shape[0], 1))
 
 
 class LayerGrads:
-    """The (n, k) per-sample gradients of a backward, never materialized.
+    """The (n, k) per-sample gradients of a loss backward (k = 1) or of
+    Jacobian rows (k = d), never materialized.
 
     Row (i, j) is, layer by layer, the outer product of the layer's
     pre-activation cotangent ``g[i, j]`` with its input ``a[i]``, then
@@ -404,8 +390,8 @@ class LayerGrads:
         """Each traced layer's (n, out) ``G[i] = sum_j weights[i, j]
         g[i, j]``, for :meth:`Trace.weighted_sum`.
 
-        With ``in_place`` a layer of dense rows with k = 1 is scaled in
-        the buffer the backward made for it, so no second array of its
+        With ``in_place`` a layer of dense rows is scaled in the buffer
+        the backward made for it, so no second array of its
         size is held; that spends these gradients, which must not be read
         again.
         """
@@ -413,23 +399,20 @@ class LayerGrads:
 
 
 class _Dense:
-    """A layer's rows ``g[i, j]`` held as one (n, k, out) array."""
+    """A layer's rows ``g[i]`` of a backward's one cotangent per sample,
+    held as one (n, out) array."""
 
     def __init__(self, g: np.ndarray):
         self.g = g
 
     def sq(self) -> np.ndarray:
-        return np.einsum("nko,nko->nk", self.g, self.g)
+        return np.einsum("no,no->n", self.g, self.g)[:, None]
 
     def rows(self, i, j) -> np.ndarray:
-        return self.g[i, j]
+        return self.g[i]
 
     def sums(self, weights, in_place: bool) -> np.ndarray:
-        if in_place and self.g.shape[1] == 1 and self.g.flags.writeable:
-            g = self.g[:, 0, :]
-            g *= weights
-            return g
-        return np.einsum("nk,nko->no", weights, self.g)
+        return np.multiply(self.g, weights, out=self.g if in_place else None)
 
 
 class _TopRows:
@@ -541,31 +524,20 @@ def make_model(kind: str, input_dim: int, *, seed: int | None = None,
     if kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of "
                          f"{tuple(_KINDS)}")
-    defaults, layers, penalty_layers = _KINDS[kind]
     given = {"hidden_dim": hidden_dim, "output_dim": output_dim,
              "latent_dim": latent_dim, "output_activation": output_activation}
     fields = {name: type(default)(default if given.get(name) is None
                                   else given[name])
-              for name, default in defaults.items()}
+              for name, default in _KINDS[kind][0].items()}
     act = fields.get("output_activation", "linear")
     if act not in ("sigmoid_recentered", "linear"):
         raise ValueError(f"unknown output activation {act!r}")
-    model = Model(input_dim, layers(int(input_dim), fields), theta, seed)
-    model.kind, model.penalty_layers, model._fields = \
-        kind, penalty_layers, fields
-    return model
+    return Model(kind, input_dim, fields, theta, seed)
 
 
 def save_model(model: Model, path) -> None:
-    """Persist a model as JSON: kind, shape metadata, flat parameter vector.
-
-    Only a model of one of the kinds of :func:`make_model` can be loaded
-    again; any other raises ValueError and writes nothing.
-    """
-    if model.kind not in _KINDS:
-        raise ValueError(f"cannot save a model of kind {model.kind!r}: "
-                         f"load_model rebuilds only the kinds "
-                         f"{tuple(_KINDS)}")
+    """Persist a model as JSON: kind, shape metadata, flat parameter
+    vector."""
     doc = {"schema": _MODEL_SCHEMA, **model.meta(),
            "theta": [float(t) for t in model.theta]}
     write_json(path, doc)

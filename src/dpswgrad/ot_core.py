@@ -34,11 +34,11 @@ keys orders every column, exact ties in index order.  Where the block's
 integers spread too widely to keep them whole beside the index, the key
 drops their low bits; distinct values that close (a few ulps apart) then
 come back out of order, and only their columns are sorted again, by a
-second packed sort or, beyond ``2**20`` samples, by a stable argsort.  Only
-a side whose gradient is returned needs the permutation: the distance
-alone, and a side whose gradient is not asked for (a parameter-free
-reference sample), take a plain ``np.sort``, whose sorted values are the
-same bits whatever the order of ties.
+stable argsort of their values.  Only a side whose gradient is returned
+needs the permutation: the distance alone, and a side whose gradient is
+not asked for (a parameter-free reference sample), take a plain
+``np.sort``, whose sorted values are the same bits whatever the order of
+ties.
 
 The column functions take (n, k) blocks, one sample per column (a 1-D
 array is one column), but work in the row layout: on the C-contiguous
@@ -181,11 +181,12 @@ def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``b = (n - 1).bit_length()`` bits orders all rows.  The key holds the
     integer less its row's least without its low ``drop`` bits, only as
     many as the widest row's span needs to fit beside the index in 63
-    bits: none for rows of near-equal values, whose sort is then exact.  Where the values come
-    back nondecreasing, the row holds the stable-sort permutation: equal
-    values have equal keys and so sort by index.  A row that does not
-    holds distinct values closer than the dropped bits; it is put in order
-    by :func:`_repair_order`.
+    bits: none for rows of near-equal values, whose sort is then exact.
+    Where the values come back nondecreasing, the row holds the stable-sort
+    permutation: equal values have equal keys and so sort by index.  A row
+    that does not holds distinct values closer than the dropped bits, each
+    run of equal truncated keys in index order; a stable argsort of its
+    values, which keeps equal values in that order, puts it in order.
     """
     k, n = a.shape
     b = (n - 1).bit_length()
@@ -208,41 +209,11 @@ def _stable_sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if descents.any():
         bad = np.flatnonzero(descents.any(axis=1))
         sb = s[bad]
-        order = _repair_order(sb, least[bad], b, drop)
+        order = np.argsort(sb, axis=1, kind="stable")
         order += np.arange(0, bad.size * n, n)[:, None]
         flat[bad] = np.take(flat[bad], order)
         s[bad] = np.take(sb, order)
     return flat, s
-
-
-def _repair_order(s: np.ndarray, least: np.ndarray, b: int,
-                  drop: int) -> np.ndarray:
-    """Positions that stably sort each row of ``s`` (r, n), a row ordered
-    by (its integers less ``least`` without their low ``drop`` bits,
-    sample index), as :func:`_stable_sort_rows` leaves it.
-
-    In such a row each run of equal truncated keys holds its samples in
-    index order, so ordering by position breaks ties as the index does.
-    One in-place sort of (run number, dropped bits, position), packed in an
-    int64 while ``2b + drop <= 63``, sorts each run by value, then
-    position, and moves nothing across runs; a stable argsort of the
-    values does the same for longer rows (n > 2**20).
-    """
-    if 2 * b + drop > 63:
-        return np.argsort(s, axis=1, kind="stable")
-    key = _ordered_ints(s)
-    key -= least
-    high = key.view(np.uint64) >> drop
-    run = np.zeros_like(key)
-    np.cumsum(high[:, 1:] != high[:, :-1], axis=1, out=run[:, 1:])
-    run <<= drop
-    key &= (1 << drop) - 1
-    key |= run
-    key <<= b
-    key |= np.arange(s.shape[1])
-    key.sort(axis=1)
-    key &= (1 << b) - 1
-    return key
 
 
 def _sums(p: np.ndarray, flat: np.ndarray, segments: np.ndarray | None,

@@ -304,7 +304,8 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
 
     Inverts the accountant: first the GDP parameter mu* matching the target
     curve, then the noise multiplier nu with composed mu equal to mu*
-    (monotone bisection); sigma = nu * sensitivity.
+    (monotone bisection); sigma = nu * sensitivity.  A subnormal sigma, whose
+    sigma / sensitivity misses nu by more than the nudge below, raises.
     """
     if not math.isfinite(target.epsilon) or target.epsilon <= 0:
         raise ValueError("target epsilon must be finite and > 0")
@@ -330,34 +331,38 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
                       maxiter=200)
 
     if sampling_rate == 1.0:
-        # nudge to the noisy side so the spent budget never exceeds the target
-        return math.sqrt(steps) / mu_star * sensitivity * (1.0 + 1e-9)
+        nu_hi = math.sqrt(steps) / mu_star
+    else:
+        # composed mu is strictly decreasing in nu; bisect, keeping the
+        # upper (more noise, mu <= mu*) end so the achieved epsilon stays
+        # at or below the target
+        def mu_at(nu: float) -> float:
+            return total_gdp_mu(nu, sampling_rate, steps)
 
-    # composed mu is strictly decreasing in nu; bisect, keeping the upper
-    # (more noise, mu <= mu*) end so the achieved epsilon stays at or below
-    # the target
-    def mu_at(nu: float) -> float:
-        return total_gdp_mu(nu, sampling_rate, steps)
-
-    nu_lo = 1.0
-    while mu_at(nu_lo) < mu_star:
-        nu_lo /= 2.0
-        if nu_lo < 1e-12:
-            raise PrivacySaturationError(
-                "cannot bracket the noise multiplier from below")
-    nu_hi = max(1.0, nu_lo)
-    while mu_at(nu_hi) > mu_star:
-        nu_hi *= 2.0
-        if nu_hi > 1e15:
-            raise PrivacySaturationError(
-                "cannot bracket the noise multiplier from above")
-    for _ in range(100):
-        mid = 0.5 * (nu_lo + nu_hi)
-        if mu_at(mid) > mu_star:
-            nu_lo = mid
-        else:
-            nu_hi = mid
-    return nu_hi * sensitivity * (1.0 + 1e-9)
+        nu_lo = 1.0
+        while mu_at(nu_lo) < mu_star:
+            nu_lo /= 2.0
+            if nu_lo < 1e-12:
+                raise PrivacySaturationError(
+                    "cannot bracket the noise multiplier from below")
+        nu_hi = max(1.0, nu_lo)
+        while mu_at(nu_hi) > mu_star:
+            nu_hi *= 2.0
+            if nu_hi > 1e15:
+                raise PrivacySaturationError(
+                    "cannot bracket the noise multiplier from above")
+        for _ in range(100):
+            mid = 0.5 * (nu_lo + nu_hi)
+            if mu_at(mid) > mu_star:
+                nu_lo = mid
+            else:
+                nu_hi = mid
+    # nudge to the noisy side so the spent budget never exceeds the target
+    sigma = nu_hi * sensitivity * (1.0 + 1e-9)
+    if sigma < np.finfo(np.float64).tiny:
+        raise PrivacySaturationError(f"noise scale {sigma!r} is below the "
+                                     f"normal float range")
+    return sigma
 
 
 def conservative_epsilon(noise_multiplier: float, sampling_rate: float,

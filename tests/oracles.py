@@ -20,9 +20,7 @@ the bce gradient is the affine sigmoid model's closed form, and the
 penalty's Jacobians are those of a standalone model of the layers it
 reads.  The finite-difference tests check them; they in turn check the
 row norms and per-layer sums of :class:`dpswgrad.models.LayerGrads`, the
-penalty's factored Jacobian rows included.  :func:`ghost_backward` gives
-the library's dense rows of any cotangents, which the factored rows must
-match.
+penalty's factored Jacobian rows included.
 The single-sample model helpers only slice these batch functions, so
 per-sample checks read like the math.  :func:`stacked_pairs` writes
 penalty pairs of input arrays in the objective's one-batch form.
@@ -44,7 +42,7 @@ from scipy.optimize import brentq  # noqa: F401  (re-exported oracle)
 from scipy.special import erf, log_ndtr  # noqa: F401  (re-exported oracles)
 
 from dpswgrad.dp_gradient import clip_rows
-from dpswgrad.models import Model
+from dpswgrad.models import make_model
 from dpswgrad.ot_core import quantile_coupling
 
 
@@ -213,16 +211,6 @@ def dense_backward(trace, cot) -> np.ndarray:
     return grads
 
 
-def ghost_backward(trace, cot):
-    """The library's dense ghost rows of any cotangents: per-sample
-    gradients of ``<cot[i, j], traced output[i]>`` as
-    :class:`dpswgrad.models.LayerGrads` of (n, k, out) cotangents per
-    layer, ``cot`` of shape (n, k, d) or (1, k, d).  Of one-hot cotangents
-    these are the rows that the penalty keeps factored
-    (:meth:`dpswgrad.models.Trace.jacobian_rows`)."""
-    return trace._backward(cot, at_logit=False)
-
-
 def _one_hot_backward(trace) -> np.ndarray:
     return dense_backward(trace, np.eye(trace.output.shape[1])[None])
 
@@ -236,13 +224,15 @@ def penalty_model(model):
     """A standalone model of the layers the penalty reads, on the prefix
     of ``model.theta`` they use (a view of it), or ``model`` itself when
     the penalty reads every layer: the reference for the penalty cut of a
-    whole-stack trace."""
+    whole-stack trace.  The one kind whose penalty reads fewer, the
+    autoencoder, reads its encoder: a sigmoid hidden layer under a linear
+    one, an ``mlp2`` with a linear output."""
     depth = model.penalty_layers
     if depth is None:
         return model
-    layers = [(shape[0], act) for *_, shape, act in model._layers[:depth]]
-    return Model(model.input_dim, layers,
-                 theta=model.theta[:model._layers[depth - 1][2]])
+    return make_model("mlp2", model.input_dim, hidden_dim=model._dims[1],
+                      output_dim=model.penalty_dim, output_activation="linear",
+                      theta=model.theta[:model._layers[depth - 1][2]])
 
 
 def penalty_jacobian_batch(model, x) -> np.ndarray:

@@ -235,6 +235,37 @@ class TestTrain:
             "error: train: diverged at step ")
         assert not out.exists()
 
+    def test_test_data_dimension_checked_before_training(
+            self, dataset_dir, tmp_path, capsys):
+        # a 6-feature test set against 16-feature data is rejected before
+        # the first of a million steps
+        narrow = tmp_path / "narrow"
+        assert _run("generate", "--n", "100", "--core-dim", "2",
+                    "--sp-dim", "4", "--out", str(narrow)) == 0
+        capsys.readouterr()
+        out = tmp_path / "t"
+        assert _run("train", "--task", "classification_sp",
+                    "--data", str(dataset_dir / "data.csv"),
+                    "--test-data", str(narrow / "data.csv"),
+                    "--steps", "1000000", "--epsilon", "1",
+                    "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: train: the test data has 6 features, the training "
+            "data 16\n")
+        assert not out.exists()
+
+    def test_subnormal_noise_scale_exits_before_training(self, tmp_path,
+                                                         capsys):
+        # clips of 1e-158 give a sensitivity near 3e-317, whose noise scale
+        # lies below the normal float range
+        out = tmp_path / "t"
+        assert _run("train", "--task", "generation", "--gen-samples", "200",
+                    "--steps", "1000000", "--epsilon", "1",
+                    "--clip-m", "1e-158", "--clip-l", "1e-158",
+                    "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: noise scale ")
+        assert not out.exists()
+
 
 class TestAllocatorPolicy:
     """``cli._keep_freed_memory`` tunes glibc's malloc where it can and is
@@ -291,6 +322,17 @@ class TestOtherCommands:
         assert _run("calibrate-noise", "--epsilon", "1", "--delta", "1e-5",
                     "--steps", "10", "--sampling-rate", "0.5",
                     "--sensitivity", "0", "--out", str(tmp_path / "x")) == 1
+
+    def test_calibrate_subnormal_noise_scale_rejected(self, tmp_path,
+                                                      capsys):
+        # sigma 6.3e-320 would give back a noise multiplier that spends
+        # epsilon 1.0000357 of a budget of 1
+        out = tmp_path / "x"
+        assert _run("calibrate-noise", "--epsilon", "1", "--delta", "1e-5",
+                    "--steps", "10", "--sampling-rate", "0.5",
+                    "--sensitivity", "1e-320", "--out", str(out)) == 1
+        assert "below the normal float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_counterexample_table(self, tmp_path, capsys):
         out = tmp_path / "ce"

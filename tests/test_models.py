@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from dpswgrad.models import (Model, _sigmoid, load_model, make_model,
+from dpswgrad.models import (_KINDS, _sigmoid, load_model, make_model,
                              model_from_meta, save_model)
 
 from oracles import (bit_equal, central_diff, central_diff_jacobian, forward,
@@ -194,9 +194,7 @@ class TestMlp2:
     make_model("mlp2", 2, hidden_dim=3, output_dim=1,
                output_activation="linear", seed=0),
     make_model("autoencoder", 2, hidden_dim=3, latent_dim=1, seed=0),
-    Model(2, [(2, "sigmoid")], seed=0),
-], ids=["identity", "affine", "mlp2", "mlp2_linear", "autoencoder",
-        "two_sigmoid_outputs"])
+], ids=["identity", "affine", "mlp2", "mlp2_linear", "autoencoder"])
 def test_bce_needs_a_scalar_sigmoid_model(model):
     x, y = np.zeros((2, model.input_dim)), np.array([0.0, 1.0])
     trace = model.trace(x)
@@ -204,6 +202,20 @@ def test_bce_needs_a_scalar_sigmoid_model(model):
         with pytest.raises(ValueError, match="bce loss requires a "
                            "probability-valued scalar model"):
             loss(y, "bce")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_penalty_reads_at_most_two_layers(kind):
+    # Trace.jacobian_rows factors the rows of at most two layers, every
+    # kind's penalty cut, and refuses a deeper trace
+    model = make_model(kind, 3, seed=0)
+    trace = model.trace(np.zeros((2, 3)))
+    assert len(trace.penalty().sigs) <= 2
+    assert trace.penalty().jacobian_rows().shape == (2, model.penalty_dim)
+    if len(trace.sigs) > 2:
+        with pytest.raises(ValueError, match="^Jacobian rows of at most "
+                                             "two layers$"):
+            trace.jacobian_rows()
 
 
 class TestAutoencoder:
@@ -270,7 +282,6 @@ class TestFactoryAndCheckpoint:
         (lambda: make_model("transformer", 4, seed=0),
          r"^unknown model kind 'transformer'; expected one of \('identity', "
          r"'affine', 'affine_sigmoid', 'mlp2', 'autoencoder'\)$"),
-        (lambda: Model(2, [(2, "tanh")]), r"^unknown activation 'tanh'$"),
         (lambda: make_model("mlp2", 3, hidden_dim=0, seed=0),
          r"^layer dimensions must be >= 1$"),
         (lambda: make_model("mlp2", 3, hidden_dim=4, theta=np.zeros(25)),
@@ -278,7 +289,7 @@ class TestFactoryAndCheckpoint:
         (lambda: make_model("affine", 3), r"^a seed is required"),
         (lambda: make_model("mlp2", 3, output_activation="sigmoid", seed=0),
          r"^unknown output activation 'sigmoid'$"),
-    ], ids=["kind", "activation", "width", "theta_size", "no_seed",
+    ], ids=["kind", "width", "theta_size", "no_seed",
             "output_activation"])
     def test_construction_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -323,14 +334,6 @@ class TestFactoryAndCheckpoint:
         for cut in (lambda t: t, lambda t: t.penalty()):
             np.testing.assert_array_equal(cut(rebuilt.trace(x)).output,
                                           cut(m.trace(x)).output)
-
-    def test_abstract_stack_is_not_saved(self, tmp_path):
-        path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match=r"^cannot save a model of kind "
-                                             r"'abstract': load_model"):
-            save_model(Model(2, [(2, "sigmoid")], seed=0), path)
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
 
     def test_sigmoid_outputs_in_unit_interval(self):
         m = make_model("affine_sigmoid", 4, seed=1)

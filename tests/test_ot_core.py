@@ -23,15 +23,21 @@ def _ulp_spaced(rng, start: float, size: int) -> np.ndarray:
 
 @pytest.fixture
 def repaired_rows(monkeypatch):
-    """The number of rows of every block the kernel sorts a second time."""
+    """The number of rows of every block the kernel sorts a second time:
+    the stable argsorts that ``ot_core`` takes, counted through its one
+    name for NumPy."""
     rows = []
-    repair = ot_core._repair_order
 
-    def spy(s, *args):
-        rows.append(s.shape[0])
-        return repair(s, *args)
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(ot_core, "_repair_order", spy)
+        @staticmethod
+        def argsort(s, *args, **kwargs):
+            rows.append(s.shape[0])
+            return np.argsort(s, *args, **kwargs)
+
+    monkeypatch.setattr(ot_core, "np", Spy())
     return rows
 
 
@@ -399,9 +405,8 @@ class TestOrderAgainstStableOracle:
 
     def test_long_row_takes_stable_argsort(self):
         # at n = 2**21 + 1 a row of normal draws drops 23 low bits beside
-        # 22 index bits, and a packed repair key would need its run number
-        # in more than the 18 bits left, so the row's ulp-neighbour pairs
-        # and exact ties are stably argsorted
+        # 22 index bits, so its ulp-neighbour pairs come back out of order
+        # and the row, exact ties included, is stably argsorted
         rng = np.random.default_rng(32)
         n = 2 ** 21 + 1
         row = rng.normal(size=n)

@@ -228,6 +228,22 @@ class TestCalibration:
             achieved = state.epsilon_spent(delta)
             assert achieved == pytest.approx(eps, rel=1e-4)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("sens", [1e-300, 1e-310, 1e-320])
+    def test_tiny_sensitivity_raises_or_meets_the_target(self, sens, p):
+        # a subnormal sigma no longer gives the noise multiplier back
+        # within the 1e-9 nudge, so it is refused; a normal one meets the
+        # target
+        try:
+            sigma = calibrate_noise(PrivacyBudget(1.0, 1e-5), 10, p, sens)
+        except PrivacySaturationError as exc:
+            assert "below the normal float range" in str(exc)
+            assert sens < 1e-300
+            return
+        achieved = AccountantState(sigma / sens, p, steps=10,
+                                   target_delta=1e-5).epsilon_spent()
+        assert achieved <= 1.0
+
     def test_sigma_linear_in_sensitivity(self):
         target = PrivacyBudget(1.0, 1e-5)
         s1 = calibrate_noise(target, 100, 0.2, 1.0)

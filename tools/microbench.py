@@ -29,9 +29,9 @@ probability 1/2).  ``near_tied`` and ``saturated`` span so few integers
 per column that the kernel's first sort keeps every bit; ``all_tied``
 spans more, so its first sort drops low bits, but it holds only exact
 ties, which need no second sort; ``near_tied_signed`` spans as much and
-holds near-ties, so every row takes the second, repair sort.  No
-benchmark workload reaches that repair, so this case is its timed
-evidence.  ``gen_circle one-sided`` times the gen_circle blocks with
+holds near-ties, so every row takes the repair: a stable argsort of its
+values.  No benchmark workload reaches that repair, so this case is its
+timed evidence.  ``gen_circle one-sided`` times the gen_circle blocks with
 ``grad_v=False``, as the generation step sorts them: the reference side
 takes a value sort only, and no gradient comes back for it.  Then it
 times one ``dp_gradient.penalized_objective`` call in each of five
