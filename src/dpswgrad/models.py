@@ -39,9 +39,15 @@ there is no autodiff framework.
 Parameters live in a single flat float64 vector ``model.theta`` laid out
 layer by layer (weights row-major, then bias).  ``forward_batch`` and the
 :class:`Trace` methods return per-sample quantities stacked on the leading
-axis.  Each model's ``meta()`` is the one record of the shape metadata that
-rebuilds it from a flat theta; training records and checkpoints both store
-it.
+axis.  ``forward_batch``, a pass kept only for its outputs, traces
+blocks of ``_BLOCK_ROWS`` = B rows from row 0, so that it holds one
+block's hidden layers at a time; the last block takes the remainder, so
+every block has B to 2B - 1 rows and fewer than 2B rows are one trace.  A
+short last block could take another BLAS kernel than the whole batch (a
+2-row gemv tail, say) and round differently; with the remainder folded
+in, the tests find the bits of one trace of the whole batch.  Each
+model's ``meta()`` is the one record of the shape metadata that rebuilds
+it from a flat theta; training records and checkpoints both store it.
 """
 
 from __future__ import annotations
@@ -152,7 +158,10 @@ class Model:
 
     def trace(self, x) -> "Trace":
         """Forward pass of the whole stack, kept for its backward."""
-        acts = [_as_batch(x, self.input_dim)]
+        return self._trace(_as_batch(x, self.input_dim))
+
+    def _trace(self, x: np.ndarray) -> "Trace":
+        acts = [x]
         sigs = []
         z = None
         last = len(self._layers) - 1
@@ -168,8 +177,22 @@ class Model:
                         s - 0.5 if act == "sigmoid_recentered" else s)
         return Trace(self, acts, sigs, z, [None] * len(sigs))
 
-    def forward_batch(self, x) -> np.ndarray:
-        return self.trace(x).output
+    def forward_batch(self, x, penalty: bool = False) -> np.ndarray:
+        """The (n, d) outputs of the whole stack at the rows of ``x``, or
+        with ``penalty`` those of the layers the penalty reads, traced in
+        the row blocks of :func:`_row_blocks`."""
+        x = _as_batch(x, self.input_dim)
+        blocks = _row_blocks(x.shape[0])
+        out = None
+        for block in blocks:
+            tr = self._trace(x[block])
+            y = tr.penalty().output if penalty else tr.output
+            if len(blocks) == 1:
+                return y
+            if out is None:
+                out = np.empty((x.shape[0], y.shape[1]))
+            out[block] = y
+        return out
 
 
 class Trace:
@@ -457,6 +480,17 @@ class _SecondRows:
         g = (weights * self.c) @ self.w
         g *= self.ds
         return g
+
+
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of ``_BLOCK_ROWS`` rows from row 0, the last one taking the
+    remainder (see the module docstring)."""
+    k = max(n // _BLOCK_ROWS, 1)
+    return [slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS if i < k - 1 else n)
+            for i in range(k)]
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -305,7 +305,8 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
     Inverts the accountant: first the GDP parameter mu* matching the target
     curve, then the noise multiplier nu with composed mu equal to mu*
     (monotone bisection); sigma = nu * sensitivity.  A subnormal sigma, whose
-    sigma / sensitivity misses nu by more than the nudge below, raises.
+    sigma / sensitivity misses nu by more than the nudge below, raises, and
+    so does one that overflows the float range.
     """
     if not math.isfinite(target.epsilon) or target.epsilon <= 0:
         raise ValueError("target epsilon must be finite and > 0")
@@ -362,6 +363,10 @@ def calibrate_noise(target: PrivacyBudget, steps: int, sampling_rate: float,
     if sigma < np.finfo(np.float64).tiny:
         raise PrivacySaturationError(f"noise scale {sigma!r} is below the "
                                      f"normal float range")
+    if sigma == math.inf:
+        raise PrivacySaturationError(
+            f"noise scale overflows the float range: noise multiplier "
+            f"{nu_hi!r} times sensitivity {sensitivity!r}")
     return sigma
 
 

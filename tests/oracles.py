@@ -30,7 +30,10 @@ root finder, which must return its bits, and ``scipy.special``'s ``erf``
 and ``log_ndtr`` the reference for its special functions; this is the only
 module that imports SciPy, which the library does not use.
 :func:`matches_csv_rows` checks the dataset loader against the reference
-parse: ``csv.reader`` rows converted by ``np.asarray``.
+parse: ``csv.reader`` rows converted by ``np.asarray``, and
+:func:`write_csv_rows` the CLI's table writer against ``csv.writer``
+writing one row at a time (:func:`write_outputs_by_group` the
+``outputs_by_group.csv`` of per-row group labels).
 """
 
 import csv
@@ -148,6 +151,26 @@ def matches_csv_rows(ds, path) -> bool:
     return (bit_equal(ds.x, rows[:, :d]) and bit_equal(ds.yc, rows[:, d + 2:])
             and bit_equal(ds.a, rows[:, d].astype(np.int64))
             and bit_equal(ds.y, rows[:, d + 1].astype(np.int64)))
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A CSV table written row by row with ``csv.writer``: each row's str
+    fields as they are and its floats with 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else f"{v:.17g}"
+                             for v in row])
+
+
+def write_outputs_by_group(path, labels, values) -> None:
+    """``outputs_by_group.csv``: one row per row of ``values`` (r, k), led
+    by its group label ``labels[i]``."""
+    write_csv_rows(path, ["group"] + [f"v{i + 1}"
+                                      for i in range(values.shape[1])],
+                   ([label, *row] for label, row in zip(labels,
+                                                        values.tolist())))
 
 
 def bit_equal(a, b) -> bool:

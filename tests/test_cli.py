@@ -5,14 +5,19 @@ import json
 import math
 import tomllib
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import dpswgrad
 from dpswgrad import cli
 from dpswgrad.cli import main
 from dpswgrad.data import load_dataset
-from dpswgrad.models import Model
+from dpswgrad.fairness_train import TASKS, generation_samples
+from dpswgrad.models import _BLOCK_ROWS, Model, load_model
+
+import oracles
 
 
 def _files_equal(a: Path, b: Path) -> bool:
@@ -78,6 +83,12 @@ class TestTrain:
                            "epsilon_spent"]
         assert len(rows) == 5
         assert rows[1][0] == "1" and rows[-1][0] == "4"
+        rec = json.loads((out / "train_record.json").read_text())
+        oracles.write_csv_rows(tmp_path / "want.csv", rows[0], (
+            [str(t + 1), rec["erm_losses"][t], rec["w_losses"][t],
+             rec["total_losses"][t], math.inf]
+            for t in range(4)))
+        assert _files_equal(out / "metrics.csv", tmp_path / "want.csv")
         assert float(rows[1][4]) == math.inf
 
     def test_seed_sweep_subdirectories(self, dataset_dir, tmp_path):
@@ -266,6 +277,80 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: noise scale ")
         assert not out.exists()
 
+    def test_overflowing_noise_scale_exits_before_training(self, tmp_path,
+                                                           capsys):
+        # clips of 1e153 and 5e153 give a sensitivity of 1.5e306, whose
+        # noise scale at this many steps lies past the float range
+        out = tmp_path / "t"
+        assert _run("train", "--task", "generation", "--gen-samples", "200",
+                    "--steps", "1000000", "--epsilon", "1",
+                    "--clip-m", "1e153", "--clip-l", "5e153",
+                    "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: noise scale overflows the float range: ")
+        assert not out.exists()
+
+
+class TestOutputsByGroup:
+    """``outputs_by_group.csv`` holds the bytes that ``csv.writer`` writes
+    row by row from per-row group labels and one trace of all the rows
+    (``oracles.write_outputs_by_group``)."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_writer_bytes(self, tmp_path, k):
+        # more rows than two write blocks, the EO labels that csv quotes,
+        # signed zeros, a subnormal and the ends of the float range
+        n = 2 * cli._WRITE_ROWS + 5
+        rng = np.random.default_rng(k)
+        values = rng.normal(size=(n, k))
+        values[:7, 0] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+        values[-2:, -1] = [-0.0, 1e300]
+        a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        names = [f'"a={i},y={j}"' for i in (0, 1) for j in (0, 1)]
+        assert cli._write_outputs_by_group(tmp_path, names, 2 * a + y,
+                                           values) == "outputs_by_group.csv"
+        oracles.write_outputs_by_group(
+            tmp_path / "want.csv", [f"a={i},y={j}" for i, j in zip(a, y)],
+            values)
+        got = (tmp_path / "outputs_by_group.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == n + 1
+        for text in (b'\r\n"a=', b",-0", b",1e-300", b",-1e-300",
+                     b",1.0000000000000001e+300", b",4.9406564584124654e-324"):
+            assert text in got
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_train_output_bytes(self, tmp_path, task):
+        # classification_eo runs on more rows than two blocks of
+        # forward_batch, so its outputs cross block boundaries
+        out = tmp_path / "t"
+        argv = ["train", "--task", task, "--steps", "2", "--epsilon", "1",
+                "--alpha", "0.5", "--out", str(out)]
+        if task == "generation":
+            argv += ["--gen-samples", "150"]
+        else:
+            n = 2 * _BLOCK_ROWS + 5 if task == "classification_eo" else 300
+            assert _run("generate", "--n", str(n), "--seed", "5",
+                        "--out", str(tmp_path / "gen")) == 0
+            argv += ["--data", str(tmp_path / "gen" / "data.csv")]
+        assert _run(*argv) == 0
+        model = load_model(out / "model.json")
+        if task == "generation":
+            x, z = generation_samples(SimpleNamespace(
+                seed=0, gen_samples=150, gen_radius=0.75))
+            labels = ["model"] * len(x) + ["reference"] * len(z)
+            values = np.vstack([model.trace(x).output, z])
+        else:
+            ds = load_dataset(tmp_path / "gen" / "data.csv",
+                              tmp_path / "gen" / "data.json")
+            values = model.trace(ds.x).penalty().output
+            labels = ([f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
+                      if task == "classification_eo"
+                      else [f"a={a}" for a in ds.a])
+        oracles.write_outputs_by_group(tmp_path / "want.csv", labels, values)
+        assert _files_equal(out / "outputs_by_group.csv",
+                            tmp_path / "want.csv")
+
 
 class TestAllocatorPolicy:
     """``cli._keep_freed_memory`` tunes glibc's malloc where it can and is
@@ -334,6 +419,18 @@ class TestOtherCommands:
         assert "below the normal float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_calibrate_overflowing_noise_scale_rejected(self, tmp_path,
+                                                        capsys):
+        # sigma = 6.3 x 1e308 is past the float range; it used to come
+        # back as inf and fail as a noise multiplier error
+        out = tmp_path / "x"
+        assert _run("calibrate-noise", "--epsilon", "1", "--delta", "1e-5",
+                    "--steps", "10", "--sampling-rate", "0.5",
+                    "--sensitivity", "1e308", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: noise scale overflows the float range: ")
+        assert not out.exists()
+
     def test_counterexample_table(self, tmp_path, capsys):
         out = tmp_path / "ce"
         assert _run("counterexample", "--n", "10,100,1000", "--p", "1,2",
@@ -343,6 +440,12 @@ class TestOtherCommands:
         assert len(rows) == 1 + 6
         for row in rows[1:]:
             assert float(row[4]) == 2.0
+        # 17 digits give every double back, so csv.writer writes the same
+        # bytes from the parsed table
+        oracles.write_csv_rows(tmp_path / "want.csv", rows[0], (
+            row[:2] + [float(v) for v in row[2:]] for row in rows[1:]))
+        assert _files_equal(out / "counterexample.csv",
+                            tmp_path / "want.csv")
         capsys.readouterr()
 
     def test_audit_report(self, tmp_path):

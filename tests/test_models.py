@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from dpswgrad.models import (_KINDS, _sigmoid, load_model, make_model,
-                             model_from_meta, save_model)
+from dpswgrad.models import (_BLOCK_ROWS, _KINDS, _sigmoid, load_model,
+                             make_model, model_from_meta, save_model)
 
 from oracles import (bit_equal, central_diff, central_diff_jacobian, forward,
                      penalty_jacobian_batch, penalty_model,
@@ -216,6 +216,29 @@ def test_penalty_reads_at_most_two_layers(kind):
         with pytest.raises(ValueError, match="^Jacobian rows of at most "
                                              "two layers$"):
             trace.jacobian_rows()
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def paper_rows():
+    return np.random.default_rng(7).normal(size=(30000, 16))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_forward_batch_blocks_match_one_trace(kind, paper_rows):
+    # forward_batch traces blocks of B rows, the remainder folded into the
+    # last block; its outputs and penalty outputs hold the bits of one
+    # trace of the whole batch, on both sides of every block boundary
+    model = make_model(kind, 16, seed=3)
+    for n in (1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 5,
+              30000):
+        x = paper_rows[:n]
+        whole = model.trace(x)
+        assert bit_equal(model.forward_batch(x), whole.output), n
+        assert bit_equal(model.forward_batch(x, penalty=True),
+                         whole.penalty().output), n
 
 
 class TestAutoencoder:

@@ -244,6 +244,22 @@ class TestCalibration:
                                    target_delta=1e-5).epsilon_spent()
         assert achieved <= 1.0
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("sens", [1e300, 1e307, 1e308])
+    def test_huge_sensitivity_raises_or_meets_the_target(self, sens, p):
+        # a noise scale past the float range is refused by name, not
+        # returned as inf
+        try:
+            sigma = calibrate_noise(PrivacyBudget(1.0, 1e-5), 10, p, sens)
+        except PrivacySaturationError as exc:
+            assert "overflows the float range" in str(exc)
+            assert sens > 1e307
+            return
+        assert math.isfinite(sigma)
+        achieved = AccountantState(sigma / sens, p, steps=10,
+                                   target_delta=1e-5).epsilon_spent()
+        assert achieved <= 1.0
+
     def test_sigma_linear_in_sensitivity(self):
         target = PrivacyBudget(1.0, 1e-5)
         s1 = calibrate_noise(target, 100, 0.2, 1.0)

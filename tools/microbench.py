@@ -59,7 +59,13 @@ Then it times ``dp_gradient.clip_rows``, ``privacy.calibrate_noise`` and
 ``data.load_dataset`` of a 30000-record dataset with 16 features (the
 paper-scale CSV of 20 columns), whose arrays it checks bit for bit against
 the row-by-row reference parse (``matches_csv_rows`` in
-``tests/oracles.py``).
+``tests/oracles.py``).  Last, ``outputs_by_group`` times the CLI's
+``outputs_by_group.csv`` writer at 30000 x 1 (a classification model's
+outputs under the four EO group labels, which the CSV quotes) and 30000 x
+2 (a regression model's under the two SP labels), alternating call by
+call with ``csv.writer`` writing the same table row by row from per-row
+labels (``write_outputs_by_group`` in ``tests/oracles.py``), whose bytes
+the CLI's file must equal.
 Each case runs once untimed, then R times (default 30); one line per case
 gives the median and the quartiles in ms and the minor page faults per
 timed call (``resource.getrusage``), which count the fresh memory the C
@@ -93,7 +99,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from dpswgrad import dp_gradient  # noqa: E402
+from dpswgrad import cli, dp_gradient  # noqa: E402
 from dpswgrad.data import (GenerationConfig, generate_biased,  # noqa: E402
                            load_dataset, save_dataset)
 from dpswgrad.dp_gradient import (ClipConfig, clip_rows,  # noqa: E402
@@ -104,7 +110,8 @@ from dpswgrad.ot_core import w2_grad_columns  # noqa: E402
 from dpswgrad.privacy import PrivacyBudget, calibrate_noise  # noqa: E402
 from dpswgrad.sliced import sample_directions  # noqa: E402
 from oracles import (bit_equal, coupling_matrices,  # noqa: E402
-                     matches_csv_rows, w2_grad_columns_stable)
+                     matches_csv_rows, w2_grad_columns_stable,
+                     write_outputs_by_group)
 
 # (label, n, m, k, values, C-ordered, grad_v): gen_circle sorts
 # 2000 x 2000 per side, reg_sp_paper its two classes, cls_eo_paper a class
@@ -378,6 +385,28 @@ def run(repeats: int) -> int:
                 _timings_ms(lambda: load_dataset(csv_path, sidecar), repeats),
                 "   reference parse: "
                 + ("identical" if same else "DIFFERENT"))
+
+        for k, groups in ((1, [f"a={a},y={y}" for a in (0, 1)
+                               for y in (0, 1)]),
+                          (2, ["a=0", "a=1"])):
+            keys = rng.integers(0, len(groups), 30000)
+            values = rng.uniform(-0.5, 0.5, size=(30000, k))
+            # the CLI takes each group's name as a CSV field
+            names = [f'"{g}"' if "," in g else g for g in groups]
+            labels = [groups[key] for key in keys]
+            ours = Path(tmp) / "outputs_by_group.csv"
+            want = Path(tmp) / "oracle.csv"
+            writer, oracle = _alternating_ms(
+                lambda: cli._write_outputs_by_group(Path(tmp), names, keys,
+                                                    values),
+                lambda: write_outputs_by_group(want, labels, values),
+                repeats)
+            same = ours.read_bytes() == want.read_bytes()
+            if not same:
+                failed.append(f"outputs_by_group 30000x{k}")
+            _report(f"outputs_by_group 30000x{k}", writer,
+                    "   oracle: " + ("identical" if same else "DIFFERENT"))
+            _report("  csv.writer rows", oracle)
     if failed:
         print("error: outputs differ from the reference: "
               + ", ".join(failed), file=sys.stderr)
