@@ -39,7 +39,7 @@ from .data import (GenerationConfig, generate_biased, load_dataset,
 from .dp_gradient import ClipConfig, penalized_objective
 from .fairness_train import (TASKS, TrainConfig, dpsgd_train,
                              generation_samples)
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .models import make_model, model_from_meta, save_model
 from .sliced import sample_directions
 
@@ -167,29 +167,6 @@ def _typed_config(command: str, given: dict) -> dict:
     return config
 
 
-# rows per write of a CSV table: a block's Python floats and text (about
-# 50 KiB at two values per row) fit in memory the process already holds,
-# where 4096 rows raised the peak RSS of a paper-scale run by 0.25 MiB
-_WRITE_ROWS = 512
-
-
-def _write_csv(path: Path, header: list, lead, values) -> None:
-    """A CSV table as ``csv.writer`` writes it, lines ending in ``\r\n``:
-    the header, then per row of ``values`` (r, k) the text ``lead[i]`` and
-    the values with 17 significant digits, each block of ``_WRITE_ROWS``
-    rows in one formatted string."""
-    k = values.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, values.shape[0], _WRITE_ROWS):
-            block = values[lo:lo + _WRITE_ROWS]
-            cells = np.empty((block.shape[0], k + 1), dtype=object)
-            cells[:, 0] = lead[lo:lo + _WRITE_ROWS]
-            cells[:, 1:] = block
-            fh.write(("%s" + ",%.17g" * k + "\r\n") * block.shape[0]
-                     % tuple(cells.ravel()))
-
-
 def _sanitize(obj):
     """Keep manifests strict JSON: infinities become the string 'inf'."""
     if isinstance(obj, dict):
@@ -275,12 +252,11 @@ def _write_train_outputs(tc: TrainConfig, record, outdir: Path, ds) -> list:
 
 
 def _write_step_csv(path: Path, record) -> None:
-    _write_csv(path, ["step", "erm_loss", "w_loss", "total_loss",
-                      "epsilon_spent"],
-               [str(t + 1) for t in range(len(record.total_losses))],
-               np.column_stack([record.erm_losses, record.w_losses,
-                                record.total_losses,
-                                record.epsilon_history]))
+    write_csv(path, ["step", "erm_loss", "w_loss", "total_loss",
+                     "epsilon_spent"],
+              np.column_stack([record.erm_losses, record.w_losses,
+                               record.total_losses, record.epsilon_history]),
+              [str(t + 1) for t in range(len(record.total_losses))])
 
 
 def _write_outputs_by_group(outdir: Path, names: list, keys,
@@ -288,9 +264,9 @@ def _write_outputs_by_group(outdir: Path, names: list, keys,
     """One row per output row of ``values`` (r, k), led by the name of its
     group, the CSV field ``names[keys[i]]``."""
     name = "outputs_by_group.csv"
-    _write_csv(outdir / name,
-               ["group"] + [f"v{i + 1}" for i in range(values.shape[1])],
-               np.array(names, dtype=object)[keys], values)
+    write_csv(outdir / name,
+              ["group"] + [f"v{i + 1}" for i in range(values.shape[1])],
+              values, np.array(names, dtype=object)[keys])
     return name
 
 
@@ -405,7 +381,7 @@ def _audit_setup(cfg: dict):
         draw = sensitivity.uniform_box_replacement([-3.0] * d, [3.0] * d)
     private = _AUDIT_PRIVATE_SIDES[setting]
     public = classes[private:]
-    pairs = [(slice(0, n), model, slice(n, n + m))]
+    pairs = [(slice(0, n), slice(n, n + m))]
 
     def grad_fn(cls):
         # contiguous copies of the features: the matmul of a strided view
@@ -417,7 +393,7 @@ def _audit_setup(cfg: dict):
                                    erm)[3]
 
     bound = sensitivity.sensitivity_bound(
-        model, [(n, model, m if private == 2 else None)], alpha, clip,
+        [(n, m if private == 2 else None)], alpha, clip,
         n + m if labelled else None)
     return grad_fn, classes[:private], draw, bound
 
@@ -443,27 +419,24 @@ def _run_audit(cfg: dict, outdir: Path) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_counterexample(cfg: dict, outdir: Path) -> list:
-    # the squared cost's pair: the shift map x + t (weight 1, bias t) on
-    # the private grid against the public midpoint grid, which passes
-    # through the parameter-free identity; outputs and Jacobians within 1
-    shift = make_model("affine", 1, output_dim=1,
-                       theta=np.array([1.0, 0.0]))
+    # the squared cost's pair: the shift map x + t on the private grid,
+    # outputs and Jacobians within 1, against the public midpoint grid, a
+    # reference sample with no Jacobian
     rows = []
     for n in cfg["n_values"]:
         w2_gap = sensitivity.w2_counterexample_contrast(n)
         w2_bound = sensitivity.sensitivity_bound(
-            shift, [(n, make_model("identity", 1), None)], 1.0,
-            ClipConfig(1.0, 1.0, 0.0))
+            [(n, None)], 1.0, ClipConfig(1.0, 1.0, 0.0))
         for p in cfg["p_orders"]:
             res = sensitivity.wp_counterexample(n, p)
             rows.append((n, p, res.grad_x, res.grad_x_tilde, res.gap,
                          w2_gap, w2_bound))
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "counterexample.csv",
-               ["n", "p_order", "grad_x", "grad_x_tilde", "gap",
-                "squared_cost_gap", "squared_cost_bound"],
-               [f"{row[0]},{row[1]}" for row in rows],
-               np.reshape([row[2:] for row in rows], (-1, 5)))
+    write_csv(outdir / "counterexample.csv",
+              ["n", "p_order", "grad_x", "grad_x_tilde", "gap",
+               "squared_cost_gap", "squared_cost_bound"],
+              np.reshape([row[2:] for row in rows], (-1, 5)),
+              [f"{row[0]},{row[1]}" for row in rows])
     print(f"{'n':>6} {'p':>3} {'gap':>6} {'squared-cost gap':>18}")
     for n, p, _, _, gap, w2_gap, _ in rows:
         print(f"{n:>6} {p:>3} {gap:>6.3f} {w2_gap:>18.3e}")

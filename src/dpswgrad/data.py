@@ -25,14 +25,13 @@ column names and parses the body straight into one float64 array
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 
 __all__ = [
     "GenerationConfig",
@@ -65,8 +64,8 @@ class GenerationConfig:
             raise ValueError("core_dim must be a positive even number")
         if self.sp_dim < 1:
             raise ValueError("sp_dim must be >= 1")
-        if self.core_var < 0 or self.sp_var < 0:
-            raise ValueError("variances must be >= 0")
+        if not all(0.0 <= v < np.inf for v in (self.core_var, self.sp_var)):
+            raise ValueError("variances must be finite and >= 0")
 
 
 @dataclass
@@ -156,14 +155,8 @@ def _header(d: int) -> list:
 
 def save_dataset(ds: BiasedDataset, csv_path, sidecar_path) -> None:
     """Write records as CSV (17 significant digits) plus the JSON sidecar."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(ds.dim))
-        for i in range(ds.n):
-            row = [f"{v:.17g}" for v in ds.x[i]]
-            row += [str(int(ds.a[i])), str(int(ds.y[i]))]
-            row += [f"{v:.17g}" for v in ds.yc[i]]
-            writer.writerow(row)
+    write_csv(csv_path, _header(ds.dim),
+              np.column_stack([ds.x, ds.a, ds.y, ds.yc]))
     doc = {"config": asdict(ds.config), "n": ds.n,
            "class_sizes": _sizes_doc(ds)}
     write_json(sidecar_path, doc)

@@ -21,8 +21,8 @@ layers (:meth:`dpswgrad.models.Trace.jacobian_rows`), the row norms come
 from those factors and each traced layer's inputs (ghost norms), and the
 clipped, coupling-weighted sum of the rows is one (n, out) cotangent sum
 per layer (see :class:`dpswgrad.models.LayerGrads`).  The OT kernel sorts
-the model's sides for their rank permutations; a parameter-free reference
-side takes a value sort only, as no gradient is asked for it.  A call
+the model's sides for their rank permutations; a reference side, a fixed
+array of outputs, takes a value sort only, as it has no gradient.  A call
 traces one batch of the model, and every side of the model, in every
 pair, is a block of its rows (a ``slice``), so a call makes one forward
 pass and one norm pass of the Jacobian rows whatever the number of pairs.
@@ -62,9 +62,9 @@ class ClipConfig:
     """Clipping bounds: model outputs, per-sample Jacobians, loss gradients.
 
     ``output_bound`` caps the norm of model outputs entering the coupling;
-    ``jac_bound1``/``jac_bound2`` cap per-sample Jacobians of the x-side and
-    z-side maps; ``loss_grad_bound`` caps per-sample loss gradients in the
-    finite-sum term.
+    ``jac_bound1``/``jac_bound2`` cap per-sample Jacobians of the model's
+    x and z sides; ``loss_grad_bound`` caps per-sample loss gradients in
+    the finite-sum term.
     """
 
     output_bound: float
@@ -140,10 +140,10 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     (sliced) W2^2 of the clipped outputs over the R penalty ``pairs``.  The
     model traces its batch ``x`` once, and the penalty reads that trace cut
     at its layers (:meth:`Trace.penalty <dpswgrad.models.Trace.penalty>`).
-    Each pair ``(rx, h, z)`` compares ``model`` on the rows ``rx`` (a
-    ``slice``) of ``x`` with ``h`` on ``z``: a slice of ``x`` where ``h`` is
-    ``model`` (a fairness penalty), else the own inputs of a parameter-free
-    reference map ``h``, traced with no backward.  Other pairs are rejected
+    Each pair ``(rx, z)`` compares the model on the rows ``rx`` (a
+    ``slice``) of ``x`` with ``z``: the model on another slice of ``x`` (a
+    fairness penalty), or a fixed (m, d) array of reference outputs (the
+    generation target), which has no Jacobian.  Other pairs are rejected
     before any forward pass.  ``erm`` is ``(targets, loss_kind)`` over all
     of ``x``, or None for a penalty-only objective (ERM reported 0).
     ``dirs`` holds k unit directions as the rows of a (k, d) array; without
@@ -152,7 +152,7 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``rx``
     the model's Jacobian rows are clipped to ``clip.jac_bound1 / sqrt(d)``,
-    on ``z`` those of ``h`` to ``clip.jac_bound2 / sqrt(d)``.  Whatever R,
+    on a slice ``z`` to ``clip.jac_bound2 / sqrt(d)``.  Whatever R,
     the outputs are clipped once and, after every pair's OT kernel, one
     set of factored Jacobian rows and one norm pass of them give the
     penalty term; each side adds its rows' clipped coupling weights into
@@ -169,17 +169,17 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
         raise ValueError("alpha must lie in [0, 1]")
     if not pairs:
         raise ValueError("at least one penalty pair is required")
-    if not all(isinstance(rx, slice) and (
-            isinstance(z, slice) if h is model
-            else not (h.n_params or isinstance(z, slice)))
-            for rx, h, z in pairs):
+    d = model.penalty_dim
+    if not all(len(p) == 2 and isinstance(p[0], slice) and (
+            isinstance(p[1], slice) or isinstance(p[1], np.ndarray)
+            and p[1].ndim == 2 and p[1].shape[1] == d
+            and np.all(np.isfinite(p[1]))) for p in pairs):
         raise ValueError(
-            "each pair compares the model on a slice of its batch with "
-            "itself on another slice or with a parameter-free map on its "
-            "own array of inputs")
+            f"each pair (rx, z) compares the model on a slice rx of its "
+            f"batch with itself on another slice or with an (m, {d}) array "
+            f"of finite reference outputs")
     trace = model.trace(x)
     cut = trace.penalty()
-    d = cut.output.shape[1]
     if dirs is None:
         if d != 1:
             raise ValueError(
@@ -196,24 +196,19 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     # Jacobian row bound) of every side of the model
     sides = []
     values = []
-    for rx, h, z in pairs:
-        if h is model:
-            cz = clipped[z]
-        else:
-            cz = clip_rows(h.trace(z).penalty().output, clip.output_bound)
+    for rx, z in pairs:
+        own = isinstance(z, slice)
+        cz = clipped[z] if own else clip_rows(z, clip.output_bound)
         cx = clipped[rx]
         if cx.shape[0] == 0 or cz.shape[0] == 0:
             raise ValueError("both sample slices must be non-empty")
-        if cz.shape[1] != d:
-            raise ValueError(
-                "the two maps must produce outputs of equal dimension")
         # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
         u, v = (dirs @ cx.T).T, (dirs @ cz.T).T
         if alpha > 0.0:
-            gu, gv, columns = w2_grad_columns(u, v, grad_v=h is model)
+            gu, gv, columns = w2_grad_columns(u, v, grad_v=own)
             sides.append((rx, (gu @ dirs) / dirs.shape[0],
                           clip.jac_bound1))
-            if h is model:
+            if own:
                 sides.append((z, (gv @ dirs) / dirs.shape[0],
                               clip.jac_bound2))
             del gu, gv
@@ -234,7 +229,7 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
                                        1.0 - alpha)
     elif erm is not None:
         erm_value = _mean_loss(trace.loss(*erm))
-    if alpha > 0.0 and model.n_params:
+    if alpha > 0.0:
         # every side's clipped, coupling-weighted Jacobian rows add their
         # weights into one (n, d) array, so shared rows add up
         rows = cut.jacobian_rows()

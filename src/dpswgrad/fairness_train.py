@@ -20,7 +20,7 @@ gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -212,12 +212,12 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     calibrates the noise.  Statistical parity compares the two sensitive
     classes (one pair); equality of odds compares them within each label
     (one pair per label).  Generation pushes Gaussian samples onto a
-    circle: one pair of the model against the parameter-free reference, at
-    weight 1 with no ERM term.  Every class is private, the generation
-    references included.  The model traces one batch per step: the class
-    batches stacked in key order, each side of a pair its class's block of
-    rows (a ``slice``), or for generation the batch of model inputs, whose
-    references pass the identity map as their own array.  A step
+    circle: one pair of the model against the reference sample, at weight
+    1 with no ERM term, whose bound takes ``jac_bound2 = 0`` (it has no
+    Jacobian).  Every class is private, the generation references
+    included.  The model traces one batch per step: the class batches
+    stacked in key order, each side of a pair its class's block of rows
+    (a ``slice``), or for generation the batch of inputs.  A step
     whose loss or updated parameter norm is not finite stops the run with
     a ValueError that names the step and the budget already spent.
     """
@@ -228,8 +228,9 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
                                           for key in ("x", "z")})
         model = _task_model(cfg, 2)
-        pair_keys = [("x", make_model("identity", 2), "z")]
+        pair_keys = [("x", "z")]
         targets, weight = None, 1.0
+        clip = replace(clip, jac_bound2=0.0)
     else:
         if ds is None:
             raise ValueError(f"task {cfg.task!r} requires a dataset")
@@ -245,8 +246,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             targets, loss_kind = ds.y.astype(np.float64), "bce"
         eo = cfg.task == "classification_eo"
         part = partition(ds, "by_a_and_y" if eo else "by_a")
-        pair_keys = ([((0, k), model, (1, k)) for k in (0, 1)] if eo
-                     else [(0, model, 1)])
+        pair_keys = [((0, k), (1, k)) for k in (0, 1)] if eo else [(0, 1)]
         weight = cfg.alpha
     empty = part.empty_classes()
     if empty:
@@ -261,10 +261,10 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         ends = np.cumsum([batch_sizes[k] for k in part.keys])
         blocks = {k: slice(int(end) - batch_sizes[k], int(end))
                   for k, end in zip(part.keys, ends)}
-        pairs = [(blocks[a], h, blocks[b]) for a, h, b in pair_keys]
+        pairs = [(blocks[a], blocks[b]) for a, b in pair_keys]
 
     delta2 = sensitivity.sensitivity_bound(
-        model, [(batch_sizes[a], h, batch_sizes[b]) for a, h, b in pair_keys],
+        [(batch_sizes[a], batch_sizes[b]) for a, b in pair_keys],
         weight, clip,
         None if targets is None else sum(batch_sizes[k] for k in part.keys))
 
@@ -304,7 +304,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         batch = subsample_partitioned(part, batch_sizes, rng_batch)
         if targets is None:
             inputs, erm = x[batch["x"]], None
-            pairs = [(slice(None), h, z[batch[b]]) for _, h, b in pair_keys]
+            pairs = [(slice(None), z[batch[b]]) for _, b in pair_keys]
         else:
             union = np.concatenate([batch[k] for k in part.keys])
             inputs, erm = ds.x[union], (targets[union], loss_kind)
@@ -385,10 +385,9 @@ def metrics(ds_test: BiasedDataset, model, task: str) -> dict:
                 "od_1": (float(np.mean(over[a == 1]))
                          if (a == 1).any() else float("nan"))}
     if task == "autoencoder_sp":
-        trace = model.trace(ds_test.x)
-        resid = trace.output - ds_test.x
+        resid = model.forward_batch(ds_test.x) - ds_test.x
         core = ds_test.config.core_dim
-        codes = trace.penalty().output
+        codes = model.forward_batch(ds_test.x, penalty=True)
         out = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
                "rl_core": float(np.mean(
                    np.sum(resid[:, :core] * resid[:, :core], axis=1)))}

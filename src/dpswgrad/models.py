@@ -3,10 +3,10 @@
 Every model is a stack of dense layers ``a -> act(a W^T + b)``, where
 ``act`` is ``sigmoid``, ``sigmoid_recentered`` (sigmoid minus 1/2) or
 ``linear``.  One table, ``_KINDS``, declares once each kind the
-experiments use (an identity map, a plain affine map, a one-layer sigmoid
-classifier, a two-layer regressor, and a two-layer encoder/decoder pair
-with a 2D latent space): its shape fields with their defaults, its layer
-list and the layers its penalty reads.  :func:`make_model` builds them all.
+experiments use (a plain affine map, a one-layer sigmoid classifier, a
+two-layer regressor, and a two-layer encoder/decoder pair with a 2D latent
+space): its shape fields with their defaults, its layer list and the
+layers its penalty reads.  :func:`make_model` builds them all.
 
 One forward :class:`Trace` and one backward serve every kind.  The
 backward pulls one (n, d) cotangent per sample back through the traced
@@ -133,7 +133,7 @@ class Model:
             self._layers.append((off, mid, mid + d_out, (d_out, d_in), act))
             off = mid + d_out
         if theta is None:
-            theta = np.concatenate([np.zeros(0)] + [
+            theta = np.concatenate([
                 _init_uniform(seed, layer[3], stream=i)
                 for i, layer in enumerate(self._layers)])
         self.theta = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -163,7 +163,6 @@ class Model:
     def _trace(self, x: np.ndarray) -> "Trace":
         acts = [x]
         sigs = []
-        z = None
         last = len(self._layers) - 1
         for i, (lo, mid, hi, shape, act) in enumerate(self._layers):
             z = acts[-1] @ self.theta[lo:mid].reshape(shape).T
@@ -200,13 +199,12 @@ class Trace:
 
     ``acts`` holds the inputs of the traced layers followed by the last
     one's output, ``sigs`` each layer's sigmoid values (None for a linear
-    layer) and ``logit`` the last one's pre-activation (None without
-    layers, and in a :meth:`penalty` cut that stops short of the last
-    layer).  ``derivs`` holds each sigmoid layer's derivative ``s (1 -
-    s)``, computed at the first backward or Jacobian rows that need it, so
-    that no forward-only pass pays for it and it is not held while the
-    penalty's OT kernels run; the cut shares this list with its whole
-    trace.
+    layer) and ``logit`` the last one's pre-activation (None in a
+    :meth:`penalty` cut that stops short of the last layer).  ``derivs``
+    holds each sigmoid layer's derivative ``s (1 - s)``, computed at the
+    first backward or Jacobian rows that need it, so that no forward-only
+    pass pays for it and it is not held while the penalty's OT kernels
+    run; the cut shares this list with its whole trace.
     """
 
     def __init__(self, model: Model, acts: list, sigs: list, logit,
@@ -246,7 +244,7 @@ class Trace:
         model = self.model
         n = self.output.shape[0]
         if loss_kind == "bce":
-            if not (model._layers and model.output_dim == 1
+            if not (model.output_dim == 1
                     and model._layers[-1][4] == "sigmoid"):
                 raise ValueError(
                     f"bce loss requires a probability-valued scalar model, "
@@ -284,8 +282,6 @@ class Trace:
         top = len(self.sigs) - 1
         if top > 1:
             raise ValueError("Jacobian rows of at most two layers")
-        if top < 0:
-            return LayerGrads(self, [], (n, d))
         c = self._deriv(top, n)
         blocks = [_TopRows(c)]
         if top:
@@ -520,7 +516,6 @@ def _init_uniform(seed, shape, stream: int) -> np.ndarray:
 # reads, None for all).  ``hidden_activation`` has one value, which the
 # meta records.  theta holds each layer's weight (width, fan_in) row-major,
 # then its bias:
-#   identity        x -> x; no layers, no parameters
 #   affine          x -> W x + b; theta = [W, b]
 #   affine_sigmoid  x -> sigmoid(w.x + b), in (0, 1); theta = [w, b]
 #   mlp2            x -> act(W2 sigmoid(W1 x + b1) + b2), act sigmoid minus
@@ -531,7 +526,6 @@ def _init_uniform(seed, shape, stream: int) -> np.ndarray:
 #                   theta = [W1, b1, W2, b2, W3, b3, W4, b4], the penalty
 #                   gradient zero on the decoder block W3 .. b4
 _KINDS = {
-    "identity": ({}, lambda d, f: [], None),
     "affine": ({"output_dim": 2},
                lambda d, f: [(f["output_dim"], "linear")], None),
     "affine_sigmoid": ({}, lambda d, f: [(1, "sigmoid")], None),

@@ -14,8 +14,8 @@ pair's clipped Wasserstein gradient by at most ``4 B (3 J_s + J_o) / n_s``
 (B the output bound), and the clipped ERM gradient over n_erm records by at
 most ``2 C / n_erm`` (C the loss-gradient bound).  Statistical parity is
 one pair of sensitive classes, equality of odds one pair per label class,
-generation one pair against a parameter-free reference, and a one-sided
-audit a pair whose second side is public.
+generation one pair against a reference sample, and a one-sided audit a
+pair whose second side is public.
 """
 
 from __future__ import annotations
@@ -38,18 +38,18 @@ __all__ = [
 ]
 
 
-def sensitivity_bound(model, pairs, alpha: float, clip,
+def sensitivity_bound(pairs, alpha: float, clip,
                       n_erm: int | None = None) -> float:
     """Replace-one sensitivity of the gradient of ``penalized_objective``.
 
-    ``pairs`` lists ``(n_x, h, n_z)`` per penalty pair, as the objective's
-    ``(rx, h, z)`` with each side replaced by its size: ``model`` on a
-    batch of ``n_x`` records against ``h`` on ``n_z`` records.  A side
-    whose records are public has size None.  ``clip`` is the objective's
+    ``pairs`` lists ``(n_x, n_z)`` per penalty pair, as the objective's
+    ``(rx, z)`` with each side replaced by its size.  A side whose records
+    are public has size None.  ``clip`` is the objective's
     :class:`~dpswgrad.dp_gradient.ClipConfig`, whose ``jac_bound1`` clips
-    the model's Jacobians and ``jac_bound2`` those of ``h``; a
-    parameter-free map has Jacobian bound 0.  ``n_erm`` is the size of the
-    ERM batch, or None for a penalty-only objective.
+    the Jacobians of the x side and ``jac_bound2`` those of the z side; a
+    reference sample, which has no Jacobian, is charged with
+    ``jac_bound2 = 0``.  ``n_erm`` is the size of the ERM batch, or None
+    for a penalty-only objective.
 
     With R pairs the bound is ``(1 - alpha) * 2C/n_erm + (alpha/R) *`` the
     max over pairs and private sides s of ``4B(3 J_s + J_o)/n_s``.
@@ -59,10 +59,9 @@ def sensitivity_bound(model, pairs, alpha: float, clip,
     if not pairs:
         raise ValueError("at least one penalty pair is required")
     weight = alpha / len(pairs)
-    j_x = clip.jac_bound1 if model.n_params else 0.0
+    j_x, j_z = clip.jac_bound1, clip.jac_bound2
     worst = 0.0
-    for n_x, h, n_z in pairs:
-        j_z = clip.jac_bound2 if h.n_params else 0.0
+    for n_x, n_z in pairs:
         for n_s, j_s, j_o in ((n_x, j_x, j_z), (n_z, j_z, j_x)):
             if n_s is None:
                 continue

@@ -265,11 +265,10 @@ def penalty_jacobian_batch(model, x) -> np.ndarray:
     return np.pad(jac, ((0, 0), (0, 0), (0, model.n_params - jac.shape[2])))
 
 
-def stacked_pairs(model, pairs) -> tuple:
+def stacked_pairs(pairs) -> tuple:
     """The batch and pairs of ``penalized_objective`` for penalty pairs
-    ``(x, h, z)`` of input arrays: the model's sides stacked in pair order
-    into one batch, each replaced by its slice of it; a parameter-free
-    ``h`` keeps its own array ``z``."""
+    ``(x, z)`` of the model's input arrays: the sides stacked in pair order
+    into one batch, each replaced by its slice of it."""
     sides, out = [], []
 
     def rows(side):
@@ -277,8 +276,8 @@ def stacked_pairs(model, pairs) -> tuple:
         sides.append(side)
         return slice(start, start + len(side))
 
-    for x, h, z in pairs:
-        out.append((rows(x), h, rows(z) if h is model else z))
+    for x, z in pairs:
+        out.append((rows(x), rows(z)))
     return np.concatenate(sides), out
 
 

@@ -117,7 +117,7 @@ def test_c2_gradient_correctness():
             v = model.forward_batch(z)[:, 0]
             if not gaps_ok(u, v):
                 continue
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, no_clip)[3]
             fd = theta_fd(model, lambda: w2_squared_columns(
                 model.forward_batch(x), model.forward_batch(z))[0])
@@ -136,7 +136,7 @@ def test_c2_gradient_correctness():
             pv = model.forward_batch(z) @ dirs.T
             if not gaps_ok(*(list(pu.T) + list(pv.T))):
                 continue
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, no_clip,
                                        dirs)[3]
             fd = theta_fd(model, lambda: w2_squared_columns(
@@ -172,14 +172,13 @@ def _one_sided_audit(clip_bounds, n, sliced, trials, seed, k=20):
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+        batch, pairs = stacked_pairs([(classes[0], z)])
         return penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
         trials=trials, seed=seed + 2,
-        theoretical_bound=sensitivity_bound(model, [(n, model, None)], 1.0,
-                                            clip))
+        theoretical_bound=sensitivity_bound([(n, None)], 1.0, clip))
 
 
 def test_c4_sensitivity_obedience():
@@ -216,8 +215,7 @@ def test_c4_sensitivity_obedience():
             x, z = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
 
             def grad_fn(classes):
-                batch, pairs = stacked_pairs(
-                    model, [(classes[0], model, classes[1])])
+                batch, pairs = stacked_pairs([(classes[0], classes[1])])
                 return penalized_objective(model, batch, pairs, 1.0, clip,
                                            dirs)[3]
 
@@ -225,8 +223,7 @@ def test_c4_sensitivity_obedience():
                 grad_fn, [x, z], uniform_box_replacement([-3.0] * 3,
                                                          [3.0] * 3),
                 trials=1000, seed=seed + 1,
-                theoretical_bound=sensitivity_bound(
-                    model, [(20, model, 30)], 1.0, clip))
+                theoretical_bound=sensitivity_bound([(20, 30)], 1.0, clip))
             assert rep.empirical_max <= rep.theoretical_bound
 
         # penalized objectives (statistical parity and equalized odds)
@@ -244,7 +241,7 @@ def test_c4_sensitivity_obedience():
             x_full = np.concatenate([c0[:, :3], c1[:, :3]])
             y_full = np.concatenate([c0[:, 3], c1[:, 3]])
             return penalized_objective(
-                model, x_full, [(slice(0, n0), model, slice(n0, n0 + n1))],
+                model, x_full, [(slice(0, n0), slice(n0, n0 + n1))],
                 0.75, clip, erm=(y_full, "bce"))[3]
 
         def draw_labeled(rng_, class_index):
@@ -253,8 +250,8 @@ def test_c4_sensitivity_obedience():
 
         rep = empirical_sensitivity(
             sp_fn, sp_classes, draw_labeled, trials=1000, seed=13,
-            theoretical_bound=sensitivity_bound(
-                model, [(n0, model, n1)], 0.75, clip, n0 + n1))
+            theoretical_bound=sensitivity_bound([(n0, n1)], 0.75, clip,
+                                                n0 + n1))
         assert rep.empirical_max <= rep.theoretical_bound
 
         sizes = {(0, 0): 12, (0, 1): 15, (1, 0): 10, (1, 1): 14}
@@ -266,7 +263,7 @@ def test_c4_sensitivity_obedience():
         # each class is its block of rows of the batch, in key order
         ends = np.cumsum([sizes[k] for k in keys]).tolist()
         blocks = {k: slice(end - sizes[k], end) for k, end in zip(keys, ends)}
-        eo_pairs = [(blocks[(0, k)], model, blocks[(1, k)]) for k in (0, 1)]
+        eo_pairs = [(blocks[(0, k)], blocks[(1, k)]) for k in (0, 1)]
 
         def eo_fn(classes):
             x_full = np.concatenate([c[:, :3] for c in classes])
@@ -282,7 +279,7 @@ def test_c4_sensitivity_obedience():
         rep = empirical_sensitivity(
             eo_fn, eo_classes, draw_eo, trials=1000, seed=14,
             theoretical_bound=sensitivity_bound(
-                model, [(sizes[(0, k)], model, sizes[(1, k)]) for k in (0, 1)],
+                [(sizes[(0, k)], sizes[(1, k)]) for k in (0, 1)],
                 0.75, clip, sum(sizes.values())))
         assert rep.empirical_max <= rep.theoretical_bound
 
@@ -299,15 +296,14 @@ def test_c4_sensitivity_obedience():
             x = rng.normal(size=(n, 3))
 
             def grad_fn(classes):
-                batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+                batch, pairs = stacked_pairs([(classes[0], z)])
                 return penalized_objective(model, batch, pairs, 1.0,
                                            clip)[3]
 
             return empirical_sensitivity(
                 grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
                 trials=15 * n, seed=1001,
-                theoretical_bound=sensitivity_bound(
-                    model, [(n, model, None)], 1.0, clip))
+                theoretical_bound=sensitivity_bound([(n, None)], 1.0, clip))
 
         sizes_grid = [20, 60, 180, 540]
         reports = [decay_audit(n) for n in sizes_grid]
@@ -326,11 +322,8 @@ def test_c5_counterexample():
                 assert (res.grad_x, res.grad_x_tilde) == (1.0, -1.0)
         gaps = [w2_counterexample_contrast(n) for n in (10, 100, 1000)]
         for n, gap in zip((10, 100, 1000), gaps):
-            assert gap <= sensitivity_bound(
-                make_model("affine", 1, output_dim=1,
-                           theta=np.array([1.0, 0.0])),
-                [(n, make_model("identity", 1), None)], 1.0,
-                ClipConfig(1.0, 1.0, 0.0))
+            assert gap <= sensitivity_bound([(n, None)], 1.0,
+                                            ClipConfig(1.0, 1.0, 0.0))
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 
@@ -420,7 +413,7 @@ def test_c8_norm_bound():
             model.theta *= float(rng.uniform(1.0, 25.0))
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, clip,
                                        dirs if sliced else None)[3]
             assert np.linalg.norm(grad) <= 4.0 * out_b * (j1 + j2) + 1e-10

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dpswgrad
-from dpswgrad import cli
+from dpswgrad import cli, jsonio
 from dpswgrad.cli import main
 from dpswgrad.data import load_dataset
 from dpswgrad.fairness_train import TASKS, generation_samples
@@ -56,6 +56,18 @@ class TestGenerate:
 
     def test_invalid_config_rejected(self, tmp_path):
         assert _run("generate", "--n", "0", "--out", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("arg", ["--core-var=nan", "--core-var=inf",
+                                     "--sp-var=inf", "--sp-var=-inf",
+                                     "--sp-var=nan"])
+    def test_non_finite_variance_rejected(self, tmp_path, capsys, arg):
+        # a non-finite variance would write NaN or inf features that every
+        # later train run refuses
+        out = tmp_path / "g"
+        assert _run("generate", "--n", "5", arg, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "error: variances must be finite and >= 0\n"
+        assert not out.exists()
 
 
 class TestTrain:
@@ -300,7 +312,7 @@ class TestOutputsByGroup:
     def test_writer_bytes(self, tmp_path, k):
         # more rows than two write blocks, the EO labels that csv quotes,
         # signed zeros, a subnormal and the ends of the float range
-        n = 2 * cli._WRITE_ROWS + 5
+        n = 2 * jsonio._WRITE_ROWS + 5
         rng = np.random.default_rng(k)
         values = rng.normal(size=(n, k))
         values[:7, 0] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
@@ -440,6 +452,9 @@ class TestOtherCommands:
         assert len(rows) == 1 + 6
         for row in rows[1:]:
             assert float(row[4]) == 2.0
+            # the squared cost's bound charges the reference grid, which
+            # has no Jacobian, with J_z = 0: 4 (3 + 0) / n
+            assert float(row[6]) == 12.0 / int(row[0])
         # 17 digits give every double back, so csv.writer writes the same
         # bytes from the parsed table
         oracles.write_csv_rows(tmp_path / "want.csv", rows[0], (

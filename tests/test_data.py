@@ -6,7 +6,8 @@ import pytest
 from dpswgrad.data import (GenerationConfig, centered_targets,
                            generate_biased, load_dataset, partition,
                            save_dataset)
-from oracles import bit_equal, matches_csv_rows
+from dpswgrad.jsonio import _WRITE_ROWS
+from oracles import bit_equal, matches_csv_rows, write_csv_rows
 
 
 class TestGenerator:
@@ -63,6 +64,10 @@ class TestGenerator:
             GenerationConfig(n=10, bias=0.5, core_dim=7)
         with pytest.raises(ValueError):
             GenerationConfig(n=10, bias=0.5, core_var=-1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for name in ("core_var", "sp_var"):
+                with pytest.raises(ValueError, match="finite"):
+                    GenerationConfig(n=10, bias=0.5, **{name: bad})
 
 
 class TestPartition:
@@ -144,6 +149,27 @@ class TestPersistence:
             save_and_load = save_dataset(ds, tmp_path / "d.csv",
                                          tmp_path / "d.json") \
                 or load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
+
+    def test_csv_bytes_match_the_row_writer(self, tmp_path):
+        # more rows than two write blocks, with signed zeros, tiny and huge
+        # values: the bytes csv.writer writes one row at a time
+        n = 2 * _WRITE_ROWS + 5
+        ds = generate_biased(GenerationConfig(n=n, bias=0.7, seed=15))
+        ds.x[:7, 0] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+        ds.x[-2:, -1] = [-0.0, 1e300]
+        save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        d = ds.dim
+        write_csv_rows(
+            tmp_path / "want.csv",
+            [f"x_{i + 1}" for i in range(d)] + ["a", "y", "yc_1", "yc_2"],
+            ([*x, str(a), str(y), *yc] for x, a, y, yc in zip(
+                ds.x.tolist(), ds.a, ds.y, ds.yc.tolist())))
+        got = (tmp_path / "d.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == n + 1
+        for text in (b"\r\n-0,", b"\r\n1e-300,", b"\r\n-1e-300,",
+                     b"\r\n1.0000000000000001e+300,", b",-0,"):
+            assert text in got
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
         ds = generate_biased(GenerationConfig(n=100, bias=0.7, seed=14))

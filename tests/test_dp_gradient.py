@@ -128,7 +128,7 @@ class TestClippedWassersteinGrad1D:
     def test_zero_when_both_sides_identical(self):
         model = make_model("affine_sigmoid", 3, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 3))
-        batch, pairs = stacked_pairs(model, [(x, model, x.copy())])
+        batch, pairs = stacked_pairs([(x, x.copy())])
         g = penalized_objective(model, batch, pairs, 1.0, NO_CLIP)[3]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
@@ -144,7 +144,7 @@ class TestClippedWassersteinGrad1D:
             v = model.forward_batch(z)[:, 0]
             if not _separated(np.concatenate([u]), v):
                 continue
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP)[3]
             fd = _fd_theta_grad(model, lambda: w2_squared_columns(
                 model.forward_batch(x), model.forward_batch(z))[0])
@@ -152,14 +152,14 @@ class TestClippedWassersteinGrad1D:
             checked += 1
 
     def test_one_sided_parameter_free_reference(self):
-        # data-generation shape: the z side is an identity map (no params)
+        # data-generation shape: the z side is a reference sample, an
+        # array of outputs with no Jacobian
         rng = np.random.default_rng(4)
         gen = make_model("affine_sigmoid", 2, seed=5)
-        ident = make_model("identity", 1)
         x = rng.normal(size=(5, 1))
         z = rng.normal(size=(7, 2))
-        batch, pairs = stacked_pairs(gen, [(z, ident, x)])
-        grad = penalized_objective(gen, batch, pairs, 1.0, NO_CLIP)[3]
+        grad = penalized_objective(gen, z, [(slice(None), x)], 1.0,
+                                   NO_CLIP)[3]
         assert grad.shape == (gen.n_params,)
         fd = _fd_theta_grad(gen, lambda: w2_squared_columns(
             x, gen.forward_batch(z))[0])
@@ -181,23 +181,24 @@ class TestClippedWassersteinGrad1D:
         jx = clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
         jz = clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0)
         want = gu[:, 0] @ jx + gv[:, 0] @ jz
-        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        batch, pairs = stacked_pairs([(x, z)])
         got = penalized_objective(model, batch, pairs, 1.0, clip)[3]
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_two_distinct_parametric_models_rejected(self):
+        # a pair names no second model: its second side is a slice of the
+        # one model's batch or an array of reference outputs
         a = make_model("affine_sigmoid", 2, seed=0)
         b = make_model("affine_sigmoid", 2, seed=1)
         with pytest.raises(ValueError):
-            batch, pairs = stacked_pairs(
-                a, [(np.zeros((2, 2)), b, np.zeros((2, 2)))])
-            penalized_objective(a, batch, pairs, 1.0, NO_CLIP)
+            penalized_objective(a, np.zeros((4, 2)), [(slice(0, 2), b)], 1.0,
+                                NO_CLIP)
 
     def test_empty_slice_rejected(self):
         m = make_model("affine_sigmoid", 2, seed=0)
         with pytest.raises(ValueError):
-            batch, pairs = stacked_pairs(
-                m, [(np.zeros((0, 2)), m, np.zeros((2, 2)))])
+            batch, pairs = stacked_pairs([(np.zeros((0, 2)),
+                                           np.zeros((2, 2)))])
             penalized_objective(m, batch, pairs, 1.0, NO_CLIP)
 
 
@@ -216,7 +217,7 @@ class TestClippedWassersteinGradSliced:
             if not all(_separated(pu[:, k], pv[:, k])
                        for k in range(dirs.shape[0])):
                 continue
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, NO_CLIP,
                                        dirs)[3]
             fd = _fd_theta_grad(model, lambda: w2_squared_columns(
@@ -229,7 +230,7 @@ class TestClippedWassersteinGradSliced:
         model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            batch, pairs = stacked_pairs(model, [(x, model, x)])
+            batch, pairs = stacked_pairs([(x, x)])
             penalized_objective(model, batch, pairs, 1.0, NO_CLIP)
 
     def test_dimension_mismatch_rejected(self):
@@ -237,7 +238,7 @@ class TestClippedWassersteinGradSliced:
         dirs = sample_directions(3, 4, seed=0)
         x = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            batch, pairs = stacked_pairs(model, [(x, model, x)])
+            batch, pairs = stacked_pairs([(x, x)])
             penalized_objective(model, batch, pairs, 1.0, NO_CLIP, dirs)
 
     def test_norm_bound_randomized(self):
@@ -254,7 +255,7 @@ class TestClippedWassersteinGradSliced:
             model.theta *= rng.uniform(1.0, 30.0)
             x = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
             z = rng.normal(size=(int(rng.integers(1, 7)), 2)) * 3.0
-            batch, pairs = stacked_pairs(model, [(x, model, z)])
+            batch, pairs = stacked_pairs([(x, z)])
             grad = penalized_objective(model, batch, pairs, 1.0, clip,
                                        dirs)[3]
             assert np.linalg.norm(grad) <= 4 * out_b * (j1 + j2) + 1e-10
@@ -265,7 +266,7 @@ class TestClippedWassersteinGradSliced:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 2))
         z = rng.normal(size=(5, 2))
-        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        batch, pairs = stacked_pairs([(x, z)])
         tight = penalized_objective(
             model, batch, pairs, 1.0, ClipConfig(50.0, 50.0, 50.0), dirs)[3]
         loose = penalized_objective(model, batch, pairs, 1.0, NO_CLIP,
@@ -281,7 +282,7 @@ class TestClippedWassersteinGradSliced:
         x = np.random.default_rng(0).normal(size=(6, 3))
         erm = (np.zeros((6, 2)), "squared_error")
         with pytest.raises(ValueError, match="direction"):
-            penalized_objective(model, x, [(slice(0, 3), model, slice(3, 6))],
+            penalized_objective(model, x, [(slice(0, 3), slice(3, 6))],
                                 alpha, NO_CLIP, np.zeros((0, 2)), erm)
 
 
@@ -295,7 +296,7 @@ class TestObjectiveGrads:
         y_full = rng.integers(0, 2, size=n).astype(float)
         clip = ClipConfig(1.0, 1.0, 1.0, 5.0)
         # the one pair of the blocks x0 and x1 of the batch x_full
-        pairs = [(slice(0, n // 2), model, slice(n // 2, n))]
+        pairs = [(slice(0, n // 2), slice(n // 2, n))]
         return model, x0, x1, x_full, y_full, pairs, clip
 
     def test_alpha_zero_is_clipped_erm(self):
@@ -332,11 +333,11 @@ class TestObjectiveGrads:
         model, _, _, x_full, y_full, _, clip = self._setup()
         with pytest.raises(ValueError):
             penalized_objective(model, x_full,
-                                [(slice(0, 0), model, slice(6, 12))], 0.5,
+                                [(slice(0, 0), slice(6, 12))], 0.5,
                                 clip, erm=(y_full, "bce"))
         with pytest.raises(ValueError, match="non-empty"):
             penalized_objective(model, x_full,
-                                [(slice(0, 6), model, slice(6, 6))], 0.5,
+                                [(slice(0, 6), slice(6, 6))], 0.5,
                                 clip, erm=(y_full, "bce"))
 
     def test_penalty_needs_a_pair(self):
@@ -354,7 +355,7 @@ class TestObjectiveGrads:
                                  for j, k in keys])
         erm = (rng.integers(0, 2, size=16).astype(float), "bce")
         blocks = {key: slice(4 * i, 4 * i + 4) for i, key in enumerate(keys)}
-        pairs = [(blocks[(0, k)], model, blocks[(1, k)]) for k in (0, 1)]
+        pairs = [(blocks[(0, k)], blocks[(1, k)]) for k in (0, 1)]
         _, w_val, _, g = penalized_objective(model, x_full, pairs, 0.4, clip,
                                              erm=erm)
         erm_grad = penalized_objective(model, x_full, pairs, 0.0, clip,
@@ -369,14 +370,14 @@ class TestObjectiveGrads:
 
     def test_eo_missing_batch_rejected(self):
         model, _, _, x_full, y_full, pairs, clip = self._setup()
-        pairs = [*pairs, (slice(0, 6), model, slice(12, 12))]
+        pairs = [*pairs, (slice(0, 6), slice(12, 12))]
         with pytest.raises(ValueError):
             penalized_objective(model, x_full, pairs, 0.4, clip,
                                 erm=(y_full, "bce"))
 
     def test_eo_zero_penalty_when_distributions_identical(self):
         model, _, _, x_full, y_full, _, clip = self._setup(seed=7)
-        pairs = [(slice(0, 6), model, slice(0, 6)) for _ in (0, 1)]
+        pairs = [(slice(0, 6), slice(0, 6)) for _ in (0, 1)]
         _, w_val, _, g = penalized_objective(model, x_full, pairs, 1.0, clip,
                                              erm=(y_full, "bce"))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
@@ -403,15 +404,13 @@ class TestObjectiveGrads:
             loss_kind = "squared_error"
         clip = ClipConfig(0.3, 1.0, 1.0, 2.0)
         erm = (targets, loss_kind)
-        pairs = [(slice(0, 4), model, slice(4, 9)),
-                 (slice(9, 11), model, slice(11, 13))]
+        pairs = [(slice(0, 4), slice(4, 9)),
+                 (slice(9, 11), slice(11, 13))]
         got = penalized_objective(model, x_full, pairs, alpha, clip, dirs,
                                   erm)
         sub = penalty_model(model)
         assert (sub is model) == (kind != "autoencoder")
-        penalty = penalized_objective(sub, x_full,
-                                      [(a, sub, b) for a, _, b in pairs],
-                                      1.0, clip, dirs)
+        penalty = penalized_objective(sub, x_full, pairs, 1.0, clip, dirs)
         erm_only = penalized_objective(model, x_full, pairs, 0.0, clip,
                                        dirs, erm)
         want = ((1.0 - alpha) * erm_only[0] + alpha * penalty[1],
@@ -431,7 +430,7 @@ class TestObjectiveGrads:
         assert erm_val == 0.0 and total == val
 
     def test_reference_pair_matches_plain_gradient(self):
-        # generation: model outputs against a parameter-free reference
+        # generation: model outputs against a reference sample
         model = make_model("mlp2", 2, hidden_dim=3, output_dim=2,
                            output_activation="linear", seed=4)
         dirs = sample_directions(2, 5, seed=1)
@@ -439,8 +438,7 @@ class TestObjectiveGrads:
         x, z = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
         clip = ClipConfig(1.0, 1.0, 0.0)
         _, w_val, total, g = penalized_objective(
-            model, x, [(slice(None), make_model("identity", 2), z)], 1.0,
-            clip, dirs)
+            model, x, [(slice(None), z)], 1.0, clip, dirs)
         # the model's side alone, summed sample by sample and direction by
         # direction; the reference side has no parameters
         u = clip_rows(model.forward_batch(x), 1.0) @ dirs.T
@@ -467,7 +465,7 @@ class TestTiedOutputs:
         x_full = np.concatenate([x, z])
         targets = rng.normal(size=n + m)
         clip = ClipConfig(0.5, 1.0, 1.0, 5.0)
-        pairs = [(slice(0, n), model, slice(n, n + m))]
+        pairs = [(slice(0, n), slice(n, n + m))]
         _, w_val, _, g = penalized_objective(
             model, x_full, pairs, alpha, clip,
             erm=(targets, "squared_error"))
@@ -497,7 +495,6 @@ class TestTiedOutputs:
 # every model kind, with 3 inputs; the tests scale theta by 4 so that the
 # far inputs of _ghost_inputs saturate the first-layer sigmoids
 _GHOST_MODELS = {
-    "identity": lambda: make_model("identity", 3),
     "affine": lambda: make_model("affine", 3, output_dim=2, seed=1),
     "affine_sigmoid": lambda: make_model("affine_sigmoid", 3, seed=2),
     "mlp2": lambda: make_model("mlp2", 3, hidden_dim=5, output_dim=2, seed=3),
@@ -550,14 +547,13 @@ class TestGhostClipping:
         # the row bound splits the nonzero rows: some clipped, some not
         norms = np.sqrt(np.concatenate([
             dense_sq, np.sum(penalty_jacobian_batch(model, z) ** 2, -1)]))
-        row_bound = float(np.median(norms[norms > 0])) if norms.any() else 1.0
-        if model.n_params:
-            assert np.any(norms > row_bound)
-            assert np.any((norms > 0.0) & (norms < row_bound))
+        row_bound = float(np.median(norms[norms > 0]))
+        assert np.any(norms > row_bound)
+        assert np.any((norms > 0.0) & (norms < row_bound))
         clip = ClipConfig(0.3, row_bound * np.sqrt(d),
                           0.5 * row_bound * np.sqrt(d))
 
-        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        batch, pairs = stacked_pairs([(x, z)])
         got = penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
         encode = penalty_model(model).forward_batch
         u = clip_rows(encode(x), 0.3) @ directions.T
@@ -601,14 +597,13 @@ class TestGhostClipping:
         dense = loss_grad_batch(model, x, targets, loss_kind)
         norms = np.linalg.norm(dense, axis=1)
         assert np.all(norms[zero_rows] == 0.0)
-        bound = float(np.median(norms)) if norms.any() else 1.0
-        if model.n_params:
-            assert np.any(norms > bound)
-            assert np.any((norms > 0.0) & (norms < bound))
+        bound = float(np.median(norms))
+        assert np.any(norms > bound)
+        assert np.any((norms > 0.0) & (norms < bound))
         d = model.penalty_dim
         dirs = sample_directions(d, 1, seed=0) if d > 1 else None
         value, _, _, got = penalized_objective(
-            model, x, [(slice(None), model, slice(None))], 0.0,
+            model, x, [(slice(None), slice(None))], 0.0,
             ClipConfig(1.0, 1.0, 1.0, bound), dirs, erm=(targets, loss_kind))
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
         assert value == np.mean(model.trace(x).loss(targets, loss_kind))
@@ -641,11 +636,9 @@ class TestGhostClipping:
 
         bound = 0.75
         clip = ClipConfig(0.5, bound, bound)
-        reference = make_model("identity", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            batch, pairs = stacked_pairs(model, [(x[:1], reference, z)])
-            got = penalized_objective(model, batch, pairs, 1.0,
+            got = penalized_objective(model, x[:1], [(slice(None), z)], 1.0,
                                       clip)[3]
         gu = w2_grad_columns(clip_rows(model.forward_batch(x[:1]), 0.5),
                              z)[0][0, 0]
@@ -656,8 +649,8 @@ class TestGhostClipping:
                                                     rel=1e-12)
 
         # with finite rows beside it, the sum matches the dense oracle
-        batch, pairs = stacked_pairs(model, [(x, reference, z)])
-        got = penalized_objective(model, batch, pairs, 1.0, clip)[3]
+        got = penalized_objective(model, x, [(slice(None), z)], 1.0,
+                                  clip)[3]
         gu = w2_grad_columns(clip_rows(model.forward_batch(x), 0.5), z)[0]
         want = gu[:, 0] @ clip_rows(jacobian_batch(model, x)[:, 0, :], bound)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -691,13 +684,11 @@ class TestOnePenaltyPass:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls per name of the penalty pass's parts and of the forward:
-        ``trace`` counts the traces of a model with parameters,
-        ``reference_trace`` those of a parameter-free map."""
+        """Calls per name of the penalty pass's parts and of the
+        forward."""
         from dpswgrad import dp_gradient, models
-        counts = dict.fromkeys(["trace", "reference_trace", "_backward",
-                                "jacobian_rows", "norms", "weighted_sum",
-                                "clip_rows"], 0)
+        counts = dict.fromkeys(["trace", "_backward", "jacobian_rows",
+                                "norms", "weighted_sum", "clip_rows"], 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -708,13 +699,7 @@ class TestOnePenaltyPass:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        trace = models.Model.trace
-
-        def counted_trace(model, x):
-            counts["trace" if model.n_params else "reference_trace"] += 1
-            return trace(model, x)
-
-        monkeypatch.setattr(models.Model, "trace", counted_trace)
+        counted(models.Model, "trace")
         counted(models.Trace, "_backward")
         counted(models.Trace, "jacobian_rows")
         counted(models.LayerGrads, "norms")
@@ -726,17 +711,16 @@ class TestOnePenaltyPass:
     @pytest.mark.parametrize("sides", ["slices", "arrays", "arrays_no_erm"])
     @pytest.mark.parametrize("r", [1, 2])
     def test_one_penalty_pass_per_call(self, calls, r, sides, alpha):
-        # "slices" pairs the model with itself; "arrays" pairs it with a
-        # parameter-free reference, whose sides are arrays of their own,
-        # with and without the ERM term
+        # "slices" pairs the model with itself; "arrays" pairs it with
+        # reference samples, arrays of outputs, with and without the ERM
+        # term
         model, x, erm, dirs = self._setup()
         blocks = [(slice(0, 6), slice(6, 10)), (slice(10, 13),
                                                 slice(13, 20))][:r]
         if sides == "slices":
-            pairs = [(a, model, b) for a, b in blocks]
+            pairs = blocks
         else:
-            reference = make_model("identity", 2)
-            pairs = [(a, reference, 0.3 * x[b, :2]) for a, b in blocks]
+            pairs = [(a, 0.3 * x[b, :2]) for a, b in blocks]
         if sides == "arrays_no_erm":
             erm = None
         penalized_objective(model, x, pairs, alpha, NO_CLIP, dirs, erm)
@@ -744,11 +728,10 @@ class TestOnePenaltyPass:
         # backward; below alpha 1 the ERM term adds the one backward and
         # its own norm pass, and both terms share the one weighted sum;
         # the ERM term and every pair read the one trace, and each
-        # reference side is traced and clipped on its own
+        # reference side is clipped on its own
         erm_pass = int(alpha < 1.0 and erm is not None)
         references = r * (sides != "slices")
-        assert calls == {"trace": 1, "reference_trace": references,
-                         "_backward": erm_pass, "jacobian_rows": 1,
+        assert calls == {"trace": 1, "_backward": erm_pass, "jacobian_rows": 1,
                          "norms": 1 + erm_pass, "weighted_sum": 1,
                          "clip_rows": 1 + references}
 
@@ -757,7 +740,7 @@ class TestOnePenaltyPass:
     @pytest.mark.parametrize("r", [1, 2])
     def test_reference_sides_take_a_value_sort(self, monkeypatch, r, sides,
                                                alpha):
-        # no gradient is asked for a parameter-free reference side, so the
+        # no gradient is asked for a reference side, so the
         # OT kernel sorts it for its values only: one permutation sort per
         # generation pair ("arrays"), two per pair of the model with itself
         from dpswgrad import dp_gradient, ot_core
@@ -765,10 +748,9 @@ class TestOnePenaltyPass:
         blocks = [(slice(0, 6), slice(6, 10)), (slice(10, 13),
                                                 slice(13, 20))][:r]
         if sides == "slices":
-            pairs = [(a, model, b) for a, b in blocks]
+            pairs = blocks
         else:
-            reference = make_model("identity", 2)
-            pairs = [(a, reference, 0.3 * x[b, :2]) for a, b in blocks]
+            pairs = [(a, 0.3 * x[b, :2]) for a, b in blocks]
         sorted_rows = []
         stable_sort_rows = ot_core._stable_sort_rows
 
@@ -790,23 +772,30 @@ class TestOnePenaltyPass:
         assert got[:3] == want[:3] and bit_equal(got[3], want[3])
 
     @pytest.mark.parametrize("pairs", [
-        lambda x, model, ref: [(x[:6], model, slice(6, 20))],
-        lambda x, model, ref: [(slice(0, 6), model, x[6:])],
-        lambda x, model, ref: [(slice(0, 6), ref, slice(6, 20))],
-        lambda x, model, ref: [(slice(0, 6), model, slice(6, 20)),
-                               (x[:6], ref, x[6:, :2])]],
-        ids=["array_x", "array_z_of_model", "slice_z_of_reference",
-             "array_x_in_second_pair"])
+        lambda x, model: [(x[:6], slice(6, 20))],
+        lambda x, model: [(slice(0, 6), x[6:])],
+        lambda x, model: [(slice(0, 6), model, slice(6, 20))],
+        lambda x, model: [(slice(0, 6), slice(6, 20)),
+                          (x[:6], 0.3 * x[6:, :2])],
+        lambda x, model: [(slice(0, 6), 0.3 * x[6, :2])],
+        lambda x, model: [(slice(0, 6), 0.3 * x[6:, :1])],
+        lambda x, model: [(slice(0, 6), np.array([[0.1, 0.2],
+                                                  [np.nan, 0.3]]))],
+        lambda x, model: [(slice(0, 6), np.array([[0.1, -np.inf]]))]],
+        ids=["array_x", "array_z_of_model", "slice_pair_of_three",
+             "array_x_in_second_pair", "reference_1d",
+             "reference_wrong_width", "reference_nan", "reference_inf"])
     def test_sides_off_the_batch_rejected_before_any_trace(self, calls,
                                                            pairs):
-        # the model's sides are slices of its batch, and a parameter-free
-        # map's side is an array of its own inputs
+        # a pair is two sides: the model's first side is a slice of its
+        # batch, and the second another slice or an (m, d) array of finite
+        # reference outputs; the old three-element form is rejected too
         model, x, erm, dirs = self._setup()
-        reference = make_model("identity", 2)
-        with pytest.raises(ValueError, match="slice of its batch"):
-            penalized_objective(model, x, pairs(x, model, reference), 0.5,
-                                NO_CLIP, dirs, erm)
-        assert calls["trace"] == calls["reference_trace"] == 0
+        with pytest.raises(ValueError, match=r"slice rx of its batch .* "
+                                             r"an \(m, 2\) array of finite"):
+            penalized_objective(model, x, pairs(x, model), 0.5, NO_CLIP,
+                                dirs, erm)
+        assert calls["trace"] == 0
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_shared_rows_give_the_per_pair_sum(self, alpha):
@@ -821,9 +810,9 @@ class TestOnePenaltyPass:
         for values, bound in ((out, 0.2), (norms, 0.5 / np.sqrt(2)),
                               (norms, 0.6 / np.sqrt(2))):
             assert np.any(values > bound) and np.any(values < bound)
-        pairs = [(slice(0, 8), model, slice(8, 14)),
-                 (slice(0, 8), model, slice(14, 20)),
-                 (slice(4, 12), model, slice(10, 18))]
+        pairs = [(slice(0, 8), slice(8, 14)),
+                 (slice(0, 8), slice(14, 20)),
+                 (slice(4, 12), slice(10, 18))]
         got = penalized_objective(model, x, pairs, alpha, clip, dirs, erm)
         erm_grad = penalized_objective(model, x, pairs, 0.0, clip, dirs,
                                        erm)[3]
@@ -840,8 +829,7 @@ class TestOnePenaltyPass:
 # every kind with parameters (both mlp2 output activations, the
 # autoencoder at latent 2 and 3)
 _FACTORED_MODELS = {
-    **{kind: make for kind, make in _GHOST_MODELS.items()
-       if kind != "identity"},
+    **_GHOST_MODELS,
     "autoencoder_latent3": lambda: make_model(
         "autoencoder", 3, hidden_dim=4, latent_dim=3, seed=6),
 }
@@ -905,7 +893,7 @@ class TestFactoredRows:
         row_bound = float(np.median(penalty_norms[penalty_norms > 0]))
         assert np.any(penalty_norms > row_bound)
         assert np.any((penalty_norms > 0.0) & (penalty_norms < row_bound))
-        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        batch, pairs = stacked_pairs([(x, z)])
         targets = model.forward_batch(batch) \
             + 0.3 * rng.normal(size=(len(batch), model.output_dim))
         loss_grads = loss_grad_batch(model, batch, targets, "squared_error")
@@ -963,7 +951,7 @@ class TestFactoredRows:
         d = model.penalty_dim
         dirs = sample_directions(d, 5, seed=4)
         clip = ClipConfig(0.3, 0.5, 0.7)
-        batch, pairs = stacked_pairs(model, [(x, model, z)])
+        batch, pairs = stacked_pairs([(x, z)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = penalized_objective(model, batch, pairs, 1.0, clip,
@@ -993,7 +981,7 @@ class TestPenaltyMemory:
         model = make_model("autoencoder", 16, seed=0, hidden_dim=hidden,
                            latent_dim=latent)
         x = np.random.default_rng(0).normal(size=(n, 16))
-        pairs = [(slice(0, n // 2), model, slice(n // 2, n))]
+        pairs = [(slice(0, n // 2), slice(n // 2, n))]
         dirs = sample_directions(latent, 50, seed=0)
         clip = ClipConfig(1.0, 1.0, 1.0)
 

@@ -1,7 +1,6 @@
 """Tests for the DP-SGD training loop, subsampling, and metric tables."""
 
 import math
-import types
 import warnings
 
 import numpy as np
@@ -11,9 +10,10 @@ from scipy.special import expit
 from dpswgrad.data import (GenerationConfig, centered_targets,
                            generate_biased, partition)
 from dpswgrad.dp_gradient import ClipConfig
-from dpswgrad.fairness_train import (TrainConfig, dpsgd_train, metrics,
+from dpswgrad.fairness_train import (TrainConfig, _probe_metrics,
+                                     dpsgd_train, metrics,
                                      subsample_partitioned)
-from dpswgrad.models import Model, make_model
+from dpswgrad.models import _BLOCK_ROWS, Model, make_model
 
 from oracles import central_diff, w2_squared_quantile_oracle
 
@@ -233,19 +233,34 @@ class TestTasks:
         assert rec.epsilon_spent == pytest.approx(2.0, rel=1e-4)
         assert rec.class_sizes == {"x": 300, "z": 300}
 
+    def test_generation_bound_charges_the_reference_with_no_jacobian(self):
+        # the reference side has no Jacobian, so the bound takes J_z = 0
+        # whatever jac_bound2 says: max over the sides of 4 B (3 J_s +
+        # J_o) / n_s, the model's side at 3 J_x, the reference's at J_x;
+        # the record keeps the clip it was given
+        cfg = TrainConfig(task="generation", steps=1, learning_rate=0.01,
+                          epsilon=1.0, delta=1e-4, alpha=1.0,
+                          clip=ClipConfig.symmetric(0.5, 1.5),
+                          num_projections=4, hidden_dim=4, gen_samples=200,
+                          seed=3)
+        rec = dpsgd_train(cfg, None)
+        assert rec.batch_sizes == {"x": 40, "z": 40}
+        assert rec.sensitivity == 4.0 * 0.5 * (3.0 * 1.5 + 0.0) / 40 == 0.225
+        assert rec.config["clip"]["jac_bound2"] == 1.5
+
     @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
     @pytest.mark.parametrize("task", ["regression_sp", "classification_eo",
                                       "autoencoder_sp", "generation"])
     def test_one_forward_trace_of_the_model_per_step(self, task, alpha,
                                                      monkeypatch):
         # the step's batch is traced once and every penalty side reads its
-        # rows; generation traces its one model side (the reference map is
-        # parameter-free and not counted)
+        # rows; generation traces its one model side (the reference sample
+        # is an array of outputs)
         traced = []
         trace = Model.trace
 
         def counted(self, x):
-            traced.append(self.n_params > 0)
+            traced.append(True)
             return trace(self, x)
 
         monkeypatch.setattr(Model, "trace", counted)
@@ -356,13 +371,8 @@ class _StubModel:
         self._outputs = np.asarray(outputs, dtype=np.float64)
         self._codes = codes
 
-    def forward_batch(self, x):
-        return self._outputs
-
-    def trace(self, x):
-        codes = types.SimpleNamespace(output=self._codes)
-        return types.SimpleNamespace(output=self._outputs,
-                                     penalty=lambda: codes)
+    def forward_batch(self, x, penalty=False):
+        return self._codes if penalty else self._outputs
 
 
 class TestMetrics:
@@ -390,21 +400,33 @@ class TestMetrics:
         table = metrics(ds, stub, "autoencoder_sp")
         assert table["rl"] == 0.0 and table["rl_core"] == 0.0
 
-    def test_one_trace_of_the_autoencoder_test_set(self, monkeypatch):
-        # the reconstruction and the latent codes come from one trace; the
-        # probe classifier fit on the codes traces itself and is not counted
-        ds = _dataset(200, seed=17)
+    def test_autoencoder_test_set_traced_in_row_blocks(self, monkeypatch):
+        # the reconstruction and the latent codes come from forward_batch,
+        # whose traces hold at most 2B - 1 rows, and the table equals the
+        # one of a whole-batch trace; the probe classifier fit on the codes
+        # traces itself and is not counted
+        n = 2 * _BLOCK_ROWS + 5
+        ds = _dataset(n, seed=17)
         model = make_model("autoencoder", ds.dim, hidden_dim=4, seed=0)
-        traced = []
-        trace = Model.trace
+        whole = model.trace(ds.x)
+        resid = whole.output - ds.x
+        core = resid[:, :ds.config.core_dim]
+        want = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
+                "rl_core": float(np.mean(np.sum(core * core, axis=1))),
+                **_probe_metrics(whole.penalty().output, ds.y, ds.a)}
+        rows = []
+        trace = Model._trace
 
         def counted(self, x):
-            traced.append(self is model)
+            if self is model:
+                rows.append(x.shape[0])
             return trace(self, x)
 
-        monkeypatch.setattr(Model, "trace", counted)
-        metrics(ds, model, "autoencoder_sp")
-        assert sum(traced) == 1
+        monkeypatch.setattr(Model, "_trace", counted)
+        table = metrics(ds, model, "autoencoder_sp")
+        assert rows and max(rows) <= 2 * _BLOCK_ROWS - 1
+        assert sum(rows) == 2 * n
+        assert table == pytest.approx(want, rel=0.0, abs=0.0, nan_ok=True)
 
     def test_exact_regression_diagonal_fractions(self):
         # model returning the centered continuous response: the fraction of

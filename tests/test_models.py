@@ -39,18 +39,6 @@ def _loss_grad_fd(model, x, target, loss_kind, h=1e-6):
     return central_diff(fn, base, h=h)
 
 
-class TestIdentity:
-    def test_forward_is_input(self):
-        m = make_model("identity", 3)
-        x = np.array([0.3, -1.0, 2.0])
-        np.testing.assert_array_equal(forward(m, x), x)
-
-    def test_jacobian_is_empty(self):
-        m = make_model("identity", 3)
-        assert per_sample_jacobian(m, np.zeros(3)).shape == (3, 0)
-        assert m.n_params == 0
-
-
 class TestAffine:
     def test_forward_is_linear(self):
         m = make_model("affine", 2, output_dim=2,
@@ -188,13 +176,12 @@ class TestMlp2:
 
 
 @pytest.mark.parametrize("model", [
-    make_model("identity", 1),
     make_model("affine", 2, output_dim=1, seed=0),
     make_model("mlp2", 2, hidden_dim=3, output_dim=1, seed=0),
     make_model("mlp2", 2, hidden_dim=3, output_dim=1,
                output_activation="linear", seed=0),
     make_model("autoencoder", 2, hidden_dim=3, latent_dim=1, seed=0),
-], ids=["identity", "affine", "mlp2", "mlp2_linear", "autoencoder"])
+], ids=["affine", "mlp2", "mlp2_linear", "autoencoder"])
 def test_bce_needs_a_scalar_sigmoid_model(model):
     x, y = np.zeros((2, model.input_dim)), np.array([0.0, 1.0])
     trace = model.trace(x)
@@ -303,8 +290,11 @@ class TestFactoryAndCheckpoint:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: make_model("transformer", 4, seed=0),
-         r"^unknown model kind 'transformer'; expected one of \('identity', "
-         r"'affine', 'affine_sigmoid', 'mlp2', 'autoencoder'\)$"),
+         r"^unknown model kind 'transformer'; expected one of \('affine', "
+         r"'affine_sigmoid', 'mlp2', 'autoencoder'\)$"),
+        # a reference sample is an array of outputs, not a model
+        (lambda: make_model("identity", 3),
+         r"^unknown model kind 'identity'; expected one of \('affine', "),
         (lambda: make_model("mlp2", 3, hidden_dim=0, seed=0),
          r"^layer dimensions must be >= 1$"),
         (lambda: make_model("mlp2", 3, hidden_dim=4, theta=np.zeros(25)),
@@ -312,7 +302,7 @@ class TestFactoryAndCheckpoint:
         (lambda: make_model("affine", 3), r"^a seed is required"),
         (lambda: make_model("mlp2", 3, output_activation="sigmoid", seed=0),
          r"^unknown output activation 'sigmoid'$"),
-    ], ids=["kind", "width", "theta_size", "no_seed",
+    ], ids=["kind", "identity", "width", "theta_size", "no_seed",
             "output_activation"])
     def test_construction_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -326,7 +316,6 @@ class TestFactoryAndCheckpoint:
         assert not np.array_equal(a.theta, c.theta)
 
     @pytest.mark.parametrize("kind, meta", [
-        ("identity", {"output_dim": 4}),
         ("affine", {"output_dim": 2}),
         ("affine_sigmoid", {"output_dim": 1}),
         ("mlp2", {"output_dim": 2, "hidden_dim": 64,
@@ -334,7 +323,7 @@ class TestFactoryAndCheckpoint:
                   "output_activation": "sigmoid_recentered"}),
         ("autoencoder", {"output_dim": 4, "hidden_dim": 62,
                          "hidden_activation": "sigmoid", "latent_dim": 2}),
-    ], ids=["identity", "affine", "affine_sigmoid", "mlp2", "autoencoder"])
+    ], ids=["affine", "affine_sigmoid", "mlp2", "autoencoder"])
     def test_checkpoint_round_trip(self, tmp_path, kind, meta):
         m = make_model(kind, 4, seed=3)
         path = tmp_path / "model.json"

@@ -287,10 +287,8 @@ class TestCalibration:
         # batches of a fifth, 500 steps, delta = 0.1/n, alpha = 0.75, eps = 1;
         # sensitivity from the statistical-parity bound at batch sizes
         from dpswgrad.dp_gradient import ClipConfig
-        from dpswgrad.models import make_model
         from dpswgrad.sensitivity import sensitivity_bound
-        model = make_model("affine_sigmoid", 16, seed=0)
-        delta2 = sensitivity_bound(model, [(3000, model, 3000)], 0.75,
+        delta2 = sensitivity_bound([(3000, 3000)], 0.75,
                                    ClipConfig.symmetric(1.0, 1.0, 5.0), 6000)
         sigma = calibrate_noise(PrivacyBudget(1.0, 0.1 / 30000), 500, 0.2,
                                 delta2)

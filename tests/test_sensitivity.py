@@ -13,24 +13,20 @@ from dpswgrad.sliced import sample_directions
 
 from oracles import stacked_pairs
 
-MODEL = make_model("affine_sigmoid", 2, seed=0)
-
 
 def _fairness_bound(c, b, j, sizes, alpha):
     """The bound of the fairness pairs over consecutive ``sizes``, with ERM."""
-    pairs = [(n0, MODEL, n1) for n0, n1 in zip(sizes[::2], sizes[1::2])]
-    return sensitivity_bound(MODEL, pairs, alpha,
-                             ClipConfig.symmetric(b, j, c), sum(sizes))
+    pairs = [(n0, n1) for n0, n1 in zip(sizes[::2], sizes[1::2])]
+    return sensitivity_bound(pairs, alpha, ClipConfig.symmetric(b, j, c),
+                             sum(sizes))
 
 
 def _one_sided(b, j1, j2, n):
-    return sensitivity_bound(MODEL, [(n, MODEL, None)], 1.0,
-                             ClipConfig(b, j1, j2))
+    return sensitivity_bound([(n, None)], 1.0, ClipConfig(b, j1, j2))
 
 
 def _two_sided(b, j1, j2, n, m):
-    return sensitivity_bound(MODEL, [(n, MODEL, m)], 1.0,
-                             ClipConfig(b, j1, j2))
+    return sensitivity_bound([(n, m)], 1.0, ClipConfig(b, j1, j2))
 
 
 def _ulps(a, b):
@@ -52,19 +48,16 @@ class TestClosedFormBounds:
             1.0, 2.0, 3.0, 10)
 
     def test_parameter_free_and_public_sides(self):
-        # generation: the reference map has no parameters, so J = 0 there
-        # whatever the clip says; a public side adds no term
-        gen = make_model("mlp2", 2, hidden_dim=3, output_dim=2, seed=0)
-        clip = ClipConfig(1.0, 1.0, 7.0)
-        ident = make_model("identity", 2)
-        assert sensitivity_bound(gen, [(10, ident, 1000)], 1.0,
+        # generation: the reference sample has no Jacobian, so its side
+        # is charged with jac_bound2 = 0; a public side adds no term
+        clip = ClipConfig(1.0, 1.0, 0.0)
+        assert sensitivity_bound([(10, 1000)], 1.0,
                                  clip) == pytest.approx(1.2)
-        assert sensitivity_bound(gen, [(1000, ident, 1)], 1.0,
+        assert sensitivity_bound([(1000, 1)], 1.0,
                                  clip) == pytest.approx(4.0)
-        assert sensitivity_bound(gen, [(None, ident, 1)], 1.0,
+        assert sensitivity_bound([(None, 1)], 1.0,
                                  clip) == pytest.approx(4.0)
-        assert sensitivity_bound(MODEL, [(None, MODEL, None)], 1.0,
-                                 clip) == 0.0
+        assert sensitivity_bound([(None, None)], 1.0, clip) == 0.0
 
     def test_sp_values(self):
         assert _fairness_bound(5.0, 1.0, 1.0, [50, 50], 0.0) == \
@@ -82,7 +75,7 @@ class TestClosedFormBounds:
                   + a * 16.0 * b * j / min(n0, n1))
             assert _fairness_bound(c, b, j, [n0, n1], a) == sp
         # two Jacobian bounds: each side weighs its own three times
-        got = sensitivity_bound(MODEL, [(30, MODEL, 20)], 0.75,
+        got = sensitivity_bound([(30, 20)], 0.75,
                                 ClipConfig(1.0, 0.5, 2.0, 5.0), 50)
         assert got == (1.0 - 0.75) * 2.0 * 5.0 / 50 + max(
             0.75 * 4.0 * 1.0 * (3.0 * 0.5 + 2.0) / 30,
@@ -136,17 +129,20 @@ class TestClosedFormBounds:
         with pytest.raises(ValueError, match=">= 1"):
             _one_sided(1.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError, match=">= 1"):
-            sensitivity_bound(MODEL, [(0, MODEL, 10)], 0.5, clip, 10)
+            sensitivity_bound([(0, 10)], 0.5, clip, 10)
         with pytest.raises(ValueError, match=">= 1"):
-            sensitivity_bound(MODEL, [(5, MODEL, 5)], 0.5, clip, 0)
+            sensitivity_bound([(5, 5)], 0.5, clip, 0)
         with pytest.raises(ValueError, match="penalty pair"):
-            sensitivity_bound(MODEL, [], 0.5, clip, 10)
+            sensitivity_bound([], 0.5, clip, 10)
         with pytest.raises(ValueError, match="alpha"):
-            sensitivity_bound(MODEL, [(5, MODEL, 5)], 1.5, clip, 10)
+            sensitivity_bound([(5, 5)], 1.5, clip, 10)
+        # a pair is two sizes; the old (n_x, h, n_z) form is rejected
+        with pytest.raises(ValueError, match="too many values"):
+            sensitivity_bound([(5, None, 5)], 0.5, clip, 10)
         # negative bounds never reach the bound: its ClipConfig rejects them
         with pytest.raises(ValueError, match=">= 0"):
-            sensitivity_bound(MODEL, [(5, MODEL, 5)], 0.5,
-                              ClipConfig(1.0, -1.0, 1.0, 1.0), 10)
+            sensitivity_bound([(5, 5)], 0.5, ClipConfig(1.0, -1.0, 1.0, 1.0),
+                              10)
         with pytest.raises(ValueError, match="class sizes"):
             empirical_sensitivity(lambda classes: np.zeros(1),
                                   [np.zeros((3, 2)), np.zeros((0, 2))],
@@ -171,13 +167,13 @@ def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
     x = rng.normal(size=(n, 3))
 
     def grad_fn(classes):
-        batch, pairs = stacked_pairs(model, [(classes[0], model, z)])
+        batch, pairs = stacked_pairs([(classes[0], z)])
         return penalized_objective(model, batch, pairs, 1.0, clip, dirs)[3]
 
     return empirical_sensitivity(
         grad_fn, [x], uniform_box_replacement([-3.0] * 3, [3.0] * 3),
         trials=trials, seed=seed + 2,
-        theoretical_bound=sensitivity_bound(model, [(n, model, None)], 1.0,
+        theoretical_bound=sensitivity_bound([(n, None)], 1.0,
                                             clip))
 
 
@@ -203,23 +199,23 @@ class TestEmpiricalAuditor:
         assert report.empirical_max <= report.theoretical_bound
 
     def test_identity_map_private_side_within_reduced_bound(self):
-        # data-generation shape: the private sample passes through the
-        # identity (its Jacobian bound contributes nothing), the reference
-        # side carries the parameters; the model's side comes first
+        # data-generation shape: the private sample is the reference
+        # array of outputs (no Jacobian, so jac_bound2 = 0 charges it),
+        # the public side carries the parameters; the model's side comes
+        # first
         n = 25
         clip = ClipConfig(1.0, 1.0, 0.0, 0.0)
         gen = make_model("affine_sigmoid", 2, seed=9)
         gen.theta *= 6.0
-        ident = make_model("identity", 1)
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, size=(n, 1))
         z = rng.normal(size=(40, 2))
 
         def grad_fn(classes):
-            batch, pairs = stacked_pairs(gen, [(z, ident, classes[0])])
-            return penalized_objective(gen, batch, pairs, 1.0, clip)[3]
+            return penalized_objective(gen, z, [(slice(None), classes[0])],
+                                       1.0, clip)[3]
 
-        bound = sensitivity_bound(gen, [(None, ident, n)], 1.0, clip)
+        bound = sensitivity_bound([(None, n)], 1.0, clip)
         report = empirical_sensitivity(
             grad_fn, [x], uniform_box_replacement([-1.0], [1.0]),
             trials=300, seed=11, theoretical_bound=bound)
@@ -234,11 +230,10 @@ class TestEmpiricalAuditor:
         z = rng.normal(size=(10, 2))
 
         def grad_fn(classes):
-            batch, pairs = stacked_pairs(
-                model, [(classes[0], model, classes[1])])
+            batch, pairs = stacked_pairs([(classes[0], classes[1])])
             return penalized_objective(model, batch, pairs, 1.0, clip)[3]
 
-        bound = sensitivity_bound(model, [(15, model, 10)], 1.0, clip)
+        bound = sensitivity_bound([(15, 10)], 1.0, clip)
         report = empirical_sensitivity(
             grad_fn, [x, z], uniform_box_replacement([-3, -3], [3, 3]),
             trials=250, seed=5, theoretical_bound=bound)
@@ -260,14 +255,14 @@ class TestEmpiricalAuditor:
             x_full = np.concatenate([c0[:, :2], c1[:, :2]])
             y_full = np.concatenate([c0[:, 2], c1[:, 2]])
             return penalized_objective(
-                model, x_full, [(slice(0, n0), model, slice(n0, n0 + n1))],
+                model, x_full, [(slice(0, n0), slice(n0, n0 + n1))],
                 0.75, clip, erm=(y_full, "bce"))[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=2),
                                    [float(rng_.integers(0, 2))]])
 
-        bound = sensitivity_bound(model, [(n0, model, n1)], 0.75, clip,
+        bound = sensitivity_bound([(n0, n1)], 0.75, clip,
                                   n0 + n1)
         report = empirical_sensitivity(grad_fn, [x0, x1], draw, trials=250,
                                        seed=8, theoretical_bound=bound)
@@ -311,12 +306,12 @@ class TestCounterexample:
         for n, gap in zip((10, 100, 1000), gaps):
             assert gap == pytest.approx(2.0 / n, rel=1e-9)
             # construction constants: outputs bounded by 1, shift map is
-            # 1-Lipschitz in its parameter, reference side has no parameters
-            assert gap <= sensitivity_bound(
-                make_model("affine", 1, output_dim=1,
-                           theta=np.array([1.0, 0.0])),
-                [(n, make_model("identity", 1), None)], 1.0,
-                ClipConfig(1.0, 1.0, 0.0))
+            # 1-Lipschitz in its parameter, the reference grid has no
+            # Jacobian (J_z = 0): the bound is 4 (3 + 0) / n
+            bound = sensitivity_bound([(n, None)], 1.0,
+                                      ClipConfig(1.0, 1.0, 0.0))
+            assert bound == 12.0 / n
+            assert gap <= bound
         slope, _ = np.polyfit(np.log([10, 100, 1000]), np.log(gaps), 1)
         assert -1.2 <= slope <= -0.8
 

@@ -52,8 +52,8 @@ shapes:
   100 against 100 rows, stacked into one batch per call as the audit
   stacks them; 20 directions, weight 1, no ERM);
 - ``gen``: one ``gen_circle`` step (mlp2 with 2 inputs, 32 hidden units
-  and a linear 2-D output; 2000 rows against the identity map on 2000
-  references; 50 directions, weight 1, no ERM).
+  and a linear 2-D output; 2000 rows against an array of 2000 reference
+  outputs; 50 directions, weight 1, no ERM).
 
 Then it times ``dp_gradient.clip_rows``, ``privacy.calibrate_noise`` and
 ``data.load_dataset`` of a 30000-record dataset with 16 features (the
@@ -208,7 +208,7 @@ def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
     model = make_model("mlp2", 16, seed=seed, hidden_dim=64, output_dim=2)
     x = rng.normal(size=(sum(sizes), 16))
     erm = (0.3 * rng.normal(size=(x.shape[0], 2)), "squared_error")
-    pair = (slice(0, sizes[0]), model, slice(sizes[0], x.shape[0]))
+    pair = (slice(0, sizes[0]), slice(sizes[0], x.shape[0]))
     clip = ClipConfig.symmetric(0.7071, 1.4142, 10.0)
     dirs = sample_directions(2, 50, seed)
     return lambda: penalized_objective(model, x, [pair], 0.75, clip, dirs,
@@ -223,7 +223,7 @@ def _objective_ae(sizes=(2986, 3014), seed: int = 0):
     model = make_model("autoencoder", 16, seed=seed, hidden_dim=62,
                        latent_dim=2)
     x = rng.normal(size=(sum(sizes), 16))
-    pair = (slice(0, sizes[0]), model, slice(sizes[0], x.shape[0]))
+    pair = (slice(0, sizes[0]), slice(sizes[0], x.shape[0]))
     clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
     dirs = sample_directions(2, 50, seed)
     return lambda: penalized_objective(model, x, [pair], 0.75, clip, dirs,
@@ -240,7 +240,7 @@ def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
     erm = (rng.integers(0, 2, x.shape[0]).astype(np.float64), "bce")
     ends = np.cumsum(sizes).tolist()
     blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
-    pairs = [(blocks[0], model, blocks[2]), (blocks[1], model, blocks[3])]
+    pairs = [(blocks[0], blocks[2]), (blocks[1], blocks[3])]
     clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
     return lambda: penalized_objective(model, x, pairs, 0.75, clip, None,
                                        erm)
@@ -254,7 +254,7 @@ def _objective_audit(n: int = 100, seed: int = 0):
     model = make_model("mlp2", 3, seed=seed, hidden_dim=4, output_dim=2)
     model.theta *= 6.0
     x, z = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
-    pairs = [(slice(0, n), model, slice(n, 2 * n))]
+    pairs = [(slice(0, n), slice(n, 2 * n))]
     clip = ClipConfig(1.0, 1.0, 1.0, 5.0)
     dirs = sample_directions(2, 20, seed + 1)
     return lambda: penalized_objective(model, np.concatenate([x, z]), pairs,
@@ -263,15 +263,15 @@ def _objective_audit(n: int = 100, seed: int = 0):
 
 def _objective_gen(n: int = 2000, seed: int = 0):
     """One ``gen_circle`` step: the Wasserstein gradient alone of the
-    model's ``n`` outputs against ``n`` references on a circle, which pass
-    the identity map as their own array."""
+    model's ``n`` outputs against an array of ``n`` references on a
+    circle."""
     rng = np.random.default_rng(seed)
     model = make_model("mlp2", 2, seed=seed, hidden_dim=32, output_dim=2,
                        output_activation="linear")
     x = rng.normal(size=(n, 2))
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     z = 0.75 * np.column_stack([np.cos(angles), np.sin(angles)])
-    pairs = [(slice(0, n), make_model("identity", 2), z)]
+    pairs = [(slice(0, n), z)]
     clip = ClipConfig.symmetric(1.0, 1.0)
     dirs = sample_directions(2, 50, seed)
     return lambda: penalized_objective(model, x, pairs, 1.0, clip, dirs)
