@@ -15,8 +15,8 @@ The package is organized around one pipeline:
   empirical sensitivity auditor, and the W_p counterexample.
 - :mod:`dpswgrad.privacy` -- Gaussian mechanism, GDP accounting for
   subsampled compositions, and noise calibration.
-- :mod:`dpswgrad.data` -- synthetic biased dataset generator and class
-  partitioning.
+- :mod:`dpswgrad.data` -- synthetic biased dataset generator and the
+  record indices of each class.
 - :mod:`dpswgrad.fairness_train` -- the DP-SGD training loop with fairness
   penalties and metrics.
 - :mod:`dpswgrad.cli` -- reproducible command-line experiments.

@@ -277,6 +277,9 @@ def _run_train(cfg: dict, outdir: Path) -> list:
     if len(set(seeds)) != len(seeds):
         raise ValueError("train: seeds must be distinct")
     if cfg["task"] == "generation":
+        if cfg["data"] or cfg["test_data"]:
+            raise ValueError("train: the generation task draws its own "
+                             "samples and takes no --data or --test-data")
         if cfg["gen_samples"] < 1:
             raise ValueError("train: gen_samples must be >= 1")
         ds = ds_test = None

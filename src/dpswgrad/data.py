@@ -1,4 +1,4 @@
-"""Synthetic biased dataset generator and class partitioning.
+"""Synthetic biased dataset generator and its class index sets.
 
 The generative recipe produces records (x, a, y, y_c) in which the features
 mix an informative part with a spurious one:
@@ -36,7 +36,6 @@ from .jsonio import write_csv, write_json
 __all__ = [
     "GenerationConfig",
     "BiasedDataset",
-    "ClassPartition",
     "generate_biased",
     "partition",
     "centered_targets",
@@ -103,37 +102,16 @@ def generate_biased(config: GenerationConfig) -> BiasedDataset:
     return BiasedDataset(x=x, a=a, y=y, yc=yc, config=config)
 
 
-@dataclass
-class ClassPartition:
-    """Disjoint index sets per class key: ``a`` values or ``(a, y)`` pairs."""
-
-    mode: str            # "by_a" or "by_a_and_y"
-    indices: dict        # key -> index array
-
-    @property
-    def sizes(self) -> dict:
-        return {k: v.size for k, v in self.indices.items()}
-
-    @property
-    def keys(self) -> list:
-        return list(self.indices.keys())
-
-    def empty_classes(self) -> list:
-        return [k for k, v in self.indices.items() if v.size == 0]
-
-
-def partition(ds: BiasedDataset, mode: str) -> ClassPartition:
-    """Split record indices by sensitive class (and label, for EO)."""
+def partition(ds: BiasedDataset, by_label: bool) -> dict:
+    """Record indices per class: ``{a: indices}`` for a in (0, 1), or with
+    ``by_label`` ``{(a, y): indices}`` in the order (0, 0), (0, 1), (1, 0),
+    (1, 1)."""
     if ds.n == 0:
         raise ValueError("dataset must be non-empty")
-    if mode == "by_a":
-        indices = {j: np.flatnonzero(ds.a == j) for j in (0, 1)}
-    elif mode == "by_a_and_y":
-        indices = {(j, k): np.flatnonzero((ds.a == j) & (ds.y == k))
-                   for j in (0, 1) for k in (0, 1)}
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
-    return ClassPartition(mode=mode, indices=indices)
+    if by_label:
+        return {(j, k): np.flatnonzero((ds.a == j) & (ds.y == k))
+                for j in (0, 1) for k in (0, 1)}
+    return {j: np.flatnonzero(ds.a == j) for j in (0, 1)}
 
 
 def centered_targets(ds: BiasedDataset) -> np.ndarray:
@@ -142,11 +120,10 @@ def centered_targets(ds: BiasedDataset) -> np.ndarray:
 
 
 def _sizes_doc(ds: BiasedDataset) -> dict:
-    by_a = partition(ds, "by_a").sizes
-    by_ay = partition(ds, "by_a_and_y").sizes
-    return {"by_a": {str(k): int(v) for k, v in by_a.items()},
-            "by_a_and_y": {f"{j},{k}": int(v)
-                           for (j, k), v in by_ay.items()}}
+    return {"by_a": {str(k): v.size
+                     for k, v in partition(ds, False).items()},
+            "by_a_and_y": {f"{j},{k}": v.size
+                           for (j, k), v in partition(ds, True).items()}}
 
 
 def _header(d: int) -> list:

@@ -16,13 +16,14 @@ the clipped per-sample Jacobian rows.  A scalar output is the sliced case
 with the single direction (1), where the ball is the interval [-B, B].
 The Jacobian rows are clipped to bound/sqrt(d) individually (which caps the
 spectral norm at ``bound``) rather than through an SVD.  No per-sample
-Jacobian is built: the rows' cotangents are kept factored at the top two
-layers (:meth:`dpswgrad.models.Trace.jacobian_rows`), the row norms come
-from those factors and each traced layer's inputs (ghost norms), and the
-clipped, coupling-weighted sum of the rows is one (n, out) cotangent sum
-per layer (see :class:`dpswgrad.models.LayerGrads`).  The OT kernel sorts
-the model's sides for their rank permutations; a reference side, a fixed
-array of outputs, takes a value sort only, as it has no gradient.  A call
+Jacobian is built: the rows' cotangents are kept factored at the (at most
+two) layers the penalty reads (:meth:`dpswgrad.models.Trace.jacobian_rows`),
+the row norms come from those factors and each layer's inputs (ghost
+norms), and the clipped, coupling-weighted sum of the rows is one (n, out)
+cotangent sum per layer (see :class:`dpswgrad.models.LayerGrads`).  The
+OT kernel sorts the model's sides for their rank permutations; a
+reference side, a fixed array of outputs, takes a value sort only, as it
+has no gradient.  A call
 traces one batch of the model, and every side of the model, in every
 pair, is a block of its rows (a ``slice``), so a call makes one forward
 pass and one norm pass of the Jacobian rows whatever the number of pairs.
@@ -138,16 +139,17 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
 
     The objective is ``(1 - alpha) * ERM + alpha * W``, where W averages the
     (sliced) W2^2 of the clipped outputs over the R penalty ``pairs``.  The
-    model traces its batch ``x`` once, and the penalty reads that trace cut
-    at its layers (:meth:`Trace.penalty <dpswgrad.models.Trace.penalty>`).
-    Each pair ``(rx, z)`` compares the model on the rows ``rx`` (a
-    ``slice``) of ``x`` with ``z``: the model on another slice of ``x`` (a
-    fairness penalty), or a fixed (m, d) array of reference outputs (the
-    generation target), which has no Jacobian.  Other pairs are rejected
-    before any forward pass.  ``erm`` is ``(targets, loss_kind)`` over all
-    of ``x``, or None for a penalty-only objective (ERM reported 0).
-    ``dirs`` holds k unit directions as the rows of a (k, d) array; without
-    it the outputs must be scalar and take the one direction.
+    model traces its batch ``x`` once, and the penalty reads that trace's
+    output and Jacobian rows at its layers (:attr:`Trace.penalty_output
+    <dpswgrad.models.Trace.penalty_output>`).  Each pair ``(rx, z)``
+    compares the model on the rows ``rx`` (a ``slice``) of ``x`` with
+    ``z``: the model on another slice of ``x`` (a fairness penalty), or a
+    fixed (m, d) array of reference outputs (the generation target), which
+    has no Jacobian.  ``erm`` is ``(targets, loss_kind)`` over all of
+    ``x``, or None for a penalty-only objective (ERM reported 0).  ``dirs``
+    holds k unit directions as the rows of a (k, d) array; without it the
+    outputs must be scalar and take the one direction.  Other pairs, an
+    empty side and other directions are rejected before the forward pass.
 
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``rx``
@@ -178,20 +180,21 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
             f"each pair (rx, z) compares the model on a slice rx of its "
             f"batch with itself on another slice or with an (m, {d}) array "
             f"of finite reference outputs")
-    trace = model.trace(x)
-    cut = trace.penalty()
+    n = len(x) if np.ndim(x) == 2 else 1
+    if any(len(range(*side.indices(n)) if isinstance(side, slice)
+               else side) == 0 for pair in pairs for side in pair):
+        raise ValueError("both sides of every pair must be non-empty")
     if dirs is None:
         if d != 1:
             raise ValueError(
                 "a (k, d) array of directions is required for "
                 "multidimensional outputs")
         dirs = _ONE_DIRECTION
-    if dirs.shape[0] == 0:
-        raise ValueError("at least one direction is required")
-    if d != dirs.shape[1]:
-        raise ValueError(f"outputs are {d}-dimensional but directions are "
-                         f"{dirs.shape[1]}-dimensional")
-    clipped = clip_rows(cut.output, clip.output_bound)
+    if dirs.ndim != 2 or dirs.shape[0] == 0 or dirs.shape[1] != d:
+        raise ValueError(f"directions must be the rows of a (k, {d}) array "
+                         f"with k >= 1, got shape {dirs.shape}")
+    trace = model.trace(x)
+    clipped = clip_rows(trace.penalty_output, clip.output_bound)
     # (rows, (n, d) coupling gradient mapped back through the directions,
     # Jacobian row bound) of every side of the model
     sides = []
@@ -200,8 +203,6 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
         own = isinstance(z, slice)
         cz = clipped[z] if own else clip_rows(z, clip.output_bound)
         cx = clipped[rx]
-        if cx.shape[0] == 0 or cz.shape[0] == 0:
-            raise ValueError("both sample slices must be non-empty")
         # (n, k) views of (k, n) blocks: the layout the OT kernel sorts in
         u, v = (dirs @ cx.T).T, (dirs @ cz.T).T
         if alpha > 0.0:
@@ -232,7 +233,7 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     if alpha > 0.0:
         # every side's clipped, coupling-weighted Jacobian rows add their
         # weights into one (n, d) array, so shared rows add up
-        rows = cut.jacobian_rows()
+        rows = trace.jacobian_rows()
         norms = rows.norms()
         weights = np.zeros(norms.shape)
         for side_rows, coupling, bound in sides:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import privacy, sensitivity
-from .data import BiasedDataset, ClassPartition, centered_targets, partition
+from .data import BiasedDataset, centered_targets, partition
 from .dp_gradient import ClipConfig, penalized_objective
 from .jsonio import write_json
 from .models import make_model
@@ -152,11 +152,12 @@ def _plain(value):
     return value if finite else None
 
 
-def subsample_partitioned(part: ClassPartition, sizes: dict,
+def subsample_partitioned(part: dict, sizes: dict,
                           rng: np.random.Generator) -> dict:
-    """Uniform without-replacement batch per class, independent across classes."""
+    """Uniform without-replacement batch per class of ``part`` (class key
+    -> indices), independent across classes, in ``part``'s key order."""
     batches = {}
-    for key, idx in part.indices.items():
+    for key, idx in part.items():
         size = int(sizes[key])
         if size < 1 or size > idx.size:
             raise ValueError(
@@ -215,18 +216,19 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     circle: one pair of the model against the reference sample, at weight
     1 with no ERM term, whose bound takes ``jac_bound2 = 0`` (it has no
     Jacobian).  Every class is private, the generation references
-    included.  The model traces one batch per step: the class batches
-    stacked in key order, each side of a pair its class's block of rows
-    (a ``slice``), or for generation the batch of inputs.  A step
-    whose loss or updated parameter norm is not finite stops the run with
-    a ValueError that names the step and the budget already spent.
+    included.  The model traces one batch per step: the batches of the
+    classes it reads stacked in key order, each such side of a pair its
+    class's block of rows (a ``slice``); a reference class, generation's
+    ``z``, enters as the array of its batch rows.  A step whose loss or
+    updated parameter norm is not finite stops the run with a ValueError
+    that names the step and the budget already spent.
     """
     clip = cfg.clip
     if cfg.task == "generation":
-        x, z = generation_samples(cfg)
+        inputs, z = generation_samples(cfg)
         # each sample is a class of its own, indexing its own array
-        part = ClassPartition("samples", {key: np.arange(cfg.gen_samples)
-                                          for key in ("x", "z")})
+        part = {key: np.arange(cfg.gen_samples) for key in ("x", "z")}
+        refs = {"z": z}
         model = _task_model(cfg, 2)
         pair_keys = [("x", "z")]
         targets, weight = None, 1.0
@@ -237,6 +239,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         if ds_test is not None and ds_test.dim != ds.dim:
             raise ValueError(f"the test data has {ds_test.dim} features, "
                              f"the training data {ds.dim}")
+        inputs, refs = ds.x, {}
         model = _task_model(cfg, ds.dim)
         if cfg.task == "regression_sp":
             targets, loss_kind = centered_targets(ds), "squared_error"
@@ -245,28 +248,26 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         else:
             targets, loss_kind = ds.y.astype(np.float64), "bce"
         eo = cfg.task == "classification_eo"
-        part = partition(ds, "by_a_and_y" if eo else "by_a")
+        part = partition(ds, eo)
         pair_keys = [((0, k), (1, k)) for k in (0, 1)] if eo else [(0, 1)]
         weight = cfg.alpha
-    empty = part.empty_classes()
+    empty = [k for k, idx in part.items() if idx.size == 0]
     if empty:
         raise ValueError(f"dataset has empty classes: {empty}")
 
-    class_sizes = part.sizes
+    class_sizes = {k: idx.size for k, idx in part.items()}
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
     sampling_rate = max(batch_sizes[k] / class_sizes[k] for k in class_sizes)
-    if targets is not None:
-        # the step's batch stacks the class batches in key order, and each
-        # penalty side is its class's block of rows
-        ends = np.cumsum([batch_sizes[k] for k in part.keys])
-        blocks = {k: slice(int(end) - batch_sizes[k], int(end))
-                  for k, end in zip(part.keys, ends)}
-        pairs = [(blocks[a], blocks[b]) for a, b in pair_keys]
+    # the step's batch stacks the batches of the traced classes in key
+    # order, and each of their penalty sides is its class's block of rows
+    traced = [k for k in part if k not in refs]
+    ends = np.cumsum([batch_sizes[k] for k in traced])
+    blocks = {k: slice(int(end) - batch_sizes[k], int(end))
+              for k, end in zip(traced, ends)}
 
     delta2 = sensitivity.sensitivity_bound(
         [(batch_sizes[a], batch_sizes[b]) for a, b in pair_keys],
-        weight, clip,
-        None if targets is None else sum(batch_sizes[k] for k in part.keys))
+        weight, clip, None if targets is None else int(ends[-1]))
 
     non_private = math.isinf(cfg.epsilon)
     if non_private:
@@ -302,14 +303,12 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             dirs = _draw_directions(cfg, model.penalty_dim, step=t)
         rng_batch = _substream(cfg.seed, _TAG_BATCH, t)
         batch = subsample_partitioned(part, batch_sizes, rng_batch)
-        if targets is None:
-            inputs, erm = x[batch["x"]], None
-            pairs = [(slice(None), z[batch[b]]) for _, b in pair_keys]
-        else:
-            union = np.concatenate([batch[k] for k in part.keys])
-            inputs, erm = ds.x[union], (targets[union], loss_kind)
+        union = np.concatenate([batch[k] for k in traced])
+        pairs = [(blocks[a], refs[b][batch[b]] if b in refs else blocks[b])
+                 for a, b in pair_keys]
+        erm = None if targets is None else (targets[union], loss_kind)
         erm_val, w_val, total, grad = penalized_objective(
-            model, inputs, pairs, weight, clip, dirs, erm)
+            model, inputs[union], pairs, weight, clip, dirs, erm)
         record.erm_losses.append(erm_val)
         record.w_losses.append(w_val)
         record.total_losses.append(total)

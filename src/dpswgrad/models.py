@@ -19,15 +19,15 @@ cotangents, take no backward at all: each row's cotangent factors
 (:meth:`Trace.jacobian_rows`), ``c[i, j] e_j`` at the top, with ``c`` its
 derivative, and ``c[i, j] W[j] * ds[i]`` one layer down, so that their
 norms and sums are products of (n, d) and (n, out) arrays.
-:meth:`Model.trace` is the one forward pass, always of the whole stack;
-the penalty reads that trace cut at its layers (:meth:`Trace.penalty`), so
-a training step traces its batch once.  The forward pass adds each bias in
-place and takes each hidden sigmoid, ``1 / (1 + exp(-z))``, in its
-pre-activation's buffer.  A trace computes each sigmoid layer's derivative
-``s (1 - s)`` once, at the first backward or Jacobian rows that need it,
-into a list that the cut shares; the backward multiplies it in place into
-the loss cotangent and the fresh arrays its matmuls return.  The
-per-sample gradients are never built.
+:meth:`Model.trace` is the one forward pass, always of the whole stack,
+and the trace reads the penalty's output and Jacobian rows at the depth
+its model gives, so a training step traces its batch once.  The forward
+pass adds each bias in place and takes each hidden sigmoid, ``1 / (1 +
+exp(-z))``, in its pre-activation's buffer.  A trace computes each sigmoid
+layer's derivative ``s (1 - s)`` once, at the first backward or Jacobian
+rows that need it; the backward multiplies it in place into the loss
+cotangent and the fresh arrays its matmuls return.  The per-sample
+gradients are never built.
 :class:`LayerGrads` gives their row norms from the ghost-norm identity (a
 dense layer's per-sample gradient ``g a^T`` has squared norm ``||g||^2
 ||a||^2``) and, for any weights, each layer's sum ``G`` of the weighted
@@ -174,7 +174,7 @@ class Model:
             sigs.append(s)
             acts.append(z if s is None else
                         s - 0.5 if act == "sigmoid_recentered" else s)
-        return Trace(self, acts, sigs, z, [None] * len(sigs))
+        return Trace(self, acts, sigs, z)
 
     def forward_batch(self, x, penalty: bool = False) -> np.ndarray:
         """The (n, d) outputs of the whole stack at the rows of ``x``, or
@@ -185,7 +185,7 @@ class Model:
         out = None
         for block in blocks:
             tr = self._trace(x[block])
-            y = tr.penalty().output if penalty else tr.output
+            y = tr.penalty_output if penalty else tr.output
             if len(blocks) == 1:
                 return y
             if out is None:
@@ -197,38 +197,29 @@ class Model:
 class Trace:
     """One forward pass of a model over a batch, kept for its backward.
 
-    ``acts`` holds the inputs of the traced layers followed by the last
-    one's output, ``sigs`` each layer's sigmoid values (None for a linear
-    layer) and ``logit`` the last one's pre-activation (None in a
-    :meth:`penalty` cut that stops short of the last layer).  ``derivs``
-    holds each sigmoid layer's derivative ``s (1 - s)``, computed at the
-    first backward or Jacobian rows that need it, so that no forward-only
-    pass pays for it and it is not held while the penalty's OT kernels
-    run; the cut shares this list with its whole trace.
+    ``acts`` holds the inputs of the layers followed by the last one's
+    output, ``sigs`` each layer's sigmoid values (None for a linear layer)
+    and ``logit`` the last one's pre-activation.  ``derivs`` holds each
+    sigmoid layer's derivative ``s (1 - s)``, computed at the first
+    backward or Jacobian rows that need it, so that no forward-only pass
+    pays for it and it is not held while the penalty's OT kernels run.
     """
 
-    def __init__(self, model: Model, acts: list, sigs: list, logit,
-                 derivs: list):
+    def __init__(self, model: Model, acts: list, sigs: list, logit):
         self.model = model
         self.acts = acts
         self.sigs = sigs
         self.logit = logit
-        self.derivs = derivs
+        self.derivs = [None] * len(sigs)
 
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
 
-    def penalty(self) -> "Trace":
-        """This whole-stack trace cut at the layers the penalty reads, or
-        itself when the penalty reads them all: the trace of those layers
-        alone, without a second forward pass, its lists prefixes of this
-        trace's and its derivatives shared with it."""
-        depth = self.model.penalty_layers
-        if depth is None:
-            return self
-        return Trace(self.model, self.acts[:depth + 1], self.sigs[:depth],
-                     None, self.derivs)
+    @property
+    def penalty_output(self) -> np.ndarray:
+        """The output of the layers the penalty reads."""
+        return self.acts[self.model.penalty_layers or -1]
 
     def _loss(self, targets, loss_kind: str):
         """Per-sample loss values of the traced stack and the (n, d)
@@ -267,10 +258,9 @@ class Trace:
         return values, self._backward(cot, at_logit=loss_kind == "bce")
 
     def jacobian_rows(self) -> "LayerGrads":
-        """The (n, d) Jacobian rows of the traced output wrt theta, row
-        (i, j) the gradient of output j at sample i, as
-        :class:`LayerGrads`, for a trace of at most two layers (every
-        kind's penalty cut).
+        """The (n, d) Jacobian rows of :attr:`penalty_output` wrt theta,
+        row (i, j) the gradient of output j at sample i, as
+        :class:`LayerGrads` of the (at most two) layers the penalty reads.
 
         The cotangents of these one-hot rows factor: ``c[i, j] e_j`` at
         the top, with ``c`` its derivative (1 for a linear layer), and
@@ -278,10 +268,8 @@ class Trace:
         and ``ds`` the lower layer's derivative; both are kept as these
         (n, d) and (n, out) factors.
         """
-        n, d = self.output.shape
-        top = len(self.sigs) - 1
-        if top > 1:
-            raise ValueError("Jacobian rows of at most two layers")
+        n, d = self.penalty_output.shape
+        top = (self.model.penalty_layers or len(self.sigs)) - 1
         c = self._deriv(top, n)
         blocks = [_TopRows(c)]
         if top:
@@ -350,8 +338,9 @@ class LayerGrads:
     ``g[i, j]`` for the bias.  Its squared norm is therefore ``sum over
     layers of ||g[i, j]||^2 (||a[i]||^2 + 1)``, and a weighted sum of the
     rows is one ``G^T a`` per layer, with ``G[i] = sum_j w[i, j] g[i,
-    j]``.  ``blocks`` holds each traced layer's cotangents ``g``, dense or
-    factored, as an object with ``sq()`` (the (n, k) ``||g[i, j]||^2``),
+    j]``.  ``blocks`` holds the cotangents ``g`` of the trace's layers
+    from the first, all of them or the penalty's, dense or factored, as an
+    object with ``sq()`` (the (n, k) ``||g[i, j]||^2``),
     ``rows(i, j)`` (the cotangents at those index arrays) and ``sums(w,
     in_place)`` (the (n, out) ``G``).
     """

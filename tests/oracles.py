@@ -246,8 +246,8 @@ def jacobian_batch(model, x) -> np.ndarray:
 def penalty_model(model):
     """A standalone model of the layers the penalty reads, on the prefix
     of ``model.theta`` they use (a view of it), or ``model`` itself when
-    the penalty reads every layer: the reference for the penalty cut of a
-    whole-stack trace.  The one kind whose penalty reads fewer, the
+    the penalty reads every layer: the reference for the penalty output
+    and Jacobian rows of a whole-stack trace.  The one kind whose penalty reads fewer, the
     autoencoder, reads its encoder: a sigmoid hidden layer under a linear
     one, an ``mlp2`` with a linear output."""
     depth = model.penalty_layers

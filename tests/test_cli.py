@@ -124,6 +124,25 @@ class TestTrain:
             "error: train: seeds must be distinct\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--data"], ["--test-data"],
+                                       ["--data", "--test-data"]])
+    def test_generation_refuses_datasets(self, dataset_dir, tmp_path,
+                                         capsys, flags):
+        # generation draws its own samples; a dataset it would not read is
+        # refused before any output
+        out = tmp_path / "run"
+        given = [arg for flag in flags
+                 for arg in (flag, str(dataset_dir / "data.csv"))]
+        capsys.readouterr()
+        assert _run("train", "--task", "generation", "--steps", "2",
+                    *given, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: train: the generation task draws its own samples and "
+            "takes no --data or --test-data\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
     def test_empty_seed_list_rejected(self, tmp_path, capsys, given):
         # fails before the (missing) dataset is read and before any output
@@ -355,7 +374,7 @@ class TestOutputsByGroup:
         else:
             ds = load_dataset(tmp_path / "gen" / "data.csv",
                               tmp_path / "gen" / "data.json")
-            values = model.trace(ds.x).penalty().output
+            values = model.trace(ds.x).penalty_output
             labels = ([f"a={a},y={y}" for a, y in zip(ds.a, ds.y)]
                       if task == "classification_eo"
                       else [f"a={a}" for a in ds.a])

@@ -44,7 +44,7 @@ class TestGenerator:
         ds = generate_biased(cfg)
         assert abs(np.mean(ds.a == ds.y) - 0.7) < 0.01
         assert abs(ds.y.mean() - 0.5) < 0.01
-        sizes = partition(ds, "by_a").sizes
+        sizes = _sizes(partition(ds, False))
         # each class has expected size n/2; allow 3 standard errors
         se = 3 * np.sqrt(0.25 * 30000)
         assert abs(sizes[0] - 15000) < se and abs(sizes[1] - 15000) < se
@@ -70,19 +70,29 @@ class TestGenerator:
                     GenerationConfig(n=10, bias=0.5, **{name: bad})
 
 
+def _sizes(part: dict) -> dict:
+    return {key: idx.size for key, idx in part.items()}
+
+
 class TestPartition:
     def test_partition_is_disjoint_and_complete(self):
         ds = generate_biased(GenerationConfig(n=1000, bias=0.7, seed=6))
-        for mode in ("by_a", "by_a_and_y"):
-            part = partition(ds, mode)
-            all_idx = np.concatenate(list(part.indices.values()))
+        for by_label in (False, True):
+            part = partition(ds, by_label)
+            all_idx = np.concatenate(list(part.values()))
             assert sorted(all_idx.tolist()) == list(range(1000))
-            assert sum(part.sizes.values()) == 1000
+            assert sum(_sizes(part).values()) == 1000
+
+    def test_key_order(self):
+        # the order in which training stacks the class batches
+        ds = generate_biased(GenerationConfig(n=50, bias=0.5, seed=6))
+        assert list(partition(ds, False)) == [0, 1]
+        assert list(partition(ds, True)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_by_a_and_y_refines_by_a(self):
         ds = generate_biased(GenerationConfig(n=800, bias=0.6, seed=7))
-        coarse = partition(ds, "by_a").sizes
-        fine = partition(ds, "by_a_and_y").sizes
+        coarse = _sizes(partition(ds, False))
+        fine = _sizes(partition(ds, True))
         for j in (0, 1):
             assert coarse[j] == fine[(j, 0)] + fine[(j, 1)]
 
@@ -91,7 +101,7 @@ class TestPartition:
         # (1-bias)*n/2, so the minimum cell is an off-diagonal one
         n, bias = 30000, 0.7
         ds = generate_biased(GenerationConfig(n=n, bias=bias, seed=21))
-        fine = partition(ds, "by_a_and_y").sizes
+        fine = _sizes(partition(ds, True))
         for j in (0, 1):
             q_same = bias / 2
             se = 3 * np.sqrt(n * q_same * (1 - q_same))
@@ -104,18 +114,14 @@ class TestPartition:
 
     def test_degenerate_classes_flagged(self):
         ds = generate_biased(GenerationConfig(n=400, bias=1.0, seed=8))
-        part = partition(ds, "by_a_and_y")
-        assert set(part.empty_classes()) == {(0, 1), (1, 0)}
+        part = partition(ds, True)
+        assert {k for k, idx in part.items() if idx.size == 0} == \
+            {(0, 1), (1, 0)}
 
     def test_single_record(self):
         ds = generate_biased(GenerationConfig(n=1, bias=0.5, seed=9))
-        part = partition(ds, "by_a")
-        assert sum(part.sizes.values()) == 1
-
-    def test_unknown_mode(self):
-        ds = generate_biased(GenerationConfig(n=10, bias=0.5, seed=10))
-        with pytest.raises(ValueError):
-            partition(ds, "by_y")
+        part = partition(ds, False)
+        assert sum(_sizes(part).values()) == 1
 
 
 class TestPersistence:

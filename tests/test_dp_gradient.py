@@ -387,7 +387,7 @@ class TestObjectiveGrads:
     @pytest.mark.parametrize("kind", ["affine_sigmoid", "mlp2",
                                       "autoencoder"])
     def test_slice_sides_read_the_erm_trace(self, kind, alpha):
-        # class blocks of the batch read its trace cut at the penalty
+        # class blocks of the batch read its trace at the penalty
         # layers: the penalty is that of a standalone model of those
         # layers, zero past them (the autoencoder's decoder), added to
         # the ERM term of the whole stack
@@ -662,7 +662,7 @@ class TestGhostClipping:
         rng = np.random.default_rng(13)
         model = _GHOST_MODELS[kind]()
         model.theta *= 4.0
-        grads = model.trace(_ghost_inputs(rng, 15)).penalty().jacobian_rows()
+        grads = model.trace(_ghost_inputs(rng, 15)).jacobian_rows()
         i, j = np.nonzero(np.ones(grads.shape, dtype=bool))
         direct = np.sqrt(grads.sq_norms())[i, j]
         np.testing.assert_allclose(grads._rescaled_norms(i, j), direct,
@@ -797,6 +797,31 @@ class TestOnePenaltyPass:
                                 dirs, erm)
         assert calls["trace"] == 0
 
+    @pytest.mark.parametrize("case", [
+        ([(slice(0, 0), slice(6, 20))], "dirs", "non-empty"),
+        ([(slice(0, 6), slice(20, 30))], "dirs", "non-empty"),
+        ([(slice(0, 6), np.zeros((0, 2)))], "dirs", "non-empty"),
+        ([(slice(0, 6), slice(6, 20))], None, "directions is required"),
+        ([(slice(0, 6), slice(6, 20))], np.zeros((0, 2)), "direction"),
+        ([(slice(0, 6), slice(6, 20))], np.ones((4, 3)), "direction"),
+        ([(slice(0, 6), slice(6, 12), slice(12, 20))], "dirs",
+         "each pair")],
+        ids=["empty_slice_x", "slice_past_the_batch", "empty_reference",
+             "missing_directions", "empty_directions",
+             "wrong_width_directions", "pair_of_three"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_every_rejection_comes_before_the_trace(self, calls, case,
+                                                    alpha):
+        # an empty side, a direction array that does not fit and a pair
+        # that is not two sides each raise with the model untraced
+        model, x, erm, dirs = self._setup()
+        pairs, given, message = case
+        with pytest.raises(ValueError, match=message):
+            penalized_objective(model, x, pairs, alpha, NO_CLIP,
+                                dirs if isinstance(given, str) else given,
+                                erm)
+        assert calls["trace"] == 0
+
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_shared_rows_give_the_per_pair_sum(self, alpha):
         # pairs that share rows, across pairs and within one pair, add
@@ -844,10 +869,11 @@ def _row_norms(jac):
 
 
 def _saturates(trace) -> bool:
-    """Whether some sigmoid layer of a trace has a derivative exactly 0,
-    or the trace has none; call after its Jacobian rows."""
-    derivs = [d for d in trace.derivs[:len(trace.sigs)] if d is not None]
-    return not any(s is not None for s in trace.sigs) or any(
+    """Whether some sigmoid layer the penalty reads has a derivative
+    exactly 0, or it reads none; call after the trace's Jacobian rows."""
+    depth = trace.model.penalty_layers or len(trace.sigs)
+    derivs = [d for d in trace.derivs[:depth] if d is not None]
+    return not any(s is not None for s in trace.sigs[:depth]) or any(
         np.any(d == 0.0) for d in derivs)
 
 
@@ -861,18 +887,18 @@ class TestFactoredRows:
         model = _FACTORED_MODELS[kind]()
         model.theta *= 4.0
         x = _ghost_inputs(rng, 19)
-        cut = model.trace(x).penalty()
-        rows = cut.jacobian_rows()
+        trace = model.trace(x)
+        rows = trace.jacobian_rows()
         jac = penalty_jacobian_batch(model, x)
         # far rows saturate sigmoids to a derivative of exactly 0; a row
         # below 1e-154, whose square underflows, may read 0 (no bound
         # clips it)
-        assert _saturates(cut)
+        assert _saturates(trace)
         np.testing.assert_allclose(rows.norms(), _row_norms(jac),
                                    rtol=1e-13, atol=1e-150)
         weights = rng.normal(size=rows.shape)
         want = np.einsum("nk,nkp->p", weights, jac)
-        got = cut.weighted_sum(rows.layer_sums(weights))
+        got = trace.weighted_sum(rows.layer_sums(weights))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
@@ -938,12 +964,12 @@ class TestFactoredRows:
         assert np.all(np.isfinite(jac))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cut = model.trace(x).penalty()
-            rows = cut.jacobian_rows()
+            trace = model.trace(x)
+            rows = trace.jacobian_rows()
             with np.errstate(over="ignore", invalid="ignore"):
                 sq = rows.sq_norms()
             norms = rows.norms()
-        assert _saturates(cut)
+        assert _saturates(trace)
         assert np.any(np.isinf(sq)) and np.any(np.isnan(sq))
         np.testing.assert_allclose(norms, _row_norms(jac), rtol=1e-13,
                                    atol=0.0)

@@ -27,25 +27,26 @@ def _dataset(n=600, seed=0, **kw):
 class TestSubsample:
     def test_full_class_when_size_matches(self):
         ds = _dataset(100, seed=1)
-        part = partition(ds, "by_a")
+        part = partition(ds, False)
         rng = np.random.default_rng(0)
-        batch = subsample_partitioned(part, part.sizes, rng)
-        for key in part.keys:
+        batch = subsample_partitioned(
+            part, {k: idx.size for k, idx in part.items()}, rng)
+        for key in part:
             np.testing.assert_array_equal(np.sort(batch[key]),
-                                          np.sort(part.indices[key]))
+                                          np.sort(part[key]))
 
     def test_indices_valid_and_disjoint_within_class(self):
         ds = _dataset(200, seed=2)
-        part = partition(ds, "by_a")
+        part = partition(ds, False)
         rng = np.random.default_rng(1)
         batch = subsample_partitioned(part, {0: 10, 1: 10}, rng)
         for j in (0, 1):
             assert len(set(batch[j].tolist())) == 10
-            assert set(batch[j]).issubset(set(part.indices[j]))
+            assert set(batch[j]).issubset(set(part[j]))
 
     def test_frequencies_uniform(self):
         ds = _dataset(24, seed=3)
-        part = partition(ds, "by_a")
+        part = partition(ds, False)
         rng = np.random.default_rng(2)
         counts = {j: np.zeros(ds.n) for j in (0, 1)}
         draws = 4000
@@ -54,14 +55,14 @@ class TestSubsample:
             for j in (0, 1):
                 counts[j][batch[j][0]] += 1
         for j in (0, 1):
-            cls = part.indices[j]
+            cls = part[j]
             expected = draws / cls.size
             se = np.sqrt(draws * (1 / cls.size) * (1 - 1 / cls.size))
             assert np.all(np.abs(counts[j][cls] - expected) < 4 * se)
 
     def test_oversized_request_rejected(self):
         ds = _dataset(30, seed=4)
-        part = partition(ds, "by_a")
+        part = partition(ds, False)
         with pytest.raises(ValueError):
             subsample_partitioned(part, {0: ds.n, 1: 1},
                                   np.random.default_rng(0))
@@ -72,8 +73,8 @@ class TestMicroInstanceOracle:
         # 6-point dataset, one exact step: sigma = 0, full batch, no clipping
         ds = _dataset(6, seed=5, core_dim=2, sp_dim=1, core_var=0.1,
                       sp_var=0.1)
-        part = partition(ds, "by_a")
-        assert not part.empty_classes()
+        part = partition(ds, False)
+        assert all(idx.size for idx in part.values())
         alpha = 0.5
         cfg = TrainConfig(task="classification_sp", steps=1,
                           learning_rate=0.1, epsilon=math.inf, delta=1e-5,
@@ -82,7 +83,7 @@ class TestMicroInstanceOracle:
 
         # hand-computed objective via independent pieces, differentiated by fd
         theta0 = make_model("affine_sigmoid", ds.dim, seed=7).theta
-        idx0, idx1 = part.indices[0], part.indices[1]
+        idx0, idx1 = part[0], part[1]
 
         def objective(theta):
             q = expit(ds.x @ theta[:-1] + theta[-1])
@@ -413,7 +414,7 @@ class TestMetrics:
         core = resid[:, :ds.config.core_dim]
         want = {"rl": float(np.mean(np.sum(resid * resid, axis=1))),
                 "rl_core": float(np.mean(np.sum(core * core, axis=1))),
-                **_probe_metrics(whole.penalty().output, ds.y, ds.a)}
+                **_probe_metrics(whole.penalty_output, ds.y, ds.a)}
         rows = []
         trace = Model._trace
 

@@ -193,16 +193,16 @@ def test_bce_needs_a_scalar_sigmoid_model(model):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_penalty_reads_at_most_two_layers(kind):
-    # Trace.jacobian_rows factors the rows of at most two layers, every
-    # kind's penalty cut, and refuses a deeper trace
+    # Trace.jacobian_rows factors the rows of at most two layers, the
+    # layers every kind's penalty reads, whatever the depth of the trace
     model = make_model(kind, 3, seed=0)
     trace = model.trace(np.zeros((2, 3)))
-    assert len(trace.penalty().sigs) <= 2
-    assert trace.penalty().jacobian_rows().shape == (2, model.penalty_dim)
-    if len(trace.sigs) > 2:
-        with pytest.raises(ValueError, match="^Jacobian rows of at most "
-                                             "two layers$"):
-            trace.jacobian_rows()
+    depth = model.penalty_layers or len(trace.sigs)
+    assert depth <= 2
+    rows = trace.jacobian_rows()
+    assert rows.shape == (2, model.penalty_dim)
+    assert len(rows.blocks) == depth
+    assert trace.penalty_output.shape == (2, model.penalty_dim)
 
 
 B = _BLOCK_ROWS
@@ -225,7 +225,7 @@ def test_forward_batch_blocks_match_one_trace(kind, paper_rows):
         whole = model.trace(x)
         assert bit_equal(model.forward_batch(x), whole.output), n
         assert bit_equal(model.forward_batch(x, penalty=True),
-                         whole.penalty().output), n
+                         whole.penalty_output), n
 
 
 class TestAutoencoder:
@@ -248,7 +248,7 @@ class TestAutoencoder:
 
             def encode(theta):
                 m.theta[:] = theta
-                out = m.trace(x[None, :]).penalty().output[0]
+                out = m.trace(x[None, :]).penalty_output[0]
                 m.theta[:] = base
                 return out
 
@@ -343,9 +343,9 @@ class TestFactoryAndCheckpoint:
         rebuilt = model_from_meta(m.meta(), m.theta)
         assert typed(m.meta()) == typed(expected)
         assert typed(rebuilt.meta()) == typed(expected)
-        for cut in (lambda t: t, lambda t: t.penalty()):
-            np.testing.assert_array_equal(cut(rebuilt.trace(x)).output,
-                                          cut(m.trace(x)).output)
+        for read in ("output", "penalty_output"):
+            np.testing.assert_array_equal(getattr(rebuilt.trace(x), read),
+                                          getattr(m.trace(x), read))
 
     def test_sigmoid_outputs_in_unit_interval(self):
         m = make_model("affine_sigmoid", 4, seed=1)
@@ -408,23 +408,25 @@ class TestSigmoid:
 
 
 class TestDerivativeCache:
-    """The penalty cut of a whole-stack trace reads its derivatives."""
+    """The penalty's Jacobian rows of a whole-stack trace read its
+    derivatives."""
 
     @pytest.mark.parametrize("kind", ["mlp2", "autoencoder"])
     @pytest.mark.parametrize("rows", [slice(0, 23), slice(23, 60),
                                       slice(None)],
                              ids=["head", "tail", "all"])
     def test_penalty_rows_backward_is_the_blocks_own(self, kind, rows):
-        # a block of rows of the cut's Jacobian rows is the Jacobian rows
-        # of the block's own trace through a standalone model of the
-        # penalty's layers, after a loss backward of the whole
+        # a block of rows of the whole trace's Jacobian rows is the
+        # Jacobian rows of the block's own trace through a standalone
+        # model of the penalty's layers, after a loss backward of the
+        # whole
         model = make_model(kind, 5, seed=7)
         x = np.random.default_rng(8).normal(size=(60, 5))
         d = model.penalty_dim
         whole = model.trace(x)
         whole.loss_and_grads(x if kind == "autoencoder"
                              else np.zeros((60, 2)), "squared_error")
-        got = whole.penalty().jacobian_rows()
+        got = whole.jacobian_rows()
         sub = penalty_model(model)
         block = sub.trace(x[rows])
         want = block.jacobian_rows()
@@ -446,20 +448,21 @@ class TestDerivativeCache:
 
     def test_derivatives_computed_once_and_shared(self):
         # no forward pass computes them; the loss backward of the whole
-        # computes each once, and the cut's backward reuses those arrays
+        # computes each once, and the penalty's Jacobian rows, of the
+        # first penalty_layers layers, reuse those arrays
         model = make_model("autoencoder", 5, seed=7)
         x = np.random.default_rng(8).normal(size=(40, 5))
         whole = model.trace(x)
-        cut = whole.penalty()
-        assert cut.derivs is whole.derivs
-        assert len(cut.sigs) == model.penalty_layers
+        assert whole.penalty_output is whole.acts[model.penalty_layers]
+        assert len(whole.jacobian_rows().blocks) == model.penalty_layers
+        whole = model.trace(x)
         assert all(d is None for d in whole.derivs)
         whole.loss_and_grads(x, "squared_error")
         first = list(whole.derivs)
         assert [d is None for d in first] == [s is None for s in whole.sigs]
-        cut.jacobian_rows()
+        whole.jacobian_rows()
         assert all(d is f for d, f in zip(whole.derivs, first))
-        # a penalty that reads every layer is the whole trace itself
+        # a penalty that reads every layer reads the whole output
         mlp = make_model("mlp2", 5, seed=7)
         whole = mlp.trace(x)
-        assert whole.penalty() is whole
+        assert whole.penalty_output is whole.output

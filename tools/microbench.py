@@ -69,7 +69,12 @@ the CLI's file must equal.
 Each case runs once untimed, then R times (default 30); one line per case
 gives the median and the quartiles in ms and the minor page faults per
 timed call (``resource.getrusage``), which count the fresh memory the C
-library maps in for the call's temporaries.
+library maps in for the call's temporaries.  A line marked ``single
+pass`` (the objectives, ``clip_rows``, ``calibrate_noise`` and
+``load_dataset``) times its case alone, with no partner alternating call
+by call under the same load, so it reads the host's load as much as the
+code: compare such lines across two checkouts only through perfbench or
+through runs of both checkouts interleaved with each other.
 The script leaves the C library's allocator at its defaults.
 Every OT case also checks that the kernel's outputs equal, bit for bit,
 those of the two-stable-argsort reference ``w2_grad_columns_stable`` in
@@ -331,6 +336,11 @@ def _report(label: str, timings: tuple, note: str = "") -> None:
           f"   faults/call {faults:7.1f}   n={ms.size}{note}")
 
 
+def _single_pass(label: str, fn, repeats: int, note: str = "") -> None:
+    """:func:`_report` of ``fn`` timed alone, marked as such."""
+    _report(label, _timings_ms(fn, repeats), "   single pass" + note)
+
+
 def run(repeats: int) -> int:
     failed = []
     for label, n, m, k, values, c_ordered, grad_v in OT_CASES:
@@ -360,19 +370,18 @@ def run(repeats: int) -> int:
         same = _matches_oracle_kernel(step)
         if not same:
             failed.append(label)
-        _report(f"penalized_objective {label}", _timings_ms(step, repeats),
-                "   oracle: " + ("identical" if same else "DIFFERENT"))
+        _single_pass(f"penalized_objective {label}", step, repeats,
+                     "   oracle: " + ("identical" if same else "DIFFERENT"))
 
     rng = np.random.default_rng(1)
     for n, d in ((2000, 2), (3000, 16)):
         mat = rng.normal(size=(n, d)) * 2.0
-        _report(f"clip_rows {n}x{d}",
-                _timings_ms(lambda: clip_rows(mat, 1.0), repeats))
+        _single_pass(f"clip_rows {n}x{d}", lambda: clip_rows(mat, 1.0),
+                     repeats)
 
     budget = PrivacyBudget(1.0, 1e-5)
-    _report("calibrate_noise eps=1 T=500 p=0.2",
-            _timings_ms(lambda: calibrate_noise(budget, 500, 0.2, 1.0),
-                        repeats))
+    _single_pass("calibrate_noise eps=1 T=500 p=0.2",
+                 lambda: calibrate_noise(budget, 500, 0.2, 1.0), repeats)
 
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, sidecar = Path(tmp) / "data.csv", Path(tmp) / "data.json"
@@ -381,10 +390,10 @@ def run(repeats: int) -> int:
         same = matches_csv_rows(load_dataset(csv_path, sidecar), csv_path)
         if not same:
             failed.append("load_dataset")
-        _report("load_dataset 30000x20",
-                _timings_ms(lambda: load_dataset(csv_path, sidecar), repeats),
-                "   reference parse: "
-                + ("identical" if same else "DIFFERENT"))
+        _single_pass("load_dataset 30000x20",
+                     lambda: load_dataset(csv_path, sidecar), repeats,
+                     "   reference parse: "
+                     + ("identical" if same else "DIFFERENT"))
 
         for k, groups in ((1, [f"a={a},y={y}" for a in (0, 1)
                                for y in (0, 1)]),
