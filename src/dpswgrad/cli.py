@@ -62,6 +62,10 @@ class _Field(NamedTuple):
     flag: str | None = None
     choices: tuple | None = None
 
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
 
 # sensitivity-audit setting -> how many sides of its pair are private
 _AUDIT_PRIVATE_SIDES = {"one_sided": 1, "two_sided": 2, "sliced": 1, "sp": 2}
@@ -280,6 +284,12 @@ def _run_train(cfg: dict, outdir: Path) -> list:
         if cfg["data"] or cfg["test_data"]:
             raise ValueError("train: the generation task draws its own "
                              "samples and takes no --data or --test-data")
+        unread = [f.option for f in _COMMANDS["train"][1]
+                  if f.name in ("alpha", "clip_c") and cfg[f.name] != f.default]
+        if unread:
+            raise ValueError(f"train: the generation task's penalty has "
+                             f"weight 1 and no ERM term; it takes no "
+                             f"{' or '.join(unread)}")
         if cfg["gen_samples"] < 1:
             raise ValueError("train: gen_samples must be >= 1")
         ds = ds_test = None
@@ -390,8 +400,7 @@ def _audit_setup(cfg: dict):
         # contiguous copies of the features: the matmul of a strided view
         # of the labelled records rounds differently
         x = np.concatenate([c[:, :d] for c in (*cls, *public)])
-        erm = (np.concatenate([c[:, d] for c in cls]), "bce") \
-            if labelled else None
+        erm = np.concatenate([c[:, d] for c in cls]) if labelled else None
         return penalized_objective(model, x, pairs, alpha, clip, dirs,
                                    erm)[3]
 
@@ -507,8 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
             kind = ({"action": "store_true"} if f.kind is bool else
                     {"type": _int_list if f.kind is list else f.kind,
                      "choices": f.choices})
-            p.add_argument(f.flag or "--" + f.name.replace("_", "-"),
-                           dest=f.name, default=argparse.SUPPRESS,
+            p.add_argument(f.option, dest=f.name, default=argparse.SUPPRESS,
                            help=f.help, **kind)
     sub.add_parser("replay", help="re-run a manifest into a new "
                                   "directory").add_argument("manifest")

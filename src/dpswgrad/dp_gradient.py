@@ -28,7 +28,9 @@ traces one batch of the model, and every side of the model, in every
 pair, is a block of its rows (a ``slice``), so a call makes one forward
 pass and one norm pass of the Jacobian rows whatever the number of pairs.
 The per-sample loss gradients of the finite-sum term over that batch are
-clipped the same way, from one backward of their cotangents.  Both terms'
+clipped the same way, from one backward of their cotangents; the loss is
+the model's own (bce for a model whose last layer is a sigmoid, squared
+error otherwise; see :mod:`dpswgrad.models`).  Both terms'
 per-layer sums are added and contracted with the layer inputs in one
 weighted sum.
 
@@ -113,17 +115,16 @@ _ONE_DIRECTION = np.ones((1, 1))
 _ONE_DIRECTION.setflags(write=False)
 
 
-def _clipped_erm(trace, targets, loss_kind: str, bound: float,
-                 scale: float):
+def _clipped_erm(trace, targets, bound: float, scale: float):
     """Mean loss of a whole-stack trace and each layer's sum of the clipped
     per-sample loss gradients' cotangents, times ``scale`` over the batch
     size (see :meth:`LayerGrads.layer_sums
     <dpswgrad.models.LayerGrads.layer_sums>`); the per-sample cotangents
     are not kept past this call."""
-    values, grads = trace.loss_and_grads(targets, loss_kind)
+    values, grads = trace.loss_and_grads(targets)
     weights = _clip_scale(grads.norms(), bound)
     weights *= scale / values.shape[0]
-    return _mean_loss(values), grads.layer_sums(weights, in_place=True)
+    return _mean_loss(values), grads.layer_sums(weights)
 
 
 def _mean_loss(values: np.ndarray) -> float:
@@ -145,11 +146,12 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     compares the model on the rows ``rx`` (a ``slice``) of ``x`` with
     ``z``: the model on another slice of ``x`` (a fairness penalty), or a
     fixed (m, d) array of reference outputs (the generation target), which
-    has no Jacobian.  ``erm`` is ``(targets, loss_kind)`` over all of
-    ``x``, or None for a penalty-only objective (ERM reported 0).  ``dirs``
-    holds k unit directions as the rows of a (k, d) array; without it the
-    outputs must be scalar and take the one direction.  Other pairs, an
-    empty side and other directions are rejected before the forward pass.
+    has no Jacobian.  ``erm`` is the array of targets of all of ``x``,
+    for the model's own loss, or None for a penalty-only objective (ERM
+    reported 0).  ``dirs`` holds k unit directions as the rows of a (k, d)
+    array; without it the outputs must be scalar and take the one
+    direction.  Other pairs, an empty side and other directions are
+    rejected before the forward pass.
 
     The gradient is ``(1 - alpha) * clipped ERM gradient + (alpha / R) *``
     the sum of the clipped Wasserstein gradients of the pairs: on ``rx``
@@ -226,10 +228,10 @@ def penalized_objective(model: Model, x, pairs, alpha: float,
     sums = None
     erm_value = 0.0
     if erm is not None and alpha < 1.0:
-        erm_value, sums = _clipped_erm(trace, *erm, clip.loss_grad_bound,
+        erm_value, sums = _clipped_erm(trace, erm, clip.loss_grad_bound,
                                        1.0 - alpha)
     elif erm is not None:
-        erm_value = _mean_loss(trace.loss(*erm))
+        erm_value = _mean_loss(trace.loss(erm))
     if alpha > 0.0:
         # every side's clipped, coupling-weighted Jacobian rows add their
         # weights into one (n, d) array, so shared rows add up

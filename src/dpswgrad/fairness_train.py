@@ -34,9 +34,6 @@ from .sliced import sample_directions
 __all__ = ["TASKS", "TrainConfig", "TrainRecord", "subsample_partitioned",
            "generation_samples", "dpsgd_train", "metrics"]
 
-TASKS = ("classification_sp", "classification_eo", "regression_sp",
-         "autoencoder_sp", "generation")
-
 # substream tags; model init uses [seed, 0..3] internally, so start high
 _TAG_BATCH, _TAG_NOISE, _TAG_DIRS, _TAG_GEN = 101, 102, 103, 104
 
@@ -48,6 +45,7 @@ _TASK_MODELS = {
     "autoencoder_sp": ("autoencoder",),
     "generation": ("mlp2", "affine"),
 }
+TASKS = tuple(_TASK_MODELS)
 
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
@@ -241,19 +239,18 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
                              f"the training data {ds.dim}")
         inputs, refs = ds.x, {}
         model = _task_model(cfg, ds.dim)
+        # the model's own loss: bce for the classifiers, squared error
+        # for the regressors and the autoencoder
         if cfg.task == "regression_sp":
-            targets, loss_kind = centered_targets(ds), "squared_error"
+            targets = centered_targets(ds)
         elif cfg.task == "autoencoder_sp":
-            targets, loss_kind = ds.x, "squared_error"
+            targets = ds.x
         else:
-            targets, loss_kind = ds.y.astype(np.float64), "bce"
+            targets = ds.y.astype(np.float64)
         eo = cfg.task == "classification_eo"
         part = partition(ds, eo)
         pair_keys = [((0, k), (1, k)) for k in (0, 1)] if eo else [(0, 1)]
         weight = cfg.alpha
-    empty = [k for k, idx in part.items() if idx.size == 0]
-    if empty:
-        raise ValueError(f"dataset has empty classes: {empty}")
 
     class_sizes = {k: idx.size for k, idx in part.items()}
     batch_sizes = _batch_sizes(class_sizes, cfg.batch_fraction)
@@ -306,9 +303,9 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         union = np.concatenate([batch[k] for k in traced])
         pairs = [(blocks[a], refs[b][batch[b]] if b in refs else blocks[b])
                  for a, b in pair_keys]
-        erm = None if targets is None else (targets[union], loss_kind)
         erm_val, w_val, total, grad = penalized_objective(
-            model, inputs[union], pairs, weight, clip, dirs, erm)
+            model, inputs[union], pairs, weight, clip, dirs,
+            None if targets is None else targets[union])
         record.erm_losses.append(erm_val)
         record.w_losses.append(w_val)
         record.total_losses.append(total)
@@ -395,25 +392,23 @@ def metrics(ds_test: BiasedDataset, model, task: str) -> dict:
     raise ValueError(f"no metric table for task {task!r}")
 
 
-def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray,
-                   train_frac: float = 0.6, gd_steps: int = 500,
-                   gd_lr: float = 0.5) -> dict:
+def _probe_metrics(codes: np.ndarray, y: np.ndarray, a: np.ndarray) -> dict:
     """Downstream-probe metrics: a one-layer classifier fit on 60% of the
-    encoded test data (zero-initialized full-batch descent, deterministic)
-    and evaluated on the remaining 40%."""
+    encoded test data (500 steps of zero-initialized full-batch descent at
+    rate 0.5, deterministic) and evaluated on the remaining 40%."""
     n = codes.shape[0]
-    n_train = int(train_frac * n)
+    n_train = int(0.6 * n)
     if n_train < 1 or n_train >= n:
         return {"probe_accuracy": float("nan"), "probe_di": float("nan")}
     probe = make_model("affine_sigmoid", codes.shape[1],
                        theta=np.zeros(codes.shape[1] + 1))
     y_train = y[:n_train].astype(np.float64)
     ones = np.ones((n_train, 1))
-    for _ in range(gd_steps):
+    for _ in range(500):
         trace = probe.trace(codes[:n_train])
-        grads = trace.loss_and_grads(y_train, "bce")[1]
-        probe.theta -= gd_lr * (trace.weighted_sum(grads.layer_sums(ones))
-                                / n_train)
+        grads = trace.loss_and_grads(y_train)[1]
+        probe.theta -= 0.5 * (trace.weighted_sum(grads.layer_sums(ones))
+                              / n_train)
     q = probe.forward_batch(codes[n_train:])[:, 0]
     pred = (q > 0.5).astype(np.int64)
     return {"probe_accuracy": float(np.mean(pred == y[n_train:])),

@@ -10,10 +10,11 @@ layers its penalty reads.  :func:`make_model` builds them all.
 
 One forward :class:`Trace` and one backward serve every kind.  The
 backward pulls one (n, d) cotangent per sample back through the traced
-layers and keeps only each layer's (n, out) pre-activation cotangent: a
-squared-error loss gradient is the backward of ``2 (out - y)``, and a bce
-loss gradient (for a model whose last layer is a scalar sigmoid) the
-backward of ``q - y`` from that layer's pre-activation.  The penalty reads
+layers and keeps only each layer's (n, out) pre-activation cotangent.  The
+loss follows from the model: a model whose last layer is a sigmoid (the
+scalar ``affine_sigmoid``) takes bce, whose gradient is the backward of
+``q - y`` from that layer's pre-activation, and every other model squared
+error, the backward of ``2 (out - y)``.  The penalty reads
 at most two layers, so its Jacobian rows, the backward of one-hot
 cotangents, take no backward at all: each row's cotangent factors
 (:meth:`Trace.jacobian_rows`), ``c[i, j] e_j`` at the top, with ``c`` its
@@ -65,8 +66,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-LOSS_KINDS = ("bce", "squared_error")
 
 _MODEL_SCHEMA = "dpswgrad-model-v1"
 
@@ -181,13 +180,10 @@ class Model:
         with ``penalty`` those of the layers the penalty reads, traced in
         the row blocks of :func:`_row_blocks`."""
         x = _as_batch(x, self.input_dim)
-        blocks = _row_blocks(x.shape[0])
         out = None
-        for block in blocks:
+        for block in _row_blocks(x.shape[0]):
             tr = self._trace(x[block])
             y = tr.penalty_output if penalty else tr.output
-            if len(blocks) == 1:
-                return y
             if out is None:
                 out = np.empty((x.shape[0], y.shape[1]))
             out[block] = y
@@ -221,25 +217,23 @@ class Trace:
         """The output of the layers the penalty reads."""
         return self.acts[self.model.penalty_layers or -1]
 
-    def _loss(self, targets, loss_kind: str):
+    @property
+    def _bce(self) -> bool:
+        """Whether the model's loss is bce: its last layer is a sigmoid."""
+        return self.model._layers[-1][4] == "sigmoid"
+
+    def _loss(self, targets):
         """Per-sample loss values of the traced stack and the (n, d)
         cotangent whose backward gives their gradients.
 
-        Squared error's cotangent ``2 (out - y)`` enters at the output.
-        bce, ``softplus(z) - y z`` of the last pre-activation z, needs a
-        last layer that is a scalar sigmoid; its cotangent ``q - y`` enters
-        at z, so saturated logits stay exact.
+        bce, ``softplus(z) - y z`` of the last pre-activation z, takes 0/1
+        targets; its cotangent ``q - y`` enters at z, so saturated logits
+        stay exact.  Squared error's cotangent ``2 (out - y)`` enters at
+        the output.
         """
-        if loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
         model = self.model
         n = self.output.shape[0]
-        if loss_kind == "bce":
-            if not (model.output_dim == 1
-                    and model._layers[-1][4] == "sigmoid"):
-                raise ValueError(
-                    f"bce loss requires a probability-valued scalar model, "
-                    f"not {model.kind!r}")
+        if self._bce:
             y = _check_binary(targets, n)[:, None]
             # -(y log q + (1-y) log(1-q)) = softplus(z) - y z, stable in z
             return ((np.logaddexp(0.0, self.logit) - y * self.logit)[:, 0],
@@ -247,15 +241,16 @@ class Trace:
         r = self.output - _as_targets(targets, n, model.output_dim)
         return np.sum(r * r, axis=1), 2.0 * r
 
-    def loss(self, targets, loss_kind: str) -> np.ndarray:
-        """Per-sample loss values, shape (n,)."""
-        return self._loss(targets, loss_kind)[0]
+    def loss(self, targets) -> np.ndarray:
+        """Per-sample loss values, shape (n,), of the model's loss (see
+        the module docstring)."""
+        return self._loss(targets)[0]
 
-    def loss_and_grads(self, targets, loss_kind: str):
+    def loss_and_grads(self, targets):
         """Per-sample loss values and their gradients as
         :class:`LayerGrads`."""
-        values, cot = self._loss(targets, loss_kind)
-        return values, self._backward(cot, at_logit=loss_kind == "bce")
+        values, cot = self._loss(targets)
+        return values, self._backward(cot, at_logit=self._bce)
 
     def jacobian_rows(self) -> "LayerGrads":
         """The (n, d) Jacobian rows of :attr:`penalty_output` wrt theta,
@@ -341,8 +336,8 @@ class LayerGrads:
     j]``.  ``blocks`` holds the cotangents ``g`` of the trace's layers
     from the first, all of them or the penalty's, dense or factored, as an
     object with ``sq()`` (the (n, k) ``||g[i, j]||^2``),
-    ``rows(i, j)`` (the cotangents at those index arrays) and ``sums(w,
-    in_place)`` (the (n, out) ``G``).
+    ``rows(i, j)`` (the cotangents at those index arrays) and ``sums(w)``
+    (the (n, out) ``G``).
     """
 
     def __init__(self, trace: Trace, blocks: list, shape: tuple):
@@ -394,16 +389,15 @@ class LayerGrads:
         rel = np.sqrt(sum((p / unit * q) ** 2 for p, q in blocks))
         return np.where(finite, peak * rel, np.inf)
 
-    def layer_sums(self, weights, in_place: bool = False) -> list:
+    def layer_sums(self, weights) -> list:
         """Each traced layer's (n, out) ``G[i] = sum_j weights[i, j]
         g[i, j]``, for :meth:`Trace.weighted_sum`.
 
-        With ``in_place`` a layer of dense rows is scaled in the buffer
-        the backward made for it, so no second array of its
-        size is held; that spends these gradients, which must not be read
-        again.
+        A layer of dense rows is scaled in the buffer the backward made
+        for it, so no second array of its size is held; that spends these
+        gradients, which must not be read again.
         """
-        return [block.sums(weights, in_place) for block in self.blocks]
+        return [block.sums(weights) for block in self.blocks]
 
 
 class _Dense:
@@ -419,8 +413,8 @@ class _Dense:
     def rows(self, i, j) -> np.ndarray:
         return self.g[i]
 
-    def sums(self, weights, in_place: bool) -> np.ndarray:
-        return np.multiply(self.g, weights, out=self.g if in_place else None)
+    def sums(self, weights) -> np.ndarray:
+        return np.multiply(self.g, weights, out=self.g)
 
 
 class _TopRows:
@@ -438,7 +432,7 @@ class _TopRows:
         g[np.arange(i.size), j] = self.c[i, j]
         return g
 
-    def sums(self, weights, in_place: bool) -> np.ndarray:
+    def sums(self, weights) -> np.ndarray:
         return weights * self.c
 
 
@@ -461,7 +455,7 @@ class _SecondRows:
     def rows(self, i, j) -> np.ndarray:
         return self.c[i, j, None] * self.w[j] * self.ds[i]
 
-    def sums(self, weights, in_place: bool) -> np.ndarray:
+    def sums(self, weights) -> np.ndarray:
         g = (weights * self.c) @ self.w
         g *= self.ds
         return g

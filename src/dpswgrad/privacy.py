@@ -244,7 +244,8 @@ def total_gdp_mu(noise_multiplier: float, sampling_rate: float,
 
 @dataclass
 class AccountantState:
-    """Running DP-SGD budget: noise multiplier, sampling rate, steps taken."""
+    """Running DP-SGD budget: noise multiplier, sampling rate, steps taken
+    and the delta at which the spent epsilon is read."""
 
     noise_multiplier: float
     sampling_rate: float
@@ -261,15 +262,13 @@ class AccountantState:
         if not 0.0 < self.target_delta < 1.0:
             raise ValueError("target delta must lie in (0, 1)")
 
-    def step(self, k: int = 1) -> None:
-        """Record ``k >= 0`` more steps."""
-        if k < 0:
-            raise ValueError("steps taken must be >= 0")
-        self.steps += int(k)
+    def step(self) -> None:
+        """Record one more step."""
+        self.steps += 1
 
-    def epsilon_spent(self, target_delta: float | None = None) -> float:
-        """Epsilon spent by the steps taken, at ``target_delta`` (default:
-        the state's own)."""
+    def epsilon_spent(self) -> float:
+        """Epsilon spent by the steps taken, at the state's
+        ``target_delta``."""
         if self.steps == 0:
             return 0.0
         mu = total_gdp_mu(self.noise_multiplier, self.sampling_rate,
@@ -277,8 +276,7 @@ class AccountantState:
         if math.isinf(mu):
             raise PrivacySaturationError(
                 "composed mu is infinite (noise multiplier too small)")
-        return gdp_epsilon(
-            mu, self.target_delta if target_delta is None else target_delta)
+        return gdp_epsilon(mu, self.target_delta)
 
 
 def subsample_amplify(budget: PrivacyBudget, p: float) -> PrivacyBudget:

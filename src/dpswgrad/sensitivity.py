@@ -80,10 +80,10 @@ def sensitivity_bound(pairs, alpha: float, clip,
 class SensitivityReport:
     """Outcome of a randomized sensitivity audit."""
 
-    theoretical_bound: float | None
+    theoretical_bound: float
     empirical_max: float
     trials: int
-    ratio: float | None
+    ratio: float
 
     def to_json(self, path) -> None:
         write_json(path, asdict(self))
@@ -104,14 +104,15 @@ def uniform_box_replacement(low, high):
 
 def empirical_sensitivity(gradient_fn, base_classes, draw_replacement,
                           trials: int, seed: int,
-                          theoretical_bound: float | None = None
-                          ) -> SensitivityReport:
+                          theoretical_bound: float) -> SensitivityReport:
     """Probe the replace-one sensitivity of ``gradient_fn`` by random trials.
 
     ``gradient_fn`` maps a list of per-class (n_i, d) arrays to a gradient
     vector.  Each trial replaces one record of one uniformly chosen class by
     ``draw_replacement(rng, class_index)`` and records the L2 gap to the
     base gradient; the max over trials lower-bounds the true sensitivity.
+    The report gives it with its ratio to ``theoretical_bound`` (0 when
+    both are 0, inf when only the bound is).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -135,9 +136,7 @@ def empirical_sensitivity(gradient_fn, base_classes, draw_replacement,
         gap = float(np.linalg.norm(
             np.asarray(gradient_fn(perturbed), dtype=np.float64) - base_grad))
         worst = max(worst, gap)
-    if theoretical_bound is None:
-        ratio = None
-    elif theoretical_bound > 0:
+    if theoretical_bound > 0:
         ratio = worst / theoretical_bound
     else:
         ratio = 0.0 if worst == 0.0 else float("inf")

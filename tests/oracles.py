@@ -281,11 +281,11 @@ def stacked_pairs(pairs) -> tuple:
     return np.concatenate(sides), out
 
 
-def loss_grad_batch(model, x, targets, loss_kind: str) -> np.ndarray:
+def loss_grad_batch(model, x, targets) -> np.ndarray:
     """(n, n_params) per-sample loss gradients: the affine sigmoid model's
-    closed form ``(q - y) [x, 1]`` for bce, the dense backward of
-    ``2 (out - y)`` otherwise."""
-    if loss_kind == "bce":
+    closed form ``(q - y) [x, 1]`` of its bce loss, the dense backward of
+    ``2 (out - y)`` of every other model's squared error."""
+    if model.kind == "affine_sigmoid":
         xb = np.asarray(x, dtype=np.float64)
         q = model.forward_batch(xb)
         y = np.asarray(targets, dtype=np.float64).reshape(q.shape)
@@ -314,11 +314,11 @@ def per_sample_jacobian(model, x) -> np.ndarray:
     return jacobian_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def per_sample_loss_grad(model, x, target, loss_kind: str) -> np.ndarray:
+def per_sample_loss_grad(model, x, target) -> np.ndarray:
     """Exact gradient of one sample's loss wrt theta."""
     xb = np.asarray(x, dtype=np.float64)[None, :]
     tb = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return loss_grad_batch(model, xb, tb, loss_kind)[0]
+    return loss_grad_batch(model, xb, tb)[0]
 
 
 def central_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:

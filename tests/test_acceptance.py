@@ -242,7 +242,7 @@ def test_c4_sensitivity_obedience():
             y_full = np.concatenate([c0[:, 3], c1[:, 3]])
             return penalized_objective(
                 model, x_full, [(slice(0, n0), slice(n0, n0 + n1))],
-                0.75, clip, erm=(y_full, "bce"))[3]
+                0.75, clip, erm=y_full)[3]
 
         def draw_labeled(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=3),
@@ -269,7 +269,7 @@ def test_c4_sensitivity_obedience():
             x_full = np.concatenate([c[:, :3] for c in classes])
             y_full = np.concatenate([c[:, 3] for c in classes])
             return penalized_objective(model, x_full, eo_pairs, 0.75, clip,
-                                       erm=(y_full, "bce"))[3]
+                                       erm=y_full)[3]
 
         def draw_eo(rng_, class_index):
             # label is pinned by the class, only the features vary
@@ -349,7 +349,7 @@ def test_c6_privacy_math():
 
         # single full-batch step inverts the curve
         eps1 = AccountantState(1.3, 1.0, steps=1,
-                               target_delta=1e-5).epsilon_spent(1e-5)
+                               target_delta=1e-5).epsilon_spent()
         assert abs(gdp_delta(1.0 / 1.3, eps1) - 1e-5) < 1e-9
 
         # monotonicity + conservative ceiling on the 4-D grid
@@ -362,7 +362,7 @@ def test_c6_privacy_math():
                     for d in deltas:
                         eps[(nu, p, t, d)] = AccountantState(
                             nu, p, steps=t,
-                            target_delta=d).epsilon_spent(d)
+                            target_delta=d).epsilon_spent()
                         assert eps[(nu, p, t, d)] <= conservative_epsilon(
                             nu, p, t, d)
         for key, val in eps.items():
@@ -391,7 +391,7 @@ def test_c7_calibration_round_trip():
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, sens)
             achieved = AccountantState(
                 sigma / sens, p, steps=steps,
-                target_delta=delta).epsilon_spent(delta)
+                target_delta=delta).epsilon_spent()
             assert achieved == pytest.approx(eps, rel=1e-4)
 
 

@@ -143,6 +143,40 @@ class TestTrain:
             "takes no --data or --test-data\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", ["flag", "manifest"])
+    @pytest.mark.parametrize("changed", [{"alpha": 0.5}, {"clip_c": 9.0},
+                                         {"alpha": 0.5, "clip_c": 9.0}],
+                             ids=["alpha", "clip_c", "both"])
+    def test_generation_refuses_unread_weights(self, tmp_path, capsys,
+                                               changed, given):
+        # generation's one pair has weight 1 and it has no ERM term, so a
+        # non-default alpha or loss-gradient clip is refused before any
+        # output, as a dataset is; the defaults, given, are accepted
+        argv = ["train", "--task", "generation", "--steps", "1",
+                "--gen-samples", "20", "--hidden-dim", "2",
+                "--projections", "2"]
+        assert _run(*argv, "--alpha", "0", "--clip-c", "5",
+                    "--out", str(tmp_path / "defaults")) == 0
+        flags = [arg for name, value in changed.items()
+                 for arg in ("--" + name.replace("_", "-"), str(value))]
+        if given == "manifest":
+            doc = json.loads(
+                (tmp_path / "defaults" / "manifest.json").read_text())
+            doc["config"].update(changed)
+            (tmp_path / "manifest.json").write_text(json.dumps(doc))
+            argv, flags = ["replay", str(tmp_path / "manifest.json")], []
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert _run(*argv, *flags, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = " or ".join("--" + name.replace("_", "-")
+                            for name in changed)
+        assert captured.err == (
+            "error: train: the generation task's penalty has weight 1 and "
+            f"no ERM term; it takes no {named}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
     def test_empty_seed_list_rejected(self, tmp_path, capsys, given):
         # fails before the (missing) dataset is read and before any output
@@ -356,14 +390,15 @@ class TestOutputsByGroup:
         # forward_batch, so its outputs cross block boundaries
         out = tmp_path / "t"
         argv = ["train", "--task", task, "--steps", "2", "--epsilon", "1",
-                "--alpha", "0.5", "--out", str(out)]
+                "--out", str(out)]
         if task == "generation":
             argv += ["--gen-samples", "150"]
         else:
             n = 2 * _BLOCK_ROWS + 5 if task == "classification_eo" else 300
             assert _run("generate", "--n", str(n), "--seed", "5",
                         "--out", str(tmp_path / "gen")) == 0
-            argv += ["--data", str(tmp_path / "gen" / "data.csv")]
+            argv += ["--data", str(tmp_path / "gen" / "data.csv"),
+                     "--alpha", "0.5"]
         assert _run(*argv) == 0
         model = load_model(out / "model.json")
         if task == "generation":

@@ -280,7 +280,7 @@ class TestClippedWassersteinGradSliced:
         # ZeroDivisionError at alpha 0
         model = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 3))
-        erm = (np.zeros((6, 2)), "squared_error")
+        erm = np.zeros((6, 2))
         with pytest.raises(ValueError, match="direction"):
             penalized_objective(model, x, [(slice(0, 3), slice(3, 6))],
                                 alpha, NO_CLIP, np.zeros((0, 2)), erm)
@@ -302,9 +302,9 @@ class TestObjectiveGrads:
     def test_alpha_zero_is_clipped_erm(self):
         model, _, _, x_full, y_full, pairs, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
-            model, x_full, pairs, 0.0, clip, erm=(y_full, "bce"))
+            model, x_full, pairs, 0.0, clip, erm=y_full)
         erm = penalized_objective(model, x_full, pairs, 0.0, clip,
-                                  erm=(y_full, "bce"))[3]
+                                  erm=y_full)[3]
         np.testing.assert_allclose(g, erm, atol=1e-15)
         # the penalty value is still reported when its gradient is skipped
         assert w_val > 0.0 and total == erm_val
@@ -312,19 +312,19 @@ class TestObjectiveGrads:
     def test_alpha_one_is_pure_penalty(self):
         model, _, _, x_full, y_full, pairs, clip = self._setup()
         erm_val, w_val, total, g = penalized_objective(
-            model, x_full, pairs, 1.0, clip, erm=(y_full, "bce"))
+            model, x_full, pairs, 1.0, clip, erm=y_full)
         w = penalized_objective(model, x_full, pairs, 1.0, clip)[3]
         np.testing.assert_allclose(g, w, atol=1e-15)
-        want = np.mean(model.trace(x_full).loss(y_full, "bce"))
+        want = np.mean(model.trace(x_full).loss(y_full))
         assert erm_val == pytest.approx(want, rel=1e-15)
         assert total == w_val
 
     def test_alpha_half_combines_halves(self):
         model, _, _, x_full, y_full, pairs, clip = self._setup(seed=3)
         erm_val, w_val, total, g = penalized_objective(
-            model, x_full, pairs, 0.5, clip, erm=(y_full, "bce"))
+            model, x_full, pairs, 0.5, clip, erm=y_full)
         erm = penalized_objective(model, x_full, pairs, 0.0, clip,
-                                  erm=(y_full, "bce"))[3]
+                                  erm=y_full)[3]
         w = penalized_objective(model, x_full, pairs, 1.0, clip)[3]
         np.testing.assert_allclose(g, 0.5 * erm + 0.5 * w, atol=1e-14)
         assert total == pytest.approx(0.5 * erm_val + 0.5 * w_val, rel=1e-15)
@@ -334,17 +334,17 @@ class TestObjectiveGrads:
         with pytest.raises(ValueError):
             penalized_objective(model, x_full,
                                 [(slice(0, 0), slice(6, 12))], 0.5,
-                                clip, erm=(y_full, "bce"))
+                                clip, erm=y_full)
         with pytest.raises(ValueError, match="non-empty"):
             penalized_objective(model, x_full,
                                 [(slice(0, 6), slice(6, 6))], 0.5,
-                                clip, erm=(y_full, "bce"))
+                                clip, erm=y_full)
 
     def test_penalty_needs_a_pair(self):
         model, _, _, x_full, y_full, _, clip = self._setup()
         with pytest.raises(ValueError, match="penalty pair"):
             penalized_objective(model, x_full, [], 0.5, clip,
-                                erm=(y_full, "bce"))
+                                erm=y_full)
 
     def test_eo_combines_per_label_terms(self):
         model, _, _, _, _, _, clip = self._setup(seed=5)
@@ -353,7 +353,7 @@ class TestObjectiveGrads:
         keys = [(j, k) for j in (0, 1) for k in (0, 1)]
         x_full = np.concatenate([rng.normal(size=(4, 3)) + j - k
                                  for j, k in keys])
-        erm = (rng.integers(0, 2, size=16).astype(float), "bce")
+        erm = rng.integers(0, 2, size=16).astype(float)
         blocks = {key: slice(4 * i, 4 * i + 4) for i, key in enumerate(keys)}
         pairs = [(blocks[(0, k)], blocks[(1, k)]) for k in (0, 1)]
         _, w_val, _, g = penalized_objective(model, x_full, pairs, 0.4, clip,
@@ -373,13 +373,13 @@ class TestObjectiveGrads:
         pairs = [*pairs, (slice(0, 6), slice(12, 12))]
         with pytest.raises(ValueError):
             penalized_objective(model, x_full, pairs, 0.4, clip,
-                                erm=(y_full, "bce"))
+                                erm=y_full)
 
     def test_eo_zero_penalty_when_distributions_identical(self):
         model, _, _, x_full, y_full, _, clip = self._setup(seed=7)
         pairs = [(slice(0, 6), slice(0, 6)) for _ in (0, 1)]
         _, w_val, _, g = penalized_objective(model, x_full, pairs, 1.0, clip,
-                                             erm=(y_full, "bce"))
+                                             erm=y_full)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
         assert w_val == 0.0
 
@@ -395,15 +395,12 @@ class TestObjectiveGrads:
         model = make_model(kind, 3, seed=2, hidden_dim=5)
         x_full = rng.normal(size=(13, 3))
         if kind == "affine_sigmoid":
-            dirs, targets = None, rng.integers(0, 2, size=13).astype(float)
-            loss_kind = "bce"
+            dirs, erm = None, rng.integers(0, 2, size=13).astype(float)
         else:
             dirs = sample_directions(model.penalty_dim, 6, seed=3)
-            targets = (x_full if kind == "autoencoder"
-                       else 0.3 * rng.normal(size=(13, 2)))
-            loss_kind = "squared_error"
+            erm = (x_full if kind == "autoencoder"
+                   else 0.3 * rng.normal(size=(13, 2)))
         clip = ClipConfig(0.3, 1.0, 1.0, 2.0)
-        erm = (targets, loss_kind)
         pairs = [(slice(0, 4), slice(4, 9)),
                  (slice(9, 11), slice(11, 13))]
         got = penalized_objective(model, x_full, pairs, alpha, clip, dirs,
@@ -467,8 +464,7 @@ class TestTiedOutputs:
         clip = ClipConfig(0.5, 1.0, 1.0, 5.0)
         pairs = [(slice(0, n), slice(n, n + m))]
         _, w_val, _, g = penalized_objective(
-            model, x_full, pairs, alpha, clip,
-            erm=(targets, "squared_error"))
+            model, x_full, pairs, alpha, clip, erm=targets)
         u = clip_rows(model.forward_batch(x), 0.5)
         v = clip_rows(model.forward_batch(z), 0.5)
         assert set(np.abs(np.concatenate([u, v])).ravel()) == {0.5}
@@ -487,7 +483,7 @@ class TestTiedOutputs:
         w_grad = (gu @ clip_rows(jacobian_batch(model, x)[:, 0, :], 1.0)
                   + gv @ clip_rows(jacobian_batch(model, z)[:, 0, :], 1.0))
         erm = penalized_objective(model, x_full, pairs, 0.0, clip,
-                                  erm=(targets, "squared_error"))[3]
+                                  erm=targets)[3]
         np.testing.assert_allclose(g, (1.0 - alpha) * erm + alpha * w_grad,
                                    rtol=1e-13, atol=1e-15)
 
@@ -579,7 +575,6 @@ class TestGhostClipping:
         model.theta *= 4.0
         x = _ghost_inputs(rng, 23)
         if kind.endswith("_bce"):
-            loss_kind = "bce"
             # rows far along +-w saturate q to exactly 1 and 0: a zero row
             # where y matches q, a long one where it does not
             x[9:13] = 1e3 * np.sign(model.theta[:3]) * [[1], [-1], [1], [-1]]
@@ -588,13 +583,19 @@ class TestGhostClipping:
             q = model.forward_batch(x)[:, 0]
             assert set(q[9:13]) == {0.0, 1.0}
             zero_rows = [9, 10]
+        elif kind == "affine_sigmoid":
+            # bce takes binary targets: zero rows where a far row
+            # saturates q to exactly 1 and its target is 1
+            targets = rng.integers(0, 2, size=23).astype(float)
+            zero_rows = np.flatnonzero(model.forward_batch(x)[:, 0] == 1.0)
+            assert zero_rows.size
+            targets[zero_rows] = 1.0
         else:
-            loss_kind = "squared_error"
             targets = model.forward_batch(x) + rng.normal(size=(23, 1)) * 0.3
             # exact fits, and zero inputs fitted by the bias: zero rows
             targets[:2] = model.forward_batch(x[:2])
             zero_rows = [0, 1]
-        dense = loss_grad_batch(model, x, targets, loss_kind)
+        dense = loss_grad_batch(model, x, targets)
         norms = np.linalg.norm(dense, axis=1)
         assert np.all(norms[zero_rows] == 0.0)
         bound = float(np.median(norms))
@@ -604,9 +605,9 @@ class TestGhostClipping:
         dirs = sample_directions(d, 1, seed=0) if d > 1 else None
         value, _, _, got = penalized_objective(
             model, x, [(slice(None), slice(None))], 0.0,
-            ClipConfig(1.0, 1.0, 1.0, bound), dirs, erm=(targets, loss_kind))
+            ClipConfig(1.0, 1.0, 1.0, bound), dirs, erm=targets)
         assert _close(got, clip_rows(dense, bound).mean(axis=0))
-        assert value == np.mean(model.trace(x).loss(targets, loss_kind))
+        assert value == np.mean(model.trace(x).loss(targets))
 
     def test_overflowing_ghost_norm_is_clipped_not_zeroed(self):
         # the Jacobian row [x, 1] of the first sample has a squared norm
@@ -628,7 +629,7 @@ class TestGhostClipping:
         # a loss-gradient row 2e100 [1e100, 0, 1] whose ghost factors
         # ||g||^2 and ||a||^2 + 1 are finite but whose product overflows
         loss_grads = model.trace(np.array([[1e100, 0.0]])).loss_and_grads(
-            np.zeros(1), "squared_error")[1]
+            np.zeros(1))[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert loss_grads.norms()[0, 0] == pytest.approx(2e200,
@@ -679,7 +680,7 @@ class TestOnePenaltyPass:
         rng = np.random.default_rng(seed)
         model = make_model("mlp2", 3, seed=seed, hidden_dim=5, output_dim=2)
         x = rng.normal(size=(n, 3))
-        erm = (0.3 * rng.normal(size=(n, 2)), "squared_error")
+        erm = 0.3 * rng.normal(size=(n, 2))
         return model, x, erm, sample_directions(2, 4, seed=seed)
 
     @pytest.fixture
@@ -920,9 +921,13 @@ class TestFactoredRows:
         assert np.any(penalty_norms > row_bound)
         assert np.any((penalty_norms > 0.0) & (penalty_norms < row_bound))
         batch, pairs = stacked_pairs([(x, z)])
-        targets = model.forward_batch(batch) \
-            + 0.3 * rng.normal(size=(len(batch), model.output_dim))
-        loss_grads = loss_grad_batch(model, batch, targets, "squared_error")
+        if kind == "affine_sigmoid":
+            # the model's loss, bce, takes binary targets
+            targets = rng.integers(0, 2, size=len(batch)).astype(float)
+        else:
+            targets = model.forward_batch(batch) \
+                + 0.3 * rng.normal(size=(len(batch), model.output_dim))
+        loss_grads = loss_grad_batch(model, batch, targets)
         loss_norms = np.linalg.norm(loss_grads, axis=1)
         loss_bound = float(np.median(loss_norms))
         assert np.any(loss_norms > loss_bound)
@@ -931,7 +936,7 @@ class TestFactoredRows:
                           0.5 * row_bound * np.sqrt(d), loss_bound)
 
         got = penalized_objective(model, batch, pairs, alpha, clip, dirs,
-                                  (targets, "squared_error"))[3]
+                                  targets)[3]
         encode = penalty_model(model).forward_batch
         u = clip_rows(encode(x), 0.3) @ directions.T
         v = clip_rows(encode(z), 0.3) @ directions.T

@@ -297,6 +297,18 @@ class TestTasks:
                           batch_fraction=0.01, seed=1)
         with pytest.raises(ValueError, match="empty batch"):
             dpsgd_train(cfg, ds)
+        # an empty class has an empty batch at any fraction: at bias 1 the
+        # sensitive attribute is the label, so (a, y) = (0, 1) has no record
+        same = generate_biased(GenerationConfig(n=200, bias=1.0, seed=14))
+        assert partition(same, True)[(0, 1)].size == 0
+        eo = TrainConfig(task="classification_eo", steps=2,
+                         learning_rate=0.05, epsilon=math.inf, delta=1e-4,
+                         alpha=0.5, clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                         batch_fraction=1.0, seed=1)
+        with pytest.raises(ValueError,
+                           match=r"class \(0, 1\) \(size 0\) yields an "
+                                 r"empty batch"):
+            dpsgd_train(eo, same)
         # generation follows the same batch-size rule as the fairness tasks
         gen = TrainConfig(task="generation", steps=2, learning_rate=0.05,
                           epsilon=math.inf, delta=1e-4, alpha=0.0,

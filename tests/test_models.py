@@ -26,13 +26,13 @@ def _theta_jacobian_fd(model, x, h=1e-6):
     return central_diff_jacobian(fn, base, h=h)
 
 
-def _loss_grad_fd(model, x, target, loss_kind, h=1e-6):
+def _loss_grad_fd(model, x, target, h=1e-6):
     base = model.theta.copy()
 
     def fn(theta):
         model.theta[:] = theta
         val = float(model.trace(x[None, :]).loss(
-            np.asarray(target).reshape(1, -1), loss_kind)[0])
+            np.asarray(target).reshape(1, -1))[0])
         model.theta[:] = base
         return val
 
@@ -60,8 +60,8 @@ class TestAffine:
             m = make_model("affine", 3, output_dim=2, seed=i)
             x = rng.normal(size=3)
             y = rng.normal(size=2)
-            g = per_sample_loss_grad(m, x, y, "squared_error")
-            assert rel_err(g, _loss_grad_fd(m, x, y, "squared_error")) < 1e-5
+            g = per_sample_loss_grad(m, x, y)
+            assert rel_err(g, _loss_grad_fd(m, x, y)) < 1e-5
 
 
 class TestAffineSigmoid:
@@ -91,22 +91,24 @@ class TestAffineSigmoid:
             xs = rng.normal(size=(4, 3))
             ys = rng.integers(0, 2, size=4).astype(float)
             trace = m.trace(xs)
-            values, grads = trace.loss_and_grads(ys, "bce")
-            np.testing.assert_array_equal(values, m.trace(xs).loss(ys, "bce"))
+            values = trace.loss_and_grads(ys)[0]
+            np.testing.assert_array_equal(values, m.trace(xs).loss(ys))
             for j, (x, y) in enumerate(zip(xs, ys)):
-                # row j of the library's per-sample gradients
+                # row j of the library's per-sample gradients, from a
+                # backward of its own: layer_sums spends the gradients
+                grads = trace.loss_and_grads(ys)[1]
                 g = trace.weighted_sum(grads.layer_sums(np.eye(4)[:, [j]]))
                 q = forward(m, x)[0]
                 np.testing.assert_allclose(
                     g, (q - y) * np.concatenate([x, [1.0]]), rtol=1e-12)
-                assert rel_err(g, _loss_grad_fd(m, x, y, "bce")) < 1e-5
+                assert rel_err(g, _loss_grad_fd(m, x, y)) < 1e-5
 
     def test_bce_rejects_non_binary_targets(self):
         m = make_model("affine_sigmoid", 2, seed=0)
         with pytest.raises(ValueError, match="0 or 1"):
-            m.trace(np.zeros((1, 2))).loss(np.array([0.5]), "bce")
+            m.trace(np.zeros((1, 2))).loss(np.array([0.5]))
         with pytest.raises(ValueError, match="0 or 1"):
-            m.trace(np.zeros((1, 2))).loss_and_grads(np.array([0.5]), "bce")
+            m.trace(np.zeros((1, 2))).loss_and_grads(np.array([0.5]))
 
 
 class TestMlp2:
@@ -159,36 +161,15 @@ class TestMlp2:
             m = make_model("mlp2", 3, hidden_dim=4, output_dim=2, seed=50 + i)
             x = rng.normal(size=3)
             y = rng.uniform(-0.4, 0.4, size=2)
-            g = per_sample_loss_grad(m, x, y, "squared_error")
-            assert rel_err(g, _loss_grad_fd(m, x, y, "squared_error")) < 1e-5
+            g = per_sample_loss_grad(m, x, y)
+            assert rel_err(g, _loss_grad_fd(m, x, y)) < 1e-5
 
     def test_gradient_zero_at_exact_fit(self):
         m = make_model("mlp2", 2, hidden_dim=3, output_dim=2, seed=0)
         x = np.array([0.1, 0.2])
         y = forward(m, x)
-        g = per_sample_loss_grad(m, x, y, "squared_error")
+        g = per_sample_loss_grad(m, x, y)
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
-
-    def test_bce_rejected(self):
-        m = make_model("mlp2", 2, hidden_dim=3, output_dim=1, seed=0)
-        with pytest.raises(ValueError):
-            m.trace(np.zeros((1, 2))).loss_and_grads(np.zeros(1), "bce")
-
-
-@pytest.mark.parametrize("model", [
-    make_model("affine", 2, output_dim=1, seed=0),
-    make_model("mlp2", 2, hidden_dim=3, output_dim=1, seed=0),
-    make_model("mlp2", 2, hidden_dim=3, output_dim=1,
-               output_activation="linear", seed=0),
-    make_model("autoencoder", 2, hidden_dim=3, latent_dim=1, seed=0),
-], ids=["affine", "mlp2", "mlp2_linear", "autoencoder"])
-def test_bce_needs_a_scalar_sigmoid_model(model):
-    x, y = np.zeros((2, model.input_dim)), np.array([0.0, 1.0])
-    trace = model.trace(x)
-    for loss in (trace.loss, trace.loss_and_grads):
-        with pytest.raises(ValueError, match="bce loss requires a "
-                           "probability-valued scalar model"):
-            loss(y, "bce")
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -269,14 +250,14 @@ class TestAutoencoder:
             m = make_model("autoencoder", 3, hidden_dim=4, latent_dim=2,
                            seed=20 + i)
             x = rng.normal(size=3)
-            g = per_sample_loss_grad(m, x, x, "squared_error")
-            assert rel_err(g, _loss_grad_fd(m, x, x, "squared_error")) < 1e-5
+            g = per_sample_loss_grad(m, x, x)
+            assert rel_err(g, _loss_grad_fd(m, x, x)) < 1e-5
 
     def test_perfect_reconstruction_zero_gradient(self):
         m = make_model("autoencoder", 2, hidden_dim=3, latent_dim=2, seed=0)
         x = np.array([0.4, -0.1])
         target = forward(m, x)  # pretend the target is whatever it outputs
-        g = per_sample_loss_grad(m, x, target, "squared_error")
+        g = per_sample_loss_grad(m, x, target)
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -365,7 +346,7 @@ class TestFactoryAndCheckpoint:
         ys = np.random.default_rng(5).integers(0, 2, size=10).astype(float)
         q = m.forward_batch(xs)[:, 0]
         direct = -(ys * np.log(q) + (1 - ys) * np.log(1 - q))
-        np.testing.assert_allclose(m.trace(xs).loss(ys, "bce"), direct,
+        np.testing.assert_allclose(m.trace(xs).loss(ys), direct,
                                    rtol=1e-10)
 
 
@@ -425,7 +406,7 @@ class TestDerivativeCache:
         d = model.penalty_dim
         whole = model.trace(x)
         whole.loss_and_grads(x if kind == "autoencoder"
-                             else np.zeros((60, 2)), "squared_error")
+                             else np.zeros((60, 2)))
         got = whole.jacobian_rows()
         sub = penalty_model(model)
         block = sub.trace(x[rows])
@@ -457,7 +438,7 @@ class TestDerivativeCache:
         assert len(whole.jacobian_rows().blocks) == model.penalty_layers
         whole = model.trace(x)
         assert all(d is None for d in whole.derivs)
-        whole.loss_and_grads(x, "squared_error")
+        whole.loss_and_grads(x)
         first = list(whole.derivs)
         assert [d is None for d in first] == [s is None for s in whole.sigs]
         whole.jacobian_rows()

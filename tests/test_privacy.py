@@ -126,7 +126,7 @@ class TestAccountant:
     def test_single_full_step_inverts_the_curve(self):
         state = AccountantState(noise_multiplier=1.3, sampling_rate=1.0,
                                 steps=1, target_delta=1e-5)
-        eps = state.epsilon_spent(1e-5)
+        eps = state.epsilon_spent()
         assert gdp_delta(1.0 / 1.3, eps) == pytest.approx(1e-5, abs=1e-9)
 
     def test_full_rate_composition_is_exact_sqrt(self):
@@ -135,7 +135,7 @@ class TestAccountant:
     def test_reference_configuration_is_finite_and_below_ceiling(self):
         state = AccountantState(noise_multiplier=2.0, sampling_rate=0.2,
                                 steps=500, target_delta=1e-5)
-        eps = state.epsilon_spent(1e-5)
+        eps = state.epsilon_spent()
         assert math.isfinite(eps) and eps > 0
         ceiling = conservative_epsilon(2.0, 0.2, 500, 1e-5)
         assert eps <= ceiling
@@ -148,7 +148,7 @@ class TestAccountant:
 
         def eps(nu, p, t, d):
             return AccountantState(nu, p, steps=t,
-                                   target_delta=d).epsilon_spent(d)
+                                   target_delta=d).epsilon_spent()
 
         for p in ps:
             for t in ts:
@@ -178,30 +178,26 @@ class TestAccountant:
                     for d in (1e-6, 1e-5, 1e-4):
                         state = AccountantState(nu, p, steps=t,
                                                 target_delta=d)
-                        assert state.epsilon_spent(d) <= \
+                        assert state.epsilon_spent() <= \
                             conservative_epsilon(nu, p, t, d)
 
     def test_zero_steps_spends_nothing(self):
         state = AccountantState(1.0, 0.5)
-        assert state.epsilon_spent(1e-5) == 0.0
+        assert state.epsilon_spent() == 0.0
 
-    def test_negative_step_rejected(self):
-        # a negative step would take back budget already spent
+    def test_step_records_one_step(self):
         state = AccountantState(1.0, 0.5, target_delta=1e-5)
-        state.step(3)
-        spent = state.epsilon_spent()
-        for k in (-2, -5):
-            with pytest.raises(ValueError, match=">= 0"):
-                state.step(k)
-        assert state.steps == 3 and state.epsilon_spent() == spent
-        state.step(0)
+        for _ in range(3):
+            state.step()
         assert state.steps == 3
+        assert state.epsilon_spent() == AccountantState(
+            1.0, 0.5, steps=3, target_delta=1e-5).epsilon_spent()
 
     def test_saturation_reported(self):
         state = AccountantState(noise_multiplier=0.01, sampling_rate=0.5,
                                 steps=100, target_delta=1e-5)
         with pytest.raises(PrivacySaturationError):
-            state.epsilon_spent(1e-5)
+            state.epsilon_spent()
 
     @pytest.mark.parametrize("nu", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_noise_multiplier_rejected(self, nu):
@@ -225,7 +221,7 @@ class TestCalibration:
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, sens)
             state = AccountantState(sigma / sens, p, steps=steps,
                                     target_delta=delta)
-            achieved = state.epsilon_spent(delta)
+            achieved = state.epsilon_spent()
             assert achieved == pytest.approx(eps, rel=1e-4)
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
@@ -305,7 +301,7 @@ class TestCalibration:
             p = float(rng.uniform(0.02, 1.0))
             sigma = calibrate_noise(PrivacyBudget(eps, delta), steps, p, 1.0)
             spent = AccountantState(sigma, p, steps=steps,
-                                    target_delta=delta).epsilon_spent(delta)
+                                    target_delta=delta).epsilon_spent()
             assert spent <= eps
 
 

@@ -147,7 +147,7 @@ class TestClosedFormBounds:
             empirical_sensitivity(lambda classes: np.zeros(1),
                                   [np.zeros((3, 2)), np.zeros((0, 2))],
                                   uniform_box_replacement([0, 0], [1, 1]),
-                                  trials=1, seed=0)
+                                  trials=1, seed=0, theoretical_bound=1.0)
 
 
 def _audit_one_sided(clip_bounds, n, trials=300, sliced=False, seed=0,
@@ -256,7 +256,7 @@ class TestEmpiricalAuditor:
             y_full = np.concatenate([c0[:, 2], c1[:, 2]])
             return penalized_objective(
                 model, x_full, [(slice(0, n0), slice(n0, n0 + n1))],
-                0.75, clip, erm=(y_full, "bce"))[3]
+                0.75, clip, erm=y_full)[3]
 
         def draw(rng_, class_index):
             return np.concatenate([rng_.uniform(-3, 3, size=2),

@@ -16,13 +16,15 @@ run each checkout's ``src`` into its own directory and ``diff`` the two
 listings.  Manifests record the library version, so they differ whenever
 the version does.
 
-The grid (93 runs, each in its own directory, and their 93 replays):
+The grid (81 runs, each in its own directory, and their 81 replays):
 
 - two ``generate`` runs, ``calibrate-noise`` and ``counterexample``;
 - each of the five ``train`` tasks at epsilon {1, inf} x alpha
-  {0, 0.5, 1} x ``--resample-directions`` off/on;
+  {0, 0.5, 1} x ``--resample-directions`` off/on, except that generation,
+  whose one pair has weight 1 and which refuses any other ``--alpha``,
+  runs only at its default alpha, 0;
 - ``--model-kind affine`` for regression and generation at every epsilon
-  and alpha;
+  and at the alphas above;
 - each of the four dataset tasks with ``--test-data``, so that every
   task's test metrics are written;
 - a classification_eo and a generation ``--seeds`` sweep;
@@ -49,9 +51,9 @@ import sys
 from pathlib import Path
 
 from dpswgrad.cli import main
+from dpswgrad.fairness_train import TASKS
 
-TASKS = ("classification_sp", "classification_eo", "regression_sp",
-         "autoencoder_sp", "generation")
+ALPHAS = ("0", "0.5", "1")
 
 
 # a classification_eo run given as a --config file; epsilon and clip_c are
@@ -61,10 +63,18 @@ CONFIG_FILE_RUN = {"task": "classification_eo", "data": "data/data.csv",
                    "clip_c": 5, "resample_directions": False}
 
 
-def _task_args(task: str) -> list:
+def _alphas(task: str) -> tuple:
+    """The penalty weights a task runs at: generation only at its
+    default."""
+    return ALPHAS[:1] if task == "generation" else ALPHAS
+
+
+def _task_args(task: str, alpha: str) -> list:
+    """The task's data and penalty weight; generation draws its own
+    samples and takes no ``--alpha``."""
     if task == "generation":
         return ["--task", task, "--gen-samples", "200", "--hidden-dim", "8"]
-    return ["--task", task, "--data", "data/data.csv"]
+    return ["--task", task, "--data", "data/data.csv", "--alpha", alpha]
 
 
 def grid() -> list:
@@ -78,27 +88,26 @@ def grid() -> list:
     common = ["--steps", "5", "--seed", "1"]
     for task in TASKS:
         for eps in ("1", "inf"):
-            for alpha in ("0", "0.5", "1"):
-                base = ["train", *_task_args(task), *common,
-                        "--epsilon", eps, "--alpha", alpha]
+            for alpha in _alphas(task):
+                base = ["train", *_task_args(task, alpha), *common,
+                        "--epsilon", eps]
                 runs.append((f"{task}_eps{eps}_a{alpha}", base))
                 runs.append((f"{task}_eps{eps}_a{alpha}_resample",
                              base + ["--resample-directions"]))
     for task in ("regression_sp", "generation"):
         for eps in ("1", "inf"):
-            for alpha in ("0", "0.5", "1"):
+            for alpha in _alphas(task):
                 runs.append((f"{task}_affine_eps{eps}_a{alpha}",
-                             ["train", *_task_args(task), *common,
-                              "--epsilon", eps, "--alpha", alpha,
-                              "--model-kind", "affine"]))
+                             ["train", *_task_args(task, alpha), *common,
+                              "--epsilon", eps, "--model-kind", "affine"]))
     for task in TASKS[:-1]:
         runs.append((f"{task}_test_data", [
-            "train", *_task_args(task), "--test-data", "test_data/data.csv",
-            *common, "--epsilon", "1", "--alpha", "0.5"]))
+            "train", *_task_args(task, "0.5"), "--test-data",
+            "test_data/data.csv", *common, "--epsilon", "1"]))
     for task, seeds in (("classification_eo", "0,1,2"), ("generation", "0,1")):
-        runs.append((f"{task}_seeds", ["train", *_task_args(task), "--steps",
-                                       "5", "--epsilon", "1", "--alpha",
-                                       "0.5", "--seeds", seeds]))
+        runs.append((f"{task}_seeds", ["train", *_task_args(task, "0.5"),
+                                       "--steps", "5", "--epsilon", "1",
+                                       "--seeds", seeds]))
     variants = {
         "autoencoder_latent3": ("autoencoder_sp", ["--latent-dim", "3"]),
         "regression_clip": ("regression_sp", [
@@ -110,8 +119,8 @@ def grid() -> list:
             "--clip-m", "0.7071", "--clip-l", "1.4142"]),
     }
     for name, (task, extra) in variants.items():
-        runs.append((name, ["train", *_task_args(task), *common, "--epsilon",
-                            "1", "--alpha", "0.5", *extra]))
+        runs.append((name, ["train", *_task_args(task, "0.5"), *common,
+                            "--epsilon", "1", *extra]))
     for setting in ("one_sided", "two_sided", "sliced", "sp"):
         runs.append((f"audit_{setting}", ["sensitivity-audit", "--setting",
                                           setting, "--trials", "200"]))

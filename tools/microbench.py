@@ -212,7 +212,7 @@ def _objective_reg_sp(sizes=(2986, 3014), seed: int = 0):
     rng = np.random.default_rng(seed)
     model = make_model("mlp2", 16, seed=seed, hidden_dim=64, output_dim=2)
     x = rng.normal(size=(sum(sizes), 16))
-    erm = (0.3 * rng.normal(size=(x.shape[0], 2)), "squared_error")
+    erm = 0.3 * rng.normal(size=(x.shape[0], 2))
     pair = (slice(0, sizes[0]), slice(sizes[0], x.shape[0]))
     clip = ClipConfig.symmetric(0.7071, 1.4142, 10.0)
     dirs = sample_directions(2, 50, seed)
@@ -232,7 +232,7 @@ def _objective_ae(sizes=(2986, 3014), seed: int = 0):
     clip = ClipConfig.symmetric(1.0, 1.0, 5.0)
     dirs = sample_directions(2, 50, seed)
     return lambda: penalized_objective(model, x, [pair], 0.75, clip, dirs,
-                                       (x, "squared_error"))
+                                       x)
 
 
 def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
@@ -242,7 +242,7 @@ def _objective_eo(sizes=(2094, 906, 891, 2109), seed: int = 0):
     rng = np.random.default_rng(seed)
     model = make_model("affine_sigmoid", 16, seed=seed)
     x = rng.normal(size=(sum(sizes), 16))
-    erm = (rng.integers(0, 2, x.shape[0]).astype(np.float64), "bce")
+    erm = rng.integers(0, 2, x.shape[0]).astype(np.float64)
     ends = np.cumsum(sizes).tolist()
     blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
     pairs = [(blocks[0], blocks[2]), (blocks[1], blocks[3])]
