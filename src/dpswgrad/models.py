@@ -198,7 +198,10 @@ class Trace:
     and ``logit`` the last one's pre-activation.  ``derivs`` holds each
     sigmoid layer's derivative ``s (1 - s)``, computed at the first
     backward or Jacobian rows that need it, so that no forward-only pass
-    pays for it and it is not held while the penalty's OT kernels run.
+    pays for it and it is not held while the penalty's OT kernels run;
+    ``input_sq`` each layer's ``||a[i]||^2 + 1`` of its input rows, at the
+    first norm pass that needs it, which the loss gradients and the
+    Jacobian rows of one trace share.
     """
 
     def __init__(self, model: Model, acts: list, sigs: list, logit):
@@ -207,6 +210,7 @@ class Trace:
         self.sigs = sigs
         self.logit = logit
         self.derivs = [None] * len(sigs)
+        self.input_sq = [None] * len(sigs)
 
     @property
     def output(self) -> np.ndarray:
@@ -301,6 +305,14 @@ class Trace:
             self.derivs[i] = ds
         return self.derivs[i]
 
+    def _input_sq(self, i: int) -> np.ndarray:
+        """Layer ``i``'s (n,) ``||a[i]||^2 + 1`` of its input rows, computed
+        once into ``input_sq``."""
+        if self.input_sq[i] is None:
+            a = self.acts[i]
+            self.input_sq[i] = np.einsum("ni,ni->n", a, a) + 1.0
+        return self.input_sq[i]
+
     def _backward(self, cot, at_logit: bool) -> "LayerGrads":
         """Per-sample gradients of ``<cot[i], output[i]>`` wrt theta, as
         (n, 1) :class:`LayerGrads`.
@@ -348,8 +360,8 @@ class LayerGrads:
     def sq_norms(self) -> np.ndarray:
         """(n, k) squared norms of the rows."""
         sq = np.zeros(self.shape)
-        for a, block in zip(self.trace.acts, self.blocks):
-            sq += block.sq() * (np.einsum("ni,ni->n", a, a) + 1.0)[:, None]
+        for i, block in enumerate(self.blocks):
+            sq += block.sq() * self.trace._input_sq(i)[:, None]
         return sq
 
     def norms(self) -> np.ndarray:

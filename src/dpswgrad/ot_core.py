@@ -48,13 +48,27 @@ of a (k, n) one, as ``(dirs @ points.T).T`` is, enters without a copy,
 and the gradients come back as such views; a C-ordered block is copied
 once.
 
+The two sides of a call are sorted independently, and where the process
+may run on at least two CPUs (``os.sched_getaffinity``) and each side holds
+at least ``_CONCURRENT_VALUES`` values, the second side's sort runs on one
+private daemon thread while the calling thread sorts the first.  That
+thread is the one extra thread the module ever uses: it starts at the
+first such call, is made anew in a forked child, and runs nothing but the
+sorts, never a BLAS call.
+Everything after the sorts runs on the calling thread in one order, and a
+sort is a pure function of its rows, so every output is the same bits
+whichever thread sorted which side.
+
 All indices in :class:`QuantileCoupling` are 0-based.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -67,6 +81,11 @@ __all__ = [
 
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
+
+# the fewest values on each side for which a call sorts its second side on
+# the worker thread: below it the hand-off costs about what the overlap
+# saves (the serial/concurrent lines of tools/microbench.py)
+_CONCURRENT_VALUES = 1 << 15
 
 
 def _as_columns(values, name: str) -> np.ndarray:
@@ -152,11 +171,85 @@ def _coupled_w2_rows(us, vs, c: QuantileCoupling
     return squares @ c.weights, disp
 
 
+def _value_sort(a: np.ndarray) -> np.ndarray:
+    """Every row of ``a`` sorted by value, ties in any order."""
+    return np.sort(a, axis=1)
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    """The worker thread's loop: run each ``(sort, rows, slot, done)`` job
+    of ``jobs`` in turn, put its result or its exception in its own
+    ``slot`` and release its ``done`` lock."""
+    while True:
+        sort, rows, slot, done = jobs.get()
+        try:
+            slot += (sort(rows), None)
+        except BaseException as exc:    # the caller re-raises it
+            slot += (None, exc)
+        # hold neither the rows nor the result while waiting for the next
+        del sort, rows, slot
+        done.release()
+
+
+_worker_jobs: SimpleQueue | None = None
+_worker_lock = threading.Lock()
+
+
+def _jobs() -> SimpleQueue:
+    """The worker thread's job queue, starting the thread at first use."""
+    global _worker_jobs
+    with _worker_lock:
+        if _worker_jobs is None:
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), daemon=True,
+                             name="dpswgrad-ot-sort").start()
+            _worker_jobs = jobs
+        return _worker_jobs
+
+
+def _forget_worker() -> None:
+    """In a forked child, where the parent's worker thread does not run:
+    the next concurrent call starts a new one."""
+    global _worker_jobs, _worker_lock
+    _worker_jobs = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:    # no affinity mask here: stay serial
+        return False
+
+
+def _sort_pair(sort_u, u: np.ndarray, sort_v, v: np.ndarray):
+    """``(sort_u(u), sort_v(v))``, with ``sort_v`` on the worker thread
+    while this thread runs ``sort_u`` where both sides hold at least
+    ``_CONCURRENT_VALUES`` values and two CPUs may run them (see the
+    module docstring).  An exception of either sort is raised here."""
+    if min(u.size, v.size) < _CONCURRENT_VALUES or not _two_cpus():
+        return sort_u(u), sort_v(v)
+    slot = []
+    done = threading.Lock()
+    done.acquire()
+    _jobs().put((sort_v, v, slot, done))
+    first = sort_u(u)
+    done.acquire()
+    second, exc = slot
+    if exc is not None:
+        raise exc
+    return first, second
+
+
 def w2_squared_columns(u, v) -> np.ndarray:
     """Columnwise W2^2 for stacked samples ``u`` (n, k) and ``v`` (m, k)."""
     u, v = _as_row_pair(u, v)
-    us = np.sort(u, axis=1)
-    vs = np.sort(v, axis=1)
+    us, vs = _sort_pair(_value_sort, u, _value_sort, v)
     return _coupled_w2_rows(us, vs,
                             quantile_coupling(u.shape[1], v.shape[1]))[0]
 
@@ -166,7 +259,9 @@ def _ordered_ints(a: np.ndarray) -> np.ndarray:
     bits, with those below the sign flipped for negative values, after
     ``-0.0`` is made ``0.0``."""
     key = (a + 0.0).view(np.int64)    # -0.0 + 0.0 is 0.0
-    key ^= (key >> 63) & _INT64_MAX
+    sign = key >> 63
+    sign &= _INT64_MAX
+    key ^= sign
     return key
 
 
@@ -238,7 +333,8 @@ def w2_grad_columns(u, v, grad_v: bool = True
     repeated values, and the (k,) columnwise W2^2 read from the same sorted
     arrays, bit-identical to :func:`w2_squared_columns`.  The permutations
     come from one in-place sort of packed (value, index) int64 keys per
-    side (see :func:`_stable_sort_rows`).  The weighted displacements
+    side (see :func:`_stable_sort_rows`), the two sides' side by side on
+    large blocks (see the module docstring).  The weighted displacements
     ``weights[e] * D[e]`` are formed once, C-ordered (k, E), and each
     side's sorted sums land straight in its samples' input positions by
     one ``np.bincount``, which adds them in entry order from ``0.0`` as a
@@ -247,8 +343,9 @@ def w2_grad_columns(u, v, grad_v: bool = True
     sort only, and ``grad_u`` and ``values`` are the same bits.
     """
     u, v = _as_row_pair(u, v)
-    flat_u, us = _stable_sort_rows(u)
-    flat_v, vs = _stable_sort_rows(v) if grad_v else (None, np.sort(v, axis=1))
+    sort_v = _stable_sort_rows if grad_v else _value_sort
+    (flat_u, us), sorted_v = _sort_pair(_stable_sort_rows, u, sort_v, v)
+    flat_v, vs = sorted_v if grad_v else (None, sorted_v)
     c = quantile_coupling(u.shape[1], v.shape[1])
     values, disp = _coupled_w2_rows(us, vs, c)
 

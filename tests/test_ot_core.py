@@ -1,5 +1,11 @@
 """Tests for the exact 1D transport core: couplings, distance, gradients."""
 
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -515,6 +521,174 @@ class TestOneSidedGradient:
         got = w2_grad_columns(u, v, grad_v=False)
         assert repaired_rows == []
         self._check(u, v, got)
+
+
+def _ot_cases():
+    """(u, v) blocks of every tie regime, n == m and n != m."""
+    rng = np.random.default_rng(40)
+    u, v = (np.round(scale * rng.normal(size=(size, 4)))
+            for scale, size in ((1.0, 50), (2.0, 37)))
+    v[:, 2] = 0.25
+    yield "exact_ties", u, v
+    yield "signed_zeros", rng.choice([-1.0, -0.0, 0.0, 1.0], size=(40, 4)), \
+        rng.choice([-0.0, 0.0, 0.5], size=(31, 4))
+    u, v = (np.column_stack([_ulp_spaced(rng, start, size)
+                             for start in (1.0, -3.5, 0.0, 1e-300)])
+            for size in (700, 650))
+    u[rng.integers(700, size=4), range(4)] = -2.0
+    v[rng.integers(650, size=4), range(4)] = 2.0
+    yield "near_ties_repaired", u, v
+    yield "identity", rng.normal(size=(300, 6)), rng.normal(size=(300, 6))
+    yield "n_ne_m", rng.normal(size=(311, 3)), rng.normal(size=(197, 3))
+    yield "reg_sp_sides", rng.normal(size=(2986, 5)), \
+        rng.normal(size=(3014, 5)) + 0.3
+
+
+_OT_CASES = list(_ot_cases())
+
+
+class TestConcurrentSorts:
+    """With every block taken as large enough and two CPUs as present, each
+    call sorts its second side on the module's worker thread: the outputs
+    are the serial path's bits and the stable-sort reference's, a failed
+    sort reaches the caller, and a forked child starts its own worker."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """Force the concurrent path; one entry per sort handed to the
+        worker."""
+        handed = []
+        jobs = ot_core._jobs
+
+        def spy():
+            handed.append(threading.current_thread().name)
+            return jobs()
+
+        monkeypatch.setattr(ot_core, "_jobs", spy)
+        monkeypatch.setattr(ot_core, "_two_cpus", lambda: True)
+        monkeypatch.setattr(ot_core, "_CONCURRENT_VALUES", 1)
+        return handed
+
+    @staticmethod
+    def _serial(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(ot_core, "_CONCURRENT_VALUES", 2 ** 62)
+            return fn(*args)
+
+    @pytest.mark.parametrize("grad_v", [True, False])
+    @pytest.mark.parametrize("case", _OT_CASES, ids=[c[0] for c in _OT_CASES])
+    def test_outputs_equal_serial_and_reference(self, case, grad_v, handed,
+                                                monkeypatch,
+                                                repaired_rows):
+        name, u, v = case
+        serial = self._serial(monkeypatch, w2_grad_columns, u, v, grad_v)
+        # the near-ties repair every side sorted for its permutation
+        assert repaired_rows == ([4] * (1 + grad_v)
+                                 if name == "near_ties_repaired" else [])
+        assert not handed
+        got = w2_grad_columns(u, v, grad_v)
+        assert len(handed) == 1
+        want = list(w2_grad_columns_stable(u, v))
+        if not grad_v:
+            want[1] = None
+        for g, s, w in zip(got, serial, want):
+            assert g is s is w is None or bit_equal(g, s) and bit_equal(g, w)
+        values = w2_squared_columns(u, v)
+        assert len(handed) == 2
+        assert bit_equal(values, self._serial(monkeypatch, w2_squared_columns,
+                                              u, v))
+        assert bit_equal(values, want[2])
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failed_sort_is_raised_and_leaves_nothing_behind(
+            self, failing, handed, monkeypatch):
+        # u's rows are 40 long and v's 30: the failing side's sort raises
+        # (on the worker thread: v's), then the next call, unpatched, gets
+        # its own sorts' results, not the abandoned call's
+        rng = np.random.default_rng(41)
+        u, v = rng.normal(size=(40, 3)), rng.normal(size=(30, 3))
+        u2, v2 = rng.normal(size=(40, 3)), rng.normal(size=(30, 3))
+        stable_sort_rows = ot_core._stable_sort_rows
+        failed_on = []
+
+        def sort(a):
+            if a.shape[1] == (30 if failing == "worker" else 40):
+                failed_on.append(threading.current_thread())
+                raise ArithmeticError(f"{failing} sort failed")
+            return stable_sort_rows(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(ot_core, "_stable_sort_rows", sort)
+            with pytest.raises(ArithmeticError,
+                               match=f"{failing} sort failed"):
+                w2_grad_columns(u, v)
+        assert (failed_on[0] is threading.current_thread()) \
+            == (failing == "caller")
+        for a, b in ((u2, v2), (u, v)):
+            got = w2_grad_columns(a, b)
+            for g, w in zip(got, w2_grad_columns_stable(a, b)):
+                assert bit_equal(g, w)
+        assert len(handed) == 3
+
+    def test_callers_on_many_threads_get_their_own_results(self, handed):
+        # four callers share the one worker, each with blocks of its own
+        # shapes and values, and threads switch as often as they can
+        rng = np.random.default_rng(43)
+        blocks = [(rng.normal(size=(30 + i, 3)),
+                   np.round(rng.normal(size=(20 + 2 * i, 3))))
+                  for i in range(4)]
+        wants = [w2_grad_columns_stable(u, v) for u, v in blocks]
+        wrong = []
+
+        def call(i):
+            u, v = blocks[i]
+            for _ in range(50):
+                got = w2_grad_columns(u, v)
+                if not all(bit_equal(g, w) for g, w in zip(got, wants[i])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not wrong and len(handed) == 200
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_forked_child_runs_its_own_worker(self, handed):
+        rng = np.random.default_rng(42)
+        u, v = rng.normal(size=(200, 4)), rng.normal(size=(150, 4))
+        want = w2_grad_columns(u, v)    # the parent's worker is running
+        assert handed
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = w2_grad_columns(u, v)
+                code = 0 if all(bit_equal(g, w) for g, w in zip(got, want)) \
+                    and len(handed) == 2 else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's concurrent call did not "
+                            "finish within 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestInputValidation:

@@ -33,9 +33,22 @@ holds near-ties, so every row takes the repair: a stable argsort of its
 values.  No benchmark workload reaches that repair, so this case is its
 timed evidence.  ``gen_circle one-sided`` times the gen_circle blocks with
 ``grad_v=False``, as the generation step sorts them: the reference side
-takes a value sort only, and no gradient comes back for it.  Then it
-times one ``dp_gradient.penalized_objective`` call in each of five
-shapes:
+takes a value sort only, and no gradient comes back for it.
+
+The ``concurrent`` lines time ``w2_grad_columns`` with the second side
+sorted on the kernel's worker thread (``ot_core._CONCURRENT_VALUES`` set
+to 1), each alternating call by call with the ``serial`` line below it,
+both sides sorted on the calling thread (the constant set above every
+block's size), whose outputs must be the same bits: the reg_sp blocks,
+the gen_circle one-sided blocks, and square 2048 x 2048 blocks of 2^13 to
+2^16 values per side, around the constant's 2^15, where the overlap
+starts to save more than the hand-off to the worker costs.  A first line
+gives the number of CPUs this process may run on; with one, the
+``concurrent`` lines hand the sorts to the worker all the same, but
+nothing runs side by side.
+
+Then it times one ``dp_gradient.penalized_objective`` call in each of
+five shapes:
 
 - ``reg_sp``: the ``reg_sp_paper`` batch (mlp2 with 16 inputs, 64 hidden
   units and 2 outputs; 2986 + 3014 rows traced once, the two classes as
@@ -86,13 +99,18 @@ if any differ.  To compare two versions of the library, run each
 checkout's own copy of this script with that checkout's ``src`` on
 ``PYTHONPATH``: the reference follows the library's arithmetic.
 
-Runtime: about 25 s on 2 cores at the default R.  The script is not part of
+Run it with ``OPENBLAS_NUM_THREADS=1``, as perfbench runs the CLI: a BLAS
+thread left spinning after a product competes with the worker thread for
+the second core.
+
+Runtime: about 30 s on 2 cores at the default R.  The script is not part of
 the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
 import tempfile
@@ -138,6 +156,15 @@ OT_CASES = (
     ("far", 5, 1000, 2, "normal", False, True),
     ("far", 1, 100000, 1, "normal", False, True),
 )
+
+
+# (label, n, m, k, grad_v) of the serial/concurrent lines: the reg_sp_paper
+# and gen_circle blocks, then 2^13 to 2^16 values per side
+CONCURRENT_CASES = (
+    ("reg_sp", 2986, 3014, 50, True),
+    ("gen_circle one-sided", 2000, 2000, 50, False),
+) + tuple((f"2^{b} per side", 2048, 2048, 2 ** (b - 11), True)
+          for b in range(13, 17))
 
 
 def _ot_rows(rng, size: int, k: int, values: str, shift: float):
@@ -282,6 +309,19 @@ def _objective_gen(n: int = 2000, seed: int = 0):
     return lambda: penalized_objective(model, x, pairs, 1.0, clip, dirs)
 
 
+def _at_threshold(values: int, fn):
+    """``fn`` run with the kernel's size threshold for sorting the two
+    sides concurrently set to ``values``."""
+    def call():
+        saved = ot_core._CONCURRENT_VALUES
+        ot_core._CONCURRENT_VALUES = values
+        try:
+            return fn()
+        finally:
+            ot_core._CONCURRENT_VALUES = saved
+    return call
+
+
 def _matches_oracle_kernel(step) -> bool:
     """Whether ``step()`` gives the same bits as with the objective's OT
     kernel replaced by the stable-sort reference, whose gradients are laid
@@ -361,6 +401,23 @@ def run(repeats: int) -> int:
                 "   oracle: " + ("identical" if same else "DIFFERENT"))
         _report("  csr product", csr,
                 "   kernel: " + ("identical" if same_csr else "DIFFERENT"))
+
+    print(f"# {len(os.sched_getaffinity(0))} CPUs in this process's "
+          f"affinity mask; ot_core._CONCURRENT_VALUES = "
+          f"{ot_core._CONCURRENT_VALUES}")
+    for label, n, m, k, grad_v in CONCURRENT_CASES:
+        u, v = _ot_inputs(n, m, k, "normal", False)
+        concurrent = _at_threshold(1, lambda: w2_grad_columns(u, v, grad_v))
+        serial = _at_threshold(sys.maxsize,
+                               lambda: w2_grad_columns(u, v, grad_v))
+        same = all(a is b or bit_equal(a, b)
+                   for a, b in zip(concurrent(), serial()))
+        if not same:
+            failed.append(f"{label} concurrent")
+        both, alone = _alternating_ms(concurrent, serial, repeats)
+        _report(f"w2_grad_columns {label} {n}x{m}x{k} concurrent", both)
+        _report("  serial", alone,
+                "   concurrent: " + ("identical" if same else "DIFFERENT"))
 
     for label, step in (("reg_sp 2986+3014", _objective_reg_sp()),
                         ("ae 2986+3014", _objective_ae()),
