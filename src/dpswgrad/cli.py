@@ -15,6 +15,14 @@ field a list of integers, and only a field whose default is null takes
 null.  Anything else exits with an error naming the command and the field,
 before any output directory is created.  The manifest records the typed
 values that ran (``1`` given for a float field is recorded as ``1.0``).
+
+A command accepts only the fields its run reads: a typed config (flags,
+``--config`` or a replayed manifest) that gives a value other than the
+default to a field that the run's task, model kind or audit setting
+leaves unread exits with ``error: <command>: a <run> run does not read
+<flags>``, before any output directory is created (:func:`_refuse_unread`;
+a train run's kind facts come from the model it builds).  Numeric values
+never make a field unread.
 Numeric CSV output carries 17 significant digits so downstream consumers
 see the exact doubles.
 """
@@ -38,7 +46,7 @@ from .data import (GenerationConfig, generate_biased, load_dataset,
                    save_dataset)
 from .dp_gradient import ClipConfig, penalized_objective
 from .fairness_train import (TASKS, TrainConfig, dpsgd_train,
-                             generation_samples)
+                             generation_samples, task_model)
 from .jsonio import write_csv, write_json
 from .models import make_model, model_from_meta, save_model
 from .sliced import sample_directions
@@ -69,6 +77,9 @@ class _Field(NamedTuple):
 
 # sensitivity-audit setting -> how many sides of its pair are private
 _AUDIT_PRIVATE_SIDES = {"one_sided": 1, "two_sided": 2, "sliced": 1, "sp": 2}
+# an audit field that only one setting reads -> that setting
+_AUDIT_READER = {"alpha": "sp", "loss_grad_bound": "sp",
+                 "num_projections": "sliced"}
 
 _F = _Field
 _COMMANDS = {
@@ -171,6 +182,42 @@ def _typed_config(command: str, given: dict) -> dict:
     return config
 
 
+def _refuse_unread(command: str, cfg: dict) -> None:
+    """Refuse ``cfg`` where it gives a value other than the default to a
+    field that its run leaves unread because of its task, its model kind
+    or its audit setting.
+
+    A train run's kind facts are those of the model it builds: the kind's
+    fields that ``meta()`` records, and its penalty output's dimension, at
+    which 1 takes no projections.  Neither depends on the data, so one
+    record of one feature stands in for it.
+    """
+    run, unread = command, set()
+    if command == "train":
+        model = task_model(_train_configs(cfg, 1)[0], 1)
+        run = f"{cfg['task']} {model.kind}"
+        unread = ({"data", "test_data", "alpha", "clip_c"}
+                  if cfg["task"] == "generation"
+                  else {"gen_samples", "gen_radius"})
+        unread |= {"hidden_dim", "latent_dim"} - set(model.meta())
+        if model.penalty_dim == 1:
+            unread |= {"num_projections", "resample_directions"}
+        if cfg["seeds"] is not None:
+            run, unread = run + " sweep", unread | {"seed"}
+    elif command == "sensitivity-audit":
+        run = cfg["setting"]
+        if run not in _AUDIT_PRIVATE_SIDES:
+            raise ValueError(f"sensitivity-audit: unknown setting {run!r}")
+        unread = {f for f, reader in _AUDIT_READER.items() if reader != run}
+    elif command in ("calibrate-noise", "counterexample"):
+        unread = {"seed"}  # neither draws anything at random
+    flags = [f.option for f in _COMMANDS[command][1]
+             if f.name in unread and cfg[f.name] != f.default]
+    if flags:
+        raise ValueError(f"{command}: a {run} run does not read "
+                         f"{', '.join(flags)}")
+
+
 def _sanitize(obj):
     """Keep manifests strict JSON: infinities become the string 'inf'."""
     if isinstance(obj, dict):
@@ -211,10 +258,8 @@ def _run_generate(cfg: dict, outdir: Path) -> list:
 # train
 # ---------------------------------------------------------------------------
 
-def _load_pair(path_str: str):
-    csv_path = Path(path_str)
-    sidecar = csv_path.with_suffix(".json")
-    return load_dataset(csv_path, sidecar)
+def _load_pair(path: str):
+    return load_dataset(Path(path), Path(path).with_suffix(".json"))
 
 
 def _train_one(tc: TrainConfig, ds, ds_test):
@@ -274,32 +319,14 @@ def _write_outputs_by_group(outdir: Path, names: list, keys,
     return name
 
 
-def _run_train(cfg: dict, outdir: Path) -> list:
+def _train_configs(cfg: dict, n: int) -> list:
+    """One TrainConfig per seed of a train run on ``n`` records, which give
+    an unset delta, 0.1 / n."""
     seeds = [cfg["seed"]] if cfg["seeds"] is None else cfg["seeds"]
     if not seeds:
         raise ValueError("train: seeds must list at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("train: seeds must be distinct")
-    if cfg["task"] == "generation":
-        if cfg["data"] or cfg["test_data"]:
-            raise ValueError("train: the generation task draws its own "
-                             "samples and takes no --data or --test-data")
-        unread = [f.option for f in _COMMANDS["train"][1]
-                  if f.name in ("alpha", "clip_c") and cfg[f.name] != f.default]
-        if unread:
-            raise ValueError(f"train: the generation task's penalty has "
-                             f"weight 1 and no ERM term; it takes no "
-                             f"{' or '.join(unread)}")
-        if cfg["gen_samples"] < 1:
-            raise ValueError("train: gen_samples must be >= 1")
-        ds = ds_test = None
-        n = cfg["gen_samples"]
-    else:
-        if not cfg["data"]:
-            raise ValueError("train: a --data CSV is required for this task")
-        ds = _load_pair(cfg["data"])
-        ds_test = _load_pair(cfg["test_data"]) if cfg["test_data"] else None
-        n = ds.n
     # the fields TrainConfig shares with the train command, by name
     shared = {f.name: cfg[f.name] for f in fields(TrainConfig)
               if f.name in cfg}
@@ -307,7 +334,17 @@ def _run_train(cfg: dict, outdir: Path) -> list:
         delta=cfg["delta"] if cfg["delta"] is not None else 0.1 / n,
         clip=ClipConfig.symmetric(cfg["clip_m"], cfg["clip_l"],
                                   cfg["clip_c"]))
-    configs = [TrainConfig(**{**shared, "seed": s}) for s in seeds]
+    return [TrainConfig(**{**shared, "seed": s}) for s in seeds]
+
+
+def _run_train(cfg: dict, outdir: Path) -> list:
+    ds = ds_test = None
+    if cfg["task"] != "generation":
+        if not cfg["data"]:
+            raise ValueError("train: a --data CSV is required for this task")
+        ds = _load_pair(cfg["data"])
+        ds_test = _load_pair(cfg["test_data"]) if cfg["test_data"] else None
+    configs = _train_configs(cfg, ds.n if ds else cfg["gen_samples"])
     # every seed trains before any artifact is written, so a seed that
     # fails (say, by diverging) leaves no partial sweep without a manifest
     records = [_train_one(tc, ds, ds_test) for tc in configs]
@@ -367,8 +404,6 @@ def _audit_setup(cfg: dict):
     clip = ClipConfig(cfg["output_bound"], cfg["jac_bound1"],
                       cfg["jac_bound2"], cfg["loss_grad_bound"])
     setting = cfg["setting"]
-    if setting not in _AUDIT_PRIVATE_SIDES:
-        raise ValueError(f"sensitivity-audit: unknown setting {setting!r}")
     rng = np.random.default_rng(seed)
     dirs = None
     if setting == "sliced":
@@ -566,6 +601,7 @@ def main(argv=None) -> int:
             given.update((k, v) for k, v in vars(args).items()
                          if k not in ("command", "out", "config"))
         config = _typed_config(command, given)
+        _refuse_unread(command, config)
         outdir = _resolve_outdir(args.out, args.command)
         outputs = _RUNNERS[command](config, outdir)
         _write_manifest(outdir, command, config, outputs)

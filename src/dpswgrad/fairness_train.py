@@ -32,7 +32,7 @@ from .models import make_model
 from .sliced import sample_directions
 
 __all__ = ["TASKS", "TrainConfig", "TrainRecord", "subsample_partitioned",
-           "generation_samples", "dpsgd_train", "metrics"]
+           "generation_samples", "task_model", "dpsgd_train", "metrics"]
 
 # substream tags; model init uses [seed, 0..3] internally, so start high
 _TAG_BATCH, _TAG_NOISE, _TAG_DIRS, _TAG_GEN = 101, 102, 103, 104
@@ -191,7 +191,7 @@ def generation_samples(cfg: TrainConfig) -> tuple:
                                                 np.sin(angles)])
 
 
-def _task_model(cfg: TrainConfig, input_dim: int):
+def task_model(cfg: TrainConfig, input_dim: int):
     """The task's seeded model; an unset kind takes the task default, an
     unset width the kind's (generation's: 32, with a linear output)."""
     gen = cfg.task == "generation"
@@ -227,7 +227,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
         # each sample is a class of its own, indexing its own array
         part = {key: np.arange(cfg.gen_samples) for key in ("x", "z")}
         refs = {"z": z}
-        model = _task_model(cfg, 2)
+        model = task_model(cfg, 2)
         pair_keys = [("x", "z")]
         targets, weight = None, 1.0
         clip = replace(clip, jac_bound2=0.0)
@@ -238,7 +238,7 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
             raise ValueError(f"the test data has {ds_test.dim} features, "
                              f"the training data {ds.dim}")
         inputs, refs = ds.x, {}
-        model = _task_model(cfg, ds.dim)
+        model = task_model(cfg, ds.dim)
         # the model's own loss: bce for the classifiers, squared error
         # for the regressors and the autoencoder
         if cfg.task == "regression_sp":

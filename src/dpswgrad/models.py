@@ -567,15 +567,27 @@ def save_model(model: Model, path) -> None:
 
 
 def model_from_meta(meta: dict, theta) -> Model:
-    """Rebuild a model from shape metadata plus a flat parameter vector."""
-    return make_model(meta["kind"], meta["input_dim"], theta=theta, **{
+    """Rebuild a model from shape metadata plus a flat parameter vector.
+
+    A field of ``meta`` that the rebuilt model's ``meta()`` does not hold
+    at the same value, as a hidden activation or an output width its kind
+    does not take, is refused with a ValueError that names it.
+    """
+    model = make_model(meta["kind"], meta["input_dim"], theta=theta, **{
         name: meta.get(name) for name in ("hidden_dim", "output_dim",
                                           "latent_dim", "output_activation")})
+    rebuilt = model.meta()
+    for name, value in meta.items():
+        if name not in rebuilt or rebuilt[name] != value:
+            raise ValueError(f"model meta field {name!r} is {value!r}, but "
+                             f"the model has {rebuilt.get(name)!r}")
+    return model
 
 
 def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != _MODEL_SCHEMA:
+    if doc.pop("schema", None) != _MODEL_SCHEMA:
         raise ValueError(f"not a {_MODEL_SCHEMA} checkpoint: {path}")
-    return model_from_meta(doc, doc["theta"])
+    # the rest of the record is the model's meta
+    return model_from_meta(doc, doc.pop("theta"))

@@ -375,9 +375,16 @@ def conservative_epsilon(noise_multiplier: float, sampling_rate: float,
     Splits delta evenly over the amplified steps, converts the per-step
     mechanism with the exact curve, amplifies, and sums epsilons.  Used as
     an independent upper reference for the CLT accountant in tests.
+
+    Where ``target_delta >= sampling_rate * steps`` it is 0.0: under
+    replace-one with shared batch indices, the replaced record is ever
+    sampled with probability at most pT <= delta, and a run that never
+    samples it has the same output, so the run is (0, delta)-DP.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if target_delta >= sampling_rate * steps:
+        return 0.0
     delta_step = target_delta / (sampling_rate * steps)
     if not 0.0 < delta_step < 1.0:
         raise ValueError("target delta too large for this schedule")

@@ -129,7 +129,7 @@ class TestTrain:
     def test_generation_refuses_datasets(self, dataset_dir, tmp_path,
                                          capsys, flags):
         # generation draws its own samples; a dataset it would not read is
-        # refused before any output
+        # refused before any output, under the rule for unread fields
         out = tmp_path / "run"
         given = [arg for flag in flags
                  for arg in (flag, str(dataset_dir / "data.csv"))]
@@ -139,8 +139,8 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: train: the generation task draws its own samples and "
-            "takes no --data or --test-data\n")
+            "error: train: a generation mlp2 run does not read "
+            f"{', '.join(flags)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("given", ["flag", "manifest"])
@@ -170,11 +170,9 @@ class TestTrain:
         assert _run(*argv, *flags, "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        named = " or ".join("--" + name.replace("_", "-")
-                            for name in changed)
+        named = ", ".join("--" + name.replace("_", "-") for name in changed)
         assert captured.err == (
-            "error: train: the generation task's penalty has weight 1 and "
-            f"no ERM term; it takes no {named}\n")
+            f"error: train: a generation mlp2 run does not read {named}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
@@ -257,8 +255,7 @@ class TestTrain:
     def test_generation_task_needs_no_data(self, tmp_path, capsys):
         assert _run("train", "--task", "generation", "--gen-samples", "0",
                     "--out", str(tmp_path / "empty")) == 1
-        assert "error: train: gen_samples must be >= 1" \
-            in capsys.readouterr().err
+        assert "error: gen_samples must be >= 1" in capsys.readouterr().err
         for flags, message in [
                 (("--hidden-dim", "0"), "error: hidden_dim must be >= 1"),
                 (("--learning-rate", "nan"), "error: learning rate must be "
@@ -354,6 +351,190 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(
             "error: noise scale overflows the float range: ")
         assert not out.exists()
+
+
+# A run whose task, model kind or audit setting leaves fields unread: its
+# command, its config (DATA stands for a dataset CSV), the run the error
+# names, and a non-default value of each field it does not read.
+DATA = "<data>"
+_UNREAD_RUNS = {
+    "classification_sp": (
+        "train", {"task": "classification_sp", "data": DATA},
+        "classification_sp affine_sigmoid",
+        {"hidden_dim": 8, "latent_dim": 5, "num_projections": 7,
+         "resample_directions": True, "gen_samples": 7, "gen_radius": 3.0}),
+    "classification_eo": (
+        "train", {"task": "classification_eo", "data": DATA},
+        "classification_eo affine_sigmoid",
+        {"hidden_dim": 8, "latent_dim": 5, "num_projections": 7,
+         "resample_directions": True, "gen_samples": 7, "gen_radius": 3.0}),
+    "regression_mlp2": (
+        "train", {"task": "regression_sp", "data": DATA},
+        "regression_sp mlp2",
+        {"latent_dim": 5, "gen_samples": 7, "gen_radius": 3.0}),
+    "regression_affine": (
+        "train", {"task": "regression_sp", "data": DATA,
+                  "model_kind": "affine"},
+        "regression_sp affine",
+        {"hidden_dim": 5, "latent_dim": 5, "gen_samples": 7,
+         "gen_radius": 3.0}),
+    "autoencoder": (
+        "train", {"task": "autoencoder_sp", "data": DATA},
+        "autoencoder_sp autoencoder", {"gen_samples": 7, "gen_radius": 3.0}),
+    # 1-D codes: a scalar penalty output, which takes no directions
+    "autoencoder_latent1": (
+        "train", {"task": "autoencoder_sp", "data": DATA, "latent_dim": 1},
+        "autoencoder_sp autoencoder",
+        {"num_projections": 7, "resample_directions": True, "gen_samples": 7,
+         "gen_radius": 3.0}),
+    "generation_mlp2": (
+        "train", {"task": "generation", "gen_samples": 20},
+        "generation mlp2",
+        {"data": DATA, "test_data": DATA, "alpha": 0.5, "clip_c": 9.0,
+         "latent_dim": 5}),
+    "generation_affine": (
+        "train", {"task": "generation", "gen_samples": 20,
+                  "model_kind": "affine"},
+        "generation affine",
+        {"data": DATA, "test_data": DATA, "alpha": 0.5, "clip_c": 9.0,
+         "hidden_dim": 5, "latent_dim": 5}),
+    "sweep": (
+        "train", {"task": "regression_sp", "data": DATA, "seeds": [1, 2]},
+        "regression_sp mlp2 sweep", {"seed": 3}),
+    "one_sided": (
+        "sensitivity-audit", {"setting": "one_sided", "n": 6, "m": 5,
+                              "trials": 5},
+        "one_sided",
+        {"loss_grad_bound": 9.0, "alpha": 0.3, "num_projections": 3}),
+    "two_sided": (
+        "sensitivity-audit", {"setting": "two_sided", "n": 6, "m": 5,
+                              "trials": 5},
+        "two_sided",
+        {"loss_grad_bound": 9.0, "alpha": 0.3, "num_projections": 3}),
+    "sliced": (
+        "sensitivity-audit", {"setting": "sliced", "n": 6, "m": 5,
+                              "trials": 5},
+        "sliced", {"loss_grad_bound": 9.0, "alpha": 0.3}),
+    "sp": (
+        "sensitivity-audit", {"setting": "sp", "n": 6, "m": 5, "trials": 5},
+        "sp", {"num_projections": 3}),
+    "calibrate": (
+        "calibrate-noise", {"epsilon": 1, "delta": 1e-5, "steps": 10,
+                            "sampling_rate": 0.2, "sensitivity": 0.05},
+        "calibrate-noise", {"seed": 1}),
+    "counterexample": (
+        "counterexample", {"n_values": [10], "p_orders": [1, 2]},
+        "counterexample", {"seed": 1}),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """A 60-record dataset: each (a, y) class of it holds a batch."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert _run("generate", "--n", "60", "--seed", "5",
+                "--out", str(out)) == 0
+    return str(out / "data.csv")
+
+
+def _with_data(config: dict, path: str) -> dict:
+    return {k: path if v == DATA else v for k, v in config.items()}
+
+
+class TestUnreadFields:
+    """A config that gives a field its run does not read (because of the
+    task, the model kind or the audit setting) a value other than the
+    default exits 1 before any output; each such field, read anyway with
+    the rule bypassed, leaves every output but the config echoes
+    unchanged."""
+
+    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    @pytest.mark.parametrize("run", list(_UNREAD_RUNS))
+    def test_refused(self, tmp_path, capsys, run, source):
+        command, base, named, unread = _UNREAD_RUNS[run]
+        # a missing dataset: the rule reads no data
+        config = _with_data({**base, **unread}, str(tmp_path / "none.csv"))
+        given = tmp_path / "given.json"
+        if source == "flag":
+            table = {f.name: f for f in cli._COMMANDS[command][1]}
+            argv = [command]
+            for name, value in config.items():
+                option = table[name].option
+                if value is True:
+                    argv.append(option)
+                else:
+                    argv += [option, ",".join(map(str, value))
+                             if isinstance(value, list) else str(value)]
+        elif source == "config":
+            given.write_text(json.dumps(config))
+            argv = [command, "--config", str(given)]
+        else:
+            given.write_text(json.dumps({"command": command,
+                                         "config": config}))
+            argv = ["replay", str(given)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert _run(*argv, "--out", str(out)) == 1
+        flags = [f.option for f in cli._COMMANDS[command][1]
+                 if f.name in unread]
+        assert capsys.readouterr() == (
+            "", f"error: {command}: a {named} run does not read "
+                f"{', '.join(flags)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run", list(_UNREAD_RUNS))
+    def test_defaults_given_are_accepted(self, tiny_data, run):
+        command, base, _, unread = _UNREAD_RUNS[run]
+        table = {f.name: f for f in cli._COMMANDS[command][1]}
+        config = cli._typed_config(command, _with_data(
+            {**base, **{name: table[name].default for name in unread}},
+            tiny_data))
+        assert cli._refuse_unread(command, config) is None
+
+    @pytest.fixture(scope="class")
+    def default_outputs(self, tiny_data, tmp_path_factory):
+        """Each run's outputs at the defaults, by run."""
+        cache = {}
+
+        def outputs(run):
+            if run not in cache:
+                command, base = _UNREAD_RUNS[run][:2]
+                cache[run] = _run_outputs(
+                    command, _with_data(base, tiny_data),
+                    tmp_path_factory.mktemp(run))
+            return cache[run]
+        return outputs
+
+    @pytest.mark.parametrize("run, field", [
+        (run, field) for run, case in _UNREAD_RUNS.items()
+        for field in case[3]])
+    def test_unread_field_changes_no_output(self, tiny_data, tmp_path,
+                                            monkeypatch, default_outputs,
+                                            run, field):
+        command, base, _, unread = _UNREAD_RUNS[run]
+        expected = default_outputs(run)
+        monkeypatch.setattr(cli, "_refuse_unread", lambda command, cfg: None)
+        got = _run_outputs(command, _with_data(
+            {**base, field: unread[field]}, tiny_data), tmp_path)
+        assert got == expected
+
+
+def _run_outputs(command: str, config: dict, tmp_path: Path) -> dict:
+    """A run's stdout and output files, by path, but for the echoes of its
+    config: the manifest and ``train_record.json``'s ``config``."""
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert _run(command, "--config", str(given), "--out", str(out)) == 0
+    got = {}
+    for path in sorted(out.rglob("*")):
+        if path.name == "train_record.json":
+            doc = json.loads(path.read_text())
+            del doc["config"]
+            got[path.relative_to(out)] = doc
+        elif path.is_file() and path.name != "manifest.json":
+            got[path.relative_to(out)] = path.read_bytes()
+    return got
 
 
 class TestOutputsByGroup:
@@ -468,6 +649,21 @@ class TestOtherCommands:
         assert doc["sigma"] > 0
         assert doc["epsilon_achieved"] <= doc["conservative_epsilon_ceiling"]
         assert "sigma" in capsys.readouterr().out
+
+    def test_calibrate_ceiling_where_delta_covers_every_sampling(
+            self, tmp_path, capsys):
+        # delta >= pT: the ceiling is 0, and the calibration is written
+        out = tmp_path / "cal"
+        assert _run("calibrate-noise", "--epsilon", "1", "--delta", "1e-5",
+                    "--steps", "1", "--sampling-rate", "1e-6",
+                    "--sensitivity", "1", "--out", str(out)) == 0
+        doc = json.loads((out / "calibration.json").read_text())
+        assert doc["conservative_epsilon_ceiling"] == 0.0
+        assert doc["epsilon_achieved"] == pytest.approx(1.0, rel=1e-4)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"{'conservative_epsilon_ceiling':<28}{0.0:>18.8g}\n" \
+            in captured.out
 
     def test_calibrate_zero_sensitivity_rejected(self, tmp_path):
         assert _run("calibrate-noise", "--epsilon", "1", "--delta", "1e-5",

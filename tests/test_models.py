@@ -1,5 +1,6 @@
 """Tests for the analytic models: forwards, Jacobians, loss gradients."""
 
+import json
 import warnings
 
 import numpy as np
@@ -327,6 +328,29 @@ class TestFactoryAndCheckpoint:
         for read in ("output", "penalty_output"):
             np.testing.assert_array_equal(getattr(rebuilt.trace(x), read),
                                           getattr(m.trace(x), read))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("mlp2", "hidden_activation", "linear"),
+        ("affine_sigmoid", "output_dim", 5),
+        ("affine", "latent_dim", 3),
+    ], ids=["mlp2_linear_hidden", "affine_sigmoid_five_outputs",
+            "affine_latent_dim"])
+    def test_meta_of_another_model_refused(self, tmp_path, kind, field,
+                                           value):
+        # a record that the model it would load does not match, field for
+        # field, is refused, not loaded as a different model
+        m = make_model(kind, 3, seed=1)
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        for load in (lambda: load_model(path),
+                     lambda: model_from_meta({**m.meta(), field: value},
+                                             m.theta)):
+            with pytest.raises(ValueError,
+                               match=f"model meta field '{field}' is"):
+                load()
 
     def test_sigmoid_outputs_in_unit_interval(self):
         m = make_model("affine_sigmoid", 4, seed=1)

@@ -140,6 +140,17 @@ class TestAccountant:
         ceiling = conservative_epsilon(2.0, 0.2, 500, 1e-5)
         assert eps <= ceiling
 
+    @pytest.mark.parametrize("p, t", [(1e-6, 1), (1e-7, 100), (0.5, 1)])
+    def test_ceiling_is_zero_where_delta_covers_every_sampling(self, p, t):
+        # the replaced record is sampled at all with probability <= pT <=
+        # delta, so the run is (0, delta)-DP
+        assert conservative_epsilon(1.0, p, t, max(1e-5, p * t)) == 0.0
+
+    def test_ceiling_below_one_sampling_probability_unchanged(self):
+        assert conservative_epsilon(1.0, 1e-4, 1, 1e-5) > 0.0
+        with pytest.raises(ValueError, match="target delta too large"):
+            conservative_epsilon(1.0, 0.2, 10, 0.0)
+
     def test_monotonicity_grid(self):
         nus = [1.0, 2.0, 4.0]
         ps = [0.05, 0.1, 0.2]
