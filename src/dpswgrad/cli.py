@@ -7,7 +7,9 @@ guaranteed to reproduce every CSV/JSON byte for byte.
 
 Config precedence: command-line flags override values from a ``--config``
 JSON file, which override built-in defaults.  Each command's fields, with
-their types, defaults, flags and help, are declared once in ``_COMMANDS``.
+their flags and help, are declared once in ``_COMMANDS``; a ``generate``
+or ``train`` field of ``GenerationConfig`` or ``TrainConfig`` takes its
+type, and its default where the dataclass gives one, from the dataclass.
 A ``--config`` file or a replayed manifest must give every field its JSON
 type: an int field takes an integral number, a float field a number or
 ``"inf"``, a string field a string, a bool field ``true``/``false``, a list
@@ -35,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,17 +56,19 @@ from .sliced import sample_directions
 MANIFEST_NAME = "manifest.json"
 _ENV_OUTDIR = "DPSWGRAD_OUTDIR"
 _REQUIRED = object()
+_KINDS = {kind.__name__: kind for kind in (int, float, str, bool)}
 
 
 class _Field(NamedTuple):
     """One config field: ``kind`` is int, float, str, bool or list (of ints).
 
     ``flag`` defaults to ``--`` plus the name with dashes; a field whose
-    default is None also takes None.
+    default is None also takes None.  :func:`_declared` fills in the kind
+    and default of a dataclass field.
     """
 
     name: str
-    kind: type
+    kind: type | None = None
     default: object = _REQUIRED
     help: str | None = None
     flag: str | None = None
@@ -75,6 +79,22 @@ class _Field(NamedTuple):
         return self.flag or "--" + self.name.replace("_", "-")
 
 
+def _declared(cls, *specs) -> list:
+    """``specs`` (each a ``_Field`` or a field name) in order, each field of
+    ``cls`` with the kind its annotation names and the default it gives."""
+    declared = {f.name: f for f in fields(cls)}
+    table = []
+    for spec in specs:
+        f = _Field(spec) if isinstance(spec, str) else spec
+        if f.name in declared:
+            field = declared[f.name]
+            f = f._replace(kind=_KINDS[field.type.removesuffix(" | None")],
+                           default=f.default if field.default is MISSING
+                           else field.default)
+        table.append(f)
+    return table
+
+
 # sensitivity-audit setting -> how many sides of its pair are private
 _AUDIT_PRIVATE_SIDES = {"one_sided": 1, "two_sided": 2, "sliced": 1, "sp": 2}
 # an audit field that only one setting reads -> that setting
@@ -83,38 +103,31 @@ _AUDIT_READER = {"alpha": "sp", "loss_grad_bound": "sp",
 
 _F = _Field
 _COMMANDS = {
-    "generate": ("generate a synthetic biased dataset", [
-        _F("n", int),
-        _F("bias", float, 0.7, "probability that the sensitive attribute "
-                               "matches the label (default 0.7)"),
-        _F("core_dim", int, 8), _F("sp_dim", int, 8),
-        _F("core_var", float, 0.2), _F("sp_var", float, 0.4),
-        _F("seed", int, 0),
-    ]),
-    "train": ("run fairness-penalized DP-SGD", [
-        _F("task", str, choices=TASKS),
+    "generate": ("generate a synthetic biased dataset", _declared(
+        GenerationConfig, "n",
+        _F("bias", help="probability that the sensitive attribute matches "
+                        f"the label (default {GenerationConfig.bias})"),
+        "core_dim", "sp_dim", "core_var", "sp_var", "seed")),
+    "train": ("run fairness-penalized DP-SGD", _declared(
+        TrainConfig,
+        _F("task", choices=TASKS),
         _F("data", str, None, "dataset CSV (sidecar JSON expected alongside)"),
         _F("test_data", str, None),
-        _F("steps", int, 200),
-        _F("learning_rate", float, 0.05),
-        _F("epsilon", float, math.inf,
-           "privacy budget; 'inf' for a non-private run"),
-        _F("delta", float, None, "default 0.1/n"),
-        _F("alpha", float, 0.0, "fairness penalty weight in [0, 1]"),
+        _F("steps", default=200),
+        _F("learning_rate", default=0.05),
+        _F("epsilon", default=math.inf,
+           help="privacy budget; 'inf' for a non-private run"),
+        _F("delta", default=None, help="default 0.1/n"),
+        _F("alpha", default=0.0, help="fairness penalty weight in [0, 1]"),
         _F("clip_c", float, 5.0, "per-sample loss gradient clip"),
         _F("clip_m", float, 1.0, "model output clip"),
         _F("clip_l", float, 1.0, "per-sample Jacobian clip"),
-        _F("batch_fraction", float, 0.2),
-        _F("num_projections", int, 50, flag="--projections"),
-        _F("seed", int, 0),
+        "batch_fraction",
+        _F("num_projections", flag="--projections"),
+        "seed",
         _F("seeds", list, None, "comma list; runs one sweep member per seed"),
-        _F("model_kind", str, None),
-        _F("hidden_dim", int, None),
-        _F("latent_dim", int, 2),
-        _F("resample_directions", bool, False),
-        _F("gen_samples", int, 2000),
-        _F("gen_radius", float, 0.75),
-    ]),
+        "model_kind", "hidden_dim", "latent_dim", "resample_directions",
+        "gen_samples", "gen_radius")),
     "calibrate-noise": ("invert the accountant into a noise scale", [
         _F("epsilon", float), _F("delta", float), _F("steps", int),
         _F("sampling_rate", float), _F("sensitivity", float),
@@ -525,6 +538,14 @@ def _read_config(path: str) -> dict:
     return config
 
 
+def _given(args: argparse.Namespace) -> dict:
+    """A command line's flags over its ``--config`` file's fields."""
+    given = _read_config(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items()
+                 if k not in ("command", "out", "config"))
+    return given
+
+
 def _resolve_outdir(args_out, command: str) -> Path:
     if args_out:
         return Path(args_out)
@@ -596,10 +617,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             command, given = _read_manifest(args.manifest)
         else:
-            command = args.command
-            given = _read_config(args.config) if args.config else {}
-            given.update((k, v) for k, v in vars(args).items()
-                         if k not in ("command", "out", "config"))
+            command, given = args.command, _given(args)
         config = _typed_config(command, given)
         _refuse_unread(command, config)
         outdir = _resolve_outdir(args.out, args.command)

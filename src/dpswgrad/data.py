@@ -47,7 +47,7 @@ __all__ = [
 @dataclass(frozen=True)
 class GenerationConfig:
     n: int
-    bias: float
+    bias: float = 0.7
     core_dim: int = 8
     sp_dim: int = 8
     core_var: float = 0.2

@@ -223,6 +223,9 @@ def dpsgd_train(cfg: TrainConfig, ds: BiasedDataset | None,
     """
     clip = cfg.clip
     if cfg.task == "generation":
+        if ds is not None or ds_test is not None:
+            raise ValueError("task 'generation' trains on its own samples "
+                             "and reads no dataset or test dataset")
         inputs, z = generation_samples(cfg)
         # each sample is a class of its own, indexing its own array
         part = {key: np.arange(cfg.gen_samples) for key in ("x", "z")}

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: dispatch, manifests, replay."""
 
+import argparse
 import csv
 import json
 import math
 import tomllib
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,8 +15,8 @@ import pytest
 import dpswgrad
 from dpswgrad import cli, jsonio
 from dpswgrad.cli import main
-from dpswgrad.data import load_dataset
-from dpswgrad.fairness_train import TASKS, generation_samples
+from dpswgrad.data import GenerationConfig, load_dataset
+from dpswgrad.fairness_train import TASKS, TrainConfig, generation_samples
 from dpswgrad.models import _BLOCK_ROWS, Model, load_model
 
 import oracles
@@ -68,6 +70,39 @@ class TestGenerate:
         assert capsys.readouterr().err == \
             "error: variances must be finite and >= 0\n"
         assert not out.exists()
+
+
+class TestDefaults:
+    """The CLI's defaults are the library's: ``generate`` and ``train`` take
+    the defaults of ``GenerationConfig`` and ``TrainConfig``."""
+
+    def test_generate_writes_the_library_config(self, tmp_path):
+        assert _run("generate", "--n", "40", "--out", str(tmp_path)) == 0
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        assert sidecar["config"] == asdict(GenerationConfig(n=40))
+
+    def test_train_records_the_library_defaults(self, dataset_dir, tmp_path):
+        assert _run("train", "--task", "classification_sp",
+                    "--data", str(dataset_dir / "data.csv"),
+                    "--out", str(tmp_path)) == 0
+        config = json.loads(
+            (tmp_path / "train_record.json").read_text())["config"]
+        shared = [f for f in fields(TrainConfig) if f.default is not MISSING]
+        assert len(shared) == 9
+        assert {f.name: config[f.name] for f in shared} == \
+            {f.name: f.default for f in shared}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_parser_options_are_the_table(self, command):
+        # the options apart from -h, --out and --config, in order, each
+        # once under its field's flag
+        sub, = (a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        options = [(a.dest, a.option_strings)
+                   for a in sub.choices[command]._actions
+                   if a.dest not in ("help", "out", "config")]
+        assert options == [(f.name, [f.option])
+                           for f in cli._COMMANDS[command][1]]
 
 
 class TestTrain:

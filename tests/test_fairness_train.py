@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dpswgrad import fairness_train
 from dpswgrad.data import (GenerationConfig, centered_targets,
                            generate_biased, partition)
 from dpswgrad.dp_gradient import ClipConfig
@@ -248,6 +249,29 @@ class TestTasks:
         assert rec.batch_sizes == {"x": 40, "z": 40}
         assert rec.sensitivity == 4.0 * 0.5 * (3.0 * 1.5 + 0.0) / 40 == 0.225
         assert rec.config["clip"]["jac_bound2"] == 1.5
+
+    @pytest.mark.parametrize("given", ["ds", "ds_test"])
+    def test_generation_refuses_a_dataset_before_any_step(self, given,
+                                                          monkeypatch):
+        # generation trains on its own samples: a dataset or a test
+        # dataset is refused before any sample is drawn, the noise is
+        # calibrated or a step runs
+        def reached(*args, **kwargs):
+            raise AssertionError("generation read past its data check")
+
+        for name in ("generation_samples", "penalized_objective"):
+            monkeypatch.setattr(fairness_train, name, reached)
+        monkeypatch.setattr(fairness_train.privacy, "calibrate_noise",
+                            reached)
+        cfg = TrainConfig(task="generation", steps=50, learning_rate=0.01,
+                          epsilon=1.0, delta=1e-4, alpha=0.0,
+                          clip=ClipConfig.symmetric(1.0, 1.0, 5.0),
+                          gen_samples=200, seed=0)
+        ds = _dataset(100, seed=4)
+        with pytest.raises(ValueError, match="^task 'generation' trains on "
+                                             "its own samples and reads no "
+                                             "dataset or test dataset$"):
+            dpsgd_train(cfg, *((ds, None) if given == "ds" else (None, ds)))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
     @pytest.mark.parametrize("task", ["regression_sp", "classification_eo",

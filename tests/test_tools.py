@@ -10,6 +10,7 @@ dropped for that rule are refused, and builds and calls every microbench
 objective once (about 0.1 s in all).
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +26,15 @@ import artifact_grid  # noqa: E402
 import microbench  # noqa: E402
 
 
+@pytest.fixture
+def grid_dir(tmp_path, monkeypatch):
+    """The grid's working directory, holding its one ``--config`` file."""
+    (tmp_path / "train_config.json").write_text(
+        json.dumps(artifact_grid.CONFIG_FILE_RUN))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("grid_dir")
 @pytest.mark.parametrize("name, argv", artifact_grid.grid(),
                          ids=[name for name, _ in artifact_grid.grid()])
 def test_grid_run_parses(name, argv):
@@ -53,12 +63,9 @@ def test_dropped_grid_run_is_refused(name, argv):
 
 
 def _typed(args) -> dict:
-    """The typed config of parsed CLI arguments, as ``cli.main`` merges
-    them: the grid's one ``--config`` file is ``CONFIG_FILE_RUN``."""
-    given = dict(artifact_grid.CONFIG_FILE_RUN) if args.config else {}
-    given.update((k, v) for k, v in vars(args).items()
-                 if k not in ("command", "out", "config"))
-    return cli._typed_config(args.command, given)
+    """The typed config of parsed CLI arguments, merged as ``cli.main``
+    merges them."""
+    return cli._typed_config(args.command, cli._given(args))
 
 
 @pytest.mark.parametrize("build", [
