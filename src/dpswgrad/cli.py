@@ -1,30 +1,31 @@
 """Command-line experiments: generate, train, calibrate, audit, counterexample.
 
-Every artifact-producing command writes a run manifest (full merged config,
-seed, library version, output names, accountant formula identifier) next to
+Every invocation is one run.  Every artifact-producing command writes a run
+manifest (the command, library version, config and output names) next to
 its outputs; ``replay`` re-executes a manifest into a fresh directory and is
-guaranteed to reproduce every CSV/JSON byte for byte.
+guaranteed to reproduce every CSV/JSON byte for byte.  A hand-written
+``{"command": ..., "config": {...}}`` file replays the same way, with
+built-in defaults for the fields it leaves out.
 
-Config precedence: command-line flags override values from a ``--config``
-JSON file, which override built-in defaults.  Each command's fields, with
-their flags and help, are declared once in ``_COMMANDS``; a ``generate``
-or ``train`` field of ``GenerationConfig`` or ``TrainConfig`` takes its
-type, and its default where the dataclass gives one, from the dataclass.
-A ``--config`` file or a replayed manifest must give every field its JSON
-type: an int field takes an integral number, a float field a number or
-``"inf"``, a string field a string, a bool field ``true``/``false``, a list
-field a list of integers, and only a field whose default is null takes
-null.  Anything else exits with an error naming the command and the field,
-before any output directory is created.  The manifest records the typed
-values that ran (``1`` given for a float field is recorded as ``1.0``).
+Each command's fields, with their flags and help, are declared once in
+``_COMMANDS``; a ``generate`` or ``train`` field of ``GenerationConfig``
+or ``TrainConfig`` takes its type, and its default where the dataclass
+gives one, from the dataclass.  A replayed config must give every field
+its JSON type: an int field takes an integral number, a float field a
+number or ``"inf"``, a string field a string, a bool field
+``true``/``false``, a list field a non-empty list of integers, and only a
+field whose default is null takes null.  Anything else exits with an
+error naming the command and the field, before any output directory is
+created.
 
-A command accepts only the fields its run reads: a typed config (flags,
-``--config`` or a replayed manifest) that gives a value other than the
-default to a field that the run's task, model kind or audit setting
-leaves unread exits with ``error: <command>: a <run> run does not read
-<flags>``, before any output directory is created (:func:`_refuse_unread`;
-a train run's kind facts come from the model it builds).  Numeric values
-never make a field unread.
+A command accepts only the fields its run reads: a typed config (flags or
+a replayed file) that gives a value other than the default to a field
+that the run's task, model kind or audit setting leaves unread exits with
+``error: <command>: a <run> run does not read <flags>``, before any output
+directory is created (:func:`_refuse_unread`; a train run's kind facts
+come from the model it builds).  Numeric values never make a field
+unread.  The manifest's config records the typed values of the fields the
+run reads (``1`` given for a float field is recorded as ``1.0``).
 Numeric CSV output carries 17 significant digits so downstream consumers
 see the exact doubles.
 """
@@ -124,14 +125,11 @@ _COMMANDS = {
         _F("clip_l", float, 1.0, "per-sample Jacobian clip"),
         "batch_fraction",
         _F("num_projections", flag="--projections"),
-        "seed",
-        _F("seeds", list, None, "comma list; runs one sweep member per seed"),
-        "model_kind", "hidden_dim", "latent_dim", "resample_directions",
-        "gen_samples", "gen_radius")),
+        "seed", "model_kind", "hidden_dim", "latent_dim",
+        "resample_directions", "gen_samples", "gen_radius")),
     "calibrate-noise": ("invert the accountant into a noise scale", [
         _F("epsilon", float), _F("delta", float), _F("steps", int),
         _F("sampling_rate", float), _F("sensitivity", float),
-        _F("seed", int, 0),
     ]),
     "sensitivity-audit": ("probe a gradient's sensitivity bound empirically", [
         _F("setting", str, "one_sided",
@@ -147,19 +145,18 @@ _COMMANDS = {
         _F("n_values", list, [10, 100, 1000], "comma list of sample sizes",
            "--n"),
         _F("p_orders", list, [1, 2], "comma list of cost orders", "--p"),
-        _F("seed", int, 0),
     ]),
 }
 
 _EXPECTED = {int: "an integer", float: 'a number or "inf"', str: "a string",
-             bool: "true or false", list: "a list of integers"}
+             bool: "true or false", list: "a non-empty list of integers"}
 
 
 def _typed(kind: type, value):
     """``value`` as ``kind``, or None when its JSON type does not fit."""
     if kind is list:
-        items = ([_typed(int, v) for v in value] if isinstance(value, list)
-                 else [None])
+        items = ([_typed(int, v) for v in value]
+                 if isinstance(value, list) and value else [None])
         return None if None in items else items
     if isinstance(value, bool) != (kind is bool):
         return None
@@ -195,10 +192,10 @@ def _typed_config(command: str, given: dict) -> dict:
     return config
 
 
-def _refuse_unread(command: str, cfg: dict) -> None:
-    """Refuse ``cfg`` where it gives a value other than the default to a
-    field that its run leaves unread because of its task, its model kind
-    or its audit setting.
+def _refuse_unread(command: str, cfg: dict) -> set:
+    """The fields of ``cfg`` that its run leaves unread because of its
+    task, its model kind or its audit setting; refuse ``cfg`` where it
+    gives one of them a value other than the default.
 
     A train run's kind facts are those of the model it builds: the kind's
     fields that ``meta()`` records, and its penalty output's dimension, at
@@ -207,7 +204,7 @@ def _refuse_unread(command: str, cfg: dict) -> None:
     """
     run, unread = command, set()
     if command == "train":
-        model = task_model(_train_configs(cfg, 1)[0], 1)
+        model = task_model(_train_config(cfg, 1), 1)
         run = f"{cfg['task']} {model.kind}"
         unread = ({"data", "test_data", "alpha", "clip_c"}
                   if cfg["task"] == "generation"
@@ -215,20 +212,17 @@ def _refuse_unread(command: str, cfg: dict) -> None:
         unread |= {"hidden_dim", "latent_dim"} - set(model.meta())
         if model.penalty_dim == 1:
             unread |= {"num_projections", "resample_directions"}
-        if cfg["seeds"] is not None:
-            run, unread = run + " sweep", unread | {"seed"}
     elif command == "sensitivity-audit":
         run = cfg["setting"]
         if run not in _AUDIT_PRIVATE_SIDES:
             raise ValueError(f"sensitivity-audit: unknown setting {run!r}")
         unread = {f for f, reader in _AUDIT_READER.items() if reader != run}
-    elif command in ("calibrate-noise", "counterexample"):
-        unread = {"seed"}  # neither draws anything at random
     flags = [f.option for f in _COMMANDS[command][1]
              if f.name in unread and cfg[f.name] != f.default]
     if flags:
         raise ValueError(f"{command}: a {run} run does not read "
                          f"{', '.join(flags)}")
+    return unread
 
 
 def _sanitize(obj):
@@ -245,13 +239,11 @@ def _sanitize(obj):
 def _write_manifest(outdir: Path, command: str, config: dict,
                     outputs: list) -> None:
     write_json(outdir / MANIFEST_NAME, {
-        "schema": 1,
+        "schema": 2,
         "command": command,
         "version": __version__,
-        "seed": config.get("seed"),
         "config": _sanitize(config),
         "outputs": sorted(outputs),
-        "accountant_formula": privacy.ACCOUNTANT_FORMULA,
     })
 
 
@@ -273,13 +265,6 @@ def _run_generate(cfg: dict, outdir: Path) -> list:
 
 def _load_pair(path: str):
     return load_dataset(Path(path), Path(path).with_suffix(".json"))
-
-
-def _train_one(tc: TrainConfig, ds, ds_test):
-    try:
-        return dpsgd_train(tc, ds, ds_test)
-    except ValueError as exc:
-        raise ValueError(f"train: {exc}") from exc
 
 
 def _write_train_outputs(tc: TrainConfig, record, outdir: Path, ds) -> list:
@@ -332,14 +317,9 @@ def _write_outputs_by_group(outdir: Path, names: list, keys,
     return name
 
 
-def _train_configs(cfg: dict, n: int) -> list:
-    """One TrainConfig per seed of a train run on ``n`` records, which give
-    an unset delta, 0.1 / n."""
-    seeds = [cfg["seed"]] if cfg["seeds"] is None else cfg["seeds"]
-    if not seeds:
-        raise ValueError("train: seeds must list at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("train: seeds must be distinct")
+def _train_config(cfg: dict, n: int) -> TrainConfig:
+    """The TrainConfig of a train run on ``n`` records, which give an unset
+    delta, 0.1 / n."""
     # the fields TrainConfig shares with the train command, by name
     shared = {f.name: cfg[f.name] for f in fields(TrainConfig)
               if f.name in cfg}
@@ -347,7 +327,7 @@ def _train_configs(cfg: dict, n: int) -> list:
         delta=cfg["delta"] if cfg["delta"] is not None else 0.1 / n,
         clip=ClipConfig.symmetric(cfg["clip_m"], cfg["clip_l"],
                                   cfg["clip_c"]))
-    return [TrainConfig(**{**shared, "seed": s}) for s in seeds]
+    return TrainConfig(**shared)
 
 
 def _run_train(cfg: dict, outdir: Path) -> list:
@@ -357,15 +337,12 @@ def _run_train(cfg: dict, outdir: Path) -> list:
             raise ValueError("train: a --data CSV is required for this task")
         ds = _load_pair(cfg["data"])
         ds_test = _load_pair(cfg["test_data"]) if cfg["test_data"] else None
-    configs = _train_configs(cfg, ds.n if ds else cfg["gen_samples"])
-    # every seed trains before any artifact is written, so a seed that
-    # fails (say, by diverging) leaves no partial sweep without a manifest
-    records = [_train_one(tc, ds, ds_test) for tc in configs]
-    if len(configs) == 1:
-        return _write_train_outputs(configs[0], records[0], outdir, ds)
-    return [f"seed_{tc.seed}/{name}" for tc, record in zip(configs, records)
-            for name in _write_train_outputs(
-                tc, record, outdir / f"seed_{tc.seed}", ds)]
+    tc = _train_config(cfg, ds.n if ds else cfg["gen_samples"])
+    try:
+        record = dpsgd_train(tc, ds, ds_test)
+    except ValueError as exc:
+        raise ValueError(f"train: {exc}") from exc
+    return _write_train_outputs(tc, record, outdir, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +494,7 @@ _RUNNERS = {
 
 
 def _read_manifest(path: str):
-    """The command and the config a manifest recorded."""
+    """The command and the config of a manifest or a run file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
@@ -530,20 +507,13 @@ def _read_manifest(path: str):
     return doc["command"], doc["config"]
 
 
-def _read_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: the config must be a JSON object")
-    return config
-
-
-def _given(args: argparse.Namespace) -> dict:
-    """A command line's flags over its ``--config`` file's fields."""
-    given = _read_config(args.config) if args.config else {}
-    given.update((k, v) for k, v in vars(args).items()
-                 if k not in ("command", "out", "config"))
-    return given
+def _request(args: argparse.Namespace) -> tuple:
+    """The command and the given fields of a command line: its flags, or
+    the config of the manifest or run file it replays."""
+    if args.command == "replay":
+        return _read_manifest(args.manifest)
+    return args.command, {k: v for k, v in vars(args).items()
+                          if k not in ("command", "out")}
 
 
 def _resolve_outdir(args_out, command: str) -> Path:
@@ -576,13 +546,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f.help, **kind)
     sub.add_parser("replay", help="re-run a manifest into a new "
                                   "directory").add_argument("manifest")
-    for command, p in sub.choices.items():
+    for p in sub.choices.values():
         p.add_argument("--out", default=None,
                        help="output directory (default: "
                             "$DPSWGRAD_OUTDIR/<command> or runs/<command>)")
-        if command != "replay":
-            p.add_argument("--config", default=None,
-                           help="JSON file with config defaults")
     return parser
 
 
@@ -614,15 +581,13 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "replay":
-            command, given = _read_manifest(args.manifest)
-        else:
-            command, given = args.command, _given(args)
+        command, given = _request(args)
         config = _typed_config(command, given)
-        _refuse_unread(command, config)
+        unread = _refuse_unread(command, config)
         outdir = _resolve_outdir(args.out, args.command)
         outputs = _RUNNERS[command](config, outdir)
-        _write_manifest(outdir, command, config, outputs)
+        _write_manifest(outdir, command, {k: v for k, v in config.items()
+                                          if k not in unread}, outputs)
     except (ValueError, privacy.PrivacySaturationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,17 @@ def _run(*argv) -> int:
     return main(list(argv))
 
 
+# a manifest's top-level keys: no seed or accountant formula of its own,
+# which its config and the accountant's outputs record
+MANIFEST_KEYS = ["command", "config", "outputs", "schema", "version"]
+
+
+def _run_file(path: Path, command: str, config: dict) -> str:
+    """A hand-written run file at ``path``, for ``replay``."""
+    path.write_text(json.dumps({"command": command, "config": config}))
+    return str(path)
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     out = tmp_path / "gen"
@@ -47,7 +58,8 @@ class TestGenerate:
         assert doc["command"] == "generate"
         assert doc["config"]["n"] == 300
         assert sorted(doc["outputs"]) == ["data.csv", "data.json"]
-        assert doc["accountant_formula"]
+        assert sorted(doc) == MANIFEST_KEYS
+        assert doc["schema"] == 2
 
     def test_repeat_runs_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -94,15 +106,38 @@ class TestDefaults:
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_parser_options_are_the_table(self, command):
-        # the options apart from -h, --out and --config, in order, each
-        # once under its field's flag
+        # the options apart from -h and --out, in order, each once under
+        # its field's flag
         sub, = (a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
         options = [(a.dest, a.option_strings)
                    for a in sub.choices[command]._actions
-                   if a.dest not in ("help", "out", "config")]
+                   if a.dest not in ("help", "out")]
         assert options == [(f.name, [f.option])
                            for f in cli._COMMANDS[command][1]]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "generation", "--seeds", "1,2"],
+        ["calibrate-noise", "--epsilon", "1", "--delta", "1e-5", "--steps",
+         "10", "--sampling-rate", "0.2", "--sensitivity", "0.05", "--seed",
+         "0"],
+        ["counterexample", "--seed", "0"],
+        *([command, "--config", "run.json"] for command in (
+            "generate", "train", "calibrate-noise", "sensitivity-audit",
+            "counterexample"))],
+        ids=["train_seeds", "calibrate_seed", "counterexample_seed",
+             "generate_config", "train_config", "calibrate_config",
+             "audit_config", "counterexample_config"])
+    def test_removed_option_is_a_usage_error(self, tmp_path, capsys, argv):
+        # one invocation is one run, flags are its only source besides a
+        # replayed file, and a command that draws nothing takes no seed
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            _run(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -137,27 +172,6 @@ class TestTrain:
             for t in range(4)))
         assert _files_equal(out / "metrics.csv", tmp_path / "want.csv")
         assert float(rows[1][4]) == math.inf
-
-    def test_seed_sweep_subdirectories(self, dataset_dir, tmp_path):
-        out = tmp_path / "sweep"
-        assert _run("train", "--task", "classification_sp",
-                    "--data", str(dataset_dir / "data.csv"),
-                    "--steps", "3", "--seeds", "1,2",
-                    "--out", str(out)) == 0
-        assert (out / "seed_1" / "train_record.json").exists()
-        assert (out / "seed_2" / "train_record.json").exists()
-        doc = json.loads((out / "manifest.json").read_text())
-        assert "seed_1/metrics.csv" in doc["outputs"]
-
-    def test_repeated_seeds_rejected(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        assert _run("train", "--task", "classification_sp",
-                    "--data", str(dataset_dir / "data.csv"),
-                    "--steps", "3", "--seeds", "1,2,1",
-                    "--out", str(out)) == 1
-        assert capsys.readouterr().err == \
-            "error: train: seeds must be distinct\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--data"], ["--test-data"],
                                        ["--data", "--test-data"]])
@@ -210,45 +224,11 @@ class TestTrain:
             f"error: train: a generation mlp2 run does not read {named}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
-    def test_empty_seed_list_rejected(self, tmp_path, capsys, given):
-        # fails before the (missing) dataset is read and before any output
-        out = tmp_path / "sweep"
-        cfg = {"task": "classification_sp",
-               "data": str(tmp_path / "missing.csv"), "seeds": []}
-        doc = tmp_path / "given.json"
-        doc.write_text(json.dumps({"command": "train", "config": cfg}
-                                  if given == "manifest" else cfg))
-        argv = {"flag": ["train", "--task", "classification_sp", "--data",
-                         cfg["data"], "--seeds", ","],
-                "config": ["train", "--config", str(doc)],
-                "manifest": ["replay", str(doc)]}[given]
-        assert _run(*argv, "--out", str(out)) == 1
-        assert capsys.readouterr().err == \
-            "error: train: seeds must list at least one seed\n"
-        assert not out.exists()
-
-    def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({
-            "task": "classification_sp",
-            "data": str(dataset_dir / "data.csv"),
-            "steps": 3, "alpha": 0.25}))
-        out = tmp_path / "cfgrun"
-        assert _run("train", "--config", str(cfg_file), "--alpha", "0.5",
-                    "--out", str(out)) == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        assert doc["config"]["alpha"] == 0.5      # flag wins
-        assert doc["config"]["steps"] == 3        # file wins over default
-        assert doc["config"]["epsilon"] == "inf"  # default recorded
-
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"task": "classification_sp",
-                                        "data": str(dataset_dir / "data.csv"),
-                                        "stepss": 3}))
-        assert _run("train", "--config", str(cfg_file),
-                    "--out", str(tmp_path / "x")) == 1
+        run_file = _run_file(tmp_path / "run.json", "train", {
+            "task": "classification_sp",
+            "data": str(dataset_dir / "data.csv"), "stepss": 3})
+        assert _run("replay", run_file, "--out", str(tmp_path / "x")) == 1
 
     def test_missing_data_rejected(self, tmp_path):
         assert _run("train", "--task", "classification_sp",
@@ -325,23 +305,6 @@ class TestTrain:
             "error: train: diverged at step 1 (epsilon spent 0.")
         assert err.count("\n") == 1
         assert not (out / "train_record.json").exists()
-
-    def test_divergence_in_a_sweep_writes_nothing(self, tmp_path, capsys):
-        # at this step size the noise decides: seed 1 stays finite for 20
-        # steps and seed 4 does not
-        argv = ("train", "--task", "generation", "--gen-samples", "200",
-                "--steps", "20", "--epsilon", "1",
-                "--learning-rate", "2.6e152")
-        assert _run(*argv, "--seed", "1", "--out",
-                    str(tmp_path / "seed1")) == 0
-        assert _run(*argv, "--seed", "4", "--out",
-                    str(tmp_path / "seed4")) == 1
-        capsys.readouterr()
-        out = tmp_path / "sweep"
-        assert _run(*argv, "--seeds", "1,4", "--out", str(out)) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: train: diverged at step ")
-        assert not out.exists()
 
     def test_test_data_dimension_checked_before_training(
             self, dataset_dir, tmp_path, capsys):
@@ -433,9 +396,6 @@ _UNREAD_RUNS = {
         "generation affine",
         {"data": DATA, "test_data": DATA, "alpha": 0.5, "clip_c": 9.0,
          "hidden_dim": 5, "latent_dim": 5}),
-    "sweep": (
-        "train", {"task": "regression_sp", "data": DATA, "seeds": [1, 2]},
-        "regression_sp mlp2 sweep", {"seed": 3}),
     "one_sided": (
         "sensitivity-audit", {"setting": "one_sided", "n": 6, "m": 5,
                               "trials": 5},
@@ -453,13 +413,6 @@ _UNREAD_RUNS = {
     "sp": (
         "sensitivity-audit", {"setting": "sp", "n": 6, "m": 5, "trials": 5},
         "sp", {"num_projections": 3}),
-    "calibrate": (
-        "calibrate-noise", {"epsilon": 1, "delta": 1e-5, "steps": 10,
-                            "sampling_rate": 0.2, "sensitivity": 0.05},
-        "calibrate-noise", {"seed": 1}),
-    "counterexample": (
-        "counterexample", {"n_values": [10], "p_orders": [1, 2]},
-        "counterexample", {"seed": 1}),
 }
 
 
@@ -481,7 +434,8 @@ class TestUnreadFields:
     task, the model kind or the audit setting) a value other than the
     default exits 1 before any output; each such field, read anyway with
     the rule bypassed, leaves every output but the config echoes
-    unchanged."""
+    unchanged.  Flags, a run file of the given fields and a manifest of
+    every field are refused alike."""
 
     @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
     @pytest.mark.parametrize("run", list(_UNREAD_RUNS))
@@ -489,7 +443,6 @@ class TestUnreadFields:
         command, base, named, unread = _UNREAD_RUNS[run]
         # a missing dataset: the rule reads no data
         config = _with_data({**base, **unread}, str(tmp_path / "none.csv"))
-        given = tmp_path / "given.json"
         if source == "flag":
             table = {f.name: f for f in cli._COMMANDS[command][1]}
             argv = [command]
@@ -500,13 +453,14 @@ class TestUnreadFields:
                 else:
                     argv += [option, ",".join(map(str, value))
                              if isinstance(value, list) else str(value)]
-        elif source == "config":
-            given.write_text(json.dumps(config))
-            argv = [command, "--config", str(given)]
         else:
-            given.write_text(json.dumps({"command": command,
-                                         "config": config}))
-            argv = ["replay", str(given)]
+            if source == "manifest":
+                # every field, as a manifest that recorded them all
+                table = cli._COMMANDS[command][1]
+                config = cli._sanitize({f.name: config.get(f.name, f.default)
+                                        for f in table})
+            argv = ["replay", _run_file(tmp_path / "given.json", command,
+                                        config)]
         out = tmp_path / "out"
         capsys.readouterr()
         assert _run(*argv, "--out", str(out)) == 1
@@ -524,7 +478,7 @@ class TestUnreadFields:
         config = cli._typed_config(command, _with_data(
             {**base, **{name: table[name].default for name in unread}},
             tiny_data))
-        assert cli._refuse_unread(command, config) is None
+        assert cli._refuse_unread(command, config) == set(unread)
 
     @pytest.fixture(scope="class")
     def default_outputs(self, tiny_data, tmp_path_factory):
@@ -548,7 +502,7 @@ class TestUnreadFields:
                                             run, field):
         command, base, _, unread = _UNREAD_RUNS[run]
         expected = default_outputs(run)
-        monkeypatch.setattr(cli, "_refuse_unread", lambda command, cfg: None)
+        monkeypatch.setattr(cli, "_refuse_unread", lambda command, cfg: set())
         got = _run_outputs(command, _with_data(
             {**base, field: unread[field]}, tiny_data), tmp_path)
         assert got == expected
@@ -557,10 +511,9 @@ class TestUnreadFields:
 def _run_outputs(command: str, config: dict, tmp_path: Path) -> dict:
     """A run's stdout and output files, by path, but for the echoes of its
     config: the manifest and ``train_record.json``'s ``config``."""
-    given = tmp_path / "given.json"
-    given.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert _run(command, "--config", str(given), "--out", str(out)) == 0
+    assert _run("replay", _run_file(tmp_path / "given.json", command, config),
+                "--out", str(out)) == 0
     got = {}
     for path in sorted(out.rglob("*")):
         if path.name == "train_record.json":
@@ -787,22 +740,39 @@ class TestOtherCommands:
         assert doc["empirical_max"] <= doc["theoretical_bound"]
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
-        def write(name, doc):
-            path = tmp_path / name
-            path.write_text(json.dumps(doc))
-            return str(path)
-
-        runs = [("calibrate-noise", "--config", write("list.json", [1, 2]))]
         for i, doc in enumerate([{"foo": 1}, [1],
                                  {"command": "generate", "config": [1]},
                                  {"command": ["generate"], "config": {}}]):
-            runs.append(("replay", write(f"manifest_{i}.json", doc)))
-        for i, argv in enumerate(runs):
+            path = tmp_path / f"manifest_{i}.json"
+            path.write_text(json.dumps(doc))
             out = tmp_path / f"out_{i}"
-            assert _run(*argv, "--out", str(out)) == 1
+            assert _run("replay", str(path), "--out", str(out)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config", "manifest"])
+    def test_empty_list_rejected(self, tmp_path, capsys, given):
+        # an empty list of sample sizes would write a table of no rows
+        argv = ["counterexample", "--n", ","]
+        if given == "config":
+            argv = ["replay", _run_file(tmp_path / "run.json",
+                                        "counterexample", {"n_values": []})]
+        elif given == "manifest":
+            assert _run("counterexample", "--n", "10", "--out",
+                        str(tmp_path / "first")) == 0
+            config = json.loads(
+                (tmp_path / "first" / "manifest.json").read_text())["config"]
+            argv = ["replay", _run_file(tmp_path / "manifest.json",
+                                        "counterexample",
+                                        {**config, "n_values": []})]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", (
+            "error: counterexample: n_values must be a non-empty list of "
+            "integers, got []\n"))
+        assert not out.exists()
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -824,7 +794,7 @@ _TYPED_CASES = [
     ("train", {"alpha": None}, None),
     ("train", {"resample_directions": "false"}, None),
     ("train", {"steps": 2.7}, None),
-    ("train", {"seeds": 5}, None),
+    ("counterexample", {"n_values": 5}, None),
     ("sensitivity-audit", {"n": [10]}, None),
     ("calibrate-noise", {"epsilon": 10 ** 400}, None),
     ("calibrate-noise", {"epsilon": 2, "sensitivity": 1},
@@ -836,7 +806,7 @@ _TYPED_CASES = [
 @pytest.mark.parametrize("source", ["config", "replay"])
 @pytest.mark.parametrize("command, fields, recorded", _TYPED_CASES, ids=[
     "generate_n_list", "train_alpha_null", "train_resample_string",
-    "train_steps_fraction", "train_seeds_scalar", "audit_n_list",
+    "train_steps_fraction", "counterexample_n_scalar", "audit_n_list",
     "calibrate_epsilon_overflow", "calibrate_int_in_float",
     "train_epsilon_inf"])
 def test_config_field_types(dataset_dir, tmp_path, capsys, source, command,
@@ -847,18 +817,19 @@ def test_config_field_types(dataset_dir, tmp_path, capsys, source, command,
             "sensitivity-audit": {"trials": 5},
             "calibrate-noise": {"epsilon": 1, "delta": 1e-5, "steps": 10,
                                 "sampling_rate": 0.2, "sensitivity": 0.05},
+            "counterexample": {"n_values": [10], "p_orders": [1]},
             }[command]
-    config = {**base, **fields}
-    given = tmp_path / "given.json"
+    if source == "replay":
+        # the manifest of a run of the base config, with the fields changed
+        assert _run("replay", _run_file(tmp_path / "base.json", command, base),
+                    "--out", str(tmp_path / "base")) == 0
+        base = json.loads(
+            (tmp_path / "base" / "manifest.json").read_text())["config"]
     out = tmp_path / "out"
-    if source == "config":
-        given.write_text(json.dumps(config))
-        argv = [command, "--config", str(given)]
-    else:
-        given.write_text(json.dumps({"command": command, "config": config}))
-        argv = ["replay", str(given)]
     capsys.readouterr()
-    status = _run(*argv, "--out", str(out))
+    status = _run("replay", _run_file(tmp_path / "given.json", command,
+                                      {**base, **fields}),
+                  "--out", str(out))
     err = capsys.readouterr().err
     if recorded is None:
         assert status == 1
@@ -893,6 +864,14 @@ class TestReplay:
         for name in ("train_record.json", "metrics.csv", "model.json",
                      "outputs_by_group.csv", "manifest.json"):
             assert _files_equal(first / name, second / name)
+        doc = json.loads((first / "manifest.json").read_text())
+        assert sorted(doc) == MANIFEST_KEYS
+        # a classifier reads no width, projections or generation fields
+        assert sorted(doc["config"]) == sorted(
+            f.name for f in cli._COMMANDS["train"][1]
+            if f.name not in {"hidden_dim", "latent_dim", "num_projections",
+                              "resample_directions", "gen_samples",
+                              "gen_radius"})
 
     def test_audit_replay_byte_identical(self, tmp_path):
         first = tmp_path / "a1"
@@ -919,6 +898,64 @@ class TestReplay:
                         "--out", str(second)) == 0
             for path in sorted(first.iterdir()):
                 assert _files_equal(path, second / path.name)
+            doc = json.loads((first / "manifest.json").read_text())
+            assert sorted(doc) == MANIFEST_KEYS
+            assert sorted(doc["config"]) == sorted(
+                f.name for f in cli._COMMANDS[args[0]][1])
+
+    # manifests as schema 1 wrote them, with a top-level seed and
+    # accountant formula; each config records a field that is gone
+    _SCHEMA_1 = {
+        "sweep": ("train", {
+            "task": "classification_eo", "data": "missing.csv",
+            "steps": 5, "epsilon": 1.0, "alpha": 0.5, "seed": 0,
+            "seeds": [0, 1, 2]}, "['seeds']"),
+        "train": ("train", {
+            "task": "classification_eo", "data": "missing.csv",
+            "steps": 5, "epsilon": 1.0, "alpha": 0.5, "seed": 0,
+            "seeds": None}, "['seeds']"),
+        "calibrate": ("calibrate-noise", {
+            "delta": 3.3e-06, "epsilon": 1.0, "sampling_rate": 0.2,
+            "seed": 0, "sensitivity": 0.0044, "steps": 500}, "['seed']"),
+        "counterexample": ("counterexample", {
+            "n_values": [10, 100, 1000], "p_orders": [1, 2], "seed": 0},
+            "['seed']"),
+    }
+
+    @staticmethod
+    def _schema_1(path: Path, command: str, config: dict) -> str:
+        path.write_text(json.dumps({
+            "accountant_formula": "gdp-clt-uniform-subsampling-v1",
+            "command": command, "config": config, "outputs": [],
+            "schema": 1, "seed": config.get("seed"), "version": "0.10.0"}))
+        return str(path)
+
+    @pytest.mark.parametrize("run", list(_SCHEMA_1))
+    def test_schema_1_manifest_with_a_removed_field_refused(self, tmp_path,
+                                                            capsys, run):
+        command, config, named = self._SCHEMA_1[run]
+        out = tmp_path / "out"
+        assert _run("replay", self._schema_1(tmp_path / "m.json", command,
+                                             config),
+                    "--out", str(out)) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {command}: unknown config fields {named}\n")
+        assert not out.exists()
+
+    def test_schema_1_audit_manifest_replays(self, tmp_path):
+        # the unread fields it recorded at their defaults are accepted and
+        # left out of the new manifest, which the flags write too
+        argv = ["sensitivity-audit", "--n", "8", "--m", "6", "--trials", "5"]
+        assert _run(*argv, "--out", str(tmp_path / "flags")) == 0
+        config = {f.name: f.default
+                  for f in cli._COMMANDS["sensitivity-audit"][1]}
+        config.update(n=8, m=6, trials=5)
+        assert _run("replay", self._schema_1(
+            tmp_path / "m.json", "sensitivity-audit", config),
+            "--out", str(tmp_path / "replayed")) == 0
+        for name in ("sensitivity_report.json", "manifest.json"):
+            assert _files_equal(tmp_path / "flags" / name,
+                                tmp_path / "replayed" / name)
 
 
 def test_version_matches_pyproject():

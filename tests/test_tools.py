@@ -28,9 +28,10 @@ import microbench  # noqa: E402
 
 @pytest.fixture
 def grid_dir(tmp_path, monkeypatch):
-    """The grid's working directory, holding its one ``--config`` file."""
-    (tmp_path / "train_config.json").write_text(
-        json.dumps(artifact_grid.CONFIG_FILE_RUN))
+    """The grid's working directory, holding its one hand-written run
+    file."""
+    (tmp_path / artifact_grid.RUN_FILE).write_text(
+        json.dumps(artifact_grid.RUN_FILE_DOC))
     monkeypatch.chdir(tmp_path)
 
 
@@ -40,7 +41,8 @@ def grid_dir(tmp_path, monkeypatch):
 def test_grid_run_parses(name, argv):
     args = cli._build_parser().parse_args([*argv, "--out", name])
     assert args.command == argv[0]
-    assert cli._refuse_unread(args.command, _typed(args)) is None
+    command, given = cli._request(args)
+    cli._refuse_unread(command, cli._typed_config(command, given))
 
 
 # the classifier runs with --resample-directions, which the grid dropped:
@@ -56,16 +58,11 @@ DROPPED = [(f"{task}_eps{eps}_a{alpha}_resample",
                          ids=[name for name, _ in DROPPED])
 def test_dropped_grid_run_is_refused(name, argv):
     args = cli._build_parser().parse_args([*argv, "--out", name])
+    config = cli._typed_config(*cli._request(args))
     with pytest.raises(ValueError, match="^train: a classification_.. "
                        "affine_sigmoid run does not read "
                        "--resample-directions$"):
-        cli._refuse_unread(args.command, _typed(args))
-
-
-def _typed(args) -> dict:
-    """The typed config of parsed CLI arguments, merged as ``cli.main``
-    merges them."""
-    return cli._typed_config(args.command, cli._given(args))
+        cli._refuse_unread(args.command, config)
 
 
 @pytest.mark.parametrize("build", [

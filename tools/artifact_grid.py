@@ -16,7 +16,7 @@ run each checkout's ``src`` into its own directory and ``diff`` the two
 listings.  Manifests record the library version, so they differ whenever
 the version does.
 
-The grid (69 runs, each in its own directory, and their 69 replays) sets
+The grid (72 runs, each in its own directory, and their 72 replays) sets
 only fields that its runs read, as the CLI refuses any other:
 
 - two ``generate`` runs, ``calibrate-noise`` and ``counterexample``;
@@ -29,15 +29,16 @@ only fields that its runs read, as the CLI refuses any other:
   and at the alphas above;
 - each of the four dataset tasks with ``--test-data``, so that every
   task's test metrics are written;
-- a classification_eo and a generation ``--seeds`` sweep;
+- a classification_eo run at each of the seeds 0, 1 and 2, and a
+  generation run at each of 0 and 1;
 - an autoencoder with a 3-D latent space, two clip/width variants of
   regression and autoencoder, and a generation run whose output and
   Jacobian clips (0.7071, 1.4142) are not powers of two;
 - the four ``sensitivity-audit`` settings at 200 trials, and the
   ``two_sided`` and ``sp`` settings with output bound 0.7071 and Jacobian
   bounds 1.4142 and 0.5 or 1.4142;
-- one ``train --config train_config.json`` run, whose file gives JSON
-  integers to float fields (``CONFIG_FILE_RUN``).
+- one ``replay`` of a hand-written train run file, ``train_run.json``,
+  which gives JSON integers to float fields (``RUN_FILE_DOC``).
 
 Runtime: about 3 s on 2 cores.  The script is not part of the test suite.
 """
@@ -60,11 +61,13 @@ ALPHAS = ("0", "0.5", "1")
 SLICED_TASKS = ("regression_sp", "autoencoder_sp", "generation")
 
 
-# a classification_eo run given as a --config file; epsilon and clip_c are
-# JSON integers in float fields
-CONFIG_FILE_RUN = {"task": "classification_eo", "data": "data/data.csv",
-                   "steps": 5, "seed": 1, "epsilon": 2, "alpha": 0.5,
-                   "clip_c": 5, "resample_directions": False}
+# a classification_eo run given as a run file; epsilon and clip_c are JSON
+# integers in float fields
+RUN_FILE = "train_run.json"
+RUN_FILE_DOC = {"command": "train", "config": {
+    "task": "classification_eo", "data": "data/data.csv", "steps": 5,
+    "seed": 1, "epsilon": 2, "alpha": 0.5, "clip_c": 5,
+    "resample_directions": False}}
 
 
 def _alphas(task: str) -> tuple:
@@ -112,10 +115,11 @@ def grid() -> list:
         runs.append((f"{task}_test_data", [
             "train", *_task_args(task, "0.5"), "--test-data",
             "test_data/data.csv", *common, "--epsilon", "1"]))
-    for task, seeds in (("classification_eo", "0,1,2"), ("generation", "0,1")):
-        runs.append((f"{task}_seeds", ["train", *_task_args(task, "0.5"),
-                                       "--steps", "5", "--epsilon", "1",
-                                       "--seeds", seeds]))
+    for task, seeds in (("classification_eo", ("0", "1", "2")),
+                        ("generation", ("0", "1"))):
+        runs += [(f"{task}_seed{seed}", ["train", *_task_args(task, "0.5"),
+                                         "--steps", "5", "--epsilon", "1",
+                                         "--seed", seed]) for seed in seeds]
     variants = {
         "autoencoder_latent3": ("autoencoder_sp", ["--latent-dim", "3"]),
         "regression_clip": ("regression_sp", [
@@ -137,8 +141,7 @@ def grid() -> list:
             "sensitivity-audit", "--setting", setting, "--trials", "200",
             "--output-bound", "0.7071", "--jac-bound1", "1.4142",
             "--jac-bound2", jac_bound2]))
-    runs.append(("train_config_file",
-                 ["train", "--config", "train_config.json"]))
+    runs.append(("train_config_file", ["replay", RUN_FILE]))
     return runs
 
 
@@ -148,7 +151,7 @@ def run(out: Path) -> None:
     if any(out.iterdir()):
         raise SystemExit(f"error: {out} is not empty")
     os.chdir(out)
-    Path("train_config.json").write_text(json.dumps(CONFIG_FILE_RUN))
+    Path(RUN_FILE).write_text(json.dumps(RUN_FILE_DOC))
     runs = [(name, [*argv, "--out", name]) for name, argv in grid()]
     runs += [(f"replay/{name}", ["replay", f"{name}/manifest.json", "--out",
                                  f"replay/{name}"]) for name, _ in runs]
